@@ -32,7 +32,7 @@ from .glcat import (
     hilbert_coeff,
     multiplicity,
 )
-from .hwv import hwv_basis, hwv_json, hwv_verify
+from .hwv import HwvBasis, hwv_basis, hwv_json, hwv_verify
 from .phiparse import parse_phi
 from .relfinder import (
     LAMBDAS_BY_DEGREE,
@@ -401,6 +401,21 @@ def _bundled_text(name: str) -> str:
     )
 
 
+# version of the hwv_verify check; a new check must not reuse old verdicts
+HWV_CHECK_SCHEMA = 2
+
+
+def hwv_verdict_key(basis: HwvBasis) -> str:
+    """Cache key of the hwv_verify verdict for a basis: the check schema,
+    the weight, the catalog digest and a digest of the basis itself."""
+    lam = basis.lam
+    basis_digest = digest_text(json.dumps(hwv_json(basis), sort_keys=True))
+    return (
+        f"hwvcheck:v{HWV_CHECK_SCHEMA}:{lam.l1},{lam.l2}:"
+        f"{catalog_digest()}:{basis_digest}"
+    )
+
+
 def cmd_reproduce(cfg: Config, args) -> tuple[dict, list[str], bool]:
     cache = cfg.make_cache()
     store = cache.store
@@ -443,7 +458,7 @@ def cmd_reproduce(cfg: Config, args) -> tuple[dict, list[str], bool]:
         lam = Partition(*lam_t)
         basis = hwv_basis(lam, threads=cfg.threads)
         row_ok = basis.alpha_rank == Q and basis.s == m and basis.P == P
-        vkey = f"hwvcheck:{lam.l1},{lam.l2}:{catalog_digest()}"
+        vkey = hwv_verdict_key(basis)
         verdict = store.get_json(vkey) if store else None
         if row_ok and not (isinstance(verdict, dict) and verdict.get("ok")):
             rep = hwv_verify(basis, evaluate=True, cache=cache)

@@ -17,9 +17,18 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .cache import CacheStore
-from .packedpoly import NVARS, PackedCapacityError, PackedPoly, XCAP, YCAP
+from .packedpoly import (
+    NVARS,
+    PackedCapacityError,
+    PackedPoly,
+    XCAP,
+    YCAP,
+    derivation,
+    sum_scaled,
+)
 from .polyring import CommPoly, VarSet, poly_mul
 from .tracelang import TraceExpr, TraceMonomial, Word, cyclic_normalize
 
@@ -152,10 +161,6 @@ def default_cache() -> EvalCache:
     return _DEFAULT_CACHE
 
 
-def set_default_store(store: CacheStore | None) -> None:
-    _DEFAULT_CACHE.store = store
-
-
 def _word_fits_packed(w: Word) -> bool:
     return w.count("x") <= XCAP and w.count("y") <= YCAP
 
@@ -265,14 +270,14 @@ def _trace_monomial_comm(mono: TraceMonomial, cache: EvalCache | None) -> CommPo
 def eval_trace_expr(e: TraceExpr, cache: EvalCache | None = None) -> CommPoly:
     """Evaluate a trace expression on the generic matrix pair."""
     cache = cache or _DEFAULT_CACHE
-    packed_acc = PackedPoly.zero()
+    packed = []
     comm_acc = CommPoly.zero(VARSET18)
     for mono, c in e.terms.items():
         if _mono_fits_packed(mono):
-            packed_acc = packed_acc.add(trace_monomial_packed(mono, cache).scale(c))
+            packed.append((trace_monomial_packed(mono, cache), c))
         else:
             comm_acc = comm_acc + _trace_monomial_comm(mono, cache).scale(c)
-    out = packed_acc.to_comm(VARSET18)
+    out = sum_scaled(packed).to_comm(VARSET18)
     if comm_acc:
         out = out + comm_acc
     return out
@@ -281,12 +286,41 @@ def eval_trace_expr(e: TraceExpr, cache: EvalCache | None = None) -> CommPoly:
 def eval_trace_expr_packed(e: TraceExpr, cache: EvalCache | None = None) -> PackedPoly:
     """Packed evaluation; raises PackedCapacityError beyond field capacity."""
     cache = cache or _DEFAULT_CACHE
-    acc = PackedPoly.zero()
-    for mono, c in e.terms.items():
-        if not _mono_fits_packed(mono):
-            raise PackedCapacityError("monomial degree exceeds packed capacity")
-        acc = acc.add(trace_monomial_packed(mono, cache).scale(c))
-    return acc
+    if not all(_mono_fits_packed(mono) for mono in e.terms):
+        raise PackedCapacityError("monomial degree exceeds packed capacity")
+    return sum_scaled(
+        (trace_monomial_packed(mono, cache), c) for mono, c in e.terms.items()
+    )
+
+
+# -- the raising maps on the evaluated side ---------------------------------
+#
+# Substituting y -> y + t x changes only the diagonal entries y_ii (i <= 3)
+# to y_ii + t x_ii: x is diagonal and y44 = -(y11 + y22 + y33) shifts by
+# x44 = -(x11 + x22 + x33) consistently.  Differentiating at t = 0 gives
+# eval(delta e) = D eval(e) with D = sum_{i<=3} x_ii d/dy_ii, and t = 1 gives
+# eval(subst_h e) = exp(D) eval(e), a finite sum because D is nilpotent.
+
+_RAISE_PAIRS = tuple(
+    (VARSET18.index(f"y{i}{i}"), VARSET18.index(f"x{i}{i}")) for i in (1, 2, 3)
+)
+
+
+def eval_delta(p: PackedPoly) -> PackedPoly:
+    """D p, so that eval_delta(eval(e)) == eval(delta(e))."""
+    return derivation(p, _RAISE_PAIRS)
+
+
+def eval_subst_h(p: PackedPoly) -> PackedPoly:
+    """exp(D) p, so that eval_subst_h(eval(e)) == eval(subst_h(e))."""
+    pairs = [(p, Fraction(1))]
+    term, k = p, 1
+    while True:
+        term = eval_delta(term)
+        if term.is_zero():
+            return sum_scaled(pairs)
+        pairs.append((term, Fraction(1, factorial(k))))
+        k += 1
 
 
 def literal_word_trace(w: Word) -> CommPoly:

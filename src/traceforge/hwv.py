@@ -32,7 +32,6 @@ from .glcat import (
 from . import glcat
 from . import genmat
 from .nullspace import QMatrix, null_dense
-from .tracelang import delta, subst_h
 
 BLOCKED_DEGREE_THRESHOLD = 12
 
@@ -151,7 +150,14 @@ def hwv_verify(
     generator algebra, the evaluated image of the raising derivation
     vanishes on the generic matrices, and evaluation is fixed under the
     substitution y -> x + y.  The evaluation checks can be limited to the
-    first `sample` vectors."""
+    first `sample` vectors.
+
+    Both evaluation checks work on the evaluated side: phi(v) is evaluated
+    once, and eval(delta(phi(v))) and eval(subst_h(phi(v))) are obtained from
+    it as genmat.eval_delta and genmat.eval_subst_h, key shifts on the packed
+    polynomial.  A vector that evaluates to zero is a relation and passes
+    both checks.  Raises PackedCapacityError where an x exponent would
+    overflow its packed field."""
     failures: list[str] = []
     rank_ok = basis.alpha_rank == basis.Q
     if not rank_ok:
@@ -169,17 +175,11 @@ def hwv_verify(
         eval_h_fixed = True
         todo = basis.vectors if sample is None else basis.vectors[:sample]
         for i, v in enumerate(todo):
-            e = phi(v)
-            ev = genmat.eval_trace_expr_packed(e, cache)
-            if ev.is_zero():
-                eval_delta_zero = False
-                failures.append(f"vector {i}: evaluates to zero")
-            de = genmat.eval_trace_expr_packed(delta(e), cache)
-            if not de.is_zero():
+            ev = genmat.eval_trace_expr_packed(phi(v), cache)
+            if not genmat.eval_delta(ev).is_zero():
                 eval_delta_zero = False
                 failures.append(f"vector {i}: evaluated raising image nonzero")
-            he = genmat.eval_trace_expr_packed(subst_h(e), cache)
-            if not he.add(ev.neg()).is_zero():
+            if genmat.eval_subst_h(ev) != ev:
                 eval_h_fixed = False
                 failures.append(f"vector {i}: not fixed under y -> x + y")
             checked += 1

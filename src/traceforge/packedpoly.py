@@ -10,6 +10,13 @@ exact in all cases.  Each polynomial carries a single positive denominator.
 Field capacity limits exponents to 15 per x variable and 7 per y variable.
 Degrees are tracked per polynomial and operations that could overflow a field
 raise PackedCapacityError; callers fall back to generic CommPoly arithmetic.
+
+Every result is normalized: keys sorted, duplicates summed, zeros dropped,
+and gcd(content, den) = 1.  The content gcd is seeded with the denominator,
+so it costs nothing on the common den == 1 path.  Linear combinations go
+through sum_scaled, which sorts the concatenated terms once per batch instead
+of once per term, and derivation applies a derivation sum x_i d/dy_j, which
+moves one degree from a y variable to an x variable, as a shift of the keys.
 """
 
 from __future__ import annotations
@@ -77,12 +84,13 @@ def _max_abs(coeffs: np.ndarray) -> int:
     return int(np.max(np.abs(coeffs)))
 
 
-def _content(coeffs: np.ndarray) -> int:
-    g = 0
+def _den_gcd(coeffs: np.ndarray, den: int) -> int:
+    """gcd(content(coeffs), den); stops as soon as it reaches 1."""
+    g = den
     for c in coeffs:
-        g = gcd(g, int(c))
         if g == 1:
-            return 1
+            break
+        g = gcd(g, int(c))
     return g
 
 
@@ -139,10 +147,9 @@ class PackedPoly:
     def to_comm(self, varset: VarSet) -> CommPoly:
         if len(varset) != NVARS:
             raise ValueError("VarSet arity mismatch")
-        exps = unpack_keys(self.keys)
+        rows = unpack_keys(self.keys).tolist()
         terms = {
-            tuple(int(e) for e in exps[i]): Fraction(int(self.coeffs[i]), self.den)
-            for i in range(len(self.keys))
+            tuple(e): Fraction(c, self.den) for e, c in zip(rows, self.coeffs.tolist())
         }
         return CommPoly(varset, terms)
 
@@ -178,7 +185,7 @@ class PackedPoly:
 
     def scale(self, q: Fraction) -> "PackedPoly":
         q = Fraction(q)
-        if not q:
+        if not q or self.is_zero():
             return PackedPoly.zero()
         bound = self.bound * abs(q.numerator)
         coeffs = self.coeffs
@@ -235,7 +242,7 @@ def _combine(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: in
     """Sort by key, sum duplicates, drop zeros, strip content."""
     if len(keys) == 0:
         return PackedPoly.zero()
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
     coeffs = coeffs[order]
     starts = np.empty(len(keys), dtype=bool)
@@ -254,7 +261,7 @@ def _combine(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: in
 def _normalize(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: int) -> PackedPoly:
     if len(keys) == 0:
         return PackedPoly.zero()
-    g = gcd(_content(coeffs), den)
+    g = _den_gcd(coeffs, den)
     if g > 1:
         den //= g
         if coeffs.dtype == object:
@@ -266,11 +273,88 @@ def _normalize(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: 
     return PackedPoly(keys, coeffs, den, xdeg, ydeg)
 
 
+# terms added to one sum_scaled batch; bounds the transient arrays of a sort
+_BATCH_TERMS = 1 << 16
+
+
+def sum_scaled(pairs: Iterable[tuple[PackedPoly, Fraction]]) -> PackedPoly:
+    """Sum of c * p over (p, c) pairs.
+
+    The terms are concatenated and sorted once per batch of about
+    _BATCH_TERMS input terms, not once per pair; each batch also carries the
+    running sum.
+    """
+    acc = PackedPoly.zero()
+    batch: list[tuple[PackedPoly, Fraction]] = []
+    size = 0
+    for p, c in pairs:
+        c = Fraction(c)
+        if not c or p.is_zero():
+            continue
+        batch.append((p, c))
+        size += p.nnz
+        if size >= _BATCH_TERMS:
+            acc = _sum_batch(batch, acc)
+            batch, size = [], 0
+    return _sum_batch(batch, acc) if batch else acc
+
+
+def _sum_batch(terms: list[tuple[PackedPoly, Fraction]], acc: PackedPoly) -> PackedPoly:
+    """acc + sum of c * p over terms, with one concatenate, sort and reduceat."""
+    if not acc.is_zero():
+        terms = [(acc, Fraction(1))] + terms
+    if len(terms) == 1:
+        p, c = terms[0]
+        return p if c == 1 else p.scale(c)
+    den = 1
+    for p, c in terms:
+        d = p.den * c.denominator
+        den = den * d // gcd(den, d)
+    mults = [c.numerator * (den // (p.den * c.denominator)) for p, c in terms]
+    bound = sum(p.bound * abs(m) for (p, _), m in zip(terms, mults))
+    big = bound >= _COEFF_LIMIT or any(p.is_big() for p, _ in terms)
+    coeffs = np.concatenate(
+        [(p.coeffs.astype(object) if big else p.coeffs) * m for (p, _), m in zip(terms, mults)]
+    )
+    keys = np.concatenate([p.keys for p, _ in terms])
+    xdeg = max(p.xdeg for p, _ in terms)
+    ydeg = max(p.ydeg for p, _ in terms)
+    return _combine(keys, coeffs, den, xdeg, ydeg)
+
+
 def linear_combination(polys: Sequence[PackedPoly], ints: Sequence[int]) -> PackedPoly:
     """Sum of ints[i] * polys[i] with integer weights."""
-    acc = PackedPoly.zero()
-    for p, c in zip(polys, ints, strict=True):
-        if c == 0 or p.is_zero():
+    return sum_scaled((p, Fraction(c)) for p, c in zip(polys, ints, strict=True))
+
+
+def derivation(p: PackedPoly, pairs: Sequence[tuple[int, int]]) -> PackedPoly:
+    """Apply sum over (src, dst) of v_dst * d/dv_src, where each pair names a
+    y variable src and an x variable dst by index.
+
+    Each term is a shift of the packed keys.  Raises PackedCapacityError when
+    an x exponent would overflow its field.
+    """
+    if not all(dst < NX <= src for src, dst in pairs):
+        raise ValueError("derivation pairs must map a y variable to an x variable")
+    keys_out, coeffs_out = [], []
+    for src, dst in pairs:
+        exps = (p.keys >> SHIFTS[src]) & MASKS[src]
+        sel = np.flatnonzero(exps)
+        if len(sel) == 0:
             continue
-        acc = acc.add(p.scale(Fraction(c)))
-    return acc
+        keys = p.keys[sel]
+        if np.any(((keys >> SHIFTS[dst]) & XCAP) == XCAP):
+            raise PackedCapacityError(f"x exponent of variable {dst} would exceed {XCAP}")
+        keys_out.append(keys - (1 << SHIFTS[src]) + (1 << SHIFTS[dst]))
+        coeffs_out.append((p.coeffs[sel], exps[sel]))
+    if not keys_out:
+        return PackedPoly.zero()
+    # a y exponent is at most YCAP, and an output term sums at most
+    # len(pairs) shifted input terms
+    big = p.is_big() or p.bound * YCAP * len(pairs) >= _COEFF_LIMIT
+    coeffs = np.concatenate(
+        [(c.astype(object) if big else c) * e for c, e in coeffs_out]
+    )
+    return _combine(
+        np.concatenate(keys_out), coeffs, p.den, p.xdeg + 1, max(p.ydeg - 1, 0)
+    )

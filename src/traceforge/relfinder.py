@@ -44,8 +44,8 @@ from .glcat import (
 )
 from .hwv import HwvBasis, hwv_basis
 from .nullspace import NullBasis, null_stream
-from .packedpoly import PackedPoly
-from .polyring import CommPoly, poly_to_text
+from .packedpoly import PackedPoly, sum_scaled
+from .polyring import poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
 
 LAMBDAS_BY_DEGREE: dict[int, tuple[Partition, ...]] = {
@@ -173,15 +173,6 @@ def eval_abs_monomial(
     with _GEN_EVAL_LOCK:
         _ABS_EVAL_MEMO[mono] = out
     return out
-
-
-def eval_abs_poly(p: AbsPoly, cache: genmat.EvalCache | None = None) -> CommPoly:
-    """Evaluate an AbsPoly on the generic matrices (via the substitution
-    into trace expressions, composed with evaluation)."""
-    acc = PackedPoly.zero()
-    for mono, c in p.terms.items():
-        acc = acc.add(eval_abs_monomial(mono, cache).scale(c))
-    return acc.to_comm(genmat.VARSET18)
 
 
 def _lcm(a: int, b: int) -> int:
@@ -366,9 +357,7 @@ def verify_zero(e: TraceExpr, cache: genmat.EvalCache | None = None) -> ZeroRepo
 
 def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
     """Same as verify_zero but straight from an AbsPoly (packed path)."""
-    acc = PackedPoly.zero()
-    for mono, c in p.terms.items():
-        acc = acc.add(eval_abs_monomial(mono, cache).scale(c))
+    acc = sum_scaled((eval_abs_monomial(mono, cache), c) for mono, c in p.terms.items())
     residual = acc.to_comm(genmat.VARSET18)
     text = poly_to_text(residual)
     sample = tuple(

@@ -174,3 +174,22 @@ def test_reproduce_idempotent(capsys, tmp_path):
     assert code2 == 0
     assert "ALL TABLES PASS" in out2
     assert "word_evals=0" in out2 and "mono_products=0" in out2
+
+
+def test_hwv_verdict_key_tracks_the_basis():
+    import dataclasses
+
+    from traceforge.cli import HWV_CHECK_SCHEMA, hwv_verdict_key
+    from traceforge.glcat import Partition
+    from traceforge.hwv import hwv_basis
+
+    basis = hwv_basis(Partition(7, 5))
+    key = hwv_verdict_key(basis)
+    assert key.startswith(f"hwvcheck:v{HWV_CHECK_SCHEMA}:7,5:")
+    assert hwv_verdict_key(hwv_basis(Partition(7, 5))) == key
+    scaled = dataclasses.replace(
+        basis, vectors=(basis.vectors[0].scale(2),) + basis.vectors[1:]
+    )
+    assert hwv_verdict_key(scaled) != key
+    dropped = dataclasses.replace(basis, vectors=basis.vectors[1:])
+    assert hwv_verdict_key(dropped) != key

@@ -110,3 +110,35 @@ def test_hwv_json_shape(small_bases):
             assert name.startswith("u")
             num, den = frac.split("/")
             int(num), int(den)
+
+
+def test_verify_accepts_a_relation_vector(small_bases, session_cache):
+    # a relation evaluates to zero; that is not a failed check
+    import dataclasses
+
+    from traceforge.relfinder import relation_space, verify_zero_abs
+
+    good = small_bases[(7, 5)]
+    rel = relation_space(Partition(7, 5), cache=session_cache).relvectors[0]
+    assert verify_zero_abs(rel, session_cache).zero
+    basis = dataclasses.replace(good, vectors=(rel, good.vectors[0]))
+    rep = hwv_verify(basis, evaluate=True, cache=session_cache)
+    assert rep.ok
+    assert rep.checked_by_eval == 2
+    assert rep.failures == ()
+
+
+def test_verify_flags_a_vector_not_killed_on_the_evaluated_side(small_bases, session_cache):
+    # lowering a (7,5) vector gives a (6,6) vector that raising does not kill
+    import dataclasses
+
+    from traceforge.glcat import abs_delta1
+
+    lowered = abs_delta1(small_bases[(7, 5)].vectors[0])
+    bad = dataclasses.replace(small_bases[(6, 6)], vectors=(lowered,))
+    rep = hwv_verify(bad, evaluate=True, cache=session_cache)
+    assert not rep.ok
+    assert not rep.abs_delta_zero
+    assert rep.eval_delta_zero is False and rep.eval_h_fixed is False
+    assert any("raising image" in f for f in rep.failures)
+    assert any("y -> x + y" in f for f in rep.failures)

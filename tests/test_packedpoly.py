@@ -1,0 +1,190 @@
+"""PackedPoly arithmetic against the CommPoly oracle, and the evaluated-side
+raising maps against evaluation of the trace-level maps."""
+
+from fractions import Fraction
+from math import gcd
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from traceforge.genmat import (
+    VARSET18,
+    EvalCache,
+    eval_delta,
+    eval_subst_h,
+    eval_trace_expr_packed,
+)
+from traceforge.glcat import catalog
+from traceforge.packedpoly import (
+    NX,
+    NVARS,
+    PackedCapacityError,
+    PackedPoly,
+    XCAP,
+    YCAP,
+    linear_combination,
+    pack_exponents,
+    sum_scaled,
+)
+from traceforge.polyring import CommPoly
+from traceforge.tracelang import (
+    TraceExpr,
+    delta,
+    delta1,
+    make_trace_monomial,
+    subst_h,
+)
+
+LIMIT = 1 << 62
+
+
+def check_invariants(p: PackedPoly) -> None:
+    assert p.den > 0
+    assert bool(np.all(p.keys[1:] > p.keys[:-1]))
+    assert bool(np.all(p.coeffs != 0))
+    values = [int(c) for c in p.coeffs]
+    content = 0
+    for v in values:
+        content = gcd(content, v)
+    assert gcd(content, p.den) == 1 or p.is_zero()
+    biggest = max((abs(v) for v in values), default=0)
+    assert p.bound >= biggest
+    # object dtype exactly when a coefficient reaches the int64 headroom
+    assert p.is_big() == (biggest >= LIMIT)
+
+
+# exponents stay small so that every product fits the packed fields
+exponents = st.tuples(
+    *([st.integers(0, 2)] * NX),
+    *([st.sampled_from((0, 0, 0, 0, 1))] * (NVARS - NX)),
+).filter(lambda e: sum(e[NX:]) <= 3)
+
+numerators = st.one_of(
+    st.integers(-12, 12),
+    st.integers(LIMIT - 4, LIMIT + 4),
+    st.integers(-LIMIT - 4, -LIMIT + 4),
+    st.integers(-(1 << 70), 1 << 70),
+)
+denominators = st.sampled_from((1, 1, 1, 2, 3, 6, 1 << 40))
+rationals = st.builds(Fraction, numerators, denominators)
+
+term_dicts = st.dictionaries(exponents, rationals, max_size=6)
+
+
+def make(terms: dict) -> tuple[PackedPoly, CommPoly]:
+    p = PackedPoly.from_terms(terms.items())
+    check_invariants(p)
+    return p, CommPoly(VARSET18, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, term_dicts)
+def test_add_and_mul_match_commpoly(ta, tb):
+    (pa, ca), (pb, cb) = make(ta), make(tb)
+    s = pa.add(pb)
+    check_invariants(s)
+    assert s.to_comm(VARSET18) == ca + cb
+    m = pa.mul(pb)
+    check_invariants(m)
+    assert m.to_comm(VARSET18) == ca * cb
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, rationals)
+def test_scale_matches_commpoly(ta, q):
+    pa, ca = make(ta)
+    s = pa.scale(q)
+    check_invariants(s)
+    assert s.to_comm(VARSET18) == ca.scale(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(term_dicts, rationals), max_size=5))
+def test_sum_scaled_matches_commpoly(items):
+    expected = CommPoly.zero(VARSET18)
+    pairs = []
+    for terms, q in items:
+        p, c = make(terms)
+        pairs.append((p, q))
+        expected = expected + c.scale(q)
+    got = sum_scaled(pairs)
+    check_invariants(got)
+    assert got.to_comm(VARSET18) == expected
+
+
+def test_sum_scaled_batches_agree(monkeypatch):
+    import traceforge.packedpoly as pp
+
+    polys = [
+        PackedPoly.from_terms(
+            [((i % 3, 0, 0) + (0,) * 14 + (j % 2,), Fraction(i - j, 1 + j)) for j in range(4)]
+        )
+        for i in range(9)
+    ]
+    pairs = [(p, Fraction(k + 1, 2)) for k, p in enumerate(polys)]
+    one_batch = sum_scaled(pairs)
+    monkeypatch.setattr(pp, "_BATCH_TERMS", 3)
+    assert sum_scaled(pairs) == one_batch
+    check_invariants(one_batch)
+
+
+def test_linear_combination_is_integer_sum_scaled():
+    x = PackedPoly.from_terms([((1, 0, 0) + (0,) * 15, Fraction(1, 2))])
+    y = PackedPoly.from_terms([((0,) * 3 + (1,) + (0,) * 14, Fraction(3))])
+    got = linear_combination([x, y, x], [2, -1, 4])
+    assert got == sum_scaled([(x, Fraction(6)), (y, Fraction(-1))])
+    assert linear_combination([x, x], [1, -1]).is_zero()
+
+
+# -- evaluated-side raising maps ---------------------------------------------
+
+_CACHE = EvalCache()
+
+short_words = st.text(alphabet="xy", min_size=2, max_size=5)
+trace_monos = (
+    st.lists(short_words, min_size=1, max_size=2)
+    .filter(lambda ws: sum(w.count("y") for w in ws) <= YCAP)
+    .map(make_trace_monomial)
+)
+trace_exprs = st.dictionaries(
+    trace_monos, st.fractions(max_denominator=5).filter(bool), min_size=1, max_size=4
+).map(TraceExpr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace_exprs)
+def test_evaluated_maps_match_trace_maps(e):
+    ev = eval_trace_expr_packed(e, _CACHE)
+    assert eval_delta(ev) == eval_trace_expr_packed(delta(e), _CACHE)
+    assert eval_subst_h(ev) == eval_trace_expr_packed(subst_h(e), _CACHE)
+
+
+def test_evaluated_maps_on_lowered_catalog_vectors():
+    # delta1 of a highest weight vector of weight (l1, l2), l1 > l2, is not
+    # highest weight, so both maps act nontrivially
+    lowered = 0
+    for mod in catalog():
+        e = delta1(mod.hwv)
+        ev = eval_trace_expr_packed(e, _CACHE)
+        if ev.is_zero():  # weight (k, k): the module is one-dimensional
+            continue
+        de = eval_delta(ev)
+        assert not de.is_zero()
+        assert de == eval_trace_expr_packed(delta(e), _CACHE)
+        assert eval_subst_h(ev) == eval_trace_expr_packed(subst_h(e), _CACHE)
+        lowered += 1
+    assert lowered >= 6
+
+
+def test_eval_delta_raises_on_x_field_overflow():
+    exps = [0] * NVARS
+    exps[0] = XCAP  # x11 at capacity
+    exps[NX] = 1  # y11
+    p = PackedPoly.from_terms([(tuple(exps), Fraction(1))])
+    assert p.keys[0] == pack_exponents(exps)
+    with pytest.raises(PackedCapacityError):
+        eval_delta(p)
+    with pytest.raises(PackedCapacityError):
+        eval_subst_h(p)
