@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Recompute every frozen reference table twice against one cache directory.
-# The second pass must do no fresh matrix work: the script fails unless it
-# reports word_evals=0 and mono_products=0.
+# The second pass must do no fresh work: the script fails unless it reports
+# zero word evaluations, trace-monomial and generator-monomial products, and
+# zero cache misses, corrupt entries and writes.
 set -euo pipefail
 
 CACHE="${TRACEFORGE_CACHE_DIR:-./.tracecache}"
@@ -15,7 +16,8 @@ out="$(traceforge --cache-dir "$CACHE" reproduce --paper-tables --format text)"
 echo "$out"
 
 stats="$(grep '^stats:' <<<"$out" || true)"
-for counter in word_evals mono_products; do
+for counter in word_evals mono_products gen_products \
+        cache_misses cache_corrupt cache_writes; do
     if ! grep -Eq "(^| )${counter}=0( |$)" <<<"$stats"; then
         echo "FAIL: the warm pass did fresh work (${stats:-no stats line})" >&2
         exit 1

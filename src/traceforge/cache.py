@@ -1,11 +1,15 @@
 """Content-addressed disk cache for computed artifacts.
 
 Entries are keyed by a semantic key string; the file name is the SHA-256 of
-the key.  Polynomials are stored in the canonical text form, structured
-results as JSON.  Every entry has a sidecar holding the SHA-256 of the file
-bytes; a mismatch (or a missing sidecar) is treated as a miss, so corrupted
-entries are silently recomputed.  Writes are atomic via rename, concurrent
-writers follow last-writer-wins.
+the key.  Polynomials (the word traces) are stored as packed binary entries,
+PackedPoly.to_bytes with a versioned header, and structured results as JSON.
+Text polynomial entries written by earlier versions (extension .poly) are
+never read.  Every entry has a sidecar holding the SHA-256 of the file
+bytes.  A missing entry or sidecar is a miss; a checksum mismatch or an
+entry that does not decode (for a polynomial, anything PackedPoly.from_bytes
+rejects: bad header, wrong length, unsorted keys, zero coefficients,
+den <= 0) is a miss counted as corrupt.  Either way the caller recomputes.
+Writes are atomic via rename, concurrent writers follow last-writer-wins.
 """
 
 from __future__ import annotations
@@ -18,7 +22,10 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .polyring import CommPoly, VarSet, poly_from_text, poly_to_text
+from .packedpoly import PackedPoly
+
+# packed binary polynomials; text entries used .poly
+_POLY_EXT = ".ppoly"
 
 
 def _digest_bytes(data: bytes) -> str:
@@ -50,9 +57,11 @@ class CacheStore:
     def _path(self, key: str, ext: str) -> Path:
         return self.root / (digest_text(key)[:40] + ext)
 
-    # -- raw text entries ---------------------------------------------------
+    # -- raw entries --------------------------------------------------------
 
-    def _read(self, path: Path) -> bytes | None:
+    def _read(self, path: Path, decode):
+        """decode(bytes) of a checksummed entry, None on a miss.  A checksum
+        mismatch or a decode error (ValueError) counts as corrupt."""
         side = path.with_suffix(path.suffix + ".sha256")
         try:
             data = path.read_bytes()
@@ -61,14 +70,18 @@ class CacheStore:
             with self._lock:
                 self.stats.misses += 1
             return None
-        if _digest_bytes(data) != want:
+        try:
+            if _digest_bytes(data) != want:
+                raise ValueError("checksum mismatch")
+            value = decode(data)
+        except ValueError:
             with self._lock:
                 self.stats.corrupt += 1
                 self.stats.misses += 1
             return None
         with self._lock:
             self.stats.hits += 1
-        return data
+        return value
 
     def _write(self, path: Path, data: bytes) -> None:
         side = path.with_suffix(path.suffix + ".sha256")
@@ -89,30 +102,14 @@ class CacheStore:
 
     # -- typed entries ------------------------------------------------------
 
-    def get_poly(self, key: str, varset: VarSet) -> CommPoly | None:
-        data = self._read(self._path(key, ".poly"))
-        if data is None:
-            return None
-        try:
-            return poly_from_text(varset, data.decode())
-        except ValueError:
-            with self._lock:
-                self.stats.corrupt += 1
-            return None
+    def get_poly(self, key: str) -> PackedPoly | None:
+        return self._read(self._path(key, _POLY_EXT), PackedPoly.from_bytes)
 
-    def put_poly(self, key: str, poly: CommPoly) -> None:
-        self._write(self._path(key, ".poly"), poly_to_text(poly).encode())
+    def put_poly(self, key: str, poly: PackedPoly) -> None:
+        self._write(self._path(key, _POLY_EXT), poly.to_bytes())
 
     def get_json(self, key: str):
-        data = self._read(self._path(key, ".json"))
-        if data is None:
-            return None
-        try:
-            return json.loads(data.decode())
-        except ValueError:
-            with self._lock:
-                self.stats.corrupt += 1
-            return None
+        return self._read(self._path(key, ".json"), lambda data: json.loads(data.decode()))
 
     def put_json(self, key: str, obj) -> None:
         text = json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -578,17 +578,19 @@ def cmd_reproduce(cfg: Config, args) -> tuple[dict, list[str], bool]:
     )
 
     all_ok = all(t["ok"] for t in tables.values())
+    # fresh work (evaluations, products, cache misses and writes) and reuse
     stats = {
         "word_evals": cache.stats.word_evals,
         "mono_products": cache.stats.mono_products,
+        "gen_products": cache.stats.gen_products,
         "disk_hits": cache.stats.disk_hits,
+        "cache_hits": store.stats.hits,
+        "cache_misses": store.stats.misses,
+        "cache_corrupt": store.stats.corrupt,
+        "cache_writes": store.stats.writes,
     }
     payload = {"tables": tables, "pass": all_ok, "stats": stats}
-    lines.append(
-        f"stats: word_evals={stats['word_evals']}"
-        f" mono_products={stats['mono_products']}"
-        f" disk_hits={stats['disk_hits']}"
-    )
+    lines.append("stats: " + " ".join(f"{k}={v}" for k, v in stats.items()))
     lines.append("ALL TABLES PASS" if all_ok else "SOME TABLES FAILED")
     return payload, lines, all_ok
 

@@ -135,6 +135,7 @@ def _comm_matmul(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
 class EvalStats:
     word_evals: int = 0
     mono_products: int = 0
+    gen_products: int = 0
     disk_hits: int = 0
 
 
@@ -142,7 +143,10 @@ class EvalCache:
     """Per-word and per-monomial evaluation cache.
 
     Thread-safe with last-writer-wins semantics; an optional CacheStore gives
-    persistence for word evaluations.
+    persistence for word evaluations.  Besides the trace words and trace
+    monomials it holds the generator evaluations and generator-monomial
+    products of relfinder.eval_abs_monomial, so every memo lives exactly as
+    long as the cache that was passed in.
     """
 
     def __init__(self, store: CacheStore | None = None):
@@ -151,6 +155,8 @@ class EvalCache:
         self._words: dict[Word, PackedPoly] = {}
         self._words_comm: dict[Word, CommPoly] = {}
         self._monos: dict[TraceMonomial, PackedPoly] = {}
+        self._gens: list[PackedPoly] | None = None
+        self._abs_monos: dict[tuple[int, ...], PackedPoly] = {}
         self._lock = threading.Lock()
 
 
@@ -197,19 +203,16 @@ def word_trace_packed(w: Word, cache: EvalCache | None = None) -> PackedPoly:
     hit = cache._words.get(key)
     if hit is not None:
         return hit
-    poly: PackedPoly | None = None
-    if cache.store is not None:
-        stored = cache.store.get_poly(f"wordtrace:{key}", VARSET18)
-        if stored is not None:
-            poly = PackedPoly.from_comm(stored)
-            with cache._lock:
-                cache.stats.disk_hits += 1
-    if poly is None:
+    poly = cache.store.get_poly(f"wordtrace:{key}") if cache.store is not None else None
+    if poly is not None:
+        with cache._lock:
+            cache.stats.disk_hits += 1
+    else:
         poly = _compute_word_packed(key)
         with cache._lock:
             cache.stats.word_evals += 1
         if cache.store is not None:
-            cache.store.put_poly(f"wordtrace:{key}", poly.to_comm(VARSET18))
+            cache.store.put_poly(f"wordtrace:{key}", poly)
     with cache._lock:
         cache._words[key] = poly
     return poly

@@ -193,8 +193,12 @@ def catalog(cache: genmat.EvalCache | None = None) -> tuple[GeneratorModule, ...
     return _CATALOG
 
 
-def catalog_digest() -> str:
-    return _catalog_digest(catalog())
+def catalog_digest(cache: genmat.EvalCache | None = None) -> str:
+    """Digest of the certified catalog.  The first call in a process must
+    pass the caller's EvalCache: it builds the catalog, and only that
+    cache's store holds the certification verdict.  Later calls return the
+    catalog already built, whatever cache they pass."""
+    return _catalog_digest(catalog(cache))
 
 
 # ---------------------------------------------------------------------------

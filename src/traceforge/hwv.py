@@ -174,6 +174,9 @@ def hwv_verify(
         eval_delta_zero = True
         eval_h_fixed = True
         todo = basis.vectors if sample is None else basis.vectors[:sample]
+        # phi needs the catalog: build it on the caller's cache, whose store
+        # may hold the certification verdict
+        glcat.catalog(cache)
         for i, v in enumerate(todo):
             ev = genmat.eval_trace_expr_packed(phi(v), cache)
             if not genmat.eval_delta(ev).is_zero():

@@ -17,10 +17,15 @@ so it costs nothing on the common den == 1 path.  Linear combinations go
 through sum_scaled, which sorts the concatenated terms once per batch instead
 of once per term, and derivation applies a derivation sum x_i d/dy_j, which
 moves one degree from a y variable to an x variable, as a shift of the keys.
+
+to_bytes and from_bytes give the binary form the disk cache stores: a fixed
+header, then the raw little-endian keys and coefficients.  from_bytes checks
+the invariants above and rejects anything else with ValueError.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -47,6 +52,18 @@ XCAP = _XMASK
 YCAP = _YMASK
 
 _COEFF_LIMIT = 1 << 62
+# every packed key is below this: the x fields end at bit 45 + NX * _XBITS
+_KEY_LIMIT = 1 << (45 + NX * _XBITS)
+
+# Binary form: header (magic, format version, coefficient kind, coefficient
+# width in bytes, nnz), the denominator in `width` bytes, nnz int64 keys,
+# then nnz coefficients of `width` bytes each, all little-endian.  Kind
+# _KIND_INT64 has width 8; kind _KIND_BIG stores Python integers as signed
+# integers of a common width, the exact form of object coefficients.
+_MAGIC = b"TFPK"
+_FORMAT_VERSION = 1
+_KIND_INT64, _KIND_BIG = 0, 1
+_HEADER = struct.Struct("<4sBBIQ")
 
 
 class PackedCapacityError(OverflowError):
@@ -82,6 +99,11 @@ def _max_abs(coeffs: np.ndarray) -> int:
     if len(coeffs) == 0:
         return 0
     return int(np.max(np.abs(coeffs)))
+
+
+def _signed_width(v: int) -> int:
+    """Bytes that hold v as a signed little-endian integer."""
+    return v.bit_length() // 8 + 1
 
 
 def _den_gcd(coeffs: np.ndarray, den: int) -> int:
@@ -152,6 +174,73 @@ class PackedPoly:
             tuple(e): Fraction(c, self.den) for e, c in zip(rows, self.coeffs.tolist())
         }
         return CommPoly(varset, terms)
+
+    def to_bytes(self) -> bytes:
+        """The binary form read back by from_bytes."""
+        if not self.is_big() and self.den < 1 << 63:
+            kind, width = _KIND_INT64, 8
+            coeffs = self.coeffs.astype("<i8").tobytes()
+        else:
+            kind = _KIND_BIG
+            values = self.coeffs.tolist()
+            width = max(_signed_width(v) for v in [self.den, *values])
+            coeffs = b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+        return b"".join(
+            (
+                _HEADER.pack(_MAGIC, _FORMAT_VERSION, kind, width, self.nnz),
+                self.den.to_bytes(width, "little", signed=True),
+                self.keys.astype("<i8").tobytes(),
+                coeffs,
+            )
+        )
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "PackedPoly":
+        """Decode to_bytes output; ValueError unless it is a normalized
+        polynomial.  xdeg and ydeg are recomputed from the keys."""
+        if len(data) < _HEADER.size:
+            raise ValueError("truncated header")
+        magic, version, kind, width, nnz = _HEADER.unpack_from(data)
+        if magic != _MAGIC or version != _FORMAT_VERSION:
+            raise ValueError("not a packed polynomial of this format version")
+        if (kind, width) != (_KIND_INT64, 8) and not (kind == _KIND_BIG and width > 0):
+            raise ValueError(f"bad coefficient kind {kind} or width {width}")
+        at = _HEADER.size + width
+        if len(data) != at + nnz * (8 + width):
+            raise ValueError("length does not match the header")
+        den = int.from_bytes(data[_HEADER.size : at], "little", signed=True)
+        keys = np.frombuffer(data, dtype="<i8", count=nnz, offset=at).astype(np.int64)
+        at += 8 * nnz
+        if kind == _KIND_INT64:
+            coeffs = np.frombuffer(data, dtype="<i8", count=nnz, offset=at).astype(np.int64)
+            # the bound _normalize keeps for int64 coefficients (np.abs of
+            # -2**63 would overflow, so compare both ends)
+            if np.any((coeffs >= _COEFF_LIMIT) | (coeffs <= -_COEFF_LIMIT)):
+                raise ValueError("int64 coefficient out of range")
+        else:
+            coeffs = np.array(
+                [
+                    int.from_bytes(data[i : i + width], "little", signed=True)
+                    for i in range(at, len(data), width)
+                ],
+                dtype=object,
+            )
+            if _max_abs(coeffs) < _COEFF_LIMIT:
+                coeffs = coeffs.astype(np.int64)
+        if den <= 0:
+            raise ValueError("denominator is not positive")
+        if nnz and (keys[0] < 0 or keys[-1] >= _KEY_LIMIT):
+            raise ValueError("key out of range")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("keys are not strictly ascending")
+        if np.any(coeffs == 0):
+            raise ValueError("zero coefficient")
+        if _den_gcd(coeffs, den) != 1:
+            raise ValueError("content and denominator are not coprime")
+        exps = unpack_keys(keys)
+        xdeg = int(exps[:, :NX].sum(axis=1).max()) if nnz else 0
+        ydeg = int(exps[:, NX:].sum(axis=1).max()) if nnz else 0
+        return cls(keys, coeffs, den, xdeg, ydeg)
 
     # -- queries ------------------------------------------------------------
 

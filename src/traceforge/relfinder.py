@@ -16,7 +16,6 @@ degree relations and genuinely new ones.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -45,7 +44,7 @@ from .glcat import (
 from .hwv import HwvBasis, hwv_basis
 from .nullspace import NullBasis, null_stream
 from .packedpoly import PackedPoly, sum_scaled
-from .polyring import poly_to_text
+from .polyring import CommPoly, poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
 
 LAMBDAS_BY_DEGREE: dict[int, tuple[Partition, ...]] = {
@@ -136,33 +135,31 @@ class RelationSpace:
         return len(self.relvectors)
 
 
-_GEN_EVAL: list[PackedPoly] | None = None
-_GEN_EVAL_LOCK = threading.Lock()
-_ABS_EVAL_MEMO: dict[AbsMonomial, PackedPoly] = {}
-
-
-def _gen_evals(cache: genmat.EvalCache | None) -> list[PackedPoly]:
-    global _GEN_EVAL
-    if _GEN_EVAL is None:
-        with _GEN_EVAL_LOCK:
-            if _GEN_EVAL is None:
-                mods = catalog(cache)
-                _GEN_EVAL = [
-                    genmat.eval_trace_expr_packed(
-                        mods[g.module - 1].basis[g.j], cache
-                    )
-                    for g in ABS_GENS
-                ]
-    return _GEN_EVAL
+def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
+    """Evaluations of the 30 generators, memoized on the cache."""
+    gens = cache._gens
+    if gens is None:
+        mods = catalog(cache)
+        gens = [
+            genmat.eval_trace_expr_packed(mods[g.module - 1].basis[g.j], cache)
+            for g in ABS_GENS
+        ]
+        with cache._lock:
+            cache._gens = gens
+    return gens
 
 
 def eval_abs_monomial(
     mono: AbsMonomial, cache: genmat.EvalCache | None = None
 ) -> PackedPoly:
-    """Packed evaluation of a generator monomial, with prefix sharing."""
+    """Packed evaluation of a generator monomial, with prefix sharing.
+
+    Evaluations are memoized on the cache (the default cache if none is
+    given); cache.stats.gen_products counts the products computed."""
     if not mono:
         return PackedPoly.from_terms([((0,) * 18, Fraction(1))])
-    hit = _ABS_EVAL_MEMO.get(mono)
+    cache = cache or genmat.default_cache()
+    hit = cache._abs_monos.get(mono)
     if hit is not None:
         return hit
     gens = _gen_evals(cache)
@@ -170,8 +167,10 @@ def eval_abs_monomial(
         out = gens[mono[0]]
     else:
         out = eval_abs_monomial(mono[:-1], cache).mul(gens[mono[-1]])
-    with _GEN_EVAL_LOCK:
-        _ABS_EVAL_MEMO[mono] = out
+    with cache._lock:
+        if len(mono) > 1:
+            cache.stats.gen_products += 1
+        cache._abs_monos[mono] = out
     return out
 
 
@@ -246,7 +245,7 @@ def relation_space(
     lam = Partition.of(*lam)
     cache = cache or genmat.default_cache()
     store = cache.store
-    key = f"relspace:{lam.l1},{lam.l2}:{catalog_digest()}"
+    key = f"relspace:{lam.l1},{lam.l2}:{catalog_digest(cache)}"
     if use_cache and store is not None:
         summary = store.get_json(key)
         if isinstance(summary, dict):
@@ -339,34 +338,32 @@ class ZeroReport:
 
     SAMPLE_CAP = 10
 
+    @classmethod
+    def of(cls, residual: CommPoly) -> "ZeroReport":
+        """Summary of a residual: zero or not, its term count, the first
+        SAMPLE_CAP terms in canonical order, and a digest of its text."""
+        sample = tuple(
+            (" ".join(str(x) for x in m), f"{c.numerator}/{c.denominator}")
+            for m, c in residual.sorted_terms()[: cls.SAMPLE_CAP]
+        )
+        return cls(
+            residual.is_zero(),
+            len(residual.terms),
+            sample,
+            digest_text(poly_to_text(residual)),
+        )
+
 
 def verify_zero(e: TraceExpr, cache: genmat.EvalCache | None = None) -> ZeroReport:
     """Evaluate a trace expression and report whether it is identically
     zero; a nonzero residual is summarized monomial by monomial, capped."""
-    residual = genmat.eval_trace_expr(e, cache)
-    text = poly_to_text(residual)
-    sample = []
-    for m, c in residual.sorted_terms()[: ZeroReport.SAMPLE_CAP]:
-        sample.append(
-            (" ".join(str(x) for x in m), f"{c.numerator}/{c.denominator}")
-        )
-    return ZeroReport(
-        residual.is_zero(), len(residual.terms), tuple(sample), digest_text(text)
-    )
+    return ZeroReport.of(genmat.eval_trace_expr(e, cache))
 
 
 def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
     """Same as verify_zero but straight from an AbsPoly (packed path)."""
     acc = sum_scaled((eval_abs_monomial(mono, cache), c) for mono, c in p.terms.items())
-    residual = acc.to_comm(genmat.VARSET18)
-    text = poly_to_text(residual)
-    sample = tuple(
-        (" ".join(str(x) for x in m), f"{c.numerator}/{c.denominator}")
-        for m, c in residual.sorted_terms()[: ZeroReport.SAMPLE_CAP]
-    )
-    return ZeroReport(
-        residual.is_zero(), len(residual.terms), sample, digest_text(text)
-    )
+    return ZeroReport.of(acc.to_comm(genmat.VARSET18))
 
 
 def membership(candidate: AbsPoly, space: RelationSpace) -> bool:
@@ -648,11 +645,16 @@ def build_certificate(space: RelationSpace, index: int) -> RelationCertificate:
 
 
 def write_certificates(space: RelationSpace, store) -> list[str]:
-    """Write one JSON certificate per relation vector; returns cache keys."""
+    """Store one JSON certificate per relation vector; returns cache keys.
+
+    A certificate already stored with the same content is not written
+    again."""
+    digest = catalog_digest()
     keys = []
     for i in range(space.r):
-        cert = build_certificate(space, i)
-        key = f"relcert:{space.lam.l1},{space.lam.l2}:{i}:{catalog_digest()}"
-        store.put_json(key, cert.to_json())
+        cert = build_certificate(space, i).to_json()
+        key = f"relcert:{space.lam.l1},{space.lam.l2}:{i}:{digest}"
+        if store.get_json(key) != cert:
+            store.put_json(key, cert)
         keys.append(key)
     return keys

@@ -1,28 +1,150 @@
-"""Disk store: round trips, checksum guard, stat counters."""
+"""Disk store: round trips, checksum guard, packed polynomial entries, stat
+counters, and the catalog verdict on a warm store."""
 
+import hashlib
 from fractions import Fraction
 
-from traceforge.cache import CacheStore, digest_text
-from traceforge.polyring import CommPoly, VarSet
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-VS = VarSet(("a", "b"))
+from traceforge import genmat, glcat
+from traceforge.cache import CacheStore, digest_text
+from traceforge.glcat import Partition
+from traceforge.packedpoly import NVARS, NX, PackedPoly
+from traceforge.genmat import EvalCache
+from traceforge.hwv import hwv_basis, hwv_verify
+from traceforge.relfinder import relation_space
+
+
+def mono(**exps):
+    """18-variable exponent tuple from x0=.., y4=.. style keywords."""
+    out = [0] * NVARS
+    for name, e in exps.items():
+        out[int(name[1:]) + (0 if name[0] == "x" else NX)] = e
+    return tuple(out)
 
 
 def sample_poly():
-    a = CommPoly.variable(VS, "a")
-    b = CommPoly.variable(VS, "b")
-    return (a * a - b.scale(Fraction(7, 3))) * a + CommPoly.constant(VS, 2)
+    # (a^2 - 7/3 b) a + 2 in two of the 18 variables, so den = 3
+    return PackedPoly.from_terms(
+        [(mono(x0=3), 1), (mono(x0=1, y0=1), Fraction(-7, 3)), (mono(), 2)]
+    )
+
+
+def write_entry(store, key, data):
+    """Replace an entry and give it a valid sidecar."""
+    path = store._path(key, ".ppoly")
+    path.write_bytes(data)
+    path.with_suffix(".ppoly.sha256").write_text(hashlib.sha256(data).hexdigest())
+
+
+def assert_same(p, q):
+    assert p == q
+    assert p.coeffs.dtype == q.coeffs.dtype
+    assert (p.xdeg, p.ydeg) == (q.xdeg, q.ydeg)
 
 
 def test_poly_round_trip(tmp_path):
     store = CacheStore(tmp_path / "s")
     p = sample_poly()
-    assert store.get_poly("k", VS) is None
+    assert store.get_poly("k") is None
     store.put_poly("k", p)
-    assert store.get_poly("k", VS) == p
+    assert_same(store.get_poly("k"), p)
     assert store.stats.writes == 1
     assert store.stats.hits == 1
     assert store.stats.misses == 1
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        PackedPoly.zero(),
+        sample_poly(),
+        PackedPoly.from_terms([(mono(x1=2), Fraction(5, 1 << 70)), (mono(y14=1), 1)]),
+        PackedPoly.from_terms([(mono(x2=15, y3=7), 1 << 70), (mono(), -(1 << 90) - 1)]),
+        PackedPoly.from_terms([(mono(y0=1), Fraction(-(1 << 80), 3))]),
+    ],
+    ids=["zero", "den3", "den2^70", "object", "object-den3"],
+)
+def test_exact_round_trips(tmp_path, poly):
+    store = CacheStore(tmp_path / "s")
+    store.put_poly("k", poly)
+    assert_same(store.get_poly("k"), poly)
+    assert_same(PackedPoly.from_bytes(poly.to_bytes()), poly)
+
+
+exponents = st.tuples(
+    *([st.integers(0, 15)] * NX), *([st.integers(0, 7)] * (NVARS - NX))
+)
+numerators = st.one_of(
+    st.integers(-12, 12),
+    st.integers((1 << 62) - 4, (1 << 62) + 4),
+    st.integers(-(1 << 100), 1 << 100),
+)
+denominators = st.sampled_from((1, 1, 2, 3, 1 << 40, 1 << 66))
+term_dicts = st.dictionaries(
+    exponents, st.builds(Fraction, numerators, denominators), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts)
+def test_packed_bytes_round_trip(terms):
+    p = PackedPoly.from_terms(terms.items())
+    assert_same(PackedPoly.from_bytes(p.to_bytes()), p)
+
+
+def _bad_entries(poly):
+    data = poly.to_bytes()
+    rev = PackedPoly(poly.keys[::-1].copy(), poly.coeffs[::-1].copy(), poly.den, 0, 0)
+    huge = poly.coeffs.copy()
+    huge[0] = -(1 << 63)
+    return {
+        "bad-magic": b"XXXX" + data[4:],
+        "truncated": data[:-8],
+        "unsorted-keys": rev.to_bytes(),
+        "int64-out-of-range": PackedPoly(poly.keys, huge, poly.den, 0, 0).to_bytes(),
+    }
+
+
+@pytest.mark.parametrize(
+    "damage", ["bad-magic", "truncated", "unsorted-keys", "int64-out-of-range"]
+)
+def test_damaged_word_trace_is_recomputed(tmp_path, damage):
+    store = CacheStore(tmp_path / "s")
+    good = genmat.word_trace_packed("xxyy", genmat.EvalCache(store))
+    write_entry(store, "wordtrace:xxyy", _bad_entries(good)[damage])
+    store.stats.corrupt = 0
+    assert store.get_poly("wordtrace:xxyy") is None
+    assert store.stats.corrupt == 1
+    cache = genmat.EvalCache(store)
+    again = genmat.word_trace_packed("xxyy", cache)
+    assert cache.stats.word_evals == 1 and cache.stats.disk_hits == 0
+    assert store.stats.corrupt == 2
+    assert_same(again, good)
+    # the recomputed trace was written back over the damaged entry
+    assert_same(store.get_poly("wordtrace:xxyy"), good)
+
+
+def test_zero_coefficient_and_bad_den_are_rejected():
+    p = sample_poly()
+    zero_coeff = PackedPoly(p.keys, np.zeros_like(p.coeffs), p.den, 0, 0)
+    with pytest.raises(ValueError):
+        PackedPoly.from_bytes(zero_coeff.to_bytes())
+    for den in (0, -3):
+        with pytest.raises(ValueError):
+            PackedPoly.from_bytes(PackedPoly(p.keys, p.coeffs, den, 0, 0).to_bytes())
+
+
+def test_text_entries_of_earlier_versions_are_ignored(tmp_path):
+    store = CacheStore(tmp_path / "s")
+    old = store._path("k", ".poly")
+    old.write_bytes(b"x11^2")
+    old.with_suffix(".poly.sha256").write_text(hashlib.sha256(b"x11^2").hexdigest())
+    assert store.get_poly("k") is None
+    assert (store.stats.misses, store.stats.corrupt) == (1, 0)
 
 
 def test_json_round_trip(tmp_path):
@@ -59,19 +181,38 @@ def test_missing_checksum_is_a_miss(tmp_path):
 
 def test_unparseable_poly_counts_corrupt(tmp_path):
     store = CacheStore(tmp_path / "s")
-    p = sample_poly()
-    store.put_poly("k", p)
-    path = store._path("k", ".poly")
-    garbage = b"not a polynomial"
-    path.write_bytes(garbage)
-    side = path.with_suffix(".poly.sha256")
-    import hashlib
-
-    side.write_text(hashlib.sha256(garbage).hexdigest())
-    assert store.get_poly("k", VS) is None
+    store.put_poly("k", sample_poly())
+    write_entry(store, "k", b"not a polynomial")
+    assert store.get_poly("k") is None
     assert store.stats.corrupt == 1
 
 
 def test_digest_text_stable():
     assert digest_text("abc") == digest_text("abc")
     assert digest_text("abc") != digest_text("abd")
+
+
+def fresh_process(monkeypatch):
+    """No catalog built yet and an untouched default cache."""
+    monkeypatch.setattr(glcat, "_CATALOG", None)
+    monkeypatch.setattr(genmat, "_DEFAULT_CACHE", genmat.EvalCache())
+
+
+def test_warm_store_is_not_certified_again_on_the_default_cache(
+    session_cache, monkeypatch
+):
+    # a warm store: the catalog verdict and the (7,5) relation space
+    fresh_process(monkeypatch)
+    relation_space(Partition(7, 5), cache=session_cache)
+
+    fresh_process(monkeypatch)
+    warm = genmat.EvalCache(session_cache.store)
+    space = relation_space(Partition(7, 5), cache=warm)
+    assert space.from_cache
+    assert genmat.default_cache().stats.word_evals == 0
+    assert warm.stats.word_evals == 0
+
+    fresh_process(monkeypatch)
+    rep = hwv_verify(hwv_basis((7, 5)), evaluate=True, cache=EvalCache(session_cache.store))
+    assert rep.ok
+    assert genmat.default_cache().stats.word_evals == 0

@@ -13,7 +13,7 @@ import pytest
 from traceforge import relfinder
 from traceforge.cache import CacheStore
 from traceforge.genmat import EvalCache
-from traceforge.glcat import AbsPoly, Partition, abs_delta, phi
+from traceforge.glcat import AbsPoly, Partition, abs_delta, abs_monomials, phi
 from traceforge.phiparse import parse_phi
 from traceforge.relfinder import (
     PARAMETER_SPLIT,
@@ -145,6 +145,44 @@ def test_verify_zero_reports(s66, cache):
     assert rep2.residual_terms > 0
     assert 0 < len(rep2.residual_sample) <= 10
     assert rep2.digest
+
+
+def test_residual_report_of_a_perturbed_relation(cache):
+    # frozen from the report before verify_zero and verify_zero_abs shared
+    # one summary: the same candidate must give byte-identical payloads
+    data = ir.files("traceforge") / "data"
+    m = abs_monomials(Partition(7, 5))[0]
+    assert m == (0, 0, 0, 1, 2, 2)
+    bad = parse_phi((data / "v75.phi").read_text()) + AbsPoly.monomial(m).scale(
+        Fraction(1, 3)
+    )
+    rep = verify_zero_abs(bad, cache)
+    assert not rep.zero
+    assert rep.residual_terms == 5184
+    assert rep.residual_sample[:3] == (
+        ("7 0 0 5 0 0 0 0 0 0 0 0 0 0 0 0 0 0", "64/3"),
+        ("7 0 0 4 0 0 0 0 1 0 0 0 0 0 0 0 0 0", "160/3"),
+        ("7 0 0 4 0 0 0 0 0 0 0 0 0 1 0 0 0 0", "160/3"),
+    )
+    assert rep.residual_sample[7] == ("7 0 0 3 0 0 0 0 1 0 0 0 0 1 0 0 0 0", "128/1")
+    assert len(rep.residual_sample) == 10
+    assert rep.digest == (
+        "1b008d145c99f792f0ed8d24cc31328c53c431fb49a9be72ef82415db3f7c87a"
+    )
+    assert verify_zero(phi(bad), cache) == rep
+
+
+def test_generator_products_live_on_the_cache(cache):
+    mono = (0, 1, 2)
+    before = cache.stats.gen_products
+    p = relfinder.eval_abs_monomial(mono, cache)
+    assert relfinder.eval_abs_monomial(mono, cache) is p
+    assert cache.stats.gen_products - before <= 2
+    # a second cache does not see the first one's memo
+    other = EvalCache(store=cache.store)
+    assert relfinder.eval_abs_monomial(mono, other) == p
+    assert other.stats.gen_products == 2
+    assert other.stats.word_evals == 0
 
 
 def test_verify_zero_trace_expr(cache):
