@@ -3,7 +3,12 @@
 # The second pass must do no fresh work: the script fails unless it reports
 # zero word evaluations, trace-monomial and generator-monomial products, and
 # zero cache misses, corrupt entries and writes.
+# It runs the package from the checkout it lives in; no install is needed.
 set -euo pipefail
+
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+traceforge() { python3 -m traceforge.cli "$@"; }
 
 CACHE="${TRACEFORGE_CACHE_DIR:-./.tracecache}"
 

@@ -117,7 +117,6 @@ class Config:
     threads: int
     degree_cap: int
     fmt: str
-    mod_primes: int | None
 
     def make_cache(self) -> genmat.EvalCache:
         return genmat.EvalCache(CacheStore(self.cache_dir))
@@ -137,9 +136,6 @@ def build_config(args: argparse.Namespace) -> Config:
         arg("degree_cap") if arg("degree_cap") is not None else _env("DEGREE_CAP")
     )
     fmt = arg("format") or _env("FORMAT") or "text"
-    mod_primes = (
-        arg("mod_primes") if arg("mod_primes") is not None else _env("MOD_PRIMES")
-    )
     if fmt not in ("json", "text"):
         raise SystemExit(f"unknown format {fmt!r} (expected json or text)")
     return Config(
@@ -147,7 +143,6 @@ def build_config(args: argparse.Namespace) -> Config:
         threads=int(threads) if threads is not None else 1,
         degree_cap=int(degree_cap) if degree_cap is not None else 14,
         fmt=fmt,
-        mod_primes=int(mod_primes) if mod_primes is not None else None,
     )
 
 
@@ -235,7 +230,6 @@ def cmd_relations(cfg: Config, args) -> tuple[dict, list[str], bool]:
         mode=args.mode,
         cache=cache,
         threads=cfg.threads,
-        prime_budget=cfg.mod_primes,
     )
     cert_keys = write_certificates(space, cache.store)
     rep = leading_analysis(space)
@@ -282,7 +276,6 @@ def cmd_verify(cfg: Config, args) -> tuple[dict, list[str], bool]:
                 mode="modular",
                 cache=cache,
                 threads=cfg.threads,
-                prime_budget=cfg.mod_primes,
             )
             member = membership(cand, space)
     ok = zrep.zero and member in (True, None)
@@ -321,7 +314,6 @@ def _spaces_for_degree(degree: int, cfg: Config, cache) -> list:
             mode="modular",
             cache=cache,
             threads=cfg.threads,
-            prime_budget=cfg.mod_primes,
         )
         for lam in LAMBDAS_BY_DEGREE[degree]
     ]
@@ -489,7 +481,6 @@ def cmd_reproduce(cfg: Config, args) -> tuple[dict, list[str], bool]:
             mode="modular",
             cache=cache,
             threads=cfg.threads,
-            prime_budget=cfg.mod_primes,
         )
         spaces[lam_t] = space
         if store:
@@ -608,7 +599,6 @@ def make_parser() -> argparse.ArgumentParser:
     shared.add_argument("--threads", type=int, default=S, help="worker threads for block computations")
     shared.add_argument("--degree-cap", type=int, default=S, help="largest total degree allowed (default 14)")
     shared.add_argument("--format", choices=["json", "text"], default=S, help="output format")
-    shared.add_argument("--mod-primes", type=int, default=S, help="prime budget for the modular kernel path")
 
     p = argparse.ArgumentParser(
         prog="traceforge",

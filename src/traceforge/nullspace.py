@@ -3,20 +3,22 @@
 Two entry points share one contract: the returned vectors are an exact basis
 of the right kernel, each normalized so its first nonzero coordinate (in
 column order) is 1, ordered by their free column.  null_dense works on an
-in-memory rational matrix; null_stream consumes rows in one or more passes
-and supports an exact integer-echelon mode and a multi-prime modular mode.
+in-memory rational matrix.  null_stream works on a matrix given as 2-D
+integer blocks (int64, or object for big entries) by a callable that yields
+them afresh for every pass; a block that is not a 2-D integer or object
+array with ncols columns raises ValueError.  It has an exact
+integer-echelon mode and a multi-prime modular mode.
 
 The modular mode reduces per prime with vectorized arithmetic, requires at
 least two primes to agree on the pivot column set, lifts the kernel by CRT
 and rational reconstruction, and then re-verifies the candidate basis
-exactly against a fresh pass over the rows.  More primes are drawn on any
+exactly against a fresh pass over the blocks.  More primes are drawn on any
 failure; once the prime budget is exhausted a NullStreamError suggests the
-exact mode.  Results are independent of block partitioning and thread count.
+exact mode.  Results are independent of how the rows are split into blocks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -196,98 +198,33 @@ def null_dense(A: QMatrix) -> NullBasis:
 # ---------------------------------------------------------------------------
 # Streamed kernels.
 
-# A row source is either a sequence of row items or a zero-argument callable
-# returning a fresh iterable of them (needed for multi-pass modes).  Row
-# items may be dicts {col: value}, dense sequences, (index_array, values)
-# pairs, 1-D integer arrays, or 2-D arrays whose rows are dense integer rows.
-RowSource = Callable[[], Iterable] | Sequence
+# A row source is a zero-argument callable returning a fresh iterable of 2-D
+# integer blocks with ncols columns each: int64, or object holding Python ints
+# where entries outgrow int64.  Each pass (the exact echelon, one RREF per
+# prime, the exact verification) calls it once.
+RowSource = Callable[[], Iterable[np.ndarray]]
 
 
-def _iter_source(rows: RowSource) -> Iterable:
-    return rows() if callable(rows) else rows
-
-
-def _iter_int_rows(rows: RowSource) -> Iterator[dict[int, int]]:
-    for item in _iter_source(rows):
-        if isinstance(item, np.ndarray):
-            if item.ndim == 1:
-                nz = np.flatnonzero(item)
-                if len(nz):
-                    yield {int(c): int(item[c]) for c in nz}
-            else:
-                for i in range(item.shape[0]):
-                    row = item[i]
-                    nz = np.flatnonzero(row)
-                    if len(nz):
-                        yield {int(c): int(row[c]) for c in nz}
-        elif isinstance(item, Mapping):
-            r = _clear_row(item)
-            if r:
-                yield r
-        elif (
-            isinstance(item, tuple)
-            and len(item) == 2
-            and isinstance(item[0], np.ndarray)
-        ):
-            idx, vals = item
-            r = _clear_row({int(c): v for c, v in zip(idx, vals)})
-            if r:
-                yield r
-        else:
-            r = _clear_row({c: v for c, v in enumerate(item) if v})
-            if r:
-                yield r
-
-
-def _iter_mod_blocks(
-    rows: RowSource, ncols: int, p: int, block_rows: int
-) -> Iterator[np.ndarray]:
-    buf: list[dict[int, int]] = []
-
-    def flush():
-        B = np.zeros((len(buf), ncols), dtype=np.int64)
-        for i, r in enumerate(buf):
-            for c, v in r.items():
-                B[i, c] = v % p
-        return B
-
-    for item in _iter_source(rows):
-        if isinstance(item, np.ndarray) and item.ndim == 2:
-            if buf:
-                yield flush()
-                buf = []
-            if item.dtype == object:
-                yield np.mod(item, p).astype(np.int64)
-            else:
-                yield np.mod(item.astype(np.int64, copy=False), p)
-            continue
-        if isinstance(item, np.ndarray) and item.ndim == 1:
-            r = {int(c): int(item[c]) for c in np.flatnonzero(item)}
-        elif isinstance(item, Mapping):
-            r = _clear_row(item)
-        elif (
-            isinstance(item, tuple)
-            and len(item) == 2
-            and isinstance(item[0], np.ndarray)
-        ):
-            r = _clear_row({int(c): v for c, v in zip(item[0], item[1])})
-        else:
-            r = _clear_row({c: v for c, v in enumerate(item) if v})
-        buf.append(r)
-        if len(buf) >= block_rows:
-            yield flush()
-            buf = []
-    if buf:
-        yield flush()
+def _blocks(rows: RowSource, ncols: int) -> Iterator[np.ndarray]:
+    """One pass over the blocks, each checked and brought to int64 or object."""
+    for B in rows():
+        if not isinstance(B, np.ndarray) or B.ndim != 2 or B.shape[1] != ncols:
+            raise ValueError(f"row blocks must be 2-D arrays with {ncols} columns")
+        if B.dtype.kind in "iu" and B.dtype != np.int64:
+            B = B.astype(object)  # exact for every integer width, uint64 too
+        elif B.dtype != np.int64 and B.dtype != object:
+            raise ValueError(f"row blocks must be integer or object, not {B.dtype}")
+        yield B
 
 
 def _modular_rref(
-    rows: RowSource, ncols: int, p: int, block_rows: int
+    rows: RowSource, ncols: int, p: int
 ) -> tuple[tuple[int, ...], np.ndarray]:
     """RREF mod p of the streamed matrix: (pivot columns, reduced rows)."""
     R = np.zeros((0, ncols), dtype=np.int64)
     pivcols: list[int] = []
-    for B in _iter_mod_blocks(rows, ncols, p, block_rows):
+    for B in _blocks(rows, ncols):
+        B = np.mod(B, p).astype(np.int64, copy=False)
         if R.shape[0]:
             B = (B - (B[:, pivcols] @ R) % p) % p
         mask = np.any(B, axis=1)
@@ -390,7 +327,12 @@ def _reconstruct_vectors(
 
 
 def _verify_exact(rows: RowSource, vectors: list[tuple[Fraction, ...]]) -> bool:
-    """Exact check that every row is orthogonal to every candidate vector."""
+    """Exact check that every row is orthogonal to every candidate vector.
+
+    A block is multiplied in int64 when its entry bound times the vector
+    bound times ncols stays below 2**62, so no sum can wrap; in Python ints
+    (object dtype) otherwise.
+    """
     if not vectors:
         return True
     ncols = len(vectors[0])
@@ -404,39 +346,19 @@ def _verify_exact(rows: RowSource, vectors: list[tuple[Fraction, ...]]) -> bool:
         maxv = max(maxv, max(abs(n) for n in iv) if iv else 0)
         ints.append(np.array(iv, dtype=object))
     V = np.stack(ints, axis=1)  # ncols x k, object
-    V_small = None
-    if maxv < 1 << 62:
-        V_small = V.astype(np.int64)
-    for item in _iter_source(rows):
-        if isinstance(item, np.ndarray) and item.ndim == 2:
-            B = item
-            if (
-                V_small is not None
-                and B.dtype != object
-                and B.size
-                and int(np.abs(B).max()) * maxv * ncols < 1 << 62
-            ):
+    V_small = V.astype(np.int64) if maxv < 1 << 62 else None
+    for B in _blocks(rows, ncols):
+        if not B.size:
+            continue
+        if V_small is not None and B.dtype != object:
+            # not np.abs(B).max(): abs(-2**63) wraps to itself in int64
+            bound = max(int(B.max()), -int(B.min()))
+            if bound * maxv * ncols < 1 << 62:
                 if np.any(B @ V_small):
                     return False
-            else:
-                if np.any(B.astype(object) @ V):
-                    return False
-        else:
-            if isinstance(item, np.ndarray):
-                r = {int(c): int(item[c]) for c in np.flatnonzero(item)}
-            elif isinstance(item, Mapping):
-                r = _clear_row(item)
-            elif (
-                isinstance(item, tuple)
-                and len(item) == 2
-                and isinstance(item[0], np.ndarray)
-            ):
-                r = _clear_row({int(c): v for c, v in zip(item[0], item[1])})
-            else:
-                r = _clear_row({c: v for c, v in enumerate(item) if v})
-            for k in range(V.shape[1]):
-                if sum(v * int(V[c, k]) for c, v in r.items()) != 0:
-                    return False
+                continue
+        if np.any(B.astype(object) @ V):
+            return False
     return True
 
 
@@ -445,8 +367,6 @@ def null_stream(
     ncols: int,
     mode: str = "exact",
     prime_budget: int | None = None,
-    block_rows: int = 2048,
-    threads: int = 1,
 ) -> NullBasis:
     """Kernel of a streamed matrix.  See the module docstring for contract.
 
@@ -458,8 +378,11 @@ def null_stream(
         raise ValueError("negative column count")
     if mode == "exact":
         ech = _IntEchelon(ncols)
-        for r in _iter_int_rows(rows):
-            ech.add_row(r, cleared=True)
+        for B in _blocks(rows, ncols):
+            for row in B:
+                nz = np.flatnonzero(row)
+                if len(nz):
+                    ech.add_row({int(c): int(row[c]) for c in nz}, cleared=True)
         return ech.kernel()
     if mode != "modular":
         raise ValueError(f"unknown mode {mode!r}")
@@ -467,31 +390,14 @@ def null_stream(
     budget = DEFAULT_PRIME_BUDGET if prime_budget is None else prime_budget
     if budget < 2:
         raise ValueError("modular mode needs a budget of at least 2 primes")
+    budget = min(budget, len(PRIMES))
 
     per_prime: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
-    used = 0
-
-    def run_prime(p: int):
-        return _modular_rref(rows, ncols, p, block_rows)
-
     want = 2
     while True:
-        batch = []
-        while used < len(PRIMES) and used < budget and len(per_prime) + len(batch) < want:
-            batch.append(PRIMES[used])
-            used += 1
-        if batch:
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    for p, res in zip(batch, ex.map(run_prime, batch)):
-                        per_prime[p] = res
-            else:
-                for p in batch:
-                    per_prime[p] = run_prime(p)
-        if len(per_prime) < 2:
-            raise NullStreamError(
-                "modular kernel failed: prime budget exhausted; rerun with mode='exact'"
-            )
+        while len(per_prime) < want:
+            p = PRIMES[len(per_prime)]
+            per_prime[p] = _modular_rref(rows, ncols, p)
         # keep the primes agreeing on the best pivot set: largest rank first
         # (modular rank never exceeds the true rank), then largest group
         best: dict[tuple[int, ...], list[int]] = {}
@@ -509,10 +415,10 @@ def null_stream(
                 return NullBasis(
                     ncols, tuple(_normalize_first_one(v) for v in vectors)
                 )
-        if used >= budget or used >= len(PRIMES):
+        if len(per_prime) >= budget:
             raise NullStreamError(
                 "modular kernel failed after "
-                f"{used} primes (reconstruction or verification); "
+                f"{len(per_prime)} primes (reconstruction or verification); "
                 "rerun with mode='exact'"
             )
-        want = len(per_prime) + 2
+        want = min(len(per_prime) + 2, budget)

@@ -238,7 +238,6 @@ def relation_space(
     blocked: bool | None = None,
     cache: genmat.EvalCache | None = None,
     threads: int = 1,
-    prime_budget: int | None = None,
     use_cache: bool = True,
 ) -> RelationSpace:
     """All relations of weight lam, as exact highest weight combinations."""
@@ -261,13 +260,7 @@ def relation_space(
         for start in range(0, M.shape[0], block):
             yield M[start : start + block]
 
-    nb = null_stream(
-        factory,
-        basis.s,
-        mode=mode,
-        prime_budget=prime_budget,
-        threads=threads,
-    )
+    nb = null_stream(factory, basis.s, mode=mode)
     zeta = []
     relvectors = []
     for w in nb.vectors:

@@ -10,8 +10,8 @@ import importlib.resources as ir
 import itertools
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import conftest
@@ -288,13 +288,11 @@ def _c9_blocked_unblocked(acache):
 
 
 def _c9_modular_exact(acache):
-    rows = [
-        {0: Fraction(3, 2), 2: Fraction(-5)},
-        {1: Fraction(1), 2: Fraction(7, 3), 3: Fraction(1)},
-        {0: Fraction(3), 2: Fraction(-10)},
-    ]
-    exact = null_stream(lambda: iter(rows), 4, mode="exact")
-    modular = null_stream(lambda: iter(rows), 4, mode="modular")
+    # the rows (3/2, 0, -5, 0), (0, 1, 7/3, 1), (3, 0, -10, 0), each
+    # cleared by its denominator (row scaling keeps the kernel)
+    B = np.array([[3, 0, -10, 0], [0, 3, 7, 3], [3, 0, -10, 0]], dtype=np.int64)
+    exact = null_stream(lambda: iter([B]), 4, mode="exact")
+    modular = null_stream(lambda: iter([B]), 4, mode="modular")
     assert set(exact.vectors) == set(modular.vectors)
 
     a = relation_space(Partition(7, 5), mode="exact", cache=acache, use_cache=False)
