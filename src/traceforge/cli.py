@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -413,9 +414,14 @@ def cmd_reproduce(cfg: Config, args) -> tuple[dict, list[str], bool]:
     store = cache.store
     tables: dict[str, dict] = {}
     lines: list[str] = []
+    last = time.perf_counter()
 
     def record(name: str, ok: bool, detail: dict, line: str) -> None:
-        tables[name] = {"ok": ok, **detail}
+        # seconds: wall time of this table, since the previous one was recorded
+        nonlocal last
+        now = time.perf_counter()
+        tables[name] = {"ok": ok, **detail, "seconds": round(now - last, 3)}
+        last = now
         lines.append(("[PASS] " if ok else "[FAIL] ") + line)
 
     # 1. catalog certification and generator degree audit

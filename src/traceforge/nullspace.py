@@ -9,12 +9,18 @@ them afresh for every pass; a block that is not a 2-D integer or object
 array with ncols columns raises ValueError.  It has an exact
 integer-echelon mode and a multi-prime modular mode.
 
-The modular mode reduces per prime with vectorized arithmetic, requires at
-least two primes to agree on the pivot column set, lifts the kernel by CRT
-and rational reconstruction, and then re-verifies the candidate basis
-exactly against a fresh pass over the blocks.  More primes are drawn on any
-failure; once the prime budget is exhausted a NullStreamError suggests the
-exact mode.  Results are independent of how the rows are split into blocks.
+The modular mode reduces per prime through the Gram matrix: one pass over
+the blocks accumulates G = M^T M mod p (ncols x ncols) with exact float64
+matmuls, and only G is echeloned row by row.  The row space of G lies in
+that of M mod p, so when their ranks agree both have the same RREF.  An
+isotropic row space (probability about 1/p) lowers the rank of G; such a
+prime loses the vote below, which keeps the largest rank, and a kernel that
+is still too large fails the exact verification.  At least two primes must
+agree on the pivot column set; the kernel is lifted by CRT and rational
+reconstruction and then re-verified exactly against a fresh pass over the
+blocks.  More primes are drawn on any failure; once the prime budget is
+exhausted a NullStreamError suggests the exact mode.  Results are
+independent of how the rows are split into blocks.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ import numpy as np
 
 Rational = Fraction
 
-# Primes just below 2**25: residue products times any in-scope column count
-# stay far below 2**63, so int64 matmul is exact.
+# Primes just below 2**25: the float64 Gram chunks of _modular_rref are exact
+# under this bound, and int64 products of residues summed over the columns
+# stay far below 2**63.
 PRIMES: tuple[int, ...] = (
     33554393, 33554383, 33554371, 33554347, 33554341, 33554317, 33554291,
     33554273, 33554267, 33554249, 33554239, 33554221, 33554201, 33554167,
@@ -217,34 +224,52 @@ def _blocks(rows: RowSource, ncols: int) -> Iterator[np.ndarray]:
         yield B
 
 
+# Rows per Gram chunk.  Residues are below p < 2**25 and the right factor is
+# split at bit _SPLIT (hi < 2**13, lo < 2**12), so each product is below
+# 2**38 and a sum of at most 2**12 of them stays below 2**50: every partial
+# sum, in any summation order, is an integer that float64 holds exactly.
+_GRAM_ROWS = 1 << 12
+_SPLIT = 12
+
+
 def _modular_rref(
     rows: RowSource, ncols: int, p: int
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """RREF mod p of the streamed matrix: (pivot columns, reduced rows)."""
-    R = np.zeros((0, ncols), dtype=np.int64)
-    pivcols: list[int] = []
+    """RREF mod p of the Gram matrix G = M^T M of the streamed matrix M.
+
+    G (ncols x ncols) is accumulated with one exact float64 matmul per chunk
+    of rows and then echeloned row by row.  Its row space lies in that of
+    M mod p, so when the ranks agree the RREF is the RREF of M mod p.  When
+    they do not (an isotropic row space, probability about 1/p) the rank
+    drops, and the caller's vote for the largest rank and its exact
+    verification reject the result.  Returns (pivot columns, reduced rows).
+    """
+    G = np.zeros((ncols, ncols), dtype=np.int64)
+    low = (1 << _SPLIT) - 1
     for B in _blocks(rows, ncols):
         B = np.mod(B, p).astype(np.int64, copy=False)
+        for start in range(0, B.shape[0], _GRAM_ROWS):
+            C = B[start : start + _GRAM_ROWS]
+            H = np.concatenate([C >> _SPLIT, C & low], axis=1).astype(np.float64)
+            XY = (C.T.astype(np.float64) @ H).astype(np.int64)
+            X, Y = XY[:, :ncols], XY[:, ncols:]
+            G = (G + ((X % p) << _SPLIT) + Y % p) % p
+    R = np.zeros((0, ncols), dtype=np.int64)
+    pivcols: list[int] = []
+    for r in G:
         if R.shape[0]:
-            B = (B - (B[:, pivcols] @ R) % p) % p
-        mask = np.any(B, axis=1)
-        if not mask.any():
+            r = (r - (r[pivcols] @ R) % p) % p
+        nz = np.flatnonzero(r)
+        if not len(nz):
             continue
-        for row in B[mask]:
-            r = row
-            if R.shape[0]:
-                r = (r - (r[pivcols] @ R) % p) % p
-            nz = np.flatnonzero(r)
-            if not len(nz):
-                continue
-            c = int(nz[0])
-            r = (r * pow(int(r[c]), p - 2, p)) % p
-            if R.shape[0]:
-                colvals = R[:, c].copy()
-                if colvals.any():
-                    R = (R - np.outer(colvals, r)) % p
-            R = np.vstack([R, r[None, :]])
-            pivcols.append(c)
+        c = int(nz[0])
+        r = (r * pow(int(r[c]), p - 2, p)) % p
+        if R.shape[0]:
+            colvals = R[:, c].copy()
+            if colvals.any():
+                R = (R - np.outer(colvals, r)) % p
+        R = np.vstack([R, r[None, :]])
+        pivcols.append(c)
     order = np.argsort(pivcols, kind="stable")
     return tuple(pivcols[i] for i in order), R[order]
 
@@ -371,8 +396,11 @@ def null_stream(
     """Kernel of a streamed matrix.  See the module docstring for contract.
 
     mode "exact": one streaming pass of fraction-free integer elimination.
-    mode "modular": per-prime vectorized elimination, CRT lift, rational
-    reconstruction, and a mandatory exact verification pass.
+    mode "modular": per prime, one pass accumulating the Gram matrix
+    M^T M mod p and a small echelon of it; a vote for the largest rank
+    (a prime at which the row space is isotropic reports a smaller one),
+    CRT lift, rational reconstruction, and a mandatory exact verification
+    pass.
     """
     if ncols < 0:
         raise ValueError("negative column count")

@@ -107,7 +107,11 @@ def _signed_width(v: int) -> int:
 
 
 def _den_gcd(coeffs: np.ndarray, den: int) -> int:
-    """gcd(content(coeffs), den); stops as soon as it reaches 1."""
+    """gcd(content(coeffs), den); object coefficients stop as soon as it is 1."""
+    if den == 1:
+        return 1
+    if coeffs.dtype != object:
+        return gcd(den, int(np.gcd.reduce(coeffs)))
     g = den
     for c in coeffs:
         if g == 1:

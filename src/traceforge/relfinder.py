@@ -178,6 +178,32 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+# keys added to the sorted union per merge; bounds the array each sort holds
+_UNION_BATCH = 1 << 20
+
+
+def _unique_sorted(parts: list[np.ndarray]) -> np.ndarray:
+    keys = np.concatenate(parts)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Sorted distinct int64 keys of all arrays, merged a batch at a time."""
+    union = np.empty(0, dtype=np.int64)
+    batch: list[np.ndarray] = []
+    pending = 0
+    for keys in key_arrays:
+        batch.append(keys)
+        pending += len(keys)
+        if pending >= _UNION_BATCH:
+            union = _unique_sorted([union, *batch])
+            batch, pending = [], 0
+    return _unique_sorted([union, *batch])
+
+
 def _assemble_matrix(
     basis: HwvBasis, cache: genmat.EvalCache | None
 ) -> tuple[np.ndarray, list[int]]:
@@ -188,12 +214,7 @@ def _assemble_matrix(
     evaluation of basis vector i is column i divided by colscale[i].
     """
     evals = {m: eval_abs_monomial(m, cache) for m in basis.monomials}
-    all_keys = np.unique(
-        np.concatenate(
-            [e.keys for e in evals.values() if not e.is_zero()]
-            or [np.empty(0, dtype=np.int64)]
-        )
-    )
+    all_keys = _sorted_union(e.keys for e in evals.values())
     pos = {m: np.searchsorted(all_keys, e.keys) for m, e in evals.items()}
     s = basis.s
     columns: list[np.ndarray] = []

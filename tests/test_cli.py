@@ -174,6 +174,10 @@ def test_reproduce_idempotent(capsys, tmp_path):
     assert code2 == 0
     assert "ALL TABLES PASS" in out2
     assert "word_evals=0" in out2 and "mono_products=0" in out2
+    code3 = main(["reproduce", "--paper-tables", "--cache-dir", cdir, "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code3 == 0 and doc["pass"]
+    assert all(table["seconds"] >= 0 for table in doc["tables"].values())
 
 
 def test_hwv_verdict_key_tracks_the_basis():

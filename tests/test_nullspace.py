@@ -13,6 +13,8 @@ from traceforge.nullspace import (
     PRIMES,
     NullStreamError,
     QMatrix,
+    _blocks,
+    _modular_rref,
     _verify_exact,
     crt_pair,
     null_dense,
@@ -210,6 +212,100 @@ def test_malformed_blocks_rejected(mode, block):
     with pytest.raises(ValueError, match="row blocks"):
         null_stream(rows, 2, mode=mode)
     assert len(calls) == 1  # rejected on the first pass, before any prime
+
+
+def rowwise_rref(rows, ncols, p):
+    """Streamed RREF mod p that reduces one row at a time, kept as an oracle
+    for the Gram-matrix RREF of the library."""
+    R = np.zeros((0, ncols), dtype=np.int64)
+    pivcols = []
+    for B in _blocks(rows, ncols):
+        B = np.mod(B, p).astype(np.int64, copy=False)
+        if R.shape[0]:
+            B = (B - (B[:, pivcols] @ R) % p) % p
+        mask = np.any(B, axis=1)
+        if not mask.any():
+            continue
+        for row in B[mask]:
+            r = row
+            if R.shape[0]:
+                r = (r - (r[pivcols] @ R) % p) % p
+            nz = np.flatnonzero(r)
+            if not len(nz):
+                continue
+            c = int(nz[0])
+            r = (r * pow(int(r[c]), p - 2, p)) % p
+            if R.shape[0]:
+                colvals = R[:, c].copy()
+                if colvals.any():
+                    R = (R - np.outer(colvals, r)) % p
+            R = np.vstack([R, r[None, :]])
+            pivcols.append(c)
+    order = np.argsort(pivcols, kind="stable")
+    return tuple(pivcols[i] for i in order), R[order]
+
+
+def with_dependent_columns(M, rng, combine=lambda u, v: u - v):
+    """Overwrite every third column by a combination of two earlier ones."""
+    M = M.copy()
+    for c in range(2, M.shape[1], 3):
+        a, b = rng.integers(0, c, size=2)
+        M[:, c] = combine(M[:, a], M[:, b])
+    return M
+
+
+def rref_cases(p):
+    rng = np.random.default_rng(p)
+    top = 2**62
+    near = rng.integers(top - 2**20, top, size=(40, 9)) * rng.choice([-1, 1], size=(40, 9))
+    near = with_dependent_columns(near, rng, lambda u, v: -u)  # u - v could wrap
+    # every entry is p - 1 mod p, or 0: residues at the top of the range
+    minus_one = rng.choice([0, p - 1, -1, 2 * p - 1], size=(30, 8)).astype(np.int64)
+    tall = with_dependent_columns(rng.integers(-(2**40), 2**40, size=(5000, 7)), rng)
+    big = [
+        [int(x) * 2**70 + int(y) for x, y in zip(row, rng.integers(-9, 9, size=5))]
+        for row in rng.integers(-(2**62), 2**62, size=(12, 5))
+    ]
+    big = np.array(big, dtype=object)
+    big[:, 4] = big[:, 0] * 3 - big[:, 1]  # entries up to about 2**134
+    assert max(abs(int(x)) for x in big.flat) >= 2**132
+    return {
+        "near-2^62": (9, [near[:17], near[17:]]),
+        "p-1": (8, [minus_one]),
+        "tall": (7, [tall]),
+        "object": (5, [big[:5], big[5:]]),
+        "zero-rows": (4, [np.zeros((3, 4), dtype=np.int64), tall[:6, :4]]),
+        "no-columns": (0, [np.zeros((3, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)]),
+    }
+
+
+@pytest.mark.parametrize("p", PRIMES[:3])
+@pytest.mark.parametrize(
+    "case", ["near-2^62", "p-1", "tall", "object", "zero-rows", "no-columns"]
+)
+def test_gram_rref_matches_rowwise_rref(p, case):
+    ncols, blocks = rref_cases(p)[case]
+    piv, R = _modular_rref(lambda: iter(blocks), ncols, p)
+    want_piv, want_R = rowwise_rref(lambda: iter(blocks), ncols, p)
+    assert piv == want_piv
+    assert R.dtype == np.int64 and np.array_equal(R, want_R)
+
+
+def test_isotropic_rows_lose_rank_only_at_the_primes_they_are_isotropic_for():
+    # 1 + a**2 + b**2 is divisible by the first two primes, so there the Gram
+    # matrix of the single column is 0 although the column is not
+    a, b = 337769089571796, 144756314570731
+    for p in PRIMES[:2]:
+        assert (1 + a * a + b * b) % p == 0
+    B = np.array([[1], [a], [b]], dtype=np.int64)
+    assert [len(_modular_rref(lambda: iter([B]), 1, p)[0]) for p in PRIMES[:3]] == [0, 0, 1]
+    exact = null_stream(lambda: iter([B]), 1, mode="exact")
+    modular = null_stream(lambda: iter([B]), 1, mode="modular")
+    assert exact.dim == modular.dim == 0
+
+
+def test_primes_fit_the_exact_float64_gram_bound():
+    assert all(p < 2**25 for p in PRIMES)
 
 
 def test_adversarial_prime_divisible_rows():

@@ -24,6 +24,7 @@ from traceforge.packedpoly import (
     PackedPoly,
     XCAP,
     YCAP,
+    _den_gcd,
     linear_combination,
     pack_exponents,
     sum_scaled,
@@ -128,6 +129,27 @@ def test_sum_scaled_batches_agree(monkeypatch):
     monkeypatch.setattr(pp, "_BATCH_TERMS", 3)
     assert sum_scaled(pairs) == one_batch
     check_invariants(one_batch)
+
+
+@st.composite
+def coefficient_arrays(draw):
+    """int64 coefficients below 2**62 sharing a drawn factor, and a
+    denominator that often shares part of it."""
+    f = draw(st.integers(1, 2**40))
+    cs = draw(st.lists(st.integers(-(LIMIT - 1) // f, (LIMIT - 1) // f), max_size=12))
+    den = draw(st.one_of(st.integers(1, 2**70), st.integers(1, 2**20).map(lambda k: k * f)))
+    return np.array([c * f for c in cs], dtype=np.int64), den
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_arrays())
+def test_den_gcd_matches_the_python_loop(arrays):
+    coeffs, den = arrays
+    want = den
+    for c in coeffs.tolist():
+        want = gcd(want, c)
+    assert _den_gcd(coeffs, den) == want
+    assert _den_gcd(coeffs.astype(object), den) == want
 
 
 def test_linear_combination_is_integer_sum_scaled():

@@ -4,16 +4,19 @@ The degree 13 and 14 slices take minutes and live in the acceptance module
 behind the extended gate; everything here stays in the seconds range.
 """
 
+import hashlib
 import importlib.resources as ir
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from traceforge import relfinder
 from traceforge.cache import CacheStore
 from traceforge.genmat import EvalCache
 from traceforge.glcat import AbsPoly, Partition, abs_delta, abs_monomials, phi
+from traceforge.hwv import hwv_basis
 from traceforge.phiparse import parse_phi
 from traceforge.relfinder import (
     PARAMETER_SPLIT,
@@ -193,9 +196,47 @@ def test_verify_zero_trace_expr(cache):
 
 
 def test_exact_and_modular_agree(cache):
-    a = relation_space(Partition(7, 5), mode="exact", cache=cache, use_cache=False)
-    b = relation_space(Partition(7, 5), mode="modular", cache=cache, use_cache=False)
-    assert a.zeta == b.zeta
+    for lam in (Partition(7, 5), Partition(6, 6)):
+        a = relation_space(lam, mode="exact", cache=cache, use_cache=False)
+        b = relation_space(lam, mode="modular", cache=cache, use_cache=False)
+        assert a.zeta == b.zeta
+
+
+# (shape, colscale, sha256 of M.tobytes()) of the degree-12 coefficient
+# matrices, frozen from an earlier implementation of the assembly
+ASSEMBLED = {
+    (7, 5): (
+        (9288, 36),
+        [3, 1, 1, 1, 1, 1, 1, 3, 3, 9, 1, 3, 3, 6, 6, 1, 1, 1, 1, 6, 1, 1, 2, 1,
+         12, 1, 4, 1, 3, 9, 1, 1, 3, 1, 1, 1],
+        "b2795048a029f8c4ae817a9dc51f1f33226eba725ebbe6404069b72cbb7f6741",
+    ),
+    (6, 6): (
+        (17248, 30),
+        [1, 1, 3, 1, 1, 2, 9, 1, 1, 3, 27, 1, 3, 3, 1, 1, 1, 6, 1, 1, 2, 3, 27, 9,
+         1, 1, 1, 1, 4, 1],
+        "b44bdb0619736b8bb7f045e0980a9cf33e039c113b3cc3a8ae75a35b3f243682",
+    ),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(ASSEMBLED), ids=lambda lam: f"{lam[0]},{lam[1]}")
+def test_assembled_matrix_is_pinned(lam, cache):
+    shape, colscale, sha = ASSEMBLED[lam]
+    M, got_scale = relfinder._assemble_matrix(hwv_basis(Partition(*lam)), cache)
+    assert M.dtype == np.int64 and M.shape == shape
+    assert got_scale == colscale
+    assert hashlib.sha256(M.tobytes()).hexdigest() == sha
+
+
+def test_sorted_union_merges_in_batches(monkeypatch):
+    rng = np.random.default_rng(5)
+    parts = [rng.integers(-50, 50, size=n) for n in (0, 7, 1, 30, 0, 12)]
+    want = np.unique(np.concatenate(parts))
+    assert np.array_equal(relfinder._sorted_union(parts), want)
+    monkeypatch.setattr(relfinder, "_UNION_BATCH", 5)
+    assert np.array_equal(relfinder._sorted_union(parts), want)
+    assert relfinder._sorted_union([]).dtype == np.int64
 
 
 def test_relation_space_cache_round_trip(cache):
