@@ -3,40 +3,40 @@
 Two entry points share one contract: the returned vectors are an exact basis
 of the right kernel, each normalized so its first nonzero coordinate (in
 column order) is 1, ordered by their free column.  null_dense works on an
-in-memory rational matrix.  null_stream works on a matrix given as 2-D
-integer blocks (int64, or object for big entries) by a callable that yields
-them afresh for every pass; a block that is not a 2-D integer or object
-array with ncols columns raises ValueError.  It has an exact
-integer-echelon mode and a multi-prime modular mode.
+in-memory rational matrix.  null_stream works on a matrix M given as 2-D
+integer blocks (int64, or object for big entries) by a callable that it
+calls once; a block that is not a 2-D integer or object array with ncols
+columns raises ValueError.
 
-The modular mode reduces per prime through the Gram matrix: one pass over
-the blocks accumulates G = M^T M mod p (ncols x ncols) with exact float64
-matmuls, and only G is echeloned row by row.  The row space of G lies in
-that of M mod p, so when their ranks agree both have the same RREF.  An
-isotropic row space (probability about 1/p) lowers the rank of G; such a
-prime loses the vote below, which keeps the largest rank, and a kernel that
-is still too large fails the exact verification.  At least two primes must
-agree on the pivot column set; the kernel is lifted by CRT and rational
-reconstruction and then re-verified exactly against a fresh pass over the
-blocks.  More primes are drawn on any failure; once the prime budget is
-exhausted a NullStreamError suggests the exact mode.  Results are
-independent of how the rows are split into blocks.
+null_stream reads the blocks once, into the exact integer Gram matrix
+G = M^T M (ncols x ncols, built with exact float64 matmuls on 16-bit limbs),
+and then works on G alone.  Over Q, ker G = ker M, because z^T G z = |Mz|^2.
+The exact mode runs fraction-free elimination on the rows of G.  The modular
+mode echelons G mod p per prime, keeps the largest rank among the primes
+(a prime at which the row space is isotropic, probability about 1/p, reports
+a smaller one), requires two primes to agree on the pivot columns, and lifts
+the kernel by CRT and rational reconstruction; more primes are drawn on any
+failure, and once the prime budget is exhausted a NullStreamError suggests
+the exact mode.  Both modes return only vectors that pass the exact check
+G z = 0 over Z.  That check is a proof, not a vote: k candidates in
+free-column form are independent and lie in ker M, and since the rank of G
+over Q is at least its rank mod p, ker M has dimension exactly k.  Results
+are independent of how the rows are split into blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 Rational = Fraction
 
-# Primes just below 2**25: the float64 Gram chunks of _modular_rref are exact
-# under this bound, and int64 products of residues summed over the columns
-# stay far below 2**63.
+# Primes just below 2**25: products of residues summed over the columns of
+# the int64 echelon in _rref_mod stay far below 2**63.
 PRIMES: tuple[int, ...] = (
     33554393, 33554383, 33554371, 33554347, 33554341, 33554317, 33554291,
     33554273, 33554267, 33554249, 33554239, 33554221, 33554201, 33554167,
@@ -205,10 +205,9 @@ def null_dense(A: QMatrix) -> NullBasis:
 # ---------------------------------------------------------------------------
 # Streamed kernels.
 
-# A row source is a zero-argument callable returning a fresh iterable of 2-D
+# A row source is a zero-argument callable returning an iterable of 2-D
 # integer blocks with ncols columns each: int64, or object holding Python ints
-# where entries outgrow int64.  Each pass (the exact echelon, one RREF per
-# prime, the exact verification) calls it once.
+# where entries outgrow int64.  null_stream calls it once.
 RowSource = Callable[[], Iterable[np.ndarray]]
 
 
@@ -224,39 +223,60 @@ def _blocks(rows: RowSource, ncols: int) -> Iterator[np.ndarray]:
         yield B
 
 
-# Rows per Gram chunk.  Residues are below p < 2**25 and the right factor is
-# split at bit _SPLIT (hi < 2**13, lo < 2**12), so each product is below
-# 2**38 and a sum of at most 2**12 of them stays below 2**50: every partial
-# sum, in any summation order, is an integer that float64 holds exactly.
-_GRAM_ROWS = 1 << 12
-_SPLIT = 12
+# Rows per limb slice, so the limb arrays stay small (under 1 MB each at 106
+# columns) whatever the size of M.
+_GRAM_ROWS = 1 << 8
+# Rows summed in float64 before folding into Python ints.  Limbs are below
+# 2**16 in magnitude, so each product is below 2**32 and a sum over at most
+# 2**20 rows stays below 2**52: every partial sum, in any summation order, is
+# an integer that float64 holds exactly.
+_FOLD_ROWS = 1 << 20
 
 
-def _modular_rref(
-    rows: RowSource, ncols: int, p: int
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """RREF mod p of the Gram matrix G = M^T M of the streamed matrix M.
+def _gram(rows: RowSource, ncols: int) -> np.ndarray:
+    """Exact Gram matrix G = M^T M (ncols x ncols, Python ints) in one pass.
 
-    G (ncols x ncols) is accumulated with one exact float64 matmul per chunk
-    of rows and then echeloned row by row.  Its row space lies in that of
-    M mod p, so when the ranks agree the RREF is the RREF of M mod p.  When
-    they do not (an isotropic row space, probability about 1/p) the rank
-    drops, and the caller's vote for the largest rank and its exact
-    verification reject the result.  Returns (pivot columns, reduced rows).
+    An int64 block is split into signed 16-bit limbs, |B| = sum_k L_k 2**(16k),
+    and all limb pairs come from one float64 matmul per slice of rows; the
+    pairs are combined in Python ints.  Object blocks use B^T B in Python ints.
     """
-    G = np.zeros((ncols, ncols), dtype=np.int64)
-    low = (1 << _SPLIT) - 1
+    G = np.zeros((ncols, ncols), dtype=object)
     for B in _blocks(rows, ncols):
-        B = np.mod(B, p).astype(np.int64, copy=False)
-        for start in range(0, B.shape[0], _GRAM_ROWS):
-            C = B[start : start + _GRAM_ROWS]
-            H = np.concatenate([C >> _SPLIT, C & low], axis=1).astype(np.float64)
-            XY = (C.T.astype(np.float64) @ H).astype(np.int64)
-            X, Y = XY[:, :ncols], XY[:, ncols:]
-            G = (G + ((X % p) << _SPLIT) + Y % p) % p
+        if B.dtype == object:
+            G = G + B.T.dot(B)
+            continue
+        top = max(int(B.max()), -int(B.min())) if B.size else 0
+        nl = -(-top.bit_length() // 16)
+        for start in range(0, B.shape[0] if nl else 0, _FOLD_ROWS):
+            acc = np.zeros((nl * ncols, nl * ncols))
+            for s in range(start, min(start + _FOLD_ROWS, B.shape[0]), _GRAM_ROWS):
+                C = B[s : s + _GRAM_ROWS]
+                # abs(-2**63) wraps to itself, which read as uint64 is 2**63
+                mag = np.abs(C).view(np.uint64)
+                sign = np.sign(C).astype(np.float64)
+                limbs = [(mag >> 16 * k) & 0xFFFF for k in range(nl)]
+                L = np.concatenate(limbs, axis=1) * np.tile(sign, nl)
+                acc += L.T @ L
+            A = acc.astype(np.int64).reshape(nl, ncols, nl, ncols)
+            for t in range(2 * nl - 1):
+                ks = range(max(0, t - nl + 1), min(t, nl - 1) + 1)
+                S = sum(A[k, :, t - k] for k in ks)  # at most 4 terms below 2**52
+                G = G + S.astype(object) * (1 << 16 * t)
+    return G
+
+
+def _rref_mod(Gp: np.ndarray, p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """RREF mod p of a square matrix Gp of residues, echeloned row by row.
+
+    Entries stay below p < 2**25, so each product of two is below 2**50 and a
+    row times R sums fewer than 2**13 of them in int64 without overflow.
+    Returns (pivot columns ascending, reduced rows in the same order).
+    """
+    Gp = Gp.astype(np.int64)
+    ncols = Gp.shape[1]
     R = np.zeros((0, ncols), dtype=np.int64)
     pivcols: list[int] = []
-    for r in G:
+    for r in Gp:
         if R.shape[0]:
             r = (r - (r[pivcols] @ R) % p) % p
         nz = np.flatnonzero(r)
@@ -351,81 +371,46 @@ def _reconstruct_vectors(
     return vectors
 
 
-def _verify_exact(rows: RowSource, vectors: list[tuple[Fraction, ...]]) -> bool:
-    """Exact check that every row is orthogonal to every candidate vector.
-
-    A block is multiplied in int64 when its entry bound times the vector
-    bound times ncols stays below 2**62, so no sum can wrap; in Python ints
-    (object dtype) otherwise.
-    """
-    if not vectors:
-        return True
-    ncols = len(vectors[0])
-    ints: list[np.ndarray] = []
-    maxv = 0
+def _in_kernel(G: np.ndarray, vectors: Sequence[Sequence[Fraction]]) -> bool:
+    """Exact check G z = 0 over the integers, each z cleared of denominators."""
     for v in vectors:
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        iv = [int(x * den) for x in v]
-        maxv = max(maxv, max(abs(n) for n in iv) if iv else 0)
-        ints.append(np.array(iv, dtype=object))
-    V = np.stack(ints, axis=1)  # ncols x k, object
-    V_small = V.astype(np.int64) if maxv < 1 << 62 else None
-    for B in _blocks(rows, ncols):
-        if not B.size:
-            continue
-        if V_small is not None and B.dtype != object:
-            # not np.abs(B).max(): abs(-2**63) wraps to itself in int64
-            bound = max(int(B.max()), -int(B.min()))
-            if bound * maxv * ncols < 1 << 62:
-                if np.any(B @ V_small):
-                    return False
-                continue
-        if np.any(B.astype(object) @ V):
+        den = lcm(1, *(x.denominator for x in v))
+        z = np.array([x.numerator * (den // x.denominator) for x in v], dtype=object)
+        if np.any(G.dot(z)):
             return False
     return True
 
 
-def null_stream(
-    rows: RowSource,
-    ncols: int,
-    mode: str = "exact",
-    prime_budget: int | None = None,
-) -> NullBasis:
+def null_stream(rows: RowSource, ncols: int, mode: str = "exact") -> NullBasis:
     """Kernel of a streamed matrix.  See the module docstring for contract.
 
-    mode "exact": one streaming pass of fraction-free integer elimination.
-    mode "modular": per prime, one pass accumulating the Gram matrix
-    M^T M mod p and a small echelon of it; a vote for the largest rank
-    (a prime at which the row space is isotropic reports a smaller one),
-    CRT lift, rational reconstruction, and a mandatory exact verification
-    pass.
+    Both modes read the rows once, into the exact Gram matrix G = M^T M.
+    mode "exact": fraction-free integer elimination of the rows of G.
+    mode "modular": per prime, an echelon of G mod p; a vote for the largest
+    rank (a prime at which the row space is isotropic reports a smaller one),
+    CRT lift and rational reconstruction.  Either result is returned only
+    after the exact check G z = 0.
     """
     if ncols < 0:
         raise ValueError("negative column count")
+    if mode not in ("exact", "modular"):
+        raise ValueError(f"unknown mode {mode!r}")
+    G = _gram(rows, ncols)
     if mode == "exact":
         ech = _IntEchelon(ncols)
-        for B in _blocks(rows, ncols):
-            for row in B:
-                nz = np.flatnonzero(row)
-                if len(nz):
-                    ech.add_row({int(c): int(row[c]) for c in nz}, cleared=True)
-        return ech.kernel()
-    if mode != "modular":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    budget = DEFAULT_PRIME_BUDGET if prime_budget is None else prime_budget
-    if budget < 2:
-        raise ValueError("modular mode needs a budget of at least 2 primes")
-    budget = min(budget, len(PRIMES))
+        for row in G:
+            ech.add_row({c: int(v) for c, v in enumerate(row) if v}, cleared=True)
+        basis = ech.kernel()
+        if not _in_kernel(G, basis.vectors):
+            raise NullStreamError("exact kernel fails the check G z = 0")
+        return basis
 
     per_prime: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
     want = 2
     while True:
         while len(per_prime) < want:
             p = PRIMES[len(per_prime)]
-            per_prime[p] = _modular_rref(rows, ncols, p)
+            per_prime[p] = _rref_mod(G % p, p)
         # keep the primes agreeing on the best pivot set: largest rank first
         # (modular rank never exceeds the true rank), then largest group
         best: dict[tuple[int, ...], list[int]] = {}
@@ -439,14 +424,14 @@ def null_stream(
                 for p in good
             }
             vectors = _reconstruct_vectors(kernels, ncols)
-            if vectors is not None and _verify_exact(rows, vectors):
+            if vectors is not None and _in_kernel(G, vectors):
                 return NullBasis(
                     ncols, tuple(_normalize_first_one(v) for v in vectors)
                 )
-        if len(per_prime) >= budget:
+        if len(per_prime) >= DEFAULT_PRIME_BUDGET:
             raise NullStreamError(
                 "modular kernel failed after "
                 f"{len(per_prime)} primes (reconstruction or verification); "
                 "rerun with mode='exact'"
             )
-        want = min(len(per_prime) + 2, budget)
+        want = min(len(per_prime) + 2, DEFAULT_PRIME_BUDGET)

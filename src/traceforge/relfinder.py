@@ -262,6 +262,8 @@ def relation_space(
     use_cache: bool = True,
 ) -> RelationSpace:
     """All relations of weight lam, as exact highest weight combinations."""
+    if mode not in ("exact", "modular"):
+        raise ValueError(f"unknown mode {mode!r}")
     lam = Partition.of(*lam)
     cache = cache or genmat.default_cache()
     store = cache.store
@@ -274,14 +276,7 @@ def relation_space(
                 return loaded
     basis = hwv_basis(lam, blocked=blocked, threads=threads)
     M, colscale = _assemble_matrix(basis, cache)
-
-    block = 4096
-
-    def factory():
-        for start in range(0, M.shape[0], block):
-            yield M[start : start + block]
-
-    nb = null_stream(factory, basis.s, mode=mode)
+    nb = null_stream(lambda: iter([M]), basis.s, mode=mode)
     zeta = []
     relvectors = []
     for w in nb.vectors:

@@ -193,6 +193,16 @@ def test_c6_degree13_14_relations(acache):
             assert space.r == R_TABLE[lam], f"r{lam} = {space.r}"
 
 
+@pytest.mark.extended
+def test_exact_equals_modular_degree13_14(acache):
+    for lam in ((8, 5), (7, 6), (9, 5), (8, 6), (7, 7)):
+        spaces = [
+            relation_space(Partition(*lam), mode=mode, cache=acache, use_cache=False)
+            for mode in ("exact", "modular")
+        ]
+        assert spaces[0].zeta == spaces[1].zeta, lam
+
+
 def test_c7a_leading_monomials_degree12(acache):
     with criterion("criterion 7a (leading monomials, degree 12)"):
         rep = leading_analysis([get_space((7, 5), acache), get_space((6, 6), acache)])

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from traceforge import nullspace
 from traceforge.nullspace import (
     PRIMES,
     NullStreamError,
     QMatrix,
     _blocks,
-    _modular_rref,
-    _verify_exact,
+    _gram,
+    _in_kernel,
+    _rref_mod,
     crt_pair,
     null_dense,
     null_stream,
@@ -171,23 +173,54 @@ def test_other_integer_dtypes_are_read_exactly(mode):
     )
 
 
-def test_verify_exact_takes_the_object_path_for_large_int64_entries():
-    # the entries fit int64 but 4 * 2**62 does not: an int64 product wraps
-    # the row sum 2**64 to 0, so the bound must send this block to the
-    # Python-int matmul
-    B = np.array([[2**62] * 4], dtype=np.int64)
-    assert (B @ np.ones(4, dtype=np.int64))[0] == 0
-    assert not _verify_exact(lambda: iter([B]), [(Fraction(1),) * 4])
-    good = (Fraction(1), Fraction(-1), Fraction(0), Fraction(0))
-    assert _verify_exact(lambda: iter([B]), [good])
+@pytest.mark.parametrize(
+    "B, good, bad",
+    [
+        # in int64, abs(-2**63) is -2**63 and the product -2**64 wraps to 0
+        ([[-(2**63), 0]], (0, 1), (2, 1)),
+        # the entries fit int64 but the row sum 4 * 2**62 wraps to 0
+        ([[2**62] * 4], (1, -1, 0, 0), (1, 1, 1, 1)),
+    ],
+    ids=["int64-min", "wrapping-row-sum"],
+)
+def test_kernel_check_rejects_non_kernel_vectors(B, good, bad):
+    B = np.array(B, dtype=np.int64)
+    G = _gram(lambda: iter([B]), B.shape[1])
+    assert _in_kernel(G, [tuple(map(Fraction, good))])
+    assert not _in_kernel(G, [tuple(map(Fraction, bad))])
 
 
-def test_verify_exact_is_not_fooled_by_int64_min():
-    # abs(-2**63) is -2**63 in int64; a bound read from it would let the
-    # int64 product -2**64 wrap to 0 and pass a vector outside the kernel
-    B = np.array([[-(2**63), 0]], dtype=np.int64)
-    assert not _verify_exact(lambda: iter([B]), [(Fraction(2), Fraction(1))])
-    assert _verify_exact(lambda: iter([B]), [(Fraction(0), Fraction(1))])
+def perturbing(monkeypatch, times):
+    """Make the first `times` reconstructions return a perturbed vector."""
+    reconstruct = nullspace._reconstruct_vectors
+    calls = []
+
+    def perturbed(kernels, ncols):
+        vectors = reconstruct(kernels, ncols)
+        calls.append(sorted(kernels))
+        if len(calls) <= times:
+            return [(v[0], v[1] + 1, *v[2:]) for v in vectors]
+        return vectors
+
+    monkeypatch.setattr(nullspace, "_reconstruct_vectors", perturbed)
+    return calls
+
+
+RELATED_COLUMNS = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int64)
+
+
+def test_modular_candidate_failing_the_check_is_never_returned(monkeypatch):
+    calls = perturbing(monkeypatch, times=len(PRIMES))
+    with pytest.raises(NullStreamError):
+        null_stream(lambda: iter([RELATED_COLUMNS]), 3, mode="modular")
+    assert calls  # the bad vector was offered, and refused
+
+
+def test_modular_check_failure_draws_more_primes(monkeypatch):
+    calls = perturbing(monkeypatch, times=1)
+    basis = null_stream(lambda: iter([RELATED_COLUMNS]), 3, mode="modular")
+    assert basis.vectors == ((Fraction(1), Fraction(-1), Fraction(0)),)
+    assert len(calls) == 2 and len(calls[1]) > len(calls[0])
 
 
 @pytest.mark.parametrize("mode", ["exact", "modular"])
@@ -211,12 +244,24 @@ def test_malformed_blocks_rejected(mode, block):
 
     with pytest.raises(ValueError, match="row blocks"):
         null_stream(rows, 2, mode=mode)
-    assert len(calls) == 1  # rejected on the first pass, before any prime
+    assert len(calls) == 1  # rejected on the only pass, before any prime
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+def test_row_source_is_called_once(mode):
+    calls = []
+
+    def rows():
+        calls.append(1)
+        return iter([RELATED_COLUMNS[:1], RELATED_COLUMNS[1:]])
+
+    assert null_stream(rows, 3, mode=mode).dim == 1
+    assert len(calls) == 1
 
 
 def rowwise_rref(rows, ncols, p):
-    """Streamed RREF mod p that reduces one row at a time, kept as an oracle
-    for the Gram-matrix RREF of the library."""
+    """Streamed RREF mod p of M that reduces one row at a time, kept as an
+    oracle for the RREF of the Gram matrix of M in the library."""
     R = np.zeros((0, ncols), dtype=np.int64)
     pivcols = []
     for B in _blocks(rows, ncols):
@@ -285,7 +330,7 @@ def rref_cases(p):
 )
 def test_gram_rref_matches_rowwise_rref(p, case):
     ncols, blocks = rref_cases(p)[case]
-    piv, R = _modular_rref(lambda: iter(blocks), ncols, p)
+    piv, R = _rref_mod(_gram(lambda: iter(blocks), ncols) % p, p)
     want_piv, want_R = rowwise_rref(lambda: iter(blocks), ncols, p)
     assert piv == want_piv
     assert R.dtype == np.int64 and np.array_equal(R, want_R)
@@ -298,36 +343,78 @@ def test_isotropic_rows_lose_rank_only_at_the_primes_they_are_isotropic_for():
     for p in PRIMES[:2]:
         assert (1 + a * a + b * b) % p == 0
     B = np.array([[1], [a], [b]], dtype=np.int64)
-    assert [len(_modular_rref(lambda: iter([B]), 1, p)[0]) for p in PRIMES[:3]] == [0, 0, 1]
+    G = _gram(lambda: iter([B]), 1)
+    assert [len(_rref_mod(G % p, p)[0]) for p in PRIMES[:3]] == [0, 0, 1]
     exact = null_stream(lambda: iter([B]), 1, mode="exact")
     modular = null_stream(lambda: iter([B]), 1, mode="modular")
     assert exact.dim == modular.dim == 0
 
 
 def test_primes_fit_the_exact_float64_gram_bound():
+    # residues below 2**25 keep every product below 2**50, so the int64
+    # echelon of G mod p sums a row times R without overflow
     assert all(p < 2**25 for p in PRIMES)
 
 
-def test_adversarial_prime_divisible_rows():
+def gram_cases():
+    rng = np.random.default_rng(7)
+    top = 2**62
+    near = rng.integers(top - 2**20, top, size=(40, 6))
+    near *= rng.choice([-1, 1], size=(40, 6))
+    heads = rng.integers(-(2**63), 2**63, size=(7, 3))
+    big = np.array([[int(x) * 2**70 + 3 for x in row] for row in heads], dtype=object)
+    big[0, 0] = 2**134
+    tall = rng.integers(-(2**40), 2**40, size=(nullspace._GRAM_ROWS + 5, 4))
+    fold = np.full((nullspace._FOLD_ROWS + 5, 1), 2**62 - 1, dtype=np.int64)
+    fold[::3] = -(2**63)
+    return {
+        "near-2^62": (6, [near[:11], near[11:]]),
+        "int64-min": (2, [np.array([[-(2**63), 0]], dtype=np.int64)]),
+        "uint64": (2, [np.array([[2**64 - 1, 5], [2**63, 2**32]], dtype=np.uint64)]),
+        "int32": (3, [rng.integers(-(2**31), 2**31, size=(9, 3)).astype(np.int32)]),
+        "object": (3, [big]),
+        "mixed": (3, [big[:3], rng.integers(-(2**62), 2**62, size=(8, 3)), big[3:]]),
+        "tall": (4, [tall]),
+        "past-fold": (1, [fold]),
+        "zero-rows": (4, [np.zeros((3, 4), dtype=np.int64), np.zeros((0, 4), np.int64)]),
+        "no-columns": (0, [np.zeros((3, 0), dtype=np.int64)]),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["near-2^62", "int64-min", "uint64", "int32", "object", "mixed", "tall",
+     "past-fold", "zero-rows", "no-columns"],
+)
+def test_gram_is_exact(case):
+    ncols, blocks = gram_cases()[case]
+    want = np.zeros((ncols, ncols), dtype=object)
+    for B in blocks:
+        B = B.astype(object)
+        want = want + B.T.dot(B)
+    G = _gram(lambda: iter(blocks), ncols)
+    assert G.shape == (ncols, ncols)
+    assert all(type(x) is int for x in G.flat)
+    assert np.array_equal(G, want)
+
+
+def test_adversarial_prime_divisible_rows(monkeypatch):
     # the first two primes see a zero row and report too large a kernel;
     # pivot-set voting must discard them in favor of later primes
+    monkeypatch.setattr(nullspace, "DEFAULT_PRIME_BUDGET", 6)
     bad = PRIMES[0] * PRIMES[1]
     B = np.array([[bad, bad]], dtype=np.int64)
-    basis = null_stream(lambda: iter([B]), 2, mode="modular", prime_budget=6)
+    basis = null_stream(lambda: iter([B]), 2, mode="modular")
     assert basis.dim == 1
     assert basis.vectors[0] == (Fraction(1), Fraction(-1))
 
 
-def test_modular_budget_too_small_rejected():
-    with pytest.raises(ValueError):
-        null_stream(lambda: iter([]), 1, mode="modular", prime_budget=1)
-
-
-def test_modular_exhaustion_raises():
+def test_modular_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(nullspace, "DEFAULT_PRIME_BUDGET", 2)
     bad = PRIMES[0] * PRIMES[1]
     B = np.array([[bad, bad]], dtype=np.int64)
     with pytest.raises(NullStreamError):
-        null_stream(lambda: iter([B]), 2, mode="modular", prime_budget=2)
+        null_stream(lambda: iter([B]), 2, mode="modular")
 
 
 def test_unknown_mode_rejected():

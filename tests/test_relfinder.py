@@ -202,6 +202,20 @@ def test_exact_and_modular_agree(cache):
         assert a.zeta == b.zeta
 
 
+def test_unknown_mode_rejected_before_any_work(cache, s75, monkeypatch):
+    # warm: the stored relspace entry for (7,5) must not answer a bad mode
+    with pytest.raises(ValueError, match="unknown mode"):
+        relation_space(Partition(7, 5), mode="bogus", cache=cache)
+
+    # cold: the mode is checked before the coefficient matrix is assembled
+    def assemble(*args):
+        raise AssertionError("matrix assembled for an unknown mode")
+
+    monkeypatch.setattr(relfinder, "_assemble_matrix", assemble)
+    with pytest.raises(ValueError, match="unknown mode"):
+        relation_space(Partition(6, 6), mode="bogus", cache=cache, use_cache=False)
+
+
 # (shape, colscale, sha256 of M.tobytes()) of the degree-12 coefficient
 # matrices, frozen from an earlier implementation of the assembly
 ASSEMBLED = {
