@@ -140,13 +140,14 @@ class EvalStats:
 
 
 class EvalCache:
-    """Per-word and per-monomial evaluation cache.
+    """Per-word and per-generator-monomial evaluation cache.
 
     Thread-safe with last-writer-wins semantics; an optional CacheStore gives
-    persistence for word evaluations.  Besides the trace words and trace
-    monomials it holds the generator evaluations and generator-monomial
-    products of relfinder.eval_abs_monomial, so every memo lives exactly as
-    long as the cache that was passed in.
+    persistence for word evaluations.  Besides the trace words it holds the
+    generator evaluations and generator-monomial products that
+    glcat.eval_abs_monomial fills, so every memo lives exactly as long as the
+    cache that was passed in.  Products of word traces are not kept:
+    eval_trace_expr shares prefixes within one call only.
     """
 
     def __init__(self, store: CacheStore | None = None):
@@ -154,7 +155,6 @@ class EvalCache:
         self.stats = EvalStats()
         self._words: dict[Word, PackedPoly] = {}
         self._words_comm: dict[Word, CommPoly] = {}
-        self._monos: dict[TraceMonomial, PackedPoly] = {}
         self._gens: list[PackedPoly] | None = None
         self._abs_monos: dict[tuple[int, ...], PackedPoly] = {}
         self._lock = threading.Lock()
@@ -236,24 +236,24 @@ def eval_word_trace(w: Word, cache: EvalCache | None = None) -> CommPoly:
     return poly
 
 
-def trace_monomial_packed(mono: TraceMonomial, cache: EvalCache | None = None) -> PackedPoly:
-    """Packed evaluation of a product of word traces, with prefix sharing."""
-    cache = cache or _DEFAULT_CACHE
+def _trace_monomial_packed(
+    mono: TraceMonomial, cache: EvalCache, memo: dict[TraceMonomial, PackedPoly]
+) -> PackedPoly:
+    """Packed evaluation of a product of word traces.  Prefixes are shared
+    through memo, a dict local to one evaluation."""
     if not mono:
         return PackedPoly.from_terms([((0,) * NVARS, Fraction(1))])
-    hit = cache._monos.get(mono)
+    hit = memo.get(mono)
     if hit is not None:
         return hit
     if len(mono) == 1:
         poly = word_trace_packed(mono[0], cache)
     else:
-        prefix = trace_monomial_packed(mono[:-1], cache)
-        last = word_trace_packed(mono[-1], cache)
-        poly = prefix.mul(last)
+        prefix = _trace_monomial_packed(mono[:-1], cache, memo)
+        poly = prefix.mul(word_trace_packed(mono[-1], cache))
         with cache._lock:
             cache.stats.mono_products += 1
-    with cache._lock:
-        cache._monos[mono] = poly
+    memo[mono] = poly
     return poly
 
 
@@ -273,11 +273,12 @@ def _trace_monomial_comm(mono: TraceMonomial, cache: EvalCache | None) -> CommPo
 def eval_trace_expr(e: TraceExpr, cache: EvalCache | None = None) -> CommPoly:
     """Evaluate a trace expression on the generic matrix pair."""
     cache = cache or _DEFAULT_CACHE
+    memo: dict[TraceMonomial, PackedPoly] = {}
     packed = []
     comm_acc = CommPoly.zero(VARSET18)
     for mono, c in e.terms.items():
         if _mono_fits_packed(mono):
-            packed.append((trace_monomial_packed(mono, cache), c))
+            packed.append((_trace_monomial_packed(mono, cache, memo), c))
         else:
             comm_acc = comm_acc + _trace_monomial_comm(mono, cache).scale(c)
     out = sum_scaled(packed).to_comm(VARSET18)
@@ -291,8 +292,9 @@ def eval_trace_expr_packed(e: TraceExpr, cache: EvalCache | None = None) -> Pack
     cache = cache or _DEFAULT_CACHE
     if not all(_mono_fits_packed(mono) for mono in e.terms):
         raise PackedCapacityError("monomial degree exceeds packed capacity")
+    memo: dict[TraceMonomial, PackedPoly] = {}
     return sum_scaled(
-        (trace_monomial_packed(mono, cache), c) for mono, c in e.terms.items()
+        (_trace_monomial_packed(mono, cache, memo), c) for mono, c in e.terms.items()
     )
 
 

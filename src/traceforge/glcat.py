@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import genmat
 from .cache import digest_text
+from .packedpoly import NVARS, PackedPoly, sum_scaled
 from .polyring import BiSeries, Rational, series_inv_geom, series_mul
 from .tracelang import (
     NcPoly,
@@ -412,22 +413,12 @@ def abs_delta1(p: AbsPoly) -> AbsPoly:
     return out
 
 
-_PHI_MEMO: dict[AbsMonomial, TraceExpr] = {}
-_PHI_LOCK = threading.Lock()
-
-
 def phi_monomial(mono: AbsMonomial) -> TraceExpr:
-    if not mono:
-        return TraceExpr.constant(Fraction(1))
-    hit = _PHI_MEMO.get(mono)
-    if hit is not None:
-        return hit
     mods = catalog()
-    g = ABS_GENS[mono[-1]]
-    last = mods[g.module - 1].basis[g.j]
-    out = phi_monomial(mono[:-1]) * last
-    with _PHI_LOCK:
-        _PHI_MEMO[mono] = out
+    out = TraceExpr.constant(Fraction(1))
+    for gid in mono:
+        g = ABS_GENS[gid]
+        out = out * mods[g.module - 1].basis[g.j]
     return out
 
 
@@ -437,6 +428,51 @@ def phi(p: AbsPoly) -> TraceExpr:
     for mono, c in p.terms.items():
         out = out + phi_monomial(mono).scale(c)
     return out
+
+
+def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
+    """Evaluations of the 30 generators, memoized on the cache."""
+    gens = cache._gens
+    if gens is None:
+        mods = catalog(cache)
+        gens = [
+            genmat.eval_trace_expr_packed(mods[g.module - 1].basis[g.j], cache)
+            for g in ABS_GENS
+        ]
+        with cache._lock:
+            cache._gens = gens
+    return gens
+
+
+def eval_abs_monomial(
+    mono: AbsMonomial, cache: genmat.EvalCache | None = None
+) -> PackedPoly:
+    """Packed evaluation of a generator monomial, with prefix sharing.
+
+    Evaluations are memoized on the cache (the default cache if none is
+    given); cache.stats.gen_products counts the products computed."""
+    if not mono:
+        return PackedPoly.from_terms([((0,) * NVARS, Fraction(1))])
+    cache = cache or genmat.default_cache()
+    hit = cache._abs_monos.get(mono)
+    if hit is not None:
+        return hit
+    gens = _gen_evals(cache)
+    if len(mono) == 1:
+        out = gens[mono[0]]
+    else:
+        out = eval_abs_monomial(mono[:-1], cache).mul(gens[mono[-1]])
+    with cache._lock:
+        if len(mono) > 1:
+            cache.stats.gen_products += 1
+        cache._abs_monos[mono] = out
+    return out
+
+
+def eval_abs_poly(p: AbsPoly, cache: genmat.EvalCache | None = None) -> PackedPoly:
+    """Packed evaluation of phi(p).  Evaluation is a ring homomorphism, so
+    this sums the generator-monomial evaluations and never expands phi(p)."""
+    return sum_scaled((eval_abs_monomial(m, cache), c) for m, c in p.terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ from .glcat import (
     Partition,
     abs_delta,
     abs_monomials,
+    eval_abs_poly,
     mono_name,
-    phi,
 )
-from . import glcat
 from . import genmat
 from .nullspace import QMatrix, null_dense
 
@@ -152,9 +151,11 @@ def hwv_verify(
     substitution y -> x + y.  The evaluation checks can be limited to the
     first `sample` vectors.
 
-    Both evaluation checks work on the evaluated side: phi(v) is evaluated
-    once, and eval(delta(phi(v))) and eval(subst_h(phi(v))) are obtained from
-    it as genmat.eval_delta and genmat.eval_subst_h, key shifts on the packed
+    Both evaluation checks work on the evaluated side: eval(phi(v)) is
+    computed once by glcat.eval_abs_poly, from the generator-monomial
+    products that relation_space assembles too (memoized on the cache), and
+    eval(delta(phi(v))) and eval(subst_h(phi(v))) are obtained from it as
+    genmat.eval_delta and genmat.eval_subst_h, key shifts on the packed
     polynomial.  A vector that evaluates to zero is a relation and passes
     both checks.  Raises PackedCapacityError where an x exponent would
     overflow its packed field."""
@@ -174,11 +175,8 @@ def hwv_verify(
         eval_delta_zero = True
         eval_h_fixed = True
         todo = basis.vectors if sample is None else basis.vectors[:sample]
-        # phi needs the catalog: build it on the caller's cache, whose store
-        # may hold the certification verdict
-        glcat.catalog(cache)
         for i, v in enumerate(todo):
-            ev = genmat.eval_trace_expr_packed(phi(v), cache)
+            ev = eval_abs_poly(v, cache)
             if not genmat.eval_delta(ev).is_zero():
                 eval_delta_zero = False
                 failures.append(f"vector {i}: evaluated raising image nonzero")

@@ -3,10 +3,10 @@
 Two entry points share one contract: the returned vectors are an exact basis
 of the right kernel, each normalized so its first nonzero coordinate (in
 column order) is 1, ordered by their free column.  null_dense works on an
-in-memory rational matrix.  null_stream works on a matrix M given as 2-D
-integer blocks (int64, or object for big entries) by a callable that it
-calls once; a block that is not a 2-D integer or object array with ncols
-columns raises ValueError.
+in-memory rational matrix.  null_stream works on a matrix M given as an
+iterable of 2-D integer blocks of rows (int64, or object for big entries),
+which it reads once, so a one-shot generator will do; a block that is not a
+2-D integer or object array with ncols columns raises ValueError.
 
 null_stream reads the blocks once, into the exact integer Gram matrix
 G = M^T M (ncols x ncols, built with exact float64 matmuls on 16-bit limbs),
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -205,15 +205,10 @@ def null_dense(A: QMatrix) -> NullBasis:
 # ---------------------------------------------------------------------------
 # Streamed kernels.
 
-# A row source is a zero-argument callable returning an iterable of 2-D
-# integer blocks with ncols columns each: int64, or object holding Python ints
-# where entries outgrow int64.  null_stream calls it once.
-RowSource = Callable[[], Iterable[np.ndarray]]
 
-
-def _blocks(rows: RowSource, ncols: int) -> Iterator[np.ndarray]:
+def _blocks(blocks: Iterable[np.ndarray], ncols: int) -> Iterator[np.ndarray]:
     """One pass over the blocks, each checked and brought to int64 or object."""
-    for B in rows():
+    for B in blocks:
         if not isinstance(B, np.ndarray) or B.ndim != 2 or B.shape[1] != ncols:
             raise ValueError(f"row blocks must be 2-D arrays with {ncols} columns")
         if B.dtype.kind in "iu" and B.dtype != np.int64:
@@ -233,7 +228,7 @@ _GRAM_ROWS = 1 << 8
 _FOLD_ROWS = 1 << 20
 
 
-def _gram(rows: RowSource, ncols: int) -> np.ndarray:
+def _gram(blocks: Iterable[np.ndarray], ncols: int) -> np.ndarray:
     """Exact Gram matrix G = M^T M (ncols x ncols, Python ints) in one pass.
 
     An int64 block is split into signed 16-bit limbs, |B| = sum_k L_k 2**(16k),
@@ -241,7 +236,7 @@ def _gram(rows: RowSource, ncols: int) -> np.ndarray:
     pairs are combined in Python ints.  Object blocks use B^T B in Python ints.
     """
     G = np.zeros((ncols, ncols), dtype=object)
-    for B in _blocks(rows, ncols):
+    for B in _blocks(blocks, ncols):
         if B.dtype == object:
             G = G + B.T.dot(B)
             continue
@@ -381,10 +376,12 @@ def _in_kernel(G: np.ndarray, vectors: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-def null_stream(rows: RowSource, ncols: int, mode: str = "exact") -> NullBasis:
-    """Kernel of a streamed matrix.  See the module docstring for contract.
+def null_stream(
+    blocks: Iterable[np.ndarray], ncols: int, mode: str = "exact"
+) -> NullBasis:
+    """Kernel of a matrix given as blocks of rows; see the module docstring.
 
-    Both modes read the rows once, into the exact Gram matrix G = M^T M.
+    Both modes read the blocks once, into the exact Gram matrix G = M^T M.
     mode "exact": fraction-free integer elimination of the rows of G.
     mode "modular": per prime, an echelon of G mod p; a vote for the largest
     rank (a prime at which the row space is isotropic reports a smaller one),
@@ -395,7 +392,7 @@ def null_stream(rows: RowSource, ncols: int, mode: str = "exact") -> NullBasis:
         raise ValueError("negative column count")
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
-    G = _gram(rows, ncols)
+    G = _gram(blocks, ncols)
     if mode == "exact":
         ech = _IntEchelon(ncols)
         for row in G:

@@ -35,15 +35,15 @@ from .glcat import (
     abs_delta1,
     abs_monomials,
     abs_poly_text,
-    catalog,
     catalog_digest,
+    eval_abs_monomial,
+    eval_abs_poly,
     gen_by_modj,
     mono_name,
     phi,
 )
 from .hwv import HwvBasis, hwv_basis
 from .nullspace import NullBasis, null_stream
-from .packedpoly import PackedPoly, sum_scaled
 from .polyring import CommPoly, poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
 
@@ -135,45 +135,6 @@ class RelationSpace:
         return len(self.relvectors)
 
 
-def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
-    """Evaluations of the 30 generators, memoized on the cache."""
-    gens = cache._gens
-    if gens is None:
-        mods = catalog(cache)
-        gens = [
-            genmat.eval_trace_expr_packed(mods[g.module - 1].basis[g.j], cache)
-            for g in ABS_GENS
-        ]
-        with cache._lock:
-            cache._gens = gens
-    return gens
-
-
-def eval_abs_monomial(
-    mono: AbsMonomial, cache: genmat.EvalCache | None = None
-) -> PackedPoly:
-    """Packed evaluation of a generator monomial, with prefix sharing.
-
-    Evaluations are memoized on the cache (the default cache if none is
-    given); cache.stats.gen_products counts the products computed."""
-    if not mono:
-        return PackedPoly.from_terms([((0,) * 18, Fraction(1))])
-    cache = cache or genmat.default_cache()
-    hit = cache._abs_monos.get(mono)
-    if hit is not None:
-        return hit
-    gens = _gen_evals(cache)
-    if len(mono) == 1:
-        out = gens[mono[0]]
-    else:
-        out = eval_abs_monomial(mono[:-1], cache).mul(gens[mono[-1]])
-    with cache._lock:
-        if len(mono) > 1:
-            cache.stats.gen_products += 1
-        cache._abs_monos[mono] = out
-    return out
-
-
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
@@ -248,7 +209,16 @@ def _assemble_matrix(
     return M, colscale
 
 
-def _space_digest(space_zeta, relvectors) -> str:
+def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> AbsPoly:
+    """The combination sum_i zeta_i * vectors_i."""
+    v = AbsPoly()
+    for zi, bv in zip(zeta, vectors):
+        if zi:
+            v = v + bv.scale(zi)
+    return v
+
+
+def _space_digest(relvectors) -> str:
     text = "|".join(abs_poly_text(v) for v in relvectors)
     return digest_text(text)
 
@@ -276,7 +246,7 @@ def relation_space(
                 return loaded
     basis = hwv_basis(lam, blocked=blocked, threads=threads)
     M, colscale = _assemble_matrix(basis, cache)
-    nb = null_stream(lambda: iter([M]), basis.s, mode=mode)
+    nb = null_stream([M], basis.s, mode=mode)
     zeta = []
     relvectors = []
     for w in nb.vectors:
@@ -285,10 +255,7 @@ def relation_space(
         if lead is not None and lead != 1:
             z = [x / lead for x in z]
         zeta.append(tuple(z))
-        v = AbsPoly()
-        for zi, bv in zip(z, basis.vectors):
-            if zi:
-                v = v + bv.scale(zi)
+        v = _relation_vector(z, basis.vectors)
         if not abs_delta(v).is_zero():
             raise AssertionError("relation vector is not a highest weight vector")
         if not v.is_zero() and v.bidegree() != (lam.l1, lam.l2):
@@ -304,7 +271,7 @@ def relation_space(
                 "zeta": [
                     [f"{x.numerator}/{x.denominator}" for x in z] for z in space.zeta
                 ],
-                "digest": _space_digest(space.zeta, space.relvectors),
+                "digest": _space_digest(space.relvectors),
             },
         )
     return space
@@ -322,16 +289,10 @@ def _load_space(lam: Partition, summary: dict, threads: int) -> RelationSpace | 
     basis = hwv_basis(lam, blocked=blocked, threads=threads)
     if any(len(z) != basis.s for z in zeta):
         return None
-    relvectors = []
-    for z in zeta:
-        v = AbsPoly()
-        for zi, bv in zip(z, basis.vectors):
-            if zi:
-                v = v + bv.scale(zi)
-        relvectors.append(v)
-    if _space_digest(zeta, relvectors) != digest:
+    relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
+    if _space_digest(relvectors) != digest:
         return None
-    return RelationSpace(lam, basis, zeta, tuple(relvectors), from_cache=True)
+    return RelationSpace(lam, basis, zeta, relvectors, from_cache=True)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +332,7 @@ def verify_zero(e: TraceExpr, cache: genmat.EvalCache | None = None) -> ZeroRepo
 
 def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
     """Same as verify_zero but straight from an AbsPoly (packed path)."""
-    acc = sum_scaled((eval_abs_monomial(mono, cache), c) for mono, c in p.terms.items())
-    return ZeroReport.of(acc.to_comm(genmat.VARSET18))
+    return ZeroReport.of(eval_abs_poly(p, cache).to_comm(genmat.VARSET18))
 
 
 def membership(candidate: AbsPoly, space: RelationSpace) -> bool:

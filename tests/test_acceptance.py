@@ -301,8 +301,8 @@ def _c9_modular_exact(acache):
     # the rows (3/2, 0, -5, 0), (0, 1, 7/3, 1), (3, 0, -10, 0), each
     # cleared by its denominator (row scaling keeps the kernel)
     B = np.array([[3, 0, -10, 0], [0, 3, 7, 3], [3, 0, -10, 0]], dtype=np.int64)
-    exact = null_stream(lambda: iter([B]), 4, mode="exact")
-    modular = null_stream(lambda: iter([B]), 4, mode="modular")
+    exact = null_stream([B], 4, mode="exact")
+    modular = null_stream([B], 4, mode="modular")
     assert set(exact.vectors) == set(modular.vectors)
 
     a = relation_space(Partition(7, 5), mode="exact", cache=acache, use_cache=False)

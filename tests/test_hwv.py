@@ -142,3 +142,38 @@ def test_verify_flags_a_vector_not_killed_on_the_evaluated_side(small_bases, ses
     assert rep.eval_delta_zero is False and rep.eval_h_fixed is False
     assert any("raising image" in f for f in rep.failures)
     assert any("y -> x + y" in f for f in rep.failures)
+
+
+@pytest.mark.parametrize("lam", [(7, 5), (6, 6)])
+def test_generator_route_equals_the_trace_route(small_bases, session_cache, lam):
+    # evaluation is a ring homomorphism: expanding phi(v) into trace
+    # monomials, the independent oracle, gives the same polynomial
+    from traceforge.genmat import eval_trace_expr_packed
+    from traceforge.glcat import eval_abs_poly, phi
+
+    vectors = small_bases[lam].vectors
+    for v in (vectors[0], vectors[len(vectors) // 2], vectors[-1]):
+        by_gens = eval_abs_poly(v, session_cache)
+        assert not by_gens.is_zero()
+        assert eval_trace_expr_packed(phi(v), session_cache) == by_gens
+
+
+def test_verification_shares_the_products_of_the_relation_space(small_bases, session_store):
+    # verification multiplies no word traces, and every generator-monomial
+    # product it makes is one the relation space makes anyway
+    from traceforge.genmat import EvalCache
+    from traceforge.relfinder import relation_space
+
+    cache = EvalCache(session_store)
+    rep = hwv_verify(small_bases[(7, 5)], evaluate=True, cache=cache)
+    assert rep.ok and rep.checked_by_eval == 36
+    assert cache.stats.mono_products == 0
+    assert cache.stats.gen_products > 0
+    assert relation_space(Partition(7, 5), cache=cache, use_cache=False).r == 1
+    alone = EvalCache(session_store)
+    relation_space(Partition(7, 5), cache=alone, use_cache=False)
+    assert cache.stats.gen_products == alone.stats.gen_products
+    before = cache.stats.gen_products
+    assert hwv_verify(small_bases[(7, 5)], evaluate=True, cache=cache).ok
+    assert cache.stats.gen_products == before
+    assert cache.stats.mono_products == 0

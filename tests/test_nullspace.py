@@ -108,8 +108,8 @@ def int_block(rows, ncols):
 def test_modular_matches_exact(mat):
     rows, ncols = mat
     B = int_block(rows, ncols)
-    exact = null_stream(lambda: iter([B]), ncols, mode="exact")
-    modular = null_stream(lambda: iter([B]), ncols, mode="modular")
+    exact = null_stream([B], ncols, mode="exact")
+    modular = null_stream([B], ncols, mode="modular")
     assert exact.rank == naive_rank(rows, ncols)
     for v in exact.vectors:
         assert annihilates(rows, v)
@@ -142,9 +142,9 @@ def split_matrices(draw):
 def test_block_split_gives_identical_basis(mat):
     M, ncols, cuts = mat
     blocks = np.split(M, cuts)
-    whole = null_stream(lambda: iter([M]), ncols, mode="exact")
+    whole = null_stream([M], ncols, mode="exact")
     for mode in ("exact", "modular"):
-        assert null_stream(lambda: iter(blocks), ncols, mode=mode) == whole
+        assert null_stream(blocks, ncols, mode=mode) == whole
 
 
 def test_object_blocks_with_big_entries():
@@ -155,7 +155,7 @@ def test_object_blocks_with_big_entries():
     want = ((Fraction(1), Fraction(-3, big), Fraction(-1, big)),)
     for mode in ("exact", "modular"):
         for blocks in ([B], [B[:1], B[1:]]):
-            basis = null_stream(lambda: iter(blocks), 3, mode=mode)
+            basis = null_stream(blocks, 3, mode=mode)
             assert basis.vectors == want
 
 
@@ -164,11 +164,11 @@ def test_other_integer_dtypes_are_read_exactly(mode):
     # 2**64 - 2 = 2 * (2**63 - 1) fits uint64 only; read as int64 it would
     # wrap to -2 and give a different kernel
     B = np.array([[2**64 - 2, 2**63 - 1]], dtype=np.uint64)
-    assert null_stream(lambda: iter([B]), 2, mode=mode).vectors == (
+    assert null_stream([B], 2, mode=mode).vectors == (
         (Fraction(1), Fraction(-2)),
     )
     C = np.array([[2, 4]], dtype=np.int32)
-    assert null_stream(lambda: iter([C]), 2, mode=mode).vectors == (
+    assert null_stream([C], 2, mode=mode).vectors == (
         (Fraction(1), Fraction(-1, 2)),
     )
 
@@ -185,7 +185,7 @@ def test_other_integer_dtypes_are_read_exactly(mode):
 )
 def test_kernel_check_rejects_non_kernel_vectors(B, good, bad):
     B = np.array(B, dtype=np.int64)
-    G = _gram(lambda: iter([B]), B.shape[1])
+    G = _gram([B], B.shape[1])
     assert _in_kernel(G, [tuple(map(Fraction, good))])
     assert not _in_kernel(G, [tuple(map(Fraction, bad))])
 
@@ -212,13 +212,13 @@ RELATED_COLUMNS = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int64)
 def test_modular_candidate_failing_the_check_is_never_returned(monkeypatch):
     calls = perturbing(monkeypatch, times=len(PRIMES))
     with pytest.raises(NullStreamError):
-        null_stream(lambda: iter([RELATED_COLUMNS]), 3, mode="modular")
+        null_stream([RELATED_COLUMNS], 3, mode="modular")
     assert calls  # the bad vector was offered, and refused
 
 
 def test_modular_check_failure_draws_more_primes(monkeypatch):
     calls = perturbing(monkeypatch, times=1)
-    basis = null_stream(lambda: iter([RELATED_COLUMNS]), 3, mode="modular")
+    basis = null_stream([RELATED_COLUMNS], 3, mode="modular")
     assert basis.vectors == ((Fraction(1), Fraction(-1), Fraction(0)),)
     assert len(calls) == 2 and len(calls[1]) > len(calls[0])
 
@@ -236,35 +236,34 @@ def test_modular_check_failure_draws_more_primes(monkeypatch):
     ids=["float", "narrow", "one-dimensional", "bool", "list"],
 )
 def test_malformed_blocks_rejected(mode, block):
-    calls = []
+    read_past = []
 
-    def rows():
-        calls.append(1)
-        return iter([block])
+    def blocks():
+        yield block
+        read_past.append(1)
+        yield np.zeros((1, 2), dtype=np.int64)
 
     with pytest.raises(ValueError, match="row blocks"):
-        null_stream(rows, 2, mode=mode)
-    assert len(calls) == 1  # rejected on the only pass, before any prime
+        null_stream(blocks(), 2, mode=mode)
+    assert not read_past  # rejected as it is read, before any later block
 
 
 @pytest.mark.parametrize("mode", ["exact", "modular"])
 def test_row_source_is_called_once(mode):
-    calls = []
-
-    def rows():
-        calls.append(1)
-        return iter([RELATED_COLUMNS[:1], RELATED_COLUMNS[1:]])
-
-    assert null_stream(rows, 3, mode=mode).dim == 1
-    assert len(calls) == 1
+    # a one-shot generator of two blocks: a second pass would see no rows
+    blocks = (B for B in (RELATED_COLUMNS[:1], RELATED_COLUMNS[1:]))
+    assert null_stream(blocks, 3, mode=mode).vectors == (
+        (Fraction(1), Fraction(-1), Fraction(0)),
+    )
+    assert next(blocks, None) is None
 
 
-def rowwise_rref(rows, ncols, p):
+def rowwise_rref(blocks, ncols, p):
     """Streamed RREF mod p of M that reduces one row at a time, kept as an
     oracle for the RREF of the Gram matrix of M in the library."""
     R = np.zeros((0, ncols), dtype=np.int64)
     pivcols = []
-    for B in _blocks(rows, ncols):
+    for B in _blocks(blocks, ncols):
         B = np.mod(B, p).astype(np.int64, copy=False)
         if R.shape[0]:
             B = (B - (B[:, pivcols] @ R) % p) % p
@@ -330,8 +329,8 @@ def rref_cases(p):
 )
 def test_gram_rref_matches_rowwise_rref(p, case):
     ncols, blocks = rref_cases(p)[case]
-    piv, R = _rref_mod(_gram(lambda: iter(blocks), ncols) % p, p)
-    want_piv, want_R = rowwise_rref(lambda: iter(blocks), ncols, p)
+    piv, R = _rref_mod(_gram(blocks, ncols) % p, p)
+    want_piv, want_R = rowwise_rref(blocks, ncols, p)
     assert piv == want_piv
     assert R.dtype == np.int64 and np.array_equal(R, want_R)
 
@@ -343,10 +342,10 @@ def test_isotropic_rows_lose_rank_only_at_the_primes_they_are_isotropic_for():
     for p in PRIMES[:2]:
         assert (1 + a * a + b * b) % p == 0
     B = np.array([[1], [a], [b]], dtype=np.int64)
-    G = _gram(lambda: iter([B]), 1)
+    G = _gram([B], 1)
     assert [len(_rref_mod(G % p, p)[0]) for p in PRIMES[:3]] == [0, 0, 1]
-    exact = null_stream(lambda: iter([B]), 1, mode="exact")
-    modular = null_stream(lambda: iter([B]), 1, mode="modular")
+    exact = null_stream([B], 1, mode="exact")
+    modular = null_stream([B], 1, mode="modular")
     assert exact.dim == modular.dim == 0
 
 
@@ -392,7 +391,7 @@ def test_gram_is_exact(case):
     for B in blocks:
         B = B.astype(object)
         want = want + B.T.dot(B)
-    G = _gram(lambda: iter(blocks), ncols)
+    G = _gram(blocks, ncols)
     assert G.shape == (ncols, ncols)
     assert all(type(x) is int for x in G.flat)
     assert np.array_equal(G, want)
@@ -404,7 +403,7 @@ def test_adversarial_prime_divisible_rows(monkeypatch):
     monkeypatch.setattr(nullspace, "DEFAULT_PRIME_BUDGET", 6)
     bad = PRIMES[0] * PRIMES[1]
     B = np.array([[bad, bad]], dtype=np.int64)
-    basis = null_stream(lambda: iter([B]), 2, mode="modular")
+    basis = null_stream([B], 2, mode="modular")
     assert basis.dim == 1
     assert basis.vectors[0] == (Fraction(1), Fraction(-1))
 
@@ -414,12 +413,12 @@ def test_modular_exhaustion_raises(monkeypatch):
     bad = PRIMES[0] * PRIMES[1]
     B = np.array([[bad, bad]], dtype=np.int64)
     with pytest.raises(NullStreamError):
-        null_stream(lambda: iter([B]), 2, mode="modular")
+        null_stream([B], 2, mode="modular")
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        null_stream(lambda: iter([]), 1, mode="float")
+        null_stream([], 1, mode="float")
 
 
 def test_crt_pair():
