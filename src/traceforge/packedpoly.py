@@ -13,7 +13,10 @@ raise PackedCapacityError; callers fall back to generic CommPoly arithmetic.
 
 Every result is normalized: keys sorted, duplicates summed, zeros dropped,
 and gcd(content, den) = 1.  The content gcd is seeded with the denominator,
-so it costs nothing on the common den == 1 path.  Linear combinations go
+so it costs nothing on the common den == 1 path.  Products lay their outer
+sum out as sorted runs, one per term of the smaller factor; products, sums,
+linear combinations and derivations all hand concatenated sorted runs to one
+stable sort (timsort for int64), which merges them.  Linear combinations go
 through sum_scaled, which sorts the concatenated terms once per batch instead
 of once per term, and derivation applies a derivation sum x_i d/dy_j, which
 moves one degree from a y variable to an x variable, as a shift of the keys.
@@ -52,6 +55,8 @@ XCAP = _XMASK
 YCAP = _YMASK
 
 _COEFF_LIMIT = 1 << 62
+# terms of one outer-sum chunk in mul; bounds the transient arrays of a product
+_MUL_TERMS = 4_000_000
 # every packed key is below this: the x fields end at bit 45 + NX * _XBITS
 _KEY_LIMIT = 1 << (45 + NX * _XBITS)
 
@@ -319,23 +324,30 @@ class PackedPoly:
         big = bound >= _COEFF_LIMIT or a.is_big() or b.is_big()
         ca = a.coeffs.astype(object) if big and not a.is_big() else a.coeffs
         cb = b.coeffs.astype(object) if big and not b.is_big() else b.coeffs
-        # chunk the larger factor to cap the size of the outer products
-        chunk = max(1, 4_000_000 // max(1, b.nnz))
+        # b-major outer sums: row i is b.keys[i] + a.keys, a sorted run that
+        # _combine's stable sort merges; chunk the rows of b to cap the size
+        chunk = max(1, _MUL_TERMS // a.nnz)
         pieces_k, pieces_c = [], []
-        for start in range(0, a.nnz, chunk):
-            ka = a.keys[start : start + chunk]
-            pieces_k.append((ka[:, None] + b.keys[None, :]).ravel())
-            pieces_c.append((ca[start : start + chunk, None] * cb[None, :]).ravel())
+        for start in range(0, b.nnz, chunk):
+            kb = b.keys[start : start + chunk]
+            pieces_k.append((kb[:, None] + a.keys[None, :]).ravel())
+            pieces_c.append((cb[start : start + chunk, None] * ca[None, :]).ravel())
         keys = np.concatenate(pieces_k)
         coeffs = np.concatenate(pieces_c)
         return _combine(keys, coeffs, a.den * b.den, xdeg, ydeg)
 
 
 def _combine(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: int) -> PackedPoly:
-    """Sort by key, sum duplicates, drop zeros, strip content."""
+    """Sort by key, sum duplicates, drop zeros, strip content.
+
+    The keys may come in any order, but the callers pass concatenated sorted
+    runs, which the stable sort (timsort for int64) merges instead of
+    re-sorting.  Duplicates are summed exactly, so the order of ties does
+    not matter.
+    """
     if len(keys) == 0:
         return PackedPoly.zero()
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     coeffs = coeffs[order]
     starts = np.empty(len(keys), dtype=bool)

@@ -173,8 +173,11 @@ def _assemble_matrix(
     Returns (M, colscale): M has one row per occurring monomial of the
     18-variable evaluation and one integer column per basis vector; the true
     evaluation of basis vector i is column i divided by colscale[i].
+    Only the monomials that occur in some basis vector are evaluated; the
+    others would only add all-zero rows.
     """
-    evals = {m: eval_abs_monomial(m, cache) for m in basis.monomials}
+    used = {m for v in basis.vectors for m in v.terms}
+    evals = {m: eval_abs_monomial(m, cache) for m in basis.monomials if m in used}
     all_keys = _sorted_union(e.keys for e in evals.values())
     pos = {m: np.searchsorted(all_keys, e.keys) for m, e in evals.items()}
     s = basis.s

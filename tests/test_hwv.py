@@ -159,21 +159,24 @@ def test_generator_route_equals_the_trace_route(small_bases, session_cache, lam)
 
 
 def test_verification_shares_the_products_of_the_relation_space(small_bases, session_store):
-    # verification multiplies no word traces, and every generator-monomial
-    # product it makes is one the relation space makes anyway
+    # verification multiplies no word traces, and it makes exactly the
+    # generator-monomial products the relation space needs
     from traceforge.genmat import EvalCache
     from traceforge.relfinder import relation_space
 
-    cache = EvalCache(session_store)
-    rep = hwv_verify(small_bases[(7, 5)], evaluate=True, cache=cache)
-    assert rep.ok and rep.checked_by_eval == 36
-    assert cache.stats.mono_products == 0
-    assert cache.stats.gen_products > 0
-    assert relation_space(Partition(7, 5), cache=cache, use_cache=False).r == 1
-    alone = EvalCache(session_store)
-    relation_space(Partition(7, 5), cache=alone, use_cache=False)
-    assert cache.stats.gen_products == alone.stats.gen_products
-    before = cache.stats.gen_products
-    assert hwv_verify(small_bases[(7, 5)], evaluate=True, cache=cache).ok
-    assert cache.stats.gen_products == before
-    assert cache.stats.mono_products == 0
+    for lam, r in (((7, 5), 1), ((6, 6), 2)):
+        basis = small_bases[lam]
+        cache = EvalCache(session_store)
+        rep = hwv_verify(basis, evaluate=True, cache=cache)
+        assert rep.ok and rep.checked_by_eval == basis.s
+        assert cache.stats.mono_products == 0
+        made = cache.stats.gen_products
+        assert made > 0
+        assert relation_space(Partition(*lam), cache=cache, use_cache=False).r == r
+        assert cache.stats.gen_products == made, lam
+        alone = EvalCache(session_store)
+        relation_space(Partition(*lam), cache=alone, use_cache=False)
+        assert alone.stats.gen_products == made, lam
+        assert hwv_verify(basis, evaluate=True, cache=cache).ok
+        assert cache.stats.gen_products == made
+        assert cache.stats.mono_products == 0

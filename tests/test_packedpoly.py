@@ -24,6 +24,7 @@ from traceforge.packedpoly import (
     PackedPoly,
     XCAP,
     YCAP,
+    _combine,
     _den_gcd,
     linear_combination,
     pack_exponents,
@@ -129,6 +130,71 @@ def test_sum_scaled_batches_agree(monkeypatch):
     monkeypatch.setattr(pp, "_BATCH_TERMS", 3)
     assert sum_scaled(pairs) == one_batch
     check_invariants(one_batch)
+
+
+def _var(i: int, power: int = 1) -> tuple[int, ...]:
+    exps = [0] * NVARS
+    exps[i] = power
+    return tuple(exps)
+
+
+# (a, b) term lists: generic rationals; a*b whose cross terms x0*y0 come from
+# different rows of the smaller factor and cancel; coefficients past 2**62
+CHUNK_CASES = {
+    "rational": (
+        {_var(0): Fraction(1, 2), _var(1): Fraction(-3), _var(NX): Fraction(5, 6),
+         _var(NX + 1): Fraction(7), _var(2, 2): Fraction(-1, 3)},
+        {_var(0): Fraction(2), _var(NX + 2): Fraction(-5, 4), _var(1, 2): Fraction(9)},
+    ),
+    "cancelling": (
+        {_var(0): Fraction(1), _var(NX): Fraction(1), _var(NX + 1): Fraction(1),
+         _var(1): Fraction(1)},
+        {_var(0): Fraction(1), _var(NX): Fraction(-1), _var(NX + 2): Fraction(2)},
+    ),
+    "object": (
+        {_var(0): Fraction(LIMIT + 1), _var(NX): Fraction(-(1 << 70), 3),
+         _var(1): Fraction(LIMIT - 1)},
+        {_var(0): Fraction(LIMIT + 3), _var(NX + 1): Fraction(5), _var(2): Fraction(-1)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+@pytest.mark.parametrize("cap", [1, 4, 7])
+def test_mul_chunks_agree(case, cap, monkeypatch):
+    import traceforge.packedpoly as pp
+
+    (pa, ca), (pb, cb) = (make(t) for t in CHUNK_CASES[case])
+    whole = pa.mul(pb)
+    monkeypatch.setattr(pp, "_MUL_TERMS", cap)
+    for x, y in ((pa, pb), (pb, pa)):
+        chunked = x.mul(y)
+        check_invariants(chunked)
+        assert chunked == whole
+        assert chunked.to_comm(VARSET18) == ca * cb
+    if case == "cancelling":
+        assert pack_exponents(_var(0)) + pack_exponents(_var(NX)) not in whole.keys
+    if case == "object":
+        assert whole.is_big()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(term_dicts, min_size=1, max_size=4), st.sampled_from((1, 2, 6)), st.data())
+def test_combine_ignores_input_order(dicts, den, data):
+    polys = [PackedPoly.from_terms(t.items()) for t in dicts]
+    big = sum(p.bound for p in polys) >= LIMIT or any(p.is_big() for p in polys)
+    keys = np.concatenate([p.keys for p in polys])
+    coeffs = np.concatenate([p.coeffs.astype(object) if big else p.coeffs for p in polys])
+    xdeg = max(p.xdeg for p in polys)
+    ydeg = max(p.ydeg for p in polys)
+    runs = _combine(keys, coeffs, den, xdeg, ydeg)
+    check_invariants(runs)
+    perm = np.array(data.draw(st.permutations(range(len(keys)))), dtype=np.intp)
+    shuffled = _combine(keys[perm], coeffs[perm], den, xdeg, ydeg)
+    assert shuffled.den == runs.den
+    assert np.array_equal(shuffled.keys, runs.keys)
+    assert shuffled.coeffs.dtype == runs.coeffs.dtype
+    assert np.array_equal(shuffled.coeffs, runs.coeffs)
 
 
 @st.composite
