@@ -5,7 +5,8 @@
 # zero trace-monomial products.  The second pass must do no fresh work: the
 # script fails unless it reports zero word evaluations, trace-monomial and
 # generator-monomial products, and zero cache misses, corrupt entries and
-# writes.
+# writes.  Then a warm `mult` and a warm `relations` must not import numpy:
+# they build no array, and the script fails if either one loads it.
 # It runs the package from the checkout it lives in; no install is needed.
 set -euo pipefail
 
@@ -39,3 +40,16 @@ for counter in word_evals mono_products gen_products \
     fi
 done
 echo "warm pass did no fresh work: $stats"
+
+# warm commands that build no array must not import numpy
+numpy_free() {
+    local imports
+    imports="$(python3 -X importtime -m traceforge.cli --cache-dir "$CACHE" "$@" 2>&1 >/dev/null)"
+    if grep -Eq '\|[[:space:]]+numpy(\.|$)' <<<"$imports"; then
+        echo "FAIL: a warm '$*' imported numpy" >&2
+        exit 1
+    fi
+}
+numpy_free mult --lambda 7,5
+numpy_free relations --lambda 7,5
+echo "warm mult and relations imported no numpy"

@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from . import genmat
@@ -389,6 +388,8 @@ def cmd_new(cfg: Config, args) -> tuple[dict, list[str], bool]:
 
 
 def _bundled_text(name: str) -> str:
+    from importlib import resources
+
     return (
         resources.files("traceforge").joinpath("data", name).read_text()
     )

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 from . import genmat
 from .cache import digest_text
 from .packedpoly import NVARS, PackedPoly, sum_scaled
-from .polyring import BiSeries, Rational, series_inv_geom, series_mul
+from .polyring import BiSeries, Rational
 from .tracelang import (
     NcPoly,
     NotHomogeneous,
@@ -500,9 +500,17 @@ def hilbert_KG0(D: int = 14) -> BiSeries:
         hit = _HILBERT.get(D)
         if hit is not None:
             return hit
-        out = BiSeries.one(D)
+        # h[p][q] is the coefficient of t^p u^q.  Dividing by 1 - t^a u^b in
+        # place, in increasing (p, q), multiplies by the geometric series.
+        h = [[0] * (D + 1 - p) for p in range(D + 1)]
+        h[0][0] = 1
         for g in ABS_GENS:
-            out = series_mul(out, series_inv_geom(g.bidegree[0], g.bidegree[1], D))
+            a, b = g.bidegree
+            for p in range(a, D + 1):
+                row, src = h[p], h[p - a]
+                for q in range(b, D + 1 - p):
+                    row[q] += src[q - b]
+        out = BiSeries(D, {(p, q): c for p, row in enumerate(h) for q, c in enumerate(row)})
         _HILBERT[D] = out
     return out
 

@@ -15,7 +15,6 @@ the same space.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,6 +103,8 @@ def hwv_basis(
         return _kernel_for(p_blocks[prof], q_blocks.get(prof, []))
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(solve, profiles))
     else:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
+from ._lazy import np
 
 Rational = Fraction
 

@@ -33,8 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .polyring import CommPoly, VarSet
 
 NX = 3

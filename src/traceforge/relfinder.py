@@ -21,9 +21,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import genmat
+from ._lazy import np
 from .cache import digest_text
 from .glcat import (
     ABS_GENS,
@@ -170,11 +169,12 @@ def _assemble_matrix(
 ) -> tuple[np.ndarray, list[int]]:
     """Coefficient matrix of the evaluated highest weight vectors.
 
-    Returns (M, colscale): M has one row per occurring monomial of the
-    18-variable evaluation and one integer column per basis vector; the true
-    evaluation of basis vector i is column i divided by colscale[i].
-    Only the monomials that occur in some basis vector are evaluated; the
-    others would only add all-zero rows.
+    Returns (M, colscale): M has one row per monomial of the 18-variable
+    evaluation at which some evaluated basis vector is nonzero, in key order,
+    and one integer column per basis vector; the true evaluation of basis
+    vector i is column i divided by colscale[i].  Only the monomials that
+    occur in some basis vector are evaluated; the others would only add
+    all-zero rows, and so would the keys at which every column cancels.
     """
     used = {m for v in basis.vectors for m in v.terms}
     evals = {m: eval_abs_monomial(m, cache) for m in basis.monomials if m in used}
@@ -203,12 +203,14 @@ def _assemble_matrix(
             np.add.at(col, pos[m], coeffs * w)
         columns.append(col)
         colscale.append(L * D)
-    if any(c.dtype == object for c in columns):
-        M = np.empty((len(all_keys), s), dtype=object)
-    else:
-        M = np.empty((len(all_keys), s), dtype=np.int64)
+    nonzero = np.zeros(len(all_keys), dtype=bool)
+    for col in columns:
+        nonzero |= col != 0
+    rows = np.flatnonzero(nonzero)
+    dtype = object if any(c.dtype == object for c in columns) else np.int64
+    M = np.empty((len(rows), s), dtype=dtype)
     for i, col in enumerate(columns):
-        M[:, i] = col
+        M[:, i] = col[rows]
     return M, colscale
 
 

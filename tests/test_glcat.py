@@ -18,6 +18,7 @@ from traceforge.glcat import (
     catalog_json,
     gen_by_modj,
     generator_degree_audit,
+    hilbert_KG0,
     hilbert_coeff,
     mono_bidegree,
     multiplicity,
@@ -26,6 +27,7 @@ from traceforge.glcat import (
 )
 from traceforge.tracelang import NotHomogeneous, bidegree
 from traceforge.genmat import EvalCache, eval_trace_expr
+from traceforge.polyring import BiSeries, series_inv_geom, series_mul
 
 EXPECTED_PARTS = [
     (2, 0),
@@ -79,6 +81,18 @@ def test_hilbert_table_frozen():
         assert hilbert_coeff(part) == P
         assert hilbert_coeff(Partition(part.l1 + 1, part.l2 - 1)) == Q
         assert multiplicity(part) == m == P - Q
+
+
+@pytest.mark.parametrize("D", [14, 16])
+def test_hilbert_series_matches_the_series_product(D):
+    # oracle: the product of the truncated geometric series 1/(1 - t^p u^q)
+    # over the generators, in Fraction arithmetic
+    want = BiSeries.one(D)
+    for g in ABS_GENS:
+        want = series_mul(want, series_inv_geom(g.bidegree[0], g.bidegree[1], D))
+    got = hilbert_KG0(D)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.coeffs.values())
 
 
 def test_abs_monomials_counts():

@@ -1,0 +1,134 @@
+"""numpy is imported on first use: warm commands that build no array never
+load it, and threads that race to the first use all get a complete numpy.
+
+Every check runs in a fresh interpreter, because this one has numpy loaded.
+numpy counts as loaded once any of its submodules is in sys.modules: a lazy
+handle may register the name "numpy" alone before anything is imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import traceforge
+from traceforge.packedpoly import PackedPoly
+
+SRC = str(Path(traceforge.__file__).resolve().parent.parent)
+
+# runs `python3 -m traceforge.cli ARGS`, then reports on stderr its exit code
+# and the numpy submodules the process loaded
+CLI_PROBE = """
+import json, runpy, sys
+sys.argv = ["traceforge", *sys.argv[1:]]
+code = 0
+try:
+    runpy.run_module("traceforge.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
+print(json.dumps({"exit": code, "numpy": numpy}), file=sys.stderr)
+"""
+
+# four threads whose first numpy use is a PackedPoly product, with a short
+# switch interval so that they interleave inside the first import
+THREAD_PROBE = """
+import json, sys, threading
+from traceforge.packedpoly import PackedPoly
+assert not any(m.startswith("numpy.") for m in sys.modules)
+terms = json.loads(sys.argv[1])
+barrier = threading.Barrier(4, timeout=60)
+results, errors = [None] * 4, []
+
+def work(i):
+    barrier.wait()
+    try:
+        a = PackedPoly.from_terms(terms[0])
+        b = PackedPoly.from_terms(terms[1])
+        results[i] = a.mul(b).to_bytes().hex()
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+finally:
+    sys.setswitchinterval(interval)
+alive = sum(t.is_alive() for t in threads)
+print(json.dumps({"results": results, "errors": errors, "alive": alive}))
+"""
+
+WARM_COMMANDS = (
+    ("mult", "--lambda", "7,5"),
+    ("relations", "--lambda", "7,5"),
+    ("leading", "--degree", "12"),
+    ("new", "--degree", "12"),
+)
+
+
+def python(*argv: str) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TRACEFORGE_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def cli(cache_dir: Path, *args: str) -> tuple[int, dict, list[str]]:
+    """Exit code, JSON payload and loaded numpy submodules of one CLI process."""
+    proc = python(
+        "-c", CLI_PROBE, "--cache-dir", str(cache_dir), "--format", "json", *args
+    )
+    probe = json.loads(proc.stderr.strip().splitlines()[-1])
+    return probe["exit"], json.loads(proc.stdout), probe["numpy"]
+
+
+def test_import_loads_no_numpy():
+    proc = python(
+        "-c",
+        "import sys, traceforge, traceforge.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_warm_commands_load_no_numpy(tmp_path):
+    # warm the cache in a fresh process too: this one may have certified the
+    # catalog already, and then stores no verdict in a new cache directory
+    fill = "; ".join(
+        f"assert main({['--cache-dir', str(tmp_path), *args]!r}) == 0"
+        for args in WARM_COMMANDS
+    )
+    proc = python("-c", f"from traceforge.cli import main; {fill}")
+    assert proc.returncode == 0, proc.stderr
+    for args in WARM_COMMANDS:
+        code, _, numpy = cli(tmp_path, *args)
+        assert code == 0, args
+        assert numpy == [], args
+    # verify evaluates its candidate, and still answers
+    v75 = Path(traceforge.__file__).parent / "data" / "v75.phi"
+    code, doc, _ = cli(tmp_path, "verify", "--file", str(v75))
+    assert code == 0
+    assert doc["zero"] is True and doc["membership"] is True
+
+
+def test_first_numpy_use_from_several_threads():
+    x = [1, 0, 0] + [0] * 15
+    y = [0, 0, 0, 1] + [0] * 14
+    terms = [
+        [(x, 3), (y, -2), ([a + b for a, b in zip(x, y)], 5)],
+        [(x, -1), ([0, 1, 0] + [0] * 15, 7), (y, 4)],
+    ]
+    want = PackedPoly.from_terms(terms[0]).mul(PackedPoly.from_terms(terms[1]))
+    proc = python("-c", THREAD_PROBE, json.dumps(terms))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["alive"] == 0 and doc["errors"] == []
+    assert doc["results"] == [want.to_bytes().hex()] * 4

@@ -216,24 +216,23 @@ def test_unknown_mode_rejected_before_any_work(cache, s75, monkeypatch):
         relation_space(Partition(6, 6), mode="bogus", cache=cache, use_cache=False)
 
 
-# (shape, colscale, sha256 of M.tobytes(), sha256 of the nonzero rows of M)
-# of the degree-12 coefficient matrices.  The nonzero-row digests are frozen
-# from an earlier implementation that evaluated every monomial of the slice,
-# also those in no basis vector; skipping those only drops all-zero rows, 36
-# of them for (6, 6), so the nonzero rows must not move.
+# (shape, colscale, sha256 of the nonzero rows of M) of the degree-12
+# coefficient matrices.  The digests are frozen from earlier implementations
+# that kept all-zero rows in M: first the rows of monomials in no basis
+# vector, then the keys at which every column cancels (1143 rows for (7, 5),
+# 1881 for (6, 6)).  Dropping those rows must leave the nonzero rows as they
+# were, so M itself now hashes to the same digest.
 ASSEMBLED = {
     (7, 5): (
-        (9288, 36),
+        (8145, 36),
         [3, 1, 1, 1, 1, 1, 1, 3, 3, 9, 1, 3, 3, 6, 6, 1, 1, 1, 1, 6, 1, 1, 2, 1,
          12, 1, 4, 1, 3, 9, 1, 1, 3, 1, 1, 1],
-        "b2795048a029f8c4ae817a9dc51f1f33226eba725ebbe6404069b72cbb7f6741",
         "dd5b377ca810142c2cd4dbb2d1bcd9d31ccdc9839654ee05bcba741eaa80fb6d",
     ),
     (6, 6): (
-        (17212, 30),
+        (15331, 30),
         [1, 1, 3, 1, 1, 2, 9, 1, 1, 3, 27, 1, 3, 3, 1, 1, 1, 6, 1, 1, 2, 3, 27, 9,
          1, 1, 1, 1, 4, 1],
-        "61c0ac4a5b747b824db41cbe0abea0021bfa8a875729d36eff0ef7b7fbea6869",
         "f32bdc418895fc448aca08ee479bf90b03b24a2aaa08104ad239047ae66c8ca2",
     ),
 }
@@ -241,11 +240,11 @@ ASSEMBLED = {
 
 @pytest.mark.parametrize("lam", sorted(ASSEMBLED), ids=lambda lam: f"{lam[0]},{lam[1]}")
 def test_assembled_matrix_is_pinned(lam, cache):
-    shape, colscale, sha, nonzero_sha = ASSEMBLED[lam]
+    shape, colscale, nonzero_sha = ASSEMBLED[lam]
     M, got_scale = relfinder._assemble_matrix(hwv_basis(Partition(*lam)), cache)
     assert M.dtype == np.int64 and M.shape == shape
     assert got_scale == colscale
-    assert hashlib.sha256(M.tobytes()).hexdigest() == sha
+    assert hashlib.sha256(M.tobytes()).hexdigest() == nonzero_sha
     assert hashlib.sha256(M[M.any(axis=1)].tobytes()).hexdigest() == nonzero_sha
 
 
