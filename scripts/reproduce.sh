@@ -5,8 +5,9 @@
 # zero trace-monomial products.  The second pass must do no fresh work: the
 # script fails unless it reports zero word evaluations, trace-monomial and
 # generator-monomial products, and zero cache misses, corrupt entries and
-# writes.  Then a warm `mult` and a warm `relations` must not import numpy:
-# they build no array, and the script fails if either one loads it.
+# writes.  Then a warm `mult`, `relations` (for a degree-12 and a degree-13
+# weight), `leading` and `new` must not import numpy: they build no array, and
+# the script fails if any one of them loads it.
 # It runs the package from the checkout it lives in; no install is needed.
 set -euo pipefail
 
@@ -52,4 +53,7 @@ numpy_free() {
 }
 numpy_free mult --lambda 7,5
 numpy_free relations --lambda 7,5
-echo "warm mult and relations imported no numpy"
+numpy_free relations --lambda 8,5
+numpy_free leading --degree 12
+numpy_free new --degree 12
+echo "warm mult, relations, leading and new imported no numpy"

@@ -33,19 +33,18 @@ from .glcat import (
     multiplicity,
 )
 from .hwv import HwvBasis, hwv_basis, hwv_json, hwv_verify
-from .phiparse import parse_phi
+from .phiparse import PhiParseError, parse_phi
 from .relfinder import (
     LAMBDAS_BY_DEGREE,
     leading_analysis,
     membership,
     new_relations,
-    orbit,
     relation_space,
     verify_zero,
     verify_zero_abs,
     write_certificates,
 )
-from .tracelang import NotHomogeneous, parse_trace
+from .tracelang import NotHomogeneous, TraceParseError, TracelessViolation, parse_trace
 
 # ---------------------------------------------------------------------------
 # Frozen reference values.  Every reproduce check compares against these.
@@ -207,15 +206,14 @@ def cmd_mult(cfg: Config, args) -> tuple[dict, list[str], bool]:
 def cmd_hwv(cfg: Config, args) -> tuple[dict, list[str], bool]:
     lam = parse_lambda(args.lam, cfg.degree_cap)
     cache = cfg.make_cache()
-    blocked = True if args.blocked else None
-    basis = hwv_basis(lam, blocked=blocked, threads=cfg.threads)
+    basis = hwv_basis(lam, threads=cfg.threads)
     report = hwv_verify(basis, evaluate=not args.no_eval, cache=cache)
     payload = hwv_json(basis)
     payload["verified"] = report.ok
     payload["failures"] = list(report.failures)
     lines = [
         f"lambda=({lam.l1},{lam.l2})  P={basis.P}  Q={basis.Q}"
-        f"  rank={basis.alpha_rank}  s={basis.s}  blocked={basis.blocked}",
+        f"  rank={basis.alpha_rank}  s={basis.s}",
         f"verified: {report.ok}"
         + (f"  failures: {report.failures}" if report.failures else ""),
     ]
@@ -254,21 +252,26 @@ def cmd_relations(cfg: Config, args) -> tuple[dict, list[str], bool]:
 
 
 def cmd_verify(cfg: Config, args) -> tuple[dict, list[str], bool]:
+    grammar = "trace" if args.trace else "phi"
+    try:
+        text = Path(args.file).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"cannot read {args.file}: {exc}")
+    try:
+        parsed = parse_trace(text) if args.trace else parse_phi(text)
+    except (PhiParseError, TraceParseError, TracelessViolation) as exc:
+        raise SystemExit(f"bad {grammar} file {args.file}: {exc}")
     cache = cfg.make_cache()
-    text = Path(args.file).read_text()
+    member = None
+    lam = None
     if args.trace:
-        expr = parse_trace(text)
-        zrep = verify_zero(expr, cache)
-        member = None
-        lam = None
+        zrep = verify_zero(parsed, cache)
     else:
-        cand = parse_phi(text)
         try:
-            lam = cand.bidegree()
+            lam = parsed.bidegree()
         except NotHomogeneous:
-            lam = None
-        zrep = verify_zero_abs(cand, cache)
-        member = None
+            pass
+        zrep = verify_zero_abs(parsed, cache)
         known = {tuple(l) for ls in LAMBDAS_BY_DEGREE.values() for l in ls}
         if lam in known:
             space = relation_space(
@@ -277,11 +280,11 @@ def cmd_verify(cfg: Config, args) -> tuple[dict, list[str], bool]:
                 cache=cache,
                 threads=cfg.threads,
             )
-            member = membership(cand, space)
+            member = membership(parsed, space)
     ok = zrep.zero and member in (True, None)
     payload = {
         "file": args.file,
-        "grammar": "trace" if args.trace else "phi",
+        "grammar": grammar,
         "zero": zrep.zero,
         "residual_terms": zrep.residual_terms,
         "residual_sample": [list(t) for t in zrep.residual_sample],
@@ -290,7 +293,7 @@ def cmd_verify(cfg: Config, args) -> tuple[dict, list[str], bool]:
         "lambda": list(lam) if lam else None,
     }
     lines = [
-        f"file: {args.file}  grammar: {'trace' if args.trace else 'phi'}",
+        f"file: {args.file}  grammar: {grammar}",
         f"evaluates to zero: {zrep.zero}"
         + ("" if zrep.zero else f"  (residual terms: {zrep.residual_terms})"),
     ]
@@ -627,7 +630,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hwv", parents=[shared], help="highest weight basis for a weight")
     sp.add_argument("--lambda", dest="lam", required=True, metavar="P,Q")
-    sp.add_argument("--blocked", action="store_true", help="force the blocked kernel computation")
     sp.add_argument("--no-eval", action="store_true", help="skip the evaluation checks")
     sp.set_defaults(func=cmd_hwv)
 

@@ -157,6 +157,8 @@ class EvalCache:
         self._words_comm: dict[Word, CommPoly] = {}
         self._gens: list[PackedPoly] | None = None
         self._abs_monos: dict[tuple[int, ...], PackedPoly] = {}
+        # set by glcat.catalog once the store holds the catalog verdict
+        self._catalog_stored = False
         self._lock = threading.Lock()
 
 

@@ -174,31 +174,36 @@ _CATALOG_LOCK = threading.Lock()
 
 
 def catalog(cache: genmat.EvalCache | None = None) -> tuple[GeneratorModule, ...]:
-    """The twelve generator modules, certified on first construction."""
+    """The twelve generator modules, certified on first construction.
+
+    The first call in a process certifies the catalog on the given cache
+    (the default cache if none is given), unless its store already holds
+    the verdict.  Every cache passed in has the verdict written into its
+    store, once per cache, if the store lacks it."""
     global _CATALOG
-    if _CATALOG is not None:
+    if _CATALOG is not None and (cache is None or cache._catalog_stored):
         return _CATALOG
     with _CATALOG_LOCK:
-        if _CATALOG is not None:
+        if _CATALOG is not None and (cache is None or cache._catalog_stored):
             return _CATALOG
-        mods = _build_modules()
         cache = cache or genmat.default_cache()
+        mods = _CATALOG or _build_modules()
         digest = _catalog_digest(mods)
         verdict_key = f"catalog-cert:{digest}"
-        verdict = cache.store.get_json(verdict_key) if cache.store is not None else None
+        store = cache.store
+        verdict = store.get_json(verdict_key) if store is not None else None
         if not (isinstance(verdict, dict) and verdict.get("ok") is True):
-            _certify(mods, cache)
-            if cache.store is not None:
-                cache.store.put_json(verdict_key, {"ok": True, "digest": digest})
+            if _CATALOG is None:
+                _certify(mods, cache)
+            if store is not None:
+                store.put_json(verdict_key, {"ok": True, "digest": digest})
+        cache._catalog_stored = True
         _CATALOG = mods
     return _CATALOG
 
 
 def catalog_digest(cache: genmat.EvalCache | None = None) -> str:
-    """Digest of the certified catalog.  The first call in a process must
-    pass the caller's EvalCache: it builds the catalog, and only that
-    cache's store holds the certification verdict.  Later calls return the
-    catalog already built, whatever cache they pass."""
+    """Digest of the certified catalog (see catalog for the cache)."""
     return _catalog_digest(catalog(cache))
 
 
@@ -532,11 +537,9 @@ def multiplicity(lam: Partition) -> int:
     return P - Q
 
 
-def abs_monomials(lam: Partition) -> list[AbsMonomial]:
-    """All generator monomials of bidegree exactly lam, in graded-lex
-    descending order.  The count equals the Hilbert coefficient."""
-    lam = Partition.of(*lam)
-    target = (lam.l1, lam.l2)
+def bidegree_monomials(p: int, q: int) -> list[AbsMonomial]:
+    """All generator monomials of bidegree (p, q), for any p, q >= 0, in the
+    order of a depth-first walk over the generators."""
     out: list[AbsMonomial] = []
 
     def recurse(gid: int, p: int, q: int, acc: list[int]) -> None:
@@ -552,8 +555,15 @@ def abs_monomials(lam: Partition) -> list[AbsMonomial]:
             recurse(gid, p - gp, q - gq, acc)
             acc.pop()
 
-    recurse(0, target[0], target[1], [])
-    out.sort(key=_mono_grlex_key, reverse=True)
+    recurse(0, p, q, [])
+    return out
+
+
+def abs_monomials(lam: Partition) -> list[AbsMonomial]:
+    """All generator monomials of bidegree exactly lam, in graded-lex
+    descending order.  The count equals the Hilbert coefficient."""
+    lam = Partition.of(*lam)
+    out = sorted(bidegree_monomials(lam.l1, lam.l2), key=_mono_grlex_key, reverse=True)
     if len(out) != hilbert_coeff(lam):
         raise AssertionError("monomial count disagrees with the Hilbert series")
     return out

@@ -1,22 +1,29 @@
 """Highest weight vectors of a fixed weight inside the generator algebra.
 
-For a weight lam = (l1, l2) the space of interest is the kernel of the
-raising derivation on the bidegree-(l1, l2) slice: monomials of bidegree lam
-span a P-dimensional space, abs_delta maps it into the Q-dimensional
-bidegree-(l1+1, l2-1) slice, and the highest weight vectors are the kernel.
-The raising map is always surjective here, so the kernel has dimension
-P - Q, which equals the multiplicity of W(lam).
+For a weight lam = (l1, l2) the highest weight vectors are the kernel of the
+raising derivation abs_delta on the bidegree-(l1, l2) slice.  Monomials of
+bidegree lam span a P-dimensional space, abs_delta maps it into the
+Q-dimensional bidegree-(l1+1, l2-1) slice, and the map is always surjective
+here, so the kernel has dimension P - Q, the multiplicity of W(lam).
 
-The system splits block-diagonally by the per-module occupation profile
-(raising never moves factors between modules).  Blocked solving is the
-default above total degree 12 and can be forced either way; both modes span
-the same space.
+Raising never moves factors between modules, so the system is block
+diagonal by the per-module occupation profile of a monomial.  hwv_basis
+solves each block on its own and returns the vectors in free-column order.
+The free column of a vector is its last monomial in abs_monomials order, a
+monomial at which no other vector has a term.  Kernels in free-column form
+are unique, so this is the basis that the kernel of the whole slice, solved
+as one matrix, gives, vector for vector.
+
+raising_kernel is the kernel of abs_delta on the span of any list of
+polynomials, and span_rank the dimension of a span; the relation layer uses
+both for the old/new split and for membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .glcat import (
     ABS_GENS,
@@ -26,12 +33,11 @@ from .glcat import (
     abs_delta,
     abs_monomials,
     eval_abs_poly,
+    hilbert_coeff,
     mono_name,
 )
 from . import genmat
-from .nullspace import QMatrix, null_dense
-
-BLOCKED_DEGREE_THRESHOLD = 12
+from .nullspace import NullBasis, QMatrix, _IntEchelon, null_dense
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,6 @@ class HwvBasis:
     P: int
     Q: int
     alpha_rank: int
-    blocked: bool
     monomials: tuple[AbsMonomial, ...]
     vectors: tuple[AbsPoly, ...]
 
@@ -56,67 +61,59 @@ def _module_profile(mono: AbsMonomial) -> tuple[int, ...]:
     return tuple(prof)
 
 
-def _kernel_for(
-    p_mons: list[AbsMonomial], q_mons: list[AbsMonomial]
-) -> tuple[int, list[AbsPoly]]:
-    """(rank, kernel vectors) of abs_delta restricted to span(p_mons)."""
-    q_index = {m: i for i, m in enumerate(q_mons)}
-    rows: list[dict[int, Fraction]] = [dict() for _ in q_mons]
-    for c, mono in enumerate(p_mons):
-        image = abs_delta(AbsPoly.monomial(mono))
-        for m2, coeff in image.terms.items():
-            rows[q_index[m2]][c] = coeff
-    nb = null_dense(QMatrix(tuple(rows), len(p_mons)))
-    vectors = []
-    for v in nb.vectors:
-        terms = {m: c for m, c in zip(p_mons, v) if c}
-        vectors.append(AbsPoly(terms))
-    return nb.rank, vectors
+def raising_kernel(polys: Sequence[AbsPoly]) -> NullBasis:
+    """Exact kernel of abs_delta on the span of polys: the coefficient
+    vectors c, in free-column order, with abs_delta(sum c_i polys_i) = 0."""
+    rows: dict[AbsMonomial, dict[int, Fraction]] = {}
+    for col, p in enumerate(polys):
+        for m, coeff in abs_delta(p).terms.items():
+            rows.setdefault(m, {})[col] = coeff
+    return null_dense(QMatrix(tuple(rows.values()), len(polys)))
 
 
-def hwv_basis(
-    lam: Partition, blocked: bool | None = None, threads: int = 1
-) -> HwvBasis:
+def span_rank(polys: Iterable[AbsPoly]) -> int:
+    """Dimension of the rational span of polys."""
+    polys = list(polys)
+    index: dict[AbsMonomial, int] = {}
+    for p in polys:
+        for m in p.terms:
+            index.setdefault(m, len(index))
+    ech = _IntEchelon(len(index))
+    for p in polys:
+        ech.add_row({index[m]: c for m, c in p.terms.items()})
+    return ech.rank
+
+
+def hwv_basis(lam: Partition, threads: int = 1) -> HwvBasis:
     lam = Partition.of(*lam)
-    if blocked is None:
-        blocked = lam.total > BLOCKED_DEGREE_THRESHOLD
     p_mons = abs_monomials(lam)
-    q_mons = (
-        abs_monomials(Partition(lam.l1 + 1, lam.l2 - 1)) if lam.l2 > 0 else []
-    )
-    if not blocked:
-        rank, vectors = _kernel_for(p_mons, q_mons)
-        return HwvBasis(
-            lam, len(p_mons), len(q_mons), rank, False, tuple(p_mons), tuple(vectors)
-        )
+    Q = hilbert_coeff(Partition(lam.l1 + 1, lam.l2 - 1)) if lam.l2 else 0
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for i, m in enumerate(p_mons):
+        blocks.setdefault(_module_profile(m), []).append(i)
 
-    p_blocks: dict[tuple[int, ...], list[AbsMonomial]] = {}
-    for m in p_mons:
-        p_blocks.setdefault(_module_profile(m), []).append(m)
-    q_blocks: dict[tuple[int, ...], list[AbsMonomial]] = {}
-    for m in q_mons:
-        q_blocks.setdefault(_module_profile(m), []).append(m)
-
-    profiles = sorted(p_blocks)
-
-    def solve(prof):
-        return _kernel_for(p_blocks[prof], q_blocks.get(prof, []))
+    def solve(cols: list[int]) -> NullBasis:
+        return raising_kernel([AbsPoly.monomial(p_mons[i]) for i in cols])
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(solve, profiles))
+            kernels = list(ex.map(solve, blocks.values()))
     else:
-        results = [solve(prof) for prof in profiles]
+        kernels = [solve(cols) for cols in blocks.values()]
 
-    rank = sum(r for r, _ in results)
-    vectors: list[AbsPoly] = []
-    for _, vecs in results:
-        vectors.extend(vecs)
-    return HwvBasis(
-        lam, len(p_mons), len(q_mons), rank, True, tuple(p_mons), tuple(vectors)
-    )
+    rank = 0
+    by_free_col: list[tuple[int, AbsPoly]] = []
+    for cols, nb in zip(blocks.values(), kernels):
+        rank += nb.rank
+        for v in nb.vectors:
+            nonzero = [(i, c) for i, c in zip(cols, v) if c]
+            free = nonzero[-1][0]
+            by_free_col.append((free, AbsPoly({p_mons[i]: c for i, c in nonzero})))
+    by_free_col.sort(key=lambda t: t[0])
+    vectors = tuple(v for _, v in by_free_col)
+    return HwvBasis(lam, len(p_mons), Q, rank, tuple(p_mons), vectors)
 
 
 @dataclass(frozen=True)
@@ -204,7 +201,6 @@ def hwv_json(basis: HwvBasis) -> dict:
         "Q": basis.Q,
         "alpha_rank": basis.alpha_rank,
         "s": basis.s,
-        "blocked": basis.blocked,
         "vectors": [
             {
                 mono_name(m): f"{c.numerator}/{c.denominator}"
@@ -219,16 +215,5 @@ def span_equal(a: HwvBasis, b: HwvBasis) -> bool:
     """Do two bases span the same subspace of the bidegree slice?"""
     if a.lam != b.lam or a.s != b.s:
         return False
-    index = {m: i for i, m in enumerate(a.monomials)}
-
-    def rank_of(vectors) -> int:
-        from .nullspace import _IntEchelon
-
-        ech = _IntEchelon(len(index))
-        for v in vectors:
-            ech.add_row({index[m]: c for m, c in v.terms.items()})
-        return ech.rank
-
-    ra = rank_of(a.vectors)
-    rboth = rank_of(list(a.vectors) + list(b.vectors))
-    return ra == a.s and rboth == ra
+    rank = span_rank(a.vectors)
+    return rank == a.s == span_rank(b.vectors) == span_rank(a.vectors + b.vectors)

@@ -16,10 +16,10 @@ degree relations and genuinely new ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
 from . import genmat
 from ._lazy import np
@@ -32,8 +32,8 @@ from .glcat import (
     Partition,
     abs_delta,
     abs_delta1,
-    abs_monomials,
     abs_poly_text,
+    bidegree_monomials,
     catalog_digest,
     eval_abs_monomial,
     eval_abs_poly,
@@ -41,8 +41,8 @@ from .glcat import (
     mono_name,
     phi,
 )
-from .hwv import HwvBasis, hwv_basis
-from .nullspace import NullBasis, null_stream
+from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
+from .nullspace import null_stream
 from .polyring import CommPoly, poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
 
@@ -134,10 +134,6 @@ class RelationSpace:
         return len(self.relvectors)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 # keys added to the sorted union per merge; bounds the array each sort holds
 _UNION_BATCH = 1 << 20
 
@@ -184,12 +180,8 @@ def _assemble_matrix(
     columns: list[np.ndarray] = []
     colscale: list[int] = []
     for v in basis.vectors:
-        L = 1
-        for c in v.terms.values():
-            L = _lcm(L, c.denominator)
-        D = 1
-        for m in v.terms:
-            D = _lcm(D, evals[m].den)
+        L = lcm(*(c.denominator for c in v.terms.values()))
+        D = lcm(*(evals[m].den for m in v.terms))
         bound = 0
         for m, c in v.terms.items():
             e = evals[m]
@@ -228,10 +220,14 @@ def _space_digest(relvectors) -> str:
     return digest_text(text)
 
 
+# version of the stored relation-space summary; a summary whose basis order or
+# fields may differ must not be read under the same key
+RELSPACE_SCHEMA = 2
+
+
 def relation_space(
     lam: Partition,
     mode: str = "modular",
-    blocked: bool | None = None,
     cache: genmat.EvalCache | None = None,
     threads: int = 1,
     use_cache: bool = True,
@@ -242,14 +238,14 @@ def relation_space(
     lam = Partition.of(*lam)
     cache = cache or genmat.default_cache()
     store = cache.store
-    key = f"relspace:{lam.l1},{lam.l2}:{catalog_digest(cache)}"
+    key = f"relspace:v{RELSPACE_SCHEMA}:{lam.l1},{lam.l2}:{catalog_digest(cache)}"
     if use_cache and store is not None:
         summary = store.get_json(key)
         if isinstance(summary, dict):
             loaded = _load_space(lam, summary, threads)
             if loaded is not None:
                 return loaded
-    basis = hwv_basis(lam, blocked=blocked, threads=threads)
+    basis = hwv_basis(lam, threads=threads)
     M, colscale = _assemble_matrix(basis, cache)
     nb = null_stream([M], basis.s, mode=mode)
     zeta = []
@@ -272,7 +268,6 @@ def relation_space(
             key,
             {
                 "lambda": [lam.l1, lam.l2],
-                "blocked": basis.blocked,
                 "zeta": [
                     [f"{x.numerator}/{x.denominator}" for x in z] for z in space.zeta
                 ],
@@ -284,14 +279,13 @@ def relation_space(
 
 def _load_space(lam: Partition, summary: dict, threads: int) -> RelationSpace | None:
     try:
-        blocked = bool(summary["blocked"])
         zeta = tuple(
             tuple(Fraction(x) for x in z) for z in summary["zeta"]
         )
         digest = summary["digest"]
     except (KeyError, ValueError, TypeError):
         return None
-    basis = hwv_basis(lam, blocked=blocked, threads=threads)
+    basis = hwv_basis(lam, threads=threads)
     if any(len(z) != basis.s for z in zeta):
         return None
     relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
@@ -353,15 +347,8 @@ def membership(candidate: AbsPoly, space: RelationSpace) -> bool:
             f"candidate bidegree {candidate.bidegree()} does not match "
             f"the space weight {tuple(space.lam)}"
         )
-    index = {m: i for i, m in enumerate(space.basis.monomials)}
-    from .nullspace import _IntEchelon
-
-    ech = _IntEchelon(len(index))
-    for v in space.relvectors:
-        ech.add_row({index[m]: c for m, c in v.terms.items()})
-    base_rank = ech.rank
-    ech.add_row({index[m]: c for m, c in candidate.terms.items()})
-    return ech.rank == base_rank
+    rels = list(space.relvectors)
+    return span_rank(rels + [candidate]) == span_rank(rels)
 
 
 # ---------------------------------------------------------------------------
@@ -474,33 +461,11 @@ class NewRelationsReport:
         return " + ".join(parts) if parts else "0"
 
 
-def _old_multiplicity(
-    lam: Partition, products: list[AbsPoly]
-) -> int:
-    """Dimension of the weight-lam highest weight space inside the span of
-    the given bidegree-lam vectors."""
-    if not products:
-        return 0
-    from .nullspace import QMatrix, null_dense, _IntEchelon
-
-    q_mons = abs_monomials(Partition(lam.l1 + 1, lam.l2 - 1)) if lam.l2 else []
-    q_index = {m: i for i, m in enumerate(q_mons)}
-    rows: list[dict[int, Fraction]] = [dict() for _ in q_mons]
-    for c, prod in enumerate(products):
-        img = abs_delta(prod)
-        for m, coeff in img.terms.items():
-            rows[q_index[m]][c] = rows[q_index[m]].get(c, Fraction(0)) + coeff
-    K = null_dense(QMatrix(tuple(rows), len(products)))
-    p_mons = abs_monomials(lam)
-    p_index = {m: i for i, m in enumerate(p_mons)}
-    ech = _IntEchelon(len(p_mons))
-    for k in K.vectors:
-        vec = AbsPoly()
-        for ki, prod in zip(k, products):
-            if ki:
-                vec = vec + prod.scale(ki)
-        ech.add_row({p_index[m]: c for m, c in vec.terms.items()})
-    return ech.rank
+def _old_multiplicity(products: list[AbsPoly]) -> int:
+    """Dimension of the highest weight space inside the span of the given
+    vectors, all of one bidegree."""
+    kernel = raising_kernel(products)
+    return span_rank(_relation_vector(k, products) for k in kernel.vectors)
 
 
 def new_relations(
@@ -529,37 +494,11 @@ def new_relations(
             rem = (lam.l1 - beta[0], lam.l2 - beta[1])
             if rem[0] < 0 or rem[1] < 0 or rem == (0, 0):
                 continue
-            for m in _monomials_bidegree(rem):
+            for m in sorted(bidegree_monomials(*rem), key=lambda m: (len(m), m)):
                 products.append(w * AbsPoly.monomial(m))
-        old = _old_multiplicity(lam, products)
+        old = _old_multiplicity(products)
         items.append(NewRelationsItem(lam, space.r, old, space.r - old))
     return NewRelationsReport(degree, tuple(items))
-
-
-def _monomials_bidegree(bideg: tuple[int, int]) -> list[AbsMonomial]:
-    """Generator monomials of an arbitrary bidegree (no partition shape
-    requirement)."""
-    from .glcat import NGENS
-
-    p0, q0 = bideg
-    out: list[AbsMonomial] = []
-
-    def recurse(gid: int, p: int, q: int, acc: list[int]) -> None:
-        if p == 0 and q == 0:
-            out.append(tuple(acc))
-            return
-        if gid >= NGENS:
-            return
-        gp, gq = ABS_GENS[gid].bidegree
-        recurse(gid + 1, p, q, acc)
-        if gp <= p and gq <= q:
-            acc.append(gid)
-            recurse(gid, p - gp, q - gq, acc)
-            acc.pop()
-
-    recurse(0, p0, q0, [])
-    out.sort(key=lambda m: (len(m), m))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from traceforge.glcat import (
     multiplicity,
     phi,
 )
-from traceforge.hwv import hwv_basis, span_equal
+from traceforge.hwv import hwv_basis
 from traceforge.nullspace import null_stream
 from traceforge.phiparse import format_phi, parse_phi
 from traceforge.relfinder import (
@@ -292,9 +292,12 @@ def _c9_hwv_checks(acache):
         assert eval_trace_expr(subst_h(e0), acache) == ev
 
 
-def _c9_blocked_unblocked(acache):
-    lam = Partition(7, 5)
-    assert span_equal(hwv_basis(lam, blocked=False), hwv_basis(lam, blocked=True))
+def _c9_blocks_equal_one_matrix(acache):
+    for lam in LAMBDA_ORDER:
+        lam = Partition(*lam)
+        rank, _, vectors = conftest.one_matrix_kernel(lam)
+        basis = hwv_basis(lam)
+        assert basis.alpha_rank == rank and basis.vectors == vectors
 
 
 def _c9_modular_exact(acache):
@@ -325,7 +328,7 @@ def test_c9_property_suites(acache):
         _c9_cyclic,
         _c9_ladder,
         _c9_hwv_checks,
-        _c9_blocked_unblocked,
+        _c9_blocks_equal_one_matrix,
         _c9_modular_exact,
         _c9_phi_round_trips,
     )

@@ -132,6 +132,37 @@ def test_verify_trace_grammar(capsys, tmp_path):
     assert doc["membership"] is None
 
 
+@pytest.mark.parametrize(
+    "grammar, text, message",
+    [
+        ("--phi", "t4^2*(x1", "bad phi file"),
+        ("--phi", "u13_0", "bad phi file"),
+        ("--trace", "tr(xy", "bad trace file"),
+        ("--trace", "tr(x) - tr(y)", "bad trace file"),
+    ],
+)
+def test_verify_malformed_file_is_a_one_line_error(tmp_path, grammar, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--file", str(f), grammar, "--cache-dir", str(tmp_path / "c")])
+    msg = exc.value.code
+    assert isinstance(msg, str) and msg.startswith(f"{message} {f}: ")
+    assert "\n" not in msg
+
+
+@pytest.mark.parametrize("grammar", ["--phi", "--trace"])
+def test_verify_unreadable_file_is_a_one_line_error(tmp_path, grammar):
+    binary = tmp_path / "binary.phi"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for f in (tmp_path / "missing.phi", tmp_path, binary):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--file", str(f), grammar, "--cache-dir", str(tmp_path / "c")])
+        msg = exc.value.code
+        assert isinstance(msg, str) and msg.startswith(f"cannot read {f}: ")
+        assert "\n" not in msg
+
+
 def test_relations_degree12(capsys, tmp_path):
     code, doc = run_json(
         capsys, "relations", "--lambda", "7,5", "--cache-dir", str(tmp_path / "c")

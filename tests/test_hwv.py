@@ -1,9 +1,12 @@
 """Highest weight vector bases of the bidegree slices."""
 
+import dataclasses
+
 import pytest
 
-from traceforge.glcat import Partition, abs_delta
-from traceforge.hwv import HwvBasis, hwv_basis, hwv_json, hwv_verify, span_equal
+from conftest import one_matrix_kernel
+from traceforge.glcat import AbsPoly, Partition, abs_delta
+from traceforge.hwv import hwv_basis, hwv_json, hwv_verify, span_equal
 
 # (l1, l2) -> (P, Q, s)
 TABLE = {
@@ -38,30 +41,33 @@ def test_vectors_are_killed_by_raising(small_bases):
             assert v.bidegree() == tuple(basis.lam)
 
 
-def test_blocked_and_unblocked_spans_agree():
-    lam = Partition(7, 5)
-    plain = hwv_basis(lam, blocked=False)
-    blocked = hwv_basis(lam, blocked=True)
-    assert plain.blocked is False and blocked.blocked is True
-    assert plain.s == blocked.s
-    assert span_equal(plain, blocked)
-    assert span_equal(blocked, plain)
+def test_basis_equals_the_one_matrix_kernel():
+    # solving per module-profile block, then ordering by free column, gives
+    # the kernel of the whole slice vector for vector, order included
+    for lam in TABLE:
+        basis = hwv_basis(Partition(*lam))
+        rank, Q, vectors = one_matrix_kernel(Partition(*lam))
+        assert (basis.alpha_rank, basis.Q) == (rank, Q), lam
+        assert basis.vectors == vectors, lam
 
 
 def test_blocked_threaded_matches_serial():
-    lam = Partition(6, 6)
-    serial = hwv_basis(lam, blocked=True, threads=1)
-    threaded = hwv_basis(lam, blocked=True, threads=4)
-    assert span_equal(serial, threaded)
-
-
-def test_blocked_default_kicks_in_above_threshold():
-    assert hwv_basis(Partition(7, 5)).blocked is False
-    assert hwv_basis(Partition(8, 5)).blocked is True
+    lam = Partition(8, 6)
+    serial = hwv_basis(lam, threads=1)
+    threaded = hwv_basis(lam, threads=4)
+    assert threaded == serial
 
 
 def test_span_equal_rejects_different_weights(small_bases):
     assert not span_equal(small_bases[(7, 5)], small_bases[(6, 6)])
+
+
+def test_span_equal_rejects_a_dependent_basis(small_bases):
+    good = small_bases[(7, 5)]
+    doubled = dataclasses.replace(good, vectors=(good.vectors[1],) + good.vectors[1:])
+    assert span_equal(good, good)
+    assert not span_equal(good, doubled)
+    assert not span_equal(doubled, good)
 
 
 def test_verify_report_exact_only(small_bases):
@@ -82,18 +88,8 @@ def test_verify_report_with_evaluation(small_bases, session_cache):
 def test_verify_flags_a_broken_basis(small_bases):
     good = small_bases[(7, 5)]
     # swap in a vector that is not a highest weight vector
-    from traceforge.glcat import AbsPoly
-
     bad_vec = AbsPoly.monomial(good.monomials[0])
-    bad = HwvBasis(
-        good.lam,
-        good.P,
-        good.Q,
-        good.alpha_rank,
-        good.blocked,
-        good.monomials,
-        (bad_vec,) + good.vectors[1:],
-    )
+    bad = dataclasses.replace(good, vectors=(bad_vec,) + good.vectors[1:])
     rep = hwv_verify(bad, evaluate=False)
     assert not rep.ok
     assert any("abs_delta" in f for f in rep.failures)
@@ -114,8 +110,6 @@ def test_hwv_json_shape(small_bases):
 
 def test_verify_accepts_a_relation_vector(small_bases, session_cache):
     # a relation evaluates to zero; that is not a failed check
-    import dataclasses
-
     from traceforge.relfinder import relation_space, verify_zero_abs
 
     good = small_bases[(7, 5)]
@@ -130,8 +124,6 @@ def test_verify_accepts_a_relation_vector(small_bases, session_cache):
 
 def test_verify_flags_a_vector_not_killed_on_the_evaluated_side(small_bases, session_cache):
     # lowering a (7,5) vector gives a (6,6) vector that raising does not kill
-    import dataclasses
-
     from traceforge.glcat import abs_delta1
 
     lowered = abs_delta1(small_bases[(7, 5)].vectors[0])

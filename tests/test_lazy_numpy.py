@@ -13,6 +13,9 @@ import sys
 from pathlib import Path
 
 import traceforge
+from traceforge import glcat
+from traceforge.cache import CacheStore
+from traceforge.cli import main
 from traceforge.packedpoly import PackedPoly
 
 SRC = str(Path(traceforge.__file__).resolve().parent.parent)
@@ -100,14 +103,8 @@ def test_import_loads_no_numpy():
 
 
 def test_warm_commands_load_no_numpy(tmp_path):
-    # warm the cache in a fresh process too: this one may have certified the
-    # catalog already, and then stores no verdict in a new cache directory
-    fill = "; ".join(
-        f"assert main({['--cache-dir', str(tmp_path), *args]!r}) == 0"
-        for args in WARM_COMMANDS
-    )
-    proc = python("-c", f"from traceforge.cli import main; {fill}")
-    assert proc.returncode == 0, proc.stderr
+    for args in WARM_COMMANDS:
+        assert main(["--cache-dir", str(tmp_path), *args]) == 0
     for args in WARM_COMMANDS:
         code, _, numpy = cli(tmp_path, *args)
         assert code == 0, args
@@ -132,3 +129,18 @@ def test_first_numpy_use_from_several_threads():
     doc = json.loads(proc.stdout)
     assert doc["alive"] == 0 and doc["errors"] == []
     assert doc["results"] == [want.to_bytes().hex()] * 4
+
+
+def test_every_cache_dir_gets_the_catalog_verdict(tmp_path):
+    # one process on two cache dirs certifies the catalog at most once, and
+    # both stores get the verdict, so a fresh process on either loads no numpy
+    dirs = (tmp_path / "a", tmp_path / "b")
+    for d in dirs:
+        assert main(["--cache-dir", str(d), "relations", "--lambda", "7,5"]) == 0
+    digest = glcat._catalog_digest(glcat._build_modules())
+    for d in dirs:
+        verdict = CacheStore(d).get_json(f"catalog-cert:{digest}")
+        assert verdict == {"ok": True, "digest": digest}, d
+    code, doc, numpy = cli(dirs[1], "relations", "--lambda", "7,5")
+    assert code == 0 and doc["from_cache"] is True
+    assert numpy == []

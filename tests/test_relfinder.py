@@ -266,6 +266,13 @@ def test_relation_space_cache_round_trip(cache):
     assert [v for v in again.relvectors] == [v for v in first.relvectors]
 
 
+def test_relation_space_summary_is_versioned(cache, s66):
+    digest = relfinder.catalog_digest(cache)
+    summary = cache.store.get_json(f"relspace:v2:6,6:{digest}")
+    assert set(summary) == {"lambda", "zeta", "digest"}
+    assert cache.store.get_json(f"relspace:6,6:{digest}") is None
+
+
 def test_new_relations_degree12(cache):
     rep = new_relations(12, cache=cache)
     by_lam = {tuple(item.lam): item for item in rep.items}
