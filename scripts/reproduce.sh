@@ -5,9 +5,10 @@
 # zero trace-monomial products.  The second pass must do no fresh work: the
 # script fails unless it reports zero word evaluations, trace-monomial and
 # generator-monomial products, and zero cache misses, corrupt entries and
-# writes.  Then a warm `mult`, `relations` (for a degree-12 and a degree-13
-# weight), `leading` and `new` must not import numpy: they build no array, and
-# the script fails if any one of them loads it.
+# writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
+# degree-13 weight), `verify`, `leading` and `new` must not import numpy: they
+# build no array (hwv and verify read their stored verdicts), and the script
+# fails if any one of them loads it.
 # It runs the package from the checkout it lives in; no install is needed.
 set -euo pipefail
 
@@ -52,8 +53,10 @@ numpy_free() {
     fi
 }
 numpy_free mult --lambda 7,5
+numpy_free hwv --lambda 7,5
 numpy_free relations --lambda 7,5
 numpy_free relations --lambda 8,5
+numpy_free verify --file "$SRC/traceforge/data/v75.phi"
 numpy_free leading --degree 12
 numpy_free new --degree 12
-echo "warm mult, relations, leading and new imported no numpy"
+echo "warm mult, hwv, relations, verify, leading and new imported no numpy"

@@ -6,6 +6,10 @@ certificates, verification of candidate identities from files, leading
 monomial tables, the old/new split per degree, and a reproduce driver that
 checks every frozen reference table and exits nonzero on any mismatch.
 
+Each subcommand parses its arguments and runs a check on the one cache of
+the process; reproduce runs the same checks against the frozen tables.  The
+hwv and verify checks keep their verdicts in the cache directory.
+
 Configuration comes from flags first, then TRACEFORGE_* environment
 variables, then defaults.  All results are exact; the modular kernel path
 is only an acceleration and is always verified exactly.
@@ -19,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import genmat
@@ -36,6 +41,7 @@ from .hwv import HwvBasis, hwv_basis, hwv_json, hwv_verify
 from .phiparse import PhiParseError, parse_phi
 from .relfinder import (
     LAMBDAS_BY_DEGREE,
+    RELSPACE_SCHEMA,
     leading_analysis,
     membership,
     new_relations,
@@ -117,7 +123,9 @@ class Config:
     degree_cap: int
     fmt: str
 
-    def make_cache(self) -> genmat.EvalCache:
+    @cached_property
+    def cache(self) -> genmat.EvalCache:
+        """The one evaluation cache of the process, built on first use."""
         return genmat.EvalCache(CacheStore(self.cache_dir))
 
 
@@ -125,22 +133,27 @@ def _env(name: str) -> str | None:
     return os.environ.get("TRACEFORGE_" + name)
 
 
+def _int_env(name: str, default: int) -> int:
+    text = _env(name)
+    try:
+        return default if text is None else int(text)
+    except ValueError:
+        raise SystemExit(f"bad TRACEFORGE_{name} {text!r} (expected an integer)")
+
+
 def build_config(args: argparse.Namespace) -> Config:
     def arg(name):
         return getattr(args, name, None)
 
     cache_dir = arg("cache_dir") or _env("CACHE_DIR") or "./.tracecache"
-    threads = arg("threads") if arg("threads") is not None else _env("THREADS")
-    degree_cap = (
-        arg("degree_cap") if arg("degree_cap") is not None else _env("DEGREE_CAP")
-    )
+    threads, degree_cap = arg("threads"), arg("degree_cap")
     fmt = arg("format") or _env("FORMAT") or "text"
     if fmt not in ("json", "text"):
         raise SystemExit(f"unknown format {fmt!r} (expected json or text)")
     return Config(
         cache_dir=Path(cache_dir),
-        threads=int(threads) if threads is not None else 1,
-        degree_cap=int(degree_cap) if degree_cap is not None else 14,
+        threads=_int_env("THREADS", 1) if threads is None else threads,
+        degree_cap=_int_env("DEGREE_CAP", 14) if degree_cap is None else degree_cap,
         fmt=fmt,
     )
 
@@ -159,6 +172,14 @@ def parse_lambda(text: str, cap: int) -> Partition:
     return lam
 
 
+def parse_degree(degree: int, cap: int) -> int:
+    if degree not in LAMBDAS_BY_DEGREE:
+        raise SystemExit(f"no relation tables for degree {degree}")
+    if degree > cap:
+        raise SystemExit(f"degree {degree} exceeds the cap {cap}")
+    return degree
+
+
 def emit(payload: dict, lines: list[str], cfg: Config) -> None:
     if cfg.fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -168,11 +189,50 @@ def emit(payload: dict, lines: list[str], cfg: Config) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns (payload, text lines, ok).
+# Checks.  Each takes the cache and parsed inputs and returns (payload, text
+# lines, ok); the subcommands and reproduce share them.
+
+Result = tuple[dict, list[str], bool]
+
+# versions of the stored hwv and verify verdicts; a verdict of another check
+# or shape must not be read under the same key
+HWV_CHECK_SCHEMA = 3
+VERIFY_CHECK_SCHEMA = 1
 
 
-def cmd_catalog(cfg: Config, args) -> tuple[dict, list[str], bool]:
-    cache = cfg.make_cache()
+def stored_verdict(store: CacheStore | None, key: str, compute) -> dict:
+    """The JSON verdict stored under key.  On a miss compute() gives it, and
+    it is stored whatever it says: the key holds everything that determines
+    the verdict, so a failure is as final as a pass."""
+    verdict = store.get_json(key) if store is not None else None
+    if not isinstance(verdict, dict):
+        verdict = compute()
+        if store is not None:
+            store.put_json(key, verdict)
+    return verdict
+
+
+def hwv_verdict_key(basis: HwvBasis, cache: genmat.EvalCache) -> str:
+    """Cache key of the hwv_verify verdict for a basis: the check schema,
+    the weight, the digest of the catalog certified on the cache and a
+    digest of the basis itself."""
+    lam = basis.lam
+    basis_digest = digest_text(json.dumps(hwv_json(basis), sort_keys=True))
+    return (
+        f"hwvcheck:v{HWV_CHECK_SCHEMA}:{lam.l1},{lam.l2}:"
+        f"{catalog_digest(cache)}:{basis_digest}"
+    )
+
+
+def verify_verdict_key(text: str, trace: bool, cache: genmat.EvalCache) -> str:
+    """Cache key of the verify verdict for a file text (not its path).  A
+    phi candidate goes through the catalog and a relation space, so its key
+    holds their digest and schema; a trace expression is evaluated as is."""
+    context = "trace" if trace else f"phi:{catalog_digest(cache)}:{RELSPACE_SCHEMA}"
+    return f"verifycheck:v{VERIFY_CHECK_SCHEMA}:{context}:{digest_text(text)}"
+
+
+def catalog_check(cache: genmat.EvalCache) -> Result:
     catalog(cache)
     payload = catalog_json()
     audit = generator_degree_audit()
@@ -193,8 +253,7 @@ def cmd_catalog(cfg: Config, args) -> tuple[dict, list[str], bool]:
     return payload, lines, ok
 
 
-def cmd_mult(cfg: Config, args) -> tuple[dict, list[str], bool]:
-    lam = parse_lambda(args.lam, cfg.degree_cap)
+def mult_check(lam: Partition) -> Result:
     P = hilbert_coeff(lam)
     Q = hilbert_coeff(Partition(lam.l1 + 1, lam.l2 - 1)) if lam.l2 else 0
     m = multiplicity(lam)
@@ -203,38 +262,43 @@ def cmd_mult(cfg: Config, args) -> tuple[dict, list[str], bool]:
     return payload, lines, True
 
 
-def cmd_hwv(cfg: Config, args) -> tuple[dict, list[str], bool]:
-    lam = parse_lambda(args.lam, cfg.degree_cap)
-    cache = cfg.make_cache()
-    basis = hwv_basis(lam, threads=cfg.threads)
-    report = hwv_verify(basis, evaluate=not args.no_eval, cache=cache)
+def hwv_check(
+    cache: genmat.EvalCache, lam: Partition, evaluate: bool = True, threads: int = 1
+) -> Result:
+    """The basis of weight lam and its hwv_verify verdict; a verdict with the
+    evaluation checks is stored under hwv_verdict_key."""
+    basis = hwv_basis(lam, threads=threads)
+
+    def verify() -> dict:
+        rep = hwv_verify(basis, evaluate=evaluate, cache=cache)
+        return {"ok": rep.ok, "failures": list(rep.failures)}
+
+    if evaluate:
+        verdict = stored_verdict(cache.store, hwv_verdict_key(basis, cache), verify)
+    else:
+        verdict = verify()
+    ok, failures = verdict["ok"], verdict["failures"]
     payload = hwv_json(basis)
-    payload["verified"] = report.ok
-    payload["failures"] = list(report.failures)
+    payload["verified"] = ok
+    payload["failures"] = failures
     lines = [
         f"lambda=({lam.l1},{lam.l2})  P={basis.P}  Q={basis.Q}"
         f"  rank={basis.alpha_rank}  s={basis.s}",
-        f"verified: {report.ok}"
-        + (f"  failures: {report.failures}" if report.failures else ""),
+        f"verified: {ok}" + (f"  failures: {tuple(failures)}" if failures else ""),
     ]
-    return payload, lines, report.ok
+    return payload, lines, ok
 
 
-def cmd_relations(cfg: Config, args) -> tuple[dict, list[str], bool]:
-    lam = parse_lambda(args.lam, cfg.degree_cap)
-    cache = cfg.make_cache()
-    space = relation_space(
-        lam,
-        mode=args.mode,
-        cache=cache,
-        threads=cfg.threads,
-    )
+def relations_check(
+    cache: genmat.EvalCache, lam: Partition, mode: str, threads: int = 1
+) -> Result:
+    space = relation_space(lam, mode=mode, cache=cache, threads=threads)
     cert_keys = write_certificates(space, cache.store)
     rep = leading_analysis(space)
     payload = {
         "lambda": [lam.l1, lam.l2],
         "r": space.r,
-        "mode": args.mode,
+        "mode": mode,
         "from_cache": space.from_cache,
         "zeta": [
             [f"{x.numerator}/{x.denominator}" for x in z] for z in space.zeta
@@ -243,7 +307,7 @@ def cmd_relations(cfg: Config, args) -> tuple[dict, list[str], bool]:
         "certificates": cert_keys,
     }
     lines = [
-        f"lambda=({lam.l1},{lam.l2})  r={space.r}  mode={args.mode}"
+        f"lambda=({lam.l1},{lam.l2})  r={space.r}  mode={mode}"
         f"  cached={space.from_cache}",
         f"leading monomials: {', '.join(rep.names) if rep.names else '(none)'}",
         f"certificates written: {len(cert_keys)}",
@@ -251,99 +315,84 @@ def cmd_relations(cfg: Config, args) -> tuple[dict, list[str], bool]:
     return payload, lines, True
 
 
-def cmd_verify(cfg: Config, args) -> tuple[dict, list[str], bool]:
-    grammar = "trace" if args.trace else "phi"
+_KNOWN_LAMBDAS = {tuple(l) for ls in LAMBDAS_BY_DEGREE.values() for l in ls}
+
+
+def verify_check(
+    cache: genmat.EvalCache, name: str, text: str, trace: bool = False, threads: int = 1
+) -> Result:
+    """Does the candidate in text, named name in the output, evaluate to
+    zero, and does it lie in the relation space of its weight?  The verdict
+    is stored under verify_verdict_key."""
+    grammar = "trace" if trace else "phi"
     try:
-        text = Path(args.file).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit(f"cannot read {args.file}: {exc}")
-    try:
-        parsed = parse_trace(text) if args.trace else parse_phi(text)
+        parsed = parse_trace(text) if trace else parse_phi(text)
     except (PhiParseError, TraceParseError, TracelessViolation) as exc:
-        raise SystemExit(f"bad {grammar} file {args.file}: {exc}")
-    cache = cfg.make_cache()
-    member = None
-    lam = None
-    if args.trace:
-        zrep = verify_zero(parsed, cache)
-    else:
-        try:
-            lam = parsed.bidegree()
-        except NotHomogeneous:
-            pass
-        zrep = verify_zero_abs(parsed, cache)
-        known = {tuple(l) for ls in LAMBDAS_BY_DEGREE.values() for l in ls}
-        if lam in known:
-            space = relation_space(
-                Partition(*lam),
-                mode="modular",
-                cache=cache,
-                threads=cfg.threads,
-            )
-            member = membership(parsed, space)
-    ok = zrep.zero and member in (True, None)
-    payload = {
-        "file": args.file,
-        "grammar": grammar,
-        "zero": zrep.zero,
-        "residual_terms": zrep.residual_terms,
-        "residual_sample": [list(t) for t in zrep.residual_sample],
-        "residual_digest": zrep.digest,
-        "membership": member,
-        "lambda": list(lam) if lam else None,
-    }
+        raise SystemExit(f"bad {grammar} file {name}: {exc}")
+
+    def evaluate() -> dict:
+        member = None
+        lam = None
+        if trace:
+            zrep = verify_zero(parsed, cache)
+        else:
+            try:
+                lam = parsed.bidegree()
+            except NotHomogeneous:
+                pass
+            zrep = verify_zero_abs(parsed, cache)
+            if lam in _KNOWN_LAMBDAS:
+                space = relation_space(
+                    Partition(*lam), mode="modular", cache=cache, threads=threads
+                )
+                member = membership(parsed, space)
+        return {
+            "grammar": grammar,
+            "zero": zrep.zero,
+            "residual_terms": zrep.residual_terms,
+            "residual_sample": [list(t) for t in zrep.residual_sample],
+            "residual_digest": zrep.digest,
+            "membership": member,
+            "lambda": list(lam) if lam else None,
+        }
+
+    verdict = stored_verdict(cache.store, verify_verdict_key(text, trace, cache), evaluate)
+    payload = {"file": name, **verdict}
+    zero, member = verdict["zero"], verdict["membership"]
     lines = [
-        f"file: {args.file}  grammar: {grammar}",
-        f"evaluates to zero: {zrep.zero}"
-        + ("" if zrep.zero else f"  (residual terms: {zrep.residual_terms})"),
+        f"file: {name}  grammar: {grammar}",
+        f"evaluates to zero: {zero}"
+        + ("" if zero else f"  (residual terms: {verdict['residual_terms']})"),
     ]
     if member is not None:
         lines.append(f"membership in the relation space: {member}")
-    if not zrep.zero and zrep.residual_sample:
+    if not zero and verdict["residual_sample"]:
         lines.append("residual sample:")
-        for mono, c in zrep.residual_sample:
+        for mono, c in verdict["residual_sample"]:
             lines.append(f"  {c} * [{mono}]")
-    return payload, lines, ok
+    return payload, lines, zero and member in (True, None)
 
 
-def _spaces_for_degree(degree: int, cfg: Config, cache) -> list:
-    if degree not in LAMBDAS_BY_DEGREE:
-        raise SystemExit(f"no relation tables for degree {degree}")
-    if degree > cfg.degree_cap:
-        raise SystemExit(f"degree {degree} exceeds the cap {cfg.degree_cap}")
-    return [
-        relation_space(
-            lam,
-            mode="modular",
-            cache=cache,
-            threads=cfg.threads,
-        )
+def leading_check(cache: genmat.EvalCache, degree: int, threads: int = 1) -> Result:
+    spaces = [
+        relation_space(lam, mode="modular", cache=cache, threads=threads)
         for lam in LAMBDAS_BY_DEGREE[degree]
     ]
-
-
-def cmd_leading(cfg: Config, args) -> tuple[dict, list[str], bool]:
-    cache = cfg.make_cache()
-    spaces = _spaces_for_degree(args.degree, cfg, cache)
     rep = leading_analysis(spaces)
-    ok = set(rep.names) == set(EXPECTED_LEADING[args.degree])
+    ok = set(rep.names) == set(EXPECTED_LEADING[degree])
     payload = {
-        "degree": args.degree,
+        "degree": degree,
         "count": len(rep.entries),
         "entries": [
-            {
-                "bidegree": list(e.bidegree),
-                "monomial": e.name,
-                "source": [e.source_lambda.l1, e.source_lambda.l2],
-                "vector": e.source_vector,
-                "orbit_j": e.orbit_j,
-            }
+            {"bidegree": list(e.bidegree), "monomial": e.name,
+             "source": [e.source_lambda.l1, e.source_lambda.l2],
+             "vector": e.source_vector, "orbit_j": e.orbit_j}
             for e in rep.entries
         ],
         "absorbed": len(rep.absorbed),
         "matches_reference": ok,
     }
-    lines = [f"degree {args.degree}: {len(rep.entries)} leading monomials, "
+    lines = [f"degree {degree}: {len(rep.entries)} leading monomials, "
              f"{len(rep.absorbed)} orbit vectors absorbed"]
     for e in rep.entries:
         lines.append(
@@ -354,32 +403,20 @@ def cmd_leading(cfg: Config, args) -> tuple[dict, list[str], bool]:
     return payload, lines, ok
 
 
-def cmd_new(cfg: Config, args) -> tuple[dict, list[str], bool]:
-    cache = cfg.make_cache()
-    if args.degree not in LAMBDAS_BY_DEGREE:
-        raise SystemExit(f"no relation tables for degree {args.degree}")
-    if args.degree > cfg.degree_cap:
-        raise SystemExit(f"degree {args.degree} exceeds the cap {cfg.degree_cap}")
-    rep = new_relations(
-        args.degree, mode="modular", cache=cache, threads=cfg.threads
-    )
+def new_check(cache: genmat.EvalCache, degree: int, threads: int = 1) -> Result:
+    rep = new_relations(degree, mode="modular", cache=cache, threads=threads)
     got = {tuple(i.lam): (i.old, i.new) for i in rep.items}
-    ok = got == EXPECTED_NEW[args.degree]
+    ok = got == EXPECTED_NEW[degree]
     payload = {
-        "degree": args.degree,
+        "degree": degree,
         "items": [
-            {
-                "lambda": [i.lam.l1, i.lam.l2],
-                "r": i.r,
-                "old": i.old,
-                "new": i.new,
-            }
+            {"lambda": [i.lam.l1, i.lam.l2], "r": i.r, "old": i.old, "new": i.new}
             for i in rep.items
         ],
         "decomposition": rep.decomposition,
         "matches_reference": ok,
     }
-    lines = [f"degree {args.degree}:"]
+    lines = [f"degree {degree}:"]
     for i in rep.items:
         lines.append(
             f"  W({i.lam.l1},{i.lam.l2}): r={i.r}  from lower degrees={i.old}"
@@ -390,37 +427,63 @@ def cmd_new(cfg: Config, args) -> tuple[dict, list[str], bool]:
     return payload, lines, ok
 
 
+# ---------------------------------------------------------------------------
+# Subcommands: parse the arguments, then run the check on the one cache.
+
+
+def cmd_catalog(cfg: Config, args) -> Result:
+    return catalog_check(cfg.cache)
+
+
+def cmd_mult(cfg: Config, args) -> Result:
+    return mult_check(parse_lambda(args.lam, cfg.degree_cap))
+
+
+def cmd_hwv(cfg: Config, args) -> Result:
+    lam = parse_lambda(args.lam, cfg.degree_cap)
+    return hwv_check(cfg.cache, lam, evaluate=not args.no_eval, threads=cfg.threads)
+
+
+def cmd_relations(cfg: Config, args) -> Result:
+    lam = parse_lambda(args.lam, cfg.degree_cap)
+    return relations_check(cfg.cache, lam, args.mode, threads=cfg.threads)
+
+
+def cmd_verify(cfg: Config, args) -> Result:
+    try:
+        text = Path(args.file).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"cannot read {args.file}: {exc}")
+    return verify_check(cfg.cache, args.file, text, trace=args.trace, threads=cfg.threads)
+
+
+def cmd_leading(cfg: Config, args) -> Result:
+    degree = parse_degree(args.degree, cfg.degree_cap)
+    return leading_check(cfg.cache, degree, threads=cfg.threads)
+
+
+def cmd_new(cfg: Config, args) -> Result:
+    degree = parse_degree(args.degree, cfg.degree_cap)
+    return new_check(cfg.cache, degree, threads=cfg.threads)
+
+
 def _bundled_text(name: str) -> str:
     from importlib import resources
 
-    return (
-        resources.files("traceforge").joinpath("data", name).read_text()
-    )
+    return resources.files("traceforge").joinpath("data", name).read_text()
 
 
-# version of the hwv_verify check; a new check must not reuse old verdicts
-HWV_CHECK_SCHEMA = 2
+def _lam_key(lam) -> str:
+    return f"{lam[0]},{lam[1]}"
 
 
-def hwv_verdict_key(basis: HwvBasis) -> str:
-    """Cache key of the hwv_verify verdict for a basis: the check schema,
-    the weight, the catalog digest and a digest of the basis itself."""
-    lam = basis.lam
-    basis_digest = digest_text(json.dumps(hwv_json(basis), sort_keys=True))
-    return (
-        f"hwvcheck:v{HWV_CHECK_SCHEMA}:{lam.l1},{lam.l2}:"
-        f"{catalog_digest()}:{basis_digest}"
-    )
-
-
-def cmd_reproduce(cfg: Config, args) -> tuple[dict, list[str], bool]:
-    cache = cfg.make_cache()
-    store = cache.store
+def cmd_reproduce(cfg: Config, args) -> Result:
+    cache, threads = cfg.cache, cfg.threads
     tables: dict[str, dict] = {}
     lines: list[str] = []
     last = time.perf_counter()
 
-    def record(name: str, ok: bool, detail: dict, line: str) -> None:
+    def record(name: str, ok: bool, line: str, **detail) -> None:
         # seconds: wall time of this table, since the previous one was recorded
         nonlocal last
         now = time.perf_counter()
@@ -428,158 +491,83 @@ def cmd_reproduce(cfg: Config, args) -> tuple[dict, list[str], bool]:
         last = now
         lines.append(("[PASS] " if ok else "[FAIL] ") + line)
 
+    def rows_ok(rows: dict) -> bool:
+        return all(row["ok"] for row in rows.values())
+
     # 1. catalog certification and generator degree audit
-    catalog(cache)
-    audit = generator_degree_audit()
-    record(
-        "catalog",
-        audit == EXPECTED_DEGREE_AUDIT,
-        {"degree_audit": {str(k): v for k, v in audit.items()}},
-        "catalog certified; generator degree audit "
-        + " ".join(f"{d}:{n}" for d, n in sorted(audit.items())),
-    )
+    doc, _, ok = catalog_check(cache)
+    audit = doc["degree_audit"]
+    counts = " ".join(f"{d}:{n}" for d, n in audit.items())
+    record("catalog", ok, f"catalog certified; generator degree audit {counts}",
+           degree_audit=audit)
 
     # 2. Hilbert table
-    got_h = {}
-    for lam_t in EXPECTED_HILBERT:
-        lam = Partition(*lam_t)
-        P = hilbert_coeff(lam)
-        Q = hilbert_coeff(Partition(lam.l1 + 1, lam.l2 - 1))
-        got_h[lam_t] = (P, Q, multiplicity(lam))
-    record(
-        "hilbert",
-        got_h == EXPECTED_HILBERT,
-        {"rows": {f"{k[0]},{k[1]}": list(v) for k, v in got_h.items()}},
-        "multiplicity table (P, Q, m) for all seven weights",
-    )
+    got = {}
+    for lam in EXPECTED_HILBERT:
+        doc, _, _ = mult_check(Partition(*lam))
+        got[lam] = (doc["P"], doc["Q"], doc["m"])
+    record("hilbert", got == EXPECTED_HILBERT,
+           "multiplicity table (P, Q, m) for all seven weights",
+           rows={_lam_key(k): list(v) for k, v in got.items()})
 
-    # 3. highest weight bases, verified by evaluation (verdict cached)
-    hwv_ok = True
-    hwv_rows = {}
-    for lam_t, (P, Q, m) in EXPECTED_HILBERT.items():
-        lam = Partition(*lam_t)
-        basis = hwv_basis(lam, threads=cfg.threads)
-        row_ok = basis.alpha_rank == Q and basis.s == m and basis.P == P
-        vkey = hwv_verdict_key(basis)
-        verdict = store.get_json(vkey) if store else None
-        if row_ok and not (isinstance(verdict, dict) and verdict.get("ok")):
-            rep = hwv_verify(basis, evaluate=True, cache=cache)
-            row_ok = rep.ok
-            if rep.ok and store:
-                store.put_json(vkey, {"ok": True})
-        hwv_rows[f"{lam_t[0]},{lam_t[1]}"] = {
-            "rank": basis.alpha_rank,
-            "s": basis.s,
-            "ok": row_ok,
-        }
-        hwv_ok = hwv_ok and row_ok
-    record(
-        "hwv",
-        hwv_ok,
-        {"rows": hwv_rows},
-        "highest weight bases: rank = Q and s = m for all seven weights",
-    )
+    # 3. highest weight bases, verified by evaluation
+    rows = {}
+    for lam, want in EXPECTED_HILBERT.items():
+        doc, _, ok = hwv_check(cache, Partition(*lam), threads=threads)
+        P, rank, s = doc["P"], doc["alpha_rank"], doc["s"]
+        rows[_lam_key(lam)] = {"rank": rank, "s": s, "ok": ok and (P, rank, s) == want}
+    record("hwv", rows_ok(rows),
+           "highest weight bases: rank = Q and s = m for all seven weights", rows=rows)
 
     # 4. relation spaces and certificates
-    spaces = {}
-    rel_rows = {}
-    rel_ok = True
-    for lam_t, r_expect in EXPECTED_R.items():
-        lam = Partition(*lam_t)
+    rows = {}
+    for lam, r in EXPECTED_R.items():
         space = relation_space(
-            lam,
-            mode="modular",
-            cache=cache,
-            threads=cfg.threads,
+            Partition(*lam), mode="modular", cache=cache, threads=threads
         )
-        spaces[lam_t] = space
-        if store:
-            write_certificates(space, store)
-        rel_rows[f"{lam_t[0]},{lam_t[1]}"] = {
-            "r": space.r,
-            "expected": r_expect,
-            "from_cache": space.from_cache,
-        }
-        rel_ok = rel_ok and space.r == r_expect
-    record(
-        "relations",
-        rel_ok,
-        {"rows": rel_rows},
-        "relation multiplicities r for all seven weights",
-    )
+        write_certificates(space, cache.store)
+        rows[_lam_key(lam)] = {"r": space.r, "expected": r, "from_cache": space.from_cache}
+    record("relations", all(row["r"] == row["expected"] for row in rows.values()),
+           "relation multiplicities r for all seven weights", rows=rows)
 
     # 5. leading monomial tables per degree
-    lead_ok = True
-    lead_rows = {}
-    for degree, lams in LAMBDAS_BY_DEGREE.items():
-        rep = leading_analysis([spaces[tuple(l)] for l in lams])
-        ok = set(rep.names) == set(EXPECTED_LEADING[degree])
-        lead_rows[str(degree)] = {
-            "count": len(rep.entries),
-            "names": sorted(rep.names),
-            "ok": ok,
-        }
-        lead_ok = lead_ok and ok
-    record(
-        "leading",
-        lead_ok,
-        {"rows": lead_rows},
-        "leading monomial staircases at degrees 12, 13, 14 (5, 8, 15 entries)",
-    )
+    rows = {}
+    for degree in LAMBDAS_BY_DEGREE:
+        doc, _, ok = leading_check(cache, degree, threads=threads)
+        names = sorted(e["monomial"] for e in doc["entries"])
+        rows[str(degree)] = {"count": doc["count"], "names": names, "ok": ok}
+    record("leading", rows_ok(rows),
+           "leading monomial staircases at degrees 12, 13, 14 (5, 8, 15 entries)",
+           rows=rows)
 
     # 6. old/new split per degree
-    new_ok = True
-    new_rows = {}
+    rows = {}
     for degree in LAMBDAS_BY_DEGREE:
-        rep = new_relations(
-            degree, mode="modular", cache=cache, threads=cfg.threads
-        )
-        got = {tuple(i.lam): (i.old, i.new) for i in rep.items}
-        ok = got == EXPECTED_NEW[degree]
-        new_rows[str(degree)] = {
-            "items": {
-                f"{k[0]},{k[1]}": list(v) for k, v in got.items()
-            },
-            "decomposition": rep.decomposition,
-            "ok": ok,
+        doc, _, ok = new_check(cache, degree, threads=threads)
+        items = {_lam_key(i["lambda"]): [i["old"], i["new"]] for i in doc["items"]}
+        rows[str(degree)] = {
+            "items": items, "decomposition": doc["decomposition"], "ok": ok
         }
-        new_ok = new_ok and ok
-    record(
-        "new",
-        new_ok,
-        {"rows": new_rows},
-        "split of relations into consequences and new generators per degree",
-    )
+    record("new", rows_ok(rows),
+           "split of relations into consequences and new generators per degree",
+           rows=rows)
 
-    # 7. bundled candidate files (verdicts cached by content digest)
+    # 7. bundled candidate files, each at the weight it must verify against
+    rows = {}
     bundle_ok = True
-    bundle_rows = {}
-    for name, lam_t in BUNDLED_FILES:
-        text = _bundled_text(name)
-        fkey = (
-            f"filecheck:{name}:{digest_text(text)}:{catalog_digest()}"
-        )
-        verdict = store.get_json(fkey) if store else None
-        if not isinstance(verdict, dict):
-            cand = parse_phi(text)
-            zrep = verify_zero_abs(cand, cache)
-            member = membership(cand, spaces[lam_t])
-            verdict = {"zero": zrep.zero, "member": member}
-            if store and zrep.zero and member:
-                store.put_json(fkey, verdict)
-        ok = verdict["zero"] and verdict["member"]
-        bundle_rows[name] = {**verdict, "lambda": list(lam_t)}
-        bundle_ok = bundle_ok and ok
-    record(
-        "bundled",
-        bundle_ok,
-        {"rows": bundle_rows},
-        "bundled relation files evaluate to zero and lie in the "
-        "computed relation spaces",
-    )
+    for name, lam in BUNDLED_FILES:
+        doc, _, ok = verify_check(cache, name, _bundled_text(name), threads=threads)
+        rows[name] = {
+            "zero": doc["zero"], "member": doc["membership"], "lambda": doc["lambda"]
+        }
+        bundle_ok = bundle_ok and ok and doc["lambda"] == list(lam)
+    record("bundled", bundle_ok,
+           "bundled relation files evaluate to zero and lie in the "
+           "computed relation spaces", rows=rows)
 
     all_ok = all(t["ok"] for t in tables.values())
     # fresh work (evaluations, products, cache misses and writes) and reuse
+    store = cache.store
     stats = {
         "word_evals": cache.stats.word_evals,
         "mono_products": cache.stats.mono_products,

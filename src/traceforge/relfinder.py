@@ -127,6 +127,7 @@ class RelationSpace:
     basis: HwvBasis
     zeta: tuple[tuple[Fraction, ...], ...]
     relvectors: tuple[AbsPoly, ...]
+    catalog_digest: str  # of the certified catalog the space was computed from
     from_cache: bool = False
 
     @property
@@ -238,11 +239,12 @@ def relation_space(
     lam = Partition.of(*lam)
     cache = cache or genmat.default_cache()
     store = cache.store
-    key = f"relspace:v{RELSPACE_SCHEMA}:{lam.l1},{lam.l2}:{catalog_digest(cache)}"
+    digest = catalog_digest(cache)
+    key = f"relspace:v{RELSPACE_SCHEMA}:{lam.l1},{lam.l2}:{digest}"
     if use_cache and store is not None:
         summary = store.get_json(key)
         if isinstance(summary, dict):
-            loaded = _load_space(lam, summary, threads)
+            loaded = _load_space(lam, summary, digest, threads)
             if loaded is not None:
                 return loaded
     basis = hwv_basis(lam, threads=threads)
@@ -262,7 +264,7 @@ def relation_space(
         if not v.is_zero() and v.bidegree() != (lam.l1, lam.l2):
             raise AssertionError("relation vector has wrong bidegree")
         relvectors.append(v)
-    space = RelationSpace(lam, basis, tuple(zeta), tuple(relvectors))
+    space = RelationSpace(lam, basis, tuple(zeta), tuple(relvectors), digest)
     if store is not None:
         store.put_json(
             key,
@@ -277,7 +279,9 @@ def relation_space(
     return space
 
 
-def _load_space(lam: Partition, summary: dict, threads: int) -> RelationSpace | None:
+def _load_space(
+    lam: Partition, summary: dict, catalog: str, threads: int
+) -> RelationSpace | None:
     try:
         zeta = tuple(
             tuple(Fraction(x) for x in z) for z in summary["zeta"]
@@ -291,7 +295,7 @@ def _load_space(lam: Partition, summary: dict, threads: int) -> RelationSpace | 
     relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
     if _space_digest(relvectors) != digest:
         return None
-    return RelationSpace(lam, basis, zeta, relvectors, from_cache=True)
+    return RelationSpace(lam, basis, zeta, relvectors, catalog, from_cache=True)
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +564,13 @@ def build_certificate(space: RelationSpace, index: int) -> RelationCertificate:
 def write_certificates(space: RelationSpace, store) -> list[str]:
     """Store one JSON certificate per relation vector; returns cache keys.
 
-    A certificate already stored with the same content is not written
+    The keys hold the digest of the catalog the space was computed from.  A
+    certificate already stored with the same content is not written
     again."""
-    digest = catalog_digest()
     keys = []
     for i in range(space.r):
         cert = build_certificate(space, i).to_json()
-        key = f"relcert:{space.lam.l1},{space.lam.l2}:{i}:{digest}"
+        key = f"relcert:{space.lam.l1},{space.lam.l2}:{i}:{space.catalog_digest}"
         if store.get_json(key) != cert:
             store.put_json(key, cert)
         keys.append(key)

@@ -3,10 +3,17 @@
 import importlib.resources as ir
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import traceforge
+from traceforge.cache import CacheStore
 from traceforge.cli import main
+
+SRC = str(Path(traceforge.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -211,7 +218,7 @@ def test_reproduce_idempotent(capsys, tmp_path):
     assert all(table["seconds"] >= 0 for table in doc["tables"].values())
 
 
-def test_hwv_verdict_key_tracks_the_basis():
+def test_hwv_verdict_key_tracks_the_basis(session_cache):
     import dataclasses
 
     from traceforge.cli import HWV_CHECK_SCHEMA, hwv_verdict_key
@@ -219,12 +226,104 @@ def test_hwv_verdict_key_tracks_the_basis():
     from traceforge.hwv import hwv_basis
 
     basis = hwv_basis(Partition(7, 5))
-    key = hwv_verdict_key(basis)
+    key = hwv_verdict_key(basis, session_cache)
     assert key.startswith(f"hwvcheck:v{HWV_CHECK_SCHEMA}:7,5:")
-    assert hwv_verdict_key(hwv_basis(Partition(7, 5))) == key
+    assert hwv_verdict_key(hwv_basis(Partition(7, 5)), session_cache) == key
     scaled = dataclasses.replace(
         basis, vectors=(basis.vectors[0].scale(2),) + basis.vectors[1:]
     )
-    assert hwv_verdict_key(scaled) != key
+    assert hwv_verdict_key(scaled, session_cache) != key
     dropped = dataclasses.replace(basis, vectors=basis.vectors[1:])
-    assert hwv_verdict_key(dropped) != key
+    assert hwv_verdict_key(dropped, session_cache) != key
+
+
+@pytest.mark.parametrize("name", ["THREADS", "DEGREE_CAP"])
+def test_bad_integer_environment_value_is_a_one_line_error(monkeypatch, name):
+    monkeypatch.setenv(f"TRACEFORGE_{name}", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["mult", "--lambda", "7,5"])
+    msg = exc.value.code
+    assert isinstance(msg, str) and f"TRACEFORGE_{name}" in msg and "'abc'" in msg
+    assert "\n" not in msg
+
+
+def perturbed(text: str) -> str:
+    # a relation plus a generator monomial of its weight: nonzero, no relation
+    return text.rstrip() + "\n+ 3*16*(x1*y3 - y1*x3)^2*x3^2*t7^3\n"
+
+
+def test_warm_hwv_and_verify_reuse_their_verdicts(tmp_path):
+    # a second cache on the same dir answers from the stored verdicts: no
+    # word evaluation, no product, and the payloads and lines of the first
+    from traceforge.cli import hwv_check, verify_check
+    from traceforge.genmat import EvalCache
+    from traceforge.glcat import Partition
+
+    v75 = (ir.files("traceforge") / "data" / "v75.phi").read_text()
+    checks = [
+        lambda cache: hwv_check(cache, Partition(7, 5)),
+        lambda cache: verify_check(cache, "v75.phi", v75),
+        lambda cache: verify_check(cache, "nonzero.phi", perturbed(v75)),
+        lambda cache: verify_check(cache, "zero.trace", "tr(xxy) - tr(yxx)", trace=True),
+    ]
+    cold_cache = EvalCache(CacheStore(tmp_path))
+    cold = [check(cold_cache) for check in checks]
+    assert [ok for _, _, ok in cold] == [True, True, False, True]
+    nonzero = cold[2][0]
+    assert nonzero["residual_terms"] > 0 and nonzero["membership"] is False
+    assert len(nonzero["residual_sample"]) == 10 and nonzero["residual_digest"]
+    assert cold_cache.stats.gen_products > 0
+    warm_cache = EvalCache(CacheStore(tmp_path))
+    assert [check(warm_cache) for check in checks] == cold
+    assert warm_cache.stats.gen_products == 0
+    assert warm_cache.stats.word_evals == 0
+    assert warm_cache.stats.mono_products == 0
+
+
+def test_verify_verdict_is_keyed_on_grammar_and_text(tmp_path):
+    from traceforge.cli import verify_check, verify_verdict_key
+    from traceforge.genmat import EvalCache
+
+    cache = EvalCache(CacheStore(tmp_path))
+    v75 = (ir.files("traceforge") / "data" / "v75.phi").read_text()
+    assert verify_check(cache, "v75.phi", v75)[2]
+    assert verify_verdict_key(v75, True, cache) != verify_verdict_key(v75, False, cache)
+    # under the other grammar the text is parsed, and fails, again
+    with pytest.raises(SystemExit) as exc:
+        verify_check(cache, "v75.phi", v75, trace=True)
+    assert exc.value.code.startswith("bad trace file v75.phi: ")
+    # an edited file is evaluated again
+    doc, _, ok = verify_check(cache, "v75.phi", perturbed(v75))
+    assert not ok and doc["zero"] is False and doc["membership"] is False
+
+
+# builds the hwv verdict key, then a relation space and its certificates, on a
+# cache over the dir in argv[1]; prints the word evaluations of every cache
+KEY_PROBE = """
+import json, sys
+from traceforge import genmat
+from traceforge.cache import CacheStore
+from traceforge.cli import hwv_verdict_key
+from traceforge.glcat import Partition
+from traceforge.hwv import hwv_basis
+from traceforge.relfinder import relation_space, write_certificates
+
+cache = genmat.EvalCache(CacheStore(sys.argv[1]))
+hwv_verdict_key(hwv_basis(Partition(7, 5)), cache)
+write_certificates(relation_space(Partition(7, 5), cache=cache), cache.store)
+print(json.dumps([cache.stats.word_evals, genmat.default_cache().stats.word_evals]))
+"""
+
+
+def test_keys_on_a_filled_dir_certify_nothing(tmp_path):
+    # the catalog verdict is read from the caller's store, never certified
+    # again on the storeless default cache
+    assert main(["--cache-dir", str(tmp_path), "relations", "--lambda", "7,5"]) == 0
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TRACEFORGE_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", KEY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0]

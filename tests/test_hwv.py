@@ -78,13 +78,6 @@ def test_verify_report_exact_only(small_bases):
     assert rep.checked_by_eval == 0
 
 
-def test_verify_report_with_evaluation(small_bases, session_cache):
-    rep = hwv_verify(small_bases[(7, 5)], evaluate=True, sample=3, cache=session_cache)
-    assert rep.ok
-    assert rep.checked_by_eval == 3
-    assert rep.failures == ()
-
-
 def test_verify_flags_a_broken_basis(small_bases):
     good = small_bases[(7, 5)]
     # swap in a vector that is not a highest weight vector
