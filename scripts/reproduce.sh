@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Recompute every frozen reference table twice against one cache directory.
 # The first pass must multiply no word traces (highest weight bases are
-# verified through generator monomials): the script fails unless it reports
-# zero trace-monomial products.  The second pass must do no fresh work: the
+# verified on the columns of the coefficient matrix that the relation spaces
+# solve, summed from generator-monomial products): the script fails unless it
+# reports zero trace-monomial products.  The second pass must do no fresh work: the
 # script fails unless it reports zero word evaluations, trace-monomial and
 # generator-monomial products, and zero cache misses, corrupt entries and
 # writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
 # degree-13 weight), `verify`, `leading` and `new` must not import numpy: they
 # build no array (hwv and verify read their stored verdicts), and the script
-# fails if any one of them loads it.
+# fails if any one of them loads it.  Last, a `verify` of a candidate and an
+# `hwv --degree-cap 16 --lambda 8,8` beyond the packed evaluation capacity must
+# exit nonzero with one line on stderr and no traceback.
 # It runs the package from the checkout it lives in; no install is needed.
 set -euo pipefail
 
@@ -60,3 +63,23 @@ numpy_free verify --file "$SRC/traceforge/data/v75.phi"
 numpy_free leading --degree 12
 numpy_free new --degree 12
 echo "warm mult, hwv, relations, verify, leading and new imported no numpy"
+
+# beyond the packed capacity, evaluation fails with a one-line error
+one_line_error() {
+    local err
+    if err="$(traceforge --cache-dir "$CACHE" "$@" 2>&1 >/dev/null)"; then
+        echo "FAIL: '$*' exited 0 beyond the packed capacity" >&2
+        exit 1
+    fi
+    if [[ -z "$err" || "$(wc -l <<<"$err")" -ne 1 ]] || grep -q Traceback <<<"$err"; then
+        echo "FAIL: '$*' did not fail with one stderr line:" >&2
+        echo "$err" >&2
+        exit 1
+    fi
+}
+BIG="$(mktemp)"
+trap 'rm -f "$BIG"' EXIT
+printf 't4^2*t4^2*t4^2*t4^2\n' >"$BIG"  # bidegree (8,8)
+one_line_error verify --file "$BIG"
+one_line_error --degree-cap 16 hwv --lambda 8,8
+echo "verify and hwv beyond the packed capacity fail with one stderr line"

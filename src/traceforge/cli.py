@@ -38,6 +38,7 @@ from .glcat import (
     multiplicity,
 )
 from .hwv import HwvBasis, hwv_basis, hwv_json, hwv_verify
+from .packedpoly import PackedCapacityError
 from .phiparse import PhiParseError, parse_phi
 from .relfinder import (
     LAMBDAS_BY_DEGREE,
@@ -196,7 +197,7 @@ Result = tuple[dict, list[str], bool]
 
 # versions of the stored hwv and verify verdicts; a verdict of another check
 # or shape must not be read under the same key
-HWV_CHECK_SCHEMA = 3
+HWV_CHECK_SCHEMA = 4
 VERIFY_CHECK_SCHEMA = 1
 
 
@@ -655,7 +656,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     cfg = build_config(args)
-    payload, lines, ok = args.func(cfg, args)
+    try:
+        payload, lines, ok = args.func(cfg, args)
+    except PackedCapacityError as exc:
+        raise SystemExit(f"{args.command}: beyond the packed evaluation capacity: {exc}")
     emit(payload, lines, cfg)
     return 0 if ok else 1
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .cache import CacheStore
 from .packedpoly import (
@@ -300,13 +299,14 @@ def eval_trace_expr_packed(e: TraceExpr, cache: EvalCache | None = None) -> Pack
     )
 
 
-# -- the raising maps on the evaluated side ---------------------------------
+# -- the raising map on the evaluated side ----------------------------------
 #
 # Substituting y -> y + t x changes only the diagonal entries y_ii (i <= 3)
 # to y_ii + t x_ii: x is diagonal and y44 = -(y11 + y22 + y33) shifts by
 # x44 = -(x11 + x22 + x33) consistently.  Differentiating at t = 0 gives
-# eval(delta e) = D eval(e) with D = sum_{i<=3} x_ii d/dy_ii, and t = 1 gives
-# eval(subst_h e) = exp(D) eval(e), a finite sum because D is nilpotent.
+# eval(delta e) = D eval(e) with D = sum_{i<=3} x_ii d/dy_ii.  At t = 1,
+# y -> x + y acts as exp(D); D^k moves bidegree (l1, l2) to (l1 + k, l2 - k),
+# so exp(D) fixes an evaluation exactly when D kills it.
 
 _RAISE_PAIRS = tuple(
     (VARSET18.index(f"y{i}{i}"), VARSET18.index(f"x{i}{i}")) for i in (1, 2, 3)
@@ -316,18 +316,6 @@ _RAISE_PAIRS = tuple(
 def eval_delta(p: PackedPoly) -> PackedPoly:
     """D p, so that eval_delta(eval(e)) == eval(delta(e))."""
     return derivation(p, _RAISE_PAIRS)
-
-
-def eval_subst_h(p: PackedPoly) -> PackedPoly:
-    """exp(D) p, so that eval_subst_h(eval(e)) == eval(subst_h(e))."""
-    pairs = [(p, Fraction(1))]
-    term, k = p, 1
-    while True:
-        term = eval_delta(term)
-        if term.is_zero():
-            return sum_scaled(pairs)
-        pairs.append((term, Fraction(1, factorial(k))))
-        k += 1
 
 
 def literal_word_trace(w: Word) -> CommPoly:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import genmat
 from .cache import digest_text
-from .packedpoly import NVARS, PackedPoly, sum_scaled
+from .packedpoly import NVARS, PackedPoly
 from .polyring import BiSeries, Rational
 from .tracelang import (
     NcPoly,
@@ -472,12 +472,6 @@ def eval_abs_monomial(
             cache.stats.gen_products += 1
         cache._abs_monos[mono] = out
     return out
-
-
-def eval_abs_poly(p: AbsPoly, cache: genmat.EvalCache | None = None) -> PackedPoly:
-    """Packed evaluation of phi(p).  Evaluation is a ring homomorphism, so
-    this sums the generator-monomial evaluations and never expands phi(p)."""
-    return sum_scaled((eval_abs_monomial(m, cache), c) for m, c in p.terms.items())
 
 
 # ---------------------------------------------------------------------------

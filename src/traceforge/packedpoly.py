@@ -93,6 +93,14 @@ def unpack_keys(keys: np.ndarray) -> np.ndarray:
     return out
 
 
+def _key_degrees(keys: np.ndarray) -> tuple[int, int]:
+    """Largest x degree and largest y degree among the monomials of keys."""
+    exps = unpack_keys(keys)
+    xdeg = exps[:, :NX].sum(axis=1).max(initial=0)
+    ydeg = exps[:, NX:].sum(axis=1).max(initial=0)
+    return int(xdeg), int(ydeg)
+
+
 def _as_coeffs(values, big: bool) -> np.ndarray:
     if big:
         return np.array(values, dtype=object)
@@ -245,10 +253,16 @@ class PackedPoly:
             raise ValueError("zero coefficient")
         if _den_gcd(coeffs, den) != 1:
             raise ValueError("content and denominator are not coprime")
-        exps = unpack_keys(keys)
-        xdeg = int(exps[:, :NX].sum(axis=1).max()) if nnz else 0
-        ydeg = int(exps[:, NX:].sum(axis=1).max()) if nnz else 0
-        return cls(keys, coeffs, den, xdeg, ydeg)
+        return cls(keys, coeffs, den, *_key_degrees(keys))
+
+    @classmethod
+    def from_column(cls, keys: np.ndarray, column: np.ndarray, den: int) -> "PackedPoly":
+        """column / den, where column[k] is the integer coefficient at the
+        strictly ascending keys[k].  Zero entries are dropped, and xdeg and
+        ydeg are read from the keys that remain."""
+        nz = np.flatnonzero(column)
+        keys = keys[nz]
+        return _normalize(keys, column[nz], den, *_key_degrees(keys))
 
     # -- queries ------------------------------------------------------------
 

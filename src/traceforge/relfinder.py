@@ -36,13 +36,13 @@ from .glcat import (
     bidegree_monomials,
     catalog_digest,
     eval_abs_monomial,
-    eval_abs_poly,
     gen_by_modj,
     mono_name,
     phi,
 )
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
 from .nullspace import null_stream
+from .packedpoly import PackedPoly
 from .polyring import CommPoly, poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
 
@@ -162,25 +162,23 @@ def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _assemble_matrix(
-    basis: HwvBasis, cache: genmat.EvalCache | None
-) -> tuple[np.ndarray, list[int]]:
-    """Coefficient matrix of the evaluated highest weight vectors.
+    polys: Sequence[AbsPoly], cache: genmat.EvalCache | None
+) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The one evaluator of generator polynomials.
 
-    Returns (M, colscale): M has one row per monomial of the 18-variable
-    evaluation at which some evaluated basis vector is nonzero, in key order,
-    and one integer column per basis vector; the true evaluation of basis
-    vector i is column i divided by colscale[i].  Only the monomials that
-    occur in some basis vector are evaluated; the others would only add
-    all-zero rows, and so would the keys at which every column cancels.
+    Returns (M, colscale, keys): M has one integer column per polynomial and
+    one row per packed key of the 18-variable evaluation, ascending, at which
+    some column is nonzero.  Column i divided by colscale[i] is the
+    evaluation of phi(polys[i]), summed from the generator-monomial
+    evaluations memoized on the cache; phi is never expanded.
     """
-    used = {m for v in basis.vectors for m in v.terms}
-    evals = {m: eval_abs_monomial(m, cache) for m in basis.monomials if m in used}
+    used = dict.fromkeys(m for v in polys for m in v.terms)
+    evals = {m: eval_abs_monomial(m, cache) for m in used}
     all_keys = _sorted_union(e.keys for e in evals.values())
     pos = {m: np.searchsorted(all_keys, e.keys) for m, e in evals.items()}
-    s = basis.s
     columns: list[np.ndarray] = []
     colscale: list[int] = []
-    for v in basis.vectors:
+    for v in polys:
         L = lcm(*(c.denominator for c in v.terms.values()))
         D = lcm(*(evals[m].den for m in v.terms))
         bound = 0
@@ -201,10 +199,10 @@ def _assemble_matrix(
         nonzero |= col != 0
     rows = np.flatnonzero(nonzero)
     dtype = object if any(c.dtype == object for c in columns) else np.int64
-    M = np.empty((len(rows), s), dtype=dtype)
+    M = np.empty((len(rows), len(columns)), dtype=dtype)
     for i, col in enumerate(columns):
         M[:, i] = col[rows]
-    return M, colscale
+    return M, colscale, all_keys[rows]
 
 
 def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> AbsPoly:
@@ -248,7 +246,7 @@ def relation_space(
             if loaded is not None:
                 return loaded
     basis = hwv_basis(lam, threads=threads)
-    M, colscale = _assemble_matrix(basis, cache)
+    M, colscale, _ = _assemble_matrix(basis.vectors, cache)
     nb = null_stream([M], basis.s, mode=mode)
     zeta = []
     relvectors = []
@@ -334,8 +332,11 @@ def verify_zero(e: TraceExpr, cache: genmat.EvalCache | None = None) -> ZeroRepo
 
 
 def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
-    """Same as verify_zero but straight from an AbsPoly (packed path)."""
-    return ZeroReport.of(eval_abs_poly(p, cache).to_comm(genmat.VARSET18))
+    """Same as verify_zero but straight from an AbsPoly: the evaluation is
+    the one column of the matrix _assemble_matrix builds for p."""
+    M, colscale, keys = _assemble_matrix([p], cache)
+    ev = PackedPoly.from_column(keys, M[:, 0], colscale[0])
+    return ZeroReport.of(ev.to_comm(genmat.VARSET18))
 
 
 def membership(candidate: AbsPoly, space: RelationSpace) -> bool:
@@ -564,14 +565,20 @@ def build_certificate(space: RelationSpace, index: int) -> RelationCertificate:
 def write_certificates(space: RelationSpace, store) -> list[str]:
     """Store one JSON certificate per relation vector; returns cache keys.
 
-    The keys hold the digest of the catalog the space was computed from.  A
-    certificate already stored with the same content is not written
-    again."""
+    A key holds everything its certificate is built from: the weight, the
+    index, the catalog digest, RELSPACE_SCHEMA and a digest of the zeta and
+    relation vectors.  A certificate is built and written only when its key
+    misses."""
+    lam = space.lam
     keys = []
-    for i in range(space.r):
-        cert = build_certificate(space, i).to_json()
-        key = f"relcert:{space.lam.l1},{space.lam.l2}:{i}:{space.catalog_digest}"
-        if store.get_json(key) != cert:
-            store.put_json(key, cert)
+    for i, (z, v) in enumerate(zip(space.zeta, space.relvectors)):
+        zeta = ",".join(f"{x.numerator}/{x.denominator}" for x in z)
+        content = digest_text(f"{zeta};{abs_poly_text(v)}")
+        key = (
+            f"relcert:v1:{lam.l1},{lam.l2}:{i}:{space.catalog_digest}:"
+            f"{RELSPACE_SCHEMA}:{content}"
+        )
+        if not isinstance(store.get_json(key), dict):
+            store.put_json(key, build_certificate(space, i).to_json())
         keys.append(key)
     return keys

@@ -297,6 +297,43 @@ def test_verify_verdict_is_keyed_on_grammar_and_text(tmp_path):
     assert not ok and doc["zero"] is False and doc["membership"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--file", "BIG"],
+        ["--degree-cap", "16", "hwv", "--lambda", "8,8"],
+        ["--degree-cap", "16", "relations", "--lambda", "8,8"],
+    ],
+    ids=["verify", "hwv", "relations"],
+)
+def test_beyond_packed_capacity_is_a_one_line_error(tmp_path, session_cache, argv):
+    # bidegree (8,8): a y degree of 8 does not fit the packed fields
+    from traceforge.glcat import catalog
+
+    big = tmp_path / "big.phi"
+    big.write_text("t4^2*t4^2*t4^2*t4^2")
+    argv = [str(big) if a == "BIG" else a for a in argv]
+    root = session_cache.store.root
+    catalog(session_cache)
+    stored = set(root.glob("*.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", str(root), *argv])
+    msg = exc.value.code
+    command = argv[0] if argv[0] == "verify" else argv[2]
+    assert isinstance(msg, str) and msg.startswith(f"{command}: beyond the packed")
+    assert "\n" not in msg
+    # no verdict, relation space or certificate is stored
+    assert set(root.glob("*.json")) == stored
+
+
+def test_beyond_packed_capacity_without_evaluation(capsys, tmp_path):
+    code, doc = run_json(
+        capsys, "--degree-cap", "16", "hwv", "--lambda", "8,8", "--no-eval",
+        "--cache-dir", str(tmp_path),
+    )
+    assert code == 0 and doc["verified"] is True and doc["s"] == 101
+
+
 # builds the hwv verdict key, then a relation space and its certificates, on a
 # cache over the dir in argv[1]; prints the word evaluations of every cache
 KEY_PROBE = """

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from conftest import one_matrix_kernel
@@ -74,7 +75,7 @@ def test_verify_report_exact_only(small_bases):
     rep = hwv_verify(small_bases[(6, 6)], evaluate=False)
     assert rep.ok
     assert rep.rank_ok and rep.abs_delta_zero
-    assert rep.eval_delta_zero is None and rep.eval_h_fixed is None
+    assert rep.eval_delta_zero is None
     assert rep.checked_by_eval == 0
 
 
@@ -124,23 +125,48 @@ def test_verify_flags_a_vector_not_killed_on_the_evaluated_side(small_bases, ses
     rep = hwv_verify(bad, evaluate=True, cache=session_cache)
     assert not rep.ok
     assert not rep.abs_delta_zero
-    assert rep.eval_delta_zero is False and rep.eval_h_fixed is False
+    assert rep.eval_delta_zero is False
     assert any("raising image" in f for f in rep.failures)
-    assert any("y -> x + y" in f for f in rep.failures)
 
 
 @pytest.mark.parametrize("lam", [(7, 5), (6, 6)])
 def test_generator_route_equals_the_trace_route(small_bases, session_cache, lam):
     # evaluation is a ring homomorphism: expanding phi(v) into trace
-    # monomials, the independent oracle, gives the same polynomial
+    # monomials, the independent oracle, gives the column of v in the
+    # assembled matrix, divided by its scale
     from traceforge.genmat import eval_trace_expr_packed
-    from traceforge.glcat import eval_abs_poly, phi
+    from traceforge.glcat import phi
+    from traceforge.packedpoly import PackedPoly
+    from traceforge.relfinder import _assemble_matrix
 
     vectors = small_bases[lam].vectors
-    for v in (vectors[0], vectors[len(vectors) // 2], vectors[-1]):
-        by_gens = eval_abs_poly(v, session_cache)
+    M, colscale, keys = _assemble_matrix(vectors, session_cache)
+    for i in (0, len(vectors) // 2, len(vectors) - 1):
+        by_gens = PackedPoly.from_column(keys, M[:, i], colscale[i])
         assert not by_gens.is_zero()
-        assert eval_trace_expr_packed(phi(v), session_cache) == by_gens
+        assert eval_trace_expr_packed(phi(vectors[i]), session_cache) == by_gens
+
+
+def test_verify_checks_the_assembled_columns(small_bases, session_cache, monkeypatch):
+    # the evaluated check reads the M that relation_space solves: a fault in
+    # one column of M flags that vector and no other
+    from traceforge import relfinder
+    from traceforge.packedpoly import NX, unpack_keys
+
+    assemble = relfinder._assemble_matrix
+
+    def corrupt(polys, cache):
+        M, colscale, keys = assemble(polys, cache)
+        M = M.copy()
+        # a monomial with a y11 factor, which D does not kill
+        M[np.flatnonzero(unpack_keys(keys)[:, NX])[0], 3] += 1
+        return M, colscale, keys
+
+    monkeypatch.setattr(relfinder, "_assemble_matrix", corrupt)
+    rep = hwv_verify(small_bases[(7, 5)], evaluate=True, cache=session_cache)
+    assert not rep.ok
+    assert rep.rank_ok and rep.abs_delta_zero and rep.eval_delta_zero is False
+    assert rep.failures == ("vector 3: evaluated raising image nonzero",)
 
 
 def test_verification_shares_the_products_of_the_relation_space(small_bases, session_store):

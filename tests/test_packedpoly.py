@@ -1,5 +1,5 @@
 """PackedPoly arithmetic against the CommPoly oracle, and the evaluated-side
-raising maps against evaluation of the trace-level maps."""
+raising map against evaluation of the trace-level map."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,7 +13,6 @@ from traceforge.genmat import (
     VARSET18,
     EvalCache,
     eval_delta,
-    eval_subst_h,
     eval_trace_expr_packed,
 )
 from traceforge.glcat import catalog
@@ -36,7 +35,6 @@ from traceforge.tracelang import (
     delta,
     delta1,
     make_trace_monomial,
-    subst_h,
 )
 
 LIMIT = 1 << 62
@@ -114,6 +112,24 @@ def test_sum_scaled_matches_commpoly(items):
     got = sum_scaled(pairs)
     check_invariants(got)
     assert got.to_comm(VARSET18) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts, term_dicts, st.sampled_from((1, 2, 6, 1 << 40)))
+def test_from_column_reads_a_dense_column(ta, tb, scale):
+    # p as an integer column over a superset of its keys, scaled up: the
+    # zeros are dropped, the scale cancels and the degrees come from the keys
+    p, _ = make(ta)
+    other, _ = make(tb)
+    keys = np.union1d(p.keys, other.keys).astype(np.int64)
+    column = np.zeros(len(keys), dtype=object)
+    column[np.searchsorted(keys, p.keys)] = p.coeffs.astype(object) * scale
+    if max(map(abs, column), default=0) < LIMIT:
+        column = column.astype(np.int64)
+    got = PackedPoly.from_column(keys, column, p.den * scale)
+    check_invariants(got)
+    assert got == p
+    assert (got.xdeg, got.ydeg) == (p.xdeg, p.ydeg)
 
 
 def test_sum_scaled_batches_agree(monkeypatch):
@@ -246,12 +262,11 @@ trace_exprs = st.dictionaries(
 def test_evaluated_maps_match_trace_maps(e):
     ev = eval_trace_expr_packed(e, _CACHE)
     assert eval_delta(ev) == eval_trace_expr_packed(delta(e), _CACHE)
-    assert eval_subst_h(ev) == eval_trace_expr_packed(subst_h(e), _CACHE)
 
 
 def test_evaluated_maps_on_lowered_catalog_vectors():
     # delta1 of a highest weight vector of weight (l1, l2), l1 > l2, is not
-    # highest weight, so both maps act nontrivially
+    # highest weight, so the raising map acts nontrivially
     lowered = 0
     for mod in catalog():
         e = delta1(mod.hwv)
@@ -261,7 +276,6 @@ def test_evaluated_maps_on_lowered_catalog_vectors():
         de = eval_delta(ev)
         assert not de.is_zero()
         assert de == eval_trace_expr_packed(delta(e), _CACHE)
-        assert eval_subst_h(ev) == eval_trace_expr_packed(subst_h(e), _CACHE)
         lowered += 1
     assert lowered >= 6
 
@@ -274,5 +288,3 @@ def test_eval_delta_raises_on_x_field_overflow():
     assert p.keys[0] == pack_exponents(exps)
     with pytest.raises(PackedCapacityError):
         eval_delta(p)
-    with pytest.raises(PackedCapacityError):
-        eval_subst_h(p)

@@ -20,6 +20,7 @@ from traceforge.hwv import hwv_basis
 from traceforge.phiparse import parse_phi
 from traceforge.relfinder import (
     PARAMETER_SPLIT,
+    RELSPACE_SCHEMA,
     RelationSpace,
     build_certificate,
     leading_analysis,
@@ -156,9 +157,8 @@ def test_residual_report_of_a_perturbed_relation(cache):
     data = ir.files("traceforge") / "data"
     m = abs_monomials(Partition(7, 5))[0]
     assert m == (0, 0, 0, 1, 2, 2)
-    bad = parse_phi((data / "v75.phi").read_text()) + AbsPoly.monomial(m).scale(
-        Fraction(1, 3)
-    )
+    v75 = parse_phi((data / "v75.phi").read_text())
+    bad = v75 + AbsPoly.monomial(m).scale(Fraction(1, 3))
     rep = verify_zero_abs(bad, cache)
     assert not rep.zero
     assert rep.residual_terms == 5184
@@ -173,6 +173,9 @@ def test_residual_report_of_a_perturbed_relation(cache):
         "1b008d145c99f792f0ed8d24cc31328c53c431fb49a9be72ef82415db3f7c87a"
     )
     assert verify_zero(phi(bad), cache) == rep
+    # the column route and the trace route agree on a zero candidate too
+    assert verify_zero(phi(v75), cache) == verify_zero_abs(v75, cache)
+    assert verify_zero_abs(v75, cache).zero
 
 
 def test_generator_products_live_on_the_cache(cache):
@@ -241,8 +244,10 @@ ASSEMBLED = {
 @pytest.mark.parametrize("lam", sorted(ASSEMBLED), ids=lambda lam: f"{lam[0]},{lam[1]}")
 def test_assembled_matrix_is_pinned(lam, cache):
     shape, colscale, nonzero_sha = ASSEMBLED[lam]
-    M, got_scale = relfinder._assemble_matrix(hwv_basis(Partition(*lam)), cache)
+    basis = hwv_basis(Partition(*lam))
+    M, got_scale, keys = relfinder._assemble_matrix(basis.vectors, cache)
     assert M.dtype == np.int64 and M.shape == shape
+    assert len(keys) == shape[0] and bool(np.all(keys[1:] > keys[:-1]))
     assert got_scale == colscale
     assert hashlib.sha256(M.tobytes()).hexdigest() == nonzero_sha
     assert hashlib.sha256(M[M.any(axis=1)].tobytes()).hexdigest() == nonzero_sha
@@ -280,7 +285,7 @@ def test_new_relations_degree12(cache):
     assert by_lam[(6, 6)].old == 0 and by_lam[(6, 6)].new == 2
 
 
-def test_certificates(s75, cache):
+def test_certificates(s75, cache, monkeypatch):
     cert = build_certificate(s75, 0)
     doc = cert.to_json()
     assert doc["lambda"] == [7, 5]
@@ -288,7 +293,16 @@ def test_certificates(s75, cache):
     assert doc["leading"] in DEG12_LEADING
     keys = write_certificates(s75, cache.store)
     assert len(keys) == 1
+    assert keys[0].startswith(f"relcert:v1:7,5:0:{s75.catalog_digest}:{RELSPACE_SCHEMA}:")
     assert cache.store.get_json(keys[0]) == doc
+    # a stored certificate is not built or written again
+    def build(*args):
+        raise AssertionError("stored certificate built again")
+
+    monkeypatch.setattr(relfinder, "build_certificate", build)
+    writes = cache.store.stats.writes
+    assert write_certificates(s75, cache.store) == keys
+    assert cache.store.stats.writes == writes
 
 
 def test_new_relations_rejects_unknown_degree(cache):
