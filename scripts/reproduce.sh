@@ -2,11 +2,12 @@
 # Recompute every frozen reference table twice against one cache directory.
 # The first pass must multiply no word traces (highest weight bases are
 # verified on the columns of the coefficient matrix that the relation spaces
-# solve, summed from generator-monomial products): the script fails unless it
-# reports zero trace-monomial products.  The second pass must do no fresh work: the
-# script fails unless it reports zero word evaluations, trace-monomial and
-# generator-monomial products, and zero cache misses, corrupt entries and
-# writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
+# solve, summed from generator-monomial products) and must evaluate each of
+# the 73 catalog words exactly once: the script fails unless it reports zero
+# trace-monomial products and 73 word evaluations.  The second pass must do
+# no fresh work: the script fails unless it reports zero word evaluations,
+# trace-monomial and generator-monomial products, and zero cache misses,
+# corrupt entries and writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
 # degree-13 weight), `verify`, `leading` and `new` must not import numpy: they
 # build no array (hwv and verify read their stored verdicts), and the script
 # fails if any one of them loads it.  Last, a `verify` of a candidate and an
@@ -28,6 +29,10 @@ echo "$out"
 stats="$(grep '^stats:' <<<"$out" || true)"
 if ! grep -Eq "(^| )mono_products=0( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass multiplied word traces (${stats:-no stats line})" >&2
+    exit 1
+fi
+if ! grep -Eq "(^| )word_evals=73( |$)" <<<"$stats"; then
+    echo "FAIL: the cold pass did not evaluate each catalog word once (${stats:-no stats line})" >&2
     exit 1
 fi
 

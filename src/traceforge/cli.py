@@ -30,7 +30,6 @@ from . import genmat
 from .cache import CacheStore, digest_text
 from .glcat import (
     Partition,
-    catalog,
     catalog_digest,
     catalog_json,
     generator_degree_audit,
@@ -234,8 +233,7 @@ def verify_verdict_key(text: str, trace: bool, cache: genmat.EvalCache) -> str:
 
 
 def catalog_check(cache: genmat.EvalCache) -> Result:
-    catalog(cache)
-    payload = catalog_json()
+    payload = catalog_json(cache)
     audit = generator_degree_audit()
     ok = audit == EXPECTED_DEGREE_AUDIT
     payload["degree_audit_ok"] = ok

@@ -7,6 +7,12 @@ polynomials in these 18 variables; two trace expressions agree identically on
 the matrix pair iff their evaluations are equal, which is the semantic
 equality oracle used everywhere else.
 
+A word trace within the packed capacity is evaluated one whole-matrix numpy
+step per letter: every entry of x and y is a sum of variables with
+coefficients +-1, so multiplying a partial product by a letter shifts keys
+and needs no polynomial product (see the comment above _letter_rows).
+Words beyond the capacity go through CommPoly matrix products.
+
 Evaluations are cached per cyclic-canonical word, optionally write-through to
 a disk store, and counted, so reruns can be checked to perform no fresh
 matrix work.
@@ -18,14 +24,20 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._lazy import np
 from .cache import CacheStore
 from .packedpoly import (
+    _COEFF_LIMIT,
+    _KEY_LIMIT,
     NVARS,
+    SHIFTS,
     PackedCapacityError,
     PackedPoly,
     XCAP,
     YCAP,
     derivation,
+    derive_terms,
+    sort_and_sum,
     sum_scaled,
 )
 from .polyring import CommPoly, VarSet, poly_mul
@@ -88,33 +100,65 @@ def build_y() -> GenericMatrix:
     )
 
 
-# -- packed copies of the generic matrices, built once ----------------------
+# -- word traces, one whole-matrix step per letter --------------------------
+#
+# A partial product of letters is one array of terms.  Each term carries the
+# entry (i, j) it sits in as the tag 4 * i + j in the 4 bits above its packed
+# key (every key is below _KEY_LIMIT = 2**57), so the tagged keys sort by
+# entry, then by monomial.  Every entry of x and y is a sum of variables with
+# coefficients +-1, so multiplying by a letter needs no polynomial product:
+# for each term s * v of the letter's entry (k, j), the terms in column k move
+# to (i, j) with their monomial times v, which adds one constant to their
+# tagged keys.  Each move keeps its terms a sorted run; one stable sort of the
+# concatenated runs merges them, and equal keys are summed.
+#
+# The coefficients stay in int64.  A term of the product sums at most one
+# term of the partial product per term in the letter's column j, and no
+# column of x or y holds more than 6 terms, so each letter multiplies the
+# largest coefficient by at most 6, and the trace by at most 4 more.  The
+# identity times the first letter is that letter, with coefficients +-1, and
+# a word within packed capacity has at most XCAP + YCAP = 22 letters, so no
+# coefficient exceeds 4 * 6**21 < 2**62.
 
-_PACKED_MATS: dict[str, list[list[PackedPoly]]] = {}
-_PACKED_LOCK = threading.Lock()
+_TAG_SHIFT = _KEY_LIMIT.bit_length() - 1
+_KEY_MASK = _KEY_LIMIT - 1
+assert 15 << _TAG_SHIFT < 1 << 63
 
 
-def _packed_matrix(letter: str) -> list[list[PackedPoly]]:
-    with _PACKED_LOCK:
-        if letter not in _PACKED_MATS:
-            mat = build_x() if letter == "x" else build_y()
-            _PACKED_MATS[letter] = [
-                [PackedPoly.from_comm(entry) for entry in row] for row in mat
-            ]
-    return _PACKED_MATS[letter]
+def _letter_rows(mat: GenericMatrix) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each row k, the (j, var, sign) of every term sign * var of the
+    entries (k, j)."""
+    rows = []
+    for row in mat:
+        terms = []
+        for j, entry in enumerate(row):
+            for exps, c in entry.terms.items():
+                assert sum(exps) == 1 and abs(c) == 1
+                terms.append((j, exps.index(1), int(c)))
+        rows.append(tuple(terms))
+    return tuple(rows)
 
 
-def _packed_matmul(a, b):
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            acc = PackedPoly.zero()
-            for k in range(4):
-                acc = acc.add(a[i][k].mul(b[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
+_LETTER_ROWS = {"x": _letter_rows(build_x()), "y": _letter_rows(build_y())}
+_MAX_COLUMN_TERMS = max(
+    sum(j == col for row in rows for j, _, _ in row)
+    for rows in _LETTER_ROWS.values()
+    for col in range(4)
+)
+assert 4 * _MAX_COLUMN_TERMS ** (XCAP + YCAP - 1) < _COEFF_LIMIT
+
+
+def _times_letter(keys, coeffs, letter: str):
+    """The tagged terms of the partial product times a generic matrix."""
+    column = (keys >> _TAG_SHIFT) & 3
+    pieces_k, pieces_c = [], []
+    for k, row in enumerate(_LETTER_ROWS[letter]):
+        sel = np.flatnonzero(column == k)
+        keys_k, coeffs_k = keys[sel], coeffs[sel]
+        for j, var, sign in row:
+            pieces_k.append(keys_k + (((j - k) << _TAG_SHIFT) + (1 << SHIFTS[var])))
+            pieces_c.append(coeffs_k if sign > 0 else -coeffs_k)
+    return sort_and_sum(np.concatenate(pieces_k), np.concatenate(pieces_c))
 
 
 def _comm_matmul(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
@@ -173,13 +217,21 @@ def _word_fits_packed(w: Word) -> bool:
 
 
 def _compute_word_packed(w: Word) -> PackedPoly:
-    mat = _packed_matrix(w[0])
-    for ch in w[1:]:
-        mat = _packed_matmul(mat, _packed_matrix(ch))
-    acc = PackedPoly.zero()
-    for i in range(4):
-        acc = acc.add(mat[i][i])
-    return acc
+    """tr(w) of the literal product, one whole-matrix step per letter."""
+    if not _word_fits_packed(w):
+        # a key field would carry into its neighbour
+        raise PackedCapacityError(f"word degree exceeds packed capacity: {w!r}")
+    # the identity: monomial 1 at each diagonal entry
+    keys = np.array([(5 * i) << _TAG_SHIFT for i in range(4)], dtype=np.int64)
+    coeffs = np.ones(4, dtype=np.int64)
+    for ch in w:
+        keys, coeffs = _times_letter(keys, coeffs, ch)
+    tag = keys >> _TAG_SHIFT
+    diag = (tag >> 2) == (tag & 3)
+    keys, coeffs = sort_and_sum(keys[diag] & _KEY_MASK, coeffs[diag])
+    if len(keys) == 0:
+        return PackedPoly.zero()
+    return PackedPoly(keys, coeffs, 1, w.count("x"), w.count("y"))
 
 
 def _compute_word_comm(w: Word) -> CommPoly:
@@ -316,6 +368,14 @@ _RAISE_PAIRS = tuple(
 def eval_delta(p: PackedPoly) -> PackedPoly:
     """D p, so that eval_delta(eval(e)) == eval(delta(e))."""
     return derivation(p, _RAISE_PAIRS)
+
+
+def eval_delta_columns(keys, M):
+    """D applied to every column of the integer matrix M at once, where row
+    r of M holds the coefficients at the packed key keys[r] (ascending).
+    Returns (keys, rows) of the image in the same form, zero rows dropped:
+    column i of the rows is D of column i of M."""
+    return derive_terms(keys, M, _RAISE_PAIRS)
 
 
 def literal_word_trace(w: Word) -> CommPoly:

@@ -418,8 +418,9 @@ def abs_delta1(p: AbsPoly) -> AbsPoly:
     return out
 
 
-def phi_monomial(mono: AbsMonomial) -> TraceExpr:
-    mods = catalog()
+def phi_monomial(mono: AbsMonomial, cache: genmat.EvalCache | None = None) -> TraceExpr:
+    """phi of one generator monomial (see catalog for the cache)."""
+    mods = catalog(cache)
     out = TraceExpr.constant(Fraction(1))
     for gid in mono:
         g = ABS_GENS[gid]
@@ -427,11 +428,14 @@ def phi_monomial(mono: AbsMonomial) -> TraceExpr:
     return out
 
 
-def phi(p: AbsPoly) -> TraceExpr:
-    """The substitution u_{i,j} -> e_j of module i, extended multiplicatively."""
+def phi(p: AbsPoly, cache: genmat.EvalCache | None = None) -> TraceExpr:
+    """The substitution u_{i,j} -> e_j of module i, extended multiplicatively.
+
+    The catalog is certified on the cache (see catalog), so a cache whose
+    store holds the verdict evaluates no word traces."""
     out = TraceExpr.zero()
     for mono, c in p.terms.items():
-        out = out + phi_monomial(mono).scale(c)
+        out = out + phi_monomial(mono, cache).scale(c)
     return out
 
 
@@ -574,8 +578,9 @@ def generator_degree_audit() -> dict[int, int]:
     return dict(sorted(audit.items()))
 
 
-def catalog_json() -> dict:
-    mods = catalog()
+def catalog_json(cache: genmat.EvalCache | None = None) -> dict:
+    """The catalog, its generators and degree audit (see catalog for the cache)."""
+    mods = catalog(cache)
     return {
         "modules": [
             {

@@ -37,7 +37,6 @@ from .glcat import (
 )
 from . import genmat
 from .nullspace import NullBasis, QMatrix, _IntEchelon, null_dense
-from .packedpoly import PackedPoly
 
 
 @dataclass(frozen=True)
@@ -131,15 +130,21 @@ class HwvVerifyReport:
         return self.rank_ok and self.abs_delta_zero and self.eval_delta_zero in (True, None)
 
 
+# entries of M per application of D in hwv_verify; bounds the transient
+# arrays of its sort
+_D_TERMS = 1 << 18
+
+
 def hwv_verify(
     basis: HwvBasis,
     evaluate: bool = True,
     cache: genmat.EvalCache | None = None,
 ) -> HwvVerifyReport:
     """Check a basis: abs_delta kills each vector exactly and, with
-    evaluate, the evaluated raising map genmat.eval_delta kills its
-    evaluation on the generic matrices.  The evaluations are the columns of
-    the matrix that relation_space solves, from relfinder._assemble_matrix.
+    evaluate, the evaluated raising map D kills its evaluation on the
+    generic matrices.  The evaluations are the columns of the matrix that
+    relation_space solves, from relfinder._assemble_matrix, and
+    genmat.eval_delta_columns applies D to a block of columns with one sort.
     A vector that evaluates to zero is a relation and passes.  Raises
     PackedCapacityError where an evaluation exceeds the packed fields."""
     failures: list[str] = []
@@ -155,12 +160,15 @@ def hwv_verify(
     if evaluate:
         from .relfinder import _assemble_matrix  # relfinder imports this module
 
-        M, colscale, keys = _assemble_matrix(basis.vectors, cache)
-        eval_delta_zero = True
-        for i, scale in enumerate(colscale):
-            ev = PackedPoly.from_column(keys, M[:, i], scale)
-            if not genmat.eval_delta(ev).is_zero():
-                eval_delta_zero = False
+        M, _, keys = _assemble_matrix(basis.vectors, cache)
+        step = max(1, _D_TERMS // max(1, len(keys)))
+        flagged = []
+        for start in range(0, M.shape[1], step):
+            _, image = genmat.eval_delta_columns(keys, M[:, start : start + step])
+            flagged.extend((image != 0).any(axis=0).tolist())
+        eval_delta_zero = not any(flagged)
+        for i, bad in enumerate(flagged):
+            if bad:
                 failures.append(f"vector {i}: evaluated raising image nonzero")
     return HwvVerifyReport(
         basis.lam,

@@ -350,16 +350,18 @@ class PackedPoly:
         return _combine(keys, coeffs, a.den * b.den, xdeg, ydeg)
 
 
-def _combine(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: int) -> PackedPoly:
-    """Sort by key, sum duplicates, drop zeros, strip content.
+def sort_and_sum(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort by key, sum the coefficients of equal keys, drop zero sums.
 
+    coeffs holds one coefficient per key, or one row per key (a 2-D array),
+    in which case equal keys sum their rows and all-zero rows are dropped.
     The keys may come in any order, but the callers pass concatenated sorted
     runs, which the stable sort (timsort for int64) merges instead of
     re-sorting.  Duplicates are summed exactly, so the order of ties does
     not matter.
     """
     if len(keys) == 0:
-        return PackedPoly.zero()
+        return keys, coeffs
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     coeffs = coeffs[order]
@@ -367,13 +369,21 @@ def _combine(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: in
     starts[0] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     idx = np.flatnonzero(starts)
-    summed = np.add.reduceat(coeffs, idx)
+    summed = np.add.reduceat(coeffs, idx, axis=0)
     keys = keys[idx]
     nz = summed != 0
+    if nz.ndim == 2:
+        nz = nz.any(axis=1)
     if not nz.all():
         keys = keys[nz]
         summed = summed[nz]
-    return _normalize(keys, summed, den, xdeg, ydeg)
+    return keys, summed
+
+
+def _combine(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: int) -> PackedPoly:
+    """Sort by key, sum duplicates, drop zeros, strip content."""
+    keys, coeffs = sort_and_sum(keys, coeffs)
+    return _normalize(keys, coeffs, den, xdeg, ydeg)
 
 
 def _normalize(keys: np.ndarray, coeffs: np.ndarray, den: int, xdeg: int, ydeg: int) -> PackedPoly:
@@ -445,34 +455,41 @@ def linear_combination(polys: Sequence[PackedPoly], ints: Sequence[int]) -> Pack
     return sum_scaled((p, Fraction(c)) for p, c in zip(polys, ints, strict=True))
 
 
-def derivation(p: PackedPoly, pairs: Sequence[tuple[int, int]]) -> PackedPoly:
-    """Apply sum over (src, dst) of v_dst * d/dv_src, where each pair names a
-    y variable src and an x variable dst by index.
+def derive_terms(
+    keys: np.ndarray, coeffs: np.ndarray, pairs: Sequence[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply sum over (src, dst) of v_dst * d/dv_src to the terms (keys,
+    coeffs), where each pair names a y variable src and an x variable dst by
+    index.  coeffs is 1-D, or 2-D with one row per key and one column per
+    polynomial, so one call applies the derivation to every column.
 
-    Each term is a shift of the packed keys.  Raises PackedCapacityError when
-    an x exponent would overflow its field.
+    Each term is a shift of the packed keys; the result is sorted and summed
+    as by sort_and_sum.  Raises PackedCapacityError when an x exponent would
+    overflow its field.
     """
     if not all(dst < NX <= src for src, dst in pairs):
         raise ValueError("derivation pairs must map a y variable to an x variable")
+    # a y exponent is at most YCAP, and an output term sums at most
+    # len(pairs) shifted input terms
+    if coeffs.dtype != object and _max_abs(coeffs) * YCAP * len(pairs) >= _COEFF_LIMIT:
+        coeffs = coeffs.astype(object)
     keys_out, coeffs_out = [], []
     for src, dst in pairs:
-        exps = (p.keys >> SHIFTS[src]) & MASKS[src]
+        exps = (keys >> SHIFTS[src]) & MASKS[src]
         sel = np.flatnonzero(exps)
         if len(sel) == 0:
             continue
-        keys = p.keys[sel]
-        if np.any(((keys >> SHIFTS[dst]) & XCAP) == XCAP):
+        shifted = keys[sel]
+        if np.any(((shifted >> SHIFTS[dst]) & XCAP) == XCAP):
             raise PackedCapacityError(f"x exponent of variable {dst} would exceed {XCAP}")
-        keys_out.append(keys - (1 << SHIFTS[src]) + (1 << SHIFTS[dst]))
-        coeffs_out.append((p.coeffs[sel], exps[sel]))
+        keys_out.append(shifted - (1 << SHIFTS[src]) + (1 << SHIFTS[dst]))
+        coeffs_out.append(coeffs[sel] * (exps[sel] if coeffs.ndim == 1 else exps[sel, None]))
     if not keys_out:
-        return PackedPoly.zero()
-    # a y exponent is at most YCAP, and an output term sums at most
-    # len(pairs) shifted input terms
-    big = p.is_big() or p.bound * YCAP * len(pairs) >= _COEFF_LIMIT
-    coeffs = np.concatenate(
-        [(c.astype(object) if big else c) * e for c, e in coeffs_out]
-    )
-    return _combine(
-        np.concatenate(keys_out), coeffs, p.den, p.xdeg + 1, max(p.ydeg - 1, 0)
-    )
+        return keys[:0], coeffs[:0]
+    return sort_and_sum(np.concatenate(keys_out), np.concatenate(coeffs_out))
+
+
+def derivation(p: PackedPoly, pairs: Sequence[tuple[int, int]]) -> PackedPoly:
+    """Apply sum over (src, dst) of v_dst * d/dv_src to p (see derive_terms)."""
+    keys, coeffs = derive_terms(p.keys, p.coeffs, pairs)
+    return _normalize(keys, coeffs, p.den, p.xdeg + 1, max(p.ydeg - 1, 0))

@@ -1,16 +1,20 @@
 """Generic-matrix evaluation: tracelessness, path agreement, caching."""
 
+import hashlib
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 import pytest
 
 from traceforge.cache import CacheStore
 from traceforge.genmat import (
     VARSET18,
     EvalCache,
+    _compute_word_comm,
+    _compute_word_packed,
     build_x,
     build_y,
     eval_trace_expr,
@@ -18,7 +22,7 @@ from traceforge.genmat import (
     literal_word_trace,
     word_trace_packed,
 )
-from traceforge.packedpoly import XCAP
+from traceforge.packedpoly import PackedCapacityError, XCAP, YCAP
 from traceforge.polyring import CommPoly
 from traceforge.tracelang import parse_trace
 
@@ -66,9 +70,64 @@ def test_literal_equals_canonical_path(w):
 
 
 def test_packed_and_generic_paths_agree():
+    # the whole-matrix packed steps against CommPoly products of build_x()
+    # and build_y(), including three catalog words of length 9 and 10
     cache = EvalCache()
-    for w in ("xy", "xxyy", "xyxyxy", "yyx"):
-        assert word_trace_packed(w, cache).to_comm(VARSET18) == literal_word_trace(w)
+    for w in ("xy", "xxyy", "xyxyxy", "yyx", "xxxxxyxyy", "xxyxxyxyy", "xxxyxyxyyy"):
+        assert word_trace_packed(w, cache).to_comm(VARSET18) == _compute_word_comm(w), w
+
+
+# the cyclic-canonical words whose traces the catalog certification
+# evaluates, sorted
+CATALOG_WORDS = (
+    "xx xxx xxxx xxxxxyxyy xxxxxyyxy xxxxyxxyy xxxxyxyy xxxxyy xxxxyyxxy "
+    "xxxxyyxy xxxy xxxyxxyxy xxxyxxyy xxxyxy xxxyxyxxy xxxyxyxyyy xxxyxyy "
+    "xxxyxyyxyy xxxyy xxxyyxxy xxxyyxxyyy xxxyyxy xxxyyxyyxy xxxyyyxxyy "
+    "xxxyyyxyxy xxy xxyxxy xxyxxyxyy xxyxxyxyyy xxyxxyyxy xxyxxyyyxy xxyxy "
+    "xxyxyxyxyy xxyxyxyy xxyxyxyyxy xxyxyy xxyxyyxxyy xxyxyyxy xxyxyyxyxy "
+    "xxyxyyxyy xxyxyyy xxyxyyyy xxyxyyyyy xxyy xxyyxxyy xxyyxxyyxy xxyyxy "
+    "xxyyxyxy xxyyxyxyxy xxyyxyyxy xxyyxyyy xxyyxyyyy xxyyy xxyyyxy xxyyyxyy "
+    "xxyyyy xxyyyyxy xxyyyyxyy xxyyyyyxy xy xyxy xyxyxy xyxyxyxy xyxyy "
+    "xyxyyxyyy xyxyyy xyxyyyxyy xyy xyyxyy xyyy yy yyy yyyy"
+).split()
+
+# sha256 over to_bytes() of the traces of CATALOG_WORDS, in that order, as
+# computed by the entry-by-entry PackedPoly products that the whole-matrix
+# steps replaced
+CATALOG_WORDS_SHA256 = "7b6b7f8819a593138420c24aa2136be86e32cc342ed7e6fa19222eb27cb7d9ed"
+
+
+def test_catalog_word_traces_are_pinned():
+    from traceforge import glcat
+
+    cache = EvalCache()
+    glcat._certify(glcat._build_modules(), cache)
+    assert sorted(cache._words) == list(CATALOG_WORDS)
+    assert cache.stats.word_evals == len(CATALOG_WORDS) == 73
+    h = hashlib.sha256()
+    for w in CATALOG_WORDS:
+        h.update(cache._words[w].to_bytes())
+    assert h.hexdigest() == CATALOG_WORDS_SHA256
+
+
+@pytest.mark.extended
+def test_catalog_words_agree_with_the_generic_path():
+    cache = EvalCache()
+    for w in CATALOG_WORDS:
+        assert word_trace_packed(w, cache).to_comm(VARSET18) == _compute_word_comm(w), w
+
+
+def test_largest_packed_word_stays_int64():
+    # each letter multiplies the largest coefficient by at most the number of
+    # terms in a column of x or y, and the trace by at most 4 more
+    w = "x" * XCAP + "y" * YCAP
+    p = _compute_word_packed(w)
+    assert p.coeffs.dtype == np.int64 and not p.is_big()
+    assert p.den == 1 and (p.xdeg, p.ydeg) == (XCAP, YCAP)
+    assert 0 < p.bound <= 4 * 6 ** (XCAP + YCAP - 1) < 1 << 62
+    # one letter more and an x exponent would carry out of its field
+    with pytest.raises(PackedCapacityError):
+        _compute_word_packed("x" + w)
 
 
 def test_generic_fallback_beyond_packed_capacity():

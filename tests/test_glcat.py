@@ -189,7 +189,54 @@ def test_schur_character():
 
 def test_phi_respects_bidegree(session_cache):
     p = AbsPoly.gen(5, 0) * AbsPoly.gen(4, 0)
-    e = phi(p)
+    e = phi(p, session_cache)
     ev = eval_trace_expr(e, session_cache)
     assert not ev.is_zero()
     assert bidegree(e) == (3 + 2, 2 + 2)
+
+
+# a fresh process whose first catalog use is phi, phi_monomial or
+# catalog_json, on a cache dir that holds the catalog verdict
+PHI_PROBE = """
+import json, sys
+from traceforge import genmat
+from traceforge.cache import CacheStore
+from traceforge.glcat import AbsPoly, catalog_json, phi, phi_monomial
+
+cache = genmat.EvalCache(CacheStore(sys.argv[2]))
+call = sys.argv[1]
+if call == "phi":
+    phi(AbsPoly.gen(5, 0), cache)
+elif call == "phi_monomial":
+    phi_monomial((0, 1), cache)
+else:
+    catalog_json(cache)
+print(json.dumps({
+    "default": genmat.default_cache().stats.word_evals,
+    "cache": cache.stats.word_evals,
+}))
+"""
+
+
+def test_phi_reads_the_catalog_verdict_of_its_cache(tmp_path):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from traceforge import catalog
+    from traceforge.cache import CacheStore
+
+    store_dir = tmp_path / "c"
+    catalog(EvalCache(CacheStore(store_dir)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TRACEFORGE_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for call in ("phi", "phi_monomial", "catalog_json"):
+        proc = subprocess.run(
+            [sys.executable, "-c", PHI_PROBE, call, str(store_dir)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"default": 0, "cache": 0}, call

@@ -1,6 +1,7 @@
 """Highest weight vector bases of the bidegree slices."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -149,24 +150,27 @@ def test_generator_route_equals_the_trace_route(small_bases, session_cache, lam)
 
 def test_verify_checks_the_assembled_columns(small_bases, session_cache, monkeypatch):
     # the evaluated check reads the M that relation_space solves: a fault in
-    # one column of M flags that vector and no other
-    from traceforge import relfinder
+    # one column of M flags that vector and no other, whether D is applied
+    # to blocks of columns or to one column at a time
+    from traceforge import hwv, relfinder
     from traceforge.packedpoly import NX, unpack_keys
 
     assemble = relfinder._assemble_matrix
+    for d_terms, column in itertools.product((hwv._D_TERMS, 1), (3, 35)):
 
-    def corrupt(polys, cache):
-        M, colscale, keys = assemble(polys, cache)
-        M = M.copy()
-        # a monomial with a y11 factor, which D does not kill
-        M[np.flatnonzero(unpack_keys(keys)[:, NX])[0], 3] += 1
-        return M, colscale, keys
+        def corrupt(polys, cache):
+            M, colscale, keys = assemble(polys, cache)
+            M = M.copy()
+            # a monomial with a y11 factor, which D does not kill
+            M[np.flatnonzero(unpack_keys(keys)[:, NX])[0], column] += 1
+            return M, colscale, keys
 
-    monkeypatch.setattr(relfinder, "_assemble_matrix", corrupt)
-    rep = hwv_verify(small_bases[(7, 5)], evaluate=True, cache=session_cache)
-    assert not rep.ok
-    assert rep.rank_ok and rep.abs_delta_zero and rep.eval_delta_zero is False
-    assert rep.failures == ("vector 3: evaluated raising image nonzero",)
+        monkeypatch.setattr(relfinder, "_assemble_matrix", corrupt)
+        monkeypatch.setattr(hwv, "_D_TERMS", d_terms)
+        rep = hwv_verify(small_bases[(7, 5)], evaluate=True, cache=session_cache)
+        assert not rep.ok
+        assert rep.rank_ok and rep.abs_delta_zero and rep.eval_delta_zero is False
+        assert rep.failures == (f"vector {column}: evaluated raising image nonzero",)
 
 
 def test_verification_shares_the_products_of_the_relation_space(small_bases, session_store):
