@@ -4,7 +4,9 @@
 # verified on the columns of the coefficient matrix that the relation spaces
 # solve, summed from generator-monomial products) and must evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
-# trace-monomial products and 73 word evaluations.  The second pass must do
+# trace-monomial products and 73 word evaluations.  It must also compute each
+# needed generator-monomial product exactly once, however many threads share
+# them: the script fails unless it reports 2044 of them.  The second pass must do
 # no fresh work: the script fails unless it reports zero word evaluations,
 # trace-monomial and generator-monomial products, and zero cache misses,
 # corrupt entries and writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
@@ -33,6 +35,10 @@ if ! grep -Eq "(^| )mono_products=0( |$)" <<<"$stats"; then
 fi
 if ! grep -Eq "(^| )word_evals=73( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass did not evaluate each catalog word once (${stats:-no stats line})" >&2
+    exit 1
+fi
+if ! grep -Eq "(^| )gen_products=2044( |$)" <<<"$stats"; then
+    echo "FAIL: the cold pass did not make the 2044 generator-monomial products (${stats:-no stats line})" >&2
     exit 1
 fi
 

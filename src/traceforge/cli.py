@@ -593,7 +593,11 @@ def make_parser() -> argparse.ArgumentParser:
     S = argparse.SUPPRESS
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--cache-dir", default=S, help="cache directory (default ./.tracecache)")
-    shared.add_argument("--threads", type=int, default=S, help="worker threads for block computations")
+    shared.add_argument(
+        "--threads", type=int, default=S,
+        help="worker threads for the blocks of a highest weight basis; generator-monomial "
+        "products use up to 4 of the machine's cores whatever this says",
+    )
     shared.add_argument("--degree-cap", type=int, default=S, help="largest total degree allowed (default 14)")
     shared.add_argument("--format", choices=["json", "text"], default=S, help="output format")
 

@@ -188,7 +188,7 @@ class EvalCache:
     Thread-safe with last-writer-wins semantics; an optional CacheStore gives
     persistence for word evaluations.  Besides the trace words it holds the
     generator evaluations and generator-monomial products that
-    glcat.eval_abs_monomial fills, so every memo lives exactly as long as the
+    glcat.eval_abs_monomials fills, so every memo lives exactly as long as the
     cache that was passed in.  Products of word traces are not kept:
     eval_trace_expr shares prefixes within one call only.
     """

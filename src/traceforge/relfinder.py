@@ -35,7 +35,8 @@ from .glcat import (
     abs_poly_text,
     bidegree_monomials,
     catalog_digest,
-    eval_abs_monomial,
+    eval_abs_monomial,  # unused here; bench/tracer.py wraps relfinder.eval_abs_monomial
+    eval_abs_monomials,
     gen_by_modj,
     mono_name,
     phi,
@@ -170,39 +171,42 @@ def _assemble_matrix(
     one row per packed key of the 18-variable evaluation, ascending, at which
     some column is nonzero.  Column i divided by colscale[i] is the
     evaluation of phi(polys[i]), summed from the generator-monomial
-    evaluations memoized on the cache; phi is never expanded.
+    evaluations memoized on the cache; phi is never expanded.  The
+    evaluations come from glcat.eval_abs_monomials, which spreads the
+    products over the machine's cores.  M is filled one monomial at a time:
+    each evaluation is placed once and added, scaled, into every column
+    that uses it.  M has object dtype when the bound of some column reaches
+    2^62, else int64.
     """
     used = dict.fromkeys(m for v in polys for m in v.terms)
-    evals = {m: eval_abs_monomial(m, cache) for m in used}
+    evals = dict(zip(used, eval_abs_monomials(used, cache)))
     all_keys = _sorted_union(e.keys for e in evals.values())
-    pos = {m: np.searchsorted(all_keys, e.keys) for m, e in evals.items()}
-    columns: list[np.ndarray] = []
+    # uses[m]: (column, integer weight) of every column whose polynomial has m
+    uses: dict[AbsMonomial, list[tuple[int, int]]] = {m: [] for m in used}
     colscale: list[int] = []
-    for v in polys:
+    big = False
+    for i, v in enumerate(polys):
         L = lcm(*(c.denominator for c in v.terms.values()))
         D = lcm(*(evals[m].den for m in v.terms))
         bound = 0
         for m, c in v.terms.items():
-            e = evals[m]
-            bound += abs(c.numerator) * (L // c.denominator) * (D // e.den) * e.bound
-        big = bound >= 1 << 62
-        col = np.zeros(len(all_keys), dtype=object if big else np.int64)
-        for m, c in v.terms.items():
-            e = evals[m]
-            w = c.numerator * (L // c.denominator) * (D // e.den)
-            coeffs = e.coeffs.astype(object) if big and not e.is_big() else e.coeffs
-            np.add.at(col, pos[m], coeffs * w)
-        columns.append(col)
+            w = c.numerator * (L // c.denominator) * (D // evals[m].den)
+            bound += abs(w) * evals[m].bound
+            uses[m].append((i, w))
+        big = big or bound >= 1 << 62
         colscale.append(L * D)
-    nonzero = np.zeros(len(all_keys), dtype=bool)
-    for col in columns:
-        nonzero |= col != 0
-    rows = np.flatnonzero(nonzero)
-    dtype = object if any(c.dtype == object for c in columns) else np.int64
-    M = np.empty((len(rows), len(columns)), dtype=dtype)
-    for i, col in enumerate(columns):
-        M[:, i] = col[rows]
-    return M, colscale, all_keys[rows]
+    # column-major, so that the additions to a column stay in one contiguous block
+    M = np.zeros(
+        (len(all_keys), len(polys)), dtype=object if big else np.int64, order="F"
+    )
+    for m, e in evals.items():
+        pos = np.searchsorted(all_keys, e.keys)
+        coeffs = e.coeffs.astype(object) if big and not e.is_big() else e.coeffs
+        # the keys of e are distinct, so no position repeats
+        for i, w in uses[m]:
+            M[pos, i] += coeffs * w
+    rows = np.flatnonzero(M.any(axis=1))
+    return M[rows], colscale, all_keys[rows]
 
 
 def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> AbsPoly:

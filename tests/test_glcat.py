@@ -240,3 +240,49 @@ def test_phi_reads_the_catalog_verdict_of_its_cache(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"default": 0, "cache": 0}, call
+
+
+def test_threaded_products_equal_the_serial_chain(session_store, monkeypatch):
+    import os
+    import sys
+    import threading
+
+    from traceforge import glcat
+    from traceforge.hwv import hwv_basis
+    from traceforge.packedpoly import PackedPoly
+
+    # four workers on any machine, and every level on the pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
+    mul = PackedPoly.mul
+    threads = set()
+
+    def recorded_mul(a, b):
+        threads.add(threading.get_ident())
+        return mul(a, b)
+
+    monkeypatch.setattr(PackedPoly, "mul", recorded_mul)
+    monos = list(dict.fromkeys(
+        m for v in hwv_basis(Partition(6, 6)).vectors for m in v.terms
+    ))
+    prefixes = {m[:n] for m in monos for n in range(2, len(m) + 1)}
+    cache = EvalCache(session_store)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = glcat.eval_abs_monomials(monos, cache)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) > 1
+    # a lost update of the counter or the memo would show here
+    assert cache.stats.gen_products == len(prefixes)
+    assert set(cache._abs_monos) == prefixes | {m[:1] for m in monos}
+    gens = glcat._gen_evals(cache)
+    for m, p in zip(monos, got):
+        want = gens[m[0]]
+        for g in m[1:]:
+            want = mul(want, gens[g])
+        assert p.to_bytes() == want.to_bytes(), m
+    again = glcat.eval_abs_monomials(monos, cache)
+    assert cache.stats.gen_products == len(prefixes)
+    assert all(a is b for a, b in zip(again, got))

@@ -21,8 +21,9 @@ from traceforge.packedpoly import PackedPoly
 SRC = str(Path(traceforge.__file__).resolve().parent.parent)
 V75 = str(Path(traceforge.__file__).resolve().parent / "data" / "v75.phi")
 
-# runs `python3 -m traceforge.cli ARGS`, then reports on stderr its exit code
-# and the numpy submodules the process loaded
+# runs `python3 -m traceforge.cli ARGS`, then reports on stderr its exit code,
+# the numpy submodules the process loaded and whether it loaded
+# concurrent.futures (the thread pool of generator-monomial products)
 CLI_PROBE = """
 import json, runpy, sys
 sys.argv = ["traceforge", *sys.argv[1:]]
@@ -32,7 +33,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
-print(json.dumps({"exit": code, "numpy": numpy}), file=sys.stderr)
+futures = "concurrent.futures" in sys.modules
+print(json.dumps({"exit": code, "numpy": numpy, "futures": futures}), file=sys.stderr)
 """
 
 # four threads whose first numpy use is a PackedPoly product, with a short
@@ -86,13 +88,14 @@ def python(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def cli(cache_dir: Path, *args: str) -> tuple[int, dict, list[str]]:
-    """Exit code, JSON payload and loaded numpy submodules of one CLI process."""
+def cli(cache_dir: Path, *args: str) -> tuple[int, dict, list[str], bool]:
+    """Exit code, JSON payload, loaded numpy submodules and whether
+    concurrent.futures was loaded, of one CLI process."""
     proc = python(
         "-c", CLI_PROBE, "--cache-dir", str(cache_dir), "--format", "json", *args
     )
     probe = json.loads(proc.stderr.strip().splitlines()[-1])
-    return probe["exit"], json.loads(proc.stdout), probe["numpy"]
+    return probe["exit"], json.loads(proc.stdout), probe["numpy"], probe["futures"]
 
 
 def test_import_loads_no_numpy():
@@ -109,9 +112,12 @@ def test_warm_commands_load_no_numpy(tmp_path):
     for args in WARM_COMMANDS:
         assert main(["--cache-dir", str(tmp_path), *args]) == 0
     for args in WARM_COMMANDS:
-        code, doc, numpy = cli(tmp_path, *args)
+        code, doc, numpy, futures = cli(tmp_path, *args)
         assert code == 0, args
         assert numpy == [], args
+        if args[0] == "relations":
+            # the relation space is read, so no product runs on a thread pool
+            assert doc["from_cache"] is True and not futures
         if args[0] == "verify":
             assert doc["zero"] is True and doc["membership"] is True
 
@@ -141,6 +147,6 @@ def test_every_cache_dir_gets_the_catalog_verdict(tmp_path):
     for d in dirs:
         verdict = CacheStore(d).get_json(f"catalog-cert:{digest}")
         assert verdict == {"ok": True, "digest": digest}, d
-    code, doc, numpy = cli(dirs[1], "relations", "--lambda", "7,5")
+    code, doc, numpy, _ = cli(dirs[1], "relations", "--lambda", "7,5")
     assert code == 0 and doc["from_cache"] is True
     assert numpy == []

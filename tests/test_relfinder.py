@@ -17,6 +17,7 @@ from traceforge.cache import CacheStore
 from traceforge.genmat import EvalCache
 from traceforge.glcat import AbsPoly, Partition, abs_delta, abs_monomials, phi
 from traceforge.hwv import hwv_basis
+from traceforge.packedpoly import PackedPoly, sum_scaled
 from traceforge.phiparse import parse_phi
 from traceforge.relfinder import (
     PARAMETER_SPLIT,
@@ -251,6 +252,27 @@ def test_assembled_matrix_is_pinned(lam, cache):
     assert got_scale == colscale
     assert hashlib.sha256(M.tobytes()).hexdigest() == nonzero_sha
     assert hashlib.sha256(M[M.any(axis=1)].tobytes()).hexdigest() == nonzero_sha
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+def test_assembled_columns_are_sums_of_monomial_evaluations(big, cache):
+    shared = (0, 1)
+    polys = [
+        AbsPoly({shared: Fraction(1), (0, 0, 1): Fraction(-2, 3)}),
+        AbsPoly({shared: Fraction(5, 2), (2,): Fraction(1)}),
+        AbsPoly({(1, 2): Fraction(7), shared: Fraction(-1)}),
+    ]
+    if big:
+        # a column whose bound reaches 2^62 puts all of M on the object path
+        polys.insert(1, AbsPoly({shared: Fraction(1 << 60), (1, 2): Fraction(1, 3)}))
+    M, colscale, keys = relfinder._assemble_matrix(polys, cache)
+    assert M.dtype == (object if big else np.int64)
+    assert M.shape == (len(keys), len(polys)) and M.any(axis=1).all()
+    for i, v in enumerate(polys):
+        want = sum_scaled(
+            (relfinder.eval_abs_monomial(m, cache), c) for m, c in v.terms.items()
+        )
+        assert PackedPoly.from_column(keys, M[:, i], colscale[i]) == want, i
 
 
 def test_sorted_union_merges_in_batches(monkeypatch):
