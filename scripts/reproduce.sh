@@ -15,6 +15,8 @@
 # fails if any one of them loads it.  Last, a `verify` of a candidate and an
 # `hwv --degree-cap 16 --lambda 8,8` beyond the packed evaluation capacity must
 # exit nonzero with one line on stderr and no traceback.
+# Each pass ends with a `time:` line, its wall time and peak RSS, which are
+# printed for reading and gate nothing.
 # It runs the package from the checkout it lives in; no install is needed.
 set -euo pipefail
 
@@ -22,10 +24,22 @@ SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
 export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
 traceforge() { python3 -m traceforge.cli "$@"; }
 
+# run a command, then print its wall time and the peak RSS of its process
+timed() {
+    python3 -c '
+import resource, subprocess, sys, time
+t0 = time.perf_counter()
+code = subprocess.call(sys.argv[1:])
+wall = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"time: wall {wall:.2f} s, peak RSS {rss:.0f} MB", flush=True)
+sys.exit(code)' "$@"
+}
+
 CACHE="${TRACEFORGE_CACHE_DIR:-./.tracecache}"
 
 echo "== pass 1 (cold cache: $CACHE) =="
-out="$(traceforge --cache-dir "$CACHE" reproduce --paper-tables --format text)"
+out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --paper-tables --format text)"
 echo "$out"
 
 stats="$(grep '^stats:' <<<"$out" || true)"
@@ -44,7 +58,7 @@ fi
 
 echo
 echo "== pass 2 (warm cache) =="
-out="$(traceforge --cache-dir "$CACHE" reproduce --paper-tables --format text)"
+out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --paper-tables --format text)"
 echo "$out"
 
 stats="$(grep '^stats:' <<<"$out" || true)"

@@ -20,11 +20,12 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from . import genmat
 from .cache import digest_text
-from .packedpoly import NVARS, PackedPoly
+from ._lazy import np
+from .packedpoly import NVARS, PackedPoly, SumTable
 from .polyring import BiSeries, Rational
 from .tracelang import (
     NcPoly,
@@ -462,16 +463,19 @@ def eval_abs_monomial(
 
 
 # Generator-monomial products run on at most this many threads, the caller
-# included: the sorts and gathers of a product release the GIL, and every
-# added thread keeps its own malloc arena, so threads cost memory.
+# included: the sorts that build a sum table release the GIL (its
+# scatter-adds hold it), and every added thread keeps its own malloc arena,
+# so threads cost memory.
 _PRODUCT_THREADS = 4
-# A trie level whose raw volume, the sum over its products of
-# nnz(prefix) * nnz(generator), is below this runs on the calling thread.
-# Measured on a 2-CPU box: the largest degree-12 level has 2.3 M raw terms
-# and takes 0.08 s on one thread, while degree-14 levels reach 7.8 M.  With
-# threads for every level the degree-12 benchmark peaked at 81.8 MB, with
-# this bound at 79.9 MB and no slower; degree 14 kept its gain either way.
-_PARALLEL_TERMS = 2_500_000
+# The groups of one in_threads call (a trie level, or the fresh leaves of one
+# assembly) run on the calling thread while their raw volume, the sum over
+# their products of nnz(prefix) * nnz(generator), is below this.  Measured
+# on a 2-CPU box: the fresh leaves of a degree-12 weight reach 4.5 M raw
+# terms, and two threads saved them about 0.05 s but raised the peak RSS of
+# the degree-12 benchmark from 78.5 to as much as 83.7 MB.  The three
+# degree-14 relation spaces, whose fresh leaves reach 7.1 M to 18.3 M, take
+# 1.47 s with two threads against 1.70 s with one.
+_PARALLEL_TERMS = 5_000_000
 
 
 def eval_abs_monomials(
@@ -483,9 +487,8 @@ def eval_abs_monomials(
     ev(m[:-1]) * ev(m[-1]), and every evaluation is memoized on the cache
     (the default cache if none is given); cache.stats.gen_products counts
     the products computed.  The missing prefixes of the monomials are
-    computed one length (one level of their trie) at a time.  A level runs
-    on up to _PRODUCT_THREADS threads, the calling thread among them, which
-    take its products largest first."""
+    computed one length (one level of their trie) at a time, the products
+    of a level through one SumTable per last generator (see ProductGroup)."""
     monos = list(monos)
     cache = cache or genmat.default_cache()
     memo = cache._abs_monos
@@ -500,50 +503,117 @@ def eval_abs_monomials(
         with cache._lock:
             for mono in levels.pop(1, ()):
                 memo[mono] = gens[mono[0]]
-        _run_levels([list(levels[n]) for n in sorted(levels)], gens, cache)
+        for n in sorted(levels):
+            groups = _by_last_generator(levels[n], cache)
+            in_threads(groups, ProductGroup.volume, lambda group: group.evaluate(cache))
     return [
         memo[m] if m else PackedPoly.from_terms([((0,) * NVARS, Fraction(1))])
         for m in monos
     ]
 
 
-def _run_levels(
-    levels: list[list[AbsMonomial]], gens: list[PackedPoly], cache: genmat.EvalCache
-) -> None:
-    """Compute memo[m] = memo[m[:-1]] * gens[m[-1]] for every m of every
-    level, in order; the prefixes of a level are in the memo before it."""
-    memo = cache._abs_monos
+class ProductGroup:
+    """Distinct monomials m of two or more generators that end in one
+    generator g, whose prefixes m[:-1] are memoized, and the SumTable that
+    multiplies those prefixes by ev(g).  build raises PackedCapacityError
+    if some product would overflow a packed field."""
 
-    def work(todo: Iterator[AbsMonomial]) -> None:
-        while True:
-            with cache._lock:
-                mono = next(todo, None)
-            if mono is None:
-                return
-            out = memo[mono[:-1]].mul(gens[mono[-1]])
+    def __init__(self, monos: list[AbsMonomial], cache: genmat.EvalCache):
+        memo = cache._abs_monos
+        self.monos = monos
+        self.gen = _gen_evals(cache)[monos[0][-1]]
+        self.prefixes = [memo[m[:-1]] for m in monos]
+        self.table: SumTable | None = None
+
+    def volume(self) -> int:
+        return sum(p.nnz for p in self.prefixes) * self.gen.nnz
+
+    def build(self) -> None:
+        self.table = SumTable(self.prefixes, self.gen)
+
+    def evaluate(self, cache: genmat.EvalCache) -> None:
+        """build, then take every product (see products)."""
+        self.build()
+        for _ in self.products(cache):
+            pass
+
+    def products(
+        self, cache: genmat.EvalCache
+    ) -> Iterator[tuple[AbsMonomial, np.ndarray, PackedPoly]]:
+        """(m, pos, ev(m)) for every monomial m, where the keys of ev(m) are
+        table.sums[pos]; each ev(m) is memoized and counted as it is
+        computed, and the table is dropped after the last."""
+        memo = cache._abs_monos
+        for m, prefix in zip(self.monos, self.prefixes):
+            pos, out = self.table.product(prefix)
             with cache._lock:
                 cache.stats.gen_products += 1
-                memo[mono] = out
+                memo[m] = out
+            yield m, pos, out
+        self.table = None
 
-    workers = min(os.cpu_count() or 1, _PRODUCT_THREADS)
-    pool = None
-    try:
-        for level in levels:
-            cost = {m: memo[m[:-1]].nnz * gens[m[-1]].nnz for m in level}
-            todo = iter(sorted(level, key=cost.__getitem__, reverse=True))
-            helpers = []
-            if workers > 1 and len(level) > 1 and sum(cost.values()) >= _PARALLEL_TERMS:
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
 
-                    pool = ThreadPoolExecutor(workers - 1)
-                helpers = [pool.submit(work, todo) for _ in range(workers - 1)]
-            work(todo)
-            for h in helpers:
-                h.result()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+def _by_last_generator(
+    monos: Iterable[AbsMonomial], cache: genmat.EvalCache
+) -> list[ProductGroup]:
+    by_gen: dict[int, list[AbsMonomial]] = {}
+    for m in monos:
+        by_gen.setdefault(m[-1], []).append(m)
+    return [ProductGroup(ms, cache) for ms in by_gen.values()]
+
+
+def leaf_groups(
+    monos: Iterable[AbsMonomial], cache: genmat.EvalCache | None = None
+) -> tuple[dict[AbsMonomial, PackedPoly], list[ProductGroup]]:
+    """(evals, groups) for distinct monomials: evals maps the monomials that
+    are already evaluated to their evaluations; the others, the fresh
+    leaves, are in groups, whose tables are built (see in_threads).  Every
+    prefix of a fresh leaf is evaluated first (see eval_abs_monomials); a
+    fresh leaf is evaluated only when its group's products are taken."""
+    monos = list(monos)
+    cache = cache or genmat.default_cache()
+    memo = cache._abs_monos
+    eval_abs_monomials([m[:-1] for m in monos if len(m) > 1 and m not in memo], cache)
+    fresh = [m for m in monos if len(m) > 1 and m not in memo]
+    done = [m for m in monos if len(m) <= 1 or m in memo]
+    groups = _by_last_generator(fresh, cache)
+    in_threads(groups, ProductGroup.volume, ProductGroup.build)
+    return dict(zip(done, eval_abs_monomials(done, cache))), groups
+
+
+_T = TypeVar("_T")
+
+
+def in_threads(
+    items: Sequence[_T], cost: Callable[[_T], int], work: Callable[[_T], object]
+) -> None:
+    """work(item) for every item, largest cost first.  When the costs sum to
+    _PARALLEL_TERMS or more, up to _PRODUCT_THREADS threads (os.cpu_count(),
+    capped), the calling thread among them, take the items one at a time."""
+    costs = [cost(item) for item in items]
+    order = sorted(range(len(items)), key=costs.__getitem__, reverse=True)
+    todo = (items[k] for k in order)
+    lock = threading.Lock()
+
+    def run() -> None:
+        while True:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            work(item)
+
+    workers = min(os.cpu_count() or 1, _PRODUCT_THREADS, len(items))
+    if workers < 2 or sum(costs) < _PARALLEL_TERMS:
+        run()
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(run) for _ in range(workers - 1)]
+        run()
+        for h in helpers:
+            h.result()
 
 
 # ---------------------------------------------------------------------------

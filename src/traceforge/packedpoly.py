@@ -13,13 +13,17 @@ raise PackedCapacityError; callers fall back to generic CommPoly arithmetic.
 
 Every result is normalized: keys sorted, duplicates summed, zeros dropped,
 and gcd(content, den) = 1.  The content gcd is seeded with the denominator,
-so it costs nothing on the common den == 1 path.  Products lay their outer
-sum out as sorted runs, one per term of the smaller factor; products, sums,
-linear combinations and derivations all hand concatenated sorted runs to one
-stable sort (timsort for int64), which merges them.  Linear combinations go
-through sum_scaled, which sorts the concatenated terms once per batch instead
-of once per term, and derivation applies a derivation sum x_i d/dy_j, which
-moves one degree from a y variable to an x variable, as a shift of the keys.
+so it costs nothing on the common den == 1 path.  Products go through a
+SumTable, which multiplies many polynomials by one common factor: one
+stable sort of the key sums gives their distinct values and the position of
+every sum among them, and each product is then a scatter-add of its
+coefficient products at those positions, read back in key order; mul is
+the one-product case.  Sums, linear combinations and derivations hand
+concatenated sorted runs to one stable sort (timsort for int64), which
+merges them.  Linear combinations go through sum_scaled, which sorts the
+concatenated terms once per batch instead of once per term, and derivation
+applies a derivation sum x_i d/dy_j, which moves one degree from a y
+variable to an x variable, as a shift of the keys.
 
 to_bytes and from_bytes give the binary form the disk cache stores: a fixed
 header, then the raw little-endian keys and coefficients.  from_bytes checks
@@ -54,8 +58,9 @@ XCAP = _XMASK
 YCAP = _YMASK
 
 _COEFF_LIMIT = 1 << 62
-# terms of one outer-sum chunk in mul; bounds the transient arrays of a product
-_MUL_TERMS = 4_000_000
+# entries of a SumTable sorted at once, and coefficient products of one
+# product scattered at once; bounds the transient arrays of a product
+_MUL_TERMS = 1 << 20
 # every packed key is below this: the x fields end at bit 45 + NX * _XBITS
 _KEY_LIMIT = 1 << (45 + NX * _XBITS)
 
@@ -324,30 +329,145 @@ class PackedPoly:
         )
 
     def mul(self, other: "PackedPoly") -> "PackedPoly":
-        if self.is_zero() or other.is_zero():
-            return PackedPoly.zero()
-        xdeg = self.xdeg + other.xdeg
-        ydeg = self.ydeg + other.ydeg
-        if xdeg > XCAP or ydeg > YCAP:
-            raise PackedCapacityError(
-                f"product degree ({xdeg},{ydeg}) exceeds packed capacity ({XCAP},{YCAP})"
-            )
+        """self * other, as the one product of a SumTable over the larger
+        factor."""
         a, b = (self, other) if self.nnz >= other.nnz else (other, self)
-        bound = a.bound * b.bound * min(a.nnz, b.nnz)
-        big = bound >= _COEFF_LIMIT or a.is_big() or b.is_big()
-        ca = a.coeffs.astype(object) if big and not a.is_big() else a.coeffs
-        cb = b.coeffs.astype(object) if big and not b.is_big() else b.coeffs
-        # b-major outer sums: row i is b.keys[i] + a.keys, a sorted run that
-        # _combine's stable sort merges; chunk the rows of b to cap the size
-        chunk = max(1, _MUL_TERMS // a.nnz)
-        pieces_k, pieces_c = [], []
-        for start in range(0, b.nnz, chunk):
-            kb = b.keys[start : start + chunk]
-            pieces_k.append((kb[:, None] + a.keys[None, :]).ravel())
-            pieces_c.append((cb[start : start + chunk, None] * ca[None, :]).ravel())
-        keys = np.concatenate(pieces_k)
-        coeffs = np.concatenate(pieces_c)
-        return _combine(keys, coeffs, a.den * b.den, xdeg, ydeg)
+        return SumTable([a], b).product(a)[1]
+
+
+def _product_degrees(p: PackedPoly, factor: PackedPoly) -> tuple[int, int]:
+    """The degrees of p * factor; PackedCapacityError if they overflow a field."""
+    xdeg = p.xdeg + factor.xdeg
+    ydeg = p.ydeg + factor.ydeg
+    if xdeg > XCAP or ydeg > YCAP:
+        raise PackedCapacityError(
+            f"product degree ({xdeg},{ydeg}) exceeds packed capacity ({XCAP},{YCAP})"
+        )
+    return xdeg, ydeg
+
+
+def product_den(p: PackedPoly, factor: PackedPoly) -> int:
+    """The denominator of p * factor in lowest terms, found without the
+    product.  By Gauss's lemma the content of a product of integer
+    polynomials is the product of their contents, and
+    gcd(ab, n) = gcd(a, n) * gcd(b, n / gcd(a, n))."""
+    den = p.den * factor.den
+    if den == 1 or p.is_zero() or factor.is_zero():
+        return 1
+    d = _den_gcd(p.coeffs, den)
+    return den // (d * _den_gcd(factor.coeffs, den // d))
+
+
+class SumTable:
+    """Products of many polynomials P by one common factor g.
+
+    keys is S, the sorted union of the keys of the nonzero P; sums is U, the
+    sorted distinct values of s + k over s in S and k in g.keys.  The table
+    keeps, for every such pair, the position of s + k in U (uint16 while U
+    has at most 2^16 entries, else int32).  A product P * g is then an exact
+    scatter-add of the coefficient products of P and g into one accumulator
+    over U, read back in U order: no product sorts its own terms.  The
+    accumulator is reused, and only its touched entries are zeroed again.
+    The constructor raises PackedCapacityError, before anything is built,
+    if some product would overflow a field.
+    """
+
+    __slots__ = ("factor", "keys", "sums", "_inv", "_acc")
+
+    def __init__(self, polys: Sequence[PackedPoly], factor: PackedPoly):
+        polys = [p for p in polys if not p.is_zero()] if not factor.is_zero() else []
+        for p in polys:
+            _product_degrees(p, factor)
+        self.factor = factor
+        keys = [p.keys for p in polys]
+        if len({id(k) for k in keys}) > 1:
+            self.keys = distinct_keys(np.concatenate(keys))
+        else:
+            self.keys = keys[0] if keys else np.empty(0, dtype=np.int64)
+        self.sums, self._inv = _sum_table(self.keys, factor.keys)
+        self._acc: dict[bool, np.ndarray] = {}
+
+    def product(self, p: PackedPoly) -> tuple[np.ndarray, PackedPoly]:
+        """(pos, p * factor), where p is one of the polynomials the table was
+        built from and the keys of the product are sums[pos]."""
+        g = self.factor
+        if p.is_zero() or g.is_zero():
+            return np.empty(0, dtype=np.intp), PackedPoly.zero()
+        xdeg, ydeg = _product_degrees(p, g)
+        big = p.bound * g.bound * min(p.nnz, g.nnz) >= _COEFF_LIMIT or p.is_big() or g.is_big()
+        cp = p.coeffs.astype(object) if big and not p.is_big() else p.coeffs
+        cg = g.coeffs.astype(object) if big and not g.is_big() else g.coeffs
+        acc = self._acc.get(big)
+        if acc is None:
+            acc = self._acc[big] = np.zeros(len(self.sums), dtype=object if big else np.int64)
+        cols = (
+            np.arange(p.nnz) if p.keys is self.keys else np.searchsorted(self.keys, p.keys)
+        )
+        # scatter at most _MUL_TERMS coefficient products at once
+        chunk = max(1, _MUL_TERMS // g.nnz)
+        for start in range(0, p.nnz, chunk):
+            at = cols[start : start + chunk]
+            np.add.at(
+                acc,
+                self._inv[:, at].ravel(),
+                (cg[:, None] * cp[None, start : start + chunk]).ravel(),
+            )
+        # every sum lies between the smallest and the largest one
+        lo, hi = int(self._inv[0, cols[0]]), int(self._inv[-1, cols[-1]]) + 1
+        pos = np.flatnonzero(acc[lo:hi])
+        pos += lo
+        coeffs = acc[pos]
+        acc[pos] = 0
+        return pos, _normalize(self.sums[pos], coeffs, p.den * g.den, xdeg, ydeg)
+
+
+def _sum_table(keys: np.ndarray, gkeys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, inv): the sorted distinct sums of keys and gkeys, and inv[j, i],
+    the position in U of gkeys[j] + keys[i], in the narrowest of uint16 and
+    int32 that holds it.
+
+    Both inputs are sorted, so the sums for one gkey are a sorted run; a
+    block of at most _MUL_TERMS sums, laid out gkey-major, goes to one stable
+    sort (timsort for int64), which merges the runs."""
+    if len(keys) == 0 or len(gkeys) == 0:
+        return np.empty(0, dtype=np.int64), np.empty((len(gkeys), 0), dtype=np.int32)
+    block = max(1, _MUL_TERMS // len(gkeys))
+    pieces = []
+    for start in range(0, len(keys), block):
+        sums = (gkeys[:, None] + keys[None, start : start + block]).ravel()
+        order = np.argsort(sums, kind="stable")
+        sums = sums[order]
+        first = _first_of_runs(sums)
+        rank = np.cumsum(first, dtype=np.int32)
+        rank -= 1
+        inv = np.empty(len(sums), dtype=np.int32)
+        inv[order] = rank
+        pieces.append((sums[first], inv.reshape(len(gkeys), -1)))
+    if len(pieces) == 1:
+        sums, inv = pieces[0]
+    else:
+        sums = distinct_keys(np.concatenate([u for u, _ in pieces]))
+        inv = np.concatenate(
+            [np.searchsorted(sums, u).astype(np.int32)[inv] for u, inv in pieces], axis=1
+        )
+    if len(sums) <= 1 << 16:
+        inv = inv.astype(np.uint16)
+    return sums, inv
+
+
+def _first_of_runs(keys: np.ndarray) -> np.ndarray:
+    """For sorted keys, True where a key differs from the one before it."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of keys, which is sorted in place
+    (np.unique would copy it, and import numpy.ma)."""
+    keys.sort()
+    return keys[_first_of_runs(keys)]
 
 
 def sort_and_sum(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

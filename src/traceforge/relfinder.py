@@ -16,6 +16,7 @@ degree relations and genuinely new ones.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -30,20 +31,22 @@ from .glcat import (
     AbsMonomial,
     AbsPoly,
     Partition,
+    ProductGroup,
     abs_delta,
     abs_delta1,
     abs_poly_text,
     bidegree_monomials,
     catalog_digest,
     eval_abs_monomial,  # unused here; bench/tracer.py wraps relfinder.eval_abs_monomial
-    eval_abs_monomials,
     gen_by_modj,
+    in_threads,
+    leaf_groups,
     mono_name,
     phi,
 )
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
 from .nullspace import null_stream
-from .packedpoly import PackedPoly
+from .packedpoly import PackedPoly, distinct_keys, product_den
 from .polyring import CommPoly, poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
 
@@ -140,14 +143,6 @@ class RelationSpace:
 _UNION_BATCH = 1 << 20
 
 
-def _unique_sorted(parts: list[np.ndarray]) -> np.ndarray:
-    keys = np.concatenate(parts)
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
 def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
     """Sorted distinct int64 keys of all arrays, merged a batch at a time."""
     union = np.empty(0, dtype=np.int64)
@@ -157,9 +152,9 @@ def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
         batch.append(keys)
         pending += len(keys)
         if pending >= _UNION_BATCH:
-            union = _unique_sorted([union, *batch])
+            union = distinct_keys(np.concatenate([union, *batch]))
             batch, pending = [], 0
-    return _unique_sorted([union, *batch])
+    return distinct_keys(np.concatenate([union, *batch]))
 
 
 def _assemble_matrix(
@@ -171,40 +166,62 @@ def _assemble_matrix(
     one row per packed key of the 18-variable evaluation, ascending, at which
     some column is nonzero.  Column i divided by colscale[i] is the
     evaluation of phi(polys[i]), summed from the generator-monomial
-    evaluations memoized on the cache; phi is never expanded.  The
-    evaluations come from glcat.eval_abs_monomials, which spreads the
-    products over the machine's cores.  M is filled one monomial at a time:
-    each evaluation is placed once and added, scaled, into every column
-    that uses it.  M has object dtype when the bound of some column reaches
-    2^62, else int64.
+    evaluations memoized on the cache; phi is never expanded.  Each
+    evaluation is placed once and added, scaled, into every column that uses
+    it.  A monomial already evaluated is placed by a search of its keys.  The
+    fresh leaves are multiplied here, one glcat.ProductGroup at a time on the
+    machine's cores (see glcat.in_threads), and each is placed through the
+    positions of its group's key sums among the rows, with no search.  M has
+    object dtype when the bound of some column reaches 2^62, else int64.
     """
+    cache = cache or genmat.default_cache()
     used = dict.fromkeys(m for v in polys for m in v.terms)
-    evals = dict(zip(used, eval_abs_monomials(used, cache)))
-    all_keys = _sorted_union(e.keys for e in evals.values())
+    evals, groups = leaf_groups(used, cache)
+    # every denominator is known before the fresh leaves are multiplied
+    den = {m: e.den for m, e in evals.items()}
+    for grp in groups:
+        den.update((m, product_den(p, grp.gen)) for m, p in zip(grp.monos, grp.prefixes))
+    all_keys = _sorted_union(
+        [*(e.keys for e in evals.values()), *(grp.table.sums for grp in groups)]
+    )
     # uses[m]: (column, integer weight) of every column whose polynomial has m
     uses: dict[AbsMonomial, list[tuple[int, int]]] = {m: [] for m in used}
     colscale: list[int] = []
-    big = False
     for i, v in enumerate(polys):
         L = lcm(*(c.denominator for c in v.terms.values()))
-        D = lcm(*(evals[m].den for m in v.terms))
-        bound = 0
+        D = lcm(*(den[m] for m in v.terms))
         for m, c in v.terms.items():
-            w = c.numerator * (L // c.denominator) * (D // evals[m].den)
-            bound += abs(w) * evals[m].bound
-            uses[m].append((i, w))
-        big = big or bound >= 1 << 62
+            uses[m].append((i, c.numerator * (L // c.denominator) * (D // den[m])))
         colscale.append(L * D)
-    # column-major, so that the additions to a column stay in one contiguous block
-    M = np.zeros(
-        (len(all_keys), len(polys)), dtype=object if big else np.int64, order="F"
-    )
+    # column-major, so that the additions to a column stay in one contiguous
+    # block; it turns to object dtype once the bound of a column reaches 2^62
+    M = np.zeros((len(all_keys), len(polys)), dtype=np.int64, order="F")
+    bounds = [0] * len(polys)
+    lock = threading.Lock()
+
+    def place(m: AbsMonomial, pos: np.ndarray, e: PackedPoly) -> None:
+        nonlocal M
+        if e.den != den[m]:
+            raise AssertionError(f"denominator of {mono_name(m)} differs from its prediction")
+        with lock:
+            for i, w in uses[m]:
+                bounds[i] += abs(w) * e.bound
+                if bounds[i] >= 1 << 62 and M.dtype != object:
+                    M = M.astype(object)
+            coeffs = e.coeffs.astype(object) if M.dtype == object and not e.is_big() else e.coeffs
+            # the keys of e are distinct, so no position repeats
+            for i, w in uses[m]:
+                M[pos, i] += coeffs * w
+
     for m, e in evals.items():
-        pos = np.searchsorted(all_keys, e.keys)
-        coeffs = e.coeffs.astype(object) if big and not e.is_big() else e.coeffs
-        # the keys of e are distinct, so no position repeats
-        for i, w in uses[m]:
-            M[pos, i] += coeffs * w
+        place(m, np.searchsorted(all_keys, e.keys), e)
+
+    def fill(grp: ProductGroup) -> None:
+        at = np.searchsorted(all_keys, grp.table.sums)
+        for m, pos, e in grp.products(cache):
+            place(m, at[pos], e)
+
+    in_threads(groups, ProductGroup.volume, fill)
     rows = np.flatnonzero(M.any(axis=1))
     return M[rows], colscale, all_keys[rows]
 

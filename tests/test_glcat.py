@@ -249,19 +249,21 @@ def test_threaded_products_equal_the_serial_chain(session_store, monkeypatch):
 
     from traceforge import glcat
     from traceforge.hwv import hwv_basis
-    from traceforge.packedpoly import PackedPoly
+    from traceforge.packedpoly import PackedPoly, SumTable
 
     # four workers on any machine, and every level on the pool
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
     mul = PackedPoly.mul
+    product = SumTable.product
     threads = set()
 
-    def recorded_mul(a, b):
+    # every generator-monomial product is one SumTable.product call
+    def recorded_product(table, p):
         threads.add(threading.get_ident())
-        return mul(a, b)
+        return product(table, p)
 
-    monkeypatch.setattr(PackedPoly, "mul", recorded_mul)
+    monkeypatch.setattr(SumTable, "product", recorded_product)
     monos = list(dict.fromkeys(
         m for v in hwv_basis(Partition(6, 6)).vectors for m in v.terms
     ))

@@ -3,6 +3,7 @@ raising map against evaluation of the trace-level map."""
 
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,14 +21,17 @@ from traceforge.glcat import catalog
 from traceforge.packedpoly import (
     NX,
     NVARS,
+    NY,
     PackedCapacityError,
     PackedPoly,
+    SumTable,
     XCAP,
     YCAP,
     _combine,
     _den_gcd,
     linear_combination,
     pack_exponents,
+    product_den,
     sum_scaled,
 )
 from traceforge.polyring import CommPoly
@@ -193,6 +197,96 @@ def test_mul_chunks_agree(case, cap, monkeypatch):
         assert pack_exponents(_var(0)) + pack_exponents(_var(NX)) not in whole.keys
     if case == "object":
         assert whole.is_big()
+
+
+def outer_sum_mul(a: PackedPoly, b: PackedPoly) -> PackedPoly:
+    """a * b as products were formed before SumTable: the outer sum of the
+    keys, one sorted run per term of the smaller factor, merged and summed
+    by one stable sort.  The oracle for the table kernel."""
+    if a.is_zero() or b.is_zero():
+        return PackedPoly.zero()
+    xdeg, ydeg = a.xdeg + b.xdeg, a.ydeg + b.ydeg
+    if xdeg > XCAP or ydeg > YCAP:
+        raise PackedCapacityError(f"product degree ({xdeg},{ydeg})")
+    a, b = (a, b) if a.nnz >= b.nnz else (b, a)
+    big = a.bound * b.bound * min(a.nnz, b.nnz) >= LIMIT or a.is_big() or b.is_big()
+    ca = a.coeffs.astype(object) if big else a.coeffs
+    cb = b.coeffs.astype(object) if big else b.coeffs
+    keys = (b.keys[:, None] + a.keys[None, :]).ravel()
+    coeffs = (cb[:, None] * ca[None, :]).ravel()
+    return _combine(keys, coeffs, a.den * b.den, xdeg, ydeg)
+
+
+def table_products(polys: list[PackedPoly], factor: PackedPoly) -> list[PackedPoly]:
+    table = SumTable(polys, factor)
+    return [table.product(p)[1] for p in polys]
+
+
+def check_products(polys: list[PackedPoly], factor: PackedPoly) -> None:
+    """The products of one SumTable, and the one-product mul, equal the
+    oracle byte for byte, and product_den predicts every denominator."""
+    for p, got in zip(polys, table_products(polys, factor), strict=True):
+        want = outer_sum_mul(p, factor)
+        check_invariants(got)
+        assert got.to_bytes() == want.to_bytes()
+        assert p.mul(factor).to_bytes() == want.to_bytes()
+        assert product_den(p, factor) == want.den
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(term_dicts, min_size=1, max_size=5), term_dicts, st.data())
+def test_sum_table_matches_the_outer_sum_oracle(dicts, factor_terms, data):
+    polys = [make(t)[0] for t in dicts]
+    # a group may repeat one polynomial, or be the factor times itself
+    polys += data.draw(st.lists(st.sampled_from(polys), max_size=2))
+    factor = make(factor_terms)[0]
+    if data.draw(st.booleans()):
+        factor = polys[0]
+    check_products(polys, factor)
+
+
+# exponents up to the field capacities, so that products can overflow them
+deep_exponents = st.tuples(
+    st.integers(0, XCAP), st.integers(0, 2), st.integers(0, 2),
+    st.integers(0, YCAP), st.integers(0, 1), *([st.just(0)] * (NY - 2)),
+).filter(lambda e: sum(e[:NX]) <= XCAP and sum(e[NX:]) <= YCAP)
+deep_dicts = st.dictionaries(deep_exponents, rationals, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(deep_dicts, min_size=1, max_size=3), deep_dicts)
+def test_sum_table_checks_capacity_before_building(dicts, factor_terms):
+    import traceforge.packedpoly as pp
+
+    polys = [make(t)[0] for t in dicts]
+    factor = make(factor_terms)[0]
+    over = not factor.is_zero() and any(
+        not p.is_zero() and (p.xdeg + factor.xdeg > XCAP or p.ydeg + factor.ydeg > YCAP)
+        for p in polys
+    )
+    if not over:
+        check_products(polys, factor)
+        return
+    with mock.patch.object(pp, "_sum_table", side_effect=AssertionError("table built")):
+        with pytest.raises(PackedCapacityError):
+            table_products(polys, factor)
+    with pytest.raises(PackedCapacityError):
+        outer_sum_mul(next(p for p in polys if p.xdeg + factor.xdeg > XCAP
+                           or p.ydeg + factor.ydeg > YCAP), factor)
+
+
+@pytest.mark.parametrize("cap", [1, 4, 7, 1 << 20])
+def test_sum_table_blocks_agree(cap, monkeypatch):
+    # every CHUNK_CASES polynomial, and a zero one, times each factor: the
+    # sum table is built, and the coefficient products scattered, in
+    # blocks of at most cap entries
+    import traceforge.packedpoly as pp
+
+    monkeypatch.setattr(pp, "_MUL_TERMS", cap)
+    polys = [make(t)[0] for case in CHUNK_CASES.values() for t in case]
+    polys.append(PackedPoly.zero())
+    for factor in polys:
+        check_products(polys, factor)
 
 
 @settings(max_examples=150, deadline=None)

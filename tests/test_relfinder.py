@@ -239,6 +239,14 @@ ASSEMBLED = {
          1, 1, 1, 1, 4, 1],
         "f32bdc418895fc448aca08ee479bf90b03b24a2aaa08104ad239047ae66c8ca2",
     ),
+    # frozen from the implementation before products went through sum tables
+    (8, 5): (
+        (10929, 67),
+        [1, 2, 1, 3, 1, 3, 6, 1, 1, 3, 6, 1, 9, 1, 1, 1, 1, 1, 2, 3, 2, 3, 9, 1,
+         4, 3, 6, 9, 9, 1, 1, 3, 27, 1, 3, 27, 27, 1, 3, 6, 1, 1, 1, 1, 1, 1, 1, 1,
+         3, 1, 1, 6, 1, 1, 6, 1, 1, 1, 4, 6, 6, 1, 1, 3, 1, 1, 1],
+        "4b06e4d4fe803543d4f02810fc4ea368f752c2ac4c9b19bfa3f24a0272b01317",
+    ),
 }
 
 
@@ -252,6 +260,58 @@ def test_assembled_matrix_is_pinned(lam, cache):
     assert got_scale == colscale
     assert hashlib.sha256(M.tobytes()).hexdigest() == nonzero_sha
     assert hashlib.sha256(M[M.any(axis=1)].tobytes()).hexdigest() == nonzero_sha
+
+
+def test_mixed_routes_assemble_the_same_matrix(cache, monkeypatch):
+    # a fresh leaf is placed through its sum table, a memoized one by a
+    # search of its keys: with half of the (6,6) monomials memoized, and
+    # with the fresh ones on four threads, M is the all-fresh M
+    import os
+    import sys
+    import threading
+
+    from traceforge import glcat
+    from traceforge.packedpoly import SumTable
+
+    vectors = hwv_basis(Partition(6, 6)).vectors
+    used = list(dict.fromkeys(m for v in vectors for m in v.terms))
+
+    def assemble(memoized):
+        run = EvalCache(store=cache.store)
+        glcat.eval_abs_monomials(memoized, run)
+        before = run.stats.gen_products
+        M, colscale, keys = relfinder._assemble_matrix(vectors, run)
+        # some leaves were memoized and some fresh (or all fresh)
+        assert (before > 0) == bool(memoized) and run.stats.gen_products > before
+        assert set(used) <= set(run._abs_monos)
+        return (M, colscale, keys), run.stats.gen_products
+
+    (M, colscale, keys), products = assemble([])
+    assert products == len({m[:n] for m in used for n in range(2, len(m) + 1)})
+    mixed, mixed_products = assemble(used[::2])
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
+    product = SumTable.product
+    threads = set()
+
+    def recorded_product(table, p):
+        threads.add(threading.get_ident())
+        return product(table, p)
+
+    monkeypatch.setattr(SumTable, "product", recorded_product)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded, threaded_products = assemble(used[1::2])
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) > 1
+    # every product is made once, whichever route it takes
+    assert mixed_products == threaded_products == products
+    for got in (mixed, threaded):
+        assert got[0].dtype == M.dtype and np.array_equal(got[0], M)
+        assert got[1] == colscale
+        assert np.array_equal(got[2], keys)
 
 
 @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
