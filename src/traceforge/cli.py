@@ -266,7 +266,7 @@ def hwv_check(
 ) -> Result:
     """The basis of weight lam and its hwv_verify verdict; a verdict with the
     evaluation checks is stored under hwv_verdict_key."""
-    basis = hwv_basis(lam, threads=threads)
+    basis = hwv_basis(lam, threads=threads, cache=cache)
 
     def verify() -> dict:
         rep = hwv_verify(basis, evaluate=evaluate, cache=cache)

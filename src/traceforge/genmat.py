@@ -11,7 +11,9 @@ A word trace within the packed capacity is evaluated one whole-matrix numpy
 step per letter: every entry of x and y is a sum of variables with
 coefficients +-1, so multiplying a partial product by a letter shifts keys
 and needs no polynomial product (see the comment above _letter_rows).
-Words beyond the capacity go through CommPoly matrix products.
+word_traces_packed evaluates many words in sorted order, so that words
+sharing a prefix share its partial product.  Words beyond the capacity go
+through CommPoly matrix products.
 
 Evaluations are cached per cyclic-canonical word, optionally write-through to
 a disk store, and counted, so reruns can be checked to perform no fresh
@@ -23,6 +25,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from ._lazy import np
 from .cache import CacheStore
@@ -200,6 +203,12 @@ class EvalCache:
         self._words_comm: dict[Word, CommPoly] = {}
         self._gens: list[PackedPoly] | None = None
         self._abs_monos: dict[tuple[int, ...], PackedPoly] = {}
+        # highest weight bases by (weight, thread count), filled by
+        # hwv.hwv_basis
+        self._bases: dict[tuple, object] = {}
+        # (the term dicts of the polynomials, result) of the last
+        # relfinder._assemble_matrix call made with keep, until the next call
+        self._assembled: tuple[list[dict], tuple] | None = None
         # set by glcat.catalog once the store holds the catalog verdict
         self._catalog_stored = False
         self._lock = threading.Lock()
@@ -218,20 +227,39 @@ def _word_fits_packed(w: Word) -> bool:
 
 def _compute_word_packed(w: Word) -> PackedPoly:
     """tr(w) of the literal product, one whole-matrix step per letter."""
-    if not _word_fits_packed(w):
-        # a key field would carry into its neighbour
-        raise PackedCapacityError(f"word degree exceeds packed capacity: {w!r}")
+    return next(_compute_words_packed([w]))[1]
+
+
+def _compute_words_packed(words: list[Word]) -> Iterator[tuple[Word, PackedPoly]]:
+    """(w, tr(w)) for every word, in order.  Sorted words that share a
+    prefix share its partial product: the products of the prefixes of the
+    previous word are kept while they are prefixes of the next one."""
+    for w in words:
+        if not _word_fits_packed(w):
+            # a key field would carry into its neighbour
+            raise PackedCapacityError(f"word degree exceeds packed capacity: {w!r}")
     # the identity: monomial 1 at each diagonal entry
-    keys = np.array([(5 * i) << _TAG_SHIFT for i in range(4)], dtype=np.int64)
-    coeffs = np.ones(4, dtype=np.int64)
-    for ch in w:
-        keys, coeffs = _times_letter(keys, coeffs, ch)
-    tag = keys >> _TAG_SHIFT
-    diag = (tag >> 2) == (tag & 3)
-    keys, coeffs = sort_and_sum(keys[diag] & _KEY_MASK, coeffs[diag])
-    if len(keys) == 0:
-        return PackedPoly.zero()
-    return PackedPoly(keys, coeffs, 1, w.count("x"), w.count("y"))
+    identity = (
+        np.array([(5 * i) << _TAG_SHIFT for i in range(4)], dtype=np.int64),
+        np.ones(4, dtype=np.int64),
+    )
+    # (prefix, tagged terms of its product), each a prefix of the next
+    path = [("", identity)]
+    for w in words:
+        while not w.startswith(path[-1][0]):
+            path.pop()
+        prefix, (keys, coeffs) = path[-1]
+        for ch in w[len(prefix) :]:
+            keys, coeffs = _times_letter(keys, coeffs, ch)
+            prefix += ch
+            path.append((prefix, (keys, coeffs)))
+        tag = keys >> _TAG_SHIFT
+        diag = (tag >> 2) == (tag & 3)
+        keys, coeffs = sort_and_sum(keys[diag] & _KEY_MASK, coeffs[diag])
+        if len(keys) == 0:
+            yield w, PackedPoly.zero()
+        else:
+            yield w, PackedPoly(keys, coeffs, 1, w.count("x"), w.count("y"))
 
 
 def _compute_word_comm(w: Word) -> CommPoly:
@@ -248,11 +276,36 @@ def _compute_word_comm(w: Word) -> CommPoly:
 def word_trace_packed(w: Word, cache: EvalCache | None = None) -> PackedPoly:
     """Packed evaluation of tr(w), keyed on the cyclic-canonical rotation."""
     cache = cache or _DEFAULT_CACHE
+    key = _word_key(w)
+    poly = _known_word(key, cache)
+    if poly is None:
+        poly = _compute_word_packed(key)
+        _remember_word(key, poly, cache)
+    return poly
+
+
+def word_traces_packed(words: Iterable[Word], cache: EvalCache | None = None) -> None:
+    """word_trace_packed for every word, with the traces that neither the
+    cache nor its store holds computed in one pass over their sorted
+    cyclic-canonical forms, so that a prefix they share is multiplied out
+    once (see _compute_words_packed)."""
+    cache = cache or _DEFAULT_CACHE
+    keys = sorted({_word_key(w) for w in words})
+    missing = [key for key in keys if _known_word(key, cache) is None]
+    for key, poly in _compute_words_packed(missing):
+        _remember_word(key, poly, cache)
+
+
+def _word_key(w: Word) -> Word:
     if len(w) < 2:
         raise ValueError("words of length < 2 have no cached trace")
     if not _word_fits_packed(w):
         raise PackedCapacityError(f"word degree exceeds packed capacity: {w!r}")
-    key = cyclic_normalize(w)
+    return cyclic_normalize(w)
+
+
+def _known_word(key: Word, cache: EvalCache) -> PackedPoly | None:
+    """tr(key) from the cache, else from its store (a disk hit), else None."""
     hit = cache._words.get(key)
     if hit is not None:
         return hit
@@ -260,15 +313,18 @@ def word_trace_packed(w: Word, cache: EvalCache | None = None) -> PackedPoly:
     if poly is not None:
         with cache._lock:
             cache.stats.disk_hits += 1
-    else:
-        poly = _compute_word_packed(key)
-        with cache._lock:
-            cache.stats.word_evals += 1
-        if cache.store is not None:
-            cache.store.put_poly(f"wordtrace:{key}", poly)
+            cache._words[key] = poly
+    return poly
+
+
+def _remember_word(key: Word, poly: PackedPoly, cache: EvalCache) -> None:
+    """Count a computed trace, write it through to the store and cache it."""
+    with cache._lock:
+        cache.stats.word_evals += 1
+    if cache.store is not None:
+        cache.store.put_poly(f"wordtrace:{key}", poly)
     with cache._lock:
         cache._words[key] = poly
-    return poly
 
 
 def eval_word_trace(w: Word, cache: EvalCache | None = None) -> CommPoly:

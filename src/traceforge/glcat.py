@@ -141,28 +141,35 @@ def _catalog_digest(mods: tuple[GeneratorModule, ...]) -> str:
 
 
 def _certify(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) -> None:
-    for mod in mods:
+    # (e, delta1(e), delta(e)) for every basis element; the word traces of
+    # all of them are evaluated first, in one pass that shares prefixes
+    checks = [[(e, delta1(e), delta(e)) for e in mod.basis] for mod in mods]
+    genmat.word_traces_packed(
+        (w for triples in checks for t in triples for e in t for mono in e.terms for w in mono),
+        cache,
+    )
+    for mod, triples in zip(mods, checks):
         a, b = mod.a, mod.b
         evs = [genmat.eval_trace_expr_packed(e, cache) for e in mod.basis]
         if evs[0].is_zero():
             raise CatalogCertificationError(
                 f"module {mod.index}: highest weight vector evaluates to zero"
             )
-        for j, e in enumerate(mod.basis):
+        for j, (e, lowering, raising) in enumerate(triples):
             from .tracelang import bidegree as te_bidegree
 
             if te_bidegree(e) != (a + b - j, b + j):
                 raise CatalogCertificationError(
                     f"module {mod.index}: basis element {j} has wrong bidegree"
                 )
-            lowered = genmat.eval_trace_expr_packed(delta1(e), cache)
+            lowered = genmat.eval_trace_expr_packed(lowering, cache)
             want = evs[j + 1].scale(Fraction(a - j)) if j < a else None
             ok = lowered.is_zero() if want is None else lowered.add(want.neg()).is_zero()
             if not ok:
                 raise CatalogCertificationError(
                     f"module {mod.index}: lowering constant fails at j={j}"
                 )
-            raised = genmat.eval_trace_expr_packed(delta(e), cache)
+            raised = genmat.eval_trace_expr_packed(raising, cache)
             want = evs[j - 1].scale(Fraction(j)) if j > 0 else None
             ok = raised.is_zero() if want is None else raised.add(want.neg()).is_zero()
             if not ok:

@@ -83,8 +83,25 @@ def span_rank(polys: Iterable[AbsPoly]) -> int:
     return ech.rank
 
 
-def hwv_basis(lam: Partition, threads: int = 1) -> HwvBasis:
+def hwv_basis(
+    lam: Partition, threads: int = 1, cache: genmat.EvalCache | None = None
+) -> HwvBasis:
+    """The basis of weight lam, memoized on the cache (the default cache if
+    none is given) per weight and thread count: relation_space, the check
+    of a stored relation space and the CLI ask for it again.  The thread
+    count is part of the key so that a threaded solve is never answered by
+    a serial one."""
     lam = Partition.of(*lam)
+    cache = cache or genmat.default_cache()
+    basis = cache._bases.get((lam, threads))
+    if basis is None:
+        basis = _solve_basis(lam, threads)
+        with cache._lock:
+            cache._bases[(lam, threads)] = basis
+    return basis
+
+
+def _solve_basis(lam: Partition, threads: int) -> HwvBasis:
     p_mons = abs_monomials(lam)
     Q = hilbert_coeff(Partition(lam.l1 + 1, lam.l2 - 1)) if lam.l2 else 0
     blocks: dict[tuple[int, ...], list[int]] = {}
@@ -143,7 +160,8 @@ def hwv_verify(
     """Check a basis: abs_delta kills each vector exactly and, with
     evaluate, the evaluated raising map D kills its evaluation on the
     generic matrices.  The evaluations are the columns of the matrix that
-    relation_space solves, from relfinder._assemble_matrix, and
+    relation_space solves, from relfinder._assemble_matrix, which keeps the
+    matrix on the cache for the relation_space of the same basis, and
     genmat.eval_delta_columns applies D to a block of columns with one sort.
     A vector that evaluates to zero is a relation and passes.  Raises
     PackedCapacityError where an evaluation exceeds the packed fields."""
@@ -160,7 +178,7 @@ def hwv_verify(
     if evaluate:
         from .relfinder import _assemble_matrix  # relfinder imports this module
 
-        M, _, keys = _assemble_matrix(basis.vectors, cache)
+        M, _, keys = _assemble_matrix(basis.vectors, cache, keep=True)
         step = max(1, _D_TERMS // max(1, len(keys)))
         flagged = []
         for start in range(0, M.shape[1], step):

@@ -140,7 +140,8 @@ class RelationSpace:
 
 
 # keys added to the sorted union per merge; bounds the array each sort holds
-_UNION_BATCH = 1 << 20
+# (2 MB: the leaves of one degree-12 candidate file hold 1.1 M keys)
+_UNION_BATCH = 1 << 18
 
 
 def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
@@ -158,7 +159,7 @@ def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _assemble_matrix(
-    polys: Sequence[AbsPoly], cache: genmat.EvalCache | None
+    polys: Sequence[AbsPoly], cache: genmat.EvalCache | None, keep: bool = False
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The one evaluator of generator polynomials.
 
@@ -173,8 +174,18 @@ def _assemble_matrix(
     machine's cores (see glcat.in_threads), and each is placed through the
     positions of its group's key sums among the rows, with no search.  M has
     object dtype when the bound of some column reaches 2^62, else int64.
+
+    With keep, the result stays on the cache until the next call, which
+    returns it as it is if its polynomials have the same terms: hwv_verify
+    keeps the matrix that relation_space then solves.  Callers only read M.
     """
     cache = cache or genmat.default_cache()
+    with cache._lock:
+        kept, cache._assembled = cache._assembled, None
+    if kept is not None and kept[0] == [v.terms for v in polys]:
+        return kept[1]
+    # a matrix kept for other polynomials is freed before this one is built
+    del kept
     used = dict.fromkeys(m for v in polys for m in v.terms)
     evals, groups = leaf_groups(used, cache)
     # every denominator is known before the fresh leaves are multiplied
@@ -209,9 +220,9 @@ def _assemble_matrix(
                 if bounds[i] >= 1 << 62 and M.dtype != object:
                     M = M.astype(object)
             coeffs = e.coeffs.astype(object) if M.dtype == object and not e.is_big() else e.coeffs
-            # the keys of e are distinct, so no position repeats
+            # M is column-major, so M[:, i] is a contiguous view
             for i, w in uses[m]:
-                M[pos, i] += coeffs * w
+                np.add.at(M[:, i], pos, coeffs * w)
 
     for m, e in evals.items():
         place(m, np.searchsorted(all_keys, e.keys), e)
@@ -223,7 +234,11 @@ def _assemble_matrix(
 
     in_threads(groups, ProductGroup.volume, fill)
     rows = np.flatnonzero(M.any(axis=1))
-    return M[rows], colscale, all_keys[rows]
+    result = M[rows], colscale, all_keys[rows]
+    if keep:
+        with cache._lock:
+            cache._assembled = [dict(v.terms) for v in polys], result
+    return result
 
 
 def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> AbsPoly:
@@ -263,10 +278,10 @@ def relation_space(
     if use_cache and store is not None:
         summary = store.get_json(key)
         if isinstance(summary, dict):
-            loaded = _load_space(lam, summary, digest, threads)
+            loaded = _load_space(lam, summary, digest, threads, cache)
             if loaded is not None:
                 return loaded
-    basis = hwv_basis(lam, threads=threads)
+    basis = hwv_basis(lam, threads=threads, cache=cache)
     M, colscale, _ = _assemble_matrix(basis.vectors, cache)
     nb = null_stream([M], basis.s, mode=mode)
     zeta = []
@@ -299,7 +314,7 @@ def relation_space(
 
 
 def _load_space(
-    lam: Partition, summary: dict, catalog: str, threads: int
+    lam: Partition, summary: dict, catalog: str, threads: int, cache: genmat.EvalCache
 ) -> RelationSpace | None:
     try:
         zeta = tuple(
@@ -308,7 +323,7 @@ def _load_space(
         digest = summary["digest"]
     except (KeyError, ValueError, TypeError):
         return None
-    basis = hwv_basis(lam, threads=threads)
+    basis = hwv_basis(lam, threads=threads, cache=cache)
     if any(len(z) != basis.s for z in zeta):
         return None
     relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)

@@ -21,10 +21,11 @@ from traceforge.genmat import (
     eval_word_trace,
     literal_word_trace,
     word_trace_packed,
+    word_traces_packed,
 )
 from traceforge.packedpoly import PackedCapacityError, XCAP, YCAP
 from traceforge.polyring import CommPoly
-from traceforge.tracelang import parse_trace
+from traceforge.tracelang import cyclic_normalize, parse_trace
 
 
 def test_x_is_diagonal_and_traceless():
@@ -160,6 +161,40 @@ def test_cache_counts_and_disk_round_trip(tmp_path):
     assert c2.stats.word_evals == 0
     assert c2.stats.disk_hits == 1
     assert p == eval_word_trace("xyxy", EvalCache())
+
+
+def test_word_traces_share_prefixes(tmp_path, monkeypatch):
+    # a batch computes each cyclic class once, multiplies out each prefix of
+    # the sorted canonical words once, and gives the bytes of the one-word
+    # path; a class the store already holds is read, not computed
+    from traceforge import genmat
+
+    words = ["xxyy", "yxxy", "xxyyxy", "xxyxy", "yxyxy", "xxyyy"]
+    keys = sorted({cyclic_normalize(w) for w in words})
+    store = CacheStore(tmp_path / "s")
+    word_trace_packed("xyxyy", EvalCache(store))
+    fresh = [k for k in keys if k != "xyxyy"]
+    steps = []
+    real = genmat._times_letter
+    monkeypatch.setattr(
+        genmat, "_times_letter", lambda k, c, ch: steps.append(ch) or real(k, c, ch)
+    )
+    cache = EvalCache(store)
+    word_traces_packed(words, cache)
+    assert (cache.stats.word_evals, cache.stats.disk_hits) == (len(fresh), 1)
+    assert len(steps) == len({k[:i] for k in fresh for i in range(1, len(k) + 1)})
+    assert len(steps) < sum(map(len, fresh))
+    for k in keys:
+        assert cache._words[k].to_bytes() == _compute_word_packed(k).to_bytes()
+    word_traces_packed(words, cache)
+    assert (cache.stats.word_evals, cache.stats.disk_hits) == (len(fresh), 1)
+
+
+def test_word_traces_reject_what_one_word_rejects():
+    with pytest.raises(ValueError):
+        word_traces_packed(["xy", "x"], EvalCache())
+    with pytest.raises(PackedCapacityError):
+        word_traces_packed(["xy", "x" * (XCAP + 1) + "y"], EvalCache())
 
 
 def test_short_word_rejected():

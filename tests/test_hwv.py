@@ -60,6 +60,19 @@ def test_blocked_threaded_matches_serial():
     assert threaded == serial
 
 
+def test_bases_are_memoized_per_cache_weight_and_thread_count():
+    from traceforge.genmat import EvalCache
+
+    lam = Partition(7, 5)
+    cache = EvalCache()
+    serial = hwv_basis(lam, cache=cache)
+    assert hwv_basis((7, 5), cache=cache) is serial
+    assert hwv_basis(lam) == serial and hwv_basis(lam) is not serial
+    threaded = hwv_basis(lam, threads=2, cache=cache)
+    assert threaded == serial and threaded is not serial
+    assert set(cache._bases) == {(lam, 1), (lam, 2)}
+
+
 def test_span_equal_rejects_different_weights(small_bases):
     assert not span_equal(small_bases[(7, 5)], small_bases[(6, 6)])
 
@@ -158,7 +171,7 @@ def test_verify_checks_the_assembled_columns(small_bases, session_cache, monkeyp
     assemble = relfinder._assemble_matrix
     for d_terms, column in itertools.product((hwv._D_TERMS, 1), (3, 35)):
 
-        def corrupt(polys, cache):
+        def corrupt(polys, cache, keep=False):
             M, colscale, keys = assemble(polys, cache)
             M = M.copy()
             # a monomial with a y11 factor, which D does not kill
@@ -195,3 +208,45 @@ def test_verification_shares_the_products_of_the_relation_space(small_bases, ses
         assert hwv_verify(basis, evaluate=True, cache=cache).ok
         assert cache.stats.gen_products == made
         assert cache.stats.mono_products == 0
+
+
+def test_relation_space_solves_the_matrix_verification_kept(
+    small_bases, session_store, monkeypatch
+):
+    # hwv_verify leaves its matrix on the cache, and the relation space of
+    # the same basis solves it without evaluating anything again; the matrix
+    # is taken, so the cache holds it no longer
+    from traceforge import relfinder
+    from traceforge.genmat import EvalCache
+
+    lam = Partition(6, 6)
+    want = relfinder.relation_space(lam, cache=EvalCache(session_store), use_cache=False)
+    cache = EvalCache(session_store)
+    assert hwv_verify(small_bases[(6, 6)], evaluate=True, cache=cache).ok
+    assert cache._assembled is not None
+
+    def no_evaluation(*args):
+        raise AssertionError("the kept matrix was assembled again")
+
+    monkeypatch.setattr(relfinder, "leaf_groups", no_evaluation)
+    got = relfinder.relation_space(lam, cache=cache, use_cache=False)
+    assert got.zeta == want.zeta and got.relvectors == want.relvectors
+    assert cache._assembled is None
+
+
+def test_a_kept_matrix_answers_only_its_own_polynomials(small_bases, session_store):
+    # other polynomials, or the same ones with one vector scaled, are
+    # assembled afresh, and the kept matrix is dropped
+    from traceforge import relfinder
+    from traceforge.genmat import EvalCache
+
+    vectors = small_bases[(6, 6)].vectors
+    scaled = (vectors[0].scale(2),) + vectors[1:]
+    for polys in (small_bases[(7, 5)].vectors, scaled):
+        cache = EvalCache(session_store)
+        assert hwv_verify(small_bases[(6, 6)], evaluate=True, cache=cache).ok
+        M, colscale, keys = relfinder._assemble_matrix(polys, cache)
+        assert cache._assembled is None
+        M2, colscale2, keys2 = relfinder._assemble_matrix(polys, EvalCache(session_store))
+        assert np.array_equal(M, M2) and colscale == colscale2
+        assert np.array_equal(keys, keys2)
