@@ -480,21 +480,24 @@ def cmd_reproduce(cfg: Config, args) -> Result:
     cache, threads = cfg.cache, cfg.threads
     tables: dict[str, dict] = {}
     lines: list[str] = []
-    last = time.perf_counter()
+    # seconds: wall time spent in the checks of each table
+    spent: dict[str, float] = {}
+
+    def timed(name: str, check, *args, **kwargs):
+        start = time.perf_counter()
+        out = check(*args, **kwargs)
+        spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
+        return out
 
     def record(name: str, ok: bool, line: str, **detail) -> None:
-        # seconds: wall time of this table, since the previous one was recorded
-        nonlocal last
-        now = time.perf_counter()
-        tables[name] = {"ok": ok, **detail, "seconds": round(now - last, 3)}
-        last = now
+        tables[name] = {"ok": ok, **detail, "seconds": round(spent[name], 3)}
         lines.append(("[PASS] " if ok else "[FAIL] ") + line)
 
     def rows_ok(rows: dict) -> bool:
         return all(row["ok"] for row in rows.values())
 
     # 1. catalog certification and generator degree audit
-    doc, _, ok = catalog_check(cache)
+    doc, _, ok = timed("catalog", catalog_check, cache)
     audit = doc["degree_audit"]
     counts = " ".join(f"{d}:{n}" for d, n in audit.items())
     record("catalog", ok, f"catalog certified; generator degree audit {counts}",
@@ -503,36 +506,44 @@ def cmd_reproduce(cfg: Config, args) -> Result:
     # 2. Hilbert table
     got = {}
     for lam in EXPECTED_HILBERT:
-        doc, _, _ = mult_check(Partition(*lam))
+        doc, _, _ = timed("hilbert", mult_check, Partition(*lam))
         got[lam] = (doc["P"], doc["Q"], doc["m"])
     record("hilbert", got == EXPECTED_HILBERT,
            "multiplicity table (P, Q, m) for all seven weights",
            rows={_lam_key(k): list(v) for k, v in got.items()})
 
-    # 3. highest weight bases, verified by evaluation
-    rows = {}
+    # 3, 4 and 7 run in one pass per weight, while the cache holds that
+    # weight's generator-monomial products and matrix: the highest weight
+    # basis verified by evaluation, the relation space and its certificates,
+    # and the bundled candidate files of the weight
+    hwv_rows, rel_rows, file_rows = {}, {}, {}
+    bundle_ok = True
     for lam, want in EXPECTED_HILBERT.items():
-        doc, _, ok = hwv_check(cache, Partition(*lam), threads=threads)
+        weight, key = Partition(*lam), _lam_key(lam)
+        doc, _, ok = timed("hwv", hwv_check, cache, weight, threads=threads)
         P, rank, s = doc["P"], doc["alpha_rank"], doc["s"]
-        rows[_lam_key(lam)] = {"rank": rank, "s": s, "ok": ok and (P, rank, s) == want}
-    record("hwv", rows_ok(rows),
-           "highest weight bases: rank = Q and s = m for all seven weights", rows=rows)
-
-    # 4. relation spaces and certificates
-    rows = {}
-    for lam, r in EXPECTED_R.items():
-        space = relation_space(
-            Partition(*lam), mode="modular", cache=cache, threads=threads
-        )
-        write_certificates(space, cache.store)
-        rows[_lam_key(lam)] = {"r": space.r, "expected": r, "from_cache": space.from_cache}
-    record("relations", all(row["r"] == row["expected"] for row in rows.values()),
-           "relation multiplicities r for all seven weights", rows=rows)
+        hwv_rows[key] = {"rank": rank, "s": s, "ok": ok and (P, rank, s) == want}
+        space = timed("relations", relation_space, weight, mode="modular", cache=cache,
+                      threads=threads)
+        timed("relations", write_certificates, space, cache.store)
+        rel_rows[key] = {"r": space.r, "expected": EXPECTED_R[lam], "from_cache": space.from_cache}
+        for name in (name for name, at in BUNDLED_FILES if at == lam):
+            doc, _, ok = timed("bundled", verify_check, cache, name, _bundled_text(name),
+                               threads=threads)
+            file_rows[name] = {
+                "zero": doc["zero"], "member": doc["membership"], "lambda": doc["lambda"]
+            }
+            bundle_ok = bundle_ok and ok and doc["lambda"] == list(lam)
+    record("hwv", rows_ok(hwv_rows),
+           "highest weight bases: rank = Q and s = m for all seven weights",
+           rows=hwv_rows)
+    record("relations", all(row["r"] == row["expected"] for row in rel_rows.values()),
+           "relation multiplicities r for all seven weights", rows=rel_rows)
 
     # 5. leading monomial tables per degree
     rows = {}
     for degree in LAMBDAS_BY_DEGREE:
-        doc, _, ok = leading_check(cache, degree, threads=threads)
+        doc, _, ok = timed("leading", leading_check, cache, degree, threads=threads)
         names = sorted(e["monomial"] for e in doc["entries"])
         rows[str(degree)] = {"count": doc["count"], "names": names, "ok": ok}
     record("leading", rows_ok(rows),
@@ -542,7 +553,7 @@ def cmd_reproduce(cfg: Config, args) -> Result:
     # 6. old/new split per degree
     rows = {}
     for degree in LAMBDAS_BY_DEGREE:
-        doc, _, ok = new_check(cache, degree, threads=threads)
+        doc, _, ok = timed("new", new_check, cache, degree, threads=threads)
         items = {_lam_key(i["lambda"]): [i["old"], i["new"]] for i in doc["items"]}
         rows[str(degree)] = {
             "items": items, "decomposition": doc["decomposition"], "ok": ok
@@ -551,21 +562,17 @@ def cmd_reproduce(cfg: Config, args) -> Result:
            "split of relations into consequences and new generators per degree",
            rows=rows)
 
-    # 7. bundled candidate files, each at the weight it must verify against
-    rows = {}
-    bundle_ok = True
-    for name, lam in BUNDLED_FILES:
-        doc, _, ok = verify_check(cache, name, _bundled_text(name), threads=threads)
-        rows[name] = {
-            "zero": doc["zero"], "member": doc["membership"], "lambda": doc["lambda"]
-        }
-        bundle_ok = bundle_ok and ok and doc["lambda"] == list(lam)
+    # 7. the bundled files, checked in the passes of their weights
     record("bundled", bundle_ok,
            "bundled relation files evaluate to zero and lie in the "
-           "computed relation spaces", rows=rows)
+           "computed relation spaces",
+           rows={name: file_rows[name] for name, _ in BUNDLED_FILES})
 
     all_ok = all(t["ok"] for t in tables.values())
-    # fresh work (evaluations, products, cache misses and writes) and reuse
+    import resource  # POSIX only
+
+    # fresh work (evaluations, products, cache misses and writes), reuse and
+    # the peak memory of the run
     store = cache.store
     stats = {
         "word_evals": cache.stats.word_evals,
@@ -576,6 +583,8 @@ def cmd_reproduce(cfg: Config, args) -> Result:
         "cache_misses": store.stats.misses,
         "cache_corrupt": store.stats.corrupt,
         "cache_writes": store.stats.writes,
+        # the peak resident set of the process so far; Linux reports kilobytes
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     payload = {"tables": tables, "pass": all_ok, "stats": stats}
     lines.append("stats: " + " ".join(f"{k}={v}" for k, v in stats.items()))

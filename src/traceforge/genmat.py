@@ -185,15 +185,33 @@ class EvalStats:
     disk_hits: int = 0
 
 
+@dataclass
+class WeightSlot:
+    """The weight relfinder._assemble_matrix works on, keyed on the set of
+    bidegrees of the monomials of its polynomials: the fresh leaves it
+    multiplied for them, which stay in EvalCache._abs_monos only while the
+    weight is current, and (the term dicts of the polynomials, result) of its
+    last assembly.  Threads that assemble different weights on one cache at
+    once get correct results, but a leaf made for a slot that another thread
+    has already replaced stays in the memo."""
+
+    bidegrees: frozenset[tuple[int, int]] = frozenset()
+    leaves: set[tuple[int, ...]] = field(default_factory=set)
+    last: tuple[list[dict], tuple] | None = None
+
+
 class EvalCache:
     """Per-word and per-generator-monomial evaluation cache.
 
     Thread-safe with last-writer-wins semantics; an optional CacheStore gives
     persistence for word evaluations.  Besides the trace words it holds the
-    generator evaluations and generator-monomial products that
+    generator evaluations and the generator-monomial products that
     glcat.eval_abs_monomials fills, so every memo lives exactly as long as the
-    cache that was passed in.  Products of word traces are not kept:
-    eval_trace_expr shares prefixes within one call only.
+    cache that was passed in.  Of the products it keeps the proper prefixes
+    for good, and the leaves of the current weight only (see WeightSlot):
+    a leaf is read again by another assembly of its own weight.  Products of
+    word traces are not kept: eval_trace_expr shares prefixes within one call
+    only.
     """
 
     def __init__(self, store: CacheStore | None = None):
@@ -206,9 +224,7 @@ class EvalCache:
         # highest weight bases by (weight, thread count), filled by
         # hwv.hwv_basis
         self._bases: dict[tuple, object] = {}
-        # (the term dicts of the polynomials, result) of the last
-        # relfinder._assemble_matrix call made with keep, until the next call
-        self._assembled: tuple[list[dict], tuple] | None = None
+        self._weight = WeightSlot()
         # set by glcat.catalog once the store holds the catalog verdict
         self._catalog_stored = False
         self._lock = threading.Lock()

@@ -160,9 +160,10 @@ def hwv_verify(
     """Check a basis: abs_delta kills each vector exactly and, with
     evaluate, the evaluated raising map D kills its evaluation on the
     generic matrices.  The evaluations are the columns of the matrix that
-    relation_space solves, from relfinder._assemble_matrix, which keeps the
-    matrix on the cache for the relation_space of the same basis, and
-    genmat.eval_delta_columns applies D to a block of columns with one sort.
+    relation_space solves, from relfinder._assemble_matrix, which leaves the
+    matrix on the cache's weight slot, where the relation_space of the same
+    basis finds it; genmat.eval_delta_columns applies D to a block of columns
+    with one sort.
     A vector that evaluates to zero is a relation and passes.  Raises
     PackedCapacityError where an evaluation exceeds the packed fields."""
     failures: list[str] = []
@@ -178,7 +179,7 @@ def hwv_verify(
     if evaluate:
         from .relfinder import _assemble_matrix  # relfinder imports this module
 
-        M, _, keys = _assemble_matrix(basis.vectors, cache, keep=True)
+        M, _, keys = _assemble_matrix(basis.vectors, cache)
         step = max(1, _D_TERMS // max(1, len(keys)))
         flagged = []
         for start in range(0, M.shape[1], step):

@@ -41,6 +41,7 @@ from .glcat import (
     gen_by_modj,
     in_threads,
     leaf_groups,
+    mono_bidegree,
     mono_name,
     phi,
 )
@@ -159,7 +160,7 @@ def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _assemble_matrix(
-    polys: Sequence[AbsPoly], cache: genmat.EvalCache | None, keep: bool = False
+    polys: Sequence[AbsPoly], cache: genmat.EvalCache | None
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The one evaluator of generator polynomials.
 
@@ -175,19 +176,32 @@ def _assemble_matrix(
     positions of its group's key sums among the rows, with no search.  M has
     object dtype when the bound of some column reaches 2^62, else int64.
 
-    With keep, the result stays on the cache until the next call, which
-    returns it as it is if its polynomials have the same terms: hwv_verify
-    keeps the matrix that relation_space then solves.  Callers only read M.
+    The cache works on one weight at a time (see genmat.WeightSlot), keyed
+    on the set of bidegrees of the monomials of polys, which need not be
+    homogeneous.  Polynomials of another set first empty the slot: its
+    leaves leave the monomial memo and its matrix is freed.  The fresh
+    leaves of this call join the slot, and the result stays on it until the
+    next call, which gets it back if its polynomials have the same terms:
+    hwv_verify and the relation_space of the same basis assemble once.
+    Callers only read M.
     """
     cache = cache or genmat.default_cache()
+    terms = [dict(v.terms) for v in polys]
+    used = dict.fromkeys(m for t in terms for m in t)
+    bidegrees = frozenset(map(mono_bidegree, used))
     with cache._lock:
-        kept, cache._assembled = cache._assembled, None
-    if kept is not None and kept[0] == [v.terms for v in polys]:
-        return kept[1]
-    # a matrix kept for other polynomials is freed before this one is built
-    del kept
-    used = dict.fromkeys(m for v in polys for m in v.terms)
+        slot = cache._weight
+        if slot.bidegrees != bidegrees:
+            for m in slot.leaves:
+                cache._abs_monos.pop(m, None)
+            slot = cache._weight = genmat.WeightSlot(bidegrees)
+        if slot.last is not None and slot.last[0] == terms:
+            return slot.last[1]
+        # a matrix of other polynomials is freed before this one is built
+        slot.last = None
     evals, groups = leaf_groups(used, cache)
+    with cache._lock:
+        slot.leaves.update(m for grp in groups for m in grp.monos)
     # every denominator is known before the fresh leaves are multiplied
     den = {m: e.den for m, e in evals.items()}
     for grp in groups:
@@ -234,11 +248,11 @@ def _assemble_matrix(
 
     in_threads(groups, ProductGroup.volume, fill)
     rows = np.flatnonzero(M.any(axis=1))
-    result = M[rows], colscale, all_keys[rows]
-    if keep:
-        with cache._lock:
-            cache._assembled = [dict(v.terms) for v in polys], result
-    return result
+    # the nonzero rows move up in place, one contiguous column at a time
+    for col in M.T:
+        col[: len(rows)] = col[rows]
+    slot.last = terms, (M[: len(rows)], colscale, all_keys[rows])
+    return slot.last[1]
 
 
 def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> AbsPoly:

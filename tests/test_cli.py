@@ -216,6 +216,26 @@ def test_reproduce_idempotent(capsys, tmp_path):
     doc = json.loads(capsys.readouterr().out)
     assert code3 == 0 and doc["pass"]
     assert all(table["seconds"] >= 0 for table in doc["tables"].values())
+    assert doc["stats"]["peak_rss_mb"] > 0
+    # the hwv, relations and bundled checks run in one pass per weight, and
+    # the tables still come out in their order, with their rows in order
+    # (the JSON output sorts its keys, so the payload is read before it)
+    from traceforge.cli import Config, cmd_reproduce
+
+    payload, _, ok = cmd_reproduce(Config(Path(cdir), 1, 14, "json"), None)
+    tables = payload["tables"]
+    assert ok and list(tables) == [
+        "catalog", "hilbert", "hwv", "relations", "leading", "new", "bundled"
+    ]
+    weights = ["7,5", "6,6", "8,5", "7,6", "9,5", "8,6", "7,7"]
+    assert list(tables["hwv"]["rows"]) == list(tables["relations"]["rows"]) == weights
+    assert list(tables["bundled"]["rows"]) == ["v75.phi", "v66prime.phi", "v66second.phi"]
+    for out in (out1, out2):
+        passed = [line for line in out.splitlines() if line.startswith("[PASS] ")]
+        assert [line.split()[1] for line in passed] == [
+            "catalog", "multiplicity", "highest", "relation", "leading", "split",
+            "bundled",
+        ]
 
 
 def test_hwv_verdict_key_tracks_the_basis(session_cache):

@@ -171,7 +171,7 @@ def test_verify_checks_the_assembled_columns(small_bases, session_cache, monkeyp
     assemble = relfinder._assemble_matrix
     for d_terms, column in itertools.product((hwv._D_TERMS, 1), (3, 35)):
 
-        def corrupt(polys, cache, keep=False):
+        def corrupt(polys, cache):
             M, colscale, keys = assemble(polys, cache)
             M = M.copy()
             # a monomial with a y11 factor, which D does not kill
@@ -213,9 +213,9 @@ def test_verification_shares_the_products_of_the_relation_space(small_bases, ses
 def test_relation_space_solves_the_matrix_verification_kept(
     small_bases, session_store, monkeypatch
 ):
-    # hwv_verify leaves its matrix on the cache, and the relation space of
-    # the same basis solves it without evaluating anything again; the matrix
-    # is taken, so the cache holds it no longer
+    # hwv_verify leaves its matrix on the cache's weight slot, and the
+    # relation space of the same basis solves it without evaluating anything
+    # again; the matrix stays on the slot for the next call of the weight
     from traceforge import relfinder
     from traceforge.genmat import EvalCache
 
@@ -223,7 +223,9 @@ def test_relation_space_solves_the_matrix_verification_kept(
     want = relfinder.relation_space(lam, cache=EvalCache(session_store), use_cache=False)
     cache = EvalCache(session_store)
     assert hwv_verify(small_bases[(6, 6)], evaluate=True, cache=cache).ok
-    assert cache._assembled is not None
+    slot = cache._weight
+    assert slot.bidegrees == {(6, 6)} and slot.last is not None
+    kept = slot.last[1]
 
     def no_evaluation(*args):
         raise AssertionError("the kept matrix was assembled again")
@@ -231,12 +233,12 @@ def test_relation_space_solves_the_matrix_verification_kept(
     monkeypatch.setattr(relfinder, "leaf_groups", no_evaluation)
     got = relfinder.relation_space(lam, cache=cache, use_cache=False)
     assert got.zeta == want.zeta and got.relvectors == want.relvectors
-    assert cache._assembled is None
+    assert cache._weight is slot and slot.last[1] is kept
 
 
 def test_a_kept_matrix_answers_only_its_own_polynomials(small_bases, session_store):
     # other polynomials, or the same ones with one vector scaled, are
-    # assembled afresh, and the kept matrix is dropped
+    # assembled afresh, and their matrix takes the slot's place
     from traceforge import relfinder
     from traceforge.genmat import EvalCache
 
@@ -245,8 +247,35 @@ def test_a_kept_matrix_answers_only_its_own_polynomials(small_bases, session_sto
     for polys in (small_bases[(7, 5)].vectors, scaled):
         cache = EvalCache(session_store)
         assert hwv_verify(small_bases[(6, 6)], evaluate=True, cache=cache).ok
+        kept = cache._weight.last[1]
         M, colscale, keys = relfinder._assemble_matrix(polys, cache)
-        assert cache._assembled is None
+        assert M is not kept[0]
+        assert cache._weight.last == ([v.terms for v in polys], (M, colscale, keys))
         M2, colscale2, keys2 = relfinder._assemble_matrix(polys, EvalCache(session_store))
         assert np.array_equal(M, M2) and colscale == colscale2
         assert np.array_equal(keys, keys2)
+
+
+def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
+    small_bases, session_store
+):
+    # hwv_verify and relation_space for (7,5), then for (6,6), on one cache:
+    # the (7,5) leaves leave the memo when the weight changes, and every
+    # product is made once, the count of distinct proper prefixes and leaves
+    from traceforge.genmat import EvalCache
+    from traceforge.glcat import mono_bidegree
+    from traceforge.relfinder import relation_space
+
+    cache = EvalCache(session_store)
+    used = set()
+    for lam in ((7, 5), (6, 6)):
+        basis = small_bases[lam]
+        used |= {m for v in basis.vectors for m in v.terms}
+        assert hwv_verify(basis, evaluate=True, cache=cache).ok
+        relation_space(Partition(*lam), cache=cache, use_cache=False)
+    assert cache._weight.bidegrees == {(6, 6)}
+    assert all(mono_bidegree(m) != (7, 5) for m in cache._abs_monos)
+    assert cache.stats.gen_products == 466
+    assert cache.stats.gen_products == len(
+        {m[:n] for m in used for n in range(2, len(m) + 1)}
+    )

@@ -283,7 +283,9 @@ def test_mixed_routes_assemble_the_same_matrix(cache, monkeypatch):
         M, colscale, keys = relfinder._assemble_matrix(vectors, run)
         # some leaves were memoized and some fresh (or all fresh)
         assert (before > 0) == bool(memoized) and run.stats.gen_products > before
-        assert set(used) <= set(run._abs_monos)
+        # the fresh leaves are the weight slot's, in the memo while it lasts
+        fresh = {m for m in used if len(m) > 1} - set(memoized)
+        assert run._weight.leaves == fresh and fresh <= set(run._abs_monos)
         return (M, colscale, keys), run.stats.gen_products
 
     (M, colscale, keys), products = assemble([])
