@@ -6,7 +6,10 @@
 # the 73 catalog words exactly once: the script fails unless it reports zero
 # trace-monomial products and 73 word evaluations.  It must also compute each
 # needed generator-monomial product exactly once, however many threads share
-# them: the script fails unless it reports 2044 of them.  The second pass must do
+# them: the script fails unless it reports 2044 of them.  It must leave one
+# file per cache write: the script fails unless the cache dir then holds
+# exactly as many files as the pass reports cache writes, none of them a
+# checksum sidecar or a leftover temporary.  The second pass must do
 # no fresh work: the script fails unless it reports zero word evaluations,
 # trace-monomial and generator-monomial products, and zero cache misses,
 # corrupt entries and writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
@@ -55,6 +58,15 @@ if ! grep -Eq "(^| )gen_products=2044( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass did not make the 2044 generator-monomial products (${stats:-no stats line})" >&2
     exit 1
 fi
+# one file per cache entry: no checksum sidecars, no leftover temporaries
+writes="$(grep -Eo '(^| )cache_writes=[0-9]+' <<<"$stats" | grep -Eo '[0-9]+$' || true)"
+files="$(find "$CACHE" -mindepth 1 -maxdepth 1 | wc -l)"
+strays="$(find "$CACHE" -mindepth 1 -maxdepth 1 \( -name '*.sha256' -o -name '.tmp-*' \) | wc -l)"
+if [[ -z "$writes" || "$files" -ne "$writes" || "$strays" -ne 0 ]]; then
+    echo "FAIL: the cold pass left $files files ($strays sidecars or temporaries) for ${writes:-no} cache writes" >&2
+    exit 1
+fi
+echo "cold pass left one file per cache write: $files"
 
 echo
 echo "== pass 2 (warm cache) =="

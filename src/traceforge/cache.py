@@ -1,15 +1,20 @@
 """Content-addressed disk cache for computed artifacts.
 
-Entries are keyed by a semantic key string; the file name is the SHA-256 of
-the key.  Polynomials (the word traces) are stored as packed binary entries,
-PackedPoly.to_bytes with a versioned header, and structured results as JSON.
-Text polynomial entries written by earlier versions (extension .poly) are
-never read.  Every entry has a sidecar holding the SHA-256 of the file
-bytes.  A missing entry or sidecar is a miss; a checksum mismatch or an
-entry that does not decode (for a polynomial, anything PackedPoly.from_bytes
-rejects: bad header, wrong length, unsorted keys, zero coefficients,
-den <= 0) is a miss counted as corrupt.  Either way the caller recomputes.
-Writes are atomic via rename, concurrent writers follow last-writer-wins.
+Entries are keyed by a semantic key string; each entry is one file, named
+by the SHA-256 of the key with the extension .entry.  The file is a fixed
+40-byte header (the magic b"TFCE", the format version as a little-endian
+uint32, and the SHA-256 of the payload) followed by the payload:
+PackedPoly.to_bytes for a polynomial (the word traces), the JSON text for a
+structured result.  A read checks the header before it decodes.  Files of
+earlier layouts (an entry plus a .sha256 sidecar, under .poly, .ppoly or
+.json) sit at paths this store never opens, so they read as plain
+misses.  A missing entry is a miss; a bad header, a checksum mismatch or a
+payload that does not decode (for a polynomial, anything
+PackedPoly.from_bytes rejects: bad header, wrong length, unsorted keys,
+zero coefficients, den <= 0) is a miss counted as corrupt.  Either way the
+caller recomputes.  Each write replaces its one file atomically via rename,
+so an entry and its checksum change together; concurrent writers follow
+last-writer-wins.
 """
 
 from __future__ import annotations
@@ -19,21 +24,19 @@ import json
 import os
 import tempfile
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .packedpoly import PackedPoly
 
-# packed binary polynomials; text entries used .poly
-_POLY_EXT = ".ppoly"
-
-
-def _digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+# magic and format version; the header ends with the payload's SHA-256
+_MAGIC_VERSION = b"TFCE" + (1).to_bytes(4, "little")
+_HEADER_SIZE = len(_MAGIC_VERSION) + 32
 
 
 def digest_text(text: str) -> str:
-    return _digest_bytes(text.encode())
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass
@@ -54,26 +57,26 @@ class CacheStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
 
-    def _path(self, key: str, ext: str) -> Path:
-        return self.root / (digest_text(key)[:40] + ext)
+    def _path(self, key: str) -> Path:
+        return self.root / (digest_text(key)[:40] + ".entry")
 
     # -- raw entries --------------------------------------------------------
 
-    def _read(self, path: Path, decode):
-        """decode(bytes) of a checksummed entry, None on a miss.  A checksum
-        mismatch or a decode error (ValueError) counts as corrupt."""
-        side = path.with_suffix(path.suffix + ".sha256")
+    def _read(self, key: str, decode):
+        """decode(payload) of the entry under key, None on a miss.  A bad
+        header, a checksum mismatch or a decode error (ValueError) counts
+        as corrupt."""
         try:
-            data = path.read_bytes()
-            want = side.read_text().strip()
+            data = self._path(key).read_bytes()
         except OSError:
             with self._lock:
                 self.stats.misses += 1
             return None
+        payload = memoryview(data)[_HEADER_SIZE:]
         try:
-            if _digest_bytes(data) != want:
-                raise ValueError("checksum mismatch")
-            value = decode(data)
+            if data[:_HEADER_SIZE] != _MAGIC_VERSION + hashlib.sha256(payload).digest():
+                raise ValueError("bad header or checksum")
+            value = decode(payload)
         except ValueError:
             with self._lock:
                 self.stats.corrupt += 1
@@ -83,34 +86,31 @@ class CacheStore:
             self.stats.hits += 1
         return value
 
-    def _write(self, path: Path, data: bytes) -> None:
-        side = path.with_suffix(path.suffix + ".sha256")
-        for target, payload in ((path, data), (side, _digest_bytes(data).encode())):
-            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(payload)
-                os.replace(tmp, target)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+    def _write(self, key: str, payload: bytes) -> None:
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_MAGIC_VERSION + hashlib.sha256(payload).digest())
+                fh.write(payload)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
         with self._lock:
             self.stats.writes += 1
 
     # -- typed entries ------------------------------------------------------
 
     def get_poly(self, key: str) -> PackedPoly | None:
-        return self._read(self._path(key, _POLY_EXT), PackedPoly.from_bytes)
+        return self._read(key, PackedPoly.from_bytes)
 
     def put_poly(self, key: str, poly: PackedPoly) -> None:
-        self._write(self._path(key, _POLY_EXT), poly.to_bytes())
+        self._write(key, poly.to_bytes())
 
     def get_json(self, key: str):
-        return self._read(self._path(key, ".json"), lambda data: json.loads(data.decode()))
+        return self._read(key, lambda payload: json.loads(str(payload, "utf-8")))
 
     def put_json(self, key: str, obj) -> None:
         text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-        self._write(self._path(key, ".json"), text.encode())
+        self._write(key, text.encode())

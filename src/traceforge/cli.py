@@ -126,7 +126,11 @@ class Config:
     @cached_property
     def cache(self) -> genmat.EvalCache:
         """The one evaluation cache of the process, built on first use."""
-        return genmat.EvalCache(CacheStore(self.cache_dir))
+        try:
+            store = CacheStore(self.cache_dir)
+        except OSError as exc:
+            raise SystemExit(f"cannot use cache dir {self.cache_dir}: {exc}")
+        return genmat.EvalCache(store)
 
 
 def _env(name: str) -> str | None:

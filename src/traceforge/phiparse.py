@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .glcat import NGENS, PARTS, AbsPoly, gen_by_modj, mono_name
+from .tracelang import _Scanner
 
 # A symbol is ("t", i), ("x", i), ("y", i) or ("z", i, p, q).
 _Sym = tuple
@@ -74,41 +75,12 @@ def _epow(a: _Expansion, n: int) -> _Expansion:
     return out
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+class _Parser(_Scanner):
+    error_class = PhiParseError
 
-    def error(self, msg: str) -> PhiParseError:
-        return PhiParseError(msg, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def try_take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
-
-    def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected integer")
-        return int(self.text[start : self.pos])
+    def zero_denominator(self, numerator_end: int) -> PhiParseError:
+        # a phi expression reports the end of the denominator
+        return self.error("zero denominator")
 
     def parse(self) -> _Expansion:
         out = self.parse_sum()
@@ -143,17 +115,7 @@ class _Parser:
     def parse_atom(self) -> _Expansion:
         ch = self.peek()
         if ch.isdigit():
-            num = self.take_int()
-            save = self.pos
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "/":
-                self.pos += 1
-                den = self.take_int()
-                if den == 0:
-                    raise self.error("zero denominator")
-                return {(): Fraction(num, den)}
-            self.pos = save
-            return {(): Fraction(num)}
+            return {(): self.try_rational()}
         if ch == "(":
             self.take("(")
             inner = self.parse_sum()

@@ -351,9 +351,17 @@ class TraceParseError(ValueError):
 
 
 class _Scanner:
+    """Character scanner shared by the trace and phi grammars.  Errors are
+    error_class(msg, pos), so each grammar raises its own class."""
+
+    error_class: type[ValueError] = TraceParseError
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+
+    def error(self, msg: str, pos: int | None = None) -> ValueError:
+        return self.error_class(msg, self.pos if pos is None else pos)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -368,7 +376,7 @@ class _Scanner:
 
     def take(self, ch: str) -> None:
         if self.peek() != ch:
-            raise TraceParseError(f"expected {ch!r}", self.pos)
+            raise self.error(f"expected {ch!r}")
         self.pos += 1
 
     def try_take(self, ch: str) -> bool:
@@ -383,10 +391,11 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            raise TraceParseError("expected integer", start)
+            raise self.error("expected integer")
         return int(self.text[start : self.pos])
 
     def try_rational(self) -> Rational | None:
+        """An integer or int/int literal, None unless a digit comes next."""
         self.skip_ws()
         if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
             return None
@@ -397,10 +406,14 @@ class _Scanner:
             self.pos += 1
             den = self.take_int()
             if den == 0:
-                raise TraceParseError("zero denominator", save)
+                raise self.zero_denominator(save)
             return Fraction(num, den)
         self.pos = save
         return Fraction(num)
+
+    def zero_denominator(self, numerator_end: int) -> ValueError:
+        # a trace expression reports the end of the numerator
+        return self.error("zero denominator", numerator_end)
 
 
 def parse_trace(text: str) -> TraceExpr:

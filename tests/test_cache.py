@@ -1,5 +1,6 @@
-"""Disk store: round trips, checksum guard, packed polynomial entries, stat
-counters, and the catalog verdict on a warm store."""
+"""Disk store: round trips, the self-checking entry header, packed
+polynomial entries, stat counters, one file per entry, and the catalog
+verdict on a warm store."""
 
 import hashlib
 from fractions import Fraction
@@ -15,7 +16,7 @@ from traceforge.glcat import Partition
 from traceforge.packedpoly import NVARS, NX, PackedPoly
 from traceforge.genmat import EvalCache
 from traceforge.hwv import hwv_basis, hwv_verify
-from traceforge.relfinder import relation_space
+from traceforge.relfinder import relation_space, write_certificates
 
 
 def mono(**exps):
@@ -31,13 +32,6 @@ def sample_poly():
     return PackedPoly.from_terms(
         [(mono(x0=3), 1), (mono(x0=1, y0=1), Fraction(-7, 3)), (mono(), 2)]
     )
-
-
-def write_entry(store, key, data):
-    """Replace an entry and give it a valid sidecar."""
-    path = store._path(key, ".ppoly")
-    path.write_bytes(data)
-    path.with_suffix(".ppoly.sha256").write_text(hashlib.sha256(data).hexdigest())
 
 
 def assert_same(p, q):
@@ -115,7 +109,8 @@ def _bad_entries(poly):
 def test_damaged_word_trace_is_recomputed(tmp_path, damage):
     store = CacheStore(tmp_path / "s")
     good = genmat.word_trace_packed("xxyy", genmat.EvalCache(store))
-    write_entry(store, "wordtrace:xxyy", _bad_entries(good)[damage])
+    # behind a valid header, so that the read reaches the decoder
+    store._write("wordtrace:xxyy", _bad_entries(good)[damage])
     store.stats.corrupt = 0
     assert store.get_poly("wordtrace:xxyy") is None
     assert store.stats.corrupt == 1
@@ -138,12 +133,23 @@ def test_zero_coefficient_and_bad_den_are_rejected():
             PackedPoly.from_bytes(PackedPoly(p.keys, p.coeffs, den, 0, 0).to_bytes())
 
 
-def test_text_entries_of_earlier_versions_are_ignored(tmp_path):
+@pytest.mark.parametrize(
+    "ext, payload",
+    [
+        (".poly", b"x11^2"),
+        (".ppoly", sample_poly().to_bytes()),
+        (".json", b'{"v":1}'),
+    ],
+    ids=["poly", "ppoly", "json"],
+)
+def test_text_entries_of_earlier_versions_are_ignored(tmp_path, ext, payload):
+    # an entry with a valid sidecar, as earlier versions wrote them
     store = CacheStore(tmp_path / "s")
-    old = store._path("k", ".poly")
-    old.write_bytes(b"x11^2")
-    old.with_suffix(".poly.sha256").write_text(hashlib.sha256(b"x11^2").hexdigest())
-    assert store.get_poly("k") is None
+    old = store.root / (digest_text("k")[:40] + ext)
+    old.write_bytes(payload)
+    old.with_name(old.name + ".sha256").write_text(hashlib.sha256(payload).hexdigest())
+    get = store.get_json if ext == ".json" else store.get_poly
+    assert get("k") is None
     assert (store.stats.misses, store.stats.corrupt) == (1, 0)
 
 
@@ -163,28 +169,60 @@ def test_distinct_keys_do_not_collide(tmp_path):
 
 
 def test_corrupted_payload_is_a_miss(tmp_path):
+    # edited JSON behind a valid header: unparseable, then not UTF-8
     store = CacheStore(tmp_path / "s")
     store.put_json("k", {"v": 1})
-    path = store._path("k", ".json")
-    path.write_bytes(b'{"v": 999}')
-    assert store.get_json("k") is None
+    for corrupt, payload in enumerate((b'{"v": 999', b'{"v": "\xff"}'), 1):
+        store._write("k", payload)
+        assert store.get_json("k") is None
+        assert store.stats.corrupt == corrupt
+
+
+def _damaged_files(data):
+    header = 40  # magic, format version, SHA-256 of the payload
+    flipped = bytearray(data)
+    flipped[header + 20] ^= 0x01
+    return {
+        "truncated-header": data[: header - 1],
+        "wrong-magic": b"XXXX" + data[4:],
+        "wrong-version": data[:4] + (99).to_bytes(4, "little") + data[8:],
+        "flipped-payload-byte": bytes(flipped),
+    }
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncated-header", "wrong-magic", "wrong-version", "flipped-payload-byte"]
+)
+def test_damaged_header_is_corrupt_and_rewritten(tmp_path, damage):
+    store = CacheStore(tmp_path / "s")
+    good = genmat.word_trace_packed("xxyy", genmat.EvalCache(store))
+    path = store._path("wordtrace:xxyy")
+    path.write_bytes(_damaged_files(path.read_bytes())[damage])
+    cache = genmat.EvalCache(store)
+    again = genmat.word_trace_packed("xxyy", cache)
+    assert cache.stats.word_evals == 1 and cache.stats.disk_hits == 0
     assert store.stats.corrupt == 1
-
-
-def test_missing_checksum_is_a_miss(tmp_path):
-    store = CacheStore(tmp_path / "s")
-    store.put_json("k", {"v": 1})
-    side = store._path("k", ".json").with_suffix(".json.sha256")
-    side.unlink()
-    assert store.get_json("k") is None
+    assert_same(again, good)
+    assert_same(store.get_poly("wordtrace:xxyy"), good)
+    assert store.stats.corrupt == 1
 
 
 def test_unparseable_poly_counts_corrupt(tmp_path):
     store = CacheStore(tmp_path / "s")
     store.put_poly("k", sample_poly())
-    write_entry(store, "k", b"not a polynomial")
+    store._write("k", b"not a polynomial")
     assert store.get_poly("k") is None
     assert store.stats.corrupt == 1
+
+
+def test_one_file_per_entry(tmp_path):
+    store = CacheStore(tmp_path / "s")
+    space = relation_space(Partition(7, 5), cache=EvalCache(store))
+    write_certificates(space, store)
+    names = [p.name for p in store.root.iterdir()]
+    assert store.stats.writes > 0
+    assert len(names) == store.stats.writes
+    assert not [n for n in names if n.endswith(".sha256") or n.startswith(".tmp-")]
 
 
 def test_digest_text_stable():

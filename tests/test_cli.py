@@ -170,6 +170,19 @@ def test_verify_unreadable_file_is_a_one_line_error(tmp_path, grammar):
         assert "\n" not in msg
 
 
+def test_unusable_cache_dir_is_a_one_line_error(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", str(not_a_dir), "relations", "--lambda", "7,5"])
+    msg = exc.value.code
+    assert isinstance(msg, str) and msg.startswith(f"cannot use cache dir {not_a_dir}: ")
+    assert "\n" not in msg
+    # mult uses no cache
+    assert main(["--cache-dir", str(not_a_dir), "mult", "--lambda", "7,5"]) == 0
+    assert "m=36" in capsys.readouterr().out
+
+
 def test_relations_degree12(capsys, tmp_path):
     code, doc = run_json(
         capsys, "relations", "--lambda", "7,5", "--cache-dir", str(tmp_path / "c")
@@ -335,7 +348,7 @@ def test_beyond_packed_capacity_is_a_one_line_error(tmp_path, session_cache, arg
     argv = [str(big) if a == "BIG" else a for a in argv]
     root = session_cache.store.root
     catalog(session_cache)
-    stored = set(root.glob("*.json"))
+    stored = sorted(root.iterdir())
     with pytest.raises(SystemExit) as exc:
         main(["--cache-dir", str(root), *argv])
     msg = exc.value.code
@@ -343,7 +356,7 @@ def test_beyond_packed_capacity_is_a_one_line_error(tmp_path, session_cache, arg
     assert isinstance(msg, str) and msg.startswith(f"{command}: beyond the packed")
     assert "\n" not in msg
     # no verdict, relation space or certificate is stored
-    assert set(root.glob("*.json")) == stored
+    assert sorted(root.iterdir()) == stored
 
 
 def test_beyond_packed_capacity_without_evaluation(capsys, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from traceforge.glcat import AbsPoly, gen_by_modj, phi
 from traceforge.phiparse import PhiParseError, format_phi, parse_phi
-from traceforge.tracelang import format_trace_expr, parse_trace
+from traceforge.tracelang import TraceParseError, format_trace_expr, parse_trace
 
 
 def gen(i, j):
@@ -88,6 +88,36 @@ def test_malformed_syntax_positions():
     for text in ("", "+", "3**t4^2", "t13^2", "z5^(1)*t5^2", "(x1-y1", "x1-y1)"):
         with pytest.raises(PhiParseError):
             parse_phi(text)
+
+
+# (parser, error class, text, message, position); the zero-denominator
+# position differs on purpose: a trace expression reports the end of the
+# numerator, a phi expression the end of the denominator
+MALFORMED = [
+    (parse_phi, PhiParseError, "t4^2*(x1", "expected ')'", 8),
+    (parse_phi, PhiParseError, "u13_0", "expected a rational, a variable or '('", 0),
+    (parse_phi, PhiParseError, "", "expected a rational, a variable or '('", 0),
+    (parse_phi, PhiParseError, "1 / 0 *t4^2", "zero denominator", 5),
+    (parse_phi, PhiParseError, "2/ *t4^2", "expected integer", 3),
+    (parse_phi, PhiParseError, "t13", "module index 13 out of range 1..12", 3),
+    (parse_phi, PhiParseError, "t4^2 t4^2", "trailing input", 5),
+    (parse_trace, TraceParseError, "tr(xy", "expected ')'", 5),
+    (parse_trace, TraceParseError, "", "expected a trace factor", 0),
+    (parse_trace, TraceParseError, "1 / 0 tr(xy)", "zero denominator", 1),
+    (parse_trace, TraceParseError, "2/ tr(xy)", "expected integer", 3),
+    (parse_trace, TraceParseError, "tr(x^)", "expected integer", 5),
+    (parse_trace, TraceParseError, "tr(xy))", "trailing input", 6),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, error, text, msg, pos", MALFORMED, ids=[f"{m[1].__name__}-{m[2]}" for m in MALFORMED]
+)
+def test_error_messages_and_positions(parse, error, text, msg, pos):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert exc.value.pos == pos
+    assert str(exc.value) == f"{msg} (at position {pos})"
 
 
 def test_whitespace_and_newlines_allowed():
