@@ -9,7 +9,9 @@
 # them: the script fails unless it reports 2044 of them.  It must leave one
 # file per cache write: the script fails unless the cache dir then holds
 # exactly as many files as the pass reports cache writes, none of them a
-# checksum sidecar or a leftover temporary.  The second pass must do
+# checksum sidecar or a leftover temporary.  It must stay within 120 MB: the
+# script fails if the `peak_rss_mb` of its `stats:` line exceeds 120, the
+# memory the degree-14 weights are meant to fit in.  The second pass must do
 # no fresh work: the script fails unless it reports zero word evaluations,
 # trace-monomial and generator-monomial products, and zero cache misses,
 # corrupt entries and writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
@@ -67,6 +69,13 @@ if [[ -z "$writes" || "$files" -ne "$writes" || "$strays" -ne 0 ]]; then
     exit 1
 fi
 echo "cold pass left one file per cache write: $files"
+# the peak resident set of the cold pass, in MB
+rss="$(grep -Eo '(^| )peak_rss_mb=[0-9.]+' <<<"$stats" | grep -Eo '[0-9.]+$' || true)"
+if [[ -z "$rss" ]] || ! awk -v r="$rss" 'BEGIN { exit !(r <= 120) }'; then
+    echo "FAIL: the cold pass peaked above 120 MB (${stats:-no stats line})" >&2
+    exit 1
+fi
+echo "cold pass peaked at $rss MB"
 
 echo
 echo "== pass 2 (warm cache) =="

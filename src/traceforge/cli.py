@@ -343,12 +343,15 @@ def verify_check(
                 lam = parsed.bidegree()
             except NotHomogeneous:
                 pass
-            zrep = verify_zero_abs(parsed, cache)
+            # the relation space first: a cold solve leaves its basis's
+            # matrix on the weight slot, which evaluates a member without
+            # multiplying its leaves again
             if lam in _KNOWN_LAMBDAS:
                 space = relation_space(
                     Partition(*lam), mode="modular", cache=cache, threads=threads
                 )
                 member = membership(parsed, space)
+            zrep = verify_zero_abs(parsed, cache)
         return {
             "grammar": grammar,
             "zero": zrep.zero,

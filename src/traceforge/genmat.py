@@ -23,7 +23,7 @@ matrix work.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -188,15 +188,13 @@ class EvalStats:
 @dataclass
 class WeightSlot:
     """The weight relfinder._assemble_matrix works on, keyed on the set of
-    bidegrees of the monomials of its polynomials: the fresh leaves it
-    multiplied for them, which stay in EvalCache._abs_monos only while the
-    weight is current, and (the term dicts of the polynomials, result) of its
-    last assembly.  Threads that assemble different weights on one cache at
-    once get correct results, but a leaf made for a slot that another thread
-    has already replaced stays in the memo."""
+    bidegrees of the monomials of its polynomials, and (the term dicts of the
+    polynomials, result) of its last assembly.  The leaves multiplied for
+    that assembly are not kept: each dies once it is added into M.  A
+    polynomial in the span of the slot's polynomials is evaluated from M
+    (see relfinder.verify_zero_abs)."""
 
     bidegrees: frozenset[tuple[int, int]] = frozenset()
-    leaves: set[tuple[int, ...]] = field(default_factory=set)
     last: tuple[list[dict], tuple] | None = None
 
 
@@ -208,9 +206,10 @@ class EvalCache:
     generator evaluations and the generator-monomial products that
     glcat.eval_abs_monomials fills, so every memo lives exactly as long as the
     cache that was passed in.  Of the products it keeps the proper prefixes
-    for good, and the leaves of the current weight only (see WeightSlot):
-    a leaf is read again by another assembly of its own weight.  Products of
-    word traces are not kept: eval_trace_expr shares prefixes within one call
+    for good.  The leaves that relfinder._assemble_matrix multiplies are not
+    kept: each is added into the columns that use it and dropped, and the
+    weight slot keeps the matrix (see WeightSlot).  Products of word traces
+    are not kept either: eval_trace_expr shares prefixes within one call
     only.
     """
 

@@ -539,23 +539,23 @@ class ProductGroup:
         self.table = SumTable(self.prefixes, self.gen)
 
     def evaluate(self, cache: genmat.EvalCache) -> None:
-        """build, then take every product (see products)."""
+        """build, then take every product (see products) and memoize it."""
         self.build()
-        for _ in self.products(cache):
-            pass
+        for m, _, out in self.products(cache):
+            with cache._lock:
+                cache._abs_monos[m] = out
 
     def products(
         self, cache: genmat.EvalCache
     ) -> Iterator[tuple[AbsMonomial, np.ndarray, PackedPoly]]:
         """(m, pos, ev(m)) for every monomial m, where the keys of ev(m) are
-        table.sums[pos]; each ev(m) is memoized and counted as it is
-        computed, and the table is dropped after the last."""
-        memo = cache._abs_monos
+        table.sums[pos]; each ev(m) is counted as it is computed, and the
+        table is dropped after the last.  Nothing is memoized here, so an
+        ev(m) that the caller does not keep dies with its step."""
         for m, prefix in zip(self.monos, self.prefixes):
             pos, out = self.table.product(prefix)
             with cache._lock:
                 cache.stats.gen_products += 1
-                memo[m] = out
             yield m, pos, out
         self.table = None
 
@@ -576,7 +576,8 @@ def leaf_groups(
     are already evaluated to their evaluations; the others, the fresh
     leaves, are in groups, whose tables are built (see in_threads).  Every
     prefix of a fresh leaf is evaluated first (see eval_abs_monomials); a
-    fresh leaf is evaluated only when its group's products are taken."""
+    fresh leaf is evaluated only when its group's products are taken, and is
+    not memoized."""
     monos = list(monos)
     cache = cache or genmat.default_cache()
     memo = cache._abs_monos

@@ -162,8 +162,9 @@ def hwv_verify(
     generic matrices.  The evaluations are the columns of the matrix that
     relation_space solves, from relfinder._assemble_matrix, which leaves the
     matrix on the cache's weight slot, where the relation_space of the same
-    basis finds it; genmat.eval_delta_columns applies D to a block of columns
-    with one sort.
+    basis finds it and relfinder.verify_zero_abs evaluates any member of the
+    basis's span without a product; genmat.eval_delta_columns applies D to a
+    block of columns with one sort.
     A vector that evaluates to zero is a relation and passes.  Raises
     PackedCapacityError where an evaluation exceeds the packed fields."""
     failures: list[str] = []

@@ -46,7 +46,7 @@ from .glcat import (
     phi,
 )
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
-from .nullspace import null_stream
+from .nullspace import QMatrix, null_dense, null_stream
 from .packedpoly import PackedPoly, distinct_keys, product_den
 from .polyring import CommPoly, poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
@@ -159,6 +159,44 @@ def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
     return distinct_keys(np.concatenate([union, *batch]))
 
 
+class _Columns:
+    """The integer matrix M of _assemble_matrix while it is summed, with
+    nrows rows and one column per polynomial.  uses[m] holds the (column,
+    integer weight) of every column whose polynomial has the monomial m, and
+    den[m] the predicted denominator of its evaluation.  M is column-major,
+    so that the additions to a column stay in one contiguous block; it turns
+    to object dtype once the bound of a column reaches 2^62."""
+
+    def __init__(
+        self,
+        nrows: int,
+        ncols: int,
+        uses: dict[AbsMonomial, list[tuple[int, int]]],
+        den: dict[AbsMonomial, int],
+    ):
+        self.M = np.zeros((nrows, ncols), dtype=np.int64, order="F")
+        self.bounds = [0] * ncols
+        self.uses = uses
+        self.den = den
+        self.lock = threading.Lock()
+
+    def place(self, m: AbsMonomial, pos: np.ndarray, e: PackedPoly) -> None:
+        """Add e = ev(m), whose keys are at the rows pos, scaled into every
+        column that uses m."""
+        if e.den != self.den[m]:
+            raise AssertionError(f"denominator of {mono_name(m)} differs from its prediction")
+        with self.lock:
+            for i, w in self.uses[m]:
+                self.bounds[i] += abs(w) * e.bound
+                if self.bounds[i] >= 1 << 62 and self.M.dtype != object:
+                    self.M = self.M.astype(object)
+            M = self.M
+            coeffs = e.coeffs.astype(object) if M.dtype == object and not e.is_big() else e.coeffs
+            # M is column-major, so M[:, i] is a contiguous view
+            for i, w in self.uses[m]:
+                np.add.at(M[:, i], pos, coeffs * w)
+
+
 def _assemble_matrix(
     polys: Sequence[AbsPoly], cache: genmat.EvalCache | None
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -167,41 +205,37 @@ def _assemble_matrix(
     Returns (M, colscale, keys): M has one integer column per polynomial and
     one row per packed key of the 18-variable evaluation, ascending, at which
     some column is nonzero.  Column i divided by colscale[i] is the
-    evaluation of phi(polys[i]), summed from the generator-monomial
-    evaluations memoized on the cache; phi is never expanded.  Each
-    evaluation is placed once and added, scaled, into every column that uses
-    it.  A monomial already evaluated is placed by a search of its keys.  The
-    fresh leaves are multiplied here, one glcat.ProductGroup at a time on the
-    machine's cores (see glcat.in_threads), and each is placed through the
-    positions of its group's key sums among the rows, with no search.  M has
-    object dtype when the bound of some column reaches 2^62, else int64.
+    evaluation of phi(polys[i]), summed from generator-monomial evaluations;
+    phi is never expanded.  Each evaluation is placed once and added, scaled,
+    into every column that uses it (see _Columns.place).  A monomial already
+    evaluated is placed by a search of its keys.  The fresh leaves are
+    multiplied here, one glcat.ProductGroup at a time on the machine's cores
+    (see glcat.in_threads), and each is placed through the positions of its
+    group's key sums among the rows, with no search.  A fresh leaf is never
+    memoized: it dies as soon as it is placed, so at most one leaf per
+    thread is alive beside M.  Its proper prefixes stay memoized on the
+    cache.  M has object dtype when the bound of some column reaches 2^62,
+    else int64.
 
     The cache works on one weight at a time (see genmat.WeightSlot), keyed
     on the set of bidegrees of the monomials of polys, which need not be
-    homogeneous.  Polynomials of another set first empty the slot: its
-    leaves leave the monomial memo and its matrix is freed.  The fresh
-    leaves of this call join the slot, and the result stays on it until the
-    next call, which gets it back if its polynomials have the same terms:
-    hwv_verify and the relation_space of the same basis assemble once.
+    homogeneous.  The result stays on the slot until the next call, which
+    gets it back if its polynomials have the same terms: hwv_verify and the
+    relation_space of the same basis assemble once, and verify_zero_abs
+    evaluates a polynomial in the span of the slot's from its M.  A call
+    with other polynomials frees the slot's matrix before it builds its own.
     Callers only read M.
     """
     cache = cache or genmat.default_cache()
     terms = [dict(v.terms) for v in polys]
     used = dict.fromkeys(m for t in terms for m in t)
-    bidegrees = frozenset(map(mono_bidegree, used))
     with cache._lock:
         slot = cache._weight
-        if slot.bidegrees != bidegrees:
-            for m in slot.leaves:
-                cache._abs_monos.pop(m, None)
-            slot = cache._weight = genmat.WeightSlot(bidegrees)
         if slot.last is not None and slot.last[0] == terms:
             return slot.last[1]
         # a matrix of other polynomials is freed before this one is built
-        slot.last = None
+        slot = cache._weight = genmat.WeightSlot(frozenset(map(mono_bidegree, used)))
     evals, groups = leaf_groups(used, cache)
-    with cache._lock:
-        slot.leaves.update(m for grp in groups for m in grp.monos)
     # every denominator is known before the fresh leaves are multiplied
     den = {m: e.den for m, e in evals.items()}
     for grp in groups:
@@ -218,35 +252,17 @@ def _assemble_matrix(
         for m, c in v.terms.items():
             uses[m].append((i, c.numerator * (L // c.denominator) * (D // den[m])))
         colscale.append(L * D)
-    # column-major, so that the additions to a column stay in one contiguous
-    # block; it turns to object dtype once the bound of a column reaches 2^62
-    M = np.zeros((len(all_keys), len(polys)), dtype=np.int64, order="F")
-    bounds = [0] * len(polys)
-    lock = threading.Lock()
-
-    def place(m: AbsMonomial, pos: np.ndarray, e: PackedPoly) -> None:
-        nonlocal M
-        if e.den != den[m]:
-            raise AssertionError(f"denominator of {mono_name(m)} differs from its prediction")
-        with lock:
-            for i, w in uses[m]:
-                bounds[i] += abs(w) * e.bound
-                if bounds[i] >= 1 << 62 and M.dtype != object:
-                    M = M.astype(object)
-            coeffs = e.coeffs.astype(object) if M.dtype == object and not e.is_big() else e.coeffs
-            # M is column-major, so M[:, i] is a contiguous view
-            for i, w in uses[m]:
-                np.add.at(M[:, i], pos, coeffs * w)
-
+    cols = _Columns(len(all_keys), len(polys), uses, den)
     for m, e in evals.items():
-        place(m, np.searchsorted(all_keys, e.keys), e)
+        cols.place(m, np.searchsorted(all_keys, e.keys), e)
 
     def fill(grp: ProductGroup) -> None:
         at = np.searchsorted(all_keys, grp.table.sums)
         for m, pos, e in grp.products(cache):
-            place(m, at[pos], e)
+            cols.place(m, at[pos], e)
 
     in_threads(groups, ProductGroup.volume, fill)
+    M = cols.M
     rows = np.flatnonzero(M.any(axis=1))
     # the nonzero rows move up in place, one contiguous column at a time
     for col in M.T:
@@ -382,11 +398,72 @@ def verify_zero(e: TraceExpr, cache: genmat.EvalCache | None = None) -> ZeroRepo
 
 
 def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
-    """Same as verify_zero but straight from an AbsPoly: the evaluation is
-    the one column of the matrix _assemble_matrix builds for p."""
-    M, colscale, keys = _assemble_matrix([p], cache)
-    ev = PackedPoly.from_column(keys, M[:, 0], colscale[0])
+    """Same as verify_zero but straight from an AbsPoly.  When p lies in the
+    span of the polynomials whose matrix the cache's weight slot holds, its
+    evaluation is that combination of the columns (see _eval_from_slot), and
+    nothing is multiplied.  Any other p is evaluated as the one column of
+    the matrix _assemble_matrix builds for it."""
+    cache = cache or genmat.default_cache()
+    ev = _eval_from_slot(p, cache)
+    if ev is None:
+        M, colscale, keys = _assemble_matrix([p], cache)
+        ev = PackedPoly.from_column(keys, M[:, 0], colscale[0])
     return ZeroReport.of(ev.to_comm(genmat.VARSET18))
+
+
+def _eval_from_slot(p: AbsPoly, cache: genmat.EvalCache) -> PackedPoly | None:
+    """ev(p) from the matrix M on the cache's weight slot, or None unless
+    the slot holds M for the bidegree set of p and p is a combination
+    sum_i a_i v_i of the slot's polynomials v_i.  The a_i come from an exact
+    kernel, and p == sum_i a_i v_i is checked again term by term before
+    they are used.  By linearity ev(p) = sum_i a_i M[:, i] / colscale[i],
+    summed over the columns with a_i != 0 only: in int64 while the bound of
+    the sum stays below 2^62, else in object dtype one column at a time, so
+    M is never cast as a whole."""
+    with cache._lock:
+        slot = cache._weight
+    if slot.last is None or slot.bidegrees != frozenset(map(mono_bidegree, p.terms)):
+        return None
+    terms, (M, colscale, keys) = slot.last
+    # one row per monomial of the slot's polynomials, one column per
+    # polynomial, and p in the last column
+    rows: dict[AbsMonomial, dict[int, Fraction]] = {}
+    for i, t in enumerate(terms):
+        for m, c in t.items():
+            rows.setdefault(m, {})[i] = c
+    if any(m not in rows for m in p.terms):
+        return None
+    n = len(terms)
+    for m, c in p.terms.items():
+        rows[m][n] = c
+    kernel = null_dense(QMatrix(tuple(rows.values()), n + 1))
+    z = next((v for v in kernel.vectors if v[n]), None)
+    if z is None:
+        return None
+    a = [-x / z[n] for x in z[:n]]
+    combo: dict[AbsMonomial, Fraction] = {}
+    for ai, t in zip(a, terms):
+        if ai:
+            for m, c in t.items():
+                combo[m] = combo.get(m, 0) + ai * c
+    if {m: c for m, c in combo.items() if c} != p.terms:
+        return None
+    # ev(p) = column / den, with integer weights on the columns it touches
+    scaled = [(i, ai / colscale[i]) for i, ai in enumerate(a) if ai]
+    den = lcm(*(r.denominator for _, r in scaled))
+    weighted = []
+    bound = 0
+    for i, r in scaled:
+        top = int(np.abs(M[:, i]).max(initial=0))
+        if top:  # a zero column adds nothing, however large its weight
+            w = r.numerator * (den // r.denominator)
+            weighted.append((M[:, i], w))
+            bound += abs(w) * top
+    dtype = np.int64 if M.dtype != object and bound < 1 << 62 else object
+    column = np.zeros(len(keys), dtype=dtype)
+    for col, w in weighted:
+        column += col.astype(dtype, copy=False) * w
+    return PackedPoly.from_column(keys, column, den)
 
 
 def membership(candidate: AbsPoly, space: RelationSpace) -> bool:

@@ -313,6 +313,23 @@ def test_warm_hwv_and_verify_reuse_their_verdicts(tmp_path):
     assert warm_cache.stats.mono_products == 0
 
 
+def test_cold_verify_of_a_member_makes_only_the_products_of_its_space(tmp_path):
+    # verify solves the relation space first and evaluates the candidate from
+    # the basis's matrix, so it multiplies each leaf of the weight once
+    from traceforge.cli import verify_check
+    from traceforge.genmat import EvalCache
+    from traceforge.glcat import Partition
+    from traceforge.relfinder import relation_space
+
+    alone = EvalCache(CacheStore(tmp_path / "space"))
+    relation_space(Partition(6, 6), cache=alone)
+    cache = EvalCache(CacheStore(tmp_path / "verify"))
+    text = (ir.files("traceforge") / "data" / "v66second.phi").read_text()
+    doc, _, ok = verify_check(cache, "v66second.phi", text)
+    assert ok and doc["zero"] and doc["membership"]
+    assert cache.stats.gen_products == alone.stats.gen_products > 0
+
+
 def test_verify_verdict_is_keyed_on_grammar_and_text(tmp_path):
     from traceforge.cli import verify_check, verify_verdict_key
     from traceforge.genmat import EvalCache

@@ -260,8 +260,8 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
     small_bases, session_store
 ):
     # hwv_verify and relation_space for (7,5), then for (6,6), on one cache:
-    # the (7,5) leaves leave the memo when the weight changes, and every
-    # product is made once, the count of distinct proper prefixes and leaves
+    # no (7,5) leaf stays in the memo, and every product is made once, the
+    # count of distinct proper prefixes and leaves
     from traceforge.genmat import EvalCache
     from traceforge.glcat import mono_bidegree
     from traceforge.relfinder import relation_space

@@ -283,9 +283,9 @@ def test_mixed_routes_assemble_the_same_matrix(cache, monkeypatch):
         M, colscale, keys = relfinder._assemble_matrix(vectors, run)
         # some leaves were memoized and some fresh (or all fresh)
         assert (before > 0) == bool(memoized) and run.stats.gen_products > before
-        # the fresh leaves are the weight slot's, in the memo while it lasts
+        # no fresh leaf of the call outlives it in the memo
         fresh = {m for m in used if len(m) > 1} - set(memoized)
-        assert run._weight.leaves == fresh and fresh <= set(run._abs_monos)
+        assert fresh.isdisjoint(run._abs_monos)
         return (M, colscale, keys), run.stats.gen_products
 
     (M, colscale, keys), products = assemble([])
@@ -314,6 +314,124 @@ def test_mixed_routes_assemble_the_same_matrix(cache, monkeypatch):
         assert got[0].dtype == M.dtype and np.array_equal(got[0], M)
         assert got[1] == colscale
         assert np.array_equal(got[2], keys)
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threads"])
+def test_a_fresh_leaf_dies_once_it_is_placed(threaded, cache, monkeypatch):
+    # at each placement, the memo holds no more (6,6) monomials than there
+    # are product groups in flight, and none once M is assembled
+    import os
+    import threading
+
+    from traceforge import glcat
+    from traceforge.glcat import ProductGroup, mono_bidegree
+
+    if threaded:
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
+    lock = threading.Lock()
+    in_flight = [0]
+    seen: list[tuple[int, int]] = []
+    placed = set()
+    run = EvalCache(store=cache.store)
+    products = ProductGroup.products
+
+    def counted_products(grp, c):
+        with lock:
+            in_flight[0] += 1
+        try:
+            yield from products(grp, c)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    place = relfinder._Columns.place
+
+    def recorded_place(cols, m, pos, e):
+        with lock:
+            full = sum(mono_bidegree(k) == (6, 6) for k in list(run._abs_monos))
+            seen.append((full, in_flight[0]))
+            placed.add(m)
+        place(cols, m, pos, e)
+
+    monkeypatch.setattr(ProductGroup, "products", counted_products)
+    monkeypatch.setattr(relfinder._Columns, "place", recorded_place)
+    vectors = hwv_basis(Partition(6, 6)).vectors
+    used = {m for v in vectors for m in v.terms}
+    relfinder._assemble_matrix(vectors, run)
+    assert placed == used and len(seen) == len(used)
+    assert max(n for _, n in seen) >= 1
+    assert all(full <= n for full, n in seen)
+    assert not any(mono_bidegree(k) == (6, 6) for k in run._abs_monos)
+
+
+def _bundled(name: str) -> AbsPoly:
+    return parse_phi((ir.files("traceforge") / "data" / name).read_text())
+
+
+def _no_assembly(*args):
+    raise AssertionError("a member of the slot was assembled afresh")
+
+
+def test_a_member_of_the_slot_is_evaluated_from_its_matrix(cache, monkeypatch):
+    # after hwv_verify of (6,6), both (6,6) files and a basis vector (whose
+    # evaluation is not zero) are combinations of the slot's columns: they
+    # make no product and report what a fresh cache reports
+    from traceforge.hwv import hwv_verify
+
+    basis = hwv_basis(Partition(6, 6))
+    candidates = [_bundled("v66prime.phi"), _bundled("v66second.phi"), basis.vectors[3]]
+    want = [verify_zero_abs(p, EvalCache(store=cache.store)) for p in candidates]
+    run = EvalCache(store=cache.store)
+    assert hwv_verify(basis, evaluate=True, cache=run).ok
+    before = run.stats.gen_products
+    monkeypatch.setattr(relfinder, "leaf_groups", _no_assembly)
+    assert [verify_zero_abs(p, run) for p in candidates] == want
+    assert run.stats.gen_products == before
+    assert [rep.zero for rep in want] == [True, True, False]
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int64", "big-weight"])
+@pytest.mark.parametrize("big", [False, True], ids=["int64-M", "object-M"])
+def test_slot_combination_of_inhomogeneous_columns(big, scale, cache, monkeypatch):
+    # the same sum in int64 and, when M or the bound of the weighted columns
+    # reaches 2^62, in object dtype one column at a time
+    shared = (0, 1)
+    polys = [
+        AbsPoly({shared: Fraction(1), (0, 0, 1): Fraction(-2, 3)}),
+        AbsPoly({shared: Fraction(5, 2), (2,): Fraction(1)}),
+        AbsPoly({(1, 2): Fraction(7), shared: Fraction(-1)}),
+    ]
+    if big:
+        polys.insert(1, AbsPoly({shared: Fraction(1 << 60), (1, 2): Fraction(1, 3)}))
+    p = AbsPoly()
+    for k, v in enumerate(polys):
+        p = p + v.scale(Fraction(scale * (k + 2), 7))
+    want = verify_zero_abs(p, EvalCache(store=cache.store))
+    run = EvalCache(store=cache.store)
+    M, _, _ = relfinder._assemble_matrix(polys, run)
+    assert (M.dtype == object) == big
+    monkeypatch.setattr(relfinder, "leaf_groups", _no_assembly)
+    assert verify_zero_abs(p, run) == want
+
+
+@pytest.mark.parametrize("k", [Fraction(1, 3), Fraction(-4)])
+def test_a_perturbed_candidate_is_assembled_afresh(k, cache):
+    # a relation plus k times a monomial of its basis: not in the span of
+    # the slot's columns, so it is assembled, and its report is a fresh one
+    from traceforge.hwv import hwv_verify
+
+    basis = hwv_basis(Partition(6, 6))
+    m = next(m for v in basis.vectors for m in v.terms)
+    assert not abs_delta(AbsPoly.monomial(m)).is_zero()  # not a highest weight vector
+    bad = _bundled("v66second.phi") + AbsPoly.monomial(m).scale(k)
+    want = verify_zero_abs(bad, EvalCache(store=cache.store))
+    run = EvalCache(store=cache.store)
+    assert hwv_verify(basis, evaluate=True, cache=run).ok
+    before = run.stats.gen_products
+    got = verify_zero_abs(bad, run)
+    assert run.stats.gen_products > before
+    assert got == want and not got.zero
 
 
 @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
