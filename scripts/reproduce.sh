@@ -17,9 +17,13 @@
 # corrupt entries and writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
 # degree-13 weight), `verify`, `leading` and `new` must not import numpy: they
 # build no array (hwv and verify read their stored verdicts), and the script
-# fails if any one of them loads it.  Last, a `verify` of a candidate and an
-# `hwv --degree-cap 16 --lambda 8,8` beyond the packed evaluation capacity must
-# exit nonzero with one line on stderr and no traceback.
+# fails if any one of them loads it.  Nor may they import `dataclasses` or
+# `inspect` (a dataclass compiles generated methods at every import, which
+# costs every process start-up time): the script fails if any one of them
+# loads either; what the interpreter's site hooks import does not count.
+# Last, a `verify` of a candidate and an `hwv --degree-cap 16 --lambda 8,8`
+# beyond the packed evaluation capacity must exit nonzero with one line on
+# stderr and no traceback.
 # Each pass ends with a `time:` line, its wall time and peak RSS, which are
 # printed for reading and gate nothing.
 # It runs the package from the checkout it lives in; no install is needed.
@@ -92,12 +96,19 @@ for counter in word_evals mono_products gen_products \
 done
 echo "warm pass did no fresh work: $stats"
 
-# warm commands that build no array must not import numpy
+# warm commands that build no array must not import numpy, nor dataclasses
+# or the inspect module it imports
 numpy_free() {
     local imports
     imports="$(python3 -X importtime -m traceforge.cli --cache-dir "$CACHE" "$@" 2>&1 >/dev/null)"
     if grep -Eq '\|[[:space:]]+numpy(\.|$)' <<<"$imports"; then
         echo "FAIL: a warm '$*' imported numpy" >&2
+        exit 1
+    fi
+    # what the interpreter's site hooks import, before the package, does not count
+    if awk 'past; /\| site$/ { past = 1 }' <<<"$imports" |
+            grep -Eq '\|[[:space:]]+(dataclasses|inspect)$'; then
+        echo "FAIL: a warm '$*' imported dataclasses or inspect" >&2
         exit 1
     fi
 }
@@ -108,7 +119,7 @@ numpy_free relations --lambda 8,5
 numpy_free verify --file "$SRC/traceforge/data/v75.phi"
 numpy_free leading --degree 12
 numpy_free new --degree 12
-echo "warm mult, hwv, relations, verify, leading and new imported no numpy"
+echo "warm mult, hwv, relations, verify, leading and new imported no numpy, dataclasses or inspect"
 
 # beyond the packed capacity, evaluation fails with a one-line error
 one_line_error() {

@@ -25,7 +25,6 @@ import os
 import tempfile
 import threading
 from contextlib import suppress
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .packedpoly import PackedPoly
@@ -39,20 +38,24 @@ def digest_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@dataclass
 class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    corrupt: int = 0
-    writes: int = 0
+    """Counters of one CacheStore."""
+
+    def __init__(self) -> None:
+        self.hits = self.misses = self.corrupt = self.writes = 0
 
 
-@dataclass
 class CacheStore:
-    root: Path
-    stats: CacheStats = field(default_factory=CacheStats)
+    """The entries under one directory, created if missing."""
+
+    def __init__(self, root: Path | str) -> None:
+        self.root = root
+        self.stats = CacheStats()
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # set-up of every new store, kept apart from __init__:
+        # bench/tracer.py wraps it to count the stores a run creates
         self.root = Path(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -116,12 +115,14 @@ BUNDLED_FILES: tuple[tuple[str, tuple[int, int]], ...] = (
 # Configuration.
 
 
-@dataclass
 class Config:
-    cache_dir: Path
-    threads: int
-    degree_cap: int
-    fmt: str
+    """The settings of one run, from flags and the environment."""
+
+    def __init__(self, cache_dir: Path, threads: int, degree_cap: int, fmt: str) -> None:
+        self.cache_dir = cache_dir
+        self.threads = threads
+        self.degree_cap = degree_cap
+        self.fmt = fmt
 
     @cached_property
     def cache(self) -> genmat.EvalCache:

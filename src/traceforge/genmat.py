@@ -23,7 +23,6 @@ matrix work.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -177,25 +176,24 @@ def _comm_matmul(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
     return tuple(out)
 
 
-@dataclass
 class EvalStats:
-    word_evals: int = 0
-    mono_products: int = 0
-    gen_products: int = 0
-    disk_hits: int = 0
+    """Fresh-work counters of one EvalCache."""
+
+    def __init__(self) -> None:
+        self.word_evals = self.mono_products = self.gen_products = self.disk_hits = 0
 
 
-@dataclass
 class WeightSlot:
     """The weight relfinder._assemble_matrix works on, keyed on the set of
     bidegrees of the monomials of its polynomials, and (the term dicts of the
-    polynomials, result) of its last assembly.  The leaves multiplied for
-    that assembly are not kept: each dies once it is added into M.  A
-    polynomial in the span of the slot's polynomials is evaluated from M
-    (see relfinder.verify_zero_abs)."""
+    polynomials, result) of its last assembly, None until it is set.  The
+    leaves multiplied for that assembly are not kept: each dies once it is
+    added into M.  A polynomial in the span of the slot's polynomials is
+    evaluated from M (see relfinder.verify_zero_abs)."""
 
-    bidegrees: frozenset[tuple[int, int]] = frozenset()
-    last: tuple[list[dict], tuple] | None = None
+    def __init__(self, bidegrees: frozenset[tuple[int, int]] = frozenset()) -> None:
+        self.bidegrees = bidegrees
+        self.last: tuple[list[dict], tuple] | None = None
 
 
 class EvalCache:

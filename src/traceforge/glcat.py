@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -82,8 +81,10 @@ PARTS: tuple[Partition, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class GeneratorModule:
+class GeneratorModule(NamedTuple):
+    """One module of the generator catalog: its partition, its highest
+    weight vector and the lowering ladder from it, hwv first."""
+
     index: int            # 1-based position in the catalog
     partition: Partition
     hwv: TraceExpr
@@ -220,8 +221,9 @@ def catalog_digest(cache: genmat.EvalCache | None = None) -> str:
 # Abstract generators.
 
 
-@dataclass(frozen=True)
-class AbsGen:
+class AbsGen(NamedTuple):
+    """One of the 30 abstract generators, u{module}_{j}, and its bidegree."""
+
     gid: int              # 0-based position in the global generator order
     module: int           # 1-based module index
     j: int

@@ -21,9 +21,8 @@ both for the old/new split and for membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .glcat import (
     ABS_GENS,
@@ -39,8 +38,11 @@ from . import genmat
 from .nullspace import NullBasis, QMatrix, _IntEchelon, null_dense
 
 
-@dataclass(frozen=True)
-class HwvBasis:
+class HwvBasis(NamedTuple):
+    """The highest weight vectors of weight lam in free-column order, over
+    the P monomials of bidegree lam; the raising map goes to a Q-dimensional
+    slice and has rank alpha_rank."""
+
     lam: Partition
     P: int
     Q: int
@@ -132,8 +134,10 @@ def _solve_basis(lam: Partition, threads: int) -> HwvBasis:
     return HwvBasis(lam, len(p_mons), Q, rank, tuple(p_mons), vectors)
 
 
-@dataclass(frozen=True)
-class HwvVerifyReport:
+class HwvVerifyReport(NamedTuple):
+    """What hwv_verify found for a basis of s vectors; failures names each
+    failed check."""
+
     lam: Partition
     s: int
     rank_ok: bool

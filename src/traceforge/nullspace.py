@@ -26,10 +26,9 @@ are independent of how the rows are split into blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 
@@ -53,22 +52,33 @@ class NullStreamError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Sparse rational matrix: one dict per row mapping column to value."""
-
+class _QMatrixFields(NamedTuple):
     rows: tuple[Mapping[int, Rational], ...]
     ncols: int
 
-    def __post_init__(self) -> None:
-        for r in self.rows:
+
+class QMatrix(_QMatrixFields):
+    """Sparse rational matrix: one dict per row mapping column to value.
+    Every construction, _replace included, checks that each column is in
+    range(ncols)."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[Mapping[int, Rational], ...], ncols: int) -> "QMatrix":
+        for r in rows:
             for c in r:
-                if not (0 <= c < self.ncols):
+                if not (0 <= c < ncols):
                     raise ValueError(f"column {c} out of range")
+        return super().__new__(cls, rows, ncols)
+
+    @classmethod
+    def _make(cls, iterable) -> "QMatrix":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class NullBasis:
+class NullBasis(NamedTuple):
+    """A kernel basis of a matrix with ncols columns."""
+
     ncols: int
     vectors: tuple[tuple[Rational, ...], ...]
 

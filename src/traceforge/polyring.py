@@ -7,7 +7,6 @@ graded-lex text form is defined for serialization and caching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -17,15 +16,34 @@ Rational = Fraction
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class VarSet:
-    """An ordered, immutable set of variable names."""
+    """An ordered, immutable set of variable names.  Two VarSets are equal
+    when their names are, in the same order."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple[str, ...]) -> None:
+        names = tuple(names)
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"VarSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"VarSet is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return f"VarSet(names={self.names!r})"
 
     def __len__(self) -> int:
         return len(self.names)

@@ -17,10 +17,9 @@ degree relations and genuinely new ones.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import genmat
 from ._lazy import np
@@ -47,7 +46,7 @@ from .glcat import (
 )
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
 from .nullspace import QMatrix, null_dense, null_stream
-from .packedpoly import PackedPoly, distinct_keys, product_den
+from .packedpoly import XCAP, YCAP, PackedCapacityError, PackedPoly, distinct_keys, product_den
 from .polyring import CommPoly, poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
 
@@ -62,18 +61,29 @@ LAMBDAS_BY_DEGREE: dict[int, tuple[Partition, ...]] = {
 # Parameter split and monomial precedence.
 
 
-@dataclass(frozen=True)
-class ParameterSplit:
-    """A homogeneous system of parameters among the 30 generators and its
-    complement.  The two parts partition the generator set."""
-
+class _ParameterSplitFields(NamedTuple):
     hsop: tuple[AbsGen, ...]
     complement: tuple[AbsGen, ...]
 
-    def __post_init__(self) -> None:
-        ids = [g.gid for g in self.hsop] + [g.gid for g in self.complement]
+
+class ParameterSplit(_ParameterSplitFields):
+    """A homogeneous system of parameters among the 30 generators and its
+    complement.  Every construction, _replace included, checks that the two
+    parts partition the generator set."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, hsop: tuple[AbsGen, ...], complement: tuple[AbsGen, ...]
+    ) -> "ParameterSplit":
+        ids = [g.gid for g in hsop] + [g.gid for g in complement]
         if sorted(ids) != list(range(len(ABS_GENS))):
             raise ValueError("hsop and complement must partition the generators")
+        return super().__new__(cls, hsop, complement)
+
+    @classmethod
+    def _make(cls, iterable) -> "ParameterSplit":
+        return cls(*iterable)
 
 
 def _build_split() -> ParameterSplit:
@@ -126,8 +136,10 @@ def leading_monomial(p: AbsPoly) -> AbsMonomial | None:
 # Relation spaces.
 
 
-@dataclass(frozen=True)
-class RelationSpace:
+class RelationSpace(NamedTuple):
+    """The relations of weight lam: zeta[i] combines the basis vectors into
+    relvectors[i].  from_cache tells whether it was read from the store."""
+
     lam: Partition
     basis: HwvBasis
     zeta: tuple[tuple[Fraction, ...], ...]
@@ -215,7 +227,8 @@ def _assemble_matrix(
     memoized: it dies as soon as it is placed, so at most one leaf per
     thread is alive beside M.  Its proper prefixes stay memoized on the
     cache.  M has object dtype when the bound of some column reaches 2^62,
-    else int64.
+    else int64.  A monomial whose bidegree exceeds the packed fields raises
+    PackedCapacityError before anything is evaluated.
 
     The cache works on one weight at a time (see genmat.WeightSlot), keyed
     on the set of bidegrees of the monomials of polys, which need not be
@@ -229,12 +242,18 @@ def _assemble_matrix(
     cache = cache or genmat.default_cache()
     terms = [dict(v.terms) for v in polys]
     used = dict.fromkeys(m for t in terms for m in t)
+    bidegrees = frozenset(map(mono_bidegree, used))
+    for p, q in bidegrees:
+        if p > XCAP or q > YCAP:
+            raise PackedCapacityError(
+                f"monomial bidegree ({p},{q}) exceeds packed capacity ({XCAP},{YCAP})"
+            )
     with cache._lock:
         slot = cache._weight
         if slot.last is not None and slot.last[0] == terms:
             return slot.last[1]
         # a matrix of other polynomials is freed before this one is built
-        slot = cache._weight = genmat.WeightSlot(frozenset(map(mono_bidegree, used)))
+        slot = cache._weight = genmat.WeightSlot(bidegrees)
     evals, groups = leaf_groups(used, cache)
     # every denominator is known before the fresh leaves are multiplied
     den = {m: e.den for m, e in evals.items()}
@@ -366,8 +385,10 @@ def _load_space(
 # Verification and membership.
 
 
-@dataclass(frozen=True)
-class ZeroReport:
+class ZeroReport(NamedTuple):
+    """Whether an evaluation is zero, with a capped sample and a digest of
+    its residual."""
+
     zero: bool
     residual_terms: int
     residual_sample: tuple[tuple[str, str], ...]
@@ -503,8 +524,9 @@ def orbit(space: RelationSpace) -> tuple[AbsPoly, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LeadingEntry:
+class LeadingEntry(NamedTuple):
+    """One staircase monomial and the orbit vector it leads."""
+
     bidegree: tuple[int, int]
     monomial: AbsMonomial
     name: str
@@ -513,8 +535,9 @@ class LeadingEntry:
     orbit_j: int
 
 
-@dataclass(frozen=True)
-class LeadingReport:
+class LeadingReport(NamedTuple):
+    """The staircase of leading_analysis and the orbit vectors it absorbed."""
+
     entries: tuple[LeadingEntry, ...]
     absorbed: tuple[tuple[Partition, int, int], ...]
 
@@ -569,16 +592,18 @@ def leading_analysis(
 # New relations by degree.
 
 
-@dataclass(frozen=True)
-class NewRelationsItem:
+class NewRelationsItem(NamedTuple):
+    """The r relations of weight lam split into old and new."""
+
     lam: Partition
     r: int
     old: int
     new: int
 
 
-@dataclass(frozen=True)
-class NewRelationsReport:
+class NewRelationsReport(NamedTuple):
+    """The old/new split of the relations of one degree."""
+
     degree: int
     items: tuple[NewRelationsItem, ...]
 
@@ -637,8 +662,9 @@ def new_relations(
 # Certificates.
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
+class RelationCertificate(NamedTuple):
+    """The stored evidence for one relation vector (see to_json)."""
+
     lam: Partition
     index: int
     zeta: tuple[str, ...]

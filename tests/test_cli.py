@@ -252,8 +252,6 @@ def test_reproduce_idempotent(capsys, tmp_path):
 
 
 def test_hwv_verdict_key_tracks_the_basis(session_cache):
-    import dataclasses
-
     from traceforge.cli import HWV_CHECK_SCHEMA, hwv_verdict_key
     from traceforge.glcat import Partition
     from traceforge.hwv import hwv_basis
@@ -262,11 +260,11 @@ def test_hwv_verdict_key_tracks_the_basis(session_cache):
     key = hwv_verdict_key(basis, session_cache)
     assert key.startswith(f"hwvcheck:v{HWV_CHECK_SCHEMA}:7,5:")
     assert hwv_verdict_key(hwv_basis(Partition(7, 5)), session_cache) == key
-    scaled = dataclasses.replace(
-        basis, vectors=(basis.vectors[0].scale(2),) + basis.vectors[1:]
+    scaled = basis._replace(
+        vectors=(basis.vectors[0].scale(2),) + basis.vectors[1:]
     )
     assert hwv_verdict_key(scaled, session_cache) != key
-    dropped = dataclasses.replace(basis, vectors=basis.vectors[1:])
+    dropped = basis._replace(vectors=basis.vectors[1:])
     assert hwv_verdict_key(dropped, session_cache) != key
 
 

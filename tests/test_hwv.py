@@ -1,6 +1,5 @@
 """Highest weight vector bases of the bidegree slices."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -79,7 +78,7 @@ def test_span_equal_rejects_different_weights(small_bases):
 
 def test_span_equal_rejects_a_dependent_basis(small_bases):
     good = small_bases[(7, 5)]
-    doubled = dataclasses.replace(good, vectors=(good.vectors[1],) + good.vectors[1:])
+    doubled = good._replace(vectors=(good.vectors[1],) + good.vectors[1:])
     assert span_equal(good, good)
     assert not span_equal(good, doubled)
     assert not span_equal(doubled, good)
@@ -97,7 +96,7 @@ def test_verify_flags_a_broken_basis(small_bases):
     good = small_bases[(7, 5)]
     # swap in a vector that is not a highest weight vector
     bad_vec = AbsPoly.monomial(good.monomials[0])
-    bad = dataclasses.replace(good, vectors=(bad_vec,) + good.vectors[1:])
+    bad = good._replace(vectors=(bad_vec,) + good.vectors[1:])
     rep = hwv_verify(bad, evaluate=False)
     assert not rep.ok
     assert any("abs_delta" in f for f in rep.failures)
@@ -123,7 +122,7 @@ def test_verify_accepts_a_relation_vector(small_bases, session_cache):
     good = small_bases[(7, 5)]
     rel = relation_space(Partition(7, 5), cache=session_cache).relvectors[0]
     assert verify_zero_abs(rel, session_cache).zero
-    basis = dataclasses.replace(good, vectors=(rel, good.vectors[0]))
+    basis = good._replace(vectors=(rel, good.vectors[0]))
     rep = hwv_verify(basis, evaluate=True, cache=session_cache)
     assert rep.ok
     assert rep.checked_by_eval == 2
@@ -135,7 +134,7 @@ def test_verify_flags_a_vector_not_killed_on_the_evaluated_side(small_bases, ses
     from traceforge.glcat import abs_delta1
 
     lowered = abs_delta1(small_bases[(7, 5)].vectors[0])
-    bad = dataclasses.replace(small_bases[(6, 6)], vectors=(lowered,))
+    bad = small_bases[(6, 6)]._replace(vectors=(lowered,))
     rep = hwv_verify(bad, evaluate=True, cache=session_cache)
     assert not rep.ok
     assert not rep.abs_delta_zero

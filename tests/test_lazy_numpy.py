@@ -1,9 +1,13 @@
 """numpy is imported on first use: warm commands that build no array never
 load it, and threads that race to the first use all get a complete numpy.
+Nor does the package load dataclasses or inspect: a dataclass compiles
+generated methods at every import, which costs every process start-up time.
 
 Every check runs in a fresh interpreter, because this one has numpy loaded.
 numpy counts as loaded once any of its submodules is in sys.modules: a lazy
 handle may register the name "numpy" alone before anything is imported.
+dataclasses and inspect count only when the interpreter had not loaded
+them before the package, as a site hook may.
 """
 
 import json
@@ -21,11 +25,17 @@ from traceforge.packedpoly import PackedPoly
 SRC = str(Path(traceforge.__file__).resolve().parent.parent)
 V75 = str(Path(traceforge.__file__).resolve().parent / "data" / "v75.phi")
 
+# dataclasses and the inspect module it imports: neither the package import
+# nor a warm command loads them
+CODEGEN = ("dataclasses", "inspect")
+
 # runs `python3 -m traceforge.cli ARGS`, then reports on stderr its exit code,
-# the numpy submodules the process loaded and whether it loaded
-# concurrent.futures (the thread pool of generator-monomial products)
-CLI_PROBE = """
+# the numpy submodules the process loaded, whether it loaded
+# concurrent.futures (the thread pool of generator-monomial products) and
+# which of CODEGEN it loaded
+CLI_PROBE = f"""
 import json, runpy, sys
+before = set(sys.modules)
 sys.argv = ["traceforge", *sys.argv[1:]]
 code = 0
 try:
@@ -34,7 +44,9 @@ except SystemExit as exc:
     code = exc.code
 numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
 futures = "concurrent.futures" in sys.modules
-print(json.dumps({"exit": code, "numpy": numpy, "futures": futures}), file=sys.stderr)
+codegen = [m for m in {CODEGEN!r} if m in sys.modules and m not in before]
+print(json.dumps({{"exit": code, "numpy": numpy, "futures": futures, "codegen": codegen}}),
+      file=sys.stderr)
 """
 
 # four threads whose first numpy use is a PackedPoly product, with a short
@@ -90,28 +102,33 @@ def python(*argv: str) -> subprocess.CompletedProcess:
 
 def cli(cache_dir: Path, *args: str) -> tuple[int, dict, list[str], bool]:
     """Exit code, JSON payload, loaded numpy submodules and whether
-    concurrent.futures was loaded, of one CLI process."""
+    concurrent.futures was loaded, of one CLI process, which must load
+    none of CODEGEN."""
     proc = python(
         "-c", CLI_PROBE, "--cache-dir", str(cache_dir), "--format", "json", *args
     )
     probe = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert probe["codegen"] == [], args
     return probe["exit"], json.loads(proc.stdout), probe["numpy"], probe["futures"]
 
 
 def test_import_loads_no_numpy():
     proc = python(
         "-c",
-        "import sys, traceforge, traceforge.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('numpy.')))",
+        "import json, sys; before = set(sys.modules); "
+        "import traceforge, traceforge.cli; "
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('numpy.')), "
+        f"[m for m in {CODEGEN!r} if m in sys.modules and m not in before]]))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == [[], []]
 
 
 def test_warm_commands_load_no_numpy(tmp_path):
     for args in WARM_COMMANDS:
         assert main(["--cache-dir", str(tmp_path), *args]) == 0
     for args in WARM_COMMANDS:
+        # cli also checks that the command loads no module of CODEGEN
         code, doc, numpy, futures = cli(tmp_path, *args)
         assert code == 0, args
         assert numpy == [], args

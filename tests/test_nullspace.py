@@ -421,6 +421,16 @@ def test_unknown_mode_rejected():
         null_stream([], 1, mode="float")
 
 
+@pytest.mark.parametrize("col", [-1, 3])
+def test_qmatrix_column_out_of_range_rejected(col):
+    rows = ({0: Fraction(1)}, {col: Fraction(2)})
+    with pytest.raises(ValueError, match="out of range"):
+        QMatrix(rows, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        QMatrix(rows[:1], 3)._replace(rows=rows)
+    assert QMatrix(rows[:1], 1).rows == rows[:1]  # column 0 of 1 is in range
+
+
 def test_crt_pair():
     r, m = crt_pair(2, 3, 3, 5)
     assert m == 15

@@ -22,6 +22,7 @@ from traceforge.phiparse import parse_phi
 from traceforge.relfinder import (
     PARAMETER_SPLIT,
     RELSPACE_SCHEMA,
+    ParameterSplit,
     RelationSpace,
     build_certificate,
     leading_analysis,
@@ -67,6 +68,22 @@ def test_parameter_split_shape():
     assert len(hsop) == 15 and len(comp) == 15
     assert hsop | comp == set(range(30))
     assert not hsop & comp
+
+
+@pytest.mark.parametrize(
+    "hsop, complement",
+    [
+        (PARAMETER_SPLIT.hsop[1:], PARAMETER_SPLIT.complement),  # a generator missing
+        (PARAMETER_SPLIT.hsop, PARAMETER_SPLIT.complement + PARAMETER_SPLIT.hsop[:1]),
+    ],
+    ids=["missing", "repeated"],
+)
+def test_parameter_split_must_partition_the_generators(hsop, complement):
+    with pytest.raises(ValueError, match="partition"):
+        ParameterSplit(hsop, complement)
+    with pytest.raises(ValueError, match="partition"):
+        PARAMETER_SPLIT._replace(hsop=hsop, complement=complement)
+    assert ParameterSplit(*PARAMETER_SPLIT) == PARAMETER_SPLIT
 
 
 def test_relation_dimensions(s75, s66):
@@ -413,6 +430,17 @@ def test_slot_combination_of_inhomogeneous_columns(big, scale, cache, monkeypatc
     assert (M.dtype == object) == big
     monkeypatch.setattr(relfinder, "leaf_groups", _no_assembly)
     assert verify_zero_abs(p, run) == want
+
+
+def test_beyond_packed_capacity_nothing_is_evaluated():
+    # bidegree (8,8): its y degree does not fit the packed fields, which the
+    # bidegree shows before a generator or word trace is evaluated
+    from traceforge.packedpoly import PackedCapacityError
+
+    fresh = EvalCache()
+    with pytest.raises(PackedCapacityError, match=r"\(8,8\)"):
+        verify_zero_abs(parse_phi("t4^2*t4^2*t4^2*t4^2"), fresh)
+    assert (fresh.stats.word_evals, fresh.stats.gen_products) == (0, 0)
 
 
 @pytest.mark.parametrize("k", [Fraction(1, 3), Fraction(-4)])
