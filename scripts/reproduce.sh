@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Recompute every frozen reference table twice against one cache directory.
-# The first pass must multiply no word traces (highest weight bases are
-# verified on the columns of the coefficient matrix that the relation spaces
-# solve, summed from generator-monomial products) and must evaluate each of
+# The first pass must multiply no word traces (each highest weight basis is
+# verified on the columns of its coefficient matrix M, summed from
+# generator-monomial products; the relation space of the weight is found
+# from values at points mod p and its relation vectors are proven zero as
+# combinations of the columns of that M) and must evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
 # trace-monomial products and 73 word evaluations.  It must also compute each
 # needed generator-monomial product exactly once, however many threads share
@@ -21,6 +23,10 @@
 # `inspect` (a dataclass compiles generated methods at every import, which
 # costs every process start-up time): the script fails if any one of them
 # loads either; what the interpreter's site hooks import does not count.
+# Then a cold `relations --lambda 9,5` in a fresh cache dir, which has no
+# verified matrix and so proves its relation vectors by assembling them (a
+# route `reproduce` never takes), must find r = 2 and the zeta that the first
+# pass stored for (9,5): the script fails otherwise.
 # Last, a `verify` of a candidate and an `hwv --degree-cap 16 --lambda 8,8`
 # beyond the packed evaluation capacity must exit nonzero with one line on
 # stderr and no traceback.
@@ -121,6 +127,26 @@ numpy_free leading --degree 12
 numpy_free new --degree 12
 echo "warm mult, hwv, relations, verify, leading and new imported no numpy, dataclasses or inspect"
 
+# a cold relation space with no verified matrix: the relation vectors are
+# proven by assembling them, and the answer is the one the first pass stored
+COLD="$(mktemp -d)"
+BIG="$(mktemp)"
+trap 'rm -rf "$COLD"; rm -f "$BIG"' EXIT
+stored95="$(traceforge --cache-dir "$CACHE" --format json relations --lambda 9,5)"
+if ! cold95="$(traceforge --cache-dir "$COLD" --format json relations --lambda 9,5)"; then
+    echo "FAIL: a cold relations --lambda 9,5 exited nonzero" >&2
+    exit 1
+fi
+if ! python3 -c '
+import json, sys
+stored, cold = (json.loads(arg) for arg in sys.argv[1:])
+sys.exit(not (stored["from_cache"] and not cold["from_cache"]
+              and cold["r"] == 2 and cold["zeta"] == stored["zeta"]))' "$stored95" "$cold95"; then
+    echo "FAIL: a cold relations --lambda 9,5 did not find the zeta of the first pass" >&2
+    exit 1
+fi
+echo "a cold relations --lambda 9,5 proved r=2 by assembly and found the zeta of the first pass"
+
 # beyond the packed capacity, evaluation fails with a one-line error
 one_line_error() {
     local err
@@ -134,8 +160,6 @@ one_line_error() {
         exit 1
     fi
 }
-BIG="$(mktemp)"
-trap 'rm -f "$BIG"' EXIT
 printf 't4^2*t4^2*t4^2*t4^2\n' >"$BIG"  # bidegree (8,8)
 one_line_error verify --file "$BIG"
 one_line_error --degree-cap 16 hwv --lambda 8,8

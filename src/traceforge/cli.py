@@ -344,8 +344,9 @@ def verify_check(
                 lam = parsed.bidegree()
             except NotHomogeneous:
                 pass
-            # the relation space first: a cold solve leaves its basis's
-            # matrix on the weight slot, which evaluates a member without
+            # the relation space first: a cold solve leaves the matrix of
+            # its relation vectors on the weight slot (or, after the hwv
+            # check, keeps its basis's), which evaluates a member without
             # multiplying its leaves again
             if lam in _KNOWN_LAMBDAS:
                 space = relation_space(

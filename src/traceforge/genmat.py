@@ -18,6 +18,12 @@ through CommPoly matrix products.
 Evaluations are cached per cyclic-canonical word, optionally write-through to
 a disk store, and counted, so reruns can be checked to perform no fresh
 matrix work.
+
+Trace expressions also have values at points mod a prime p: sample_points
+gives seeded residues for the 18 variables, word_values multiplies the
+numeric matrices x and y of every point, and trace_expr_values combines
+their traces.  None of this is counted as fresh work: it evaluates no
+polynomial.
 """
 
 from __future__ import annotations
@@ -163,6 +169,95 @@ def _times_letter(keys, coeffs, letter: str):
     return sort_and_sum(np.concatenate(pieces_k), np.concatenate(pieces_c))
 
 
+# -- values at points mod p --------------------------------------------------
+#
+# A point gives each of the 18 variables a residue mod p, and so numeric
+# matrices x and y, built from _LETTER_ROWS like their generic forms.  The
+# residues stay below p < 2**25, so each entry of a product of two 4x4
+# matrices sums four products below 2**50 in int64.
+
+
+def sample_points(p: int, n: int) -> np.ndarray:
+    """The first n points of the prime p: an (n, 18) int64 array of
+    residues mod p, one column per variable of VARSET18.  Residue k is a
+    splitmix64-style hash of p * 2**32 + k, reduced mod p, so the first n
+    points are the same however many are drawn."""
+    z = np.arange(n * NVARS, dtype=np.uint64) + np.uint64(p << 32)
+    z = z * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z % np.uint64(p)).astype(np.int64).reshape(n, NVARS)
+
+
+def word_values(words: Iterable[Word], points: np.ndarray, p: int) -> dict[Word, np.ndarray]:
+    """tr(w) mod p at every point, one residue per point, for each word.
+    Sorted words that share a prefix share its matrix products, as in
+    _compute_words_packed."""
+    if p >= 1 << 25:
+        raise ValueError(f"prime {p} is too large for int64 matrix products")
+    letters = {}
+    for letter, rows in _LETTER_ROWS.items():
+        mat = np.zeros((len(points), 4, 4), dtype=np.int64)
+        for k, row in enumerate(rows):
+            for j, var, sign in row:
+                mat[:, k, j] += sign * points[:, var]
+        letters[letter] = mat % p
+    out = {}
+    # (prefix, its product at every point), each a prefix of the next
+    path: list[tuple[str, np.ndarray | None]] = [("", None)]
+    for w in sorted(set(words)):
+        while not w.startswith(path[-1][0]):
+            path.pop()
+        prefix, mat = path[-1]
+        for ch in w[len(prefix) :]:
+            mat = letters[ch] if mat is None else (mat @ letters[ch]) % p
+            prefix += ch
+            path.append((prefix, mat))
+        out[w] = np.trace(mat, axis1=1, axis2=2) % p
+    return out
+
+
+def trace_expr_values(
+    exprs: Iterable[TraceExpr], points: np.ndarray, p: int
+) -> np.ndarray | None:
+    """The values mod p of trace expressions at the points: one row per
+    expression, one column per point.  None when p divides the denominator
+    of a coefficient, where an expression has no value mod p."""
+    exprs = list(exprs)
+    monos: dict[TraceMonomial, int] = {}
+    for e in exprs:
+        for mono in e.terms:
+            monos.setdefault(mono, len(monos))
+    coeffs = np.zeros((len(exprs), len(monos)), dtype=np.int64)
+    for i, e in enumerate(exprs):
+        for mono, c in e.terms.items():
+            if c.denominator % p == 0:
+                return None
+            coeffs[i, monos[mono]] = c.numerator * pow(c.denominator, -1, p) % p
+    words = word_values((w for mono in monos for w in mono), points, p)
+    values = np.ones((len(monos), len(points)), dtype=np.int64)
+    for row, mono in zip(values, monos):
+        for w in mono:
+            row *= words[w]
+            row %= p
+    return mod_matmul(coeffs, values, p)
+
+
+# inner terms summed per int64 product in mod_matmul: each product of two
+# residues below 2**25 is below 2**50, so a sum of 2**12 stays below 2**62
+_MOD_TERMS = 1 << 12
+
+
+def mod_matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for int64 matrices of residues mod p < 2**25."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for start in range(0, A.shape[1], _MOD_TERMS):
+        part = slice(start, start + _MOD_TERMS)
+        out = (out + A[:, part] @ B[part]) % p
+    return out
+
+
 def _comm_matmul(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
     out = []
     for i in range(4):
@@ -189,7 +284,10 @@ class WeightSlot:
     polynomials, result) of its last assembly, None until it is set.  The
     leaves multiplied for that assembly are not kept: each dies once it is
     added into M.  A polynomial in the span of the slot's polynomials is
-    evaluated from M (see relfinder.verify_zero_abs)."""
+    evaluated from M (see relfinder.verify_zero_abs).  After hwv_verify the
+    slot holds the matrix of a highest weight basis; after a relation space
+    solved without it, the matrix of its relation vectors, which has no
+    row."""
 
     def __init__(self, bidegrees: frozenset[tuple[int, int]] = frozenset()) -> None:
         self.bidegrees = bidegrees
@@ -202,13 +300,14 @@ class EvalCache:
     Thread-safe with last-writer-wins semantics; an optional CacheStore gives
     persistence for word evaluations.  Besides the trace words it holds the
     generator evaluations and the generator-monomial products that
-    glcat.eval_abs_monomials fills, so every memo lives exactly as long as the
-    cache that was passed in.  Of the products it keeps the proper prefixes
-    for good.  The leaves that relfinder._assemble_matrix multiplies are not
-    kept: each is added into the columns that use it and dropped, and the
-    weight slot keeps the matrix (see WeightSlot).  Products of word traces
-    are not kept either: eval_trace_expr shares prefixes within one call
-    only.
+    glcat.eval_abs_monomials fills, and the generator values at the points
+    of each prime that glcat.gen_values fills, so every memo lives exactly
+    as long as the cache that was passed in.  Of the products it keeps the
+    proper prefixes for good.  The leaves that relfinder._assemble_matrix
+    multiplies are not kept: each is added into the columns that use it and
+    dropped, and the weight slot keeps the matrix (see WeightSlot).
+    Products of word traces are not kept either: eval_trace_expr shares
+    prefixes within one call only.
     """
 
     def __init__(self, store: CacheStore | None = None):
@@ -218,6 +317,9 @@ class EvalCache:
         self._words_comm: dict[Word, CommPoly] = {}
         self._gens: list[PackedPoly] | None = None
         self._abs_monos: dict[tuple[int, ...], PackedPoly] = {}
+        # generator values at the points of each prime, by prime, filled by
+        # glcat.gen_values
+        self._gen_values: dict[int, np.ndarray] = {}
         # highest weight bases by (weight, thread count), filled by
         # hwv.hwv_basis
         self._bases: dict[tuple, object] = {}

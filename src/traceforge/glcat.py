@@ -464,6 +464,31 @@ def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
     return gens
 
 
+def gen_values(
+    p: int, n: int, cache: genmat.EvalCache | None = None
+) -> np.ndarray | None:
+    """Values mod p of the 30 generators at the first n points of p (see
+    genmat.sample_points): an (30, n) int64 array, row gid for generator
+    gid, or None when p divides a denominator of a generator.  Memoized per
+    prime on the cache, which evaluates only the points it lacks."""
+    cache = cache or genmat.default_cache()
+    have = cache._gen_values.get(p)
+    if have is None or have.shape[1] < n:
+        mods = catalog(cache)
+        start = 0 if have is None else have.shape[1]
+        new = genmat.trace_expr_values(
+            (mods[g.module - 1].basis[g.j] for g in ABS_GENS),
+            genmat.sample_points(p, n)[start:],
+            p,
+        )
+        if new is None:
+            return None
+        have = new if have is None else np.concatenate([have, new], axis=1)
+        with cache._lock:
+            cache._gen_values[p] = have
+    return have[:, :n]
+
+
 def eval_abs_monomial(
     mono: AbsMonomial, cache: genmat.EvalCache | None = None
 ) -> PackedPoly:

@@ -163,12 +163,15 @@ def hwv_verify(
 ) -> HwvVerifyReport:
     """Check a basis: abs_delta kills each vector exactly and, with
     evaluate, the evaluated raising map D kills its evaluation on the
-    generic matrices.  The evaluations are the columns of the matrix that
-    relation_space solves, from relfinder._assemble_matrix, which leaves the
-    matrix on the cache's weight slot, where the relation_space of the same
-    basis finds it and relfinder.verify_zero_abs evaluates any member of the
-    basis's span without a product; genmat.eval_delta_columns applies D to a
-    block of columns with one sort.
+    generic matrices.  The evaluations are the columns of the matrix M that
+    relation_space(mode="exact") solves, from relfinder._assemble_matrix,
+    which leaves M on the cache's weight slot.  There the relation_space of
+    the same basis proves its relation vectors as combinations of the
+    columns of M, and relfinder.verify_zero_abs evaluates any member of the
+    basis's span, both without a product.  (A relation space solved without
+    it leaves the matrix of its relation vectors on the slot instead.)
+    genmat.eval_delta_columns applies D to a block of columns with one
+    sort.
     A vector that evaluates to zero is a relation and passes.  Raises
     PackedCapacityError where an evaluation exceeds the packed fields."""
     failures: list[str] = []

@@ -12,23 +12,28 @@ null_stream reads the blocks once, into the exact integer Gram matrix
 G = M^T M (ncols x ncols, built with exact float64 matmuls on 16-bit limbs),
 and then works on G alone.  Over Q, ker G = ker M, because z^T G z = |Mz|^2.
 The exact mode runs fraction-free elimination on the rows of G.  The modular
-mode echelons G mod p per prime, keeps the largest rank among the primes
-(a prime at which the row space is isotropic, probability about 1/p, reports
-a smaller one), requires two primes to agree on the pivot columns, and lifts
-the kernel by CRT and rational reconstruction; more primes are drawn on any
-failure, and once the prime budget is exhausted a NullStreamError suggests
-the exact mode.  Both modes return only vectors that pass the exact check
-G z = 0 over Z.  That check is a proof, not a vote: k candidates in
-free-column form are independent and lie in ker M, and since the rank of G
-over Q is at least its rank mod p, ker M has dimension exactly k.  Results
-are independent of how the rows are split into blocks.
+mode runs the prime loop of modular_kernel on G mod p: it keeps the largest
+rank among the primes (a prime at which the row space is isotropic,
+probability about 1/p, reports a smaller one), requires two primes to agree
+on the pivot columns, and lifts the kernel by CRT and rational
+reconstruction; more primes are drawn on any failure, and once the prime
+budget is exhausted a NullStreamError suggests the exact mode.  Both modes
+return only vectors that pass the exact check G z = 0 over Z.  That check is
+a proof, not a vote: k candidates in free-column form are independent and
+lie in ker M, and since the rank of G over Q is at least its rank mod p,
+ker M has dimension exactly k.  Results are independent of how the rows are
+split into blocks.
+
+modular_kernel is the one copy of that prime loop.  Besides null_stream,
+relfinder.relation_space runs it on the values of a highest weight basis at
+points mod p, with its own exact proof of the candidate relation vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 
@@ -271,32 +276,29 @@ def _gram(blocks: Iterable[np.ndarray], ncols: int) -> np.ndarray:
 
 
 def _rref_mod(Gp: np.ndarray, p: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """RREF mod p of a square matrix Gp of residues, echeloned row by row.
+    """RREF mod p of a matrix Gp of residues, by Gauss-Jordan elimination
+    one column at a time.
 
-    Entries stay below p < 2**25, so each product of two is below 2**50 and a
-    row times R sums fewer than 2**13 of them in int64 without overflow.
-    Returns (pivot columns ascending, reduced rows in the same order).
+    Entries stay below p < 2**25, so each product of two is below 2**50 and
+    every update stays in int64 without overflow.  Returns (pivot columns
+    ascending, reduced rows in the same order).
     """
-    Gp = Gp.astype(np.int64)
-    ncols = Gp.shape[1]
-    R = np.zeros((0, ncols), dtype=np.int64)
+    A = Gp.astype(np.int64) % p
     pivcols: list[int] = []
-    for r in Gp:
-        if R.shape[0]:
-            r = (r - (r[pivcols] @ R) % p) % p
-        nz = np.flatnonzero(r)
+    for c in range(A.shape[1]):
+        top = len(pivcols)
+        nz = np.flatnonzero(A[top:, c])
         if not len(nz):
             continue
-        c = int(nz[0])
-        r = (r * pow(int(r[c]), p - 2, p)) % p
-        if R.shape[0]:
-            colvals = R[:, c].copy()
-            if colvals.any():
-                R = (R - np.outer(colvals, r)) % p
-        R = np.vstack([R, r[None, :]])
+        k = top + int(nz[0])
+        if k != top:
+            A[[top, k]] = A[[k, top]]
+        A[top] = A[top] * pow(int(A[top, c]), p - 2, p) % p
+        colvals = A[:, c].copy()
+        colvals[top] = 0
+        A = (A - np.outer(colvals, A[top])) % p
         pivcols.append(c)
-    order = np.argsort(pivcols, kind="stable")
-    return tuple(pivcols[i] for i in order), R[order]
+    return tuple(pivcols), A[: len(pivcols)]
 
 
 def _mod_kernel_columns(
@@ -412,33 +414,62 @@ def null_stream(
             raise NullStreamError("exact kernel fails the check G z = 0")
         return basis
 
+    return modular_kernel(
+        lambda p: _rref_mod(G % p, p), ncols, lambda vectors: _in_kernel(G, vectors)
+    )
+
+
+def modular_kernel(
+    echelon: Callable[[int], tuple[tuple[int, ...], np.ndarray] | None],
+    ncols: int,
+    proven: Callable[[Sequence[tuple[Fraction, ...]]], bool],
+) -> NullBasis:
+    """The prime loop of the modular mode, shared by null_stream (on G mod p)
+    and relfinder.relation_space (on values at points mod p).
+
+    echelon(p) is _rref_mod of the matrix mod p, or None for a prime to
+    skip: one that divides a denominator of the matrix.  A rank mod p never
+    exceeds the rank over Q, so the vote keeps the largest rank among the
+    primes, then the largest group of primes agreeing on its pivot columns.
+    Two such primes give candidate kernel vectors by CRT and rational
+    reconstruction, each normalized so its first nonzero coordinate is 1,
+    and they are returned once proven(vectors) holds.  On any failure two
+    more primes are drawn; once DEFAULT_PRIME_BUDGET primes are tried, a
+    NullStreamError suggests the exact mode."""
     per_prime: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+    budget = min(DEFAULT_PRIME_BUDGET, len(PRIMES))
+    tried = 0
     want = 2
     while True:
-        while len(per_prime) < want:
-            p = PRIMES[len(per_prime)]
-            per_prime[p] = _rref_mod(G % p, p)
+        while len(per_prime) < want and tried < budget:
+            p = PRIMES[tried]
+            tried += 1
+            ech = echelon(p)
+            if ech is not None:
+                per_prime[p] = ech
         # keep the primes agreeing on the best pivot set: largest rank first
         # (modular rank never exceeds the true rank), then largest group
         best: dict[tuple[int, ...], list[int]] = {}
         for p, (piv, _) in per_prime.items():
             best.setdefault(piv, []).append(p)
-        piv_best = max(best, key=lambda piv: (len(piv), len(best[piv]), best[piv]))
-        good = sorted(best[piv_best])
+        good: list[int] = []
+        if best:
+            piv_best = max(best, key=lambda piv: (len(piv), len(best[piv]), best[piv]))
+            good = sorted(best[piv_best])
         if len(good) >= 2:
             kernels = {
                 p: _mod_kernel_columns(per_prime[p][0], per_prime[p][1], ncols)
                 for p in good
             }
             vectors = _reconstruct_vectors(kernels, ncols)
-            if vectors is not None and _in_kernel(G, vectors):
-                return NullBasis(
-                    ncols, tuple(_normalize_first_one(v) for v in vectors)
-                )
-        if len(per_prime) >= DEFAULT_PRIME_BUDGET:
+            if vectors is not None:
+                vectors = [_normalize_first_one(v) for v in vectors]
+                if proven(vectors):
+                    return NullBasis(ncols, tuple(vectors))
+        if tried >= budget:
             raise NullStreamError(
                 "modular kernel failed after "
-                f"{len(per_prime)} primes (reconstruction or verification); "
+                f"{tried} primes (reconstruction or verification); "
                 "rerun with mode='exact'"
             )
-        want = min(len(per_prime) + 2, DEFAULT_PRIME_BUDGET)
+        want = len(per_prime) + 2

@@ -3,9 +3,12 @@
 A relation of weight lam is a highest weight vector in the generator algebra
 whose image under the substitution into trace expressions evaluates to the
 zero polynomial on the generic matrix pair.  relation_space finds all of
-them for a given weight: it evaluates the monomial basis of the bidegree
-slice, forms the evaluated image of each highest weight basis vector, and
-takes the exact kernel of the resulting coefficient matrix.
+them for a given weight, as the kernel of the evaluation map on the highest
+weight basis.  By default it takes that kernel from the values of the basis
+vectors at random points mod p, which bound the relation count r from above,
+and proves each of the r relation vectors zero exactly, which bounds r from
+below; the exact mode assembles the coefficient matrix of every basis vector
+and eliminates it over the integers.
 
 The analysis layer mirrors the downstream structure results: orbits under
 the lowering derivation, reduction modulo the ideal generated by a fixed
@@ -26,6 +29,7 @@ from ._lazy import np
 from .cache import digest_text
 from .glcat import (
     ABS_GENS,
+    NGENS,
     AbsGen,
     AbsMonomial,
     AbsPoly,
@@ -38,6 +42,7 @@ from .glcat import (
     catalog_digest,
     eval_abs_monomial,  # unused here; bench/tracer.py wraps relfinder.eval_abs_monomial
     gen_by_modj,
+    gen_values,
     in_threads,
     leaf_groups,
     mono_bidegree,
@@ -45,7 +50,14 @@ from .glcat import (
     phi,
 )
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
-from .nullspace import QMatrix, null_dense, null_stream
+from .nullspace import (
+    NullStreamError,
+    QMatrix,
+    _rref_mod,
+    modular_kernel,
+    null_dense,
+    null_stream,
+)
 from .packedpoly import XCAP, YCAP, PackedCapacityError, PackedPoly, distinct_keys, product_den
 from .polyring import CommPoly, poly_to_text
 from .tracelang import TraceExpr, format_trace_expr
@@ -233,11 +245,11 @@ def _assemble_matrix(
     The cache works on one weight at a time (see genmat.WeightSlot), keyed
     on the set of bidegrees of the monomials of polys, which need not be
     homogeneous.  The result stays on the slot until the next call, which
-    gets it back if its polynomials have the same terms: hwv_verify and the
-    relation_space of the same basis assemble once, and verify_zero_abs
-    evaluates a polynomial in the span of the slot's from its M.  A call
-    with other polynomials frees the slot's matrix before it builds its own.
-    Callers only read M.
+    gets it back if its polynomials have the same terms.  The relation_space
+    of a basis that hwv_verify left there proves its relation vectors from
+    its M, and verify_zero_abs evaluates a polynomial in the span of the
+    slot's from its M.  A call with other polynomials frees the slot's
+    matrix before it builds its own.  Callers only read M.
     """
     cache = cache or genmat.default_cache()
     terms = [dict(v.terms) for v in polys]
@@ -316,7 +328,19 @@ def relation_space(
     threads: int = 1,
     use_cache: bool = True,
 ) -> RelationSpace:
-    """All relations of weight lam, as exact highest weight combinations."""
+    """All relations of weight lam: zeta[i] combines the highest weight
+    basis into the relation vector relvectors[i], and the zeta are the
+    kernel of the evaluation map on the basis in free-column form, each
+    normalized so its first nonzero coordinate is 1.  A space the store
+    holds is read back (see _load_space).
+
+    mode "modular" finds the kernel from the values of the basis at points
+    mod p and proves each relation vector exactly (see _modular_zeta); it
+    evaluates only the monomials of the relation vectors, or none when the
+    cache's weight slot holds the basis's matrix.  mode "exact" assembles
+    that matrix M and eliminates its Gram matrix over the integers (see
+    _exact_zeta).  Both give the same zeta.  Where the modular mode fails,
+    NullStreamError names the weight and suggests mode "exact"."""
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
     lam = Partition.of(*lam)
@@ -331,16 +355,9 @@ def relation_space(
             if loaded is not None:
                 return loaded
     basis = hwv_basis(lam, threads=threads, cache=cache)
-    M, colscale, _ = _assemble_matrix(basis.vectors, cache)
-    nb = null_stream([M], basis.s, mode=mode)
-    zeta = []
+    zeta = _exact_zeta(basis, cache) if mode == "exact" else _modular_zeta(basis, cache)
     relvectors = []
-    for w in nb.vectors:
-        z = [wi * sc for wi, sc in zip(w, colscale)]
-        lead = next((x for x in z if x), None)
-        if lead is not None and lead != 1:
-            z = [x / lead for x in z]
-        zeta.append(tuple(z))
+    for z in zeta:
         v = _relation_vector(z, basis.vectors)
         if not abs_delta(v).is_zero():
             raise AssertionError("relation vector is not a highest weight vector")
@@ -360,6 +377,120 @@ def relation_space(
             },
         )
     return space
+
+
+def _exact_zeta(basis: HwvBasis, cache: genmat.EvalCache) -> list[tuple[Fraction, ...]]:
+    """The kernel of the evaluation map on the basis: the kernel of M, the
+    matrix of its evaluations, by fraction-free elimination of the Gram
+    matrix (see nullspace.null_stream), with the column scales of M undone."""
+    M, colscale, _ = _assemble_matrix(basis.vectors, cache)
+    zeta = []
+    for w in null_stream([M], basis.s, mode="exact").vectors:
+        z = [wi * sc for wi, sc in zip(w, colscale)]
+        lead = next((x for x in z if x), None)
+        if lead is not None and lead != 1:
+            z = [x / lead for x in z]
+        zeta.append(tuple(z))
+    return zeta
+
+
+# points beyond the s columns of the values of a basis at the first pair of
+# primes; every further pair of primes is given this many more
+_EXTRA_POINTS = 16
+
+
+class _BasisValues:
+    """The values mod p of the vectors of a basis at points: the values of
+    their monomials, products of generator values (see glcat.gen_values),
+    times their coefficients mod p."""
+
+    def __init__(self, basis: HwvBasis):
+        self.s = basis.s
+        index: dict[AbsMonomial, int] = {}
+        for v in basis.vectors:
+            for m in v.terms:
+                index.setdefault(m, len(index))
+        # row k: the generators of monomial k, padded with NGENS, the index
+        # of an all-ones row
+        width = max((len(m) for m in index), default=0)
+        self.gids = np.full((len(index), width), NGENS, dtype=np.int64)
+        for k, m in enumerate(index):
+            self.gids[k, : len(m)] = m
+        # the coefficient of monomial cols[t] in vector rows[t] is
+        # nums[t] / dens[t]
+        at = [(i, index[m]) for i, v in enumerate(basis.vectors) for m in v.terms]
+        self.rows = np.array([i for i, _ in at], dtype=np.int64)
+        self.cols = np.array([k for _, k in at], dtype=np.int64)
+        coeffs = [c for v in basis.vectors for c in v.terms.values()]
+        self.nums = [c.numerator for c in coeffs]
+        self.dens = [c.denominator for c in coeffs]
+
+    def __call__(self, p: int, n: int, cache: genmat.EvalCache) -> np.ndarray | None:
+        """E_p: the values at the first n points of p, an (n, s) int64
+        array, or None when p divides a denominator of the basis or of the
+        generators."""
+        dens = set(self.dens)
+        if any(d % p == 0 for d in dens):
+            return None
+        gens = gen_values(p, n, cache)
+        if gens is None:
+            return None
+        inverse = {d: pow(d, -1, p) for d in dens}
+        coeffs = np.zeros((self.s, len(self.gids)), dtype=np.int64)
+        coeffs[self.rows, self.cols] = [
+            a * inverse[d] % p for a, d in zip(self.nums, self.dens)
+        ]
+        gens = np.concatenate([gens, np.ones((1, n), dtype=np.int64)])
+        values = np.ones((len(self.gids), n), dtype=np.int64)
+        for col in self.gids.T:
+            values = values * gens[col] % p
+        return genmat.mod_matmul(values.T, coeffs.T, p)
+
+
+def _modular_zeta(basis: HwvBasis, cache: genmat.EvalCache) -> list[tuple[Fraction, ...]]:
+    """The kernel of the evaluation map on the basis, from its values at
+    points mod p, each vector proven exactly (see _proven).
+
+    A relation vanishes at every point, so r <= s - rank_p(E_p) for every
+    prime p that divides no denominator; the vote of nullspace.modular_kernel
+    keeps the largest rank, and its candidate vectors, in free-column form,
+    are independent.  Once all of them are proven, k proven relations pin
+    k <= r <= s - rank_p = k.  Each further pair of primes is given
+    _EXTRA_POINTS more points."""
+    values = _BasisValues(basis)
+    drawn = []
+
+    def echelon(p: int):
+        n = basis.s + _EXTRA_POINTS * (1 + len(drawn) // 2)
+        drawn.append(p)
+        E = values(p, n, cache)
+        return None if E is None else _rref_mod(E, p)
+
+    try:
+        kernel = modular_kernel(echelon, basis.s, lambda zeta: _proven(zeta, basis, cache))
+    except NullStreamError as exc:
+        lam = basis.lam
+        raise NullStreamError(f"relation space of weight ({lam.l1},{lam.l2}): {exc}") from exc
+    return list(kernel.vectors)
+
+
+def _proven(
+    zeta: Sequence[Sequence[Fraction]], basis: HwvBasis, cache: genmat.EvalCache
+) -> bool:
+    """Is every combination sum_i z_i v_i of the basis vectors zero on the
+    generic matrices?  When the cache's weight slot holds M for this basis
+    (as after hwv_verify), each is that combination of the columns of M
+    (see _column_combination); otherwise the relation vectors are assembled,
+    and their matrix must have no nonzero row."""
+    if not zeta:
+        return True
+    with cache._lock:
+        slot = cache._weight
+    if slot.last is not None and slot.last[0] == [v.terms for v in basis.vectors]:
+        M, colscale, _ = slot.last[1]
+        return not any(_column_combination(M, colscale, z)[0].any() for z in zeta)
+    M, _, _ = _assemble_matrix([_relation_vector(z, basis.vectors) for z in zeta], cache)
+    return M.shape[0] == 0
 
 
 def _load_space(
@@ -437,10 +568,8 @@ def _eval_from_slot(p: AbsPoly, cache: genmat.EvalCache) -> PackedPoly | None:
     the slot holds M for the bidegree set of p and p is a combination
     sum_i a_i v_i of the slot's polynomials v_i.  The a_i come from an exact
     kernel, and p == sum_i a_i v_i is checked again term by term before
-    they are used.  By linearity ev(p) = sum_i a_i M[:, i] / colscale[i],
-    summed over the columns with a_i != 0 only: in int64 while the bound of
-    the sum stays below 2^62, else in object dtype one column at a time, so
-    M is never cast as a whole."""
+    they are used.  By linearity ev(p) = sum_i a_i M[:, i] / colscale[i]
+    (see _column_combination)."""
     with cache._lock:
         slot = cache._weight
     if slot.last is None or slot.bidegrees != frozenset(map(mono_bidegree, p.terms)):
@@ -469,22 +598,32 @@ def _eval_from_slot(p: AbsPoly, cache: genmat.EvalCache) -> PackedPoly | None:
                 combo[m] = combo.get(m, 0) + ai * c
     if {m: c for m, c in combo.items() if c} != p.terms:
         return None
-    # ev(p) = column / den, with integer weights on the columns it touches
+    column, den = _column_combination(M, colscale, a)
+    return PackedPoly.from_column(keys, column, den)
+
+
+def _column_combination(
+    M: np.ndarray, colscale: Sequence[int], a: Sequence[Fraction]
+) -> tuple[np.ndarray, int]:
+    """(column, den) with column / den = sum_i a_i M[:, i] / colscale[i],
+    summed over the columns with a_i != 0 only: in int64 while the bound of
+    the sum stays below 2^62, else in object dtype one column at a time, so
+    M is never cast as a whole."""
     scaled = [(i, ai / colscale[i]) for i, ai in enumerate(a) if ai]
     den = lcm(*(r.denominator for _, r in scaled))
     weighted = []
     bound = 0
     for i, r in scaled:
-        top = int(np.abs(M[:, i]).max(initial=0))
+        top = max(int(M[:, i].max(initial=0)), -int(M[:, i].min(initial=0)))
         if top:  # a zero column adds nothing, however large its weight
             w = r.numerator * (den // r.denominator)
             weighted.append((M[:, i], w))
             bound += abs(w) * top
     dtype = np.int64 if M.dtype != object and bound < 1 << 62 else object
-    column = np.zeros(len(keys), dtype=dtype)
+    column = np.zeros(M.shape[0], dtype=dtype)
     for col, w in weighted:
         column += col.astype(dtype, copy=False) * w
-    return PackedPoly.from_column(keys, column, den)
+    return column, den
 
 
 def membership(candidate: AbsPoly, space: RelationSpace) -> bool:

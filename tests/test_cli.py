@@ -312,8 +312,9 @@ def test_warm_hwv_and_verify_reuse_their_verdicts(tmp_path):
 
 
 def test_cold_verify_of_a_member_makes_only_the_products_of_its_space(tmp_path):
-    # verify solves the relation space first and evaluates the candidate from
-    # the basis's matrix, so it multiplies each leaf of the weight once
+    # verify solves the relation space first, which leaves the matrix of its
+    # relation vectors on the weight slot, and evaluates the candidate, a
+    # member, from that matrix: no product beyond those of the space
     from traceforge.cli import verify_check
     from traceforge.genmat import EvalCache
     from traceforge.glcat import Partition
