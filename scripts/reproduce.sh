@@ -27,6 +27,11 @@
 # verified matrix and so proves its relation vectors by assembling them (a
 # route `reproduce` never takes), must find r = 2 and the zeta that the first
 # pass stored for (9,5): the script fails otherwise.
+# Then a cold `relations --lambda 7,5 --mode exact` in another fresh cache
+# dir, the one end-to-end run of the exact route (the kernel of the assembled
+# M, by elimination of its Gram matrix over the integers), must find r = 1
+# and the zeta that the first pass stored for (7,5): the script fails
+# otherwise.
 # Last, a `verify` of a candidate and an `hwv --degree-cap 16 --lambda 8,8`
 # beyond the packed evaluation capacity must exit nonzero with one line on
 # stderr and no traceback.
@@ -130,8 +135,9 @@ echo "warm mult, hwv, relations, verify, leading and new imported no numpy, data
 # a cold relation space with no verified matrix: the relation vectors are
 # proven by assembling them, and the answer is the one the first pass stored
 COLD="$(mktemp -d)"
+EXACT="$(mktemp -d)"
 BIG="$(mktemp)"
-trap 'rm -rf "$COLD"; rm -f "$BIG"' EXIT
+trap 'rm -rf "$COLD" "$EXACT"; rm -f "$BIG"' EXIT
 stored95="$(traceforge --cache-dir "$CACHE" --format json relations --lambda 9,5)"
 if ! cold95="$(traceforge --cache-dir "$COLD" --format json relations --lambda 9,5)"; then
     echo "FAIL: a cold relations --lambda 9,5 exited nonzero" >&2
@@ -146,6 +152,22 @@ sys.exit(not (stored["from_cache"] and not cold["from_cache"]
     exit 1
 fi
 echo "a cold relations --lambda 9,5 proved r=2 by assembly and found the zeta of the first pass"
+
+# a cold relation space by the exact route gives the answer the first pass stored
+stored75="$(traceforge --cache-dir "$CACHE" --format json relations --lambda 7,5)"
+if ! exact75="$(traceforge --cache-dir "$EXACT" --format json relations --lambda 7,5 --mode exact)"; then
+    echo "FAIL: a cold relations --lambda 7,5 --mode exact exited nonzero" >&2
+    exit 1
+fi
+if ! python3 -c '
+import json, sys
+stored, exact = (json.loads(arg) for arg in sys.argv[1:])
+sys.exit(not (stored["from_cache"] and not exact["from_cache"]
+              and exact["r"] == 1 and exact["zeta"] == stored["zeta"]))' "$stored75" "$exact75"; then
+    echo "FAIL: a cold relations --lambda 7,5 --mode exact did not find the zeta of the first pass" >&2
+    exit 1
+fi
+echo "a cold relations --lambda 7,5 --mode exact found r=1 and the zeta of the first pass"
 
 # beyond the packed capacity, evaluation fails with a one-line error
 one_line_error() {

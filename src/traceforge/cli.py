@@ -36,6 +36,7 @@ from .glcat import (
     multiplicity,
 )
 from .hwv import HwvBasis, hwv_basis, hwv_json, hwv_verify
+from .nullspace import NullStreamError
 from .packedpoly import PackedCapacityError
 from .phiparse import PhiParseError, parse_phi
 from .relfinder import (
@@ -680,6 +681,8 @@ def main(argv: list[str] | None = None) -> int:
         payload, lines, ok = args.func(cfg, args)
     except PackedCapacityError as exc:
         raise SystemExit(f"{args.command}: beyond the packed evaluation capacity: {exc}")
+    except NullStreamError as exc:
+        raise SystemExit(f"{args.command}: {exc} (on the command line: relations --mode exact)")
     emit(payload, lines, cfg)
     return 0 if ok else 1
 

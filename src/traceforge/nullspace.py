@@ -1,39 +1,32 @@
-"""Exact rational kernels of sparse and streamed integer matrices.
+"""Exact rational kernels, and the one modular prime loop.
 
-Two entry points share one contract: the returned vectors are an exact basis
-of the right kernel, each normalized so its first nonzero coordinate (in
-column order) is 1, ordered by their free column.  null_dense works on an
-in-memory rational matrix.  null_stream works on a matrix M given as an
-iterable of 2-D integer blocks of rows (int64, or object for big entries),
-which it reads once, so a one-shot generator will do; a block that is not a
-2-D integer or object array with ncols columns raises ValueError.
+Every kernel here comes as an exact basis of the right kernel, each vector
+normalized so its first nonzero coordinate (in column order) is 1, ordered
+by its free column.  null_dense works on a sparse rational matrix.
+null_stream works on one integer matrix M, a 2-D int64 or object array (for
+big entries); any other dtype or shape raises ValueError.  It builds the
+exact integer Gram matrix G = M^T M (ncols x ncols, with exact float64
+matmuls on 16-bit limbs), runs fraction-free elimination on the rows of G,
+and returns the kernel only after the exact check G z = 0.  Over Q,
+ker G = ker M, because z^T G z = |Mz|^2.
 
-null_stream reads the blocks once, into the exact integer Gram matrix
-G = M^T M (ncols x ncols, built with exact float64 matmuls on 16-bit limbs),
-and then works on G alone.  Over Q, ker G = ker M, because z^T G z = |Mz|^2.
-The exact mode runs fraction-free elimination on the rows of G.  The modular
-mode runs the prime loop of modular_kernel on G mod p: it keeps the largest
-rank among the primes (a prime at which the row space is isotropic,
-probability about 1/p, reports a smaller one), requires two primes to agree
-on the pivot columns, and lifts the kernel by CRT and rational
-reconstruction; more primes are drawn on any failure, and once the prime
-budget is exhausted a NullStreamError suggests the exact mode.  Both modes
-return only vectors that pass the exact check G z = 0 over Z.  That check is
-a proof, not a vote: k candidates in free-column form are independent and
-lie in ker M, and since the rank of G over Q is at least its rank mod p,
-ker M has dimension exactly k.  Results are independent of how the rows are
-split into blocks.
-
-modular_kernel is the one copy of that prime loop.  Besides null_stream,
-relfinder.relation_space runs it on the values of a highest weight basis at
-points mod p, with its own exact proof of the candidate relation vectors.
+modular_kernel is the one prime loop.  relfinder.relation_space runs it on
+the values of a highest weight basis at points mod p: it keeps the largest
+rank among the primes (a prime can only report a smaller rank than the one
+over Q), requires two primes to agree on the pivot columns, and lifts the
+kernel by CRT and rational reconstruction.  More primes are drawn on any
+failure, and once the prime budget is exhausted a NullStreamError suggests
+the exact mode.  The caller's proof of the candidates is what makes the
+result exact: k candidates in free-column form are independent, and if they
+all lie in the kernel, its dimension is exactly k, since the rank over Q is
+at least the rank mod p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 
@@ -137,11 +130,8 @@ class _IntEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add_row(self, row, cleared: bool = False) -> None:
-        if cleared:
-            r = {c: v for c, v in dict(row).items() if v}
-        else:
-            r = _clear_row(row)
+    def add_row(self, row: Mapping[int, Rational]) -> None:
+        r = _clear_row(row)
         while r:
             c = min(r)
             prow = self.pivots.get(c)
@@ -218,19 +208,7 @@ def null_dense(A: QMatrix) -> NullBasis:
 
 
 # ---------------------------------------------------------------------------
-# Streamed kernels.
-
-
-def _blocks(blocks: Iterable[np.ndarray], ncols: int) -> Iterator[np.ndarray]:
-    """One pass over the blocks, each checked and brought to int64 or object."""
-    for B in blocks:
-        if not isinstance(B, np.ndarray) or B.ndim != 2 or B.shape[1] != ncols:
-            raise ValueError(f"row blocks must be 2-D arrays with {ncols} columns")
-        if B.dtype.kind in "iu" and B.dtype != np.int64:
-            B = B.astype(object)  # exact for every integer width, uint64 too
-        elif B.dtype != np.int64 and B.dtype != object:
-            raise ValueError(f"row blocks must be integer or object, not {B.dtype}")
-        yield B
+# The exact kernel of one integer matrix.
 
 
 # Rows per limb slice, so the limb arrays stay small (under 1 MB each at 106
@@ -243,35 +221,39 @@ _GRAM_ROWS = 1 << 8
 _FOLD_ROWS = 1 << 20
 
 
-def _gram(blocks: Iterable[np.ndarray], ncols: int) -> np.ndarray:
-    """Exact Gram matrix G = M^T M (ncols x ncols, Python ints) in one pass.
+def _gram(M: np.ndarray) -> np.ndarray:
+    """Exact Gram matrix G = M^T M (ncols x ncols, Python ints) of a 2-D
+    int64 or object array M; any other input raises ValueError.
 
-    An int64 block is split into signed 16-bit limbs, |B| = sum_k L_k 2**(16k),
+    An int64 M is split into signed 16-bit limbs, |M| = sum_k L_k 2**(16k),
     and all limb pairs come from one float64 matmul per slice of rows; the
-    pairs are combined in Python ints.  Object blocks use B^T B in Python ints.
+    pairs are combined in Python ints.  An object M uses M^T M in Python ints.
     """
+    if not isinstance(M, np.ndarray) or M.ndim != 2:
+        raise ValueError("M must be a 2-D array")
+    if M.dtype != np.int64 and M.dtype != object:
+        raise ValueError(f"M must be int64 or object, not {M.dtype}")
+    if M.dtype == object:
+        return M.T.dot(M)
+    ncols = M.shape[1]
     G = np.zeros((ncols, ncols), dtype=object)
-    for B in _blocks(blocks, ncols):
-        if B.dtype == object:
-            G = G + B.T.dot(B)
-            continue
-        top = max(int(B.max()), -int(B.min())) if B.size else 0
-        nl = -(-top.bit_length() // 16)
-        for start in range(0, B.shape[0] if nl else 0, _FOLD_ROWS):
-            acc = np.zeros((nl * ncols, nl * ncols))
-            for s in range(start, min(start + _FOLD_ROWS, B.shape[0]), _GRAM_ROWS):
-                C = B[s : s + _GRAM_ROWS]
-                # abs(-2**63) wraps to itself, which read as uint64 is 2**63
-                mag = np.abs(C).view(np.uint64)
-                sign = np.sign(C).astype(np.float64)
-                limbs = [(mag >> 16 * k) & 0xFFFF for k in range(nl)]
-                L = np.concatenate(limbs, axis=1) * np.tile(sign, nl)
-                acc += L.T @ L
-            A = acc.astype(np.int64).reshape(nl, ncols, nl, ncols)
-            for t in range(2 * nl - 1):
-                ks = range(max(0, t - nl + 1), min(t, nl - 1) + 1)
-                S = sum(A[k, :, t - k] for k in ks)  # at most 4 terms below 2**52
-                G = G + S.astype(object) * (1 << 16 * t)
+    top = max(int(M.max()), -int(M.min())) if M.size else 0
+    nl = -(-top.bit_length() // 16)
+    for start in range(0, M.shape[0] if nl else 0, _FOLD_ROWS):
+        acc = np.zeros((nl * ncols, nl * ncols))
+        for s in range(start, min(start + _FOLD_ROWS, M.shape[0]), _GRAM_ROWS):
+            C = M[s : s + _GRAM_ROWS]
+            # abs(-2**63) wraps to itself, which read as uint64 is 2**63
+            mag = np.abs(C).view(np.uint64)
+            sign = np.sign(C).astype(np.float64)
+            limbs = [(mag >> 16 * k) & 0xFFFF for k in range(nl)]
+            L = np.concatenate(limbs, axis=1) * np.tile(sign, nl)
+            acc += L.T @ L
+        A = acc.astype(np.int64).reshape(nl, ncols, nl, ncols)
+        for t in range(2 * nl - 1):
+            ks = range(max(0, t - nl + 1), min(t, nl - 1) + 1)
+            S = sum(A[k, :, t - k] for k in ks)  # at most 4 terms below 2**52
+            G = G + S.astype(object) * (1 << 16 * t)
     return G
 
 
@@ -388,35 +370,18 @@ def _in_kernel(G: np.ndarray, vectors: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-def null_stream(
-    blocks: Iterable[np.ndarray], ncols: int, mode: str = "exact"
-) -> NullBasis:
-    """Kernel of a matrix given as blocks of rows; see the module docstring.
-
-    Both modes read the blocks once, into the exact Gram matrix G = M^T M.
-    mode "exact": fraction-free integer elimination of the rows of G.
-    mode "modular": per prime, an echelon of G mod p; a vote for the largest
-    rank (a prime at which the row space is isotropic reports a smaller one),
-    CRT lift and rational reconstruction.  Either result is returned only
-    after the exact check G z = 0.
-    """
-    if ncols < 0:
-        raise ValueError("negative column count")
-    if mode not in ("exact", "modular"):
-        raise ValueError(f"unknown mode {mode!r}")
-    G = _gram(blocks, ncols)
-    if mode == "exact":
-        ech = _IntEchelon(ncols)
-        for row in G:
-            ech.add_row({c: int(v) for c, v in enumerate(row) if v}, cleared=True)
-        basis = ech.kernel()
-        if not _in_kernel(G, basis.vectors):
-            raise NullStreamError("exact kernel fails the check G z = 0")
-        return basis
-
-    return modular_kernel(
-        lambda p: _rref_mod(G % p, p), ncols, lambda vectors: _in_kernel(G, vectors)
-    )
+def null_stream(M: np.ndarray) -> NullBasis:
+    """Exact kernel of M, a 2-D int64 or object array: fraction-free
+    elimination of the rows of its Gram matrix G = M^T M, returned only after
+    the exact check G z = 0 (see the module docstring)."""
+    G = _gram(M)
+    ech = _IntEchelon(G.shape[0])
+    for row in G:
+        ech.add_row({c: v for c, v in enumerate(row) if v})
+    basis = ech.kernel()
+    if not _in_kernel(G, basis.vectors):
+        raise NullStreamError("exact kernel fails the check G z = 0")
+    return basis
 
 
 def modular_kernel(
@@ -424,8 +389,8 @@ def modular_kernel(
     ncols: int,
     proven: Callable[[Sequence[tuple[Fraction, ...]]], bool],
 ) -> NullBasis:
-    """The prime loop of the modular mode, shared by null_stream (on G mod p)
-    and relfinder.relation_space (on values at points mod p).
+    """The one prime loop, run by relfinder.relation_space on the values of
+    a basis at points mod p.
 
     echelon(p) is _rref_mod of the matrix mod p, or None for a prime to
     skip: one that divides a denominator of the matrix.  A rank mod p never

@@ -183,10 +183,6 @@ class PackedPoly:
         p = cls(np.array(keys, dtype=np.int64), _as_coeffs(scaled, big), den, xdeg, ydeg)
         return _combine(p.keys, p.coeffs, p.den, p.xdeg, p.ydeg)
 
-    @classmethod
-    def from_comm(cls, poly: CommPoly) -> "PackedPoly":
-        return cls.from_terms(poly.terms.items())
-
     def to_comm(self, varset: VarSet) -> CommPoly:
         if len(varset) != NVARS:
             raise ValueError("VarSet arity mismatch")
@@ -568,11 +564,6 @@ def _sum_batch(terms: list[tuple[PackedPoly, Fraction]], acc: PackedPoly) -> Pac
     xdeg = max(p.xdeg for p, _ in terms)
     ydeg = max(p.ydeg for p, _ in terms)
     return _combine(keys, coeffs, den, xdeg, ydeg)
-
-
-def linear_combination(polys: Sequence[PackedPoly], ints: Sequence[int]) -> PackedPoly:
-    """Sum of ints[i] * polys[i] with integer weights."""
-    return sum_scaled((p, Fraction(c)) for p, c in zip(polys, ints, strict=True))
 
 
 def derive_terms(

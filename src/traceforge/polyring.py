@@ -56,10 +56,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(i + j for i, j in zip(a, b, strict=True))
 
 
-def monomial_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def _grlex_key(m: Monomial) -> tuple:
     return (sum(m), m)
 

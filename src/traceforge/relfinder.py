@@ -4,11 +4,12 @@ A relation of weight lam is a highest weight vector in the generator algebra
 whose image under the substitution into trace expressions evaluates to the
 zero polynomial on the generic matrix pair.  relation_space finds all of
 them for a given weight, as the kernel of the evaluation map on the highest
-weight basis.  By default it takes that kernel from the values of the basis
-vectors at random points mod p, which bound the relation count r from above,
-and proves each of the r relation vectors zero exactly, which bounds r from
-below; the exact mode assembles the coefficient matrix of every basis vector
-and eliminates it over the integers.
+weight basis.  That kernel has two routes.  By default the one prime loop,
+nullspace.modular_kernel, takes it from the values of the basis vectors at
+random points mod p, which bound the relation count r from above, and each
+of the r relation vectors is proven zero exactly, which bounds r from below.
+The exact mode assembles the coefficient matrix M of every basis vector and
+takes the exact kernel of M with nullspace.null_stream.
 
 The analysis layer mirrors the downstream structure results: orbits under
 the lowering derivation, reduction modulo the ideal generated by a fixed
@@ -53,6 +54,7 @@ from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
 from .nullspace import (
     NullStreamError,
     QMatrix,
+    _normalize_first_one,
     _rref_mod,
     modular_kernel,
     null_dense,
@@ -381,17 +383,13 @@ def relation_space(
 
 def _exact_zeta(basis: HwvBasis, cache: genmat.EvalCache) -> list[tuple[Fraction, ...]]:
     """The kernel of the evaluation map on the basis: the kernel of M, the
-    matrix of its evaluations, by fraction-free elimination of the Gram
-    matrix (see nullspace.null_stream), with the column scales of M undone."""
+    matrix of its evaluations (see nullspace.null_stream), with the column
+    scales of M undone."""
     M, colscale, _ = _assemble_matrix(basis.vectors, cache)
-    zeta = []
-    for w in null_stream([M], basis.s, mode="exact").vectors:
-        z = [wi * sc for wi, sc in zip(w, colscale)]
-        lead = next((x for x in z if x), None)
-        if lead is not None and lead != 1:
-            z = [x / lead for x in z]
-        zeta.append(tuple(z))
-    return zeta
+    return [
+        _normalize_first_one([wi * sc for wi, sc in zip(w, colscale)])
+        for w in null_stream(M).vectors
+    ]
 
 
 # points beyond the s columns of the values of a basis at the first pair of
@@ -802,7 +800,11 @@ def new_relations(
 
 
 class RelationCertificate(NamedTuple):
-    """The stored evidence for one relation vector (see to_json)."""
+    """The stored evidence for one relation vector (see to_json).
+
+    trace_form is phi of the relation vector, which evaluates to zero on the
+    generic matrices; claim_digest is the SHA-256 of the text that claims
+    so, and digests no evaluation."""
 
     lam: Partition
     index: int
@@ -810,7 +812,7 @@ class RelationCertificate(NamedTuple):
     abspoly: tuple[tuple[tuple[tuple[int, int], ...], str], ...]
     trace_form: str
     leading: str | None
-    digest: str
+    claim_digest: str
 
     def to_json(self) -> dict:
         return {
@@ -823,7 +825,7 @@ class RelationCertificate(NamedTuple):
             ],
             "trace_form": self.trace_form,
             "leading": self.leading,
-            "evaluation_digest": self.digest,
+            "claim_digest": self.claim_digest,
         }
 
 
@@ -867,7 +869,7 @@ def write_certificates(space: RelationSpace, store) -> list[str]:
         zeta = ",".join(f"{x.numerator}/{x.denominator}" for x in z)
         content = digest_text(f"{zeta};{abs_poly_text(v)}")
         key = (
-            f"relcert:v1:{lam.l1},{lam.l2}:{i}:{space.catalog_digest}:"
+            f"relcert:v2:{lam.l1},{lam.l2}:{i}:{space.catalog_digest}:"
             f"{RELSPACE_SCHEMA}:{content}"
         )
         if not isinstance(store.get_json(key), dict):

@@ -27,7 +27,7 @@ from traceforge.glcat import (
     phi,
 )
 from traceforge.hwv import hwv_basis
-from traceforge.nullspace import null_stream
+from traceforge.nullspace import _gram, _in_kernel, _rref_mod, modular_kernel, null_stream
 from traceforge.phiparse import format_phi, parse_phi
 from traceforge.relfinder import (
     leading_analysis,
@@ -304,8 +304,11 @@ def _c9_modular_exact(acache):
     # the rows (3/2, 0, -5, 0), (0, 1, 7/3, 1), (3, 0, -10, 0), each
     # cleared by its denominator (row scaling keeps the kernel)
     B = np.array([[3, 0, -10, 0], [0, 3, 7, 3], [3, 0, -10, 0]], dtype=np.int64)
-    exact = null_stream([B], 4, mode="exact")
-    modular = null_stream([B], 4, mode="modular")
+    G = _gram(B)
+    exact = null_stream(B)
+    modular = modular_kernel(
+        lambda p: _rref_mod(G % p, p), 4, lambda vectors: _in_kernel(G, vectors)
+    )
     assert set(exact.vectors) == set(modular.vectors)
 
     a = relation_space(Partition(7, 5), mode="exact", cache=acache, use_cache=False)

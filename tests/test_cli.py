@@ -413,3 +413,69 @@ def test_keys_on_a_filled_dir_certify_nothing(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, 0]
+
+
+def test_failed_modular_solve_is_a_one_line_error(tmp_path, monkeypatch):
+    # all points equal: every prime overcounts the relations, the prime loop
+    # spends its budget, and the command names the exact mode and stores no
+    # relation space
+    import numpy as np
+
+    from traceforge import genmat
+    from traceforge.glcat import catalog_digest
+    from traceforge.relfinder import RELSPACE_SCHEMA
+
+    monkeypatch.setattr(
+        genmat, "sample_points", lambda p, n: np.full((n, 18), 5, dtype=np.int64)
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache-dir", str(tmp_path), "relations", "--lambda", "7,5"])
+    msg = exc.value.code
+    assert isinstance(msg, str) and msg.startswith("relations: ") and "--mode exact" in msg
+    assert "(7,5)" in msg and "\n" not in msg and "Traceback" not in msg
+    cache = genmat.EvalCache(CacheStore(tmp_path))
+    key = f"relspace:v{RELSPACE_SCHEMA}:7,5:{catalog_digest(cache)}"
+    assert cache.store.get_json(key) is None
+
+
+WARM_COMMANDS = [
+    ["hwv", "--lambda", "7,5"],
+    ["relations", "--lambda", "7,5"],
+    ["relations", "--lambda", "8,5"],
+    ["verify", "--file", str(ir.files("traceforge") / "data" / "v75.phi")],
+    ["leading", "--degree", "12"],
+    ["new", "--degree", "12"],
+    ["new", "--degree", "13"],
+]
+
+
+def test_warm_commands_do_no_fresh_work(tmp_path, monkeypatch):
+    # once a cold run of each command has filled the cache dir, a rerun
+    # answers from the store: the cache each command builds records no word
+    # evaluation, no product, no store miss and no store write
+    from traceforge import cli
+
+    build = cli.build_config
+    configs = []
+
+    def recording(args):
+        configs.append(build(args))
+        return configs[-1]
+
+    monkeypatch.setattr(cli, "build_config", recording)
+    for argv in WARM_COMMANDS:
+        assert main(["--cache-dir", str(tmp_path), *argv]) == 0, argv
+    for argv in WARM_COMMANDS:
+        configs.clear()
+        assert main(["--cache-dir", str(tmp_path), *argv]) == 0, argv
+        assert "cache" in vars(configs[0]), argv  # the command built its cache
+        cache = configs[0].cache
+        stats, store = cache.stats, cache.store.stats
+        fresh = {
+            "word_evals": stats.word_evals,
+            "mono_products": stats.mono_products,
+            "gen_products": stats.gen_products,
+            "misses": store.misses,
+            "writes": store.writes,
+        }
+        assert fresh == dict.fromkeys(fresh, 0), argv

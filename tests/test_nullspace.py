@@ -1,4 +1,5 @@
-"""Exact and modular kernels of streamed rational matrices."""
+"""Exact kernels of integer and rational matrices, and the modular prime
+loop on the Gram matrix of an integer matrix mod p."""
 
 from fractions import Fraction
 from math import lcm
@@ -14,11 +15,11 @@ from traceforge.nullspace import (
     PRIMES,
     NullStreamError,
     QMatrix,
-    _blocks,
     _gram,
     _in_kernel,
     _rref_mod,
     crt_pair,
+    modular_kernel,
     null_dense,
     null_stream,
     rational_reconstruct,
@@ -92,8 +93,8 @@ def test_null_dense_against_naive_elimination(mat):
     assert len(set(basis.vectors)) == basis.dim
 
 
-def int_block(rows, ncols):
-    """One int64 block: each rational row cleared by its denominator, which
+def int_matrix(rows, ncols):
+    """An int64 matrix: each rational row cleared by its denominator, which
     keeps the kernel."""
     out = np.zeros((len(rows), ncols), dtype=np.int64)
     for i, r in enumerate(rows):
@@ -103,48 +104,27 @@ def int_block(rows, ncols):
     return out
 
 
+def gram_modular(B):
+    """modular_kernel on the Gram matrix G of B mod p, each candidate proven
+    by the exact check G z = 0."""
+    G = _gram(B)
+    return modular_kernel(
+        lambda p: _rref_mod(G % p, p), B.shape[1], lambda vectors: _in_kernel(G, vectors)
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(sparse_matrices())
 def test_modular_matches_exact(mat):
     rows, ncols = mat
-    B = int_block(rows, ncols)
-    exact = null_stream([B], ncols, mode="exact")
-    modular = null_stream([B], ncols, mode="modular")
+    B = int_matrix(rows, ncols)
+    exact = null_stream(B)
+    modular = gram_modular(B)
     assert exact.rank == naive_rank(rows, ncols)
     for v in exact.vectors:
         assert annihilates(rows, v)
     assert set(exact.vectors) == set(modular.vectors)
     assert exact.rank == modular.rank
-
-
-@st.composite
-def split_matrices(draw):
-    ncols = draw(st.integers(min_value=1, max_value=6))
-    nrows = draw(st.integers(min_value=0, max_value=9))
-    # a few columns repeat others, so kernels are often nontrivial
-    base = draw(
-        st.lists(
-            st.lists(st.integers(-(2**20), 2**20), min_size=ncols, max_size=ncols),
-            min_size=nrows,
-            max_size=nrows,
-        )
-    )
-    M = np.array(base, dtype=np.int64).reshape(nrows, ncols)
-    for c in range(1, ncols):
-        if draw(st.booleans()):
-            M[:, c] = M[:, draw(st.integers(0, c - 1))] * draw(st.integers(-3, 3))
-    cuts = sorted(draw(st.lists(st.integers(0, nrows), max_size=4)))
-    return M, ncols, cuts
-
-
-@settings(max_examples=40, deadline=None)
-@given(split_matrices())
-def test_block_split_gives_identical_basis(mat):
-    M, ncols, cuts = mat
-    blocks = np.split(M, cuts)
-    whole = null_stream([M], ncols, mode="exact")
-    for mode in ("exact", "modular"):
-        assert null_stream(blocks, ncols, mode=mode) == whole
 
 
 def test_object_blocks_with_big_entries():
@@ -153,24 +133,8 @@ def test_object_blocks_with_big_entries():
     rows = [[1, 5, big - 15], [7, -2, 7 * big + 6], [2**62, 1, 2**62 * big - 3]]
     B = np.array(rows, dtype=object)
     want = ((Fraction(1), Fraction(-3, big), Fraction(-1, big)),)
-    for mode in ("exact", "modular"):
-        for blocks in ([B], [B[:1], B[1:]]):
-            basis = null_stream(blocks, 3, mode=mode)
-            assert basis.vectors == want
-
-
-@pytest.mark.parametrize("mode", ["exact", "modular"])
-def test_other_integer_dtypes_are_read_exactly(mode):
-    # 2**64 - 2 = 2 * (2**63 - 1) fits uint64 only; read as int64 it would
-    # wrap to -2 and give a different kernel
-    B = np.array([[2**64 - 2, 2**63 - 1]], dtype=np.uint64)
-    assert null_stream([B], 2, mode=mode).vectors == (
-        (Fraction(1), Fraction(-2)),
-    )
-    C = np.array([[2, 4]], dtype=np.int32)
-    assert null_stream([C], 2, mode=mode).vectors == (
-        (Fraction(1), Fraction(-1, 2)),
-    )
+    assert null_stream(B).vectors == want
+    assert gram_modular(B).vectors == want
 
 
 @pytest.mark.parametrize(
@@ -184,8 +148,7 @@ def test_other_integer_dtypes_are_read_exactly(mode):
     ids=["int64-min", "wrapping-row-sum"],
 )
 def test_kernel_check_rejects_non_kernel_vectors(B, good, bad):
-    B = np.array(B, dtype=np.int64)
-    G = _gram([B], B.shape[1])
+    G = _gram(np.array(B, dtype=np.int64))
     assert _in_kernel(G, [tuple(map(Fraction, good))])
     assert not _in_kernel(G, [tuple(map(Fraction, bad))])
 
@@ -212,79 +175,60 @@ RELATED_COLUMNS = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.int64)
 def test_modular_candidate_failing_the_check_is_never_returned(monkeypatch):
     calls = perturbing(monkeypatch, times=len(PRIMES))
     with pytest.raises(NullStreamError):
-        null_stream([RELATED_COLUMNS], 3, mode="modular")
+        gram_modular(RELATED_COLUMNS)
     assert calls  # the bad vector was offered, and refused
 
 
 def test_modular_check_failure_draws_more_primes(monkeypatch):
     calls = perturbing(monkeypatch, times=1)
-    basis = null_stream([RELATED_COLUMNS], 3, mode="modular")
+    basis = gram_modular(RELATED_COLUMNS)
     assert basis.vectors == ((Fraction(1), Fraction(-1), Fraction(0)),)
     assert len(calls) == 2 and len(calls[1]) > len(calls[0])
 
 
+# "exact" is null_stream; "modular" is the Gram matrix that the prime loop
+# runs on mod p
 @pytest.mark.parametrize("mode", ["exact", "modular"])
 @pytest.mark.parametrize(
-    "block",
+    "M",
     [
         np.array([[0.5, 0.5]]),
-        np.array([[1]], dtype=np.int64),
+        np.array([[1, 0]], dtype=np.int32),
         np.array([1, 0], dtype=np.int64),
         np.array([[True, False]]),
         [[1, 0]],
+        np.array([[1, 0]], dtype=np.uint64),
     ],
-    ids=["float", "narrow", "one-dimensional", "bool", "list"],
+    ids=["float", "narrow", "one-dimensional", "bool", "list", "uint64"],
 )
-def test_malformed_blocks_rejected(mode, block):
-    read_past = []
-
-    def blocks():
-        yield block
-        read_past.append(1)
-        yield np.zeros((1, 2), dtype=np.int64)
-
-    with pytest.raises(ValueError, match="row blocks"):
-        null_stream(blocks(), 2, mode=mode)
-    assert not read_past  # rejected as it is read, before any later block
+def test_malformed_blocks_rejected(mode, M):
+    # only int64 and object arrays are read: no other dtype (a narrower
+    # integer, uint64, bool, float) is converted
+    with pytest.raises(ValueError, match="M must be"):
+        null_stream(M) if mode == "exact" else _gram(M)
 
 
-@pytest.mark.parametrize("mode", ["exact", "modular"])
-def test_row_source_is_called_once(mode):
-    # a one-shot generator of two blocks: a second pass would see no rows
-    blocks = (B for B in (RELATED_COLUMNS[:1], RELATED_COLUMNS[1:]))
-    assert null_stream(blocks, 3, mode=mode).vectors == (
-        (Fraction(1), Fraction(-1), Fraction(0)),
-    )
-    assert next(blocks, None) is None
-
-
-def rowwise_rref(blocks, ncols, p):
-    """Streamed RREF mod p of M that reduces one row at a time, kept as an
-    oracle for the RREF of the Gram matrix of M in the library."""
+def rowwise_rref(M, p):
+    """RREF mod p of M that reduces one row at a time, kept as an oracle for
+    the RREF of the Gram matrix of M in the library."""
+    ncols = M.shape[1]
     R = np.zeros((0, ncols), dtype=np.int64)
     pivcols = []
-    for B in _blocks(blocks, ncols):
-        B = np.mod(B, p).astype(np.int64, copy=False)
+    for row in np.mod(M, p).astype(np.int64):
+        r = row
         if R.shape[0]:
-            B = (B - (B[:, pivcols] @ R) % p) % p
-        mask = np.any(B, axis=1)
-        if not mask.any():
+            r = (r - (r[pivcols] @ R) % p) % p
+        nz = np.flatnonzero(r)
+        if not len(nz):
             continue
-        for row in B[mask]:
-            r = row
-            if R.shape[0]:
-                r = (r - (r[pivcols] @ R) % p) % p
-            nz = np.flatnonzero(r)
-            if not len(nz):
-                continue
-            c = int(nz[0])
-            r = (r * pow(int(r[c]), p - 2, p)) % p
-            if R.shape[0]:
-                colvals = R[:, c].copy()
-                if colvals.any():
-                    R = (R - np.outer(colvals, r)) % p
-            R = np.vstack([R, r[None, :]])
-            pivcols.append(c)
+        c = int(nz[0])
+        r = (r * pow(int(r[c]), p - 2, p)) % p
+        if R.shape[0]:
+            colvals = R[:, c].copy()
+            if colvals.any():
+                R = (R - np.outer(colvals, r)) % p
+        R = np.vstack([R, r[None, :]])
+        pivcols.append(c)
     order = np.argsort(pivcols, kind="stable")
     return tuple(pivcols[i] for i in order), R[order]
 
@@ -314,12 +258,12 @@ def rref_cases(p):
     big[:, 4] = big[:, 0] * 3 - big[:, 1]  # entries up to about 2**134
     assert max(abs(int(x)) for x in big.flat) >= 2**132
     return {
-        "near-2^62": (9, [near[:17], near[17:]]),
-        "p-1": (8, [minus_one]),
-        "tall": (7, [tall]),
-        "object": (5, [big[:5], big[5:]]),
-        "zero-rows": (4, [np.zeros((3, 4), dtype=np.int64), tall[:6, :4]]),
-        "no-columns": (0, [np.zeros((3, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)]),
+        "near-2^62": near,
+        "p-1": minus_one,
+        "tall": tall,
+        "object": big,
+        "zero-rows": np.vstack([np.zeros((3, 4), dtype=np.int64), tall[:6, :4]]),
+        "no-columns": np.zeros((3, 0), dtype=np.int64),
     }
 
 
@@ -328,9 +272,9 @@ def rref_cases(p):
     "case", ["near-2^62", "p-1", "tall", "object", "zero-rows", "no-columns"]
 )
 def test_gram_rref_matches_rowwise_rref(p, case):
-    ncols, blocks = rref_cases(p)[case]
-    piv, R = _rref_mod(_gram(blocks, ncols) % p, p)
-    want_piv, want_R = rowwise_rref(blocks, ncols, p)
+    M = rref_cases(p)[case]
+    piv, R = _rref_mod(_gram(M) % p, p)
+    want_piv, want_R = rowwise_rref(M, p)
     assert piv == want_piv
     assert R.dtype == np.int64 and np.array_equal(R, want_R)
 
@@ -342,10 +286,10 @@ def test_isotropic_rows_lose_rank_only_at_the_primes_they_are_isotropic_for():
     for p in PRIMES[:2]:
         assert (1 + a * a + b * b) % p == 0
     B = np.array([[1], [a], [b]], dtype=np.int64)
-    G = _gram([B], 1)
+    G = _gram(B)
     assert [len(_rref_mod(G % p, p)[0]) for p in PRIMES[:3]] == [0, 0, 1]
-    exact = null_stream([B], 1, mode="exact")
-    modular = null_stream([B], 1, mode="modular")
+    exact = null_stream(B)
+    modular = gram_modular(B)
     assert exact.dim == modular.dim == 0
 
 
@@ -366,17 +310,21 @@ def gram_cases():
     tall = rng.integers(-(2**40), 2**40, size=(nullspace._GRAM_ROWS + 5, 4))
     fold = np.full((nullspace._FOLD_ROWS + 5, 1), 2**62 - 1, dtype=np.int64)
     fold[::3] = -(2**63)
+    small = rng.integers(-(2**62), 2**62, size=(8, 3)).astype(object)
     return {
-        "near-2^62": (6, [near[:11], near[11:]]),
-        "int64-min": (2, [np.array([[-(2**63), 0]], dtype=np.int64)]),
-        "uint64": (2, [np.array([[2**64 - 1, 5], [2**63, 2**32]], dtype=np.uint64)]),
-        "int32": (3, [rng.integers(-(2**31), 2**31, size=(9, 3)).astype(np.int32)]),
-        "object": (3, [big]),
-        "mixed": (3, [big[:3], rng.integers(-(2**62), 2**62, size=(8, 3)), big[3:]]),
-        "tall": (4, [tall]),
-        "past-fold": (1, [fold]),
-        "zero-rows": (4, [np.zeros((3, 4), dtype=np.int64), np.zeros((0, 4), np.int64)]),
-        "no-columns": (0, [np.zeros((3, 0), dtype=np.int64)]),
+        "near-2^62": near,
+        "int64-min": np.array([[-(2**63), 0]], dtype=np.int64),
+        # entries of the uint64 range, past int64, held as Python ints
+        "uint64": np.array([[2**64 - 1, 5], [2**63, 2**32]], dtype=object),
+        # entries of the int32 range: two limbs
+        "int32": rng.integers(-(2**31), 2**31, size=(9, 3)),
+        "object": big,
+        # rows of int64-range entries between rows of big entries
+        "mixed": np.vstack([big[:3], small, big[3:]]),
+        "tall": tall,
+        "past-fold": fold,
+        "zero-rows": np.zeros((3, 4), dtype=np.int64),
+        "no-columns": np.zeros((3, 0), dtype=np.int64),
     }
 
 
@@ -386,12 +334,10 @@ def gram_cases():
      "past-fold", "zero-rows", "no-columns"],
 )
 def test_gram_is_exact(case):
-    ncols, blocks = gram_cases()[case]
-    want = np.zeros((ncols, ncols), dtype=object)
-    for B in blocks:
-        B = B.astype(object)
-        want = want + B.T.dot(B)
-    G = _gram(blocks, ncols)
+    M = gram_cases()[case]
+    ncols = M.shape[1]
+    want = np.zeros((ncols, ncols), dtype=object) + M.astype(object).T.dot(M.astype(object))
+    G = _gram(M)
     assert G.shape == (ncols, ncols)
     assert all(type(x) is int for x in G.flat)
     assert np.array_equal(G, want)
@@ -403,7 +349,7 @@ def test_adversarial_prime_divisible_rows(monkeypatch):
     monkeypatch.setattr(nullspace, "DEFAULT_PRIME_BUDGET", 6)
     bad = PRIMES[0] * PRIMES[1]
     B = np.array([[bad, bad]], dtype=np.int64)
-    basis = null_stream([B], 2, mode="modular")
+    basis = gram_modular(B)
     assert basis.dim == 1
     assert basis.vectors[0] == (Fraction(1), Fraction(-1))
 
@@ -413,12 +359,7 @@ def test_modular_exhaustion_raises(monkeypatch):
     bad = PRIMES[0] * PRIMES[1]
     B = np.array([[bad, bad]], dtype=np.int64)
     with pytest.raises(NullStreamError):
-        null_stream([B], 2, mode="modular")
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        null_stream([], 1, mode="float")
+        gram_modular(B)
 
 
 @pytest.mark.parametrize("col", [-1, 3])

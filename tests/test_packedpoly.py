@@ -29,7 +29,6 @@ from traceforge.packedpoly import (
     YCAP,
     _combine,
     _den_gcd,
-    linear_combination,
     pack_exponents,
     product_den,
     sum_scaled,
@@ -327,14 +326,6 @@ def test_den_gcd_matches_the_python_loop(arrays):
         want = gcd(want, c)
     assert _den_gcd(coeffs, den) == want
     assert _den_gcd(coeffs.astype(object), den) == want
-
-
-def test_linear_combination_is_integer_sum_scaled():
-    x = PackedPoly.from_terms([((1, 0, 0) + (0,) * 15, Fraction(1, 2))])
-    y = PackedPoly.from_terms([((0,) * 3 + (1,) + (0,) * 14, Fraction(3))])
-    got = linear_combination([x, y, x], [2, -1, 4])
-    assert got == sum_scaled([(x, Fraction(6)), (y, Fraction(-1))])
-    assert linear_combination([x, x], [1, -1]).is_zero()
 
 
 # -- evaluated-side raising maps ---------------------------------------------

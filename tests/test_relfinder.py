@@ -19,7 +19,9 @@ from traceforge.glcat import AbsPoly, Partition, abs_delta, abs_monomials, phi
 from traceforge.hwv import hwv_basis
 from traceforge.packedpoly import PackedPoly, sum_scaled
 from traceforge.phiparse import parse_phi
+from traceforge.tracelang import parse_trace
 from traceforge.relfinder import (
+    LAMBDAS_BY_DEGREE,
     PARAMETER_SPLIT,
     RELSPACE_SCHEMA,
     ParameterSplit,
@@ -523,7 +525,7 @@ def test_certificates(s75, cache, monkeypatch):
     assert doc["leading"] in DEG12_LEADING
     keys = write_certificates(s75, cache.store)
     assert len(keys) == 1
-    assert keys[0].startswith(f"relcert:v1:7,5:0:{s75.catalog_digest}:{RELSPACE_SCHEMA}:")
+    assert keys[0].startswith(f"relcert:v2:7,5:0:{s75.catalog_digest}:{RELSPACE_SCHEMA}:")
     assert cache.store.get_json(keys[0]) == doc
     # a stored certificate is not built or written again
     def build(*args):
@@ -533,6 +535,34 @@ def test_certificates(s75, cache, monkeypatch):
     writes = cache.store.stats.writes
     assert write_certificates(s75, cache.store) == keys
     assert cache.store.stats.writes == writes
+
+
+def certificate_proofs(degrees, cache):
+    """{(weight, index): does its trace_form evaluate to zero} for each stored
+    certificate of the degrees.  parse_trace and verify_zero multiply word
+    traces, and share no code with _assemble_matrix, so this proves each
+    relation again, independently of how it was found."""
+    proofs = {}
+    for degree in degrees:
+        for lam in LAMBDAS_BY_DEGREE[degree]:
+            space = relation_space(lam, cache=cache)
+            for i, key in enumerate(write_certificates(space, cache.store)):
+                doc = cache.store.get_json(key)
+                proofs[tuple(lam), i] = verify_zero(parse_trace(doc["trace_form"]), cache).zero
+    return proofs
+
+
+def test_degree12_certificates_prove_their_relations_again(cache):
+    proofs = certificate_proofs([12], cache)
+    assert len(proofs) == 3
+    assert [cert for cert, zero in proofs.items() if not zero] == []
+
+
+@pytest.mark.extended
+def test_all_certificates_prove_their_relations_again(cache):
+    proofs = certificate_proofs([12, 13, 14], cache)
+    assert len(proofs) == 16
+    assert [cert for cert, zero in proofs.items() if not zero] == []
 
 
 def test_new_relations_rejects_unknown_degree(cache):
