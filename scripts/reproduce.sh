@@ -16,7 +16,13 @@
 # memory the degree-14 weights are meant to fit in.  The second pass must do
 # no fresh work: the script fails unless it reports zero word evaluations,
 # trace-monomial and generator-monomial products, and zero cache misses,
-# corrupt entries and writes.  Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
+# corrupt entries and writes.  Then, in one process on a fresh cache over
+# the same directory, `new_relations(14)` and the leading analysis of the
+# three degree-14 spaces must read every relation space as its stored
+# relation vectors: the script fails unless that cache solved no highest
+# weight basis and reports zero word evaluations, trace-monomial and
+# generator-monomial products, cache misses and cache writes.
+# Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
 # degree-13 weight), `verify`, `leading` and `new` must not import numpy: they
 # build no array (hwv and verify read their stored verdicts), and the script
 # fails if any one of them loads it.  Nor may they import `dataclasses` or
@@ -106,6 +112,27 @@ for counter in word_evals mono_products gen_products \
     fi
 done
 echo "warm pass did no fresh work: $stats"
+
+# a stored relation space is read without its highest weight basis
+if ! probe="$(python3 -c '
+import sys
+from traceforge import genmat
+from traceforge.cache import CacheStore
+from traceforge.relfinder import LAMBDAS_BY_DEGREE, leading_analysis, new_relations, relation_space
+
+cache = genmat.EvalCache(CacheStore(sys.argv[1]))
+new_relations(14, cache=cache)
+leading_analysis([relation_space(lam, cache=cache) for lam in LAMBDAS_BY_DEGREE[14]])
+stats, store = cache.stats, cache.store.stats
+counts = {"bases": len(cache._bases), "word_evals": stats.word_evals,
+          "mono_products": stats.mono_products, "gen_products": stats.gen_products,
+          "cache_misses": store.misses, "cache_writes": store.writes}
+print(" ".join(f"{k}={v}" for k, v in counts.items()))
+sys.exit(any(counts.values()))' "$CACHE")"; then
+    echo "FAIL: a warm degree-14 read solved a basis or did fresh work (${probe:-no counts})" >&2
+    exit 1
+fi
+echo "a warm new_relations(14) and degree-14 leading analysis solved no basis: $probe"
 
 # warm commands that build no array must not import numpy, nor dataclasses
 # or the inspect module it imports

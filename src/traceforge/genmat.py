@@ -320,8 +320,7 @@ class EvalCache:
         # generator values at the points of each prime, by prime, filled by
         # glcat.gen_values
         self._gen_values: dict[int, np.ndarray] = {}
-        # highest weight bases by (weight, thread count), filled by
-        # hwv.hwv_basis
+        # highest weight bases by weight, filled by hwv.hwv_basis
         self._bases: dict[tuple, object] = {}
         self._weight = WeightSlot()
         # set by glcat.catalog once the store holds the catalog verdict

@@ -89,17 +89,17 @@ def hwv_basis(
     lam: Partition, threads: int = 1, cache: genmat.EvalCache | None = None
 ) -> HwvBasis:
     """The basis of weight lam, memoized on the cache (the default cache if
-    none is given) per weight and thread count: relation_space, the check
-    of a stored relation space and the CLI ask for it again.  The thread
-    count is part of the key so that a threaded solve is never answered by
-    a serial one."""
+    none is given) per weight: the hwv check, its verification and a
+    relation space that is solved ask for it again.  threads splits the
+    blocks of a solve; a threaded and a serial solve give the same basis,
+    so the memo answers either."""
     lam = Partition.of(*lam)
     cache = cache or genmat.default_cache()
-    basis = cache._bases.get((lam, threads))
+    basis = cache._bases.get(lam)
     if basis is None:
         basis = _solve_basis(lam, threads)
         with cache._lock:
-            cache._bases[(lam, threads)] = basis
+            cache._bases[lam] = basis
     return basis
 
 

@@ -9,7 +9,10 @@ nullspace.modular_kernel, takes it from the values of the basis vectors at
 random points mod p, which bound the relation count r from above, and each
 of the r relation vectors is proven zero exactly, which bounds r from below.
 The exact mode assembles the coefficient matrix M of every basis vector and
-takes the exact kernel of M with nullspace.null_stream.
+takes the exact kernel of M with nullspace.null_stream.  The basis is only
+the tool that finds the relations: a relation space is its relation
+vectors, and the store keeps them, so a stored space is read back without
+solving a basis.
 
 The analysis layer mirrors the downstream structure results: orbits under
 the lowering derivation, reduction modulo the ideal generated by a fixed
@@ -151,11 +154,11 @@ def leading_monomial(p: AbsPoly) -> AbsMonomial | None:
 
 
 class RelationSpace(NamedTuple):
-    """The relations of weight lam: zeta[i] combines the basis vectors into
-    relvectors[i].  from_cache tells whether it was read from the store."""
+    """The relations of weight lam: zeta[i] combines the vectors of
+    hwv_basis(lam), in its order, into relvectors[i].  from_cache tells
+    whether it was read from the store."""
 
     lam: Partition
-    basis: HwvBasis
     zeta: tuple[tuple[Fraction, ...], ...]
     relvectors: tuple[AbsPoly, ...]
     catalog_digest: str  # of the certified catalog the space was computed from
@@ -313,14 +316,23 @@ def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> Ab
     return v
 
 
-def _space_digest(relvectors) -> str:
-    text = "|".join(abs_poly_text(v) for v in relvectors)
-    return digest_text(text)
+def _are_highest_weight_vectors(lam: Partition, vectors: Iterable[AbsPoly]) -> bool:
+    """Is every vector a highest weight vector of weight lam: killed by
+    abs_delta, with every monomial of bidegree lam?  Solved and stored
+    relation vectors alike must pass."""
+    return all(
+        abs_delta(v).is_zero()
+        and all(mono_bidegree(m) == (lam.l1, lam.l2) for m in v.terms)
+        for v in vectors
+    )
 
 
-# version of the stored relation-space summary; a summary whose basis order or
-# fields may differ must not be read under the same key
-RELSPACE_SCHEMA = 2
+# version of the stored relation-space summary; a summary whose fields may
+# differ must not be read under the same key.  Its zeta index the vectors of
+# hwv_basis in their order, which loading does not check (a stored space is
+# read without a basis): bump it whenever that order changes, or
+# test_stored_zeta_follow_the_basis_order fails.
+RELSPACE_SCHEMA = 3
 
 
 def relation_space(
@@ -334,7 +346,8 @@ def relation_space(
     basis into the relation vector relvectors[i], and the zeta are the
     kernel of the evaluation map on the basis in free-column form, each
     normalized so its first nonzero coordinate is 1.  A space the store
-    holds is read back (see _load_space).
+    holds is read back with no basis (see _load_space); one it lacks, or
+    one that fails its checks there, is solved and stored again.
 
     mode "modular" finds the kernel from the values of the basis at points
     mod p and proves each relation vector exactly (see _modular_zeta); it
@@ -353,20 +366,17 @@ def relation_space(
     if use_cache and store is not None:
         summary = store.get_json(key)
         if isinstance(summary, dict):
-            loaded = _load_space(lam, summary, digest, threads, cache)
+            loaded = _load_space(lam, summary, digest)
             if loaded is not None:
                 return loaded
     basis = hwv_basis(lam, threads=threads, cache=cache)
     zeta = _exact_zeta(basis, cache) if mode == "exact" else _modular_zeta(basis, cache)
-    relvectors = []
-    for z in zeta:
-        v = _relation_vector(z, basis.vectors)
-        if not abs_delta(v).is_zero():
-            raise AssertionError("relation vector is not a highest weight vector")
-        if not v.is_zero() and v.bidegree() != (lam.l1, lam.l2):
-            raise AssertionError("relation vector has wrong bidegree")
-        relvectors.append(v)
-    space = RelationSpace(lam, basis, tuple(zeta), tuple(relvectors), digest)
+    relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
+    if not _are_highest_weight_vectors(lam, relvectors):
+        raise AssertionError(
+            f"a relation vector is not a highest weight vector of bidegree ({lam.l1},{lam.l2})"
+        )
+    space = RelationSpace(lam, tuple(zeta), relvectors, digest)
     if store is not None:
         store.put_json(
             key,
@@ -375,7 +385,10 @@ def relation_space(
                 "zeta": [
                     [f"{x.numerator}/{x.denominator}" for x in z] for z in space.zeta
                 ],
-                "digest": _space_digest(space.relvectors),
+                "relvectors": [
+                    [[list(m), f"{c.numerator}/{c.denominator}"] for m, c in v.sorted_terms()]
+                    for v in relvectors
+                ],
             },
         )
     return space
@@ -491,23 +504,22 @@ def _proven(
     return M.shape[0] == 0
 
 
-def _load_space(
-    lam: Partition, summary: dict, catalog: str, threads: int, cache: genmat.EvalCache
-) -> RelationSpace | None:
+def _load_space(lam: Partition, summary: dict, catalog: str) -> RelationSpace | None:
+    """The space of a stored summary, or None, a miss, unless its zeta and
+    relation vectors parse, are as many, and pass
+    _are_highest_weight_vectors.  The AbsPoly constructor rejects a bad
+    generator id or an unsorted monomial.  No basis is solved."""
     try:
-        zeta = tuple(
-            tuple(Fraction(x) for x in z) for z in summary["zeta"]
+        zeta = tuple(tuple(Fraction(x) for x in z) for z in summary["zeta"])
+        relvectors = tuple(
+            AbsPoly({tuple(m): Fraction(c) for m, c in terms})
+            for terms in summary["relvectors"]
         )
-        digest = summary["digest"]
     except (KeyError, ValueError, TypeError):
         return None
-    basis = hwv_basis(lam, threads=threads, cache=cache)
-    if any(len(z) != basis.s for z in zeta):
+    if len(zeta) != len(relvectors) or not _are_highest_weight_vectors(lam, relvectors):
         return None
-    relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
-    if _space_digest(relvectors) != digest:
-        return None
-    return RelationSpace(lam, basis, zeta, relvectors, catalog, from_cache=True)
+    return RelationSpace(lam, zeta, relvectors, catalog, from_cache=True)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_c5_explicit_relations(acache):
         assert verify_zero_abs(second, acache).zero
 
         # a perturbed candidate must come back as a structured report
-        bad = p75 + AbsPoly.monomial(s75.basis.monomials[0])
+        bad = p75 + AbsPoly.monomial(hwv_basis(Partition(7, 5)).monomials[0])
         rep_bad = verify_zero_abs(bad, acache)
         assert not rep_bad.zero
         assert rep_bad.residual_terms > 0

@@ -452,7 +452,9 @@ WARM_COMMANDS = [
 def test_warm_commands_do_no_fresh_work(tmp_path, monkeypatch):
     # once a cold run of each command has filled the cache dir, a rerun
     # answers from the store: the cache each command builds records no word
-    # evaluation, no product, no store miss and no store write
+    # evaluation, no product, no store miss and no store write, and solves
+    # no highest weight basis, since a stored relation space is its relation
+    # vectors; only hwv does, because its verdict key digests the basis
     from traceforge import cli
 
     build = cli.build_config
@@ -479,3 +481,4 @@ def test_warm_commands_do_no_fresh_work(tmp_path, monkeypatch):
             "writes": store.writes,
         }
         assert fresh == dict.fromkeys(fresh, 0), argv
+        assert bool(cache._bases) == (argv[0] == "hwv"), argv

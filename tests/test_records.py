@@ -32,8 +32,7 @@ RECORDS = [
     (QMatrix, ((), 2), ((), 3)),
     (NullBasis, (2, ((1, 0),)), (2, ((0, 1),))),
     (ParameterSplit, (HSOP, COMPLEMENT), (HSOP[1:], COMPLEMENT + HSOP[:1])),
-    (RelationSpace, (Partition(7, 5), "basis", (), (), "digest"),
-     (Partition(7, 5), "basis", (), (), "digest", True)),
+    (RelationSpace, (Partition(7, 5), (), (), "digest"), (Partition(7, 5), (), (), "digest", True)),
     (ZeroReport, (True, 0, (), "d"), (False, 1, (("x11", "1/1"),), "d")),
     (LeadingEntry, ((7, 5), (1, 2), "u", Partition(7, 5), 0, 0),
      ((7, 5), (1, 2), "u", Partition(7, 5), 0, 1)),

@@ -148,7 +148,7 @@ def test_membership_of_bundled_relations(s66, s75, cache):
 
 
 def test_membership_rejects_non_relation(s75):
-    probe = AbsPoly.monomial(s75.basis.monomials[0])
+    probe = AbsPoly.monomial(hwv_basis(Partition(7, 5)).monomials[0])
     # a bare monomial of the right bidegree is not in the relation span
     assert probe.bidegree() == (7, 5)
     if membership(probe, s75):
@@ -163,7 +163,7 @@ def test_verify_zero_reports(s66, cache):
     assert rep.residual_terms == 0
     assert rep.residual_sample == ()
 
-    bad = p + AbsPoly.monomial(s66.basis.monomials[0])
+    bad = p + AbsPoly.monomial(hwv_basis(Partition(6, 6)).monomials[0])
     rep2 = verify_zero_abs(bad, cache)
     assert not rep2.zero
     assert rep2.residual_terms > 0
@@ -505,9 +505,102 @@ def test_relation_space_cache_round_trip(cache):
 
 def test_relation_space_summary_is_versioned(cache, s66):
     digest = relfinder.catalog_digest(cache)
-    summary = cache.store.get_json(f"relspace:v2:6,6:{digest}")
-    assert set(summary) == {"lambda", "zeta", "digest"}
+    summary = cache.store.get_json(f"relspace:v3:6,6:{digest}")
+    assert set(summary) == {"lambda", "zeta", "relvectors"}
     assert cache.store.get_json(f"relspace:6,6:{digest}") is None
+
+
+def _stored_terms(v: AbsPoly) -> list:
+    return [[list(m), f"{c.numerator}/{c.denominator}"] for m, c in v.sorted_terms()]
+
+
+def _unkilled(doc, v):
+    # a monomial that abs_delta does not kill, added to the first vector
+    m = next(
+        m for m in abs_monomials(Partition(7, 5))
+        if m not in v.terms and not abs_delta(AbsPoly.monomial(m)).is_zero()
+    )
+    doc["relvectors"][0] = _stored_terms(v + AbsPoly.monomial(m))
+
+
+def _other_bidegree(doc, v):
+    # abs_delta kills u1_0, so it kills the product too
+    w = v * AbsPoly.gen(1, 0)
+    assert abs_delta(w).is_zero()
+    doc["relvectors"][0] = _stored_terms(w)
+
+
+def _one_vector_fewer(doc, v):
+    doc["relvectors"].pop()
+
+
+def _gid_30(doc, v):
+    doc["relvectors"][0][0][0][-1] = 30
+
+
+def _unsorted(doc, v):
+    mono = next(m for m, _ in doc["relvectors"][0] if m != m[::-1])
+    mono.reverse()
+
+
+def _no_relvectors(doc, v):
+    del doc["relvectors"]
+
+
+STORED_FAULTS = [_unkilled, _other_bidegree, _one_vector_fewer, _gid_30, _unsorted, _no_relvectors]
+
+
+@pytest.mark.parametrize(
+    "fault", [*STORED_FAULTS, None], ids=[f.__name__[1:] for f in STORED_FAULTS] + ["v2_left"]
+)
+def test_a_stored_space_that_fails_its_checks_is_solved_again(fault, cache):
+    lam = Partition(7, 5)
+    digest = relfinder.catalog_digest(cache)
+    key = f"relspace:v{RELSPACE_SCHEMA}:7,5:{digest}"
+    fresh = relation_space(lam, cache=cache, use_cache=False)
+    good = cache.store.get_json(key)
+    if fault is None:
+        # only an entry of the previous schema is left, and it is never read
+        cache.store._path(key).unlink()
+        cache.store.put_json(
+            f"relspace:v2:7,5:{digest}",
+            {"lambda": good["lambda"], "zeta": good["zeta"], "digest": "0" * 64},
+        )
+    else:
+        doc = cache.store.get_json(key)  # a copy of good
+        fault(doc, fresh.relvectors[0])
+        cache.store.put_json(key, doc)
+    writes = cache.store.stats.writes
+    space = relation_space(lam, cache=cache)
+    assert not space.from_cache
+    assert space.zeta == fresh.zeta and space.relvectors == fresh.relvectors
+    assert cache.store.stats.writes == writes + 1
+    assert cache.store.get_json(key) == good
+    assert relation_space(lam, cache=cache).from_cache
+
+
+def assert_stored_zeta_follow_the_basis_order(lam, cache):
+    """The stored zeta combine the vectors of hwv_basis, in its order, into
+    the stored relation vectors.  Loading does not check this, since it
+    solves no basis."""
+    relation_space(lam, cache=cache)
+    space = relation_space(lam, cache=cache)
+    assert space.from_cache
+    vectors = hwv_basis(lam, cache=cache).vectors
+    for z, v in zip(space.zeta, space.relvectors, strict=True):
+        assert relfinder._relation_vector(z, vectors) == v, lam
+
+
+@pytest.mark.parametrize("lam", LAMBDAS_BY_DEGREE[12], ids=lambda lam: f"{lam.l1},{lam.l2}")
+def test_stored_zeta_follow_the_basis_order(lam, cache):
+    assert_stored_zeta_follow_the_basis_order(lam, cache)
+
+
+@pytest.mark.extended
+def test_stored_zeta_follow_the_basis_order_at_every_weight(cache):
+    for lams in LAMBDAS_BY_DEGREE.values():
+        for lam in lams:
+            assert_stored_zeta_follow_the_basis_order(lam, cache)
 
 
 def test_new_relations_degree12(cache):
