@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Recompute every frozen reference table twice against one cache directory.
+# Recompute every frozen reference table twice against one cache directory:
+# a fresh temporary dir, removed on exit, or the dir TRACEFORGE_CACHE_DIR
+# names, which must then be empty or absent (the script fails otherwise,
+# since pass 1 must start cold).
 # The first pass must multiply no word traces (each highest weight basis is
-# verified on the columns of its coefficient matrix M, summed from
-# generator-monomial products; the relation space of the weight is found
-# from values at points mod p and its relation vectors are proven zero as
-# combinations of the columns of that M) and must evaluate each of
+# checked exactly by abs_delta, whose evaluated side the catalog certificate
+# proves; the relation space of the weight is found from values at points
+# mod p, and its relation vectors are proven zero by assembling their
+# matrix from generator-monomial products) and must evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
 # trace-monomial products and 73 word evaluations.  It must also compute each
 # needed generator-monomial product exactly once, however many threads share
-# them: the script fails unless it reports 2044 of them.  It must leave one
+# them: the script fails unless it reports 1167 of them.  It must leave one
 # file per cache write: the script fails unless the cache dir then holds
 # exactly as many files as the pass reports cache writes, none of them a
 # checksum sidecar or a leftover temporary.  It must stay within 120 MB: the
@@ -29,18 +32,18 @@
 # `inspect` (a dataclass compiles generated methods at every import, which
 # costs every process start-up time): the script fails if any one of them
 # loads either; what the interpreter's site hooks import does not count.
-# Then a cold `relations --lambda 9,5` in a fresh cache dir, which has no
-# verified matrix and so proves its relation vectors by assembling them (a
-# route `reproduce` never takes), must find r = 2 and the zeta that the first
-# pass stored for (9,5): the script fails otherwise.
+# Then a cold `relations --lambda 9,5` in a fresh cache dir, which proves
+# its relation vectors by assembling them in a process that has run nothing
+# else, must find r = 2 and the zeta that the first pass stored for (9,5):
+# the script fails otherwise.
 # Then a cold `relations --lambda 7,5 --mode exact` in another fresh cache
 # dir, the one end-to-end run of the exact route (the kernel of the assembled
 # M, by elimination of its Gram matrix over the integers), must find r = 1
 # and the zeta that the first pass stored for (7,5): the script fails
 # otherwise.
-# Last, a `verify` of a candidate and an `hwv --degree-cap 16 --lambda 8,8`
-# beyond the packed evaluation capacity must exit nonzero with one line on
-# stderr and no traceback.
+# Last, a `verify` of a candidate and a `relations --degree-cap 16 --lambda
+# 8,8` beyond the packed evaluation capacity must exit nonzero with one line
+# on stderr and no traceback.
 # Each pass ends with a `time:` line, its wall time and peak RSS, which are
 # printed for reading and gate nothing.
 # It runs the package from the checkout it lives in; no install is needed.
@@ -62,7 +65,14 @@ print(f"time: wall {wall:.2f} s, peak RSS {rss:.0f} MB", flush=True)
 sys.exit(code)' "$@"
 }
 
-CACHE="${TRACEFORGE_CACHE_DIR:-./.tracecache}"
+# every temporary file and dir of the run lives in TMP
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+CACHE="${TRACEFORGE_CACHE_DIR:-$TMP/cache}"
+if [[ -d "$CACHE" && -n "$(ls -A "$CACHE")" ]]; then
+    echo "FAIL: the cache dir $CACHE is not empty, so the first pass would not be cold" >&2
+    exit 1
+fi
 
 echo "== pass 1 (cold cache: $CACHE) =="
 out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --paper-tables --format text)"
@@ -77,8 +87,8 @@ if ! grep -Eq "(^| )word_evals=73( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass did not evaluate each catalog word once (${stats:-no stats line})" >&2
     exit 1
 fi
-if ! grep -Eq "(^| )gen_products=2044( |$)" <<<"$stats"; then
-    echo "FAIL: the cold pass did not make the 2044 generator-monomial products (${stats:-no stats line})" >&2
+if ! grep -Eq "(^| )gen_products=1167( |$)" <<<"$stats"; then
+    echo "FAIL: the cold pass did not make the 1167 generator-monomial products (${stats:-no stats line})" >&2
     exit 1
 fi
 # one file per cache entry: no checksum sidecars, no leftover temporaries
@@ -159,12 +169,11 @@ numpy_free leading --degree 12
 numpy_free new --degree 12
 echo "warm mult, hwv, relations, verify, leading and new imported no numpy, dataclasses or inspect"
 
-# a cold relation space with no verified matrix: the relation vectors are
+# a cold relation space in a process of its own: the relation vectors are
 # proven by assembling them, and the answer is the one the first pass stored
-COLD="$(mktemp -d)"
-EXACT="$(mktemp -d)"
-BIG="$(mktemp)"
-trap 'rm -rf "$COLD" "$EXACT"; rm -f "$BIG"' EXIT
+COLD="$TMP/cold"
+EXACT="$TMP/exact"
+BIG="$TMP/big.phi"
 stored95="$(traceforge --cache-dir "$CACHE" --format json relations --lambda 9,5)"
 if ! cold95="$(traceforge --cache-dir "$COLD" --format json relations --lambda 9,5)"; then
     echo "FAIL: a cold relations --lambda 9,5 exited nonzero" >&2
@@ -211,5 +220,5 @@ one_line_error() {
 }
 printf 't4^2*t4^2*t4^2*t4^2\n' >"$BIG"  # bidegree (8,8)
 one_line_error verify --file "$BIG"
-one_line_error --degree-cap 16 hwv --lambda 8,8
-echo "verify and hwv beyond the packed capacity fail with one stderr line"
+one_line_error --degree-cap 16 relations --lambda 8,8
+echo "verify and relations beyond the packed capacity fail with one stderr line"

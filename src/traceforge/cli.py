@@ -267,21 +267,16 @@ def mult_check(lam: Partition) -> Result:
     return payload, lines, True
 
 
-def hwv_check(
-    cache: genmat.EvalCache, lam: Partition, evaluate: bool = True, threads: int = 1
-) -> Result:
-    """The basis of weight lam and its hwv_verify verdict; a verdict with the
-    evaluation checks is stored under hwv_verdict_key."""
+def hwv_check(cache: genmat.EvalCache, lam: Partition, threads: int = 1) -> Result:
+    """The basis of weight lam and its hwv_verify verdict, stored under
+    hwv_verdict_key."""
     basis = hwv_basis(lam, threads=threads, cache=cache)
 
     def verify() -> dict:
-        rep = hwv_verify(basis, evaluate=evaluate, cache=cache)
+        rep = hwv_verify(basis, cache=cache)
         return {"ok": rep.ok, "failures": list(rep.failures)}
 
-    if evaluate:
-        verdict = stored_verdict(cache.store, hwv_verdict_key(basis, cache), verify)
-    else:
-        verdict = verify()
+    verdict = stored_verdict(cache.store, hwv_verdict_key(basis, cache), verify)
     ok, failures = verdict["ok"], verdict["failures"]
     payload = hwv_json(basis)
     payload["verified"] = ok
@@ -346,9 +341,8 @@ def verify_check(
             except NotHomogeneous:
                 pass
             # the relation space first: a cold solve leaves the matrix of
-            # its relation vectors on the weight slot (or, after the hwv
-            # check, keeps its basis's), which evaluates a member without
-            # multiplying its leaves again
+            # its relation vectors on the weight slot, which evaluates a
+            # member without multiplying its leaves again
             if lam in _KNOWN_LAMBDAS:
                 space = relation_space(
                     Partition(*lam), mode="modular", cache=cache, threads=threads
@@ -450,7 +444,7 @@ def cmd_mult(cfg: Config, args) -> Result:
 
 def cmd_hwv(cfg: Config, args) -> Result:
     lam = parse_lambda(args.lam, cfg.degree_cap)
-    return hwv_check(cfg.cache, lam, evaluate=not args.no_eval, threads=cfg.threads)
+    return hwv_check(cfg.cache, lam, threads=cfg.threads)
 
 
 def cmd_relations(cfg: Config, args) -> Result:
@@ -523,9 +517,11 @@ def cmd_reproduce(cfg: Config, args) -> Result:
            rows={_lam_key(k): list(v) for k, v in got.items()})
 
     # 3, 4 and 7 run in one pass per weight, while the cache holds that
-    # weight's generator-monomial products and matrix: the highest weight
-    # basis verified by evaluation, the relation space and its certificates,
-    # and the bundled candidate files of the weight
+    # weight's generator-monomial products and the matrix of its relation
+    # vectors: the highest weight basis, checked exactly (its evaluated side
+    # rests on the catalog certificate), the relation space and its
+    # certificates, and the bundled candidate files of the weight, which
+    # that matrix evaluates when they lie in the span of the relations
     hwv_rows, rel_rows, file_rows = {}, {}, {}
     bundle_ok = True
     for lam, want in EXPECTED_HILBERT.items():
@@ -640,7 +636,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hwv", parents=[shared], help="highest weight basis for a weight")
     sp.add_argument("--lambda", dest="lam", required=True, metavar="P,Q")
-    sp.add_argument("--no-eval", action="store_true", help="skip the evaluation checks")
     sp.set_defaults(func=cmd_hwv)
 
     sp = sub.add_parser("relations", parents=[shared], help="relation space for a weight")

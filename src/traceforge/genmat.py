@@ -44,7 +44,6 @@ from .packedpoly import (
     XCAP,
     YCAP,
     derivation,
-    derive_terms,
     sort_and_sum,
     sum_scaled,
 )
@@ -284,10 +283,10 @@ class WeightSlot:
     polynomials, result) of its last assembly, None until it is set.  The
     leaves multiplied for that assembly are not kept: each dies once it is
     added into M.  A polynomial in the span of the slot's polynomials is
-    evaluated from M (see relfinder.verify_zero_abs).  After hwv_verify the
-    slot holds the matrix of a highest weight basis; after a relation space
-    solved without it, the matrix of its relation vectors, which has no
-    row."""
+    evaluated from M (see relfinder.verify_zero_abs).  The slot holds what
+    was assembled last: the relation vectors of a relation space solved in
+    mode "modular" (a matrix with no row), the basis of one solved in mode
+    "exact", or a polynomial that verify_zero_abs evaluated."""
 
     def __init__(self, bidegrees: frozenset[tuple[int, int]] = frozenset()) -> None:
         self.bidegrees = bidegrees
@@ -305,7 +304,9 @@ class EvalCache:
     as long as the cache that was passed in.  Of the products it keeps the
     proper prefixes for good.  The leaves that relfinder._assemble_matrix
     multiplies are not kept: each is added into the columns that use it and
-    dropped, and the weight slot keeps the matrix (see WeightSlot).
+    dropped, and the weight slot keeps the matrix of the last assembly (see
+    WeightSlot).  hwv.hwv_verify assembles nothing: the evaluated side of
+    its check rests on the catalog certificate.
     Products of word traces are not kept either: eval_trace_expr shares
     prefixes within one call only.
     """
@@ -528,7 +529,9 @@ def eval_trace_expr_packed(e: TraceExpr, cache: EvalCache | None = None) -> Pack
 # x44 = -(x11 + x22 + x33) consistently.  Differentiating at t = 0 gives
 # eval(delta e) = D eval(e) with D = sum_{i<=3} x_ii d/dy_ii.  At t = 1,
 # y -> x + y acts as exp(D); D^k moves bidegree (l1, l2) to (l1 + k, l2 - k),
-# so exp(D) fixes an evaluation exactly when D kills it.
+# so exp(D) fixes an evaluation exactly when D kills it.  glcat._certify
+# proves D(ev(e_j)) = j ev(e_{j-1}) on the 30 generators, which gives
+# D(ev(p)) = ev(abs_delta(p)) on the whole generator algebra.
 
 _RAISE_PAIRS = tuple(
     (VARSET18.index(f"y{i}{i}"), VARSET18.index(f"x{i}{i}")) for i in (1, 2, 3)
@@ -538,14 +541,6 @@ _RAISE_PAIRS = tuple(
 def eval_delta(p: PackedPoly) -> PackedPoly:
     """D p, so that eval_delta(eval(e)) == eval(delta(e))."""
     return derivation(p, _RAISE_PAIRS)
-
-
-def eval_delta_columns(keys, M):
-    """D applied to every column of the integer matrix M at once, where row
-    r of M holds the coefficients at the packed key keys[r] (ascending).
-    Returns (keys, rows) of the image in the same form, zero rows dropped:
-    column i of the rows is D of column i of M."""
-    return derive_terms(keys, M, _RAISE_PAIRS)
 
 
 def literal_word_trace(w: Word) -> CommPoly:

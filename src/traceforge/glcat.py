@@ -11,7 +11,12 @@ u_{i,j}; AbsPoly is the polynomial algebra they span.  The raising and
 lowering maps act by abs_delta(u_{i,j}) = j u_{i,j-1} and
 abs_delta1(u_{i,j}) = (a_i - j) u_{i,j+1}; these constants are certified
 against the generic-matrix oracle the first time the catalog is built, and
-construction aborts if any check fails.
+construction aborts if any check fails.  The certificate also checks
+D(ev(e_j)) = j ev(e_{j-1}) for the evaluated raising map D (see
+genmat.eval_delta) on all 30 generators.  Evaluation is a ring homomorphism
+and both maps are derivations, so D(ev(p)) = ev(abs_delta(p)) for every
+generator polynomial p: a polynomial that abs_delta kills has an evaluation
+that D kills.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .tracelang import (
     trace_of,
 )
 
-_CERT_VERSION = "catalog-cert-1"
+_CERT_VERSION = "catalog-cert-2"
 
 
 class Partition(NamedTuple):
@@ -163,20 +168,18 @@ def _certify(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) -> None
                 raise CatalogCertificationError(
                     f"module {mod.index}: basis element {j} has wrong bidegree"
                 )
-            lowered = genmat.eval_trace_expr_packed(lowering, cache)
-            want = evs[j + 1].scale(Fraction(a - j)) if j < a else None
-            ok = lowered.is_zero() if want is None else lowered.add(want.neg()).is_zero()
-            if not ok:
-                raise CatalogCertificationError(
-                    f"module {mod.index}: lowering constant fails at j={j}"
-                )
-            raised = genmat.eval_trace_expr_packed(raising, cache)
-            want = evs[j - 1].scale(Fraction(j)) if j > 0 else None
-            ok = raised.is_zero() if want is None else raised.add(want.neg()).is_zero()
-            if not ok:
-                raise CatalogCertificationError(
-                    f"module {mod.index}: raising constant fails at j={j}"
-                )
+            above = evs[j + 1].scale(Fraction(a - j)) if j < a else None
+            below = evs[j - 1].scale(Fraction(j)) if j > 0 else None
+            # (check, got, want), where want None means zero
+            for check, got, want in (
+                ("lowering constant", genmat.eval_trace_expr_packed(lowering, cache), above),
+                ("raising constant", genmat.eval_trace_expr_packed(raising, cache), below),
+                ("evaluated raising", genmat.eval_delta(evs[j]), below),
+            ):
+                if not (got.is_zero() if want is None else got.add(want.neg()).is_zero()):
+                    raise CatalogCertificationError(
+                        f"module {mod.index}: {check} fails at j={j}"
+                    )
 
 
 _CATALOG: tuple[GeneratorModule, ...] | None = None

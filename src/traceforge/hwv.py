@@ -31,6 +31,7 @@ from .glcat import (
     Partition,
     abs_delta,
     abs_monomials,
+    catalog,
     hilbert_coeff,
     mono_name,
 )
@@ -142,18 +143,11 @@ class HwvVerifyReport(NamedTuple):
     s: int
     rank_ok: bool
     abs_delta_zero: bool
-    eval_delta_zero: bool | None
-    checked_by_eval: int
     failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.rank_ok and self.abs_delta_zero and self.eval_delta_zero in (True, None)
-
-
-# entries of M per application of D in hwv_verify; bounds the transient
-# arrays of its sort
-_D_TERMS = 1 << 18
+        return self.rank_ok and self.abs_delta_zero
 
 
 def hwv_verify(
@@ -161,19 +155,15 @@ def hwv_verify(
     evaluate: bool = True,
     cache: genmat.EvalCache | None = None,
 ) -> HwvVerifyReport:
-    """Check a basis: abs_delta kills each vector exactly and, with
-    evaluate, the evaluated raising map D kills its evaluation on the
-    generic matrices.  The evaluations are the columns of the matrix M that
-    relation_space(mode="exact") solves, from relfinder._assemble_matrix,
-    which leaves M on the cache's weight slot.  There the relation_space of
-    the same basis proves its relation vectors as combinations of the
-    columns of M, and relfinder.verify_zero_abs evaluates any member of the
-    basis's span, both without a product.  (A relation space solved without
-    it leaves the matrix of its relation vectors on the slot instead.)
-    genmat.eval_delta_columns applies D to a block of columns with one
-    sort.
-    A vector that evaluates to zero is a relation and passes.  Raises
-    PackedCapacityError where an evaluation exceeds the packed fields."""
+    """Check a basis: the raising map has rank Q, and abs_delta kills each
+    vector exactly.  With evaluate, the catalog is certified on the cache
+    (see glcat.catalog).  Its certificate proves that the evaluated raising
+    map D acts on the generators as abs_delta does, so D kills the
+    evaluation of every vector that abs_delta kills, and nothing is
+    evaluated here.  A vector that evaluates to zero is a relation and
+    passes."""
+    if evaluate:
+        catalog(cache)
     failures: list[str] = []
     rank_ok = basis.alpha_rank == basis.Q
     if not rank_ok:
@@ -183,29 +173,7 @@ def hwv_verify(
         if not abs_delta(v).is_zero():
             abs_ok = False
             failures.append(f"vector {i}: abs_delta image nonzero")
-    eval_delta_zero: bool | None = None
-    if evaluate:
-        from .relfinder import _assemble_matrix  # relfinder imports this module
-
-        M, _, keys = _assemble_matrix(basis.vectors, cache)
-        step = max(1, _D_TERMS // max(1, len(keys)))
-        flagged = []
-        for start in range(0, M.shape[1], step):
-            _, image = genmat.eval_delta_columns(keys, M[:, start : start + step])
-            flagged.extend((image != 0).any(axis=0).tolist())
-        eval_delta_zero = not any(flagged)
-        for i, bad in enumerate(flagged):
-            if bad:
-                failures.append(f"vector {i}: evaluated raising image nonzero")
-    return HwvVerifyReport(
-        basis.lam,
-        basis.s,
-        rank_ok,
-        abs_ok,
-        eval_delta_zero,
-        basis.s if evaluate else 0,
-        tuple(failures),
-    )
+    return HwvVerifyReport(basis.lam, basis.s, rank_ok, abs_ok, tuple(failures))
 
 
 def hwv_json(basis: HwvBasis) -> dict:

@@ -566,13 +566,9 @@ def _sum_batch(terms: list[tuple[PackedPoly, Fraction]], acc: PackedPoly) -> Pac
     return _combine(keys, coeffs, den, xdeg, ydeg)
 
 
-def derive_terms(
-    keys: np.ndarray, coeffs: np.ndarray, pairs: Sequence[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply sum over (src, dst) of v_dst * d/dv_src to the terms (keys,
-    coeffs), where each pair names a y variable src and an x variable dst by
-    index.  coeffs is 1-D, or 2-D with one row per key and one column per
-    polynomial, so one call applies the derivation to every column.
+def derivation(p: PackedPoly, pairs: Sequence[tuple[int, int]]) -> PackedPoly:
+    """Apply sum over (src, dst) of v_dst * d/dv_src to p, where each pair
+    names a y variable src and an x variable dst by index.
 
     Each term is a shift of the packed keys; the result is sorted and summed
     as by sort_and_sum.  Raises PackedCapacityError when an x exponent would
@@ -580,6 +576,7 @@ def derive_terms(
     """
     if not all(dst < NX <= src for src, dst in pairs):
         raise ValueError("derivation pairs must map a y variable to an x variable")
+    keys, coeffs = p.keys, p.coeffs
     # a y exponent is at most YCAP, and an output term sums at most
     # len(pairs) shifted input terms
     if coeffs.dtype != object and _max_abs(coeffs) * YCAP * len(pairs) >= _COEFF_LIMIT:
@@ -594,13 +591,8 @@ def derive_terms(
         if np.any(((shifted >> SHIFTS[dst]) & XCAP) == XCAP):
             raise PackedCapacityError(f"x exponent of variable {dst} would exceed {XCAP}")
         keys_out.append(shifted - (1 << SHIFTS[src]) + (1 << SHIFTS[dst]))
-        coeffs_out.append(coeffs[sel] * (exps[sel] if coeffs.ndim == 1 else exps[sel, None]))
+        coeffs_out.append(coeffs[sel] * exps[sel])
     if not keys_out:
-        return keys[:0], coeffs[:0]
-    return sort_and_sum(np.concatenate(keys_out), np.concatenate(coeffs_out))
-
-
-def derivation(p: PackedPoly, pairs: Sequence[tuple[int, int]]) -> PackedPoly:
-    """Apply sum over (src, dst) of v_dst * d/dv_src to p (see derive_terms)."""
-    keys, coeffs = derive_terms(p.keys, p.coeffs, pairs)
+        return PackedPoly.zero()
+    keys, coeffs = sort_and_sum(np.concatenate(keys_out), np.concatenate(coeffs_out))
     return _normalize(keys, coeffs, p.den, p.xdeg + 1, max(p.ydeg - 1, 0))

@@ -7,12 +7,13 @@ them for a given weight, as the kernel of the evaluation map on the highest
 weight basis.  That kernel has two routes.  By default the one prime loop,
 nullspace.modular_kernel, takes it from the values of the basis vectors at
 random points mod p, which bound the relation count r from above, and each
-of the r relation vectors is proven zero exactly, which bounds r from below.
-The exact mode assembles the coefficient matrix M of every basis vector and
-takes the exact kernel of M with nullspace.null_stream.  The basis is only
-the tool that finds the relations: a relation space is its relation
-vectors, and the store keeps them, so a stored space is read back without
-solving a basis.
+of the r relation vectors is proven zero exactly, by assembling the matrix
+of the relation vectors alone, which bounds r from below.  The exact mode,
+the only caller that assembles the coefficient matrix M of every basis
+vector, takes the exact kernel of M with nullspace.null_stream.  The basis
+is only the tool that finds the relations: a relation space is its
+relation vectors, and the store keeps them, so a stored space is read back
+without solving a basis.
 
 The analysis layer mirrors the downstream structure results: orbits under
 the lowering derivation, reduction modulo the ideal generated by a fixed
@@ -250,11 +251,8 @@ def _assemble_matrix(
     The cache works on one weight at a time (see genmat.WeightSlot), keyed
     on the set of bidegrees of the monomials of polys, which need not be
     homogeneous.  The result stays on the slot until the next call, which
-    gets it back if its polynomials have the same terms.  The relation_space
-    of a basis that hwv_verify left there proves its relation vectors from
-    its M, and verify_zero_abs evaluates a polynomial in the span of the
-    slot's from its M.  A call with other polynomials frees the slot's
-    matrix before it builds its own.  Callers only read M.
+    frees it before it builds its own, and verify_zero_abs evaluates a
+    polynomial in the span of the slot's from its M.  Callers only read M.
     """
     cache = cache or genmat.default_cache()
     terms = [dict(v.terms) for v in polys]
@@ -266,10 +264,7 @@ def _assemble_matrix(
                 f"monomial bidegree ({p},{q}) exceeds packed capacity ({XCAP},{YCAP})"
             )
     with cache._lock:
-        slot = cache._weight
-        if slot.last is not None and slot.last[0] == terms:
-            return slot.last[1]
-        # a matrix of other polynomials is freed before this one is built
+        # the last matrix is freed before this one is built
         slot = cache._weight = genmat.WeightSlot(bidegrees)
     evals, groups = leaf_groups(used, cache)
     # every denominator is known before the fresh leaves are multiplied
@@ -351,11 +346,11 @@ def relation_space(
 
     mode "modular" finds the kernel from the values of the basis at points
     mod p and proves each relation vector exactly (see _modular_zeta); it
-    evaluates only the monomials of the relation vectors, or none when the
-    cache's weight slot holds the basis's matrix.  mode "exact" assembles
-    that matrix M and eliminates its Gram matrix over the integers (see
-    _exact_zeta).  Both give the same zeta.  Where the modular mode fails,
-    NullStreamError names the weight and suggests mode "exact"."""
+    evaluates only the monomials of the relation vectors.  mode "exact"
+    assembles the matrix M of the basis and eliminates its Gram matrix over
+    the integers (see _exact_zeta).  Both give the same zeta.  Where the
+    modular mode fails, NullStreamError names the weight and suggests mode
+    "exact"."""
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
     lam = Partition.of(*lam)
@@ -489,17 +484,11 @@ def _proven(
     zeta: Sequence[Sequence[Fraction]], basis: HwvBasis, cache: genmat.EvalCache
 ) -> bool:
     """Is every combination sum_i z_i v_i of the basis vectors zero on the
-    generic matrices?  When the cache's weight slot holds M for this basis
-    (as after hwv_verify), each is that combination of the columns of M
-    (see _column_combination); otherwise the relation vectors are assembled,
-    and their matrix must have no nonzero row."""
+    generic matrices?  The relation vectors are assembled, and their matrix
+    must have no nonzero row.  Only mode "exact" assembles the matrix of the
+    basis itself, and it never calls this."""
     if not zeta:
         return True
-    with cache._lock:
-        slot = cache._weight
-    if slot.last is not None and slot.last[0] == [v.terms for v in basis.vectors]:
-        M, colscale, _ = slot.last[1]
-        return not any(_column_combination(M, colscale, z)[0].any() for z in zeta)
     M, _, _ = _assemble_matrix([_relation_vector(z, basis.vectors) for z in zeta], cache)
     return M.shape[0] == 0
 

@@ -83,7 +83,7 @@ def test_catalog_smoke(capsys, tmp_path):
 
 def test_hwv_small(capsys, tmp_path):
     code, doc = run_json(
-        capsys, "hwv", "--lambda", "6,6", "--no-eval", "--cache-dir", str(tmp_path / "c")
+        capsys, "hwv", "--lambda", "6,6", "--cache-dir", str(tmp_path / "c")
     )
     assert code == 0
     assert doc["s"] == 30
@@ -350,10 +350,9 @@ def test_verify_verdict_is_keyed_on_grammar_and_text(tmp_path):
     "argv",
     [
         ["verify", "--file", "BIG"],
-        ["--degree-cap", "16", "hwv", "--lambda", "8,8"],
         ["--degree-cap", "16", "relations", "--lambda", "8,8"],
     ],
-    ids=["verify", "hwv", "relations"],
+    ids=["verify", "relations"],
 )
 def test_beyond_packed_capacity_is_a_one_line_error(tmp_path, session_cache, argv):
     # bidegree (8,8): a y degree of 8 does not fit the packed fields
@@ -376,11 +375,12 @@ def test_beyond_packed_capacity_is_a_one_line_error(tmp_path, session_cache, arg
 
 
 def test_beyond_packed_capacity_without_evaluation(capsys, tmp_path):
+    # hwv evaluates nothing, so it works at every weight under the cap
     code, doc = run_json(
-        capsys, "--degree-cap", "16", "hwv", "--lambda", "8,8", "--no-eval",
-        "--cache-dir", str(tmp_path),
+        capsys, "--degree-cap", "16", "hwv", "--lambda", "8,8", "--cache-dir", str(tmp_path),
     )
-    assert code == 0 and doc["verified"] is True and doc["s"] == 101
+    assert code == 0 and doc["verified"] is True and doc["failures"] == []
+    assert doc["s"] == 101
 
 
 # builds the hwv verdict key, then a relation space and its certificates, on a

@@ -133,6 +133,23 @@ def test_catalog_digest_stable():
     assert len(d1) == 64
 
 
+def test_a_wrong_evaluated_raising_map_fails_certification(monkeypatch):
+    # D without its x33 d/dy33 term: the trace-route raising check never
+    # calls eval_delta, so only the evaluated raising check can catch it
+    from traceforge import genmat
+    from traceforge.glcat import CatalogCertificationError, _build_modules, _certify
+    from traceforge.packedpoly import derivation
+
+    _certify(_build_modules(), EvalCache())
+    monkeypatch.setattr(
+        genmat, "eval_delta", lambda p: derivation(p, genmat._RAISE_PAIRS[:2])
+    )
+    with pytest.raises(
+        CatalogCertificationError, match=r"^module 1: evaluated raising fails at j=1$"
+    ):
+        _certify(_build_modules(), EvalCache())
+
+
 def test_catalog_json_round():
     doc = catalog_json()
     assert len(doc["modules"]) == 12

@@ -14,7 +14,6 @@ from traceforge.genmat import (
     VARSET18,
     EvalCache,
     eval_delta,
-    eval_delta_columns,
     eval_trace_expr_packed,
 )
 from traceforge.glcat import catalog
@@ -362,33 +361,11 @@ def test_evaluated_maps_on_lowered_catalog_vectors():
         de = eval_delta(ev)
         assert not de.is_zero()
         assert de == eval_trace_expr_packed(delta(e), _CACHE)
+        # coefficients large enough that the image needs Python integers
+        big = ev.scale(1 << 61)
+        assert big.is_big() and eval_delta(big) == de.scale(1 << 61)
         lowered += 1
     assert lowered >= 6
-
-
-def test_eval_delta_columns_is_eval_delta_per_column():
-    # the lowered catalog vectors, which D does not kill, and the highest
-    # weight vectors, which it does, as the columns of one matrix
-    evs = []
-    for mod in catalog():
-        evs.append(eval_trace_expr_packed(mod.hwv, _CACHE))
-        evs.append(eval_trace_expr_packed(delta1(mod.hwv), _CACHE))
-    keys = np.unique(np.concatenate([ev.keys for ev in evs]))
-    M = np.zeros((len(keys), len(evs)), dtype=np.int64)
-    for i, ev in enumerate(evs):
-        M[np.searchsorted(keys, ev.keys), i] = ev.coeffs
-    # int64, then entries large enough that the image needs Python integers
-    for M in (M, M.astype(object) * (1 << 61)):
-        img_keys, img = eval_delta_columns(keys, M)
-        assert img.dtype == M.dtype and img.shape[1] == len(evs)
-        assert np.all(img_keys[1:] > img_keys[:-1])
-        assert (img != 0).any(axis=1).all()
-        killed = 0
-        for i in range(len(evs)):
-            want = eval_delta(PackedPoly.from_column(keys, M[:, i], 1))
-            assert PackedPoly.from_column(img_keys, img[:, i], 1) == want, i
-            killed += want.is_zero()
-        assert 0 < killed < len(evs)
 
 
 def test_eval_delta_raises_on_x_field_overflow():

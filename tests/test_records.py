@@ -27,8 +27,8 @@ RECORDS = [
     (GeneratorModule, (1, Partition(2, 0), "w", ("w",)), (2, Partition(2, 0), "w", ("w",))),
     (AbsGen, (0, 1, 0, (2, 0)), (0, 1, 1, (1, 1))),
     (HwvBasis, (Partition(6, 6), 2, 1, 1, ((0, 1),), ()), (Partition(6, 6), 2, 1, 0, ((0, 1),), ())),
-    (HwvVerifyReport, (Partition(6, 6), 2, True, True, None, 0, ()),
-     (Partition(6, 6), 2, True, False, None, 0, ())),
+    (HwvVerifyReport, (Partition(6, 6), 2, True, True, ()),
+     (Partition(6, 6), 2, True, False, ())),
     (QMatrix, ((), 2), ((), 3)),
     (NullBasis, (2, ((1, 0),)), (2, ((0, 1),))),
     (ParameterSplit, (HSOP, COMPLEMENT), (HSOP[1:], COMPLEMENT + HSOP[:1])),

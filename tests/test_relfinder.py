@@ -393,16 +393,14 @@ def _no_assembly(*args):
 
 
 def test_a_member_of_the_slot_is_evaluated_from_its_matrix(cache, monkeypatch):
-    # after hwv_verify of (6,6), both (6,6) files and a basis vector (whose
-    # evaluation is not zero) are combinations of the slot's columns: they
-    # make no product and report what a fresh cache reports
-    from traceforge.hwv import hwv_verify
-
+    # with the (6,6) basis assembled, both (6,6) files and a basis vector
+    # (whose evaluation is not zero) are combinations of the slot's columns:
+    # they make no product and report what a fresh cache reports
     basis = hwv_basis(Partition(6, 6))
     candidates = [_bundled("v66prime.phi"), _bundled("v66second.phi"), basis.vectors[3]]
     want = [verify_zero_abs(p, EvalCache(store=cache.store)) for p in candidates]
     run = EvalCache(store=cache.store)
-    assert hwv_verify(basis, evaluate=True, cache=run).ok
+    relfinder._assemble_matrix(basis.vectors, run)
     before = run.stats.gen_products
     monkeypatch.setattr(relfinder, "leaf_groups", _no_assembly)
     assert [verify_zero_abs(p, run) for p in candidates] == want
@@ -449,15 +447,13 @@ def test_beyond_packed_capacity_nothing_is_evaluated():
 def test_a_perturbed_candidate_is_assembled_afresh(k, cache):
     # a relation plus k times a monomial of its basis: not in the span of
     # the slot's columns, so it is assembled, and its report is a fresh one
-    from traceforge.hwv import hwv_verify
-
     basis = hwv_basis(Partition(6, 6))
     m = next(m for v in basis.vectors for m in v.terms)
     assert not abs_delta(AbsPoly.monomial(m)).is_zero()  # not a highest weight vector
     bad = _bundled("v66second.phi") + AbsPoly.monomial(m).scale(k)
     want = verify_zero_abs(bad, EvalCache(store=cache.store))
     run = EvalCache(store=cache.store)
-    assert hwv_verify(basis, evaluate=True, cache=run).ok
+    relfinder._assemble_matrix(basis.vectors, run)
     before = run.stats.gen_products
     got = verify_zero_abs(bad, run)
     assert run.stats.gen_products > before
