@@ -24,7 +24,12 @@
 # three degree-14 spaces must read every relation space as its stored
 # relation vectors: the script fails unless that cache solved no highest
 # weight basis and reports zero word evaluations, trace-monomial and
-# generator-monomial products, cache misses and cache writes.
+# generator-monomial products, cache misses and cache writes.  Then, on
+# another fresh cache, the three bundled files, each checked after the
+# relation space of its weight, must be members of the spaces the cache
+# holds: the script fails unless each reports zero and that cache reports
+# zero word evaluations, trace-monomial and generator-monomial products,
+# cache misses and cache writes.
 # Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
 # degree-13 weight), `verify`, `leading` and `new` must not import numpy: they
 # build no array (hwv and verify read their stored verdicts), and the script
@@ -143,6 +148,34 @@ sys.exit(any(counts.values()))' "$CACHE")"; then
     exit 1
 fi
 echo "a warm new_relations(14) and degree-14 leading analysis solved no basis: $probe"
+
+# a bundled file in the relation space the cache holds is zero by linearity
+if ! probe="$(python3 -c '
+import sys
+from importlib import resources
+from traceforge import genmat
+from traceforge.cache import CacheStore
+from traceforge.cli import BUNDLED_FILES
+from traceforge.glcat import Partition
+from traceforge.phiparse import parse_phi
+from traceforge.relfinder import relation_space, verify_zero_abs
+
+cache = genmat.EvalCache(CacheStore(sys.argv[1]))
+nonzero = 0
+for name, lam in BUNDLED_FILES:
+    relation_space(Partition(*lam), cache=cache)
+    text = resources.files("traceforge").joinpath("data", name).read_text()
+    nonzero += not verify_zero_abs(parse_phi(text), cache).zero
+stats, store = cache.stats, cache.store.stats
+counts = {"nonzero_files": nonzero, "word_evals": stats.word_evals,
+          "mono_products": stats.mono_products, "gen_products": stats.gen_products,
+          "cache_misses": store.misses, "cache_writes": store.writes}
+print(" ".join(f"{k}={v}" for k, v in counts.items()))
+sys.exit(any(counts.values()))' "$CACHE")"; then
+    echo "FAIL: a bundled file after its stored relation space was not zero with no fresh work (${probe:-no counts})" >&2
+    exit 1
+fi
+echo "the bundled files after their stored relation spaces are zero with no fresh work: $probe"
 
 # warm commands that build no array must not import numpy, nor dataclasses
 # or the inspect module it imports

@@ -42,12 +42,13 @@ from .phiparse import PhiParseError, parse_phi
 from .relfinder import (
     LAMBDAS_BY_DEGREE,
     RELSPACE_SCHEMA,
+    ZERO_REPORT,
+    evaluate_abs,
     leading_analysis,
     membership,
     new_relations,
     relation_space,
     verify_zero,
-    verify_zero_abs,
     write_certificates,
 )
 from .tracelang import NotHomogeneous, TraceParseError, TracelessViolation, parse_trace
@@ -340,15 +341,14 @@ def verify_check(
                 lam = parsed.bidegree()
             except NotHomogeneous:
                 pass
-            # the relation space first: a cold solve leaves the matrix of
-            # its relation vectors on the weight slot, which evaluates a
-            # member without multiplying its leaves again
+            # the relation space first: a member of it is zero with nothing
+            # evaluated, and any other candidate is evaluated
             if lam in _KNOWN_LAMBDAS:
                 space = relation_space(
                     Partition(*lam), mode="modular", cache=cache, threads=threads
                 )
                 member = membership(parsed, space)
-            zrep = verify_zero_abs(parsed, cache)
+            zrep = ZERO_REPORT if member else evaluate_abs(parsed, cache)
         return {
             "grammar": grammar,
             "zero": zrep.zero,
@@ -517,11 +517,11 @@ def cmd_reproduce(cfg: Config, args) -> Result:
            rows={_lam_key(k): list(v) for k, v in got.items()})
 
     # 3, 4 and 7 run in one pass per weight, while the cache holds that
-    # weight's generator-monomial products and the matrix of its relation
-    # vectors: the highest weight basis, checked exactly (its evaluated side
-    # rests on the catalog certificate), the relation space and its
-    # certificates, and the bundled candidate files of the weight, which
-    # that matrix evaluates when they lie in the span of the relations
+    # weight's generator-monomial products: the highest weight basis,
+    # checked exactly (its evaluated side rests on the catalog
+    # certificate), the relation space and its certificates, and the
+    # bundled candidate files of the weight, which are zero with nothing
+    # evaluated when they lie in the relation space the cache now holds
     hwv_rows, rel_rows, file_rows = {}, {}, {}
     bundle_ok = True
     for lam, want in EXPECTED_HILBERT.items():

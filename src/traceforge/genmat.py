@@ -277,22 +277,6 @@ class EvalStats:
         self.word_evals = self.mono_products = self.gen_products = self.disk_hits = 0
 
 
-class WeightSlot:
-    """The weight relfinder._assemble_matrix works on, keyed on the set of
-    bidegrees of the monomials of its polynomials, and (the term dicts of the
-    polynomials, result) of its last assembly, None until it is set.  The
-    leaves multiplied for that assembly are not kept: each dies once it is
-    added into M.  A polynomial in the span of the slot's polynomials is
-    evaluated from M (see relfinder.verify_zero_abs).  The slot holds what
-    was assembled last: the relation vectors of a relation space solved in
-    mode "modular" (a matrix with no row), the basis of one solved in mode
-    "exact", or a polynomial that verify_zero_abs evaluated."""
-
-    def __init__(self, bidegrees: frozenset[tuple[int, int]] = frozenset()) -> None:
-        self.bidegrees = bidegrees
-        self.last: tuple[list[dict], tuple] | None = None
-
-
 class EvalCache:
     """Per-word and per-generator-monomial evaluation cache.
 
@@ -304,8 +288,10 @@ class EvalCache:
     as long as the cache that was passed in.  Of the products it keeps the
     proper prefixes for good.  The leaves that relfinder._assemble_matrix
     multiplies are not kept: each is added into the columns that use it and
-    dropped, and the weight slot keeps the matrix of the last assembly (see
-    WeightSlot).  hwv.hwv_verify assembles nothing: the evaluated side of
+    dropped, and no assembled matrix is kept.  The relation space of each
+    weight that relfinder.relation_space returns is kept: every member of
+    it is zero, so relfinder.verify_zero_abs answers a member without
+    evaluating it.  hwv.hwv_verify assembles nothing: the evaluated side of
     its check rests on the catalog certificate.
     Products of word traces are not kept either: eval_trace_expr shares
     prefixes within one call only.
@@ -323,7 +309,8 @@ class EvalCache:
         self._gen_values: dict[int, np.ndarray] = {}
         # highest weight bases by weight, filled by hwv.hwv_basis
         self._bases: dict[tuple, object] = {}
-        self._weight = WeightSlot()
+        # relation spaces by weight, filled by relfinder.relation_space
+        self._spaces: dict[tuple, object] = {}
         # set by glcat.catalog once the store holds the catalog verdict
         self._catalog_stored = False
         self._lock = threading.Lock()

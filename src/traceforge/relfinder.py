@@ -57,16 +57,14 @@ from .glcat import (
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
 from .nullspace import (
     NullStreamError,
-    QMatrix,
     _normalize_first_one,
     _rref_mod,
     modular_kernel,
-    null_dense,
     null_stream,
 )
 from .packedpoly import XCAP, YCAP, PackedCapacityError, PackedPoly, distinct_keys, product_den
 from .polyring import CommPoly, poly_to_text
-from .tracelang import TraceExpr, format_trace_expr
+from .tracelang import NotHomogeneous, TraceExpr, format_trace_expr
 
 LAMBDAS_BY_DEGREE: dict[int, tuple[Partition, ...]] = {
     12: (Partition(7, 5), Partition(6, 6)),
@@ -245,27 +243,18 @@ def _assemble_matrix(
     memoized: it dies as soon as it is placed, so at most one leaf per
     thread is alive beside M.  Its proper prefixes stay memoized on the
     cache.  M has object dtype when the bound of some column reaches 2^62,
-    else int64.  A monomial whose bidegree exceeds the packed fields raises
-    PackedCapacityError before anything is evaluated.
-
-    The cache works on one weight at a time (see genmat.WeightSlot), keyed
-    on the set of bidegrees of the monomials of polys, which need not be
-    homogeneous.  The result stays on the slot until the next call, which
-    frees it before it builds its own, and verify_zero_abs evaluates a
-    polynomial in the span of the slot's from its M.  Callers only read M.
+    else int64.  The polys need not be homogeneous.  A monomial whose
+    bidegree exceeds the packed fields raises PackedCapacityError before
+    anything is evaluated.  Nothing of the result is kept on the cache: M
+    lives as long as its caller holds it.
     """
     cache = cache or genmat.default_cache()
-    terms = [dict(v.terms) for v in polys]
-    used = dict.fromkeys(m for t in terms for m in t)
-    bidegrees = frozenset(map(mono_bidegree, used))
-    for p, q in bidegrees:
+    used = dict.fromkeys(m for v in polys for m in v.terms)
+    for p, q in set(map(mono_bidegree, used)):
         if p > XCAP or q > YCAP:
             raise PackedCapacityError(
                 f"monomial bidegree ({p},{q}) exceeds packed capacity ({XCAP},{YCAP})"
             )
-    with cache._lock:
-        # the last matrix is freed before this one is built
-        slot = cache._weight = genmat.WeightSlot(bidegrees)
     evals, groups = leaf_groups(used, cache)
     # every denominator is known before the fresh leaves are multiplied
     den = {m: e.den for m, e in evals.items()}
@@ -298,8 +287,7 @@ def _assemble_matrix(
     # the nonzero rows move up in place, one contiguous column at a time
     for col in M.T:
         col[: len(rows)] = col[rows]
-    slot.last = terms, (M[: len(rows)], colscale, all_keys[rows])
-    return slot.last[1]
+    return M[: len(rows)], colscale, all_keys[rows]
 
 
 def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> AbsPoly:
@@ -342,7 +330,8 @@ def relation_space(
     kernel of the evaluation map on the basis in free-column form, each
     normalized so its first nonzero coordinate is 1.  A space the store
     holds is read back with no basis (see _load_space); one it lacks, or
-    one that fails its checks there, is solved and stored again.
+    one that fails its checks there, is solved and stored again.  Either
+    way the cache then holds the space (see verify_zero_abs).
 
     mode "modular" finds the kernel from the values of the basis at points
     mod p and proves each relation vector exactly (see _modular_zeta); it
@@ -363,7 +352,7 @@ def relation_space(
         if isinstance(summary, dict):
             loaded = _load_space(lam, summary, digest)
             if loaded is not None:
-                return loaded
+                return _held(loaded, cache)
     basis = hwv_basis(lam, threads=threads, cache=cache)
     zeta = _exact_zeta(basis, cache) if mode == "exact" else _modular_zeta(basis, cache)
     relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
@@ -386,6 +375,16 @@ def relation_space(
                 ],
             },
         )
+    return _held(space, cache)
+
+
+def _held(space: RelationSpace, cache: genmat.EvalCache) -> RelationSpace:
+    """The space, kept on the cache under its weight for verify_zero_abs.
+    Every relation vector was proven zero exactly before it was stored, and
+    a stored one passes the checks of _load_space, so every member of the
+    space is zero."""
+    with cache._lock:
+        cache._spaces[space.lam] = space
     return space
 
 
@@ -542,6 +541,10 @@ class ZeroReport(NamedTuple):
         )
 
 
+# the report of a candidate that is zero
+ZERO_REPORT = ZeroReport.of(CommPoly.zero(genmat.VARSET18))
+
+
 def verify_zero(e: TraceExpr, cache: genmat.EvalCache | None = None) -> ZeroReport:
     """Evaluate a trace expression and report whether it is identically
     zero; a nonzero residual is summarized monomial by monomial, capped."""
@@ -549,80 +552,33 @@ def verify_zero(e: TraceExpr, cache: genmat.EvalCache | None = None) -> ZeroRepo
 
 
 def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
-    """Same as verify_zero but straight from an AbsPoly.  When p lies in the
-    span of the polynomials whose matrix the cache's weight slot holds, its
-    evaluation is that combination of the columns (see _eval_from_slot), and
-    nothing is multiplied.  Any other p is evaluated as the one column of
-    the matrix _assemble_matrix builds for it."""
+    """Same as verify_zero but straight from an AbsPoly.  A homogeneous p
+    that lies in the relation space the cache holds for its bidegree (see
+    relation_space) is a combination of relations, so it is zero by
+    linearity, and nothing is evaluated.  Any other p is evaluated (see
+    evaluate_abs).
+
+    A held space read from the store is trusted to be zero: _load_space
+    checks that its vectors are highest weight vectors of its weight, not
+    that they evaluate to zero.  Its zero rests on the exact proof made
+    before it was stored, on the catalog digest in its key and on the
+    SHA-256 of the entry."""
     cache = cache or genmat.default_cache()
-    ev = _eval_from_slot(p, cache)
-    if ev is None:
-        M, colscale, keys = _assemble_matrix([p], cache)
-        ev = PackedPoly.from_column(keys, M[:, 0], colscale[0])
+    try:
+        space = cache._spaces.get(p.bidegree())
+    except NotHomogeneous:
+        space = None
+    if space is not None and membership(p, space):
+        return ZERO_REPORT
+    return evaluate_abs(p, cache)
+
+
+def evaluate_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
+    """The report of p evaluated as the one column of the matrix
+    _assemble_matrix builds for it, whatever the cache holds."""
+    M, colscale, keys = _assemble_matrix([p], cache or genmat.default_cache())
+    ev = PackedPoly.from_column(keys, M[:, 0], colscale[0])
     return ZeroReport.of(ev.to_comm(genmat.VARSET18))
-
-
-def _eval_from_slot(p: AbsPoly, cache: genmat.EvalCache) -> PackedPoly | None:
-    """ev(p) from the matrix M on the cache's weight slot, or None unless
-    the slot holds M for the bidegree set of p and p is a combination
-    sum_i a_i v_i of the slot's polynomials v_i.  The a_i come from an exact
-    kernel, and p == sum_i a_i v_i is checked again term by term before
-    they are used.  By linearity ev(p) = sum_i a_i M[:, i] / colscale[i]
-    (see _column_combination)."""
-    with cache._lock:
-        slot = cache._weight
-    if slot.last is None or slot.bidegrees != frozenset(map(mono_bidegree, p.terms)):
-        return None
-    terms, (M, colscale, keys) = slot.last
-    # one row per monomial of the slot's polynomials, one column per
-    # polynomial, and p in the last column
-    rows: dict[AbsMonomial, dict[int, Fraction]] = {}
-    for i, t in enumerate(terms):
-        for m, c in t.items():
-            rows.setdefault(m, {})[i] = c
-    if any(m not in rows for m in p.terms):
-        return None
-    n = len(terms)
-    for m, c in p.terms.items():
-        rows[m][n] = c
-    kernel = null_dense(QMatrix(tuple(rows.values()), n + 1))
-    z = next((v for v in kernel.vectors if v[n]), None)
-    if z is None:
-        return None
-    a = [-x / z[n] for x in z[:n]]
-    combo: dict[AbsMonomial, Fraction] = {}
-    for ai, t in zip(a, terms):
-        if ai:
-            for m, c in t.items():
-                combo[m] = combo.get(m, 0) + ai * c
-    if {m: c for m, c in combo.items() if c} != p.terms:
-        return None
-    column, den = _column_combination(M, colscale, a)
-    return PackedPoly.from_column(keys, column, den)
-
-
-def _column_combination(
-    M: np.ndarray, colscale: Sequence[int], a: Sequence[Fraction]
-) -> tuple[np.ndarray, int]:
-    """(column, den) with column / den = sum_i a_i M[:, i] / colscale[i],
-    summed over the columns with a_i != 0 only: in int64 while the bound of
-    the sum stays below 2^62, else in object dtype one column at a time, so
-    M is never cast as a whole."""
-    scaled = [(i, ai / colscale[i]) for i, ai in enumerate(a) if ai]
-    den = lcm(*(r.denominator for _, r in scaled))
-    weighted = []
-    bound = 0
-    for i, r in scaled:
-        top = max(int(M[:, i].max(initial=0)), -int(M[:, i].min(initial=0)))
-        if top:  # a zero column adds nothing, however large its weight
-            w = r.numerator * (den // r.denominator)
-            weighted.append((M[:, i], w))
-            bound += abs(w) * top
-    dtype = np.int64 if M.dtype != object and bound < 1 << 62 else object
-    column = np.zeros(M.shape[0], dtype=dtype)
-    for col, w in weighted:
-        column += col.astype(dtype, copy=False) * w
-    return column, den
 
 
 def membership(candidate: AbsPoly, space: RelationSpace) -> bool:

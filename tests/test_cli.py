@@ -311,22 +311,30 @@ def test_warm_hwv_and_verify_reuse_their_verdicts(tmp_path):
     assert warm_cache.stats.mono_products == 0
 
 
-def test_cold_verify_of_a_member_makes_only_the_products_of_its_space(tmp_path):
-    # verify solves the relation space first, which leaves the matrix of its
-    # relation vectors on the weight slot, and evaluates the candidate, a
-    # member, from that matrix: no product beyond those of the space
-    from traceforge.cli import verify_check
+def test_cold_verify_of_a_member_makes_only_the_products_of_its_space(tmp_path, monkeypatch):
+    # verify solves the relation space first, and the candidate, a member
+    # of it, is zero by linearity: no product beyond those of the space,
+    # and membership is decided once
+    from traceforge import cli, relfinder
     from traceforge.genmat import EvalCache
     from traceforge.glcat import Partition
-    from traceforge.relfinder import relation_space
 
     alone = EvalCache(CacheStore(tmp_path / "space"))
-    relation_space(Partition(6, 6), cache=alone)
+    relfinder.relation_space(Partition(6, 6), cache=alone)
+    member, calls = relfinder.membership, []
+
+    def counted(candidate, space):
+        calls.append(space.lam)
+        return member(candidate, space)
+
+    monkeypatch.setattr(cli, "membership", counted)
+    monkeypatch.setattr(relfinder, "membership", counted)
     cache = EvalCache(CacheStore(tmp_path / "verify"))
     text = (ir.files("traceforge") / "data" / "v66second.phi").read_text()
-    doc, _, ok = verify_check(cache, "v66second.phi", text)
+    doc, _, ok = cli.verify_check(cache, "v66second.phi", text)
     assert ok and doc["zero"] and doc["membership"]
     assert cache.stats.gen_products == alone.stats.gen_products > 0
+    assert calls == [Partition(6, 6)]
 
 
 def test_verify_verdict_is_keyed_on_grammar_and_text(tmp_path):

@@ -113,12 +113,14 @@ def test_hwv_json_shape(small_bases):
 
 
 def test_verify_accepts_a_relation_vector(small_bases, session_cache):
-    # a relation evaluates to zero; that is not a failed check
+    # a relation evaluates to zero (on a cache that holds no relation
+    # space, so it is assembled); that is not a failed check
+    from traceforge.genmat import EvalCache
     from traceforge.relfinder import relation_space, verify_zero_abs
 
     good = small_bases[(7, 5)]
     rel = relation_space(Partition(7, 5), cache=session_cache).relvectors[0]
-    assert verify_zero_abs(rel, session_cache).zero
+    assert verify_zero_abs(rel, EvalCache(session_cache.store)).zero
     basis = good._replace(vectors=(rel, good.vectors[0]))
     rep = hwv_verify(basis, evaluate=True, cache=session_cache)
     assert rep.ok
@@ -159,20 +161,24 @@ def test_generator_route_equals_the_trace_route(small_bases, session_cache, lam)
         assert eval_trace_expr_packed(phi(vectors[i]), session_cache) == by_gens
 
 
-def test_a_kept_matrix_answers_only_its_own_polynomials(small_bases, session_store):
-    # other polynomials, or the same ones with one vector scaled, are
-    # assembled afresh, and their matrix takes the slot's place
+def test_a_held_space_answers_only_its_members(small_bases, session_store):
+    # on a cache that holds the (6,6) relation space, a basis vector is no
+    # member: it is assembled, and its report is a fresh cache's; so are
+    # the matrices of other polynomials, or of the same ones with one
+    # vector scaled
     from traceforge import relfinder
     from traceforge.genmat import EvalCache
 
+    cache = EvalCache(session_store)
+    relfinder.relation_space(Partition(6, 6), cache=cache)
     vectors = small_bases[(6, 6)].vectors
+    made = cache.stats.gen_products
+    rep = relfinder.verify_zero_abs(vectors[3], cache)
+    assert cache.stats.gen_products > made and not rep.zero
+    assert rep == relfinder.verify_zero_abs(vectors[3], EvalCache(session_store))
     scaled = (vectors[0].scale(2),) + vectors[1:]
     for polys in (small_bases[(7, 5)].vectors, scaled):
-        cache = EvalCache(session_store)
-        kept = relfinder._assemble_matrix(vectors, cache)
         M, colscale, keys = relfinder._assemble_matrix(polys, cache)
-        assert M is not kept[0]
-        assert cache._weight.last == ([v.terms for v in polys], (M, colscale, keys))
         M2, colscale2, keys2 = relfinder._assemble_matrix(polys, EvalCache(session_store))
         assert np.array_equal(M, M2) and colscale == colscale2
         assert np.array_equal(keys, keys2)
@@ -197,7 +203,7 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
         assert cache.stats.gen_products == made
         space = relation_space(Partition(*lam), cache=cache, use_cache=False)
         used |= {m for v in space.relvectors for m in v.terms}
-    assert cache._weight.bidegrees == {(6, 6)}
+    assert set(cache._spaces) == {(7, 5), (6, 6)}
     assert all(mono_bidegree(m) != (7, 5) for m in cache._abs_monos)
     assert cache.stats.gen_products == 332
     assert cache.stats.gen_products == len(

@@ -193,9 +193,11 @@ def test_residual_report_of_a_perturbed_relation(cache):
         "1b008d145c99f792f0ed8d24cc31328c53c431fb49a9be72ef82415db3f7c87a"
     )
     assert verify_zero(phi(bad), cache) == rep
-    # the column route and the trace route agree on a zero candidate too
-    assert verify_zero(phi(v75), cache) == verify_zero_abs(v75, cache)
-    assert verify_zero_abs(v75, cache).zero
+    # the column route and the trace route agree on a zero candidate too;
+    # a fresh cache holds no relation space, so v75 is assembled
+    fresh = EvalCache(store=cache.store)
+    assert verify_zero(phi(v75), cache) == verify_zero_abs(v75, fresh)
+    assert verify_zero_abs(v75, fresh).zero
 
 
 def test_generator_products_live_on_the_cache(cache):
@@ -389,47 +391,50 @@ def _bundled(name: str) -> AbsPoly:
 
 
 def _no_assembly(*args):
-    raise AssertionError("a member of the slot was assembled afresh")
+    raise AssertionError("a member of a held relation space was assembled")
 
 
-def test_a_member_of_the_slot_is_evaluated_from_its_matrix(cache, monkeypatch):
-    # with the (6,6) basis assembled, both (6,6) files and a basis vector
-    # (whose evaluation is not zero) are combinations of the slot's columns:
-    # they make no product and report what a fresh cache reports
-    basis = hwv_basis(Partition(6, 6))
-    candidates = [_bundled("v66prime.phi"), _bundled("v66second.phi"), basis.vectors[3]]
+def test_a_member_of_a_held_space_makes_no_product(cache, monkeypatch):
+    # once relation_space((6,6)) has solved the space, the cache holds it,
+    # and both (6,6) files, combinations of its relations, are zero by
+    # linearity: nothing is assembled, and the reports are a fresh cache's
+    candidates = [_bundled("v66prime.phi"), _bundled("v66second.phi")]
     want = [verify_zero_abs(p, EvalCache(store=cache.store)) for p in candidates]
     run = EvalCache(store=cache.store)
-    relfinder._assemble_matrix(basis.vectors, run)
+    relation_space(Partition(6, 6), cache=run, use_cache=False)
     before = run.stats.gen_products
     monkeypatch.setattr(relfinder, "leaf_groups", _no_assembly)
     assert [verify_zero_abs(p, run) for p in candidates] == want
     assert run.stats.gen_products == before
-    assert [rep.zero for rep in want] == [True, True, False]
+    assert all(rep.zero for rep in want)
 
 
-@pytest.mark.parametrize("scale", [1, 1 << 70], ids=["int64", "big-weight"])
-@pytest.mark.parametrize("big", [False, True], ids=["int64-M", "object-M"])
-def test_slot_combination_of_inhomogeneous_columns(big, scale, cache, monkeypatch):
-    # the same sum in int64 and, when M or the bound of the weighted columns
-    # reaches 2^62, in object dtype one column at a time
-    shared = (0, 1)
-    polys = [
-        AbsPoly({shared: Fraction(1), (0, 0, 1): Fraction(-2, 3)}),
-        AbsPoly({shared: Fraction(5, 2), (2,): Fraction(1)}),
-        AbsPoly({(1, 2): Fraction(7), shared: Fraction(-1)}),
-    ]
-    if big:
-        polys.insert(1, AbsPoly({shared: Fraction(1 << 60), (1, 2): Fraction(1, 3)}))
-    p = AbsPoly()
-    for k, v in enumerate(polys):
-        p = p + v.scale(Fraction(scale * (k + 2), 7))
-    want = verify_zero_abs(p, EvalCache(store=cache.store))
+def test_a_stored_space_answers_its_members_on_a_fresh_cache(s66, cache, monkeypatch):
+    # a space read back from the store is held like a solved one: a fresh
+    # cache reads it and then makes no product for a member
     run = EvalCache(store=cache.store)
-    M, _, _ = relfinder._assemble_matrix(polys, run)
-    assert (M.dtype == object) == big
+    assert relation_space(Partition(6, 6), cache=run).from_cache
     monkeypatch.setattr(relfinder, "leaf_groups", _no_assembly)
-    assert verify_zero_abs(p, run) == want
+    assert verify_zero_abs(_bundled("v66second.phi"), run).zero
+    assert run.stats.gen_products == 0
+
+
+def test_a_candidate_of_no_held_bidegree_is_assembled(s75, s66, cache):
+    # an inhomogeneous candidate, a zero one and a nonzero one, and the
+    # lowest orbit vector of the (7,5) relation, a zero of bidegree (5,7),
+    # which is no weight, miss the held spaces: each is assembled, and its
+    # report is a fresh cache's
+    v66, v75 = _bundled("v66second.phi"), _bundled("v75.phi")
+    m = abs_monomials(Partition(7, 5))[0]
+    lowest = orbit(s75)[-1]
+    assert lowest.bidegree() == (5, 7)
+    candidates = [v66 + v75, v66 + AbsPoly.monomial(m), lowest]
+    assert {(7, 5), (6, 6)} <= set(cache._spaces)
+    made = cache.stats.gen_products
+    got = [verify_zero_abs(p, cache) for p in candidates]
+    assert cache.stats.gen_products > made
+    assert got == [verify_zero_abs(p, EvalCache(store=cache.store)) for p in candidates]
+    assert [rep.zero for rep in got] == [True, False, True]
 
 
 def test_beyond_packed_capacity_nothing_is_evaluated():
@@ -445,15 +450,15 @@ def test_beyond_packed_capacity_nothing_is_evaluated():
 
 @pytest.mark.parametrize("k", [Fraction(1, 3), Fraction(-4)])
 def test_a_perturbed_candidate_is_assembled_afresh(k, cache):
-    # a relation plus k times a monomial of its basis: not in the span of
-    # the slot's columns, so it is assembled, and its report is a fresh one
+    # a relation plus k times a monomial of its basis is no member of the
+    # held (6,6) space, so it is assembled, and its report is a fresh one
     basis = hwv_basis(Partition(6, 6))
     m = next(m for v in basis.vectors for m in v.terms)
     assert not abs_delta(AbsPoly.monomial(m)).is_zero()  # not a highest weight vector
     bad = _bundled("v66second.phi") + AbsPoly.monomial(m).scale(k)
     want = verify_zero_abs(bad, EvalCache(store=cache.store))
     run = EvalCache(store=cache.store)
-    relfinder._assemble_matrix(basis.vectors, run)
+    relation_space(Partition(6, 6), cache=run)
     before = run.stats.gen_products
     got = verify_zero_abs(bad, run)
     assert run.stats.gen_products > before
