@@ -7,7 +7,8 @@
 # checked exactly by abs_delta, whose evaluated side the catalog certificate
 # proves; the relation space of the weight is found from values at points
 # mod p, and its relation vectors are proven zero by assembling their
-# matrix from generator-monomial products) and must evaluate each of
+# matrix on the slice y11 = 0 from generator-monomial products) and must
+# evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
 # trace-monomial products and 73 word evaluations.  It must also compute each
 # needed generator-monomial product exactly once, however many threads share

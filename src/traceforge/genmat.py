@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from ._lazy import np
 from .cache import CacheStore
@@ -43,6 +43,7 @@ from .packedpoly import (
     PackedPoly,
     XCAP,
     YCAP,
+    at_zero,
     derivation,
     sort_and_sum,
     sum_scaled,
@@ -74,6 +75,9 @@ VARSET18 = VarSet(
 )
 
 assert len(VARSET18) == NVARS
+
+# the variable that the slice of EvalCache.y11_slice sets to zero
+Y11 = VARSET18.index("y11")
 
 GenericMatrix = tuple[tuple[CommPoly, ...], ...]
 
@@ -294,7 +298,10 @@ class EvalCache:
     evaluating it.  hwv.hwv_verify assembles nothing: the evaluated side of
     its check rests on the catalog certificate.
     Products of word traces are not kept either: eval_trace_expr shares
-    prefixes within one call only.
+    prefixes within one call only.  relfinder._proven assembles on the
+    slice y11 = 0 (see y11_slice): the cache then also holds the generator
+    evaluations with y11 set to zero and the sliced memo, the proper
+    prefixes of their products, which count in the same stats.gen_products.
     """
 
     def __init__(self, store: CacheStore | None = None):
@@ -314,6 +321,32 @@ class EvalCache:
         # set by glcat.catalog once the store holds the catalog verdict
         self._catalog_stored = False
         self._lock = threading.Lock()
+        # the sliced generators and memo, made by y11_slice
+        self._y11_slice: Y11Slice | None = None
+
+    def y11_slice(self, gens: Sequence[PackedPoly]) -> "Y11Slice":
+        """The slice y11 = 0 of this cache, made on the first call from
+        gens, the evaluations of the 30 generators."""
+        with self._lock:
+            if self._y11_slice is None:
+                self._y11_slice = Y11Slice(self, gens)
+            return self._y11_slice
+
+
+class Y11Slice:
+    """The generator evaluations of an EvalCache with y11 set to zero, and
+    the memo of the proper prefixes of their products: all that
+    glcat.eval_abs_monomials, glcat.leaf_groups and relfinder._assemble_matrix
+    read of a cache.  Setting y11 to zero is a ring homomorphism, so a
+    product of sliced factors is the sliced product.  Its products count in
+    the stats of its cache, under the cache's lock.  It evaluates no word
+    trace and has no store."""
+
+    def __init__(self, cache: EvalCache, gens: Sequence[PackedPoly]):
+        self.stats = cache.stats
+        self._lock = cache._lock
+        self._gens = [at_zero(g, Y11) for g in gens]
+        self._abs_monos: dict[tuple[int, ...], PackedPoly] = {}
 
 
 _DEFAULT_CACHE = EvalCache()

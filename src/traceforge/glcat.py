@@ -507,11 +507,14 @@ _PRODUCT_THREADS = 4
 # The groups of one in_threads call (a trie level, or the fresh leaves of one
 # assembly) run on the calling thread while their raw volume, the sum over
 # their products of nnz(prefix) * nnz(generator), is below this.  Measured
-# on a 2-CPU box: the fresh leaves of a degree-12 weight reach 4.5 M raw
-# terms, and two threads saved them about 0.05 s but raised the peak RSS of
-# the degree-12 benchmark from 78.5 to as much as 83.7 MB.  The three
-# degree-14 relation spaces, whose fresh leaves reach 7.1 M to 18.3 M, take
-# 1.47 s with two threads against 1.70 s with one.
+# on a 2-CPU box, where relfinder._proven multiplies the leaves of the
+# relation vectors on the slice y11 = 0: their raw volume is 0.13 M for
+# (7,5) and 1.94 M for (6,6), and 0.49 M for (9,5), 8.08 M for (8,6) and
+# 2.53 M for (7,7), so of the seven paper weights only (8,6) runs on
+# threads.  Solving the three degree-14 relation spaces took 0.53-0.85 s
+# (median 0.65 s) at a peak RSS of 48.3-49.3 MB with two threads against
+# 0.51-0.95 s (median 0.65 s) at 46.3-46.4 MB with one, eight alternating
+# runs each.
 _PARALLEL_TERMS = 5_000_000
 
 

@@ -8,7 +8,8 @@ weight basis.  That kernel has two routes.  By default the one prime loop,
 nullspace.modular_kernel, takes it from the values of the basis vectors at
 random points mod p, which bound the relation count r from above, and each
 of the r relation vectors is proven zero exactly, by assembling the matrix
-of the relation vectors alone, which bounds r from below.  The exact mode,
+of the relation vectors alone on the slice y11 = 0 (see _proven), which
+bounds r from below.  The exact mode,
 the only caller that assembles the coefficient matrix M of every basis
 vector, takes the exact kernel of M with nullspace.null_stream.  The basis
 is only the tool that finds the relations: a relation space is its
@@ -40,6 +41,7 @@ from .glcat import (
     AbsPoly,
     Partition,
     ProductGroup,
+    _gen_evals,
     abs_delta,
     abs_delta1,
     abs_poly_text,
@@ -226,7 +228,7 @@ class _Columns:
 
 
 def _assemble_matrix(
-    polys: Sequence[AbsPoly], cache: genmat.EvalCache | None
+    polys: Sequence[AbsPoly], cache: genmat.EvalCache | genmat.Y11Slice | None
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The one evaluator of generator polynomials.
 
@@ -246,7 +248,10 @@ def _assemble_matrix(
     else int64.  The polys need not be homogeneous.  A monomial whose
     bidegree exceeds the packed fields raises PackedCapacityError before
     anything is evaluated.  Nothing of the result is kept on the cache: M
-    lives as long as its caller holds it.
+    lives as long as its caller holds it.  The cache may be the slice
+    y11 = 0 of a cache (see genmat.Y11Slice), whose sliced generators and
+    memo it then reads, so that M is the matrix of the evaluations with y11
+    set to zero.
     """
     cache = cache or genmat.default_cache()
     used = dict.fromkeys(m for v in polys for m in v.terms)
@@ -310,6 +315,14 @@ def _are_highest_weight_vectors(lam: Partition, vectors: Iterable[AbsPoly]) -> b
     )
 
 
+def _check_highest_weight(lam: Partition, vectors: Sequence[AbsPoly]) -> None:
+    """AssertionError unless _are_highest_weight_vectors(lam, vectors)."""
+    if not _are_highest_weight_vectors(lam, vectors):
+        raise AssertionError(
+            f"a relation vector is not a highest weight vector of bidegree ({lam.l1},{lam.l2})"
+        )
+
+
 # version of the stored relation-space summary; a summary whose fields may
 # differ must not be read under the same key.  Its zeta index the vectors of
 # hwv_basis in their order, which loading does not check (a stored space is
@@ -356,10 +369,7 @@ def relation_space(
     basis = hwv_basis(lam, threads=threads, cache=cache)
     zeta = _exact_zeta(basis, cache) if mode == "exact" else _modular_zeta(basis, cache)
     relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
-    if not _are_highest_weight_vectors(lam, relvectors):
-        raise AssertionError(
-            f"a relation vector is not a highest weight vector of bidegree ({lam.l1},{lam.l2})"
-        )
+    _check_highest_weight(lam, relvectors)
     space = RelationSpace(lam, tuple(zeta), relvectors, digest)
     if store is not None:
         store.put_json(
@@ -482,13 +492,25 @@ def _modular_zeta(basis: HwvBasis, cache: genmat.EvalCache) -> list[tuple[Fracti
 def _proven(
     zeta: Sequence[Sequence[Fraction]], basis: HwvBasis, cache: genmat.EvalCache
 ) -> bool:
-    """Is every combination sum_i z_i v_i of the basis vectors zero on the
-    generic matrices?  The relation vectors are assembled, and their matrix
-    must have no nonzero row.  Only mode "exact" assembles the matrix of the
-    basis itself, and it never calls this."""
+    """Is every combination f = ev(sum_i z_i v_i) of the basis vectors zero
+    on the generic matrices?  The combinations are assembled on the slice
+    y11 = 0 (see genmat.EvalCache.y11_slice), and their matrix must have no
+    nonzero row.  Only mode "exact" assembles the matrix of the basis
+    itself, in full, and it never calls this.
+
+    The slice decides because abs_delta kills every combination, which is
+    checked first (AssertionError otherwise, before any product).  The
+    catalog certificate proves D(ev(p)) = ev(abs_delta(p)) (see glcat), so
+    D f = 0, and f is fixed by y -> y + t x for every t.  With
+    t = -y11/x11 the new y has no y11 entry, so f(x, y) = f|_{y11=0}(x, y'),
+    where y' is y - (y11/x11) x without its y11 coordinate, and f = 0
+    exactly when f|_{y11=0} = 0.  Setting y11 to zero is a ring
+    homomorphism, so f|_{y11=0} is assembled from the sliced generators."""
     if not zeta:
         return True
-    M, _, _ = _assemble_matrix([_relation_vector(z, basis.vectors) for z in zeta], cache)
+    vectors = [_relation_vector(z, basis.vectors) for z in zeta]
+    _check_highest_weight(basis.lam, vectors)
+    M, _, _ = _assemble_matrix(vectors, cache.y11_slice(_gen_evals(cache)))
     return M.shape[0] == 0
 
 

@@ -188,9 +188,10 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
     small_bases, session_store
 ):
     # hwv_verify and relation_space for (7,5), then for (6,6), on one cache:
-    # verification makes no product, no (7,5) leaf stays in the memo, and
-    # every product is made once, the count of distinct proper prefixes and
-    # leaves of the relation vectors
+    # verification makes no product, the relation vectors are proven on the
+    # slice y11 = 0, so every product is made there, no (7,5) leaf stays in
+    # the sliced memo, and every product is made once, the count of
+    # distinct proper prefixes and leaves of the relation vectors
     from traceforge.genmat import EvalCache
     from traceforge.glcat import mono_bidegree
     from traceforge.relfinder import relation_space
@@ -204,7 +205,8 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
         space = relation_space(Partition(*lam), cache=cache, use_cache=False)
         used |= {m for v in space.relvectors for m in v.terms}
     assert set(cache._spaces) == {(7, 5), (6, 6)}
-    assert all(mono_bidegree(m) != (7, 5) for m in cache._abs_monos)
+    assert cache._abs_monos == {}
+    assert all(mono_bidegree(m) != (7, 5) for m in cache._y11_slice._abs_monos)
     assert cache.stats.gen_products == 332
     assert cache.stats.gen_products == len(
         {m[:n] for m in used for n in range(2, len(m) + 1)}

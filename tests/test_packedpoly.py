@@ -28,6 +28,7 @@ from traceforge.packedpoly import (
     YCAP,
     _combine,
     _den_gcd,
+    at_zero,
     pack_exponents,
     product_den,
     sum_scaled,
@@ -133,6 +134,18 @@ def test_from_column_reads_a_dense_column(ta, tb, scale):
     check_invariants(got)
     assert got == p
     assert (got.xdeg, got.ydeg) == (p.xdeg, p.ydeg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_dicts, term_dicts, st.integers(0, NVARS - 1))
+def test_at_zero_drops_the_terms_of_one_variable(ta, tb, var):
+    # the terms free of var, normalized again (dropping terms can leave a
+    # content that the denominator shares), and a ring homomorphism
+    (pa, _), (pb, _) = make(ta), make(tb)
+    got = at_zero(pa, var)
+    check_invariants(got)
+    assert got == PackedPoly.from_terms((e, c) for e, c in ta.items() if e[var] == 0)
+    assert at_zero(pa.mul(pb), var) == got.mul(at_zero(pb, var))
 
 
 def test_sum_scaled_batches_agree(monkeypatch):

@@ -496,6 +496,112 @@ def test_sorted_union_merges_in_batches(monkeypatch):
     assert relfinder._sorted_union([]).dtype == np.int64
 
 
+def _unit_vector_outside(space: RelationSpace, basis) -> tuple[Fraction, ...]:
+    """The zeta of the first basis vector that is no member of the space."""
+    i = next(i for i, v in enumerate(basis.vectors) if not membership(v, space))
+    return tuple(Fraction(int(k == i)) for k in range(basis.s))
+
+
+def test_the_slice_is_the_evaluation_at_y11_zero(s75, s66, cache):
+    # every leaf of the degree-12 relation vectors, multiplied from the
+    # sliced generators, is its full evaluation with y11 set to zero, and
+    # the sliced products count in the stats of the cache
+    from traceforge import glcat
+    from traceforge.genmat import VARSET18
+    from traceforge.packedpoly import unpack_keys
+
+    run = EvalCache(store=cache.store)
+    leaves = sorted({m for s in (s75, s66) for v in s.relvectors for m in v.terms})
+    full = glcat.eval_abs_monomials(leaves, run)
+    made = run.stats.gen_products
+    part = run.y11_slice(glcat._gen_evals(run))
+    assert run.y11_slice([]) is part
+    sliced = glcat.eval_abs_monomials(leaves, part)
+    assert run.stats.gen_products == 2 * made > 0
+    y11 = VARSET18.index("y11")
+    for f, g in zip(full, sliced):
+        free = unpack_keys(f.keys)[:, y11] == 0
+        assert g == PackedPoly.from_column(f.keys[free], f.coeffs[free], f.den)
+    assert sum(g.nnz for g in sliced) < sum(f.nnz for f in full)
+    # a basis vector outside the (7,5) space is no relation on the slice
+    basis = hwv_basis(Partition(7, 5))
+    assert relfinder._proven(s75.zeta, basis, run)
+    assert not relfinder._proven([_unit_vector_outside(s75, basis)], basis, run)
+
+
+def test_threads_share_one_slice_and_make_each_product_once(s66, cache, monkeypatch):
+    # threads that ask for the slice at once get one slice, and a proof on
+    # four threads makes each product of the relation vectors once
+    import os
+    import sys
+    import threading
+
+    from traceforge import glcat
+
+    run = EvalCache(store=cache.store)
+    gens = glcat._gen_evals(run)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=lambda: got.append(run.y11_slice(gens))) for _ in range(8)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 8 and all(part is run._y11_slice for part in got)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
+    assert relfinder._proven(s66.zeta, hwv_basis(Partition(6, 6)), run)
+    used = {m for v in s66.relvectors for m in v.terms}
+    assert run.stats.gen_products == len({m[:n] for m in used for n in range(2, len(m) + 1)})
+
+
+def test_a_combination_that_abs_delta_does_not_kill_is_refused(s75, cache, monkeypatch):
+    # the slice decides only where abs_delta kills the combination: a
+    # relation plus a monomial that abs_delta does not kill raises before
+    # _proven makes a product
+    from traceforge import glcat
+
+    def no_products(*args):
+        raise RuntimeError("_proven assembled a combination it must refuse")
+
+    basis = hwv_basis(Partition(7, 5))
+    m = next(m for m in basis.monomials if not abs_delta(AbsPoly.monomial(m)).is_zero())
+    bad = basis._replace(vectors=(*basis.vectors, AbsPoly.monomial(m)))
+    zeta = [(*s75.zeta[0], Fraction(1))]
+    run = EvalCache(store=cache.store)
+    monkeypatch.setattr(glcat, "leaf_groups", no_products)
+    monkeypatch.setattr(relfinder, "leaf_groups", no_products)
+    with pytest.raises(AssertionError, match=r"not a highest weight vector of bidegree \(7,5\)"):
+        relfinder._proven(zeta, bad, run)
+    assert run.stats.gen_products == 0 and run._y11_slice is None
+
+
+@pytest.mark.extended
+def test_the_slice_and_the_full_evaluation_agree_at_every_weight(cache):
+    # at all seven weights the relations are proven on the slice and are
+    # zero in full, and the first basis vector outside the space is not
+    # proven on the slice and is nonzero in full
+    for lams in LAMBDAS_BY_DEGREE.values():
+        for lam in lams:
+            space = relation_space(lam, cache=cache)
+            basis = hwv_basis(lam, cache=cache)
+            outside = _unit_vector_outside(space, basis)
+            assert relfinder._proven(space.zeta, basis, cache), lam
+            assert not relfinder._proven([outside], basis, cache), lam
+            M, _, _ = relfinder._assemble_matrix(space.relvectors, cache)
+            assert M.shape[0] == 0, lam
+            vector = relfinder._relation_vector(outside, basis.vectors)
+            M, _, _ = relfinder._assemble_matrix([vector], cache)
+            assert M.shape[0] > 0, lam
+
+
 def test_relation_space_cache_round_trip(cache):
     first = relation_space(Partition(6, 6), cache=cache)
     again = relation_space(Partition(6, 6), cache=cache)
