@@ -11,8 +11,8 @@
 # evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
 # trace-monomial products and 73 word evaluations.  It must also compute each
-# needed generator-monomial product exactly once, however many threads share
-# them: the script fails unless it reports 1167 of them.  It must leave one
+# needed generator-monomial product exactly once: the script fails unless it
+# reports 1167 of them.  It must leave one
 # file per cache write: the script fails unless the cache dir then holds
 # exactly as many files as the pass reports cache writes, none of them a
 # checksum sidecar or a leftover temporary.  It must stay within 120 MB: the

@@ -21,10 +21,9 @@ that D kills.
 
 from __future__ import annotations
 
-import os
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import genmat
 from .cache import digest_text
@@ -499,25 +498,6 @@ def eval_abs_monomial(
     return eval_abs_monomials([mono], cache)[0]
 
 
-# Generator-monomial products run on at most this many threads, the caller
-# included: the sorts that build a sum table release the GIL (its
-# scatter-adds hold it), and every added thread keeps its own malloc arena,
-# so threads cost memory.
-_PRODUCT_THREADS = 4
-# The groups of one in_threads call (a trie level, or the fresh leaves of one
-# assembly) run on the calling thread while their raw volume, the sum over
-# their products of nnz(prefix) * nnz(generator), is below this.  Measured
-# on a 2-CPU box, where relfinder._proven multiplies the leaves of the
-# relation vectors on the slice y11 = 0: their raw volume is 0.13 M for
-# (7,5) and 1.94 M for (6,6), and 0.49 M for (9,5), 8.08 M for (8,6) and
-# 2.53 M for (7,7), so of the seven paper weights only (8,6) runs on
-# threads.  Solving the three degree-14 relation spaces took 0.53-0.85 s
-# (median 0.65 s) at a peak RSS of 48.3-49.3 MB with two threads against
-# 0.51-0.95 s (median 0.65 s) at 46.3-46.4 MB with one, eight alternating
-# runs each.
-_PARALLEL_TERMS = 5_000_000
-
-
 def eval_abs_monomials(
     monos: Iterable[AbsMonomial], cache: genmat.EvalCache | None = None
 ) -> list[PackedPoly]:
@@ -544,8 +524,8 @@ def eval_abs_monomials(
             for mono in levels.pop(1, ()):
                 memo[mono] = gens[mono[0]]
         for n in sorted(levels):
-            groups = _by_last_generator(levels[n], cache)
-            in_threads(groups, ProductGroup.volume, lambda group: group.evaluate(cache))
+            for group in _by_last_generator(levels[n], cache):
+                group.evaluate(cache)
     return [
         memo[m] if m else PackedPoly.from_terms([((0,) * NVARS, Fraction(1))])
         for m in monos
@@ -564,9 +544,6 @@ class ProductGroup:
         self.gen = _gen_evals(cache)[monos[0][-1]]
         self.prefixes = [memo[m[:-1]] for m in monos]
         self.table: SumTable | None = None
-
-    def volume(self) -> int:
-        return sum(p.nnz for p in self.prefixes) * self.gen.nnz
 
     def build(self) -> None:
         self.table = SumTable(self.prefixes, self.gen)
@@ -607,10 +584,10 @@ def leaf_groups(
 ) -> tuple[dict[AbsMonomial, PackedPoly], list[ProductGroup]]:
     """(evals, groups) for distinct monomials: evals maps the monomials that
     are already evaluated to their evaluations; the others, the fresh
-    leaves, are in groups, whose tables are built (see in_threads).  Every
-    prefix of a fresh leaf is evaluated first (see eval_abs_monomials); a
-    fresh leaf is evaluated only when its group's products are taken, and is
-    not memoized."""
+    leaves, are in groups, whose tables are built, one group after another
+    on the calling thread.  Every prefix of a fresh leaf is evaluated first
+    (see eval_abs_monomials); a fresh leaf is evaluated only when its
+    group's products are taken, and is not memoized."""
     monos = list(monos)
     cache = cache or genmat.default_cache()
     memo = cache._abs_monos
@@ -618,43 +595,9 @@ def leaf_groups(
     fresh = [m for m in monos if len(m) > 1 and m not in memo]
     done = [m for m in monos if len(m) <= 1 or m in memo]
     groups = _by_last_generator(fresh, cache)
-    in_threads(groups, ProductGroup.volume, ProductGroup.build)
+    for group in groups:
+        group.build()
     return dict(zip(done, eval_abs_monomials(done, cache))), groups
-
-
-_T = TypeVar("_T")
-
-
-def in_threads(
-    items: Sequence[_T], cost: Callable[[_T], int], work: Callable[[_T], object]
-) -> None:
-    """work(item) for every item, largest cost first.  When the costs sum to
-    _PARALLEL_TERMS or more, up to _PRODUCT_THREADS threads (os.cpu_count(),
-    capped), the calling thread among them, take the items one at a time."""
-    costs = [cost(item) for item in items]
-    order = sorted(range(len(items)), key=costs.__getitem__, reverse=True)
-    todo = (items[k] for k in order)
-    lock = threading.Lock()
-
-    def run() -> None:
-        while True:
-            with lock:
-                item = next(todo, None)
-            if item is None:
-                return
-            work(item)
-
-    workers = min(os.cpu_count() or 1, _PRODUCT_THREADS, len(items))
-    if workers < 2 or sum(costs) < _PARALLEL_TERMS:
-        run()
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(run) for _ in range(workers - 1)]
-        run()
-        for h in helpers:
-            h.result()
 
 
 # ---------------------------------------------------------------------------

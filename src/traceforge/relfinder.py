@@ -25,7 +25,6 @@ degree relations and genuinely new ones.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -40,7 +39,6 @@ from .glcat import (
     AbsMonomial,
     AbsPoly,
     Partition,
-    ProductGroup,
     _gen_evals,
     abs_delta,
     abs_delta1,
@@ -50,7 +48,6 @@ from .glcat import (
     eval_abs_monomial,  # unused here; bench/tracer.py wraps relfinder.eval_abs_monomial
     gen_by_modj,
     gen_values,
-    in_threads,
     leaf_groups,
     mono_bidegree,
     mono_name,
@@ -208,23 +205,21 @@ class _Columns:
         self.bounds = [0] * ncols
         self.uses = uses
         self.den = den
-        self.lock = threading.Lock()
 
     def place(self, m: AbsMonomial, pos: np.ndarray, e: PackedPoly) -> None:
         """Add e = ev(m), whose keys are at the rows pos, scaled into every
         column that uses m."""
         if e.den != self.den[m]:
             raise AssertionError(f"denominator of {mono_name(m)} differs from its prediction")
-        with self.lock:
-            for i, w in self.uses[m]:
-                self.bounds[i] += abs(w) * e.bound
-                if self.bounds[i] >= 1 << 62 and self.M.dtype != object:
-                    self.M = self.M.astype(object)
-            M = self.M
-            coeffs = e.coeffs.astype(object) if M.dtype == object and not e.is_big() else e.coeffs
-            # M is column-major, so M[:, i] is a contiguous view
-            for i, w in self.uses[m]:
-                np.add.at(M[:, i], pos, coeffs * w)
+        for i, w in self.uses[m]:
+            self.bounds[i] += abs(w) * e.bound
+            if self.bounds[i] >= 1 << 62 and self.M.dtype != object:
+                self.M = self.M.astype(object)
+        M = self.M
+        coeffs = e.coeffs.astype(object) if M.dtype == object and not e.is_big() else e.coeffs
+        # M is column-major, so M[:, i] is a contiguous view
+        for i, w in self.uses[m]:
+            np.add.at(M[:, i], pos, coeffs * w)
 
 
 def _assemble_matrix(
@@ -239,19 +234,18 @@ def _assemble_matrix(
     phi is never expanded.  Each evaluation is placed once and added, scaled,
     into every column that uses it (see _Columns.place).  A monomial already
     evaluated is placed by a search of its keys.  The fresh leaves are
-    multiplied here, one glcat.ProductGroup at a time on the machine's cores
-    (see glcat.in_threads), and each is placed through the positions of its
-    group's key sums among the rows, with no search.  A fresh leaf is never
-    memoized: it dies as soon as it is placed, so at most one leaf per
-    thread is alive beside M.  Its proper prefixes stay memoized on the
-    cache.  M has object dtype when the bound of some column reaches 2^62,
-    else int64.  The polys need not be homogeneous.  A monomial whose
-    bidegree exceeds the packed fields raises PackedCapacityError before
-    anything is evaluated.  Nothing of the result is kept on the cache: M
-    lives as long as its caller holds it.  The cache may be the slice
-    y11 = 0 of a cache (see genmat.Y11Slice), whose sliced generators and
-    memo it then reads, so that M is the matrix of the evaluations with y11
-    set to zero.
+    multiplied here, one glcat.ProductGroup after another on the calling
+    thread, and each is placed through the positions of its group's key
+    sums among the rows, with no search.  A fresh leaf is never memoized:
+    it dies as soon as it is placed, so at most one leaf is alive beside M.
+    Its proper prefixes stay memoized on the cache.  M has object dtype
+    when the bound of some column reaches 2^62, else int64.  The polys need
+    not be homogeneous.  A monomial whose bidegree exceeds the packed fields
+    raises PackedCapacityError before anything is evaluated.  Nothing of the
+    result is kept on the cache: M lives as long as its caller holds it.
+    The cache may be the slice y11 = 0 of a cache (see genmat.Y11Slice),
+    whose sliced generators and memo it then reads, so that M is the matrix
+    of the evaluations with y11 set to zero.
     """
     cache = cache or genmat.default_cache()
     used = dict.fromkeys(m for v in polys for m in v.terms)
@@ -281,12 +275,10 @@ def _assemble_matrix(
     for m, e in evals.items():
         cols.place(m, np.searchsorted(all_keys, e.keys), e)
 
-    def fill(grp: ProductGroup) -> None:
+    for grp in groups:
         at = np.searchsorted(all_keys, grp.table.sums)
         for m, pos, e in grp.products(cache):
             cols.place(m, at[pos], e)
-
-    in_threads(groups, ProductGroup.volume, fill)
     M = cols.M
     rows = np.flatnonzero(M.any(axis=1))
     # the nonzero rows move up in place, one contiguous column at a time
@@ -367,9 +359,12 @@ def relation_space(
             if loaded is not None:
                 return _held(loaded, cache)
     basis = hwv_basis(lam, threads=threads, cache=cache)
-    zeta = _exact_zeta(basis, cache) if mode == "exact" else _modular_zeta(basis, cache)
-    relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
-    _check_highest_weight(lam, relvectors)
+    if mode == "exact":
+        zeta = _exact_zeta(basis, cache)
+        relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
+        _check_highest_weight(lam, relvectors)
+    else:
+        zeta, relvectors = _modular_zeta(basis, cache)
     space = RelationSpace(lam, tuple(zeta), relvectors, digest)
     if store is not None:
         store.put_json(
@@ -462,9 +457,12 @@ class _BasisValues:
         return genmat.mod_matmul(values.T, coeffs.T, p)
 
 
-def _modular_zeta(basis: HwvBasis, cache: genmat.EvalCache) -> list[tuple[Fraction, ...]]:
-    """The kernel of the evaluation map on the basis, from its values at
-    points mod p, each vector proven exactly (see _proven).
+def _modular_zeta(
+    basis: HwvBasis, cache: genmat.EvalCache
+) -> tuple[list[tuple[Fraction, ...]], tuple[AbsPoly, ...]]:
+    """(zeta, relvectors): the kernel of the evaluation map on the basis,
+    from its values at points mod p, and the relation vectors that _proven
+    built and proved zero exactly from those zeta.
 
     A relation vanishes at every point, so r <= s - rank_p(E_p) for every
     prime p that divides no denominator; the vote of nullspace.modular_kernel
@@ -474,6 +472,7 @@ def _modular_zeta(basis: HwvBasis, cache: genmat.EvalCache) -> list[tuple[Fracti
     _EXTRA_POINTS more points."""
     values = _BasisValues(basis)
     drawn = []
+    proved: list[tuple[AbsPoly, ...] | None] = []
 
     def echelon(p: int):
         n = basis.s + _EXTRA_POINTS * (1 + len(drawn) // 2)
@@ -481,22 +480,28 @@ def _modular_zeta(basis: HwvBasis, cache: genmat.EvalCache) -> list[tuple[Fracti
         E = values(p, n, cache)
         return None if E is None else _rref_mod(E, p)
 
+    def prove(zeta: Sequence[Sequence[Fraction]]) -> bool:
+        proved.append(_proven(zeta, basis, cache))
+        return proved[-1] is not None
+
     try:
-        kernel = modular_kernel(echelon, basis.s, lambda zeta: _proven(zeta, basis, cache))
+        kernel = modular_kernel(echelon, basis.s, prove)
     except NullStreamError as exc:
         lam = basis.lam
         raise NullStreamError(f"relation space of weight ({lam.l1},{lam.l2}): {exc}") from exc
-    return list(kernel.vectors)
+    # modular_kernel returns the zeta of the last proof, which held
+    return list(kernel.vectors), proved[-1]
 
 
 def _proven(
     zeta: Sequence[Sequence[Fraction]], basis: HwvBasis, cache: genmat.EvalCache
-) -> bool:
-    """Is every combination f = ev(sum_i z_i v_i) of the basis vectors zero
-    on the generic matrices?  The combinations are assembled on the slice
-    y11 = 0 (see genmat.EvalCache.y11_slice), and their matrix must have no
-    nonzero row.  Only mode "exact" assembles the matrix of the basis
-    itself, in full, and it never calls this.
+) -> tuple[AbsPoly, ...] | None:
+    """The combinations sum_i z_i v_i of the basis vectors, one per zeta,
+    when every f = ev(sum_i z_i v_i) is zero on the generic matrices, else
+    None.  The combinations are assembled on the slice y11 = 0 (see
+    genmat.EvalCache.y11_slice), and their matrix must have no nonzero row.
+    Only mode "exact" assembles the matrix of the basis itself, in full,
+    and it never calls this.
 
     The slice decides because abs_delta kills every combination, which is
     checked first (AssertionError otherwise, before any product).  The
@@ -506,12 +511,12 @@ def _proven(
     where y' is y - (y11/x11) x without its y11 coordinate, and f = 0
     exactly when f|_{y11=0} = 0.  Setting y11 to zero is a ring
     homomorphism, so f|_{y11=0} is assembled from the sliced generators."""
-    if not zeta:
-        return True
-    vectors = [_relation_vector(z, basis.vectors) for z in zeta]
+    vectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
+    if not vectors:
+        return vectors
     _check_highest_weight(basis.lam, vectors)
     M, _, _ = _assemble_matrix(vectors, cache.y11_slice(_gen_evals(cache)))
-    return M.shape[0] == 0
+    return vectors if M.shape[0] == 0 else None
 
 
 def _load_space(lam: Partition, summary: dict, catalog: str) -> RelationSpace | None:

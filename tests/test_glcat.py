@@ -259,8 +259,9 @@ def test_phi_reads_the_catalog_verdict_of_its_cache(tmp_path):
         assert json.loads(proc.stdout) == {"default": 0, "cache": 0}, call
 
 
-def test_threaded_products_equal_the_serial_chain(session_store, monkeypatch):
-    import os
+def test_callers_sharing_a_cache_lose_no_update(session_store, monkeypatch):
+    # library callers may share one EvalCache across their own threads: the
+    # cache's lock keeps every memo entry and every count of a product
     import sys
     import threading
 
@@ -268,16 +269,12 @@ def test_threaded_products_equal_the_serial_chain(session_store, monkeypatch):
     from traceforge.hwv import hwv_basis
     from traceforge.packedpoly import PackedPoly, SumTable
 
-    # four workers on any machine, and every level on the pool
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
-    mul = PackedPoly.mul
     product = SumTable.product
-    threads = set()
+    calls = []
 
     # every generator-monomial product is one SumTable.product call
     def recorded_product(table, p):
-        threads.add(threading.get_ident())
+        calls.append(threading.get_ident())
         return product(table, p)
 
     monkeypatch.setattr(SumTable, "product", recorded_product)
@@ -286,22 +283,41 @@ def test_threaded_products_equal_the_serial_chain(session_store, monkeypatch):
     ))
     prefixes = {m[:n] for m in monos for n in range(2, len(m) + 1)}
     cache = EvalCache(session_store)
+    glcat._gen_evals(cache)
+    # four callers, each sharing half of its monomials with every other
+    half = len(monos) // 2
+    parts = [monos[:half] + monos[half + k :: 4] for k in range(4)]
+    got: dict[int, list[PackedPoly]] = {}
+    workers = [
+        threading.Thread(
+            target=lambda k=k: got.__setitem__(k, glcat.eval_abs_monomials(parts[k], cache))
+        )
+        for k in range(4)
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        got = glcat.eval_abs_monomials(monos, cache)
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=300)
+        assert not any(w.is_alive() for w in workers)
     finally:
         sys.setswitchinterval(interval)
-    assert len(threads) > 1
-    # a lost update of the counter or the memo would show here
-    assert cache.stats.gen_products == len(prefixes)
+    assert sorted(got) == list(range(4)) and len(set(calls)) > 1
+    # a lost update of the counter or the memo would show here; callers that
+    # race for one prefix may each make it, and each product counts
+    assert cache.stats.gen_products == len(calls) >= len(prefixes)
     assert set(cache._abs_monos) == prefixes | {m[:1] for m in monos}
     gens = glcat._gen_evals(cache)
-    for m, p in zip(monos, got):
+    for m in prefixes:
         want = gens[m[0]]
         for g in m[1:]:
-            want = mul(want, gens[g])
-        assert p.to_bytes() == want.to_bytes(), m
+            want = PackedPoly.mul(want, gens[g])
+        assert cache._abs_monos[m].to_bytes() == want.to_bytes(), m
+    for k, part in enumerate(parts):
+        assert all(p.to_bytes() == cache._abs_monos[m].to_bytes() for m, p in zip(part, got[k]))
+    made = cache.stats.gen_products
     again = glcat.eval_abs_monomials(monos, cache)
-    assert cache.stats.gen_products == len(prefixes)
-    assert all(a is b for a, b in zip(again, got))
+    assert cache.stats.gen_products == made
+    assert all(a is cache._abs_monos[m] for m, a in zip(monos, again))

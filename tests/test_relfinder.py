@@ -283,16 +283,11 @@ def test_assembled_matrix_is_pinned(lam, cache):
     assert hashlib.sha256(M[M.any(axis=1)].tobytes()).hexdigest() == nonzero_sha
 
 
-def test_mixed_routes_assemble_the_same_matrix(cache, monkeypatch):
+def test_mixed_routes_assemble_the_same_matrix(cache):
     # a fresh leaf is placed through its sum table, a memoized one by a
-    # search of its keys: with half of the (6,6) monomials memoized, and
-    # with the fresh ones on four threads, M is the all-fresh M
-    import os
-    import sys
-    import threading
-
+    # search of its keys: with half of the (6,6) monomials memoized, M is
+    # the all-fresh M
     from traceforge import glcat
-    from traceforge.packedpoly import SumTable
 
     vectors = hwv_basis(Partition(6, 6)).vectors
     used = list(dict.fromkeys(m for v in vectors for m in v.terms))
@@ -312,45 +307,18 @@ def test_mixed_routes_assemble_the_same_matrix(cache, monkeypatch):
     (M, colscale, keys), products = assemble([])
     assert products == len({m[:n] for m in used for n in range(2, len(m) + 1)})
     mixed, mixed_products = assemble(used[::2])
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
-    product = SumTable.product
-    threads = set()
-
-    def recorded_product(table, p):
-        threads.add(threading.get_ident())
-        return product(table, p)
-
-    monkeypatch.setattr(SumTable, "product", recorded_product)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threaded, threaded_products = assemble(used[1::2])
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(threads) > 1
     # every product is made once, whichever route it takes
-    assert mixed_products == threaded_products == products
-    for got in (mixed, threaded):
-        assert got[0].dtype == M.dtype and np.array_equal(got[0], M)
-        assert got[1] == colscale
-        assert np.array_equal(got[2], keys)
+    assert mixed_products == products
+    assert mixed[0].dtype == M.dtype and np.array_equal(mixed[0], M)
+    assert mixed[1] == colscale
+    assert np.array_equal(mixed[2], keys)
 
 
-@pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threads"])
-def test_a_fresh_leaf_dies_once_it_is_placed(threaded, cache, monkeypatch):
-    # at each placement, the memo holds no more (6,6) monomials than there
-    # are product groups in flight, and none once M is assembled
-    import os
-    import threading
-
-    from traceforge import glcat
+def test_a_fresh_leaf_dies_once_it_is_placed(cache, monkeypatch):
+    # at each placement one product group is in flight, and the memo holds
+    # at most one (6,6) monomial, none once M is assembled
     from traceforge.glcat import ProductGroup, mono_bidegree
 
-    if threaded:
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
-    lock = threading.Lock()
     in_flight = [0]
     seen: list[tuple[int, int]] = []
     placed = set()
@@ -358,21 +326,18 @@ def test_a_fresh_leaf_dies_once_it_is_placed(threaded, cache, monkeypatch):
     products = ProductGroup.products
 
     def counted_products(grp, c):
-        with lock:
-            in_flight[0] += 1
+        in_flight[0] += 1
         try:
             yield from products(grp, c)
         finally:
-            with lock:
-                in_flight[0] -= 1
+            in_flight[0] -= 1
 
     place = relfinder._Columns.place
 
     def recorded_place(cols, m, pos, e):
-        with lock:
-            full = sum(mono_bidegree(k) == (6, 6) for k in list(run._abs_monos))
-            seen.append((full, in_flight[0]))
-            placed.add(m)
+        full = sum(mono_bidegree(k) == (6, 6) for k in run._abs_monos)
+        seen.append((full, in_flight[0]))
+        placed.add(m)
         place(cols, m, pos, e)
 
     monkeypatch.setattr(ProductGroup, "products", counted_products)
@@ -381,7 +346,7 @@ def test_a_fresh_leaf_dies_once_it_is_placed(threaded, cache, monkeypatch):
     used = {m for v in vectors for m in v.terms}
     relfinder._assemble_matrix(vectors, run)
     assert placed == used and len(seen) == len(used)
-    assert max(n for _, n in seen) >= 1
+    assert max(n for _, n in seen) == 1
     assert all(full <= n for full, n in seen)
     assert not any(mono_bidegree(k) == (6, 6) for k in run._abs_monos)
 
@@ -525,14 +490,13 @@ def test_the_slice_is_the_evaluation_at_y11_zero(s75, s66, cache):
     assert sum(g.nnz for g in sliced) < sum(f.nnz for f in full)
     # a basis vector outside the (7,5) space is no relation on the slice
     basis = hwv_basis(Partition(7, 5))
-    assert relfinder._proven(s75.zeta, basis, run)
-    assert not relfinder._proven([_unit_vector_outside(s75, basis)], basis, run)
+    assert relfinder._proven(s75.zeta, basis, run) == s75.relvectors
+    assert relfinder._proven([_unit_vector_outside(s75, basis)], basis, run) is None
 
 
-def test_threads_share_one_slice_and_make_each_product_once(s66, cache, monkeypatch):
+def test_threads_share_one_slice_and_make_each_product_once(s66, cache):
     # threads that ask for the slice at once get one slice, and a proof on
-    # four threads makes each product of the relation vectors once
-    import os
+    # it makes each product of the relation vectors once
     import sys
     import threading
 
@@ -555,11 +519,59 @@ def test_threads_share_one_slice_and_make_each_product_once(s66, cache, monkeypa
     finally:
         sys.setswitchinterval(interval)
     assert len(got) == 8 and all(part is run._y11_slice for part in got)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(glcat, "_PARALLEL_TERMS", 0)
-    assert relfinder._proven(s66.zeta, hwv_basis(Partition(6, 6)), run)
+    assert relfinder._proven(s66.zeta, hwv_basis(Partition(6, 6)), run) == s66.relvectors
     used = {m for v in s66.relvectors for m in v.terms}
     assert run.stats.gen_products == len({m[:n] for m in used for n in range(2, len(m) + 1)})
+
+
+def test_every_product_of_a_proof_runs_on_the_calling_thread(cache, monkeypatch):
+    # the (8,6) proof multiplies 8.08 M raw terms on the slice, the largest
+    # of the seven weights; on a machine of any core count each of its
+    # products runs on the thread that asked for the proof
+    import os
+    import threading
+
+    from traceforge.packedpoly import SumTable
+
+    lam = Partition(8, 6)
+    space = relation_space(lam, cache=cache)
+    basis = hwv_basis(lam, cache=cache)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    product = SumTable.product
+    threads = []
+
+    def recorded_product(table, p):
+        threads.append(threading.get_ident())
+        return product(table, p)
+
+    monkeypatch.setattr(SumTable, "product", recorded_product)
+    run = EvalCache(store=cache.store)
+    proved = relfinder._proven(space.zeta, basis, run)
+    assert threads and set(threads) == {threading.get_ident()}
+    assert len(threads) == run.stats.gen_products
+    assert proved == space.relvectors
+
+
+def test_the_modular_mode_builds_and_checks_each_relation_vector_once(cache, monkeypatch):
+    # _proven builds and checks the vectors it proves, and relation_space
+    # keeps them rather than building and checking them again
+    built, checked = [], []
+    combine, check = relfinder._relation_vector, relfinder._check_highest_weight
+
+    def recorded_combine(zeta, vectors):
+        built.append(tuple(zeta))
+        return combine(zeta, vectors)
+
+    def recorded_check(lam, vectors):
+        checked.append(tuple(vectors))
+        check(lam, vectors)
+
+    monkeypatch.setattr(relfinder, "_relation_vector", recorded_combine)
+    monkeypatch.setattr(relfinder, "_check_highest_weight", recorded_check)
+    space = relation_space(Partition(7, 5), cache=EvalCache(store=cache.store), use_cache=False)
+    assert space.r > 0
+    assert built == list(space.zeta)
+    assert checked == [space.relvectors]
 
 
 def test_a_combination_that_abs_delta_does_not_kill_is_refused(s75, cache, monkeypatch):
@@ -593,8 +605,8 @@ def test_the_slice_and_the_full_evaluation_agree_at_every_weight(cache):
             space = relation_space(lam, cache=cache)
             basis = hwv_basis(lam, cache=cache)
             outside = _unit_vector_outside(space, basis)
-            assert relfinder._proven(space.zeta, basis, cache), lam
-            assert not relfinder._proven([outside], basis, cache), lam
+            assert relfinder._proven(space.zeta, basis, cache) == space.relvectors, lam
+            assert relfinder._proven([outside], basis, cache) is None, lam
             M, _, _ = relfinder._assemble_matrix(space.relvectors, cache)
             assert M.shape[0] == 0, lam
             vector = relfinder._relation_vector(outside, basis.vectors)
