@@ -11,16 +11,19 @@
 # evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
 # trace-monomial products and 73 word evaluations.  It must also compute each
-# needed generator-monomial product exactly once: the script fails unless it
-# reports 1167 of them.  It must leave one
+# needed generator-monomial product exactly once, the leaves of a proof that
+# end in one generator combined per column where that needs fewer products:
+# the script fails unless it reports 554 of them.  It must leave one
 # file per cache write: the script fails unless the cache dir then holds
 # exactly as many files as the pass reports cache writes, none of them a
 # checksum sidecar or a leftover temporary.  It must stay within 120 MB: the
 # script fails if the `peak_rss_mb` of its `stats:` line exceeds 120, the
 # memory the degree-14 weights are meant to fit in.  The second pass must do
 # no fresh work: the script fails unless it reports zero word evaluations,
-# trace-monomial and generator-monomial products, and zero cache misses,
-# corrupt entries and writes.  Then, in one process on a fresh cache over
+# trace-monomial and generator-monomial products, zero cache misses, corrupt
+# entries and writes, and zero relation spaces solved, and unless it reads
+# each of the seven relation spaces from the store exactly once (later
+# tables use the space the cache holds).  Then, in one process on a fresh cache over
 # the same directory, `new_relations(14)` and the leading analysis of the
 # three degree-14 spaces must read every relation space as its stored
 # relation vectors: the script fails unless that cache solved no highest
@@ -93,8 +96,8 @@ if ! grep -Eq "(^| )word_evals=73( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass did not evaluate each catalog word once (${stats:-no stats line})" >&2
     exit 1
 fi
-if ! grep -Eq "(^| )gen_products=1167( |$)" <<<"$stats"; then
-    echo "FAIL: the cold pass did not make the 1167 generator-monomial products (${stats:-no stats line})" >&2
+if ! grep -Eq "(^| )gen_products=554( |$)" <<<"$stats"; then
+    echo "FAIL: the cold pass did not make the 554 generator-monomial products (${stats:-no stats line})" >&2
     exit 1
 fi
 # one file per cache entry: no checksum sidecars, no leftover temporaries
@@ -120,13 +123,17 @@ out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --paper-ta
 echo "$out"
 
 stats="$(grep '^stats:' <<<"$out" || true)"
-for counter in word_evals mono_products gen_products \
+for counter in word_evals mono_products gen_products spaces_solved \
         cache_misses cache_corrupt cache_writes; do
     if ! grep -Eq "(^| )${counter}=0( |$)" <<<"$stats"; then
         echo "FAIL: the warm pass did fresh work (${stats:-no stats line})" >&2
         exit 1
     fi
 done
+if ! grep -Eq "(^| )spaces_loaded=7( |$)" <<<"$stats"; then
+    echo "FAIL: the warm pass did not read each of the 7 relation spaces once (${stats:-no stats line})" >&2
+    exit 1
+fi
 echo "warm pass did no fresh work: $stats"
 
 # a stored relation space is read without its highest weight basis

@@ -584,6 +584,9 @@ def cmd_reproduce(cfg: Config, args) -> Result:
         "word_evals": cache.stats.word_evals,
         "mono_products": cache.stats.mono_products,
         "gen_products": cache.stats.gen_products,
+        "bases_solved": cache.stats.bases_solved,
+        "spaces_solved": cache.stats.spaces_solved,
+        "spaces_loaded": cache.stats.spaces_loaded,
         "disk_hits": cache.stats.disk_hits,
         "cache_hits": store.stats.hits,
         "cache_misses": store.stats.misses,

@@ -275,10 +275,14 @@ def _comm_matmul(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
 
 
 class EvalStats:
-    """Fresh-work counters of one EvalCache."""
+    """Fresh-work counters of one EvalCache: besides evaluations and
+    products, the highest weight bases solved (hwv.hwv_basis) and the
+    relation spaces solved and read from the store
+    (relfinder.relation_space)."""
 
     def __init__(self) -> None:
         self.word_evals = self.mono_products = self.gen_products = self.disk_hits = 0
+        self.bases_solved = self.spaces_solved = self.spaces_loaded = 0
 
 
 class EvalCache:
@@ -290,9 +294,10 @@ class EvalCache:
     glcat.eval_abs_monomials fills, and the generator values at the points
     of each prime that glcat.gen_values fills, so every memo lives exactly
     as long as the cache that was passed in.  Of the products it keeps the
-    proper prefixes for good.  The leaves that relfinder._assemble_matrix
-    multiplies are not kept: each is added into the columns that use it and
-    dropped, and no assembled matrix is kept.  The relation space of each
+    proper prefixes for good.  The products of leaves, or of combinations
+    of their prefixes, that relfinder._assemble_matrix takes are not kept:
+    each is added into the columns that use it and dropped, and no
+    assembled matrix is kept.  The relation space of each
     weight that relfinder.relation_space returns is kept: every member of
     it is zero, so relfinder.verify_zero_abs answers a member without
     evaluating it.  hwv.hwv_verify assembles nothing: the evaluated side of

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import genmat
@@ -283,20 +285,43 @@ def mono_name(mono: AbsMonomial) -> str:
 
 
 class AbsPoly:
-    """A polynomial in the abstract generators u_{i,j}."""
+    """A polynomial in the abstract generators u_{i,j}: nums[m] / den is the
+    coefficient of the monomial m.
 
-    __slots__ = ("terms",)
+    Every coefficient is an integer numerator over one common denominator,
+    with the invariants PackedPoly keeps: no zero numerator, den > 0 and
+    gcd(content, den) = 1, so that equal polynomials have equal nums and
+    den.  Arithmetic runs on Python ints; terms is a read-only view of the
+    coefficients as Fractions.  The constructor, the path of outside input,
+    rejects a bad generator id or an unsorted monomial."""
 
-    def __init__(self, terms: Mapping[AbsMonomial, Rational] | None = None):
-        self.terms: dict[AbsMonomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if any(g < 0 or g >= NGENS for g in m):
-                    raise ValueError(f"bad generator id in monomial {m}")
-                if tuple(sorted(m)) != tuple(m):
-                    raise ValueError(f"monomial {m} is not sorted")
-                if c:
-                    self.terms[m] = Fraction(c)
+    __slots__ = ("nums", "den")
+
+    def __init__(
+        self, terms: Mapping[AbsMonomial, Rational | int] | None = None, den: int = 1
+    ):
+        """sum terms[m] / den * m over the monomials m of terms."""
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        coeffs: dict[AbsMonomial, Rational | int] = {}
+        for m, c in (terms or {}).items():
+            if any(g < 0 or g >= NGENS for g in m):
+                raise ValueError(f"bad generator id in monomial {m}")
+            if tuple(sorted(m)) != tuple(m):
+                raise ValueError(f"monomial {m} is not sorted")
+            if c:
+                coeffs[m] = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        common = lcm(1, *(c.denominator for c in coeffs.values()))
+        nums = {m: c.numerator * (common // c.denominator) for m, c in coeffs.items()}
+        self.nums, self.den = _reduced(nums, den * common)
+
+    @classmethod
+    def _of(cls, nums: dict[AbsMonomial, int], den: int) -> "AbsPoly":
+        """nums / den, whose numerators are nonzero and whose monomials are
+        valid and sorted; it takes nums over and reduces it."""
+        out = object.__new__(cls)
+        out.nums, out.den = _reduced(nums, den)
+        return out
 
     @classmethod
     def zero(cls) -> "AbsPoly":
@@ -304,62 +329,65 @@ class AbsPoly:
 
     @classmethod
     def gen(cls, module: int, j: int) -> "AbsPoly":
-        return cls({(gen_by_modj(module, j).gid,): Fraction(1)})
+        return cls({(gen_by_modj(module, j).gid,): 1})
 
     @classmethod
-    def monomial(cls, mono: Iterable[int], c: Rational = 1) -> "AbsPoly":
-        return cls({tuple(sorted(mono)): Fraction(c)})
+    def monomial(cls, mono: Iterable[int], c: Rational | int = 1) -> "AbsPoly":
+        return cls({tuple(sorted(mono)): c})
+
+    @property
+    def terms(self) -> Mapping[AbsMonomial, Fraction]:
+        """The coefficients as Fractions, by monomial (a read-only copy)."""
+        return MappingProxyType({m: Fraction(v, self.den) for m, v in self.nums.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbsPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __neg__(self) -> "AbsPoly":
-        out = AbsPoly()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return AbsPoly._of({m: -v for m, v in self.nums.items()}, self.den)
 
     def __add__(self, other: "AbsPoly") -> "AbsPoly":
-        out = AbsPoly()
-        out.terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.terms.get(m, Fraction(0)) + c
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        acc = dict(self.nums) if fa == 1 else {m: v * fa for m, v in self.nums.items()}
+        for m, v in other.nums.items():
+            s = acc.get(m, 0) + v * fb
             if s:
-                out.terms[m] = s
+                acc[m] = s
             else:
-                out.terms.pop(m, None)
-        return out
+                del acc[m]
+        return AbsPoly._of(acc, den)
 
     def __sub__(self, other: "AbsPoly") -> "AbsPoly":
         return self + (-other)
 
     def __mul__(self, other: "AbsPoly") -> "AbsPoly":
-        out = AbsPoly()
-        acc = out.terms
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        acc: dict[AbsMonomial, int] = {}
+        for ma, ca in self.nums.items():
+            for mb, cb in other.nums.items():
                 m = tuple(sorted(ma + mb))
-                s = acc.get(m, Fraction(0)) + ca * cb
+                s = acc.get(m, 0) + ca * cb
                 if s:
                     acc[m] = s
                 else:
-                    acc.pop(m, None)
-        return out
+                    del acc[m]
+        return AbsPoly._of(acc, self.den * other.den)
 
-    def scale(self, c: Rational) -> "AbsPoly":
+    def scale(self, c: Rational | int) -> "AbsPoly":
+        """c times self, for an int or Fraction c."""
         if not c:
             return AbsPoly()
-        out = AbsPoly()
-        out.terms = {m: v * c for m, v in self.terms.items()}
-        return out
+        n = c.numerator
+        return AbsPoly._of({m: v * n for m, v in self.nums.items()}, self.den * c.denominator)
 
     def bidegree(self) -> tuple[int, int]:
         deg: tuple[int, int] | None = None
-        for m in self.terms:
+        for m in self.nums:
             d = mono_bidegree(m)
             if deg is None:
                 deg = d
@@ -367,11 +395,36 @@ class AbsPoly:
                 raise NotHomogeneous(f"mixed bidegrees {deg} and {d}")
         return deg if deg is not None else (0, 0)
 
+    def _sorted_monomials(self) -> list[AbsMonomial]:
+        return sorted(self.nums, key=_mono_grlex_key, reverse=True)
+
     def sorted_terms(self) -> list[tuple[AbsMonomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _mono_grlex_key(t[0]), reverse=True)
+        return [(m, Fraction(self.nums[m], self.den)) for m in self._sorted_monomials()]
+
+    def text_terms(self) -> list[tuple[AbsMonomial, str]]:
+        """(m, "n/d") in the order of sorted_terms, each coefficient in
+        lowest terms, as its Fraction prints numerator and denominator."""
+        out = []
+        for m in self._sorted_monomials():
+            v = self.nums[m]
+            g = gcd(v, self.den)
+            out.append((m, f"{v // g}/{self.den // g}"))
+        return out
 
     def __repr__(self) -> str:
-        return f"AbsPoly({len(self.terms)} terms)"
+        return f"AbsPoly({len(self.nums)} terms)"
+
+
+def _reduced(nums: dict[AbsMonomial, int], den: int) -> tuple[dict[AbsMonomial, int], int]:
+    """nums and den divided by gcd(content, den); den 1 for zero."""
+    if not nums:
+        return nums, 1
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: v // g for m, v in nums.items()}
+            den //= g
+    return nums, den
 
 
 def _mono_exps(mono: AbsMonomial) -> tuple[int, ...]:
@@ -387,48 +440,51 @@ def _mono_grlex_key(mono: AbsMonomial) -> tuple:
 
 def abs_poly_text(p: AbsPoly) -> str:
     """Canonical one-line text form, used for digests."""
-    parts = []
-    for m, c in p.sorted_terms():
-        parts.append(f"{c.numerator}/{c.denominator} {mono_name(m)}")
+    parts = [f"{c} {mono_name(m)}" for m, c in p.text_terms()]
     return "; ".join(parts) if parts else "0"
+
+
+# abs_delta(u_{i,j}) = j u_{i,j-1} and abs_delta1(u_{i,j}) = (a_i - j) u_{i,j+1}
+_RAISING = tuple(g.j for g in ABS_GENS)
+_LOWERING = tuple(PARTS[g.module - 1].l1 - PARTS[g.module - 1].l2 - g.j for g in ABS_GENS)
+
+
+def _derivation(p: AbsPoly, factor: tuple[int, ...], step: int) -> AbsPoly:
+    """The derivation u_g -> factor[g] u_{g + step}, with step -1 or +1.
+
+    A monomial is sorted, so replacing the first of a run of g by g - 1, or
+    the last by g + 1, keeps it sorted; each run counts once, times its
+    length."""
+    acc: dict[AbsMonomial, int] = {}
+    for mono, c in p.nums.items():
+        n = len(mono)
+        start = 0
+        while start < n:
+            gid = mono[start]
+            end = start + 1
+            while end < n and mono[end] == gid:
+                end += 1
+            f = factor[gid]
+            if f:
+                at = start if step < 0 else end - 1
+                m2 = mono[:at] + (gid + step,) + mono[at + 1 :]
+                s = acc.get(m2, 0) + c * f * (end - start)
+                if s:
+                    acc[m2] = s
+                else:
+                    del acc[m2]
+            start = end
+    return AbsPoly._of(acc, p.den)
 
 
 def abs_delta(p: AbsPoly) -> AbsPoly:
     """Raising derivation: u_{i,j} -> j u_{i,j-1}."""
-    out = AbsPoly()
-    acc = out.terms
-    for mono, c in p.terms.items():
-        for pos, gid in enumerate(mono):
-            g = ABS_GENS[gid]
-            if g.j == 0:
-                continue
-            m2 = tuple(sorted(mono[:pos] + (gid - 1,) + mono[pos + 1 :]))
-            s = acc.get(m2, Fraction(0)) + c * g.j
-            if s:
-                acc[m2] = s
-            else:
-                acc.pop(m2, None)
-    return out
+    return _derivation(p, _RAISING, -1)
 
 
 def abs_delta1(p: AbsPoly) -> AbsPoly:
     """Lowering derivation: u_{i,j} -> (a_i - j) u_{i,j+1}."""
-    out = AbsPoly()
-    acc = out.terms
-    for mono, c in p.terms.items():
-        for pos, gid in enumerate(mono):
-            g = ABS_GENS[gid]
-            part = PARTS[g.module - 1]
-            a = part.l1 - part.l2
-            if g.j == a:
-                continue
-            m2 = tuple(sorted(mono[:pos] + (gid + 1,) + mono[pos + 1 :]))
-            s = acc.get(m2, Fraction(0)) + c * (a - g.j)
-            if s:
-                acc[m2] = s
-            else:
-                acc.pop(m2, None)
-    return out
+    return _derivation(p, _LOWERING, 1)
 
 
 def phi_monomial(mono: AbsMonomial, cache: genmat.EvalCache | None = None) -> TraceExpr:
@@ -535,8 +591,9 @@ def eval_abs_monomials(
 class ProductGroup:
     """Distinct monomials m of two or more generators that end in one
     generator g, whose prefixes m[:-1] are memoized, and the SumTable that
-    multiplies those prefixes by ev(g).  build raises PackedCapacityError
-    if some product would overflow a packed field."""
+    multiplies those prefixes, or any combination of them, by ev(g).  build
+    raises PackedCapacityError if some product would overflow a packed
+    field."""
 
     def __init__(self, monos: list[AbsMonomial], cache: genmat.EvalCache):
         memo = cache._abs_monos
@@ -549,24 +606,27 @@ class ProductGroup:
         self.table = SumTable(self.prefixes, self.gen)
 
     def evaluate(self, cache: genmat.EvalCache) -> None:
-        """build, then take every product (see products) and memoize it."""
+        """build, then take the product of every prefix (see products) and
+        memoize it."""
         self.build()
-        for m, _, out in self.products(cache):
+        for (_, out), m in zip(self.products(cache, self.prefixes), self.monos):
             with cache._lock:
                 cache._abs_monos[m] = out
 
     def products(
-        self, cache: genmat.EvalCache
-    ) -> Iterator[tuple[AbsMonomial, np.ndarray, PackedPoly]]:
-        """(m, pos, ev(m)) for every monomial m, where the keys of ev(m) are
-        table.sums[pos]; each ev(m) is counted as it is computed, and the
-        table is dropped after the last.  Nothing is memoized here, so an
-        ev(m) that the caller does not keep dies with its step."""
-        for m, prefix in zip(self.monos, self.prefixes):
-            pos, out = self.table.product(prefix)
+        self, cache: genmat.EvalCache, polys: Iterable[PackedPoly]
+    ) -> Iterator[tuple[np.ndarray, PackedPoly]]:
+        """(pos, p * ev(g)) for every p of polys, where the keys of p lie
+        among table.keys (the prefixes, or combinations of them) and the
+        keys of the product are table.sums[pos]; each product is counted as
+        it is computed, and the table is dropped after the last.  polys may
+        be made lazily, one at a time.  Nothing is memoized here, so a
+        product that the caller does not keep dies with its step."""
+        for p in polys:
+            pos, out = self.table.product(p)
             with cache._lock:
                 cache.stats.gen_products += 1
-            yield m, pos, out
+            yield pos, out
         self.table = None
 
 
@@ -586,8 +646,9 @@ def leaf_groups(
     are already evaluated to their evaluations; the others, the fresh
     leaves, are in groups, whose tables are built, one group after another
     on the calling thread.  Every prefix of a fresh leaf is evaluated first
-    (see eval_abs_monomials); a fresh leaf is evaluated only when its
-    group's products are taken, and is not memoized."""
+    (see eval_abs_monomials).  No fresh leaf is evaluated here or memoized:
+    the caller takes the group's products (see ProductGroup.products), of
+    the prefixes or of combinations of them, and keeps what it needs."""
     monos = list(monos)
     cache = cache or genmat.default_cache()
     memo = cache._abs_monos

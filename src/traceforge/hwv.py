@@ -21,7 +21,7 @@ both for the old/new split and for membership.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .glcat import (
@@ -36,7 +36,7 @@ from .glcat import (
     mono_name,
 )
 from . import genmat
-from .nullspace import NullBasis, QMatrix, _IntEchelon, null_dense
+from .nullspace import NullBasis, _IntEchelon
 
 
 class HwvBasis(NamedTuple):
@@ -65,24 +65,33 @@ def _module_profile(mono: AbsMonomial) -> tuple[int, ...]:
 
 def raising_kernel(polys: Sequence[AbsPoly]) -> NullBasis:
     """Exact kernel of abs_delta on the span of polys: the coefficient
-    vectors c, in free-column order, with abs_delta(sum c_i polys_i) = 0."""
-    rows: dict[AbsMonomial, dict[int, Fraction]] = {}
-    for col, p in enumerate(polys):
-        for m, coeff in abs_delta(p).terms.items():
-            rows.setdefault(m, {})[col] = coeff
-    return null_dense(QMatrix(tuple(rows.values()), len(polys)))
+    vectors c, in free-column order, with abs_delta(sum c_i polys_i) = 0.
+    The rows of its matrix are integers: every column is scaled by the
+    common denominator L of the images, which leaves the kernel as it is."""
+    images = [abs_delta(p) for p in polys]
+    L = lcm(1, *(d.den for d in images))
+    rows: dict[AbsMonomial, dict[int, int]] = {}
+    for col, d in enumerate(images):
+        f = L // d.den
+        for m, c in d.nums.items():
+            rows.setdefault(m, {})[col] = c * f
+    ech = _IntEchelon(len(polys))
+    for row in rows.values():
+        ech.add_row(row)
+    return ech.kernel()
 
 
 def span_rank(polys: Iterable[AbsPoly]) -> int:
-    """Dimension of the rational span of polys."""
+    """Dimension of the rational span of polys, from their integer
+    numerators (a row scaled by its denominator spans the same line)."""
     polys = list(polys)
     index: dict[AbsMonomial, int] = {}
     for p in polys:
-        for m in p.terms:
+        for m in p.nums:
             index.setdefault(m, len(index))
     ech = _IntEchelon(len(index))
     for p in polys:
-        ech.add_row({index[m]: c for m, c in p.terms.items()})
+        ech.add_row({index[m]: c for m, c in p.nums.items()})
     return ech.rank
 
 
@@ -101,6 +110,7 @@ def hwv_basis(
         basis = _solve_basis(lam, threads)
         with cache._lock:
             cache._bases[lam] = basis
+            cache.stats.bases_solved += 1
     return basis
 
 
@@ -183,13 +193,7 @@ def hwv_json(basis: HwvBasis) -> dict:
         "Q": basis.Q,
         "alpha_rank": basis.alpha_rank,
         "s": basis.s,
-        "vectors": [
-            {
-                mono_name(m): f"{c.numerator}/{c.denominator}"
-                for m, c in v.sorted_terms()
-            }
-            for v in basis.vectors
-        ],
+        "vectors": [{mono_name(m): c for m, c in v.text_terms()} for v in basis.vectors],
     }
 
 

@@ -130,8 +130,10 @@ class _IntEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add_row(self, row: Mapping[int, Rational]) -> None:
-        r = _clear_row(row)
+    def add_row(self, row: Mapping[int, int]) -> None:
+        """Reduce a row of nonzero integer entries, by column, against the
+        pivots; what remains becomes a new pivot row."""
+        r = dict(row)
         while r:
             c = min(r)
             prow = self.pivots.get(c)
@@ -203,7 +205,7 @@ def null_dense(A: QMatrix) -> NullBasis:
     """Exact kernel of a QMatrix via fraction-free elimination."""
     ech = _IntEchelon(A.ncols)
     for row in A.rows:
-        ech.add_row(row)
+        ech.add_row(_clear_row(row))
     return ech.kernel()
 
 

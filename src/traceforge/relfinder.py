@@ -61,7 +61,15 @@ from .nullspace import (
     modular_kernel,
     null_stream,
 )
-from .packedpoly import XCAP, YCAP, PackedCapacityError, PackedPoly, distinct_keys, product_den
+from .packedpoly import (
+    XCAP,
+    YCAP,
+    PackedCapacityError,
+    PackedPoly,
+    distinct_keys,
+    product_den,
+    sum_scaled,
+)
 from .polyring import CommPoly, poly_to_text
 from .tracelang import NotHomogeneous, TraceExpr, format_trace_expr
 
@@ -124,14 +132,14 @@ _LEAD_RANK: dict[int, int] = {
 }
 
 
+_HSOP_IDS = frozenset(g.gid for g in PARAMETER_SPLIT.hsop)
+
+
 def reduce_hsop(p: AbsPoly) -> AbsPoly:
     """Drop every monomial divisible by an hsop generator."""
-    hsop_ids = {g.gid for g in PARAMETER_SPLIT.hsop}
-    out = AbsPoly()
-    out.terms = {
-        m: c for m, c in p.terms.items() if not any(g in hsop_ids for g in m)
-    }
-    return out
+    return AbsPoly._of(
+        {m: c for m, c in p.nums.items() if not any(g in _HSOP_IDS for g in m)}, p.den
+    )
 
 
 def mono_lead_key(mono: AbsMonomial) -> tuple[int, ...]:
@@ -144,7 +152,7 @@ def leading_monomial(p: AbsPoly) -> AbsMonomial | None:
     """Greatest monomial of an hsop-free polynomial, None if zero."""
     if p.is_zero():
         return None
-    return min(p.terms, key=mono_lead_key)
+    return min(p.nums, key=mono_lead_key)
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +219,23 @@ class _Columns:
         column that uses m."""
         if e.den != self.den[m]:
             raise AssertionError(f"denominator of {mono_name(m)} differs from its prediction")
-        for i, w in self.uses[m]:
+        self.add(self.uses[m], pos, e)
+
+    def add(self, uses: list[tuple[int, int]], pos: np.ndarray, e: PackedPoly) -> None:
+        """Add w times the integer coefficients of e, whose keys are at the
+        rows pos, into column i for every (i, w) of uses."""
+        for i, w in uses:
             self.bounds[i] += abs(w) * e.bound
             if self.bounds[i] >= 1 << 62 and self.M.dtype != object:
                 self.M = self.M.astype(object)
         M = self.M
         coeffs = e.coeffs.astype(object) if M.dtype == object and not e.is_big() else e.coeffs
-        # M is column-major, so M[:, i] is a contiguous view
-        for i, w in self.uses[m]:
-            np.add.at(M[:, i], pos, coeffs * w)
+        for i, w in uses:
+            # M is column-major, so M[:, i] is a contiguous view; the keys of
+            # e are strictly ascending and their rows distinct, so pos never
+            # repeats and plain indexing adds each term once
+            col = M[:, i]
+            col[pos] += coeffs * w
 
 
 def _assemble_matrix(
@@ -231,24 +247,32 @@ def _assemble_matrix(
     one row per packed key of the 18-variable evaluation, ascending, at which
     some column is nonzero.  Column i divided by colscale[i] is the
     evaluation of phi(polys[i]), summed from generator-monomial evaluations;
-    phi is never expanded.  Each evaluation is placed once and added, scaled,
-    into every column that uses it (see _Columns.place).  A monomial already
-    evaluated is placed by a search of its keys.  The fresh leaves are
-    multiplied here, one glcat.ProductGroup after another on the calling
-    thread, and each is placed through the positions of its group's key
-    sums among the rows, with no search.  A fresh leaf is never memoized:
-    it dies as soon as it is placed, so at most one leaf is alive beside M.
-    Its proper prefixes stay memoized on the cache.  M has object dtype
-    when the bound of some column reaches 2^62, else int64.  The polys need
-    not be homogeneous.  A monomial whose bidegree exceeds the packed fields
-    raises PackedCapacityError before anything is evaluated.  Nothing of the
-    result is kept on the cache: M lives as long as its caller holds it.
-    The cache may be the slice y11 = 0 of a cache (see genmat.Y11Slice),
-    whose sliced generators and memo it then reads, so that M is the matrix
-    of the evaluations with y11 set to zero.
+    phi is never expanded.  A monomial already evaluated is placed once, by
+    a search of its keys, and added, scaled, into every column that uses it
+    (see _Columns.place).  The fresh leaves are multiplied here, one
+    glcat.ProductGroup (the leaves that end in one generator g) after
+    another on the calling thread, in whichever association order needs
+    fewer products.  When the group feeds fewer columns than it has leaves,
+    the part of column i it gives is sum_m w_im ev(m) = F_i ev(g), where
+    F_i = sum_m w_im den[m] ev(m[:-1]) combines the memoized prefixes
+    exactly (see packedpoly.sum_scaled): one product per column, whose
+    integer coefficients are added into that column alone.  Otherwise each
+    leaf is one product, added, scaled, into every column that uses it.
+    Either way a product is placed through the positions of its group's key
+    sums among the rows, with no search, and dies as soon as it is placed:
+    no fresh leaf is memoized, and at most one product, and one combination
+    of prefixes, is alive beside M.  The proper prefixes stay memoized on
+    the cache.  M has object dtype when the bound of some column reaches
+    2^62, else int64.  The polys need not be homogeneous.  A monomial whose
+    bidegree exceeds the packed fields raises PackedCapacityError before
+    anything is evaluated.  Nothing of the result is kept on the cache: M
+    lives as long as its caller holds it.  The cache may be the slice
+    y11 = 0 of a cache (see genmat.Y11Slice), whose sliced generators and
+    memo it then reads, so that M is the matrix of the evaluations with y11
+    set to zero.
     """
     cache = cache or genmat.default_cache()
-    used = dict.fromkeys(m for v in polys for m in v.terms)
+    used = dict.fromkeys(m for v in polys for m in v.nums)
     for p, q in set(map(mono_bidegree, used)):
         if p > XCAP or q > YCAP:
             raise PackedCapacityError(
@@ -262,23 +286,38 @@ def _assemble_matrix(
     all_keys = _sorted_union(
         [*(e.keys for e in evals.values()), *(grp.table.sums for grp in groups)]
     )
-    # uses[m]: (column, integer weight) of every column whose polynomial has m
+    # uses[m]: (column, integer weight) of every column whose polynomial has
+    # m; v = nums / v.den, so column i is v.den * D times ev(v)
     uses: dict[AbsMonomial, list[tuple[int, int]]] = {m: [] for m in used}
     colscale: list[int] = []
     for i, v in enumerate(polys):
-        L = lcm(*(c.denominator for c in v.terms.values()))
-        D = lcm(*(den[m] for m in v.terms))
-        for m, c in v.terms.items():
-            uses[m].append((i, c.numerator * (L // c.denominator) * (D // den[m])))
-        colscale.append(L * D)
+        D = lcm(*(den[m] for m in v.nums))
+        for m, c in v.nums.items():
+            uses[m].append((i, c * (D // den[m])))
+        colscale.append(v.den * D)
     cols = _Columns(len(all_keys), len(polys), uses, den)
     for m, e in evals.items():
         cols.place(m, np.searchsorted(all_keys, e.keys), e)
 
     for grp in groups:
         at = np.searchsorted(all_keys, grp.table.sums)
-        for m, pos, e in grp.products(cache):
-            cols.place(m, at[pos], e)
+        # combination[i]: (prefix, w_im den[m]) of every leaf m of column i
+        combination: dict[int, list[tuple[PackedPoly, int]]] = {}
+        for m, p in zip(grp.monos, grp.prefixes):
+            for i, w in uses[m]:
+                combination.setdefault(i, []).append((p, w * den[m]))
+        if len(combination) < len(grp.monos):
+            combined = (sum_scaled(pairs) for pairs in combination.values())
+            for (pos, e), i in zip(grp.products(cache, combined), combination):
+                if e.den != 1:
+                    raise AssertionError(
+                        f"column {i} of the leaves that end in "
+                        f"{mono_name(grp.monos[0][-1:])} is not integral"
+                    )
+                cols.add([(i, 1)], at[pos], e)
+        else:
+            for (pos, e), m in zip(grp.products(cache, grp.prefixes), grp.monos):
+                cols.place(m, at[pos], e)
     M = cols.M
     rows = np.flatnonzero(M.any(axis=1))
     # the nonzero rows move up in place, one contiguous column at a time
@@ -288,12 +327,20 @@ def _assemble_matrix(
 
 
 def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> AbsPoly:
-    """The combination sum_i zeta_i * vectors_i."""
-    v = AbsPoly()
-    for zi, bv in zip(zeta, vectors):
-        if zi:
-            v = v + bv.scale(zi)
-    return v
+    """The combination sum_i zeta_i * vectors_i, summed over one common
+    denominator."""
+    pairs = [(z, v) for z, v in zip(zeta, vectors) if z]
+    den = lcm(1, *(z.denominator * v.den for z, v in pairs))
+    acc: dict[AbsMonomial, int] = {}
+    for z, v in pairs:
+        f = z.numerator * (den // (z.denominator * v.den))
+        for m, c in v.nums.items():
+            s = acc.get(m, 0) + c * f
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return AbsPoly._of(acc, den)
 
 
 def _are_highest_weight_vectors(lam: Partition, vectors: Iterable[AbsPoly]) -> bool:
@@ -302,7 +349,7 @@ def _are_highest_weight_vectors(lam: Partition, vectors: Iterable[AbsPoly]) -> b
     relation vectors alike must pass."""
     return all(
         abs_delta(v).is_zero()
-        and all(mono_bidegree(m) == (lam.l1, lam.l2) for m in v.terms)
+        and all(mono_bidegree(m) == (lam.l1, lam.l2) for m in v.nums)
         for v in vectors
     )
 
@@ -333,10 +380,14 @@ def relation_space(
     """All relations of weight lam: zeta[i] combines the highest weight
     basis into the relation vector relvectors[i], and the zeta are the
     kernel of the evaluation map on the basis in free-column form, each
-    normalized so its first nonzero coordinate is 1.  A space the store
+    normalized so its first nonzero coordinate is 1.  With use_cache, the
+    space the cache already holds for lam, of the same catalog digest, is
+    returned as it is, before the store is read; else a space the store
     holds is read back with no basis (see _load_space); one it lacks, or
     one that fails its checks there, is solved and stored again.  Either
     way the cache then holds the space (see verify_zero_abs).
+    use_cache=False always solves.  cache.stats counts the spaces solved
+    and the spaces read from the store.
 
     mode "modular" finds the kernel from the values of the basis at points
     mod p and proves each relation vector exactly (see _modular_zeta); it
@@ -352,11 +403,16 @@ def relation_space(
     store = cache.store
     digest = catalog_digest(cache)
     key = f"relspace:v{RELSPACE_SCHEMA}:{lam.l1},{lam.l2}:{digest}"
-    if use_cache and store is not None:
-        summary = store.get_json(key)
+    if use_cache:
+        held = cache._spaces.get(lam)
+        if held is not None and held.catalog_digest == digest:
+            return held
+        summary = store.get_json(key) if store is not None else None
         if isinstance(summary, dict):
             loaded = _load_space(lam, summary, digest)
             if loaded is not None:
+                with cache._lock:
+                    cache.stats.spaces_loaded += 1
                 return _held(loaded, cache)
     basis = hwv_basis(lam, threads=threads, cache=cache)
     if mode == "exact":
@@ -366,6 +422,8 @@ def relation_space(
     else:
         zeta, relvectors = _modular_zeta(basis, cache)
     space = RelationSpace(lam, tuple(zeta), relvectors, digest)
+    with cache._lock:
+        cache.stats.spaces_solved += 1
     if store is not None:
         store.put_json(
             key,
@@ -375,7 +433,7 @@ def relation_space(
                     [f"{x.numerator}/{x.denominator}" for x in z] for z in space.zeta
                 ],
                 "relvectors": [
-                    [[list(m), f"{c.numerator}/{c.denominator}"] for m, c in v.sorted_terms()]
+                    [[list(m), c] for m, c in v.text_terms()]
                     for v in relvectors
                 ],
             },
@@ -418,7 +476,7 @@ class _BasisValues:
         self.s = basis.s
         index: dict[AbsMonomial, int] = {}
         for v in basis.vectors:
-            for m in v.terms:
+            for m in v.nums:
                 index.setdefault(m, len(index))
         # row k: the generators of monomial k, padded with NGENS, the index
         # of an all-ones row
@@ -428,12 +486,11 @@ class _BasisValues:
             self.gids[k, : len(m)] = m
         # the coefficient of monomial cols[t] in vector rows[t] is
         # nums[t] / dens[t]
-        at = [(i, index[m]) for i, v in enumerate(basis.vectors) for m in v.terms]
+        at = [(i, index[m]) for i, v in enumerate(basis.vectors) for m in v.nums]
         self.rows = np.array([i for i, _ in at], dtype=np.int64)
         self.cols = np.array([k for _, k in at], dtype=np.int64)
-        coeffs = [c for v in basis.vectors for c in v.terms.values()]
-        self.nums = [c.numerator for c in coeffs]
-        self.dens = [c.denominator for c in coeffs]
+        self.nums = [c for v in basis.vectors for c in v.nums.values()]
+        self.dens = [v.den for v in basis.vectors for _ in v.nums]
 
     def __call__(self, p: int, n: int, cache: genmat.EvalCache) -> np.ndarray | None:
         """E_p: the values at the first n points of p, an (n, s) int64
@@ -522,19 +579,37 @@ def _proven(
 def _load_space(lam: Partition, summary: dict, catalog: str) -> RelationSpace | None:
     """The space of a stored summary, or None, a miss, unless its zeta and
     relation vectors parse, are as many, and pass
-    _are_highest_weight_vectors.  The AbsPoly constructor rejects a bad
-    generator id or an unsorted monomial.  No basis is solved."""
+    _are_highest_weight_vectors.  Every coefficient must read "n/d" (see
+    _parse_ratio), and the AbsPoly constructor rejects a bad generator id
+    or an unsorted monomial.  No basis is solved."""
     try:
-        zeta = tuple(tuple(Fraction(x) for x in z) for z in summary["zeta"])
-        relvectors = tuple(
-            AbsPoly({tuple(m): Fraction(c) for m, c in terms})
-            for terms in summary["relvectors"]
-        )
+        zeta = tuple(tuple(Fraction(*_parse_ratio(x)) for x in z) for z in summary["zeta"])
+        relvectors = tuple(_stored_poly(terms) for terms in summary["relvectors"])
     except (KeyError, ValueError, TypeError):
         return None
     if len(zeta) != len(relvectors) or not _are_highest_weight_vectors(lam, relvectors):
         return None
     return RelationSpace(lam, zeta, relvectors, catalog, from_cache=True)
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """(n, d) of the text "n/d" of a stored coefficient; ValueError unless
+    d > 0, TypeError unless it is a str."""
+    if not isinstance(text, str):
+        raise TypeError(f"coefficient {text!r} is not a str")
+    n, d = text.split("/")
+    n, d = int(n), int(d)
+    if d <= 0:
+        raise ValueError(f"denominator of {text!r} is not positive")
+    return n, d
+
+
+def _stored_poly(terms: list) -> AbsPoly:
+    """The AbsPoly of stored [monomial, "n/d"] pairs, through the checked
+    constructor."""
+    ratios = [(tuple(m), *_parse_ratio(c)) for m, c in terms]
+    den = lcm(1, *(d for _, _, d in ratios))
+    return AbsPoly({m: n * (den // d) for m, n, d in ratios}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +772,9 @@ def leading_analysis(
                 hit = next((pv for pm, pv in stair if pm == lead), None)
                 if hit is None:
                     break
-                red = red - hit.scale(red.terms[lead] / hit.terms[lead])
+                red = red - hit.scale(
+                    Fraction(red.nums[lead] * hit.den, red.den * hit.nums[lead])
+                )
             if red.is_zero():
                 absorbed.append((space.lam, vi, j))
                 continue
@@ -818,11 +895,8 @@ def build_certificate(space: RelationSpace, index: int) -> RelationCertificate:
     red = reduce_hsop(v)
     lead = leading_monomial(red)
     abspoly = tuple(
-        (
-            tuple((ABS_GENS[g].module, ABS_GENS[g].j) for g in mono),
-            f"{c.numerator}/{c.denominator}",
-        )
-        for mono, c in v.sorted_terms()
+        (tuple((ABS_GENS[g].module, ABS_GENS[g].j) for g in mono), c)
+        for mono, c in v.text_terms()
     )
     claim = (
         f"relation;{space.lam.l1},{space.lam.l2};{abs_poly_text(v)};residual=0"

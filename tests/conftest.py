@@ -57,3 +57,27 @@ def one_matrix_kernel(lam: Partition) -> tuple[int, int, tuple[AbsPoly, ...]]:
         AbsPoly({m: c for m, c in zip(p_mons, v) if c}) for v in nb.vectors
     )
     return nb.rank, len(q_mons), vectors
+
+
+def expected_products(calls, memoized=()) -> int:
+    """The generator-monomial products of assembling each list of polys in
+    calls in turn (see relfinder._assemble_matrix), on one cache that
+    evaluated the monomials memoized first and nothing else: every memoized
+    monomial and distinct proper prefix once, and for the fresh leaves of a
+    call that end in one generator, one product per leaf or one per column
+    they feed, whichever is fewer."""
+    memo = {m[:n] for m in memoized for n in range(2, len(m) + 1)}
+    leaf_products = 0
+    for polys in calls:
+        columns: dict = {}
+        for i, v in enumerate(polys):
+            for m in v.terms:
+                if len(m) > 1:
+                    columns.setdefault(m, set()).add(i)
+        memo |= {m[:n] for m in columns for n in range(2, len(m))}
+        by_last: dict = {}
+        for m, cols in columns.items():
+            if m not in memo:
+                by_last.setdefault(m[-1], []).append(cols)
+        leaf_products += sum(min(len(g), len(set().union(*g))) for g in by_last.values())
+    return len(memo) + leaf_products

@@ -230,6 +230,8 @@ def test_reproduce_idempotent(capsys, tmp_path):
     assert code3 == 0 and doc["pass"]
     assert all(table["seconds"] >= 0 for table in doc["tables"].values())
     assert doc["stats"]["peak_rss_mb"] > 0
+    # a warm pass reads each relation space from the store once, and solves none
+    assert (doc["stats"]["spaces_solved"], doc["stats"]["spaces_loaded"]) == (0, 7)
     # the hwv, relations and bundled checks run in one pass per weight, and
     # the tables still come out in their order, with their rows in order
     # (the JSON output sorts its keys, so the payload is read before it)
@@ -485,6 +487,7 @@ def test_warm_commands_do_no_fresh_work(tmp_path, monkeypatch):
             "word_evals": stats.word_evals,
             "mono_products": stats.mono_products,
             "gen_products": stats.gen_products,
+            "spaces_solved": stats.spaces_solved,
             "misses": store.misses,
             "writes": store.writes,
         }

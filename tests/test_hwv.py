@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import one_matrix_kernel
+from conftest import expected_products, one_matrix_kernel
 from traceforge.glcat import AbsPoly, Partition, abs_delta
 from traceforge.hwv import _solve_basis, hwv_basis, hwv_json, hwv_verify, span_equal
 
@@ -190,24 +190,22 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
     # hwv_verify and relation_space for (7,5), then for (6,6), on one cache:
     # verification makes no product, the relation vectors are proven on the
     # slice y11 = 0, so every product is made there, no (7,5) leaf stays in
-    # the sliced memo, and every product is made once, the count of
-    # distinct proper prefixes and leaves of the relation vectors
+    # the sliced memo, and every product is made once: one per distinct
+    # proper prefix, and for the leaves that end in one generator, one per
+    # leaf or one per column they feed, whichever is fewer
     from traceforge.genmat import EvalCache
     from traceforge.glcat import mono_bidegree
     from traceforge.relfinder import relation_space
 
     cache = EvalCache(session_store)
-    used = set()
+    spaces = []
     for lam in ((7, 5), (6, 6)):
         made = cache.stats.gen_products
         assert hwv_verify(small_bases[lam], evaluate=True, cache=cache).ok
         assert cache.stats.gen_products == made
-        space = relation_space(Partition(*lam), cache=cache, use_cache=False)
-        used |= {m for v in space.relvectors for m in v.terms}
+        spaces.append(relation_space(Partition(*lam), cache=cache, use_cache=False))
     assert set(cache._spaces) == {(7, 5), (6, 6)}
     assert cache._abs_monos == {}
     assert all(mono_bidegree(m) != (7, 5) for m in cache._y11_slice._abs_monos)
-    assert cache.stats.gen_products == 332
-    assert cache.stats.gen_products == len(
-        {m[:n] for m in used for n in range(2, len(m) + 1)}
-    )
+    assert cache.stats.gen_products == 184
+    assert cache.stats.gen_products == expected_products([s.relvectors for s in spaces])

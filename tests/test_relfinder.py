@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import expected_products
 from traceforge import relfinder
 from traceforge.cache import CacheStore
 from traceforge.genmat import EvalCache
@@ -305,49 +306,92 @@ def test_mixed_routes_assemble_the_same_matrix(cache):
         return (M, colscale, keys), run.stats.gen_products
 
     (M, colscale, keys), products = assemble([])
-    assert products == len({m[:n] for m in used for n in range(2, len(m) + 1)})
+    assert products == expected_products([vectors])
     mixed, mixed_products = assemble(used[::2])
     # every product is made once, whichever route it takes
-    assert mixed_products == products
+    assert mixed_products == expected_products([vectors], used[::2])
     assert mixed[0].dtype == M.dtype and np.array_equal(mixed[0], M)
     assert mixed[1] == colscale
     assert np.array_equal(mixed[2], keys)
 
 
-def test_a_fresh_leaf_dies_once_it_is_placed(cache, monkeypatch):
-    # at each placement one product group is in flight, and the memo holds
-    # at most one (6,6) monomial, none once M is assembled
+@pytest.mark.parametrize("case", ["slice", "one_column", "object"])
+def test_grouped_and_per_leaf_placement_assemble_the_same_matrix(case, cache):
+    # the fresh leaves of a group that feeds fewer columns than it has
+    # leaves are multiplied as one combination of prefixes per column; with
+    # every leaf memoized first, each is placed on its own: both give the
+    # same (M, colscale, keys), on the slice y11 = 0, for one column (as
+    # evaluate_abs takes it) and for weights of 2^70, where M holds objects
+    from traceforge import glcat
+
+    vectors = hwv_basis(Partition(6, 6)).vectors
+    polys = {
+        "slice": vectors[:3],
+        "one_column": [vectors[0] - vectors[7].scale(Fraction(2, 7))],
+        "object": [v.scale(1 << 70) for v in vectors[:3]],
+    }[case]
+    used = {m for v in polys for m in v.terms}
+
+    def assemble(memoize):
+        run = EvalCache(store=cache.store)
+        target = run.y11_slice(glcat._gen_evals(run)) if case == "slice" else run
+        if memoize:
+            glcat.eval_abs_monomials(used, target)
+        before = run.stats.gen_products
+        return relfinder._assemble_matrix(polys, target), run, run.stats.gen_products - before
+
+    (M, colscale, keys), grouped_run, grouped = assemble(False)
+    (M1, colscale1, keys1), leaf_run, per_leaf = assemble(True)
+    assert per_leaf == 0
+    per_leaf = len({m[:n] for m in used for n in range(2, len(m) + 1)})
+    assert grouped == expected_products([polys]) < per_leaf
+    assert M.dtype == M1.dtype == (object if case == "object" else np.int64)
+    assert M.shape[0] > 0 and np.array_equal(M, M1)
+    assert colscale == colscale1 and np.array_equal(keys, keys1)
+    if case == "one_column":
+        report = relfinder.evaluate_abs(polys[0], grouped_run)
+        assert not report.zero and report == relfinder.evaluate_abs(polys[0], leaf_run)
+
+
+@pytest.mark.parametrize("kind", ["basis", "relations"])
+def test_each_product_dies_once_it_is_placed(kind, cache, monkeypatch, s66):
+    # the (6,6) basis feeds 30 columns and its relations 2, so the leaves of
+    # its groups are multiplied one by one, or combined per column: either
+    # way one product group is in flight at each placement of a product,
+    # each product is placed once, and the memo holds no (6,6) monomial
     from traceforge.glcat import ProductGroup, mono_bidegree
 
     in_flight = [0]
+    taken = [0]
     seen: list[tuple[int, int]] = []
-    placed = set()
     run = EvalCache(store=cache.store)
     products = ProductGroup.products
 
-    def counted_products(grp, c):
+    def counted_products(grp, c, polys):
         in_flight[0] += 1
         try:
-            yield from products(grp, c)
+            for out in products(grp, c, polys):
+                taken[0] += 1
+                yield out
         finally:
             in_flight[0] -= 1
 
-    place = relfinder._Columns.place
+    add = relfinder._Columns.add
 
-    def recorded_place(cols, m, pos, e):
+    def recorded_add(cols, uses, pos, e):
         full = sum(mono_bidegree(k) == (6, 6) for k in run._abs_monos)
         seen.append((full, in_flight[0]))
-        placed.add(m)
-        place(cols, m, pos, e)
+        add(cols, uses, pos, e)
 
     monkeypatch.setattr(ProductGroup, "products", counted_products)
-    monkeypatch.setattr(relfinder._Columns, "place", recorded_place)
-    vectors = hwv_basis(Partition(6, 6)).vectors
-    used = {m for v in vectors for m in v.terms}
-    relfinder._assemble_matrix(vectors, run)
-    assert placed == used and len(seen) == len(used)
+    monkeypatch.setattr(relfinder._Columns, "add", recorded_add)
+    polys = hwv_basis(Partition(6, 6)).vectors if kind == "basis" else s66.relvectors
+    relfinder._assemble_matrix(polys, run)
     assert max(n for _, n in seen) == 1
-    assert all(full <= n for full, n in seen)
+    # every other product is a prefix, memoized where it was made
+    memoized = sum(len(k) > 1 for k in run._abs_monos)
+    assert sum(n for _, n in seen) == taken[0] - memoized > 0
+    assert all(full == 0 for full, _ in seen)
     assert not any(mono_bidegree(k) == (6, 6) for k in run._abs_monos)
 
 
@@ -520,8 +564,7 @@ def test_threads_share_one_slice_and_make_each_product_once(s66, cache):
         sys.setswitchinterval(interval)
     assert len(got) == 8 and all(part is run._y11_slice for part in got)
     assert relfinder._proven(s66.zeta, hwv_basis(Partition(6, 6)), run) == s66.relvectors
-    used = {m for v in s66.relvectors for m in v.terms}
-    assert run.stats.gen_products == len({m[:n] for m in used for n in range(2, len(m) + 1)})
+    assert run.stats.gen_products == expected_products([s66.relvectors])
 
 
 def test_every_product_of_a_proof_runs_on_the_calling_thread(cache, monkeypatch):
@@ -616,10 +659,27 @@ def test_the_slice_and_the_full_evaluation_agree_at_every_weight(cache):
 
 def test_relation_space_cache_round_trip(cache):
     first = relation_space(Partition(6, 6), cache=cache)
-    again = relation_space(Partition(6, 6), cache=cache)
+    again = relation_space(Partition(6, 6), cache=EvalCache(cache.store))
     assert again.from_cache
     assert again.zeta == first.zeta
     assert [v for v in again.relvectors] == [v for v in first.relvectors]
+
+
+def test_a_held_space_is_returned_before_the_store_is_read(cache, monkeypatch):
+    # the second call in one process reads no relspace entry and returns
+    # the space the cache holds; use_cache=False still solves
+    run = EvalCache(cache.store)
+    first = relation_space(Partition(7, 5), cache=run)
+    assert run.stats.spaces_solved + run.stats.spaces_loaded == 1
+    read: list[str] = []
+    get_json = run.store.get_json
+    monkeypatch.setattr(run.store, "get_json", lambda key: read.append(key) or get_json(key))
+    assert relation_space(Partition(7, 5), cache=run) is first
+    assert not any(key.startswith("relspace:") for key in read)
+    assert run.stats.spaces_solved + run.stats.spaces_loaded == 1
+    solved = relation_space(Partition(7, 5), cache=run, use_cache=False)
+    assert solved is not first and not solved.from_cache
+    assert solved.zeta == first.zeta and run.stats.spaces_solved >= 1
 
 
 def test_relation_space_summary_is_versioned(cache, s66):
@@ -690,12 +750,12 @@ def test_a_stored_space_that_fails_its_checks_is_solved_again(fault, cache):
         fault(doc, fresh.relvectors[0])
         cache.store.put_json(key, doc)
     writes = cache.store.stats.writes
-    space = relation_space(lam, cache=cache)
+    space = relation_space(lam, cache=EvalCache(cache.store))
     assert not space.from_cache
     assert space.zeta == fresh.zeta and space.relvectors == fresh.relvectors
     assert cache.store.stats.writes == writes + 1
     assert cache.store.get_json(key) == good
-    assert relation_space(lam, cache=cache).from_cache
+    assert relation_space(lam, cache=EvalCache(cache.store)).from_cache
 
 
 def assert_stored_zeta_follow_the_basis_order(lam, cache):
@@ -703,7 +763,7 @@ def assert_stored_zeta_follow_the_basis_order(lam, cache):
     the stored relation vectors.  Loading does not check this, since it
     solves no basis."""
     relation_space(lam, cache=cache)
-    space = relation_space(lam, cache=cache)
+    space = relation_space(lam, cache=EvalCache(cache.store))
     assert space.from_cache
     vectors = hwv_basis(lam, cache=cache).vectors
     for z, v in zip(space.zeta, space.relvectors, strict=True):
