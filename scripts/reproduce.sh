@@ -10,14 +10,16 @@
 # matrix on the slice y11 = 0 from generator-monomial products) and must
 # evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
-# trace-monomial products and 73 word evaluations.  It must also compute each
-# needed generator-monomial product exactly once, the leaves of a proof that
-# end in one generator combined per column where that needs fewer products:
-# the script fails unless it reports 554 of them.  It must leave one
-# file per cache write: the script fails unless the cache dir then holds
-# exactly as many files as the pass reports cache writes, none of them a
-# checksum sidecar or a leftover temporary.  It must stay within 120 MB: the
-# script fails if the `peak_rss_mb` of its `stats:` line exceeds 120, the
+# trace-monomial products and 73 word evaluations.  It must also compute the
+# generator-monomial products that its memo policy needs: each prefix that
+# the memo keeps once, each leaf prefix (the product of all but the last
+# generator of a leaf) once per proof that needs it, and the leaves of a
+# proof that end in one generator combined per column where that needs
+# fewer products: the script fails unless it reports 800 of them.  It must
+# leave one file per cache write: the script fails unless the cache dir then
+# holds exactly as many files as the pass reports cache writes, none of them
+# a checksum sidecar or a leftover temporary.  It must stay within 64 MB: the
+# script fails if the `peak_rss_mb` of its `stats:` line exceeds 64, the
 # memory the degree-14 weights are meant to fit in.  The second pass must do
 # no fresh work: the script fails unless it reports zero word evaluations,
 # trace-monomial and generator-monomial products, zero cache misses, corrupt
@@ -96,8 +98,8 @@ if ! grep -Eq "(^| )word_evals=73( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass did not evaluate each catalog word once (${stats:-no stats line})" >&2
     exit 1
 fi
-if ! grep -Eq "(^| )gen_products=554( |$)" <<<"$stats"; then
-    echo "FAIL: the cold pass did not make the 554 generator-monomial products (${stats:-no stats line})" >&2
+if ! grep -Eq "(^| )gen_products=800( |$)" <<<"$stats"; then
+    echo "FAIL: the cold pass did not make the 800 generator-monomial products (${stats:-no stats line})" >&2
     exit 1
 fi
 # one file per cache entry: no checksum sidecars, no leftover temporaries
@@ -111,8 +113,8 @@ fi
 echo "cold pass left one file per cache write: $files"
 # the peak resident set of the cold pass, in MB
 rss="$(grep -Eo '(^| )peak_rss_mb=[0-9.]+' <<<"$stats" | grep -Eo '[0-9.]+$' || true)"
-if [[ -z "$rss" ]] || ! awk -v r="$rss" 'BEGIN { exit !(r <= 120) }'; then
-    echo "FAIL: the cold pass peaked above 120 MB (${stats:-no stats line})" >&2
+if [[ -z "$rss" ]] || ! awk -v r="$rss" 'BEGIN { exit !(r <= 64) }'; then
+    echo "FAIL: the cold pass peaked above 64 MB (${stats:-no stats line})" >&2
     exit 1
 fi
 echo "cold pass peaked at $rss MB"

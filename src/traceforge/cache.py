@@ -4,14 +4,17 @@ Entries are keyed by a semantic key string; each entry is one file, named
 by the SHA-256 of the key with the extension .entry.  The file is a fixed
 40-byte header (the magic b"TFCE", the format version as a little-endian
 uint32, and the SHA-256 of the payload) followed by the payload:
-PackedPoly.to_bytes for a polynomial (the word traces), the JSON text for a
-structured result.  A read checks the header before it decodes.  Files of
-earlier layouts (an entry plus a .sha256 sidecar, under .poly, .ppoly or
-.json) sit at paths this store never opens, so they read as plain
-misses.  A missing entry is a miss; a bad header, a checksum mismatch or a
-payload that does not decode (for a polynomial, anything
-PackedPoly.from_bytes rejects: bad header, wrong length, unsorted keys,
-zero coefficients, den <= 0) is a miss counted as corrupt.  Either way the
+PackedPoly.to_bytes for a polynomial (the word traces), each to_bytes after
+its length as a little-endian uint64 for a list of polynomials (the 30
+generator evaluations), the JSON text for a structured result.  A read
+checks the header before it decodes.  Files of earlier layouts (an entry
+plus a .sha256 sidecar, under .poly, .ppoly or .json) sit at paths this
+store never opens, so they read as plain misses.  A missing entry is a
+miss; a bad header, a checksum mismatch or a payload that does not decode
+(for a polynomial, anything PackedPoly.from_bytes rejects: bad header,
+wrong length, unsorted keys, zero coefficients, den <= 0; for a list, also
+a length that overruns the payload or another count of polynomials) is a
+miss counted as corrupt.  Either way the
 caller recomputes.  Each write replaces its one file atomically via rename,
 so an entry and its checksum change together; concurrent writers follow
 last-writer-wins.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 import threading
 from contextlib import suppress
@@ -32,6 +36,8 @@ from .packedpoly import PackedPoly
 # magic and format version; the header ends with the payload's SHA-256
 _MAGIC_VERSION = b"TFCE" + (1).to_bytes(4, "little")
 _HEADER_SIZE = len(_MAGIC_VERSION) + 32
+# the length of each polynomial of a put_polys entry, little-endian
+_LENGTH = struct.Struct("<Q")
 
 
 def digest_text(text: str) -> str:
@@ -110,6 +116,33 @@ class CacheStore:
 
     def put_poly(self, key: str, poly: PackedPoly) -> None:
         self._write(key, poly.to_bytes())
+
+    def get_polys(self, key: str, count: int) -> list[PackedPoly] | None:
+        """The count polynomials of one put_polys entry; an entry of any
+        other count is corrupt."""
+
+        def decode(payload: memoryview) -> list[PackedPoly]:
+            polys, at = [], 0
+            while at < len(payload):
+                if at + _LENGTH.size > len(payload):
+                    raise ValueError("truncated length")
+                (n,) = _LENGTH.unpack_from(payload, at)
+                at += _LENGTH.size
+                if at + n > len(payload):
+                    raise ValueError("truncated polynomial")
+                polys.append(PackedPoly.from_bytes(bytes(payload[at : at + n])))
+                at += n
+            if len(polys) != count:
+                raise ValueError(f"{len(polys)} polynomials, not {count}")
+            return polys
+
+        return self._read(key, decode)
+
+    def put_polys(self, key: str, polys: list[PackedPoly]) -> None:
+        """Several polynomials as one entry: each PackedPoly.to_bytes after
+        its length."""
+        parts = [poly.to_bytes() for poly in polys]
+        self._write(key, b"".join(_LENGTH.pack(len(p)) + p for p in parts))
 
     def get_json(self, key: str):
         return self._read(key, lambda payload: json.loads(str(payload, "utf-8")))

@@ -172,6 +172,22 @@ def _times_letter(keys, coeffs, letter: str):
     return sort_and_sum(np.concatenate(pieces_k), np.concatenate(pieces_c))
 
 
+def _trace_times_letter(keys, coeffs, letter: str):
+    """The untagged keys and coefficients of the trace of the partial
+    product times a generic matrix: only the terms that land on the
+    diagonal, the entries (j, j), are made.  The tagged keys are sorted, so
+    the terms of each entry are one run."""
+    bounds = np.searchsorted(keys, np.arange(17, dtype=np.int64) << _TAG_SHIFT)
+    pieces_k, pieces_c = [], []
+    for k, row in enumerate(_LETTER_ROWS[letter]):
+        for j, var, sign in row:
+            # the terms at (j, k) move to (j, j)
+            run = slice(bounds[4 * j + k], bounds[4 * j + k + 1])
+            pieces_k.append((keys[run] & _KEY_MASK) + (1 << SHIFTS[var]))
+            pieces_c.append(coeffs[run] if sign > 0 else -coeffs[run])
+    return sort_and_sum(np.concatenate(pieces_k), np.concatenate(pieces_c))
+
+
 # -- values at points mod p --------------------------------------------------
 #
 # A point gives each of the 18 variables a residue mod p, and so numeric
@@ -289,15 +305,19 @@ class EvalCache:
     """Per-word and per-generator-monomial evaluation cache.
 
     Thread-safe with last-writer-wins semantics; an optional CacheStore gives
-    persistence for word evaluations.  Besides the trace words it holds the
+    persistence for word evaluations and for the generator evaluations (one
+    entry, see glcat._gen_evals).  Besides the trace words it holds the
     generator evaluations and the generator-monomial products that
     glcat.eval_abs_monomials fills, and the generator values at the points
     of each prime that glcat.gen_values fills, so every memo lives exactly
-    as long as the cache that was passed in.  Of the products it keeps the
-    proper prefixes for good.  The products of leaves, or of combinations
-    of their prefixes, that relfinder._assemble_matrix takes are not kept:
-    each is added into the columns that use it and dropped, and no
-    assembled matrix is kept.  The relation space of each
+    as long as the cache that was passed in.  Of the products it keeps for
+    good the prefixes that eval_abs_monomials and glcat.leaf_groups
+    memoize.  A leaf prefix, the product of all but the last generator of
+    a leaf that relfinder._assemble_matrix multiplies, is held by that
+    assembly alone (see glcat.LeafGroups).  The products of leaves, or of
+    combinations of their prefixes, are not kept either: each is added
+    into the columns that use it and dropped, and no assembled matrix is
+    kept.  The relation space of each
     weight that relfinder.relation_space returns is kept: every member of
     it is zero, so relfinder.verify_zero_abs answers a member without
     evaluating it.  hwv.hwv_verify assembles nothing: the evaluated side of
@@ -305,8 +325,8 @@ class EvalCache:
     Products of word traces are not kept either: eval_trace_expr shares
     prefixes within one call only.  relfinder._proven assembles on the
     slice y11 = 0 (see y11_slice): the cache then also holds the generator
-    evaluations with y11 set to zero and the sliced memo, the proper
-    prefixes of their products, which count in the same stats.gen_products.
+    evaluations with y11 set to zero and the sliced memo of the prefixes of
+    their products, which count in the same stats.gen_products.
     """
 
     def __init__(self, store: CacheStore | None = None):
@@ -340,7 +360,7 @@ class EvalCache:
 
 class Y11Slice:
     """The generator evaluations of an EvalCache with y11 set to zero, and
-    the memo of the proper prefixes of their products: all that
+    the memo of the prefixes of their products: all that
     glcat.eval_abs_monomials, glcat.leaf_groups and relfinder._assemble_matrix
     read of a cache.  Setting y11 to zero is a ring homomorphism, so a
     product of sliced factors is the sliced product.  Its products count in
@@ -373,7 +393,10 @@ def _compute_word_packed(w: Word) -> PackedPoly:
 def _compute_words_packed(words: list[Word]) -> Iterator[tuple[Word, PackedPoly]]:
     """(w, tr(w)) for every word, in order.  Sorted words that share a
     prefix share its partial product: the products of the prefixes of the
-    previous word are kept while they are prefixes of the next one."""
+    previous word are kept while they are prefixes of the next one.  The
+    last letter of a word is multiplied only into the diagonal entries,
+    which the trace reads (see _trace_times_letter), so the product of a
+    whole word is made only where it is a prefix of a later one."""
     for w in words:
         if not _word_fits_packed(w):
             # a key field would carry into its neighbour
@@ -386,16 +409,14 @@ def _compute_words_packed(words: list[Word]) -> Iterator[tuple[Word, PackedPoly]
     # (prefix, tagged terms of its product), each a prefix of the next
     path = [("", identity)]
     for w in words:
-        while not w.startswith(path[-1][0]):
+        while len(path[-1][0]) >= len(w) or not w.startswith(path[-1][0]):
             path.pop()
         prefix, (keys, coeffs) = path[-1]
-        for ch in w[len(prefix) :]:
+        for ch in w[len(prefix) : -1]:
             keys, coeffs = _times_letter(keys, coeffs, ch)
             prefix += ch
             path.append((prefix, (keys, coeffs)))
-        tag = keys >> _TAG_SHIFT
-        diag = (tag >> 2) == (tag & 3)
-        keys, coeffs = sort_and_sum(keys[diag] & _KEY_MASK, coeffs[diag])
+        keys, coeffs = _trace_times_letter(keys, coeffs, w[-1])
         if len(keys) == 0:
             yield w, PackedPoly.zero()
         else:

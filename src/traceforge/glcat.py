@@ -21,6 +21,7 @@ that D kills.
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
 from math import gcd, lcm
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from . import genmat
 from .cache import digest_text
 from ._lazy import np
-from .packedpoly import NVARS, PackedPoly, SumTable
+from .packedpoly import NVARS, PackedPoly, SumTable, content
 from .polyring import BiSeries, Rational
 from .tracelang import (
     NcPoly,
@@ -509,14 +510,24 @@ def phi(p: AbsPoly, cache: genmat.EvalCache | None = None) -> TraceExpr:
 
 
 def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
-    """Evaluations of the 30 generators, memoized on the cache."""
+    """Evaluations of the 30 generators, memoized on the cache.  The store
+    keeps them as one entry under the catalog digest, written the first
+    time they are composed from word traces, so a store that holds it
+    reads no word trace for them; a corrupt entry is a miss, and the
+    generators are composed again."""
     gens = cache._gens
     if gens is None:
         mods = catalog(cache)
-        gens = [
-            genmat.eval_trace_expr_packed(mods[g.module - 1].basis[g.j], cache)
-            for g in ABS_GENS
-        ]
+        store = cache.store
+        key = f"gens:v1:{_catalog_digest(mods)}"
+        gens = store.get_polys(key, NGENS) if store is not None else None
+        if gens is None:
+            gens = [
+                genmat.eval_trace_expr_packed(mods[g.module - 1].basis[g.j], cache)
+                for g in ABS_GENS
+            ]
+            if store is not None:
+                store.put_polys(key, gens)
         with cache._lock:
             cache._gens = gens
     return gens
@@ -580,8 +591,9 @@ def eval_abs_monomials(
             for mono in levels.pop(1, ()):
                 memo[mono] = gens[mono[0]]
         for n in sorted(levels):
-            for group in _by_last_generator(levels[n], cache):
-                group.evaluate(cache)
+            for m, out in _products(levels[n], memo.__getitem__, gens, cache):
+                with cache._lock:
+                    memo[m] = out
     return [
         memo[m] if m else PackedPoly.from_terms([((0,) * NVARS, Fraction(1))])
         for m in monos
@@ -590,28 +602,17 @@ def eval_abs_monomials(
 
 class ProductGroup:
     """Distinct monomials m of two or more generators that end in one
-    generator g, whose prefixes m[:-1] are memoized, and the SumTable that
-    multiplies those prefixes, or any combination of them, by ev(g).  build
-    raises PackedCapacityError if some product would overflow a packed
-    field."""
+    generator g, the evaluations of their prefixes m[:-1], and the SumTable
+    that multiplies those prefixes, or any combination of them, by gen =
+    ev(g).  The constructor raises PackedCapacityError if some product
+    would overflow a packed field."""
 
-    def __init__(self, monos: list[AbsMonomial], cache: genmat.EvalCache):
-        memo = cache._abs_monos
+    def __init__(
+        self, monos: list[AbsMonomial], prefixes: list[PackedPoly], gen: PackedPoly
+    ):
         self.monos = monos
-        self.gen = _gen_evals(cache)[monos[0][-1]]
-        self.prefixes = [memo[m[:-1]] for m in monos]
-        self.table: SumTable | None = None
-
-    def build(self) -> None:
-        self.table = SumTable(self.prefixes, self.gen)
-
-    def evaluate(self, cache: genmat.EvalCache) -> None:
-        """build, then take the product of every prefix (see products) and
-        memoize it."""
-        self.build()
-        for (_, out), m in zip(self.products(cache, self.prefixes), self.monos):
-            with cache._lock:
-                cache._abs_monos[m] = out
+        self.prefixes: list[PackedPoly] | None = prefixes
+        self.table: SumTable | None = SumTable(prefixes, gen)
 
     def products(
         self, cache: genmat.EvalCache, polys: Iterable[PackedPoly]
@@ -630,35 +631,130 @@ class ProductGroup:
         self.table = None
 
 
-def _by_last_generator(
-    monos: Iterable[AbsMonomial], cache: genmat.EvalCache
-) -> list[ProductGroup]:
+def _products(
+    monos: Iterable[AbsMonomial], prefix, gens: list[PackedPoly], cache: genmat.EvalCache
+) -> Iterator[tuple[AbsMonomial, PackedPoly]]:
+    """(m, ev(m)) for each of monos, as prefix(m[:-1]) * ev(m[-1]), through
+    one ProductGroup per last generator, in first-seen order."""
+    for ms in _by_last_generator(monos):
+        group = ProductGroup(ms, [prefix(m[:-1]) for m in ms], gens[ms[0][-1]])
+        for (_, out), m in zip(group.products(cache, group.prefixes), ms):
+            yield m, out
+
+
+def _by_last_generator(monos: Iterable[AbsMonomial]) -> list[list[AbsMonomial]]:
+    """monos split by their last generator, in first-seen order."""
     by_gen: dict[int, list[AbsMonomial]] = {}
     for m in monos:
         by_gen.setdefault(m[-1], []).append(m)
-    return [ProductGroup(ms, cache) for ms in by_gen.values()]
+    return list(by_gen.values())
+
+
+class LeafGroups:
+    """The fresh leaves of leaf_groups as ProductGroups, one per last
+    generator in first-seen order, made one at a time as they are iterated
+    (once).
+
+    The prefixes m[:-1] of a group's leaves, the leaf prefixes, and its
+    table are made when the group is reached and dropped when the next one
+    is asked for.  Each leaf prefix is the product of a generator with a
+    shorter prefix, memoized on the cache for good (see leaf_groups), or
+    with a generator.  A leaf prefix that the memo lacks is made by the
+    first group that needs it and held, on this object and never in the
+    memo, until the last group that needs it is done: needs counts, for
+    each held or yet unmade leaf prefix, the groups still to come that
+    need it, so no product is made twice."""
+
+    def __init__(
+        self,
+        fresh: list[AbsMonomial],
+        known: dict[AbsMonomial, PackedPoly],
+        cache: genmat.EvalCache,
+    ):
+        self.cache = cache
+        self.known = known
+        self.leaves = _by_last_generator(fresh)
+        self.needs: dict[AbsMonomial, int] = {}
+        for ms in self.leaves:
+            for p in dict.fromkeys(m[:-1] for m in ms):
+                if len(p) > 1 and p not in known:
+                    self.needs[p] = self.needs.get(p, 0) + 1
+        self.held: dict[AbsMonomial, PackedPoly] = {}
+
+    def __iter__(self) -> Iterator[ProductGroup]:
+        gens = _gen_evals(self.cache)
+
+        def prefix(p: AbsMonomial) -> PackedPoly:
+            if len(p) == 1:
+                return gens[p[0]]
+            return self.held[p] if p in self.held else self.known[p]
+
+        try:
+            for ms in self.leaves:
+                need = [p for p in dict.fromkeys(m[:-1] for m in ms) if p in self.needs]
+                todo = [p for p in need if p not in self.held]
+                self.held.update(_products(todo, prefix, gens, self.cache))
+                group = ProductGroup(ms, [prefix(m[:-1]) for m in ms], gens[ms[0][-1]])
+                yield group
+                # the caller's loop still holds group while the next is made
+                group.prefixes = group.table = None
+                for p in need:
+                    self.needs[p] -= 1
+                    if not self.needs[p]:
+                        del self.needs[p], self.held[p]
+        finally:
+            self.held.clear()
 
 
 def leaf_groups(
     monos: Iterable[AbsMonomial], cache: genmat.EvalCache | None = None
-) -> tuple[dict[AbsMonomial, PackedPoly], list[ProductGroup]]:
-    """(evals, groups) for distinct monomials: evals maps the monomials that
-    are already evaluated to their evaluations; the others, the fresh
-    leaves, are in groups, whose tables are built, one group after another
-    on the calling thread.  Every prefix of a fresh leaf is evaluated first
-    (see eval_abs_monomials).  No fresh leaf is evaluated here or memoized:
-    the caller takes the group's products (see ProductGroup.products), of
-    the prefixes or of combinations of them, and keeps what it needs."""
+) -> tuple[dict[AbsMonomial, PackedPoly], LeafGroups]:
+    """(evals, groups) for distinct monomials.  The fresh leaves are the
+    monomials of two or more generators that the memo lacks and that are
+    no proper prefix of another of the monomials; groups yields them one
+    ProductGroup at a time (see LeafGroups).  evals maps every other
+    monomial to its evaluation, memoized (see eval_abs_monomials).  The
+    proper prefixes of the leaf prefixes, the lower levels of their trie,
+    are evaluated and memoized here, on the calling thread.  No fresh leaf
+    is evaluated here or memoized: the caller takes the group's products
+    (see ProductGroup.products), of the prefixes or of combinations of
+    them, and keeps what it needs."""
     monos = list(monos)
     cache = cache or genmat.default_cache()
     memo = cache._abs_monos
-    eval_abs_monomials([m[:-1] for m in monos if len(m) > 1 and m not in memo], cache)
-    fresh = [m for m in monos if len(m) > 1 and m not in memo]
-    done = [m for m in monos if len(m) <= 1 or m in memo]
-    groups = _by_last_generator(fresh, cache)
-    for group in groups:
-        group.build()
-    return dict(zip(done, eval_abs_monomials(done, cache))), groups
+    candidates = [m for m in monos if len(m) > 1 and m not in memo]
+    inner = {m[:n] for m in candidates for n in range(2, len(m))}
+    fresh = [m for m in candidates if m not in inner]
+    done = [m for m in monos if len(m) <= 1 or m in memo or m in inner]
+    evals = dict(zip(done, eval_abs_monomials(done, cache)))
+    prefixes = {m[:-1] for m in fresh if len(m) > 2}
+    known = list(
+        {p[:n]: None for p in prefixes for n in range(2, len(p))}
+        | {p: None for p in prefixes if p in memo}
+    )
+    return evals, LeafGroups(fresh, dict(zip(known, eval_abs_monomials(known, cache))), cache)
+
+
+def predicted_dens(
+    monos: Iterable[AbsMonomial], gens: list[PackedPoly]
+) -> dict[AbsMonomial, int]:
+    """The denominator in lowest terms of the evaluation of each monomial,
+    from the contents and denominators of the generator evaluations gens
+    alone, before any product is made.  Write ev(g) = c P / d with P an
+    integer polynomial of content 1 and gcd(c, d) = 1.  By Gauss's lemma a
+    product of polynomials of content 1 has content 1, so the evaluation of
+    m is (prod c) (prod P) / (prod d), whose denominator is
+    prod d / gcd(prod c, prod d).  A zero generator has content 0, and a
+    monomial with a zero factor gets denominator 1."""
+    contents = [content(g) for g in gens]
+    out = {}
+    for m in monos:
+        c = d = 1
+        for g in m:
+            c *= contents[g]
+            d *= gens[g].den
+        out[m] = d // gcd(c, d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -718,25 +814,44 @@ def multiplicity(lam: Partition) -> int:
     return P - Q
 
 
+@functools.cache
+def _reachable(P: int, Q: int) -> list[list[list[bool]]]:
+    """reach[g][a][b] for a <= P and b <= Q: is (a, b) a sum of the
+    bidegrees of generators g, g + 1, ..., the empty sum included?"""
+    reach = [[[a == b == 0 for b in range(Q + 1)] for a in range(P + 1)]]
+    for g in reversed(ABS_GENS):
+        gp, gq = g.bidegree
+        cur = [row[:] for row in reach[-1]]
+        for a in range(gp, P + 1):
+            for b in range(gq, Q + 1):
+                cur[a][b] = cur[a][b] or cur[a - gp][b - gq]
+        reach.append(cur)
+    reach.reverse()
+    return reach
+
+
 def bidegree_monomials(p: int, q: int) -> list[AbsMonomial]:
     """All generator monomials of bidegree (p, q), for any p, q >= 0, in the
-    order of a depth-first walk over the generators."""
+    order of a depth-first walk over the generators.  The walk enters only
+    the branches that can still reach (p, q) (see _reachable, one table
+    for every bidegree up to (15, 15)), so it visits no dead end."""
+    reach = _reachable(max(p, 15), max(q, 15))
     out: list[AbsMonomial] = []
 
     def recurse(gid: int, p: int, q: int, acc: list[int]) -> None:
         if p == 0 and q == 0:
             out.append(tuple(acc))
             return
-        if gid >= NGENS:
-            return
         gp, gq = ABS_GENS[gid].bidegree
-        recurse(gid + 1, p, q, acc)
-        if gp <= p and gq <= q:
+        if reach[gid + 1][p][q]:
+            recurse(gid + 1, p, q, acc)
+        if gp <= p and gq <= q and reach[gid][p - gp][q - gq]:
             acc.append(gid)
             recurse(gid, p - gp, q - gq, acc)
             acc.pop()
 
-    recurse(0, p, q, [])
+    if reach[0][p][q]:
+        recurse(0, p, q, [])
     return out
 
 

@@ -36,7 +36,7 @@ from .glcat import (
     mono_name,
 )
 from . import genmat
-from .nullspace import NullBasis, _IntEchelon
+from .nullspace import _IntEchelon
 
 
 class HwvBasis(NamedTuple):
@@ -63,11 +63,13 @@ def _module_profile(mono: AbsMonomial) -> tuple[int, ...]:
     return tuple(prof)
 
 
-def raising_kernel(polys: Sequence[AbsPoly]) -> NullBasis:
+def raising_kernel(polys: Sequence[AbsPoly]) -> list[tuple[list[int], int]]:
     """Exact kernel of abs_delta on the span of polys: the coefficient
-    vectors c, in free-column order, with abs_delta(sum c_i polys_i) = 0.
-    The rows of its matrix are integers: every column is scaled by the
-    common denominator L of the images, which leaves the kernel as it is."""
+    vectors c, in free-column order, with abs_delta(sum c_i polys_i) = 0,
+    each as integer numerators over one denominator (see
+    nullspace._IntEchelon.int_kernel).  The rows of its matrix are
+    integers: every column is scaled by the common denominator L of the
+    images, which leaves the kernel as it is."""
     images = [abs_delta(p) for p in polys]
     L = lcm(1, *(d.den for d in images))
     rows: dict[AbsMonomial, dict[int, int]] = {}
@@ -78,7 +80,7 @@ def raising_kernel(polys: Sequence[AbsPoly]) -> NullBasis:
     ech = _IntEchelon(len(polys))
     for row in rows.values():
         ech.add_row(row)
-    return ech.kernel()
+    return ech.int_kernel()
 
 
 def span_rank(polys: Iterable[AbsPoly]) -> int:
@@ -121,7 +123,7 @@ def _solve_basis(lam: Partition, threads: int) -> HwvBasis:
     for i, m in enumerate(p_mons):
         blocks.setdefault(_module_profile(m), []).append(i)
 
-    def solve(cols: list[int]) -> NullBasis:
+    def solve(cols: list[int]) -> list[tuple[list[int], int]]:
         return raising_kernel([AbsPoly.monomial(p_mons[i]) for i in cols])
 
     if threads > 1:
@@ -134,12 +136,14 @@ def _solve_basis(lam: Partition, threads: int) -> HwvBasis:
 
     rank = 0
     by_free_col: list[tuple[int, AbsPoly]] = []
-    for cols, nb in zip(blocks.values(), kernels):
-        rank += nb.rank
-        for v in nb.vectors:
-            nonzero = [(i, c) for i, c in zip(cols, v) if c]
-            free = nonzero[-1][0]
-            by_free_col.append((free, AbsPoly({p_mons[i]: c for i, c in nonzero})))
+    for cols, kernel in zip(blocks.values(), kernels):
+        rank += len(cols) - len(kernel)
+        for nums, den in kernel:
+            nonzero = {i: c for i, c in zip(cols, nums) if c}
+            # the free column is the last nonzero one
+            by_free_col.append(
+                (max(nonzero), AbsPoly._of({p_mons[i]: c for i, c in nonzero.items()}, den))
+            )
     by_free_col.sort(key=lambda t: t[0])
     vectors = tuple(v for _, v in by_free_col)
     return HwvBasis(lam, len(p_mons), Q, rank, tuple(p_mons), vectors)

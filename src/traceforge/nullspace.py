@@ -158,22 +158,41 @@ class _IntEchelon:
             self.pivots[c] = row
         return self.pivots
 
-    def kernel(self) -> NullBasis:
+    def int_kernel(self) -> list[tuple[list[int], int]]:
+        """The kernel in free-column order, each vector as integer
+        numerators over one positive denominator, with no common factor,
+        normalized so its first nonzero coordinate is 1 (see kernel)."""
         rref = self.rref()
         pivot_cols = sorted(rref)
         vectors = []
         for f in range(self.ncols):
             if f in rref:
                 continue
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for c in pivot_cols:
-                row = rref[c]
-                e = row.get(f)
-                if e:
-                    v[c] = Fraction(-e, row[c])
-            vectors.append(_normalize_first_one(v))
-        return NullBasis(self.ncols, tuple(vectors))
+            # v[f] = 1 and v[c] = -e / row[c] at each pivot c; the pivots of
+            # the rref are positive, so L is their lcm and nums = L v
+            hits = [(c, rref[c][f], rref[c][c]) for c in pivot_cols if rref[c].get(f)]
+            L = lcm(1, *(p for _, _, p in hits))
+            nums = [0] * self.ncols
+            nums[f] = L
+            for c, e, p in hits:
+                nums[c] = -e * (L // p)
+            lead = next(x for x in nums if x)
+            g = gcd(lead, *nums)
+            if lead < 0:
+                g = -g
+            vectors.append(([x // g for x in nums], lead // g))
+        return vectors
+
+    def kernel(self) -> NullBasis:
+        """The kernel in free-column order, each vector normalized so its
+        first nonzero coordinate is 1, as Fractions."""
+        return NullBasis(
+            self.ncols,
+            tuple(
+                tuple(Fraction(x, den) for x in nums)
+                for nums, den in self.int_kernel()
+            ),
+        )
 
 
 def _combine_ff(r: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:

@@ -343,16 +343,18 @@ def _product_degrees(p: PackedPoly, factor: PackedPoly) -> tuple[int, int]:
     return xdeg, ydeg
 
 
-def product_den(p: PackedPoly, factor: PackedPoly) -> int:
-    """The denominator of p * factor in lowest terms, found without the
-    product.  By Gauss's lemma the content of a product of integer
-    polynomials is the product of their contents, and
-    gcd(ab, n) = gcd(a, n) * gcd(b, n / gcd(a, n))."""
-    den = p.den * factor.den
-    if den == 1 or p.is_zero() or factor.is_zero():
-        return 1
-    d = _den_gcd(p.coeffs, den)
-    return den // (d * _den_gcd(factor.coeffs, den // d))
+def content(p: PackedPoly) -> int:
+    """The gcd of the integer coefficients of p, 0 for zero.  By Gauss's
+    lemma the content of a product of integer polynomials is the product of
+    their contents (see glcat.predicted_dens)."""
+    if p.coeffs.dtype != object:
+        return int(np.gcd.reduce(p.coeffs))
+    g = 0
+    for c in p.coeffs:
+        g = gcd(g, int(c))
+        if g == 1:
+            break
+    return g
 
 
 class SumTable:

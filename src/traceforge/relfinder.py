@@ -39,6 +39,7 @@ from .glcat import (
     AbsMonomial,
     AbsPoly,
     Partition,
+    ProductGroup,
     _gen_evals,
     abs_delta,
     abs_delta1,
@@ -52,6 +53,7 @@ from .glcat import (
     mono_bidegree,
     mono_name,
     phi,
+    predicted_dens,
 )
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
 from .nullspace import (
@@ -67,7 +69,6 @@ from .packedpoly import (
     PackedCapacityError,
     PackedPoly,
     distinct_keys,
-    product_den,
     sum_scaled,
 )
 from .polyring import CommPoly, poly_to_text
@@ -175,55 +176,59 @@ class RelationSpace(NamedTuple):
         return len(self.relvectors)
 
 
-# keys added to the sorted union per merge; bounds the array each sort holds
-# (2 MB: the leaves of one degree-12 candidate file hold 1.1 M keys)
-_UNION_BATCH = 1 << 18
-
-
-def _sorted_union(key_arrays: Iterable[np.ndarray]) -> np.ndarray:
-    """Sorted distinct int64 keys of all arrays, merged a batch at a time."""
-    union = np.empty(0, dtype=np.int64)
-    batch: list[np.ndarray] = []
-    pending = 0
-    for keys in key_arrays:
-        batch.append(keys)
-        pending += len(keys)
-        if pending >= _UNION_BATCH:
-            union = distinct_keys(np.concatenate([union, *batch]))
-            batch, pending = [], 0
-    return distinct_keys(np.concatenate([union, *batch]))
-
-
 class _Columns:
-    """The integer matrix M of _assemble_matrix while it is summed, with
-    nrows rows and one column per polynomial.  uses[m] holds the (column,
-    integer weight) of every column whose polynomial has the monomial m, and
-    den[m] the predicted denominator of its evaluation.  M is column-major,
-    so that the additions to a column stay in one contiguous block; it turns
-    to object dtype once the bound of a column reaches 2^62."""
+    """The integer matrix M of _assemble_matrix while it is summed, with one
+    column per polynomial and one row per packed key, added as the keys
+    arrive (see rows).  uses[m] holds the (column, integer weight) of every
+    column whose polynomial has the monomial m, and den[m] the predicted
+    denominator of its evaluation.  M is row-major, so that new rows extend
+    its buffer in place; it turns to object dtype once the bound of a
+    column reaches 2^62."""
 
     def __init__(
         self,
-        nrows: int,
         ncols: int,
         uses: dict[AbsMonomial, list[tuple[int, int]]],
         den: dict[AbsMonomial, int],
     ):
-        self.M = np.zeros((nrows, ncols), dtype=np.int64, order="F")
+        self.M = np.zeros((0, ncols), dtype=np.int64)
         self.bounds = [0] * ncols
         self.uses = uses
         self.den = den
+        # the keys of the rows, ascending, and the row of each
+        self.keys = np.empty(0, dtype=np.int64)
+        self.order = np.empty(0, dtype=np.intp)
 
-    def place(self, m: AbsMonomial, pos: np.ndarray, e: PackedPoly) -> None:
-        """Add e = ev(m), whose keys are at the rows pos, scaled into every
-        column that uses m."""
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """The rows of keys, which are strictly ascending.  A key without a
+        row gets a new one, at the end of M."""
+        at = np.searchsorted(self.keys, keys)
+        known = at < len(self.keys)
+        known[known] = self.keys[at[known]] == keys[known]
+        rows = np.empty(len(keys), dtype=np.intp)
+        rows[known] = self.order[at[known]]
+        new = np.flatnonzero(~known)
+        if len(new):
+            rows[new] = np.arange(len(self.keys), len(self.keys) + len(new))
+            # both runs are sorted, so the stable sort merges them
+            merged = np.concatenate([self.keys, keys[new]])
+            order = np.argsort(merged, kind="stable")
+            self.keys = merged[order]
+            self.order = np.concatenate([self.order, rows[new]])[order]
+            # the new rows are zero; a large buffer grows without a copy
+            self.M.resize((len(self.keys), self.M.shape[1]), refcheck=False)
+        return rows
+
+    def place(self, m: AbsMonomial, rows: np.ndarray, e: PackedPoly) -> None:
+        """Add e = ev(m), whose keys are at rows, scaled into every column
+        that uses m."""
         if e.den != self.den[m]:
             raise AssertionError(f"denominator of {mono_name(m)} differs from its prediction")
-        self.add(self.uses[m], pos, e)
+        self.add(self.uses[m], rows, e)
 
-    def add(self, uses: list[tuple[int, int]], pos: np.ndarray, e: PackedPoly) -> None:
-        """Add w times the integer coefficients of e, whose keys are at the
-        rows pos, into column i for every (i, w) of uses."""
+    def add(self, uses: list[tuple[int, int]], rows: np.ndarray, e: PackedPoly) -> None:
+        """Add w times the integer coefficients of e, whose keys are at
+        rows, into column i for every (i, w) of uses."""
         for i, w in uses:
             self.bounds[i] += abs(w) * e.bound
             if self.bounds[i] >= 1 << 62 and self.M.dtype != object:
@@ -231,11 +236,20 @@ class _Columns:
         M = self.M
         coeffs = e.coeffs.astype(object) if M.dtype == object and not e.is_big() else e.coeffs
         for i, w in uses:
-            # M is column-major, so M[:, i] is a contiguous view; the keys of
-            # e are strictly ascending and their rows distinct, so pos never
-            # repeats and plain indexing adds each term once
-            col = M[:, i]
-            col[pos] += coeffs * w
+            # the keys of e are strictly ascending and their rows distinct,
+            # so rows never repeats and plain indexing adds each term once
+            M[rows, i] += coeffs * w
+
+    def matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, keys): the rows at which some column is nonzero, in ascending
+        order of their keys, and those keys.  The rows move up in place,
+        one column at a time."""
+        M = self.M
+        keep = M.any(axis=1)[self.order]
+        rows = self.order[keep]
+        for col in M.T:
+            col[: len(rows)] = col[rows]
+        return M[: len(rows)], self.keys[keep]
 
 
 def _assemble_matrix(
@@ -247,29 +261,28 @@ def _assemble_matrix(
     one row per packed key of the 18-variable evaluation, ascending, at which
     some column is nonzero.  Column i divided by colscale[i] is the
     evaluation of phi(polys[i]), summed from generator-monomial evaluations;
-    phi is never expanded.  A monomial already evaluated is placed once, by
-    a search of its keys, and added, scaled, into every column that uses it
-    (see _Columns.place).  The fresh leaves are multiplied here, one
+    phi is never expanded.  The denominator of every monomial's evaluation
+    is predicted first, from the contents and denominators of the
+    generators (see glcat.predicted_dens), so the column scales are known
+    before any product is made, and each product is checked against its
+    prediction.  A monomial already evaluated is placed once, by a search
+    of its keys, and added, scaled, into every column that uses it (see
+    _Columns.place).  The fresh leaves are multiplied here, one
     glcat.ProductGroup (the leaves that end in one generator g) after
     another on the calling thread, in whichever association order needs
-    fewer products.  When the group feeds fewer columns than it has leaves,
-    the part of column i it gives is sum_m w_im ev(m) = F_i ev(g), where
-    F_i = sum_m w_im den[m] ev(m[:-1]) combines the memoized prefixes
-    exactly (see packedpoly.sum_scaled): one product per column, whose
-    integer coefficients are added into that column alone.  Otherwise each
-    leaf is one product, added, scaled, into every column that uses it.
-    Either way a product is placed through the positions of its group's key
-    sums among the rows, with no search, and dies as soon as it is placed:
-    no fresh leaf is memoized, and at most one product, and one combination
-    of prefixes, is alive beside M.  The proper prefixes stay memoized on
-    the cache.  M has object dtype when the bound of some column reaches
-    2^62, else int64.  The polys need not be homogeneous.  A monomial whose
-    bidegree exceeds the packed fields raises PackedCapacityError before
-    anything is evaluated.  Nothing of the result is kept on the cache: M
-    lives as long as its caller holds it.  The cache may be the slice
-    y11 = 0 of a cache (see genmat.Y11Slice), whose sliced generators and
-    memo it then reads, so that M is the matrix of the evaluations with y11
-    set to zero.
+    fewer products (see _place_group).  A group's prefixes and table are
+    made when it is reached and die with it (see glcat.LeafGroups), and
+    the rows of M grow as each group's key sums arrive (see _Columns.rows):
+    they are put in key order once, at the end.  A product dies as soon as
+    it is placed: no fresh leaf is memoized, and at most one product, and
+    one combination of prefixes, is alive beside M.  M has object dtype when
+    the bound of some column reaches 2^62, else int64.  The polys need not
+    be homogeneous.  A monomial whose bidegree exceeds the packed fields
+    raises PackedCapacityError before anything is evaluated.  Nothing of the
+    result is kept on the cache: M lives as long as its caller holds it.
+    The cache may be the slice y11 = 0 of a cache (see genmat.Y11Slice),
+    whose sliced generators and memo it then reads, so that M is the
+    matrix of the evaluations with y11 set to zero.
     """
     cache = cache or genmat.default_cache()
     used = dict.fromkeys(m for v in polys for m in v.nums)
@@ -278,14 +291,7 @@ def _assemble_matrix(
             raise PackedCapacityError(
                 f"monomial bidegree ({p},{q}) exceeds packed capacity ({XCAP},{YCAP})"
             )
-    evals, groups = leaf_groups(used, cache)
-    # every denominator is known before the fresh leaves are multiplied
-    den = {m: e.den for m, e in evals.items()}
-    for grp in groups:
-        den.update((m, product_den(p, grp.gen)) for m, p in zip(grp.monos, grp.prefixes))
-    all_keys = _sorted_union(
-        [*(e.keys for e in evals.values()), *(grp.table.sums for grp in groups)]
-    )
+    den = predicted_dens(used, _gen_evals(cache))
     # uses[m]: (column, integer weight) of every column whose polynomial has
     # m; v = nums / v.den, so column i is v.den * D times ev(v)
     uses: dict[AbsMonomial, list[tuple[int, int]]] = {m: [] for m in used}
@@ -295,38 +301,57 @@ def _assemble_matrix(
         for m, c in v.nums.items():
             uses[m].append((i, c * (D // den[m])))
         colscale.append(v.den * D)
-    cols = _Columns(len(all_keys), len(polys), uses, den)
-    for m, e in evals.items():
-        cols.place(m, np.searchsorted(all_keys, e.keys), e)
-
+    cols = _Columns(len(polys), uses, den)
+    evals, groups = leaf_groups(used, cache)
+    if evals:
+        _place_evals(cols, evals)
     for grp in groups:
-        at = np.searchsorted(all_keys, grp.table.sums)
-        # combination[i]: (prefix, w_im den[m]) of every leaf m of column i
-        combination: dict[int, list[tuple[PackedPoly, int]]] = {}
-        for m, p in zip(grp.monos, grp.prefixes):
-            for i, w in uses[m]:
-                combination.setdefault(i, []).append((p, w * den[m]))
-        if len(combination) < len(grp.monos):
-            combined = (sum_scaled(pairs) for pairs in combination.values())
-            for (pos, e), i in zip(grp.products(cache, combined), combination):
-                if e.den != 1:
-                    raise AssertionError(
-                        f"column {i} of the leaves that end in "
-                        f"{mono_name(grp.monos[0][-1:])} is not integral"
-                    )
-                cols.add([(i, 1)], at[pos], e)
-        else:
-            for (pos, e), m in zip(grp.products(cache, grp.prefixes), grp.monos):
-                cols.place(m, at[pos], e)
-    M = cols.M
-    rows = np.flatnonzero(M.any(axis=1))
-    # the nonzero rows move up in place, one contiguous column at a time
-    for col in M.T:
-        col[: len(rows)] = col[rows]
-    return M[: len(rows)], colscale, all_keys[rows]
+        _place_group(cols, grp, cache)
+    M, keys = cols.matrix()
+    return M, colscale, keys
 
 
-def _relation_vector(zeta: Sequence[Fraction], vectors: Sequence[AbsPoly]) -> AbsPoly:
+def _place_evals(cols: _Columns, evals: dict[AbsMonomial, PackedPoly]) -> None:
+    """Place the monomials already evaluated, through the sorted union of
+    their keys."""
+    keys = distinct_keys(np.concatenate([e.keys for e in evals.values()]))
+    rows = cols.rows(keys)
+    for m, e in evals.items():
+        cols.place(m, rows[np.searchsorted(keys, e.keys)], e)
+
+
+def _place_group(cols: _Columns, grp: ProductGroup, cache: genmat.EvalCache) -> None:
+    """Add the products of one group of fresh leaves into the columns.
+
+    When the group feeds fewer columns than it has leaves, the part of
+    column i it gives is sum_m w_im ev(m) = F_i ev(g), where
+    F_i = sum_m w_im den[m] ev(m[:-1]) combines the prefixes exactly (see
+    packedpoly.sum_scaled): one product per column, whose integer
+    coefficients are added into that column alone and must be integral.
+    Otherwise each leaf is one product, added, scaled, into every column
+    that uses it.  Either way a product is placed through the rows of its
+    group's key sums, with no search."""
+    rows = cols.rows(grp.table.sums)
+    # combination[i]: (prefix, w_im den[m]) of every leaf m of column i
+    combination: dict[int, list[tuple[PackedPoly, int]]] = {}
+    for m, p in zip(grp.monos, grp.prefixes):
+        for i, w in cols.uses[m]:
+            combination.setdefault(i, []).append((p, w * cols.den[m]))
+    if len(combination) < len(grp.monos):
+        combined = (sum_scaled(pairs) for pairs in combination.values())
+        for (pos, e), i in zip(grp.products(cache, combined), combination):
+            if e.den != 1:
+                raise AssertionError(
+                    f"column {i} of the leaves that end in "
+                    f"{mono_name(grp.monos[0][-1:])} is not integral"
+                )
+            cols.add([(i, 1)], rows[pos], e)
+    else:
+        for (pos, e), m in zip(grp.products(cache, grp.prefixes), grp.monos):
+            cols.place(m, rows[pos], e)
+
+
+def _relation_vector(zeta: Sequence[Fraction | int], vectors: Sequence[AbsPoly]) -> AbsPoly:
     """The combination sum_i zeta_i * vectors_i, summed over one common
     denominator."""
     pairs = [(z, v) for z, v in zip(zeta, vectors) if z]
@@ -819,8 +844,8 @@ class NewRelationsReport(NamedTuple):
 def _old_multiplicity(products: list[AbsPoly]) -> int:
     """Dimension of the highest weight space inside the span of the given
     vectors, all of one bidegree."""
-    kernel = raising_kernel(products)
-    return span_rank(_relation_vector(k, products) for k in kernel.vectors)
+    # a kernel vector nums / den spans the line of nums, an integer zeta
+    return span_rank(_relation_vector(nums, products) for nums, _ in raising_kernel(products))
 
 
 def new_relations(

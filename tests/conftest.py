@@ -62,22 +62,31 @@ def one_matrix_kernel(lam: Partition) -> tuple[int, int, tuple[AbsPoly, ...]]:
 def expected_products(calls, memoized=()) -> int:
     """The generator-monomial products of assembling each list of polys in
     calls in turn (see relfinder._assemble_matrix), on one cache that
-    evaluated the monomials memoized first and nothing else: every memoized
-    monomial and distinct proper prefix once, and for the fresh leaves of a
-    call that end in one generator, one product per leaf or one per column
-    they feed, whichever is fewer."""
+    evaluated the monomials memoized first and nothing else.  The memo
+    keeps every memoized monomial and its prefixes, and, of each call, the
+    monomials it does not multiply as fresh leaves, their prefixes and the
+    proper prefixes of the leaf prefixes (the m[:-1] of the fresh leaves m),
+    each made once.  A leaf prefix that the memo lacks is made once per
+    call and not kept.  For the fresh leaves of a call that end in one
+    generator, there is one product per leaf or one per column they feed,
+    whichever is fewer."""
     memo = {m[:n] for m in memoized for n in range(2, len(m) + 1)}
-    leaf_products = 0
+    made = len(memo)
     for polys in calls:
         columns: dict = {}
         for i, v in enumerate(polys):
             for m in v.terms:
-                if len(m) > 1:
-                    columns.setdefault(m, set()).add(i)
-        memo |= {m[:n] for m in columns for n in range(2, len(m))}
+                columns.setdefault(m, set()).add(i)
+        candidates = [m for m in columns if len(m) > 1 and m not in memo]
+        inner = {m[:n] for m in candidates for n in range(2, len(m))}
+        fresh = [m for m in candidates if m not in inner]
+        kept = {m[:n] for m in columns if m not in fresh for n in range(2, len(m) + 1)}
+        prefixes = {m[:-1] for m in fresh if len(m) > 2}
+        kept |= {p[:n] for p in prefixes for n in range(2, len(p))}
+        made += len(kept - memo) + len(prefixes - memo - kept)
+        memo |= kept
         by_last: dict = {}
-        for m, cols in columns.items():
-            if m not in memo:
-                by_last.setdefault(m[-1], []).append(cols)
-        leaf_products += sum(min(len(g), len(set().union(*g))) for g in by_last.values())
-    return len(memo) + leaf_products
+        for m in fresh:
+            by_last.setdefault(m[-1], []).append(columns[m])
+        made += sum(min(len(g), len(set().union(*g))) for g in by_last.values())
+    return made

@@ -23,7 +23,7 @@ from traceforge.glcat import (
     abs_delta1,
     abs_poly_text,
 )
-from traceforge.hwv import hwv_basis, hwv_verify, span_rank
+from traceforge.hwv import hwv_basis, hwv_verify, raising_kernel, span_rank
 
 monomials = st.lists(st.integers(0, NGENS - 1), max_size=4).map(lambda m: tuple(sorted(m)))
 coefficients = st.one_of(
@@ -99,8 +99,9 @@ def test_a_stored_coefficient_must_read_n_over_d():
 
 
 def test_the_generator_algebra_constructs_no_fraction(monkeypatch):
-    # abs_delta, abs_delta1, the arithmetic, the highest-weight checks and
-    # the integer rows of span_rank run on Python ints
+    # abs_delta, abs_delta1, the arithmetic, the highest-weight checks, the
+    # integer rows of span_rank and the kernel of the raising map run on
+    # Python ints
     lam = Partition(7, 5)
     basis = hwv_basis(lam)
     a, b = basis.vectors[:2]
@@ -119,6 +120,8 @@ def test_the_generator_algebra_constructs_no_fraction(monkeypatch):
     relfinder._check_highest_weight(lam, basis.vectors)
     assert hwv_verify(basis, evaluate=False).ok
     assert span_rank(basis.vectors) == basis.s
+    kernel = raising_kernel([AbsPoly.monomial(m) for m in basis.monomials])
+    assert len(kernel) == basis.s
     assert made[0] == 0
     dict(a.terms)
     assert made[0] == len(a.nums)  # the Fraction view does construct them

@@ -254,3 +254,75 @@ def test_warm_store_is_not_certified_again_on_the_default_cache(
     rep = hwv_verify(hwv_basis((7, 5)), evaluate=True, cache=EvalCache(session_cache.store))
     assert rep.ok
     assert genmat.default_cache().stats.word_evals == 0
+
+
+def _gens_key(store) -> str:
+    return f"gens:v1:{glcat.catalog_digest(EvalCache(store))}"
+
+
+def test_the_generators_are_read_back_as_one_entry(tmp_path):
+    # the first cache composes the 30 generators from word traces and writes
+    # them as one entry; a fresh cache over the store reads that entry, and
+    # no word trace, and gets the same bytes
+    store = CacheStore(tmp_path / "s")
+    first = EvalCache(store)
+    gens = glcat._gen_evals(first)
+    assert first.stats.word_evals > 0
+    assert [p.to_bytes() for p in store.get_polys(_gens_key(store), 30)] == [
+        p.to_bytes() for p in gens
+    ]
+    reads = store.stats.hits
+    again = EvalCache(store)
+    got = glcat._gen_evals(again)
+    assert (again.stats.word_evals, again.stats.disk_hits) == (0, 0)
+    # two reads: the catalog verdict and the generator entry
+    assert store.stats.hits == reads + 2 and store.stats.corrupt == 0
+    assert [p.to_bytes() for p in got] == [p.to_bytes() for p in gens]
+
+
+@pytest.mark.parametrize("damage", ["flipped-byte", "truncated", "29-polys", "short-length"])
+def test_a_damaged_generator_entry_is_composed_again_and_rewritten(tmp_path, damage):
+    store = CacheStore(tmp_path / "s")
+    gens = glcat._gen_evals(EvalCache(store))
+    key = _gens_key(store)
+    path = store._path(key)
+    data = path.read_bytes()
+    payload = data[40:]
+    if damage == "flipped-byte":
+        flipped = bytearray(data)
+        flipped[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(flipped))
+    elif damage == "truncated":
+        # behind a valid header, so that the read reaches the decoder
+        store._write(key, payload[:-3])
+    elif damage == "29-polys":
+        store.put_polys(key, gens[:29])
+    else:
+        store._write(key, payload + b"\x01\x00")
+    store.stats.corrupt = 0
+    cache = EvalCache(store)
+    got = glcat._gen_evals(cache)
+    assert store.stats.corrupt == 1
+    # composed again from the stored word traces, and the entry rewritten
+    assert cache.stats.word_evals == 0 and cache.stats.disk_hits > 0
+    assert [p.to_bytes() for p in got] == [p.to_bytes() for p in gens]
+    assert path.read_bytes() == data
+    third = EvalCache(store)
+    glcat._gen_evals(third)
+    assert third.stats.disk_hits == 0 and store.stats.corrupt == 1
+
+
+def test_a_generator_entry_of_another_catalog_misses(tmp_path, monkeypatch):
+    # the entry is keyed on the catalog digest: the generators stored under
+    # another digest are not read, and the ones of this catalog are written
+    store = CacheStore(tmp_path / "s")
+    gens = glcat._gen_evals(EvalCache(store))
+    key = _gens_key(store)
+    other = "gens:v1:" + "0" * 64
+    store.put_polys(other, gens[::-1])
+    store._path(key).unlink()
+    cache = EvalCache(store)
+    got = glcat._gen_evals(cache)
+    assert cache.stats.disk_hits > 0
+    assert [p.to_bytes() for p in got] == [p.to_bytes() for p in gens]
+    assert store._path(key).exists() and store.stats.corrupt == 0

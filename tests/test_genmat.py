@@ -164,9 +164,11 @@ def test_cache_counts_and_disk_round_trip(tmp_path):
 
 
 def test_word_traces_share_prefixes(tmp_path, monkeypatch):
-    # a batch computes each cyclic class once, multiplies out each prefix of
-    # the sorted canonical words once, and gives the bytes of the one-word
-    # path; a class the store already holds is read, not computed
+    # a batch computes each cyclic class once, multiplies out each proper
+    # prefix of the sorted canonical words once, and multiplies each word's
+    # last letter into the diagonal only, once per word; it gives the bytes
+    # of the one-word path, and a class the store already holds is read,
+    # not computed
     from traceforge import genmat
 
     words = ["xxyy", "yxxy", "xxyyxy", "xxyxy", "yxyxy", "xxyyy"]
@@ -174,20 +176,38 @@ def test_word_traces_share_prefixes(tmp_path, monkeypatch):
     store = CacheStore(tmp_path / "s")
     word_trace_packed("xyxyy", EvalCache(store))
     fresh = [k for k in keys if k != "xyxyy"]
-    steps = []
-    real = genmat._times_letter
+    steps, traces = [], []
+    step, trace = genmat._times_letter, genmat._trace_times_letter
     monkeypatch.setattr(
-        genmat, "_times_letter", lambda k, c, ch: steps.append(ch) or real(k, c, ch)
+        genmat, "_times_letter", lambda k, c, ch: steps.append(ch) or step(k, c, ch)
+    )
+    monkeypatch.setattr(
+        genmat, "_trace_times_letter", lambda k, c, ch: traces.append(ch) or trace(k, c, ch)
     )
     cache = EvalCache(store)
     word_traces_packed(words, cache)
     assert (cache.stats.word_evals, cache.stats.disk_hits) == (len(fresh), 1)
-    assert len(steps) == len({k[:i] for k in fresh for i in range(1, len(k) + 1)})
-    assert len(steps) < sum(map(len, fresh))
+    assert len(steps) == len({k[:i] for k in fresh for i in range(1, len(k))})
+    assert traces == [k[-1] for k in fresh]
+    assert len(steps) + len(traces) < sum(map(len, fresh))
     for k in keys:
         assert cache._words[k].to_bytes() == _compute_word_packed(k).to_bytes()
     word_traces_packed(words, cache)
     assert (cache.stats.word_evals, cache.stats.disk_hits) == (len(fresh), 1)
+
+
+def test_a_word_that_is_a_prefix_of_the_one_before_is_traced_alone():
+    # out of sorted order, and repeated: a word whose whole product was
+    # never made, because the trace step of the word before it stopped at
+    # the diagonal, still gets its own trace, which the generic-matrix
+    # product gives
+    from traceforge import genmat
+
+    words = ["xxyy", "xxy", "xx", "xxy", "yx", "xyxyy", "xy"]
+    got = list(genmat._compute_words_packed(words))
+    assert [w for w, _ in got] == words
+    for w, poly in got:
+        assert poly.to_comm(VARSET18) == _compute_word_comm(w), w
 
 
 def test_word_traces_reject_what_one_word_rejects():

@@ -111,6 +111,40 @@ def test_abs_monomials_small():
     assert len(monos4) == 2
 
 
+def _unpruned_walk(p: int, q: int) -> list[tuple[int, ...]]:
+    """Every generator monomial of bidegree (p, q), by the depth-first walk
+    over the generators that tries every branch."""
+    from traceforge.glcat import ABS_GENS
+
+    out = []
+
+    def recurse(gid, p, q, acc):
+        if p == 0 and q == 0:
+            out.append(tuple(acc))
+            return
+        if gid >= len(ABS_GENS):
+            return
+        gp, gq = ABS_GENS[gid].bidegree
+        recurse(gid + 1, p, q, acc)
+        if gp <= p and gq <= q:
+            recurse(gid, p - gp, q - gq, acc + [gid])
+
+    recurse(0, p, q, [])
+    return out
+
+
+def test_the_pruned_walk_gives_the_same_monomials_in_the_same_order():
+    # every bidegree up to (10, 7), and two beyond the table of bidegrees up
+    # to (15, 15), which get tables of their own
+    from traceforge import glcat
+
+    for p in range(11):
+        for q in range(8):
+            assert glcat.bidegree_monomials(p, q) == _unpruned_walk(p, q), (p, q)
+    assert glcat.bidegree_monomials(16, 3) == _unpruned_walk(16, 3)
+    assert glcat.bidegree_monomials(3, 17) == _unpruned_walk(3, 17)
+
+
 def test_degree_audit():
     assert generator_degree_audit() == {
         1: 2,

@@ -189,9 +189,10 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
 ):
     # hwv_verify and relation_space for (7,5), then for (6,6), on one cache:
     # verification makes no product, the relation vectors are proven on the
-    # slice y11 = 0, so every product is made there, no (7,5) leaf stays in
-    # the sliced memo, and every product is made once: one per distinct
-    # proper prefix, and for the leaves that end in one generator, one per
+    # slice y11 = 0, so every product is made there, no (7,5) leaf or leaf
+    # prefix stays in the sliced memo, and every product is made as
+    # expected_products counts: each kept prefix once, each leaf prefix
+    # once per proof, and for the leaves that end in one generator, one per
     # leaf or one per column they feed, whichever is fewer
     from traceforge.genmat import EvalCache
     from traceforge.glcat import mono_bidegree
@@ -206,6 +207,9 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
         spaces.append(relation_space(Partition(*lam), cache=cache, use_cache=False))
     assert set(cache._spaces) == {(7, 5), (6, 6)}
     assert cache._abs_monos == {}
-    assert all(mono_bidegree(m) != (7, 5) for m in cache._y11_slice._abs_monos)
-    assert cache.stats.gen_products == 184
+    memo = cache._y11_slice._abs_monos
+    assert all(mono_bidegree(m) != (7, 5) for m in memo)
+    leaves = {m for s in spaces for v in s.relvectors for m in v.terms}
+    assert {m for m in memo if len(m) > 1} == {m[:n] for m in leaves for n in range(2, len(m) - 1)}
+    assert cache.stats.gen_products == 198
     assert cache.stats.gen_products == expected_products([s.relvectors for s in spaces])

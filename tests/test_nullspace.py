@@ -113,6 +113,28 @@ def gram_modular(B):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_the_integer_kernel_is_the_fraction_kernel(mat):
+    # numerators over one positive denominator with no common factor, the
+    # first nonzero numerator equal to the denominator, and the vectors of
+    # kernel() exactly
+    from math import gcd
+
+    rows, ncols = mat
+    ech = nullspace._IntEchelon(ncols)
+    for row in rows:
+        ech.add_row(nullspace._clear_row(row))
+    ints = ech.int_kernel()
+    assert len(ints) == ncols - ech.rank
+    for nums, den in ints:
+        assert den > 0 and gcd(den, *nums) == 1
+        assert next(x for x in nums if x) == den
+        assert all(sum(v * nums[c] for c, v in row.items()) == 0 for row in rows)
+    want = null_dense(QMatrix(tuple(rows), ncols)).vectors
+    assert [tuple(Fraction(x, d) for x in nums) for nums, d in ints] == list(want)
+
+
 @settings(max_examples=30, deadline=None)
 @given(sparse_matrices())
 def test_modular_matches_exact(mat):

@@ -30,7 +30,7 @@ from traceforge.packedpoly import (
     _den_gcd,
     at_zero,
     pack_exponents,
-    product_den,
+    content,
     sum_scaled,
 )
 from traceforge.polyring import CommPoly
@@ -235,13 +235,16 @@ def table_products(polys: list[PackedPoly], factor: PackedPoly) -> list[PackedPo
 
 def check_products(polys: list[PackedPoly], factor: PackedPoly) -> None:
     """The products of one SumTable, and the one-product mul, equal the
-    oracle byte for byte, and product_den predicts every denominator."""
+    oracle byte for byte, and the contents predict every denominator: by
+    Gauss's lemma it is dd / gcd(cc, dd) for the product dd of the
+    denominators and cc of the contents."""
     for p, got in zip(polys, table_products(polys, factor), strict=True):
         want = outer_sum_mul(p, factor)
         check_invariants(got)
         assert got.to_bytes() == want.to_bytes()
         assert p.mul(factor).to_bytes() == want.to_bytes()
-        assert product_den(p, factor) == want.den
+        dd, cc = p.den * factor.den, content(p) * content(factor)
+        assert dd // gcd(cc, dd) == want.den
 
 
 @settings(max_examples=200, deadline=None)

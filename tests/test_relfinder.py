@@ -358,12 +358,16 @@ def test_each_product_dies_once_it_is_placed(kind, cache, monkeypatch, s66):
     # the (6,6) basis feeds 30 columns and its relations 2, so the leaves of
     # its groups are multiplied one by one, or combined per column: either
     # way one product group is in flight at each placement of a product,
-    # each product is placed once, and the memo holds no (6,6) monomial
+    # its table is the only SumTable alive, each leaf prefix held is needed
+    # by this group or a later one, each product is placed once, and the
+    # memo keeps no (6,6) monomial and no leaf prefix it lacked before
+    from traceforge import glcat
     from traceforge.glcat import ProductGroup, mono_bidegree
 
     in_flight = [0]
     taken = [0]
-    seen: list[tuple[int, int]] = []
+    tables = [0]
+    seen: list[tuple[int, int, int]] = []
     run = EvalCache(store=cache.store)
     products = ProductGroup.products
 
@@ -376,23 +380,106 @@ def test_each_product_dies_once_it_is_placed(kind, cache, monkeypatch, s66):
         finally:
             in_flight[0] -= 1
 
+    class CountedTable(glcat.SumTable):
+        __slots__ = ()
+
+        def __init__(self, polys, factor):
+            super().__init__(polys, factor)
+            tables[0] += 1
+
+        def __del__(self):
+            tables[0] -= 1
+
+    made = []
+    leaf_groups = relfinder.leaf_groups
+
+    def recorded_leaf_groups(monos, c):
+        evals, groups = leaf_groups(monos, c)
+        made.append(groups)
+        return evals, groups
+
+    current = []
+    place_group = relfinder._place_group
+
+    def recorded_place_group(cols, grp, c):
+        current.append(grp.monos)
+        place_group(cols, grp, c)
+
     add = relfinder._Columns.add
 
     def recorded_add(cols, uses, pos, e):
+        groups = made[0]
+        at = groups.leaves.index(current[-1])
+        later = {m[:-1] for ms in groups.leaves[at:] for m in ms}
+        assert set(groups.held) <= later
+        assert all(m[:-1] in groups.held for m in current[-1] if m[:-1] in groups.needs)
         full = sum(mono_bidegree(k) == (6, 6) for k in run._abs_monos)
-        seen.append((full, in_flight[0]))
+        seen.append((full, in_flight[0], tables[0]))
         add(cols, uses, pos, e)
 
     monkeypatch.setattr(ProductGroup, "products", counted_products)
+    monkeypatch.setattr(glcat, "SumTable", CountedTable)
+    monkeypatch.setattr(relfinder, "leaf_groups", recorded_leaf_groups)
+    monkeypatch.setattr(relfinder, "_place_group", recorded_place_group)
     monkeypatch.setattr(relfinder._Columns, "add", recorded_add)
     polys = hwv_basis(Partition(6, 6)).vectors if kind == "basis" else s66.relvectors
     relfinder._assemble_matrix(polys, run)
-    assert max(n for _, n in seen) == 1
-    # every other product is a prefix, memoized where it was made
-    memoized = sum(len(k) > 1 for k in run._abs_monos)
-    assert sum(n for _, n in seen) == taken[0] - memoized > 0
-    assert all(full == 0 for full, _ in seen)
-    assert not any(mono_bidegree(k) == (6, 6) for k in run._abs_monos)
+    assert len(made) == 1 and len(current) == len(made[0].leaves) > 1
+    assert {n for _, n, _ in seen} == {1} and {t for _, _, t in seen} == {1}
+    assert tables[0] == 0 and not made[0].held and not made[0].needs
+    # every product is counted once, and the memo keeps only the proper
+    # prefixes of the leaf prefixes
+    assert taken[0] == run.stats.gen_products == expected_products([polys])
+    assert all(full == 0 for full, _, _ in seen)
+    leaves = {m for v in polys for m in v.terms}
+    lower = {m[:n] for m in leaves for n in range(2, len(m) - 1)}
+    assert {k for k in run._abs_monos if len(k) > 1} == lower
+
+
+def test_a_proof_makes_each_product_once_and_keeps_no_leaf_prefix(s66, cache):
+    # the (6,6) proof on a fresh cache makes exactly the products that
+    # expected_products counts, keeps the proper prefixes of its leaf
+    # prefixes in the sliced memo, and a second proof on the same cache
+    # makes the leaf prefixes and the leaves again, and nothing else
+    run = EvalCache(store=cache.store)
+    basis = hwv_basis(Partition(6, 6), cache=run)
+    assert relfinder._proven(s66.zeta, basis, run) == s66.relvectors
+    once = run.stats.gen_products
+    assert once == expected_products([s66.relvectors])
+    leaves = {m for v in s66.relvectors for m in v.terms}
+    prefixes = {m[:-1] for m in leaves if len(m) > 2}
+    lower = {p[:n] for p in prefixes for n in range(2, len(p))}
+    memo = {k for k in run._y11_slice._abs_monos if len(k) > 1}
+    assert memo == lower and not prefixes <= memo
+    assert relfinder._proven(s66.zeta, basis, run) == s66.relvectors
+    again = run.stats.gen_products - once
+    assert again == expected_products([s66.relvectors] * 2) - once == once - len(lower)
+
+
+def test_predicted_denominators_are_the_products_own(cache):
+    # glcat.predicted_dens, from the contents and denominators of the
+    # generators alone, gives the denominator of every monomial of the
+    # seven paper weights, in full and on the slice y11 = 0
+    from traceforge import glcat
+
+    run = EvalCache(store=cache.store)
+    dens = set()
+    for target in (run, run.y11_slice(glcat._gen_evals(run))):
+        gens = glcat._gen_evals(target)
+        for lam in (lam for d in sorted(LAMBDAS_BY_DEGREE) for lam in LAMBDAS_BY_DEGREE[d]):
+            monos = abs_monomials(lam)
+            predicted = glcat.predicted_dens(monos, gens)
+            evals, groups = glcat.leaf_groups(monos, target)
+            got = {m: e.den for m, e in evals.items()}
+            for grp in groups:
+                for (_, e), m in zip(grp.products(run, grp.prefixes), grp.monos):
+                    got[m] = e.den
+            assert got == predicted, lam
+            dens |= set(got.values())
+    assert len(dens) > 1
+    # a zero factor gives denominator 1
+    zero = [PackedPoly.zero()] + glcat._gen_evals(run)[1:]
+    assert glcat.predicted_dens([(0, 1), (1, 1)], zero)[(0, 1)] == 1
 
 
 def _bundled(name: str) -> AbsPoly:
@@ -495,14 +582,28 @@ def test_assembled_columns_are_sums_of_monomial_evaluations(big, cache):
         assert PackedPoly.from_column(keys, M[:, i], colscale[i]) == want, i
 
 
-def test_sorted_union_merges_in_batches(monkeypatch):
+def test_rows_grow_as_keys_arrive():
+    # each key gets one row, appended as it first arrives; a key that
+    # arrives again finds its row, and the matrix lists the nonzero rows in
+    # ascending order of their keys (the keys of the last batch stay zero)
     rng = np.random.default_rng(5)
-    parts = [rng.integers(-50, 50, size=n) for n in (0, 7, 1, 30, 0, 12)]
-    want = np.unique(np.concatenate(parts))
-    assert np.array_equal(relfinder._sorted_union(parts), want)
-    monkeypatch.setattr(relfinder, "_UNION_BATCH", 5)
-    assert np.array_equal(relfinder._sorted_union(parts), want)
-    assert relfinder._sorted_union([]).dtype == np.int64
+    batches = [np.unique(rng.integers(-50, 50, size=n)) for n in (0, 7, 1, 30, 0, 12, 9)]
+    cols = relfinder._Columns(2, {}, {})
+    row_of: dict[int, int] = {}
+    want: dict[int, list[int]] = {}
+    for t, keys in enumerate(batches):
+        rows = cols.rows(keys)
+        for k, r in zip(keys.tolist(), rows.tolist()):
+            assert row_of.setdefault(k, len(row_of)) == r
+        assert cols.M.shape == (len(row_of), 2)
+        if t < len(batches) - 1:
+            cols.M[rows, t % 2] += 1
+            for k in keys.tolist():
+                want.setdefault(k, [0, 0])[t % 2] += 1
+    M, keys = cols.matrix()
+    assert keys.tolist() == sorted(want) and M.tolist() == [want[k] for k in sorted(want)]
+    assert set(row_of) > set(want)
+    assert relfinder._Columns(1, {}, {}).matrix()[0].shape == (0, 1)
 
 
 def _unit_vector_outside(space: RelationSpace, basis) -> tuple[Fraction, ...]:
