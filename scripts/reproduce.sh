@@ -38,7 +38,8 @@
 # cache misses and cache writes.
 # Then a warm `mult`, `hwv`, `relations` (for a degree-12 and a
 # degree-13 weight), `verify`, `leading` and `new` must not import numpy: they
-# build no array (hwv and verify read their stored verdicts), and the script
+# build no array (hwv checks its basis in the generator algebra, and verify
+# reads its stored verdict), and the script
 # fails if any one of them loads it.  Nor may they import `dataclasses` or
 # `inspect` (a dataclass compiles generated methods at every import, which
 # costs every process start-up time): the script fails if any one of them

@@ -8,7 +8,7 @@ checks every frozen reference table and exits nonzero on any mismatch.
 
 Each subcommand parses its arguments and runs a check on the one cache of
 the process; reproduce runs the same checks against the frozen tables.  The
-hwv and verify checks keep their verdicts in the cache directory.
+verify check keeps its verdicts in the cache directory.
 
 Configuration comes from flags first, then TRACEFORGE_* environment
 variables, then defaults.  All results are exact; the modular kernel path
@@ -35,7 +35,7 @@ from .glcat import (
     hilbert_coeff,
     multiplicity,
 )
-from .hwv import HwvBasis, hwv_basis, hwv_json, hwv_verify
+from .hwv import hwv_basis, hwv_json, hwv_verify
 from .nullspace import NullStreamError
 from .packedpoly import PackedCapacityError
 from .phiparse import PhiParseError, parse_phi
@@ -201,34 +201,9 @@ def emit(payload: dict, lines: list[str], cfg: Config) -> None:
 
 Result = tuple[dict, list[str], bool]
 
-# versions of the stored hwv and verify verdicts; a verdict of another check
-# or shape must not be read under the same key
-HWV_CHECK_SCHEMA = 4
+# version of the stored verify verdict; a verdict of another check or shape
+# must not be read under the same key
 VERIFY_CHECK_SCHEMA = 1
-
-
-def stored_verdict(store: CacheStore | None, key: str, compute) -> dict:
-    """The JSON verdict stored under key.  On a miss compute() gives it, and
-    it is stored whatever it says: the key holds everything that determines
-    the verdict, so a failure is as final as a pass."""
-    verdict = store.get_json(key) if store is not None else None
-    if not isinstance(verdict, dict):
-        verdict = compute()
-        if store is not None:
-            store.put_json(key, verdict)
-    return verdict
-
-
-def hwv_verdict_key(basis: HwvBasis, cache: genmat.EvalCache) -> str:
-    """Cache key of the hwv_verify verdict for a basis: the check schema,
-    the weight, the digest of the catalog certified on the cache and a
-    digest of the basis itself."""
-    lam = basis.lam
-    basis_digest = digest_text(json.dumps(hwv_json(basis), sort_keys=True))
-    return (
-        f"hwvcheck:v{HWV_CHECK_SCHEMA}:{lam.l1},{lam.l2}:"
-        f"{catalog_digest(cache)}:{basis_digest}"
-    )
 
 
 def verify_verdict_key(text: str, trace: bool, cache: genmat.EvalCache) -> str:
@@ -269,16 +244,11 @@ def mult_check(lam: Partition) -> Result:
 
 
 def hwv_check(cache: genmat.EvalCache, lam: Partition, threads: int = 1) -> Result:
-    """The basis of weight lam and its hwv_verify verdict, stored under
-    hwv_verdict_key."""
+    """The basis of weight lam and its hwv_verify verdict.  The check
+    evaluates nothing and the basis is printed, so nothing is stored."""
     basis = hwv_basis(lam, threads=threads, cache=cache)
-
-    def verify() -> dict:
-        rep = hwv_verify(basis, cache=cache)
-        return {"ok": rep.ok, "failures": list(rep.failures)}
-
-    verdict = stored_verdict(cache.store, hwv_verdict_key(basis, cache), verify)
-    ok, failures = verdict["ok"], verdict["failures"]
+    rep = hwv_verify(basis, cache=cache)
+    ok, failures = rep.ok, list(rep.failures)
     payload = hwv_json(basis)
     payload["verified"] = ok
     payload["failures"] = failures
@@ -324,7 +294,8 @@ def verify_check(
 ) -> Result:
     """Does the candidate in text, named name in the output, evaluate to
     zero, and does it lie in the relation space of its weight?  The verdict
-    is stored under verify_verdict_key."""
+    is stored under verify_verdict_key whatever it says: the key holds
+    everything that determines it, so a failure is as final as a pass."""
     grammar = "trace" if trace else "phi"
     try:
         parsed = parse_trace(text) if trace else parse_phi(text)
@@ -359,7 +330,12 @@ def verify_check(
             "lambda": list(lam) if lam else None,
         }
 
-    verdict = stored_verdict(cache.store, verify_verdict_key(text, trace, cache), evaluate)
+    store, key = cache.store, verify_verdict_key(text, trace, cache)
+    verdict = store.get_json(key) if store is not None else None
+    if not isinstance(verdict, dict):
+        verdict = evaluate()
+        if store is not None:
+            store.put_json(key, verdict)
     payload = {"file": name, **verdict}
     zero, member = verdict["zero"], verdict["membership"]
     lines = [

@@ -185,25 +185,30 @@ def _certify(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) -> None
 
 
 _CATALOG: tuple[GeneratorModule, ...] | None = None
+_DIGEST = ""  # of _CATALOG, computed once with it
 _CATALOG_LOCK = threading.Lock()
 
 
 def catalog(cache: genmat.EvalCache | None = None) -> tuple[GeneratorModule, ...]:
     """The twelve generator modules, certified on first construction.
 
-    The first call in a process certifies the catalog on the given cache
-    (the default cache if none is given), unless its store already holds
-    the verdict.  Every cache passed in has the verdict written into its
-    store, once per cache, if the store lacks it."""
-    global _CATALOG
+    The first call in a process builds the modules and their digest, and
+    certifies the catalog on the given cache (the default cache if none is
+    given), unless its store already holds the verdict.  Every cache passed
+    in has the verdict written into its store, once per cache, if the store
+    lacks it."""
+    global _CATALOG, _DIGEST
     if _CATALOG is not None and (cache is None or cache._catalog_stored):
         return _CATALOG
     with _CATALOG_LOCK:
         if _CATALOG is not None and (cache is None or cache._catalog_stored):
             return _CATALOG
         cache = cache or genmat.default_cache()
-        mods = _CATALOG or _build_modules()
-        digest = _catalog_digest(mods)
+        if _CATALOG is None:
+            mods = _build_modules()
+            digest = _catalog_digest(mods)
+        else:
+            mods, digest = _CATALOG, _DIGEST
         verdict_key = f"catalog-cert:{digest}"
         store = cache.store
         verdict = store.get_json(verdict_key) if store is not None else None
@@ -213,13 +218,16 @@ def catalog(cache: genmat.EvalCache | None = None) -> tuple[GeneratorModule, ...
             if store is not None:
                 store.put_json(verdict_key, {"ok": True, "digest": digest})
         cache._catalog_stored = True
+        # the digest first: a reader that finds _CATALOG set finds it too
+        _DIGEST = digest
         _CATALOG = mods
     return _CATALOG
 
 
 def catalog_digest(cache: genmat.EvalCache | None = None) -> str:
     """Digest of the certified catalog (see catalog for the cache)."""
-    return _catalog_digest(catalog(cache))
+    catalog(cache)
+    return _DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +527,7 @@ def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
     if gens is None:
         mods = catalog(cache)
         store = cache.store
-        key = f"gens:v1:{_catalog_digest(mods)}"
+        key = f"gens:v1:{catalog_digest(cache)}"
         gens = store.get_polys(key, NGENS) if store is not None else None
         if gens is None:
             gens = [
@@ -759,16 +767,6 @@ def predicted_dens(
 
 # ---------------------------------------------------------------------------
 # Hilbert series.
-
-
-def schur(lam: Partition, D: int) -> BiSeries:
-    """GL2 character of W(l1, l2) as a truncated series in (t, u)."""
-    lam = Partition.of(*lam)
-    out = BiSeries(D)
-    if lam.total <= D:
-        for j in range(lam.l1 - lam.l2 + 1):
-            out.coeffs[(lam.l1 - j, lam.l2 + j)] = Fraction(1)
-    return out
 
 
 _HILBERT: dict[int, BiSeries] = {}

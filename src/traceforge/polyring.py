@@ -259,20 +259,6 @@ class BiSeries:
         return f"BiSeries(D={self.D}, {len(self.coeffs)} terms)"
 
 
-def series_add(a: BiSeries, b: BiSeries) -> BiSeries:
-    if a.D != b.D:
-        raise ValueError("truncation bound mismatch")
-    out = BiSeries(a.D)
-    out.coeffs = dict(a.coeffs)
-    for k, c in b.coeffs.items():
-        s = out.coeffs.get(k, Fraction(0)) + c
-        if s:
-            out.coeffs[k] = s
-        else:
-            out.coeffs.pop(k, None)
-    return out
-
-
 def series_mul(a: BiSeries, b: BiSeries) -> BiSeries:
     """Product with truncation; both operands must share the same bound."""
     if a.D != b.D:

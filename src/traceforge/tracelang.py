@@ -307,11 +307,6 @@ def subst_h(e: TraceExpr) -> TraceExpr:
     return _te_subst(e, "y", NcPoly({"x": Fraction(1), "y": Fraction(1)}))
 
 
-def subst_h1(e: TraceExpr) -> TraceExpr:
-    """Substitution x -> x + y, with y fixed."""
-    return _te_subst(e, "x", NcPoly({"x": Fraction(1), "y": Fraction(1)}))
-
-
 def bidegree(e: TraceExpr) -> tuple[int, int]:
     """The common (x-degree, y-degree) of all monomials.
 

@@ -253,21 +253,26 @@ def test_reproduce_idempotent(capsys, tmp_path):
         ]
 
 
-def test_hwv_verdict_key_tracks_the_basis(session_cache):
-    from traceforge.cli import HWV_CHECK_SCHEMA, hwv_verdict_key
-    from traceforge.glcat import Partition
-    from traceforge.hwv import hwv_basis
+def test_a_process_digests_the_catalog_once(tmp_path, monkeypatch, capsys):
+    # the digest is computed with the modules, and every key that holds it
+    # reads that value: a reproduce in a fresh process, cold and then warm,
+    # computes it once
+    from traceforge import genmat, glcat
 
-    basis = hwv_basis(Partition(7, 5))
-    key = hwv_verdict_key(basis, session_cache)
-    assert key.startswith(f"hwvcheck:v{HWV_CHECK_SCHEMA}:7,5:")
-    assert hwv_verdict_key(hwv_basis(Partition(7, 5)), session_cache) == key
-    scaled = basis._replace(
-        vectors=(basis.vectors[0].scale(2),) + basis.vectors[1:]
-    )
-    assert hwv_verdict_key(scaled, session_cache) != key
-    dropped = basis._replace(vectors=basis.vectors[1:])
-    assert hwv_verdict_key(dropped, session_cache) != key
+    digest, calls = glcat._catalog_digest, []
+
+    def counted(mods):
+        calls.append(mods)
+        return digest(mods)
+
+    monkeypatch.setattr(glcat, "_catalog_digest", counted)
+    for run in ("cold", "warm"):
+        monkeypatch.setattr(glcat, "_CATALOG", None)
+        monkeypatch.setattr(genmat, "_DEFAULT_CACHE", genmat.EvalCache())
+        calls.clear()
+        assert main(["--cache-dir", str(tmp_path), "reproduce", "--paper-tables"]) == 0
+        assert "ALL TABLES PASS" in capsys.readouterr().out
+        assert len(calls) == 1, run
 
 
 @pytest.mark.parametrize("name", ["THREADS", "DEGREE_CAP"])
@@ -286,8 +291,9 @@ def perturbed(text: str) -> str:
 
 
 def test_warm_hwv_and_verify_reuse_their_verdicts(tmp_path):
-    # a second cache on the same dir answers from the stored verdicts: no
-    # word evaluation, no product, and the payloads and lines of the first
+    # a second cache on the same dir gives the payloads and lines of the
+    # first with no word evaluation and no product: verify answers from its
+    # stored verdicts, and hwv checks its basis again, which evaluates nothing
     from traceforge.cli import hwv_check, verify_check
     from traceforge.genmat import EvalCache
     from traceforge.glcat import Partition
@@ -393,19 +399,19 @@ def test_beyond_packed_capacity_without_evaluation(capsys, tmp_path):
     assert doc["s"] == 101
 
 
-# builds the hwv verdict key, then a relation space and its certificates, on a
-# cache over the dir in argv[1]; prints the word evaluations of every cache
+# builds the verify verdict key of a phi file, then a relation space and its
+# certificates, on a cache over the dir in argv[1]; prints the word
+# evaluations of every cache
 KEY_PROBE = """
 import json, sys
 from traceforge import genmat
 from traceforge.cache import CacheStore
-from traceforge.cli import hwv_verdict_key
+from traceforge.cli import verify_verdict_key
 from traceforge.glcat import Partition
-from traceforge.hwv import hwv_basis
 from traceforge.relfinder import relation_space, write_certificates
 
 cache = genmat.EvalCache(CacheStore(sys.argv[1]))
-hwv_verdict_key(hwv_basis(Partition(7, 5)), cache)
+verify_verdict_key("t4^2", False, cache)
 write_certificates(relation_space(Partition(7, 5), cache=cache), cache.store)
 print(json.dumps([cache.stats.word_evals, genmat.default_cache().stats.word_evals]))
 """
@@ -464,7 +470,7 @@ def test_warm_commands_do_no_fresh_work(tmp_path, monkeypatch):
     # answers from the store: the cache each command builds records no word
     # evaluation, no product, no store miss and no store write, and solves
     # no highest weight basis, since a stored relation space is its relation
-    # vectors; only hwv does, because its verdict key digests the basis
+    # vectors; only hwv does, because it prints the basis
     from traceforge import cli
 
     build = cli.build_config

@@ -23,7 +23,6 @@ from traceforge.glcat import (
     mono_bidegree,
     multiplicity,
     phi,
-    schur,
 )
 from traceforge.tracelang import NotHomogeneous, bidegree
 from traceforge.genmat import EvalCache, eval_trace_expr
@@ -229,13 +228,6 @@ def test_delta_kills_top_and_bottom():
             assert abs_delta(x).is_zero()
         if g.j == a:
             assert abs_delta1(x).is_zero()
-
-
-def test_schur_character():
-    s = schur(Partition(7, 5), 14)
-    for j in range(3):
-        assert s.coeff(7 - j, 5 + j) == 1
-    assert s.coeff(8, 4) == 0
 
 
 def test_phi_respects_bidegree(session_cache):

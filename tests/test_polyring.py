@@ -12,7 +12,6 @@ from traceforge.polyring import (
     VarSet,
     poly_from_text,
     poly_to_text,
-    series_add,
     series_inv_geom,
     series_mul,
 )
@@ -104,7 +103,5 @@ def test_series_inv_geom_rejects_constant():
 
 
 def test_series_degree_mismatch():
-    with pytest.raises(ValueError):
-        series_add(BiSeries(3), BiSeries(4))
     with pytest.raises(ValueError):
         series_mul(BiSeries(3), BiSeries(4))

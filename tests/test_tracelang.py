@@ -23,7 +23,6 @@ from traceforge.tracelang import (
     nc_pow,
     parse_trace,
     subst_h,
-    subst_h1,
     trace_of,
 )
 
