@@ -18,7 +18,10 @@
 # fewer products: the script fails unless it reports 800 of them.  It must
 # leave one file per cache write: the script fails unless the cache dir then
 # holds exactly as many files as the pass reports cache writes, none of them
-# a checksum sidecar or a leftover temporary.  It must stay within 64 MB: the
+# a checksum sidecar or a leftover temporary, and those files must hold the
+# pinned bytes: the script fails unless one sha256 over the sorted list of
+# (file name, file sha256) equals COLD_MANIFEST, so a change that alters any
+# stored byte must change that literal.  It must stay within 64 MB: the
 # script fails if the `peak_rss_mb` of its `stats:` line exceeds 64, the
 # memory the degree-14 weights are meant to fit in.  The second pass must do
 # no fresh work: the script fails unless it reports zero word evaluations,
@@ -64,6 +67,9 @@ set -euo pipefail
 SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
 export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
 traceforge() { python3 -m traceforge.cli "$@"; }
+
+# sha256 of the cold pass's store: of one "name sha256" line per file, by name
+COLD_MANIFEST=a605b1c2f3802d908a5499414df60711f349c10e905d5963e22d6ebbf857f788
 
 # run a command, then print its wall time and the peak RSS of its process
 timed() {
@@ -112,6 +118,19 @@ if [[ -z "$writes" || "$files" -ne "$writes" || "$strays" -ne 0 ]]; then
     exit 1
 fi
 echo "cold pass left one file per cache write: $files"
+# the stored bytes: one sha256 over the "name sha256" lines of the files, by name
+manifest="$(python3 -c '
+import hashlib, os, sys
+lines = []
+for name in sorted(os.listdir(sys.argv[1])):
+    with open(os.path.join(sys.argv[1], name), "rb") as f:
+        lines.append(f"{name} {hashlib.sha256(f.read()).hexdigest()}\n")
+print(hashlib.sha256("".join(lines).encode()).hexdigest())' "$CACHE")"
+if [[ "$manifest" != "$COLD_MANIFEST" ]]; then
+    echo "FAIL: the cold pass stored other bytes (manifest $manifest, want $COLD_MANIFEST)" >&2
+    exit 1
+fi
+echo "cold pass stored the pinned bytes: manifest $manifest"
 # the peak resident set of the cold pass, in MB
 rss="$(grep -Eo '(^| )peak_rss_mb=[0-9.]+' <<<"$stats" | grep -Eo '[0-9.]+$' || true)"
 if [[ -z "$rss" ]] || ! awk -v r="$rss" 'BEGIN { exit !(r <= 64) }'; then
