@@ -6,6 +6,7 @@ and 14 slices and run only when TRACEFORGE_EXTENDED=1.  Where a criterion
 carries a runtime budget the elapsed time is asserted, not just reported.
 """
 
+import hashlib
 import importlib.resources as ir
 import itertools
 import time
@@ -80,6 +81,20 @@ LEADING_14 = {
     "u8_0^2",
     "u8_0*u8_1",
     "u8_1^2",
+}
+
+# sha256 of the canonical text of each weight's zeta (see zeta_text),
+# computed once from mode="exact" and from mode="modular", which agree.
+# This is an independent copy of the answer: it is not edited to match
+# the code.
+ZETA_SHA256 = {
+    (7, 5): "526ac76ab4a03e064ce4d6c09596dec359f667bccf6f804f1490c21acadaa93d",
+    (6, 6): "e50fe2c1689e5c2b875b62f984d4f9b325360ece629f2c8a616621631c749aeb",
+    (8, 5): "bf135573fc01f100ff7b5974c5fde7f668b14a7b5fbdb4aa9d5906d6d10a109a",
+    (7, 6): "b306b886bd482f360468954f4f249d1ccad88a1601edd9db4cd6dbbb08fc5eab",
+    (9, 5): "f716e099585a0df9a286c652a913b52cc516f7b9d97a6064254c79a45777a850",
+    (8, 6): "f00e2c4ccf7dca2631f58dbfa071b60dbf37f98b70f1f553e40841d649bd46f4",
+    (7, 7): "13af30976baa7c5186a54ac0c78a8b05a3b44cc3414ffc9fc3cf24e31c7249ac",
 }
 
 _SPACES = {}
@@ -206,6 +221,23 @@ def test_exact_equals_modular_degree13_14(acache):
         ]
         assert spaces[0].zeta == spaces[1].zeta, lam
 
+
+
+def zeta_text(space) -> str:
+    """The canonical text of a space's zeta: its rows joined by "|", each
+    row's coordinates as "numerator/denominator" joined by ","."""
+    return "|".join(
+        ",".join(f"{x.numerator}/{x.denominator}" for x in z) for z in space.zeta
+    )
+
+
+def test_modular_zeta_match_the_frozen_digests(acache):
+    for lam in LAMBDA_ORDER:
+        space = relation_space(
+            Partition(*lam), mode="modular", cache=acache, use_cache=False
+        )
+        digest = hashlib.sha256(zeta_text(space).encode()).hexdigest()
+        assert digest == ZETA_SHA256[lam], lam
 
 def test_c7a_leading_monomials_degree12(acache):
     with criterion("criterion 7a (leading monomials, degree 12)"):
