@@ -183,6 +183,55 @@ def test_a_wrong_evaluated_raising_map_fails_certification(monkeypatch):
         _certify(_build_modules(), EvalCache())
 
 
+def test_scaled_word_traces_fail_certification():
+    # every cached word trace times a random nonzero rational of its own:
+    # the evaluated checks must see it
+    import random
+
+    from traceforge.glcat import CatalogCertificationError, _build_modules, _certify
+
+    cache = EvalCache()
+    _certify(_build_modules(), cache)
+    rng = random.Random(36)
+    for w, poly in cache._words.items():
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 50))
+        cache._words[w] = poly.scale(c)
+    with pytest.raises(CatalogCertificationError):
+        _certify(_build_modules(), cache)
+
+
+def test_a_wrong_ladder_constant_fails_before_any_evaluation():
+    # e_1 of module 1 scaled by 2: delta(e_1) = 2 e_0 as trace expressions
+    from traceforge.glcat import CatalogCertificationError, _build_modules, _certify
+
+    mods = list(_build_modules())
+    basis = mods[0].basis
+    mods[0] = mods[0]._replace(basis=(basis[0], basis[1].scale(2), *basis[2:]))
+    cache = EvalCache()
+    with pytest.raises(
+        CatalogCertificationError, match=r"^module 1: raising constant fails at j=1$"
+    ):
+        _certify(tuple(mods), cache)
+    assert cache.stats.word_evals == 0 and not cache._words
+
+
+def test_certification_evaluates_only_the_30_generators(monkeypatch):
+    from traceforge import genmat
+    from traceforge.glcat import _build_modules, _certify
+
+    evaluated = []
+    evaluate = genmat.eval_trace_expr_packed
+
+    def counted(e, cache=None):
+        evaluated.append(e)
+        return evaluate(e, cache)
+
+    monkeypatch.setattr(genmat, "eval_trace_expr_packed", counted)
+    mods = _build_modules()
+    _certify(mods, EvalCache())
+    assert evaluated == [e for m in mods for e in m.basis] and len(evaluated) == 30
+
+
 def test_catalog_json_round():
     doc = catalog_json()
     assert len(doc["modules"]) == 12
