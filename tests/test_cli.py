@@ -213,7 +213,6 @@ def test_new_degree12(capsys, tmp_path):
         assert item["old"] == 0
 
 
-@pytest.mark.extended
 def test_reproduce_idempotent(capsys, tmp_path):
     cdir = str(tmp_path / "c")
     code1 = main(["reproduce", "--paper-tables", "--cache-dir", cdir, "--format", "text"])

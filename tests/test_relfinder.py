@@ -739,7 +739,6 @@ def test_a_combination_that_abs_delta_does_not_kill_is_refused(s75, cache, monke
     assert run.stats.gen_products == 0 and run._y11_slice is None
 
 
-@pytest.mark.extended
 def test_the_slice_and_the_full_evaluation_agree_at_every_weight(cache):
     # at all seven weights the relations are proven on the slice and are
     # zero in full, and the first basis vector outside the space is not
@@ -876,7 +875,6 @@ def test_stored_zeta_follow_the_basis_order(lam, cache):
     assert_stored_zeta_follow_the_basis_order(lam, cache)
 
 
-@pytest.mark.extended
 def test_stored_zeta_follow_the_basis_order_at_every_weight(cache):
     for lams in LAMBDAS_BY_DEGREE.values():
         for lam in lams:
