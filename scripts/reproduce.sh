@@ -93,7 +93,7 @@ if [[ -d "$CACHE" && -n "$(ls -A "$CACHE")" ]]; then
 fi
 
 echo "== pass 1 (cold cache: $CACHE) =="
-out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --paper-tables --format text)"
+out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --format text)"
 echo "$out"
 
 stats="$(grep '^stats:' <<<"$out" || true)"
@@ -141,7 +141,7 @@ echo "cold pass peaked at $rss MB"
 
 echo
 echo "== pass 2 (warm cache) =="
-out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --paper-tables --format text)"
+out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --format text)"
 echo "$out"
 
 stats="$(grep '^stats:' <<<"$out" || true)"

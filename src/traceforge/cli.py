@@ -10,9 +10,10 @@ Each subcommand parses its arguments and runs a check on the one cache of
 the process; reproduce runs the same checks against the frozen tables.  The
 verify check keeps its verdicts in the cache directory.
 
-Configuration comes from flags first, then TRACEFORGE_* environment
-variables, then defaults.  All results are exact; the modular kernel path
-is only an acceleration and is always verified exactly.
+Each setting comes from its flag, else from its default; the cache
+directory may also come from TRACEFORGE_CACHE_DIR.  All results are exact;
+the modular kernel path is only an acceleration and is always verified
+exactly.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ BUNDLED_FILES: tuple[tuple[str, tuple[int, int]], ...] = (
 
 
 class Config:
-    """The settings of one run, from flags and the environment."""
+    """The settings of one run."""
 
     def __init__(self, cache_dir: Path, threads: int, degree_cap: int, fmt: str) -> None:
         self.cache_dir = cache_dir
@@ -136,32 +137,17 @@ class Config:
         return genmat.EvalCache(store)
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get("TRACEFORGE_" + name)
-
-
-def _int_env(name: str, default: int) -> int:
-    text = _env(name)
-    try:
-        return default if text is None else int(text)
-    except ValueError:
-        raise SystemExit(f"bad TRACEFORGE_{name} {text!r} (expected an integer)")
-
-
 def build_config(args: argparse.Namespace) -> Config:
-    def arg(name):
-        return getattr(args, name, None)
-
-    cache_dir = arg("cache_dir") or _env("CACHE_DIR") or "./.tracecache"
-    threads, degree_cap = arg("threads"), arg("degree_cap")
-    fmt = arg("format") or _env("FORMAT") or "text"
-    if fmt not in ("json", "text"):
-        raise SystemExit(f"unknown format {fmt!r} (expected json or text)")
+    cache_dir = (
+        getattr(args, "cache_dir", None)
+        or os.environ.get("TRACEFORGE_CACHE_DIR")
+        or "./.tracecache"
+    )
     return Config(
         cache_dir=Path(cache_dir),
-        threads=_int_env("THREADS", 1) if threads is None else threads,
-        degree_cap=_int_env("DEGREE_CAP", 14) if degree_cap is None else degree_cap,
-        fmt=fmt,
+        threads=getattr(args, "threads", 1),
+        degree_cap=getattr(args, "degree_cap", 14),
+        fmt=getattr(args, "format", "text"),
     )
 
 
@@ -295,14 +281,16 @@ def verify_check(
     """Does the candidate in text, named name in the output, evaluate to
     zero, and does it lie in the relation space of its weight?  The verdict
     is stored under verify_verdict_key whatever it says: the key holds
-    everything that determines it, so a failure is as final as a pass."""
+    everything that determines it, so a failure is as final as a pass.  The
+    key is of the text, and only a parsed text has a verdict, so a stored
+    verdict is read without parsing."""
     grammar = "trace" if trace else "phi"
-    try:
-        parsed = parse_trace(text) if trace else parse_phi(text)
-    except (PhiParseError, TraceParseError, TracelessViolation) as exc:
-        raise SystemExit(f"bad {grammar} file {name}: {exc}")
 
     def evaluate() -> dict:
+        try:
+            parsed = parse_trace(text) if trace else parse_phi(text)
+        except (PhiParseError, TraceParseError, TracelessViolation) as exc:
+            raise SystemExit(f"bad {grammar} file {name}: {exc}")
         member = None
         lam = None
         if trace:
@@ -593,7 +581,7 @@ def make_parser() -> argparse.ArgumentParser:
         "products run on the calling thread whatever this says",
     )
     shared.add_argument("--degree-cap", type=int, default=S, help="largest total degree allowed (default 14)")
-    shared.add_argument("--format", choices=["json", "text"], default=S, help="output format")
+    shared.add_argument("--format", choices=["json", "text"], default=S, help="output format (default text)")
 
     p = argparse.ArgumentParser(
         prog="traceforge",
@@ -624,9 +612,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", parents=[shared], help="verify a candidate identity from a file")
     sp.add_argument("--file", required=True)
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--phi", action="store_true", help="parse as a generator-notation expression (default)")
-    g.add_argument("--trace", action="store_true", help="parse as a trace expression")
+    sp.add_argument(
+        "--trace", action="store_true",
+        help="parse as a trace expression (default: generator notation)",
+    )
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("leading", parents=[shared], help="leading monomial staircase for a degree")
@@ -638,11 +627,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_new)
 
     sp = sub.add_parser("reproduce", parents=[shared], help="check every frozen reference table")
-    sp.add_argument(
-        "--paper-tables",
-        action="store_true",
-        help="run the full reference table suite (the default and only suite)",
-    )
     sp.set_defaults(func=cmd_reproduce)
 
     return p

@@ -114,7 +114,8 @@ class GeneratorModule(NamedTuple):
 
 
 class CatalogCertificationError(RuntimeError):
-    """Raised when a catalog identity fails against the evaluation oracle."""
+    """Raised when a formal check of the catalog, on trace expressions, or
+    an evaluated check fails."""
 
 
 def _hwv_expr(part: Partition) -> TraceExpr:

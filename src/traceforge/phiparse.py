@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .glcat import NGENS, PARTS, AbsPoly, gen_by_modj, mono_name
+from .glcat import ABS_GENS, PARTS, AbsPoly, gen_by_modj
 from .tracelang import _Scanner
 
 # A symbol is ("t", i), ("x", i), ("y", i) or ("z", i, p, q).
@@ -244,11 +244,12 @@ def _render_sym_mono(sym_mono: tuple) -> str:
 def parse_phi(text: str) -> AbsPoly:
     """Parse a phi expression into an AbsPoly."""
     expansion = _Parser(text).parse()
-    out = AbsPoly()
+    # several symbol monomials can name one generator monomial
+    coeffs: dict[tuple[int, ...], Fraction] = {}
     for sym_mono, c in expansion.items():
         mono = _monomial_to_abs(sym_mono, _render_sym_mono(sym_mono))
-        out = out + AbsPoly.monomial(mono, c)
-    return out
+        coeffs[mono] = coeffs.get(mono, 0) + c
+    return AbsPoly(coeffs)
 
 
 def format_phi(p: AbsPoly) -> str:
@@ -260,8 +261,6 @@ def format_phi(p: AbsPoly) -> str:
         factors: list[str] = []
         by_module: dict[int, list[int]] = {}
         for gid in mono:
-            from .glcat import ABS_GENS
-
             g = ABS_GENS[gid]
             by_module.setdefault(g.module, []).append(g.j)
         for i in sorted(by_module):

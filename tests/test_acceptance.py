@@ -19,7 +19,7 @@ import pytest
 
 import conftest
 from traceforge.cache import CacheStore
-from traceforge.genmat import EvalCache, eval_trace_expr, literal_word_trace
+from traceforge.genmat import EvalCache, _compute_word_packed, eval_trace_expr
 from traceforge.glcat import (
     AbsPoly,
     Partition,
@@ -291,10 +291,16 @@ def _c9_leibniz(acache):
 
 
 def _c9_cyclic(acache):
+    # the literal products, with no cyclic canonicalization.  A word equal to
+    # its rotation would compare a trace with itself; yyyyyyyy, the one word
+    # here beyond the packed capacity, is one of them, and test_genmat.py
+    # covers the route beyond the capacity
     for n in range(2, 9):
         for bits in itertools.product("xy", repeat=n):
             w = "".join(bits)
-            assert literal_word_trace(w) == literal_word_trace(w[1:] + w[0])
+            rotated = w[1:] + w[0]
+            if rotated != w:
+                assert _compute_word_packed(w) == _compute_word_packed(rotated)
 
 
 def _c9_ladder(acache):

@@ -26,7 +26,8 @@ SRC = ROOT / "src"
 DATA = SRC / "traceforge" / "data"
 
 
-def worker(tmp_path: Path, task: str, *args: str, cli_args: tuple[str, ...] = ()):
+def worker(tmp_path: Path, task: str, *args: str, cli_args: tuple[str, ...] = (),
+           cwd: Path = ROOT):
     """(exit status, stdout, out file) of one traced bench/worker.py run."""
     out = tmp_path / f"{task}.json"
     env = {k: v for k, v in os.environ.items() if not k.startswith("TRACEFORGE_")}
@@ -35,7 +36,7 @@ def worker(tmp_path: Path, task: str, *args: str, cli_args: tuple[str, ...] = ()
             "--trace", "--run-id", "t", "--t0", repr(time.time())]
     if cli_args:
         argv += ["--", *cli_args]
-    proc = subprocess.run(argv, env=env, cwd=ROOT, capture_output=True, text=True,
+    proc = subprocess.run(argv, env=env, cwd=cwd, capture_output=True, text=True,
                           timeout=300)
     assert out.exists(), proc.stderr
     return proc.returncode, proc.stdout, json.loads(out.read_text())
@@ -61,14 +62,22 @@ def test_the_traced_bench_tasks_run_and_answer_right(tmp_path, monkeypatch):
     assert layers["genmat.word_evals"] > 0 and layers["cache.writes"] > 0
     assert out["spans"]
 
-    # a warm relations command of warm_cli, with its flags, on the same dir
+    # the first command of each kind of a warm_cli pass, verify of a phi and
+    # of a trace file apart, with its flags, on the same dir and from the
+    # dir of the pass's files, as warm_cli runs it
     bundled = {name: (DATA / name).read_text() for name in expected.BUNDLED}
-    cmd = next(
-        c for c in inputs.warm_cli_plan(1, str(DATA), bundled)["commands"]
-        if c["kind"] == "relations" and c["expect"]["lambda"] == [7, 5]
-    )
-    argv = ("--cache-dir", str(cache), *inputs.CLI_FLAGS, *cmd["args"])
-    status, stdout, out = worker(tmp_path, "cli", cli_args=argv)
-    assert out["error"] is None
-    assert expected.check_command(cmd, status, stdout)[1], stdout
-    assert metrics <= set(out["layers"]) and out["layers"]["cli.relations_s"] > 0
+    plan = inputs.warm_cli_plan(1, str(DATA), bundled)
+    files = tmp_path / "files"
+    files.mkdir()
+    for name, text in plan["files"].items():
+        (files / name).write_text(text)
+    first = {}
+    for cmd in plan["commands"]:
+        first.setdefault((cmd["kind"], "--trace" in cmd["args"]), cmd)
+    assert len(first) == 6
+    for (kind, _), cmd in first.items():
+        argv = ("--cache-dir", str(cache), *inputs.CLI_FLAGS, *cmd["args"])
+        status, stdout, out = worker(tmp_path, "cli", cli_args=argv, cwd=files)
+        assert out["error"] is None, cmd["args"]
+        assert expected.check_command(cmd, status, stdout)[1], (cmd["args"], stdout)
+        assert metrics <= set(out["layers"]) and out["layers"][f"cli.{kind}_s"] > 0

@@ -55,19 +55,23 @@ def test_degree_cap_enforced(capsys):
     assert doc["P"] - doc["Q"] == doc["m"]
 
 
-def test_env_format_override(capsys, monkeypatch):
+def test_settings_come_from_flags_alone(capsys, monkeypatch, tmp_path):
+    # only the cache dir has an environment variable; the other settings
+    # keep their defaults whatever the environment says, and the flags that
+    # named a default are gone
     monkeypatch.setenv("TRACEFORGE_FORMAT", "json")
-    code = main(["mult", "--lambda", "7,5"])
-    out = capsys.readouterr().out
-    assert code == 0
-    json.loads(out)
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("TRACEFORGE_FORMAT", "text")
-    code, doc = run_json(capsys, "mult", "--lambda", "7,5")
-    assert code == 0
-    assert doc["m"] == 36
+    monkeypatch.setenv("TRACEFORGE_DEGREE_CAP", "16")
+    monkeypatch.setenv("TRACEFORGE_THREADS", "abc")
+    code, out = run(capsys, "mult", "--lambda", "7,5")
+    assert code == 0 and out == "lambda=(7,5)  P=155  Q=119  m=36\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["mult", "--lambda", "8,7"])
+    assert "exceeds the degree cap 14" in exc.value.code
+    for argv in (["verify", "--file", "v75.phi", "--phi"], ["reproduce", "--paper-tables"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--cache-dir", str(tmp_path / "c"), *argv])
+        assert exc.value.code == 2, argv  # argparse's usage error
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_invalid_format_rejected():
@@ -139,6 +143,11 @@ def test_verify_trace_grammar(capsys, tmp_path):
     assert doc["membership"] is None
 
 
+def grammar_flags(grammar: str) -> list[str]:
+    # phi is the default grammar and has no flag
+    return ["--trace"] if grammar == "--trace" else []
+
+
 @pytest.mark.parametrize(
     "grammar, text, message",
     [
@@ -152,7 +161,8 @@ def test_verify_malformed_file_is_a_one_line_error(tmp_path, grammar, text, mess
     f = tmp_path / "bad.txt"
     f.write_text(text)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--file", str(f), grammar, "--cache-dir", str(tmp_path / "c")])
+        main(["verify", "--file", str(f), *grammar_flags(grammar),
+              "--cache-dir", str(tmp_path / "c")])
     msg = exc.value.code
     assert isinstance(msg, str) and msg.startswith(f"{message} {f}: ")
     assert "\n" not in msg
@@ -164,7 +174,8 @@ def test_verify_unreadable_file_is_a_one_line_error(tmp_path, grammar):
     binary.write_bytes(b"\xff\xfe\x00")
     for f in (tmp_path / "missing.phi", tmp_path, binary):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--file", str(f), grammar, "--cache-dir", str(tmp_path / "c")])
+            main(["verify", "--file", str(f), *grammar_flags(grammar),
+                  "--cache-dir", str(tmp_path / "c")])
         msg = exc.value.code
         assert isinstance(msg, str) and msg.startswith(f"cannot read {f}: ")
         assert "\n" not in msg
@@ -215,16 +226,16 @@ def test_new_degree12(capsys, tmp_path):
 
 def test_reproduce_idempotent(capsys, tmp_path):
     cdir = str(tmp_path / "c")
-    code1 = main(["reproduce", "--paper-tables", "--cache-dir", cdir, "--format", "text"])
+    code1 = main(["reproduce", "--cache-dir", cdir, "--format", "text"])
     out1 = capsys.readouterr().out
     assert code1 == 0
     assert "ALL TABLES PASS" in out1
-    code2 = main(["reproduce", "--paper-tables", "--cache-dir", cdir, "--format", "text"])
+    code2 = main(["reproduce", "--cache-dir", cdir, "--format", "text"])
     out2 = capsys.readouterr().out
     assert code2 == 0
     assert "ALL TABLES PASS" in out2
     assert "word_evals=0" in out2 and "mono_products=0" in out2
-    code3 = main(["reproduce", "--paper-tables", "--cache-dir", cdir, "--format", "json"])
+    code3 = main(["reproduce", "--cache-dir", cdir, "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert code3 == 0 and doc["pass"]
     assert all(table["seconds"] >= 0 for table in doc["tables"].values())
@@ -269,19 +280,9 @@ def test_a_process_digests_the_catalog_once(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(glcat, "_CATALOG", None)
         monkeypatch.setattr(genmat, "_DEFAULT_CACHE", genmat.EvalCache())
         calls.clear()
-        assert main(["--cache-dir", str(tmp_path), "reproduce", "--paper-tables"]) == 0
+        assert main(["--cache-dir", str(tmp_path), "reproduce"]) == 0
         assert "ALL TABLES PASS" in capsys.readouterr().out
         assert len(calls) == 1, run
-
-
-@pytest.mark.parametrize("name", ["THREADS", "DEGREE_CAP"])
-def test_bad_integer_environment_value_is_a_one_line_error(monkeypatch, name):
-    monkeypatch.setenv(f"TRACEFORGE_{name}", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["mult", "--lambda", "7,5"])
-    msg = exc.value.code
-    assert isinstance(msg, str) and f"TRACEFORGE_{name}" in msg and "'abc'" in msg
-    assert "\n" not in msg
 
 
 def perturbed(text: str) -> str:
@@ -359,6 +360,23 @@ def test_verify_verdict_is_keyed_on_grammar_and_text(tmp_path):
     # an edited file is evaluated again
     doc, _, ok = verify_check(cache, "v75.phi", perturbed(v75))
     assert not ok and doc["zero"] is False and doc["membership"] is False
+
+
+def test_a_stored_verdict_is_read_without_parsing(session_cache, monkeypatch):
+    # the verdict key is of the text, so a stored verdict needs no parse
+    from traceforge import cli
+    from traceforge.genmat import EvalCache
+
+    text = (ir.files("traceforge") / "data" / "v66second.phi").read_text()
+    stored = cli.verify_check(session_cache, "v66second.phi", text)
+    assert stored[2]
+
+    def unparsed(text):
+        raise AssertionError("a stored verdict was parsed again")
+
+    monkeypatch.setattr(cli, "parse_phi", unparsed)
+    warm = EvalCache(session_cache.store)
+    assert cli.verify_check(warm, "v66second.phi", text) == stored
 
 
 @pytest.mark.parametrize(
