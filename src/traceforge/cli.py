@@ -11,9 +11,9 @@ the process; reproduce runs the same checks against the frozen tables.  The
 verify check keeps its verdicts in the cache directory.
 
 Each setting comes from its flag, else from its default; the cache
-directory may also come from TRACEFORGE_CACHE_DIR.  All results are exact;
-the modular kernel path is only an acceleration and is always verified
-exactly.
+directory may also come from TRACEFORGE_CACHE_DIR.  All results are exact:
+a relation space is found mod p and each of its relation vectors is proven
+zero exactly before it is reported or stored.
 """
 
 from __future__ import annotations
@@ -121,9 +121,8 @@ BUNDLED_FILES: tuple[tuple[str, tuple[int, int]], ...] = (
 class Config:
     """The settings of one run."""
 
-    def __init__(self, cache_dir: Path, threads: int, degree_cap: int, fmt: str) -> None:
+    def __init__(self, cache_dir: Path, degree_cap: int, fmt: str) -> None:
         self.cache_dir = cache_dir
-        self.threads = threads
         self.degree_cap = degree_cap
         self.fmt = fmt
 
@@ -145,7 +144,6 @@ def build_config(args: argparse.Namespace) -> Config:
     )
     return Config(
         cache_dir=Path(cache_dir),
-        threads=getattr(args, "threads", 1),
         degree_cap=getattr(args, "degree_cap", 14),
         fmt=getattr(args, "format", "text"),
     )
@@ -229,10 +227,10 @@ def mult_check(lam: Partition) -> Result:
     return payload, lines, True
 
 
-def hwv_check(cache: genmat.EvalCache, lam: Partition, threads: int = 1) -> Result:
+def hwv_check(cache: genmat.EvalCache, lam: Partition) -> Result:
     """The basis of weight lam and its hwv_verify verdict.  The check
     evaluates nothing and the basis is printed, so nothing is stored."""
-    basis = hwv_basis(lam, threads=threads, cache=cache)
+    basis = hwv_basis(lam, cache=cache)
     rep = hwv_verify(basis, cache=cache)
     ok, failures = rep.ok, list(rep.failures)
     payload = hwv_json(basis)
@@ -246,16 +244,16 @@ def hwv_check(cache: genmat.EvalCache, lam: Partition, threads: int = 1) -> Resu
     return payload, lines, ok
 
 
-def relations_check(
-    cache: genmat.EvalCache, lam: Partition, mode: str, threads: int = 1
-) -> Result:
-    space = relation_space(lam, mode=mode, cache=cache, threads=threads)
+def relations_check(cache: genmat.EvalCache, lam: Partition) -> Result:
+    """The relation space of weight lam, its certificates and leading
+    monomials.  The payload and the text name the one route, "modular"."""
+    space = relation_space(lam, cache=cache)
     cert_keys = write_certificates(space, cache.store)
     rep = leading_analysis(space)
     payload = {
         "lambda": [lam.l1, lam.l2],
         "r": space.r,
-        "mode": mode,
+        "mode": "modular",
         "from_cache": space.from_cache,
         "zeta": [
             [f"{x.numerator}/{x.denominator}" for x in z] for z in space.zeta
@@ -264,7 +262,7 @@ def relations_check(
         "certificates": cert_keys,
     }
     lines = [
-        f"lambda=({lam.l1},{lam.l2})  r={space.r}  mode={mode}"
+        f"lambda=({lam.l1},{lam.l2})  r={space.r}  mode=modular"
         f"  cached={space.from_cache}",
         f"leading monomials: {', '.join(rep.names) if rep.names else '(none)'}",
         f"certificates written: {len(cert_keys)}",
@@ -276,7 +274,7 @@ _KNOWN_LAMBDAS = {tuple(l) for ls in LAMBDAS_BY_DEGREE.values() for l in ls}
 
 
 def verify_check(
-    cache: genmat.EvalCache, name: str, text: str, trace: bool = False, threads: int = 1
+    cache: genmat.EvalCache, name: str, text: str, trace: bool = False
 ) -> Result:
     """Does the candidate in text, named name in the output, evaluate to
     zero, and does it lie in the relation space of its weight?  The verdict
@@ -303,9 +301,7 @@ def verify_check(
             # the relation space first: a member of it is zero with nothing
             # evaluated, and any other candidate is evaluated
             if lam in _KNOWN_LAMBDAS:
-                space = relation_space(
-                    Partition(*lam), mode="modular", cache=cache, threads=threads
-                )
+                space = relation_space(Partition(*lam), cache=cache)
                 member = membership(parsed, space)
             zrep = ZERO_REPORT if member else evaluate_abs(parsed, cache)
         return {
@@ -340,11 +336,8 @@ def verify_check(
     return payload, lines, zero and member in (True, None)
 
 
-def leading_check(cache: genmat.EvalCache, degree: int, threads: int = 1) -> Result:
-    spaces = [
-        relation_space(lam, mode="modular", cache=cache, threads=threads)
-        for lam in LAMBDAS_BY_DEGREE[degree]
-    ]
+def leading_check(cache: genmat.EvalCache, degree: int) -> Result:
+    spaces = [relation_space(lam, cache=cache) for lam in LAMBDAS_BY_DEGREE[degree]]
     rep = leading_analysis(spaces)
     ok = set(rep.names) == set(EXPECTED_LEADING[degree])
     payload = {
@@ -370,8 +363,8 @@ def leading_check(cache: genmat.EvalCache, degree: int, threads: int = 1) -> Res
     return payload, lines, ok
 
 
-def new_check(cache: genmat.EvalCache, degree: int, threads: int = 1) -> Result:
-    rep = new_relations(degree, mode="modular", cache=cache, threads=threads)
+def new_check(cache: genmat.EvalCache, degree: int) -> Result:
+    rep = new_relations(degree, cache=cache)
     got = {tuple(i.lam): (i.old, i.new) for i in rep.items}
     ok = got == EXPECTED_NEW[degree]
     payload = {
@@ -408,12 +401,12 @@ def cmd_mult(cfg: Config, args) -> Result:
 
 def cmd_hwv(cfg: Config, args) -> Result:
     lam = parse_lambda(args.lam, cfg.degree_cap)
-    return hwv_check(cfg.cache, lam, threads=cfg.threads)
+    return hwv_check(cfg.cache, lam)
 
 
 def cmd_relations(cfg: Config, args) -> Result:
     lam = parse_lambda(args.lam, cfg.degree_cap)
-    return relations_check(cfg.cache, lam, args.mode, threads=cfg.threads)
+    return relations_check(cfg.cache, lam)
 
 
 def cmd_verify(cfg: Config, args) -> Result:
@@ -421,17 +414,17 @@ def cmd_verify(cfg: Config, args) -> Result:
         text = Path(args.file).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"cannot read {args.file}: {exc}")
-    return verify_check(cfg.cache, args.file, text, trace=args.trace, threads=cfg.threads)
+    return verify_check(cfg.cache, args.file, text, trace=args.trace)
 
 
 def cmd_leading(cfg: Config, args) -> Result:
     degree = parse_degree(args.degree, cfg.degree_cap)
-    return leading_check(cfg.cache, degree, threads=cfg.threads)
+    return leading_check(cfg.cache, degree)
 
 
 def cmd_new(cfg: Config, args) -> Result:
     degree = parse_degree(args.degree, cfg.degree_cap)
-    return new_check(cfg.cache, degree, threads=cfg.threads)
+    return new_check(cfg.cache, degree)
 
 
 def _bundled_text(name: str) -> str:
@@ -445,7 +438,7 @@ def _lam_key(lam) -> str:
 
 
 def cmd_reproduce(cfg: Config, args) -> Result:
-    cache, threads = cfg.cache, cfg.threads
+    cache = cfg.cache
     tables: dict[str, dict] = {}
     lines: list[str] = []
     # seconds: wall time spent in the checks of each table
@@ -490,16 +483,14 @@ def cmd_reproduce(cfg: Config, args) -> Result:
     bundle_ok = True
     for lam, want in EXPECTED_HILBERT.items():
         weight, key = Partition(*lam), _lam_key(lam)
-        doc, _, ok = timed("hwv", hwv_check, cache, weight, threads=threads)
+        doc, _, ok = timed("hwv", hwv_check, cache, weight)
         P, rank, s = doc["P"], doc["alpha_rank"], doc["s"]
         hwv_rows[key] = {"rank": rank, "s": s, "ok": ok and (P, rank, s) == want}
-        space = timed("relations", relation_space, weight, mode="modular", cache=cache,
-                      threads=threads)
+        space = timed("relations", relation_space, weight, cache=cache)
         timed("relations", write_certificates, space, cache.store)
         rel_rows[key] = {"r": space.r, "expected": EXPECTED_R[lam], "from_cache": space.from_cache}
         for name in (name for name, at in BUNDLED_FILES if at == lam):
-            doc, _, ok = timed("bundled", verify_check, cache, name, _bundled_text(name),
-                               threads=threads)
+            doc, _, ok = timed("bundled", verify_check, cache, name, _bundled_text(name))
             file_rows[name] = {
                 "zero": doc["zero"], "member": doc["membership"], "lambda": doc["lambda"]
             }
@@ -513,7 +504,7 @@ def cmd_reproduce(cfg: Config, args) -> Result:
     # 5. leading monomial tables per degree
     rows = {}
     for degree in LAMBDAS_BY_DEGREE:
-        doc, _, ok = timed("leading", leading_check, cache, degree, threads=threads)
+        doc, _, ok = timed("leading", leading_check, cache, degree)
         names = sorted(e["monomial"] for e in doc["entries"])
         rows[str(degree)] = {"count": doc["count"], "names": names, "ok": ok}
     record("leading", rows_ok(rows),
@@ -523,7 +514,7 @@ def cmd_reproduce(cfg: Config, args) -> Result:
     # 6. old/new split per degree
     rows = {}
     for degree in LAMBDAS_BY_DEGREE:
-        doc, _, ok = timed("new", new_check, cache, degree, threads=threads)
+        doc, _, ok = timed("new", new_check, cache, degree)
         items = {_lam_key(i["lambda"]): [i["old"], i["new"]] for i in doc["items"]}
         rows[str(degree)] = {
             "items": items, "decomposition": doc["decomposition"], "ok": ok
@@ -577,8 +568,8 @@ def make_parser() -> argparse.ArgumentParser:
     shared.add_argument("--cache-dir", default=S, help="cache directory (default ./.tracecache)")
     shared.add_argument(
         "--threads", type=int, default=S,
-        help="worker threads for the blocks of a highest weight basis; generator-monomial "
-        "products run on the calling thread whatever this says",
+        help="accepted for existing scripts and ignored: every computation runs on the "
+        "calling thread",
     )
     shared.add_argument("--degree-cap", type=int, default=S, help="largest total degree allowed (default 14)")
     shared.add_argument("--format", choices=["json", "text"], default=S, help="output format (default text)")
@@ -607,7 +598,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("relations", parents=[shared], help="relation space for a weight")
     sp.add_argument("--lambda", dest="lam", required=True, metavar="P,Q")
-    sp.add_argument("--mode", choices=["exact", "modular"], default="modular")
+    sp.add_argument(
+        "--mode", choices=["modular"], default="modular",
+        help="accepted for existing scripts; modular, the default, is the one route: the "
+        "kernel mod p, with each relation vector proven zero exactly",
+    )
     sp.set_defaults(func=cmd_relations)
 
     sp = sub.add_parser("verify", parents=[shared], help="verify a candidate identity from a file")
@@ -640,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
     except PackedCapacityError as exc:
         raise SystemExit(f"{args.command}: beyond the packed evaluation capacity: {exc}")
     except NullStreamError as exc:
-        raise SystemExit(f"{args.command}: {exc} (on the command line: relations --mode exact)")
+        raise SystemExit(f"{args.command}: {exc}")
     emit(payload, lines, cfg)
     return 0 if ok else 1
 

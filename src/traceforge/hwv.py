@@ -102,41 +102,31 @@ def hwv_basis(
 ) -> HwvBasis:
     """The basis of weight lam, memoized on the cache (the default cache if
     none is given) per weight: the hwv check, its verification and a
-    relation space that is solved ask for it again.  threads splits the
-    blocks of a solve; a threaded and a serial solve give the same basis,
-    so the memo answers either."""
+    relation space that is solved ask for it again.  Every block is solved
+    on the calling thread; threads is accepted and ignored, since the
+    benchmark in bench/ still passes it."""
     lam = Partition.of(*lam)
     cache = cache or genmat.default_cache()
     basis = cache._bases.get(lam)
     if basis is None:
-        basis = _solve_basis(lam, threads)
+        basis = _solve_basis(lam)
         with cache._lock:
             cache._bases[lam] = basis
             cache.stats.bases_solved += 1
     return basis
 
 
-def _solve_basis(lam: Partition, threads: int) -> HwvBasis:
+def _solve_basis(lam: Partition) -> HwvBasis:
     p_mons = abs_monomials(lam)
     Q = hilbert_coeff(Partition(lam.l1 + 1, lam.l2 - 1)) if lam.l2 else 0
     blocks: dict[tuple[int, ...], list[int]] = {}
     for i, m in enumerate(p_mons):
         blocks.setdefault(_module_profile(m), []).append(i)
 
-    def solve(cols: list[int]) -> list[tuple[list[int], int]]:
-        return raising_kernel([AbsPoly.monomial(p_mons[i]) for i in cols])
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            kernels = list(ex.map(solve, blocks.values()))
-    else:
-        kernels = [solve(cols) for cols in blocks.values()]
-
     rank = 0
     by_free_col: list[tuple[int, AbsPoly]] = []
-    for cols, kernel in zip(blocks.values(), kernels):
+    for cols in blocks.values():
+        kernel = raising_kernel([AbsPoly.monomial(p_mons[i]) for i in cols])
         rank += len(cols) - len(kernel)
         for nums, den in kernel:
             nonzero = {i: c for i, c in zip(cols, nums) if c}

@@ -4,17 +4,14 @@ A relation of weight lam is a highest weight vector in the generator algebra
 whose image under the substitution into trace expressions evaluates to the
 zero polynomial on the generic matrix pair.  relation_space finds all of
 them for a given weight, as the kernel of the evaluation map on the highest
-weight basis.  That kernel has two routes.  By default the one prime loop,
-nullspace.modular_kernel, takes it from the values of the basis vectors at
-random points mod p, which bound the relation count r from above, and each
-of the r relation vectors is proven zero exactly, by assembling the matrix
-of the relation vectors alone on the slice y11 = 0 (see _proven), which
-bounds r from below.  The exact mode,
-the only caller that assembles the coefficient matrix M of every basis
-vector, takes the exact kernel of M with nullspace.null_stream.  The basis
-is only the tool that finds the relations: a relation space is its
-relation vectors, and the store keeps them, so a stored space is read back
-without solving a basis.
+weight basis.  The one prime loop, nullspace.modular_kernel, takes it from
+the values of the basis vectors at random points mod p, which bound the
+relation count r from above, and each of the r relation vectors is proven
+zero exactly, by assembling the matrix of the relation vectors alone on the
+slice y11 = 0 (see _proven), which bounds r from below, so the result is
+exact.  The basis is only the tool that finds the relations: a relation
+space is its relation vectors, and the store keeps them, so a stored space
+is read back without solving a basis.
 
 The analysis layer mirrors the downstream structure results: orbits under
 the lowering derivation, reduction modulo the ideal generated by a fixed
@@ -56,13 +53,7 @@ from .glcat import (
     predicted_dens,
 )
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
-from .nullspace import (
-    NullStreamError,
-    _normalize_first_one,
-    _rref_mod,
-    modular_kernel,
-    null_stream,
-)
+from .nullspace import NullStreamError, _rref_mod, modular_kernel
 from .packedpoly import (
     XCAP,
     YCAP,
@@ -255,7 +246,9 @@ class _Columns:
 def _assemble_matrix(
     polys: Sequence[AbsPoly], cache: genmat.EvalCache | genmat.Y11Slice | None
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The one evaluator of generator polynomials.
+    """The one evaluator of generator polynomials.  Its callers pass a few
+    polynomials: _proven the relation vectors of one weight, and
+    evaluate_abs one candidate.
 
     Returns (M, colscale, keys): M has one integer column per polynomial and
     one row per packed key of the 18-variable evaluation, ascending, at which
@@ -395,6 +388,13 @@ def _check_highest_weight(lam: Partition, vectors: Sequence[AbsPoly]) -> None:
 RELSPACE_SCHEMA = 3
 
 
+def _check_mode(mode: str) -> None:
+    """ValueError unless mode is "modular", the one route; the parameter
+    stays only because the benchmark in bench/ passes it."""
+    if mode != "modular":
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def relation_space(
     lam: Partition,
     mode: str = "modular",
@@ -414,15 +414,13 @@ def relation_space(
     use_cache=False always solves.  cache.stats counts the spaces solved
     and the spaces read from the store.
 
-    mode "modular" finds the kernel from the values of the basis at points
-    mod p and proves each relation vector exactly (see _modular_zeta); it
-    evaluates only the monomials of the relation vectors.  mode "exact"
-    assembles the matrix M of the basis and eliminates its Gram matrix over
-    the integers (see _exact_zeta).  Both give the same zeta.  Where the
-    modular mode fails, NullStreamError names the weight and suggests mode
-    "exact"."""
-    if mode not in ("exact", "modular"):
-        raise ValueError(f"unknown mode {mode!r}")
+    The kernel is found from the values of the basis at points mod p, and
+    each relation vector is proven zero exactly (see _modular_zeta); only
+    the monomials of the relation vectors are evaluated.  Where the prime
+    loop fails, NullStreamError names the weight.  mode must be "modular"
+    (ValueError otherwise, before any work), and threads is ignored: both
+    stay only because the benchmark in bench/ passes them."""
+    _check_mode(mode)
     lam = Partition.of(*lam)
     cache = cache or genmat.default_cache()
     store = cache.store
@@ -439,13 +437,7 @@ def relation_space(
                 with cache._lock:
                     cache.stats.spaces_loaded += 1
                 return _held(loaded, cache)
-    basis = hwv_basis(lam, threads=threads, cache=cache)
-    if mode == "exact":
-        zeta = _exact_zeta(basis, cache)
-        relvectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
-        _check_highest_weight(lam, relvectors)
-    else:
-        zeta, relvectors = _modular_zeta(basis, cache)
+    zeta, relvectors = _modular_zeta(hwv_basis(lam, cache=cache), cache)
     space = RelationSpace(lam, tuple(zeta), relvectors, digest)
     with cache._lock:
         cache.stats.spaces_solved += 1
@@ -474,17 +466,6 @@ def _held(space: RelationSpace, cache: genmat.EvalCache) -> RelationSpace:
     with cache._lock:
         cache._spaces[space.lam] = space
     return space
-
-
-def _exact_zeta(basis: HwvBasis, cache: genmat.EvalCache) -> list[tuple[Fraction, ...]]:
-    """The kernel of the evaluation map on the basis: the kernel of M, the
-    matrix of its evaluations (see nullspace.null_stream), with the column
-    scales of M undone."""
-    M, colscale, _ = _assemble_matrix(basis.vectors, cache)
-    return [
-        _normalize_first_one([wi * sc for wi, sc in zip(w, colscale)])
-        for w in null_stream(M).vectors
-    ]
 
 
 # points beyond the s columns of the values of a basis at the first pair of
@@ -582,8 +563,6 @@ def _proven(
     when every f = ev(sum_i z_i v_i) is zero on the generic matrices, else
     None.  The combinations are assembled on the slice y11 = 0 (see
     genmat.EvalCache.y11_slice), and their matrix must have no nonzero row.
-    Only mode "exact" assembles the matrix of the basis itself, in full,
-    and it never calls this.
 
     The slice decides because abs_delta kills every combination, which is
     checked first (AssertionError otherwise, before any product).  The
@@ -855,7 +834,10 @@ def new_relations(
     threads: int = 1,
 ) -> NewRelationsReport:
     """Split the weight multiplicities of degree-d relations into
-    consequences of lower degree relations and new ones."""
+    consequences of lower degree relations and new ones.  mode and threads
+    are as in relation_space: mode must be "modular", and threads is
+    ignored."""
+    _check_mode(mode)
     if degree not in LAMBDAS_BY_DEGREE:
         raise ValueError(f"no relation data for degree {degree}")
     lower_orbits: list[AbsPoly] = []
@@ -863,11 +845,11 @@ def new_relations(
         if d >= degree:
             break
         for lam in LAMBDAS_BY_DEGREE[d]:
-            space = relation_space(lam, mode=mode, cache=cache, threads=threads)
+            space = relation_space(lam, cache=cache)
             lower_orbits.extend(orbit(space))
     items = []
     for lam in LAMBDAS_BY_DEGREE[degree]:
-        space = relation_space(lam, mode=mode, cache=cache, threads=threads)
+        space = relation_space(lam, cache=cache)
         products: list[AbsPoly] = []
         for w in lower_orbits:
             beta = w.bidegree()

@@ -199,7 +199,12 @@ def test_relations_degree12(capsys, tmp_path):
         capsys, "relations", "--lambda", "7,5", "--cache-dir", str(tmp_path / "c")
     )
     assert code == 0
-    assert doc["r"] == 1
+    assert doc["r"] == 1 and doc["mode"] == "modular"
+    # modular is the one route: any other mode is argparse's usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["relations", "--lambda", "7,5", "--mode", "exact"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'exact'" in capsys.readouterr().err
 
 
 def test_leading_degree12(capsys, tmp_path):
@@ -247,7 +252,7 @@ def test_reproduce_idempotent(capsys, tmp_path):
     # (the JSON output sorts its keys, so the payload is read before it)
     from traceforge.cli import Config, cmd_reproduce
 
-    payload, _, ok = cmd_reproduce(Config(Path(cdir), 1, 14, "json"), None)
+    payload, _, ok = cmd_reproduce(Config(Path(cdir), 14, "json"), None)
     tables = payload["tables"]
     assert ok and list(tables) == [
         "catalog", "hilbert", "hwv", "relations", "leading", "new", "bundled"
@@ -450,8 +455,8 @@ def test_keys_on_a_filled_dir_certify_nothing(tmp_path):
 
 def test_failed_modular_solve_is_a_one_line_error(tmp_path, monkeypatch):
     # all points equal: every prime overcounts the relations, the prime loop
-    # spends its budget, and the command names the exact mode and stores no
-    # relation space
+    # spends its budget, and the command names the weight and the primes
+    # tried and stores no relation space
     import numpy as np
 
     from traceforge import genmat
@@ -464,8 +469,9 @@ def test_failed_modular_solve_is_a_one_line_error(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["--cache-dir", str(tmp_path), "relations", "--lambda", "7,5"])
     msg = exc.value.code
-    assert isinstance(msg, str) and msg.startswith("relations: ") and "--mode exact" in msg
-    assert "(7,5)" in msg and "\n" not in msg and "Traceback" not in msg
+    assert isinstance(msg, str) and msg.startswith("relations: ")
+    assert "(7,5): modular kernel failed after 20 primes" in msg
+    assert "mode" not in msg and "\n" not in msg and "Traceback" not in msg
     cache = genmat.EvalCache(CacheStore(tmp_path))
     key = f"relspace:v{RELSPACE_SCHEMA}:7,5:{catalog_digest(cache)}"
     assert cache.store.get_json(key) is None

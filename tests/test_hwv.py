@@ -5,7 +5,7 @@ import pytest
 
 from conftest import expected_products, one_matrix_kernel
 from traceforge.glcat import AbsPoly, Partition, abs_delta
-from traceforge.hwv import _solve_basis, hwv_basis, hwv_json, hwv_verify, span_equal
+from traceforge.hwv import hwv_basis, hwv_json, hwv_verify, span_equal
 
 # (l1, l2) -> (P, Q, s)
 TABLE = {
@@ -50,15 +50,9 @@ def test_basis_equals_the_one_matrix_kernel():
         assert basis.vectors == vectors, lam
 
 
-def test_blocked_threaded_matches_serial():
-    # solved directly: hwv_basis would answer either call from its memo
-    lam = Partition(8, 6)
-    assert _solve_basis(lam, 4) == _solve_basis(lam, 1)
-
-
 def test_bases_are_memoized_per_cache_and_weight():
-    # a threaded and a serial solve give the same basis (see above), so the
-    # memo answers both
+    # threads is accepted and ignored, so the memo answers a call that
+    # passes it
     from traceforge.genmat import EvalCache
 
     lam = Partition(7, 5)

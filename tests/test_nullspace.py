@@ -208,8 +208,8 @@ def test_modular_check_failure_draws_more_primes(monkeypatch):
     assert len(calls) == 2 and len(calls[1]) > len(calls[0])
 
 
-# "exact" is null_stream; "modular" is the Gram matrix that the prime loop
-# runs on mod p
+# "exact" is null_stream; "modular" is the Gram matrix that gram_modular
+# runs the prime loop on mod p (the package runs it on values at points)
 @pytest.mark.parametrize("mode", ["exact", "modular"])
 @pytest.mark.parametrize(
     "M",

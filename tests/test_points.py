@@ -147,7 +147,8 @@ def _corrupting(monkeypatch, times):
 @pytest.mark.parametrize("route", ["assembled"])
 def test_a_corrupted_coordinate_is_caught_by_the_exact_proof(route, tmp_path, store, monkeypatch):
     lam = Partition(7, 5)
-    want = relation_space(lam, mode="exact", cache=EvalCache(store), use_cache=False)
+    # the answer of a solve that nothing corrupts, on a cache of its own
+    want = relation_space(lam, cache=EvalCache(store), use_cache=False)
     cache = EvalCache(CacheStore(tmp_path))
     offered = _corrupting(monkeypatch, times=1)
     space = relation_space(lam, cache=cache)
@@ -162,7 +163,7 @@ def test_a_candidate_that_never_proves_is_never_stored(route, tmp_path, monkeypa
     lam = Partition(7, 5)
     cache = EvalCache(CacheStore(tmp_path))
     offered = _corrupting(monkeypatch, times=len(PRIMES))
-    with pytest.raises(NullStreamError, match=r"\(7,5\).*mode='exact'"):
+    with pytest.raises(NullStreamError, match=r"\(7,5\): modular kernel failed after 20 primes"):
         relation_space(lam, cache=cache)
     assert len(offered) == nullspace.DEFAULT_PRIME_BUDGET // 2
     assert cache.store.get_json(_space_key(cache, lam)) is None
@@ -170,8 +171,8 @@ def test_a_candidate_that_never_proves_is_never_stored(route, tmp_path, monkeypa
 
 def test_degenerate_points_overcount_and_fail_without_storing(tmp_path, monkeypatch):
     # all points equal: E_p has rank at most 1, so r_p > r at every prime;
-    # the loop draws primes until its budget is spent, then names the exact
-    # mode, and nothing is stored
+    # the loop draws primes until its budget is spent, then names the weight
+    # and the primes tried, and nothing is stored
     lam = Partition(7, 5)
     cache = EvalCache(CacheStore(tmp_path))
     basis = hwv_basis(lam, cache=cache)
@@ -187,7 +188,7 @@ def test_degenerate_points_overcount_and_fail_without_storing(tmp_path, monkeypa
         return out
 
     monkeypatch.setattr(relfinder, "_rref_mod", recording)
-    with pytest.raises(NullStreamError, match=r"\(7,5\).*mode='exact'"):
+    with pytest.raises(NullStreamError, match=r"\(7,5\): modular kernel failed after 20 primes"):
         relation_space(lam, cache=cache)
     assert len(ranks) == nullspace.DEFAULT_PRIME_BUDGET
     assert all(basis.s - rank > R[(7, 5)] for rank in ranks)

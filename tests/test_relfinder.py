@@ -1,7 +1,7 @@
 """Relation spaces at total degree 12 and the structures built on them.
 
-The degree 13 and 14 slices take minutes and live in the acceptance module
-behind the extended gate; everything here stays in the seconds range.
+The degree 13 and 14 criteria live in the acceptance module; everything here
+stays in the seconds range.
 """
 
 import hashlib
@@ -221,25 +221,32 @@ def test_verify_zero_trace_expr(cache):
     assert not rep.zero
 
 
-def test_exact_and_modular_agree(cache):
-    for lam in (Partition(7, 5), Partition(6, 6)):
-        a = relation_space(lam, mode="exact", cache=cache, use_cache=False)
-        b = relation_space(lam, mode="modular", cache=cache, use_cache=False)
-        assert a.zeta == b.zeta
+UNKNOWN_MODES = ("bogus", "exact")  # modular is the one mode
 
 
 def test_unknown_mode_rejected_before_any_work(cache, s75, monkeypatch):
-    # warm: the stored relspace entry for (7,5) must not answer a bad mode
-    with pytest.raises(ValueError, match="unknown mode"):
-        relation_space(Partition(7, 5), mode="bogus", cache=cache)
+    # warm: the stored relspace entry for (7,5) must not answer another mode
+    for mode in UNKNOWN_MODES:
+        with pytest.raises(ValueError, match="unknown mode"):
+            relation_space(Partition(7, 5), mode=mode, cache=cache)
 
     # cold: the mode is checked before the coefficient matrix is assembled
     def assemble(*args):
         raise AssertionError("matrix assembled for an unknown mode")
 
     monkeypatch.setattr(relfinder, "_assemble_matrix", assemble)
-    with pytest.raises(ValueError, match="unknown mode"):
-        relation_space(Partition(6, 6), mode="bogus", cache=cache, use_cache=False)
+    for mode in UNKNOWN_MODES:
+        with pytest.raises(ValueError, match="unknown mode"):
+            relation_space(Partition(6, 6), mode=mode, cache=cache, use_cache=False)
+
+    # new_relations checks it before it asks for any relation space
+    def space(*args, **kwargs):
+        raise AssertionError("relation space asked for an unknown mode")
+
+    monkeypatch.setattr(relfinder, "relation_space", space)
+    for mode in UNKNOWN_MODES:
+        with pytest.raises(ValueError, match="unknown mode"):
+            new_relations(12, mode=mode, cache=cache)
 
 
 # (shape, colscale, sha256 of the nonzero rows of M) of the degree-12
