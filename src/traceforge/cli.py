@@ -190,11 +190,11 @@ Result = tuple[dict, list[str], bool]
 VERIFY_CHECK_SCHEMA = 1
 
 
-def verify_verdict_key(text: str, trace: bool, cache: genmat.EvalCache) -> str:
+def verify_verdict_key(text: str, trace: bool) -> str:
     """Cache key of the verify verdict for a file text (not its path).  A
     phi candidate goes through the catalog and a relation space, so its key
     holds their digest and schema; a trace expression is evaluated as is."""
-    context = "trace" if trace else f"phi:{catalog_digest(cache)}:{RELSPACE_SCHEMA}"
+    context = "trace" if trace else f"phi:{catalog_digest()}:{RELSPACE_SCHEMA}"
     return f"verifycheck:v{VERIFY_CHECK_SCHEMA}:{context}:{digest_text(text)}"
 
 
@@ -314,7 +314,7 @@ def verify_check(
             "lambda": list(lam) if lam else None,
         }
 
-    store, key = cache.store, verify_verdict_key(text, trace, cache)
+    store, key = cache.store, verify_verdict_key(text, trace)
     verdict = store.get_json(key) if store is not None else None
     if not isinstance(verdict, dict):
         verdict = evaluate()

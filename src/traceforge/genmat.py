@@ -304,9 +304,11 @@ class EvalStats:
 class EvalCache:
     """Per-word and per-generator-monomial evaluation cache.
 
-    Thread-safe with last-writer-wins semantics; an optional CacheStore gives
-    persistence for word evaluations and for the generator evaluations (one
-    entry, see glcat._gen_evals).  Besides the trace words it holds the
+    The only state that an evaluation reads or writes, the catalog
+    certificate included (see glcat.catalog).  Thread-safe with
+    last-writer-wins semantics; an optional CacheStore gives persistence
+    for word evaluations and for the generator evaluations (one entry, see
+    glcat._gen_evals).  Besides the trace words it holds the
     generator evaluations and the generator-monomial products that
     glcat.eval_abs_monomials fills, and the generator values at the points
     of each prime that glcat.gen_values fills, so every memo lives exactly
@@ -343,8 +345,9 @@ class EvalCache:
         self._bases: dict[tuple, object] = {}
         # relation spaces by weight, filled by relfinder.relation_space
         self._spaces: dict[tuple, object] = {}
-        # set by glcat.catalog once the store holds the catalog verdict
-        self._catalog_stored = False
+        # set by glcat.catalog once the catalog is certified on this cache,
+        # or its store holds the verdict
+        self._catalog_certified = False
         self._lock = threading.Lock()
         # the sliced generators and memo, made by y11_slice
         self._y11_slice: Y11Slice | None = None
@@ -378,6 +381,8 @@ _DEFAULT_CACHE = EvalCache()
 
 
 def default_cache() -> EvalCache:
+    """An EvalCache that nothing in traceforge uses, so its counters, which
+    bench/tracer.py reads, stay 0."""
     return _DEFAULT_CACHE
 
 
@@ -434,9 +439,8 @@ def _compute_word_comm(w: Word) -> CommPoly:
     return acc
 
 
-def word_trace_packed(w: Word, cache: EvalCache | None = None) -> PackedPoly:
+def word_trace_packed(w: Word, cache: EvalCache) -> PackedPoly:
     """Packed evaluation of tr(w), keyed on the cyclic-canonical rotation."""
-    cache = cache or _DEFAULT_CACHE
     key = _word_key(w)
     poly = _known_word(key, cache)
     if poly is None:
@@ -445,12 +449,11 @@ def word_trace_packed(w: Word, cache: EvalCache | None = None) -> PackedPoly:
     return poly
 
 
-def word_traces_packed(words: Iterable[Word], cache: EvalCache | None = None) -> None:
+def word_traces_packed(words: Iterable[Word], cache: EvalCache) -> None:
     """word_trace_packed for every word, with the traces that neither the
     cache nor its store holds computed in one pass over their sorted
     cyclic-canonical forms, so that a prefix they share is multiplied out
     once (see _compute_words_packed)."""
-    cache = cache or _DEFAULT_CACHE
     keys = sorted({_word_key(w) for w in words})
     missing = [key for key in keys if _known_word(key, cache) is None]
     for key, poly in _compute_words_packed(missing):
@@ -488,9 +491,8 @@ def _remember_word(key: Word, poly: PackedPoly, cache: EvalCache) -> None:
         cache._words[key] = poly
 
 
-def eval_word_trace(w: Word, cache: EvalCache | None = None) -> CommPoly:
+def eval_word_trace(w: Word, cache: EvalCache) -> CommPoly:
     """Evaluate tr(w) as an 18-variable polynomial.  len(w) >= 2 required."""
-    cache = cache or _DEFAULT_CACHE
     if len(w) < 2:
         raise ValueError("trace of a word of length < 2 is not evaluated here")
     if _word_fits_packed(w):
@@ -533,16 +535,15 @@ def _mono_fits_packed(mono: TraceMonomial) -> bool:
     return p <= XCAP and q <= YCAP
 
 
-def _trace_monomial_comm(mono: TraceMonomial, cache: EvalCache | None) -> CommPoly:
+def _trace_monomial_comm(mono: TraceMonomial, cache: EvalCache) -> CommPoly:
     acc = CommPoly.constant(VARSET18, Fraction(1))
     for w in mono:
         acc = poly_mul(acc, eval_word_trace(w, cache))
     return acc
 
 
-def eval_trace_expr(e: TraceExpr, cache: EvalCache | None = None) -> CommPoly:
+def eval_trace_expr(e: TraceExpr, cache: EvalCache) -> CommPoly:
     """Evaluate a trace expression on the generic matrix pair."""
-    cache = cache or _DEFAULT_CACHE
     memo: dict[TraceMonomial, PackedPoly] = {}
     packed = []
     comm_acc = CommPoly.zero(VARSET18)
@@ -557,9 +558,8 @@ def eval_trace_expr(e: TraceExpr, cache: EvalCache | None = None) -> CommPoly:
     return out
 
 
-def eval_trace_expr_packed(e: TraceExpr, cache: EvalCache | None = None) -> PackedPoly:
+def eval_trace_expr_packed(e: TraceExpr, cache: EvalCache) -> PackedPoly:
     """Packed evaluation; raises PackedCapacityError beyond field capacity."""
-    cache = cache or _DEFAULT_CACHE
     if not all(_mono_fits_packed(mono) for mono in e.terms):
         raise PackedCapacityError("monomial degree exceeds packed capacity")
     memo: dict[TraceMonomial, PackedPoly] = {}

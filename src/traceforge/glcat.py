@@ -11,20 +11,21 @@ u_{i,j}; AbsPoly is the polynomial algebra they span.  The raising and
 lowering maps act by abs_delta(u_{i,j}) = j u_{i,j-1} and
 abs_delta1(u_{i,j}) = (a_i - j) u_{i,j+1}.  These ladder constants hold
 formally, as identities of trace expressions: delta1(e_j) = (a - j) e_{j+1}
-for j < a by construction, and the certificate run when the catalog is
-first built checks delta1(e_a) = 0 and delta(e_j) = j e_{j-1} with nothing
-evaluated.  One evaluation of the 30 generators then proves ev(e_0) != 0
-and D(ev(e_j)) = j ev(e_{j-1}) for the evaluated raising map D (see
-genmat.eval_delta); construction aborts if any check fails.  Evaluation is
+for j < a by construction, and the certificate checks delta1(e_a) = 0 and
+delta(e_j) = j e_{j-1} with nothing evaluated.  One evaluation of the 30
+generators, from the word traces of the cache being certified, then proves
+ev(e_0) != 0 and D(ev(e_j)) = j ev(e_{j-1}) for the evaluated raising map D
+(see genmat.eval_delta); catalog raises if any check fails.  Evaluation is
 a ring homomorphism and both maps are derivations, so D(ev(p)) =
 ev(abs_delta(p)) for every generator polynomial p: a polynomial that
-abs_delta kills has an evaluation that D kills.
+abs_delta kills has an evaluation that D kills.  The modules and their
+digest are built once per process; the certificate holds for the word
+traces it was checked on, so it is made once per EvalCache (see catalog).
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -152,14 +153,24 @@ def _catalog_digest(mods: tuple[GeneratorModule, ...]) -> str:
     return digest_text(text)
 
 
-def _certify(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) -> None:
-    """Raise CatalogCertificationError at the first check that fails: on
-    trace expressions, with nothing evaluated, the bidegree of each e_j,
+def _compose_gens(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) -> list[PackedPoly]:
+    """Evaluations of the 30 generators of mods, in ABS_GENS order, from the
+    word traces of the cache (the missing ones in one pass)."""
+    genmat.word_traces_packed(
+        (w for mod in mods for e in mod.basis for mono in e.terms for w in mono), cache
+    )
+    return [genmat.eval_trace_expr_packed(e, cache) for mod in mods for e in mod.basis]
+
+
+def _certify(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) -> list[PackedPoly]:
+    """The evaluations of the 30 generators (see _compose_gens), once every
+    check passes; CatalogCertificationError at the first check that fails.
+    On trace expressions, with nothing evaluated: the bidegree of each e_j,
     delta1(e_a) = 0 and delta(e_j) = j e_{j-1} (TraceExpr equality compares
     normalized terms, so it fails wherever the expressions differ); then,
-    from one pass over the basis words, ev(e_0) != 0 and D(ev(e_j)) =
-    j ev(e_{j-1}).  delta1(e_j) = (a - j) e_{j+1} for j < a holds by
-    construction (see _build_modules)."""
+    on the evaluations, ev(e_0) != 0 and D(ev(e_j)) = j ev(e_{j-1}).
+    delta1(e_j) = (a - j) e_{j+1} for j < a holds by construction (see
+    _build_modules)."""
 
     def check(mod: GeneratorModule, name: str, j: int, ok: bool) -> None:
         if not ok:
@@ -172,61 +183,49 @@ def _certify(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) -> None
             below = basis[j - 1].scale(Fraction(j)) if j else TraceExpr.zero()
             check(mod, "raising constant", j, delta(e) == below)
         check(mod, "lowering constant", a, delta1(basis[a]).is_zero())
-    genmat.word_traces_packed(
-        (w for mod in mods for e in mod.basis for mono in e.terms for w in mono), cache
-    )
+    gens = _compose_gens(mods, cache)
+    rest = iter(gens)
     for mod in mods:
-        evs = [genmat.eval_trace_expr_packed(e, cache) for e in mod.basis]
+        evs = [next(rest) for _ in mod.basis]
         check(mod, "nonzero highest weight vector", 0, not evs[0].is_zero())
         for j, ev in enumerate(evs):
             below = evs[j - 1].scale(Fraction(j)) if j else PackedPoly.zero()
             check(mod, "evaluated raising", j, genmat.eval_delta(ev).add(below.neg()).is_zero())
+    return gens
 
 
-_CATALOG: tuple[GeneratorModule, ...] | None = None
-_DIGEST = ""  # of _CATALOG, computed once with it
-_CATALOG_LOCK = threading.Lock()
+@functools.cache
+def _definition() -> tuple[tuple[GeneratorModule, ...], str]:
+    """The twelve modules and their digest, built once per process."""
+    mods = _build_modules()
+    return mods, _catalog_digest(mods)
 
 
-def catalog(cache: genmat.EvalCache | None = None) -> tuple[GeneratorModule, ...]:
-    """The twelve generator modules, certified on first construction.
-
-    The first call in a process builds the modules and their digest, and
-    certifies the catalog on the given cache (the default cache if none is
-    given), unless its store already holds the verdict.  Every cache passed
-    in has the verdict written into its store, once per cache, if the store
-    lacks it."""
-    global _CATALOG, _DIGEST
-    if _CATALOG is not None and (cache is None or cache._catalog_stored):
-        return _CATALOG
-    with _CATALOG_LOCK:
-        if _CATALOG is not None and (cache is None or cache._catalog_stored):
-            return _CATALOG
-        cache = cache or genmat.default_cache()
-        if _CATALOG is None:
-            mods = _build_modules()
-            digest = _catalog_digest(mods)
-        else:
-            mods, digest = _CATALOG, _DIGEST
-        verdict_key = f"catalog-cert:{digest}"
+def catalog(cache: genmat.EvalCache) -> tuple[GeneratorModule, ...]:
+    """The twelve generator modules, certified once on the cache: on its own
+    word traces (see _certify), unless its store holds the verdict.  The 30
+    generator evaluations of a certification become the cache's generators,
+    and a store gets them under gens:v1:<digest>, then the verdict; a
+    failed check writes neither."""
+    mods, digest = _definition()
+    if not cache._catalog_certified:
         store = cache.store
-        verdict = store.get_json(verdict_key) if store is not None else None
+        key = f"catalog-cert:{digest}"
+        verdict = store.get_json(key) if store is not None else None
         if not (isinstance(verdict, dict) and verdict.get("ok") is True):
-            if _CATALOG is None:
-                _certify(mods, cache)
+            gens = _certify(mods, cache)
             if store is not None:
-                store.put_json(verdict_key, {"ok": True, "digest": digest})
-        cache._catalog_stored = True
-        # the digest first: a reader that finds _CATALOG set finds it too
-        _DIGEST = digest
-        _CATALOG = mods
-    return _CATALOG
+                store.put_polys(f"gens:v1:{digest}", gens)
+                store.put_json(key, {"ok": True, "digest": digest})
+            with cache._lock:
+                cache._gens = gens
+        cache._catalog_certified = True
+    return mods
 
 
-def catalog_digest(cache: genmat.EvalCache | None = None) -> str:
-    """Digest of the certified catalog (see catalog for the cache)."""
-    catalog(cache)
-    return _DIGEST
+def catalog_digest() -> str:
+    """Digest of the catalog's definition; nothing is certified."""
+    return _definition()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +494,9 @@ def abs_delta1(p: AbsPoly) -> AbsPoly:
     return _derivation(p, _LOWERING, 1)
 
 
-def phi_monomial(mono: AbsMonomial, cache: genmat.EvalCache | None = None) -> TraceExpr:
-    """phi of one generator monomial (see catalog for the cache)."""
-    mods = catalog(cache)
+def phi_monomial(mono: AbsMonomial) -> TraceExpr:
+    """phi of one generator monomial."""
+    mods = _definition()[0]
     out = TraceExpr.constant(Fraction(1))
     for gid in mono:
         g = ABS_GENS[gid]
@@ -505,49 +504,40 @@ def phi_monomial(mono: AbsMonomial, cache: genmat.EvalCache | None = None) -> Tr
     return out
 
 
-def phi(p: AbsPoly, cache: genmat.EvalCache | None = None) -> TraceExpr:
+def phi(p: AbsPoly) -> TraceExpr:
     """The substitution u_{i,j} -> e_j of module i, extended multiplicatively.
-
-    The catalog is certified on the cache (see catalog), so a cache whose
-    store holds the verdict evaluates no word traces."""
+    It rewrites trace expressions and evaluates nothing."""
     out = TraceExpr.zero()
     for mono, c in p.terms.items():
-        out = out + phi_monomial(mono, cache).scale(c)
+        out = out + phi_monomial(mono).scale(c)
     return out
 
 
 def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
-    """Evaluations of the 30 generators, memoized on the cache.  The store
-    keeps them as one entry under the catalog digest, written the first
-    time they are composed from word traces, so a store that holds it
-    reads no word trace for them; a corrupt entry is a miss, and the
-    generators are composed again."""
-    gens = cache._gens
-    if gens is None:
+    """Evaluations of the 30 generators, memoized on the cache: from the
+    certificate (see catalog), else from the store's gens:v1:<digest>
+    entry, with no word trace read; a missing or corrupt entry is composed
+    again (see _compose_gens) and rewritten.  A Y11Slice holds its own."""
+    if cache._gens is None:
         mods = catalog(cache)
-        store = cache.store
-        key = f"gens:v1:{catalog_digest(cache)}"
-        gens = store.get_polys(key, NGENS) if store is not None else None
-        if gens is None:
-            gens = [
-                genmat.eval_trace_expr_packed(mods[g.module - 1].basis[g.j], cache)
-                for g in ABS_GENS
-            ]
-            if store is not None:
-                store.put_polys(key, gens)
-        with cache._lock:
-            cache._gens = gens
-    return gens
+        if cache._gens is None:
+            store = cache.store
+            key = f"gens:v1:{catalog_digest()}"
+            gens = store.get_polys(key, NGENS) if store is not None else None
+            if gens is None:
+                gens = _compose_gens(mods, cache)
+                if store is not None:
+                    store.put_polys(key, gens)
+            with cache._lock:
+                cache._gens = gens
+    return cache._gens
 
 
-def gen_values(
-    p: int, n: int, cache: genmat.EvalCache | None = None
-) -> np.ndarray | None:
+def gen_values(p: int, n: int, cache: genmat.EvalCache) -> np.ndarray | None:
     """Values mod p of the 30 generators at the first n points of p (see
     genmat.sample_points): an (30, n) int64 array, row gid for generator
     gid, or None when p divides a denominator of a generator.  Memoized per
     prime on the cache, which evaluates only the points it lacks."""
-    cache = cache or genmat.default_cache()
     have = cache._gen_values.get(p)
     if have is None or have.shape[1] < n:
         mods = catalog(cache)
@@ -565,26 +555,23 @@ def gen_values(
     return have[:, :n]
 
 
-def eval_abs_monomial(
-    mono: AbsMonomial, cache: genmat.EvalCache | None = None
-) -> PackedPoly:
+def eval_abs_monomial(mono: AbsMonomial, cache: genmat.EvalCache) -> PackedPoly:
     """Packed evaluation of one generator monomial (see eval_abs_monomials)."""
     return eval_abs_monomials([mono], cache)[0]
 
 
 def eval_abs_monomials(
-    monos: Iterable[AbsMonomial], cache: genmat.EvalCache | None = None
+    monos: Iterable[AbsMonomial], cache: genmat.EvalCache
 ) -> list[PackedPoly]:
     """Packed evaluations of generator monomials, with prefix sharing.
 
     A monomial m of two or more generators is evaluated as
-    ev(m[:-1]) * ev(m[-1]), and every evaluation is memoized on the cache
-    (the default cache if none is given); cache.stats.gen_products counts
+    ev(m[:-1]) * ev(m[-1]), and every evaluation is memoized on the cache;
+    cache.stats.gen_products counts
     the products computed.  The missing prefixes of the monomials are
     computed one length (one level of their trie) at a time, the products
     of a level through one SumTable per last generator (see ProductGroup)."""
     monos = list(monos)
-    cache = cache or genmat.default_cache()
     memo = cache._abs_monos
     levels: dict[int, dict[AbsMonomial, None]] = {}
     for mono in monos:
@@ -714,7 +701,7 @@ class LeafGroups:
 
 
 def leaf_groups(
-    monos: Iterable[AbsMonomial], cache: genmat.EvalCache | None = None
+    monos: Iterable[AbsMonomial], cache: genmat.EvalCache
 ) -> tuple[dict[AbsMonomial, PackedPoly], LeafGroups]:
     """(evals, groups) for distinct monomials.  The fresh leaves are the
     monomials of two or more generators that the memo lacks and that are
@@ -727,7 +714,6 @@ def leaf_groups(
     (see ProductGroup.products), of the prefixes or of combinations of
     them, and keeps what it needs."""
     monos = list(monos)
-    cache = cache or genmat.default_cache()
     memo = cache._abs_monos
     candidates = [m for m in monos if len(m) > 1 and m not in memo]
     inner = {m[:n] for m in candidates for n in range(2, len(m))}
@@ -768,30 +754,21 @@ def predicted_dens(
 # Hilbert series.
 
 
-_HILBERT: dict[int, BiSeries] = {}
-_HILBERT_LOCK = threading.Lock()
-
-
+@functools.cache
 def hilbert_KG0(D: int = 14) -> BiSeries:
     """Hilbert series of the polynomial algebra on the 30 generators,
     bigraded by (x-degree, y-degree), truncated at total degree D."""
-    with _HILBERT_LOCK:
-        hit = _HILBERT.get(D)
-        if hit is not None:
-            return hit
-        # h[p][q] is the coefficient of t^p u^q.  Dividing by 1 - t^a u^b in
-        # place, in increasing (p, q), multiplies by the geometric series.
-        h = [[0] * (D + 1 - p) for p in range(D + 1)]
-        h[0][0] = 1
-        for g in ABS_GENS:
-            a, b = g.bidegree
-            for p in range(a, D + 1):
-                row, src = h[p], h[p - a]
-                for q in range(b, D + 1 - p):
-                    row[q] += src[q - b]
-        out = BiSeries(D, {(p, q): c for p, row in enumerate(h) for q, c in enumerate(row)})
-        _HILBERT[D] = out
-    return out
+    # h[p][q] is the coefficient of t^p u^q.  Dividing by 1 - t^a u^b in
+    # place, in increasing (p, q), multiplies by the geometric series.
+    h = [[0] * (D + 1 - p) for p in range(D + 1)]
+    h[0][0] = 1
+    for g in ABS_GENS:
+        a, b = g.bidegree
+        for p in range(a, D + 1):
+            row, src = h[p], h[p - a]
+            for q in range(b, D + 1 - p):
+                row[q] += src[q - b]
+    return BiSeries(D, {(p, q): c for p, row in enumerate(h) for q, c in enumerate(row)})
 
 
 def hilbert_coeff(lam: Partition) -> int:
@@ -873,8 +850,9 @@ def generator_degree_audit() -> dict[int, int]:
     return dict(sorted(audit.items()))
 
 
-def catalog_json(cache: genmat.EvalCache | None = None) -> dict:
-    """The catalog, its generators and degree audit (see catalog for the cache)."""
+def catalog_json(cache: genmat.EvalCache) -> dict:
+    """The catalog, certified on the cache (see catalog), its generators and
+    degree audit."""
     mods = catalog(cache)
     return {
         "modules": [

@@ -100,13 +100,14 @@ def span_rank(polys: Iterable[AbsPoly]) -> int:
 def hwv_basis(
     lam: Partition, threads: int = 1, cache: genmat.EvalCache | None = None
 ) -> HwvBasis:
-    """The basis of weight lam, memoized on the cache (the default cache if
-    none is given) per weight: the hwv check, its verification and a
-    relation space that is solved ask for it again.  Every block is solved
-    on the calling thread; threads is accepted and ignored, since the
-    benchmark in bench/ still passes it."""
+    """The basis of weight lam, memoized on the cache per weight: the hwv
+    check, its verification and a relation space that is solved ask for it
+    again.  With no cache the basis is solved and memoized nowhere.  Every
+    block is solved on the calling thread; threads is accepted and
+    ignored, since the benchmark in bench/ still passes it."""
     lam = Partition.of(*lam)
-    cache = cache or genmat.default_cache()
+    if cache is None:
+        return _solve_basis(lam)
     basis = cache._bases.get(lam)
     if basis is None:
         basis = _solve_basis(lam)
@@ -161,12 +162,14 @@ def hwv_verify(
 ) -> HwvVerifyReport:
     """Check a basis: the raising map has rank Q, and abs_delta kills each
     vector exactly.  With evaluate, the catalog is certified on the cache
-    (see glcat.catalog).  Its certificate proves that the evaluated raising
-    map D acts on the generators as abs_delta does, so D kills the
-    evaluation of every vector that abs_delta kills, and nothing is
-    evaluated here.  A vector that evaluates to zero is a relation and
-    passes."""
+    (see glcat.catalog), which must then be given: ValueError before any
+    work otherwise.  Its certificate proves that the evaluated raising map
+    D acts on the generators as abs_delta does, so D kills the evaluation
+    of every vector that abs_delta kills, and nothing is evaluated here.  A
+    vector that evaluates to zero is a relation and passes."""
     if evaluate:
+        if cache is None:
+            raise ValueError("hwv_verify(evaluate=True) needs a cache")
         catalog(cache)
     failures: list[str] = []
     rank_ok = basis.alpha_rank == basis.Q

@@ -3,7 +3,7 @@
 Every kernel here comes as an exact basis of the right kernel, each vector
 normalized so its first nonzero coordinate (in column order) is 1, ordered
 by its free column.  _IntEchelon is the fraction-free integer echelon that
-hwv solves its bases with; null_dense runs it on a sparse rational matrix.
+hwv solves its bases with.
 
 modular_kernel is the one prime loop.  relfinder.relation_space runs it on
 the values of a highest weight basis at points mod p: it keeps the largest
@@ -48,30 +48,6 @@ class NullStreamError(RuntimeError):
     pass
 
 
-class _QMatrixFields(NamedTuple):
-    rows: tuple[Mapping[int, Rational], ...]
-    ncols: int
-
-
-class QMatrix(_QMatrixFields):
-    """Sparse rational matrix: one dict per row mapping column to value.
-    Every construction, _replace included, checks that each column is in
-    range(ncols)."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: tuple[Mapping[int, Rational], ...], ncols: int) -> "QMatrix":
-        for r in rows:
-            for c in r:
-                if not (0 <= c < ncols):
-                    raise ValueError(f"column {c} out of range")
-        return super().__new__(cls, rows, ncols)
-
-    @classmethod
-    def _make(cls, iterable) -> "QMatrix":
-        return cls(*iterable)
-
-
 class NullBasis(NamedTuple):
     """A kernel basis of a matrix with ncols columns."""
 
@@ -85,20 +61,6 @@ class NullBasis(NamedTuple):
     @property
     def rank(self) -> int:
         return self.ncols - len(self.vectors)
-
-
-def _clear_row(row: Mapping[int, Rational]) -> dict[int, int]:
-    den = 1
-    for v in row.values():
-        f = Fraction(v)
-        den = den * f.denominator // gcd(den, f.denominator)
-    out = {}
-    for c, v in row.items():
-        f = Fraction(v)
-        n = f.numerator * (den // f.denominator)
-        if n:
-            out[c] = n
-    return out
 
 
 def _content(row: dict[int, int]) -> int:
@@ -216,14 +178,6 @@ def _normalize_first_one(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if lead is None or lead == 1:
         return tuple(v)
     return tuple(x / lead for x in v)
-
-
-def null_dense(A: QMatrix) -> NullBasis:
-    """Exact kernel of a QMatrix via fraction-free elimination."""
-    ech = _IntEchelon(A.ncols)
-    for row in A.rows:
-        ech.add_row(_clear_row(row))
-    return ech.kernel()
 
 
 # ---------------------------------------------------------------------------

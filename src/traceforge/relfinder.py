@@ -42,6 +42,7 @@ from .glcat import (
     abs_delta1,
     abs_poly_text,
     bidegree_monomials,
+    catalog,
     catalog_digest,
     eval_abs_monomial,  # unused here; bench/tracer.py wraps relfinder.eval_abs_monomial
     gen_by_modj,
@@ -244,7 +245,7 @@ class _Columns:
 
 
 def _assemble_matrix(
-    polys: Sequence[AbsPoly], cache: genmat.EvalCache | genmat.Y11Slice | None
+    polys: Sequence[AbsPoly], cache: genmat.EvalCache | genmat.Y11Slice
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The one evaluator of generator polynomials.  Its callers pass a few
     polynomials: _proven the relation vectors of one weight, and
@@ -277,7 +278,6 @@ def _assemble_matrix(
     whose sliced generators and memo it then reads, so that M is the
     matrix of the evaluations with y11 set to zero.
     """
-    cache = cache or genmat.default_cache()
     used = dict.fromkeys(m for v in polys for m in v.nums)
     for p, q in set(map(mono_bidegree, used)):
         if p > XCAP or q > YCAP:
@@ -398,7 +398,8 @@ def _check_mode(mode: str) -> None:
 def relation_space(
     lam: Partition,
     mode: str = "modular",
-    cache: genmat.EvalCache | None = None,
+    *,
+    cache: genmat.EvalCache,
     threads: int = 1,
     use_cache: bool = True,
 ) -> RelationSpace:
@@ -414,17 +415,18 @@ def relation_space(
     use_cache=False always solves.  cache.stats counts the spaces solved
     and the spaces read from the store.
 
-    The kernel is found from the values of the basis at points mod p, and
-    each relation vector is proven zero exactly (see _modular_zeta); only
+    The catalog is certified on the cache first (see glcat.catalog).  The
+    kernel is found from the values of the basis at points mod p, and each
+    relation vector is proven zero exactly (see _modular_zeta); only
     the monomials of the relation vectors are evaluated.  Where the prime
     loop fails, NullStreamError names the weight.  mode must be "modular"
     (ValueError otherwise, before any work), and threads is ignored: both
     stay only because the benchmark in bench/ passes them."""
     _check_mode(mode)
     lam = Partition.of(*lam)
-    cache = cache or genmat.default_cache()
+    catalog(cache)
     store = cache.store
-    digest = catalog_digest(cache)
+    digest = catalog_digest()
     key = f"relspace:v{RELSPACE_SCHEMA}:{lam.l1},{lam.l2}:{digest}"
     if use_cache:
         held = cache._spaces.get(lam)
@@ -651,13 +653,13 @@ class ZeroReport(NamedTuple):
 ZERO_REPORT = ZeroReport.of(CommPoly.zero(genmat.VARSET18))
 
 
-def verify_zero(e: TraceExpr, cache: genmat.EvalCache | None = None) -> ZeroReport:
+def verify_zero(e: TraceExpr, cache: genmat.EvalCache) -> ZeroReport:
     """Evaluate a trace expression and report whether it is identically
     zero; a nonzero residual is summarized monomial by monomial, capped."""
     return ZeroReport.of(genmat.eval_trace_expr(e, cache))
 
 
-def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
+def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache) -> ZeroReport:
     """Same as verify_zero but straight from an AbsPoly.  A homogeneous p
     that lies in the relation space the cache holds for its bidegree (see
     relation_space) is a combination of relations, so it is zero by
@@ -669,7 +671,6 @@ def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroRe
     that they evaluate to zero.  Its zero rests on the exact proof made
     before it was stored, on the catalog digest in its key and on the
     SHA-256 of the entry."""
-    cache = cache or genmat.default_cache()
     try:
         space = cache._spaces.get(p.bidegree())
     except NotHomogeneous:
@@ -679,10 +680,10 @@ def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroRe
     return evaluate_abs(p, cache)
 
 
-def evaluate_abs(p: AbsPoly, cache: genmat.EvalCache | None = None) -> ZeroReport:
+def evaluate_abs(p: AbsPoly, cache: genmat.EvalCache) -> ZeroReport:
     """The report of p evaluated as the one column of the matrix
     _assemble_matrix builds for it, whatever the cache holds."""
-    M, colscale, keys = _assemble_matrix([p], cache or genmat.default_cache())
+    M, colscale, keys = _assemble_matrix([p], cache)
     ev = PackedPoly.from_column(keys, M[:, 0], colscale[0])
     return ZeroReport.of(ev.to_comm(genmat.VARSET18))
 
@@ -830,7 +831,8 @@ def _old_multiplicity(products: list[AbsPoly]) -> int:
 def new_relations(
     degree: int,
     mode: str = "modular",
-    cache: genmat.EvalCache | None = None,
+    *,
+    cache: genmat.EvalCache,
     threads: int = 1,
 ) -> NewRelationsReport:
     """Split the weight multiplicities of degree-d relations into

@@ -5,7 +5,8 @@ import pytest
 from traceforge import genmat
 from traceforge.cache import CacheStore
 from traceforge.glcat import AbsPoly, Partition, abs_delta, abs_monomials
-from traceforge.nullspace import QMatrix, null_dense
+
+from kernel_oracle import QMatrix, null_dense
 
 EXTENDED = os.environ.get("TRACEFORGE_EXTENDED") == "1"
 

@@ -291,7 +291,7 @@ def _c9_cyclic(acache):
 
 
 def _c9_ladder(acache):
-    for mod in catalog():
+    for mod in catalog(acache):
         a = mod.a
         basis = mod.basis
         for j, e in enumerate(basis):
@@ -312,7 +312,7 @@ def _c9_ladder(acache):
 
 
 def _c9_hwv_checks(acache):
-    for mod in catalog():
+    for mod in catalog(acache):
         e0 = mod.hwv
         ev = eval_trace_expr(e0, acache)
         assert not ev.is_zero()
@@ -345,7 +345,7 @@ def _c9_phi_round_trips(acache):
     for name in ("v75.phi", "v66prime.phi", "v66second.phi"):
         p = parse_phi((data / name).read_text())
         assert parse_phi(format_phi(p)) == p
-    for mod in catalog():
+    for mod in catalog(acache):
         assert parse_trace(format_trace_expr(mod.hwv)) == mod.hwv
 
 

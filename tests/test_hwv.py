@@ -83,6 +83,16 @@ def test_verify_report_exact_only(small_bases):
     assert rep.failures == ()
 
 
+def test_an_evaluated_verify_needs_a_cache(small_bases, monkeypatch):
+    # evaluate=True, the default, certifies the catalog on the cache it is
+    # given: with none, it raises before the catalog is touched
+    from traceforge import hwv
+
+    monkeypatch.setattr(hwv, "catalog", lambda cache: pytest.fail("catalog reached"))
+    with pytest.raises(ValueError, match="needs a cache"):
+        hwv_verify(small_bases[(6, 6)])
+
+
 def test_verify_flags_a_broken_basis(small_bases):
     good = small_bases[(7, 5)]
     # swap in a vector that is not a highest weight vector

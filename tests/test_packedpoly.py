@@ -369,7 +369,7 @@ def test_evaluated_maps_on_lowered_catalog_vectors():
     # delta1 of a highest weight vector of weight (l1, l2), l1 > l2, is not
     # highest weight, so the raising map acts nontrivially
     lowered = 0
-    for mod in catalog():
+    for mod in catalog(_CACHE):
         e = delta1(mod.hwv)
         ev = eval_trace_expr_packed(e, _CACHE)
         if ev.is_zero():  # weight (k, k): the module is one-dimensional

@@ -120,7 +120,7 @@ def test_a_basis_with_a_denominator_divisible_by_p_has_no_values(store):
 
 
 def _space_key(cache, lam):
-    return f"relspace:v{RELSPACE_SCHEMA}:{lam[0]},{lam[1]}:{catalog_digest(cache)}"
+    return f"relspace:v{RELSPACE_SCHEMA}:{lam[0]},{lam[1]}:{catalog_digest()}"
 
 
 def _corrupting(monkeypatch, times):

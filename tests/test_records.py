@@ -1,11 +1,11 @@
-"""The package's value records: each is immutable, and two records with
-equal fields are equal and hash alike."""
+"""The package's value records, and the QMatrix of the kernel oracle: each
+is immutable, and two records with equal fields are equal and hash alike."""
 
 import pytest
 
 from traceforge.glcat import AbsGen, GeneratorModule, Partition
 from traceforge.hwv import HwvBasis, HwvVerifyReport
-from traceforge.nullspace import NullBasis, QMatrix
+from traceforge.nullspace import NullBasis
 from traceforge.polyring import VarSet
 from traceforge.relfinder import (
     PARAMETER_SPLIT,
@@ -18,6 +18,8 @@ from traceforge.relfinder import (
     RelationSpace,
     ZeroReport,
 )
+
+from kernel_oracle import QMatrix
 
 HSOP, COMPLEMENT = PARAMETER_SPLIT
 

@@ -790,7 +790,7 @@ def test_a_held_space_is_returned_before_the_store_is_read(cache, monkeypatch):
 
 
 def test_relation_space_summary_is_versioned(cache, s66):
-    digest = relfinder.catalog_digest(cache)
+    digest = relfinder.catalog_digest()
     summary = cache.store.get_json(f"relspace:v3:6,6:{digest}")
     assert set(summary) == {"lambda", "zeta", "relvectors"}
     assert cache.store.get_json(f"relspace:6,6:{digest}") is None
@@ -841,7 +841,7 @@ STORED_FAULTS = [_unkilled, _other_bidegree, _one_vector_fewer, _gid_30, _unsort
 )
 def test_a_stored_space_that_fails_its_checks_is_solved_again(fault, cache):
     lam = Partition(7, 5)
-    digest = relfinder.catalog_digest(cache)
+    digest = relfinder.catalog_digest()
     key = f"relspace:v{RELSPACE_SCHEMA}:7,5:{digest}"
     fresh = relation_space(lam, cache=cache, use_cache=False)
     good = cache.store.get_json(key)
