@@ -23,7 +23,10 @@
 # (file name, file sha256) equals COLD_MANIFEST, so a change that alters any
 # stored byte must change that literal.  It must stay within 64 MB: the
 # script fails if the `peak_rss_mb` of its `stats:` line exceeds 64, the
-# memory the degree-14 weights are meant to fit in.  The second pass must do
+# memory the degree-14 weights are meant to fit in.  Nor may it import
+# `_hashlib`, which maps OpenSSL's libcrypto only to hash (the store hashes
+# with CPython's own SHA-256): the script fails if the `-X importtime` lines
+# of the pass name it after the interpreter's site hooks.  The second pass must do
 # no fresh work: the script fails unless it reports zero word evaluations,
 # trace-monomial and generator-monomial products, zero cache misses, corrupt
 # entries and writes, and zero relation spaces solved, and unless it reads
@@ -45,8 +48,9 @@
 # reads its stored verdict), and the script
 # fails if any one of them loads it.  Nor may they import `dataclasses` or
 # `inspect` (a dataclass compiles generated methods at every import, which
-# costs every process start-up time): the script fails if any one of them
-# loads either; what the interpreter's site hooks import does not count.
+# costs every process start-up time), or `_hashlib`: the script fails if any
+# one of them loads any of the three; what the interpreter's site hooks
+# import does not count.
 # Then a cold `relations --lambda 9,5` in a fresh cache dir, which proves
 # its relation vectors by assembling them in a process that has run nothing
 # else, must find r = 2 and the zeta that the first pass stored for (9,5):
@@ -92,9 +96,23 @@ if [[ -d "$CACHE" && -n "$(ls -A "$CACHE")" ]]; then
     exit 1
 fi
 
+# what a process imports after the interpreter's site hooks, from its
+# `-X importtime` lines
+imported() { awk 'past; /\| site$/ { past = 1 }' "$@"; }
+
 echo "== pass 1 (cold cache: $CACHE) =="
-out="$(timed python3 -m traceforge.cli --cache-dir "$CACHE" reproduce --format text)"
+if ! out="$(timed python3 -X importtime -m traceforge.cli --cache-dir "$CACHE" \
+        reproduce --format text 2>"$TMP/cold-imports")"; then
+    grep -v '^import time:' "$TMP/cold-imports" >&2 || true
+    echo "FAIL: the cold pass exited nonzero" >&2
+    exit 1
+fi
 echo "$out"
+# the store hashes with CPython's own SHA-256, so no OpenSSL is loaded
+if imported "$TMP/cold-imports" | grep -Eq '\|[[:space:]]+_hashlib$'; then
+    echo "FAIL: the cold pass imported _hashlib" >&2
+    exit 1
+fi
 
 stats="$(grep '^stats:' <<<"$out" || true)"
 if ! grep -Eq "(^| )mono_products=0( |$)" <<<"$stats"; then
@@ -208,7 +226,7 @@ fi
 echo "the bundled files after their stored relation spaces are zero with no fresh work: $probe"
 
 # warm commands that build no array must not import numpy, nor dataclasses
-# or the inspect module it imports
+# or the inspect module it imports, nor _hashlib
 numpy_free() {
     local imports
     imports="$(python3 -X importtime -m traceforge.cli --cache-dir "$CACHE" "$@" 2>&1 >/dev/null)"
@@ -217,9 +235,8 @@ numpy_free() {
         exit 1
     fi
     # what the interpreter's site hooks import, before the package, does not count
-    if awk 'past; /\| site$/ { past = 1 }' <<<"$imports" |
-            grep -Eq '\|[[:space:]]+(dataclasses|inspect)$'; then
-        echo "FAIL: a warm '$*' imported dataclasses or inspect" >&2
+    if imported <<<"$imports" | grep -Eq '\|[[:space:]]+(dataclasses|inspect|_hashlib)$'; then
+        echo "FAIL: a warm '$*' imported dataclasses, inspect or _hashlib" >&2
         exit 1
     fi
 }
@@ -230,7 +247,7 @@ numpy_free relations --lambda 8,5
 numpy_free verify --file "$SRC/traceforge/data/v75.phi"
 numpy_free leading --degree 12
 numpy_free new --degree 12
-echo "warm mult, hwv, relations, verify, leading and new imported no numpy, dataclasses or inspect"
+echo "warm mult, hwv, relations, verify, leading and new imported no numpy, dataclasses, inspect or _hashlib"
 
 # a cold relation space in a process of its own: the relation vectors are
 # proven by assembling them, and the answer is the one the first pass stored

@@ -18,11 +18,14 @@ miss counted as corrupt.  Either way the
 caller recomputes.  Each write replaces its one file atomically via rename,
 so an entry and its checksum change together; concurrent writers follow
 last-writer-wins.
+
+SHA-256 comes from CPython's own module (_sha2, or _sha256 before 3.12), so
+no process loads OpenSSL's libcrypto to hash; hashlib is the fallback only
+where neither module exists.  The digests are the same either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -33,6 +36,15 @@ from pathlib import Path
 
 from .packedpoly import PackedPoly
 
+# the built-in SHA-256 of CPython 3.12+, then of 3.10-3.11, then hashlib's
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 # magic and format version; the header ends with the payload's SHA-256
 _MAGIC_VERSION = b"TFCE" + (1).to_bytes(4, "little")
 _HEADER_SIZE = len(_MAGIC_VERSION) + 32
@@ -41,7 +53,7 @@ _LENGTH = struct.Struct("<Q")
 
 
 def digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 class CacheStats:
@@ -83,7 +95,7 @@ class CacheStore:
             return None
         payload = memoryview(data)[_HEADER_SIZE:]
         try:
-            if data[:_HEADER_SIZE] != _MAGIC_VERSION + hashlib.sha256(payload).digest():
+            if data[:_HEADER_SIZE] != _MAGIC_VERSION + sha256(payload).digest():
                 raise ValueError("bad header or checksum")
             value = decode(payload)
         except ValueError:
@@ -99,7 +111,7 @@ class CacheStore:
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_MAGIC_VERSION + hashlib.sha256(payload).digest())
+                fh.write(_MAGIC_VERSION + sha256(payload).digest())
                 fh.write(payload)
             os.replace(tmp, self._path(key))
         except BaseException:

@@ -6,12 +6,14 @@ by its free column.  _IntEchelon is the fraction-free integer echelon that
 hwv solves its bases with.
 
 modular_kernel is the one prime loop.  relfinder.relation_space runs it on
-the values of a highest weight basis at points mod p: it keeps the largest
-rank among the primes (a prime can only report a smaller rank than the one
-over Q), requires two primes to agree on the pivot columns, and lifts the
-kernel by CRT and rational reconstruction.  More primes are drawn on any
-failure, and once the prime budget is exhausted a NullStreamError names the
-number of primes tried.  The caller's proof of the candidates is what makes
+the values of a highest weight basis at points mod p.  Its first attempt
+lifts the kernel from one prime alone by rational reconstruction and hands
+the candidates to the caller's proof.  On any failure more primes are
+drawn: the loop keeps the largest rank among them (a prime can only report
+a smaller rank than the one over Q), and the primes agreeing on its pivot
+columns lift the kernel by CRT and rational reconstruction.  Once the prime
+budget is exhausted a NullStreamError names the number of primes tried.
+The caller's proof of the candidates is what makes
 the result exact: k candidates in free-column form are independent, and if
 they all lie in the kernel, its dimension is exactly k, since the rank over
 Q is at least the rank mod p.
@@ -374,15 +376,18 @@ def modular_kernel(
     skip: one that divides a denominator of the matrix.  A rank mod p never
     exceeds the rank over Q, so the vote keeps the largest rank among the
     primes, then the largest group of primes agreeing on its pivot columns.
-    Two such primes give candidate kernel vectors by CRT and rational
+    That group gives candidate kernel vectors by CRT and rational
     reconstruction, each normalized so its first nonzero coordinate is 1,
-    and they are returned once proven(vectors) holds.  On any failure two
-    more primes are drawn; once DEFAULT_PRIME_BUDGET primes are tried, a
-    NullStreamError names their number."""
+    and they are returned once proven(vectors) holds.  The first attempt
+    draws one prime, which reconstructs numerators and denominators up to
+    sqrt(p/2), about 4095, far beyond every coordinate of the relation
+    spaces.  On a skipped prime, a failed reconstruction or a failed proof
+    two more primes are drawn; once DEFAULT_PRIME_BUDGET primes are tried,
+    a NullStreamError names their number."""
     per_prime: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
     budget = min(DEFAULT_PRIME_BUDGET, len(PRIMES))
     tried = 0
-    want = 2
+    want = 1
     while True:
         while len(per_prime) < want and tried < budget:
             p = PRIMES[tried]
@@ -395,14 +400,11 @@ def modular_kernel(
         best: dict[tuple[int, ...], list[int]] = {}
         for p, (piv, _) in per_prime.items():
             best.setdefault(piv, []).append(p)
-        good: list[int] = []
         if best:
             piv_best = max(best, key=lambda piv: (len(piv), len(best[piv]), best[piv]))
-            good = sorted(best[piv_best])
-        if len(good) >= 2:
             kernels = {
                 p: _mod_kernel_columns(per_prime[p][0], per_prime[p][1], ncols)
-                for p in good
+                for p in best[piv_best]
             }
             vectors = _reconstruct_vectors(kernels, ncols)
             if vectors is not None:

@@ -407,13 +407,12 @@ def relation_space(
     basis into the relation vector relvectors[i], and the zeta are the
     kernel of the evaluation map on the basis in free-column form, each
     normalized so its first nonzero coordinate is 1.  With use_cache, the
-    space the cache already holds for lam, of the same catalog digest, is
-    returned as it is, before the store is read; else a space the store
-    holds is read back with no basis (see _load_space); one it lacks, or
-    one that fails its checks there, is solved and stored again.  Either
-    way the cache then holds the space (see verify_zero_abs).
-    use_cache=False always solves.  cache.stats counts the spaces solved
-    and the spaces read from the store.
+    space the cache already holds for lam is returned as it is, before the
+    store is read; else a space the store holds is read back with no basis
+    (see _load_space); one it lacks, or one that fails its checks there, is
+    solved and stored again.  Either way the cache then holds the space
+    (see verify_zero_abs).  use_cache=False always solves.  cache.stats
+    counts the spaces solved and the spaces read from the store.
 
     The catalog is certified on the cache first (see glcat.catalog).  The
     kernel is found from the values of the basis at points mod p, and each
@@ -430,7 +429,7 @@ def relation_space(
     key = f"relspace:v{RELSPACE_SCHEMA}:{lam.l1},{lam.l2}:{digest}"
     if use_cache:
         held = cache._spaces.get(lam)
-        if held is not None and held.catalog_digest == digest:
+        if held is not None:
             return held
         summary = store.get_json(key) if store is not None else None
         if isinstance(summary, dict):
@@ -470,8 +469,8 @@ def _held(space: RelationSpace, cache: genmat.EvalCache) -> RelationSpace:
     return space
 
 
-# points beyond the s columns of the values of a basis at the first pair of
-# primes; every further pair of primes is given this many more
+# points beyond the s columns of the values of a basis at the first prime;
+# every further pair of primes is given this many more
 _EXTRA_POINTS = 16
 
 
@@ -533,14 +532,15 @@ def _modular_zeta(
     prime p that divides no denominator; the vote of nullspace.modular_kernel
     keeps the largest rank, and its candidate vectors, in free-column form,
     are independent.  Once all of them are proven, k proven relations pin
-    k <= r <= s - rank_p = k.  Each further pair of primes is given
-    _EXTRA_POINTS more points."""
+    k <= r <= s - rank_p = k.  The first prime alone is given s +
+    _EXTRA_POINTS points, and each further pair of primes _EXTRA_POINTS
+    more."""
     values = _BasisValues(basis)
     drawn = []
     proved: list[tuple[AbsPoly, ...] | None] = []
 
     def echelon(p: int):
-        n = basis.s + _EXTRA_POINTS * (1 + len(drawn) // 2)
+        n = basis.s + _EXTRA_POINTS * (1 + (len(drawn) + 1) // 2)
         drawn.append(p)
         E = values(p, n, cache)
         return None if E is None else _rref_mod(E, p)

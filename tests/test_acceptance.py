@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import conftest
+from traceforge import relfinder
 from traceforge.cache import CacheStore
 from traceforge.genmat import EvalCache, _compute_word_packed, eval_trace_expr
 from traceforge.glcat import (
@@ -30,7 +31,14 @@ from traceforge.glcat import (
     phi,
 )
 from traceforge.hwv import hwv_basis
-from traceforge.nullspace import _gram, _in_kernel, _rref_mod, modular_kernel, null_stream
+from traceforge.nullspace import (
+    PRIMES,
+    _gram,
+    _in_kernel,
+    _rref_mod,
+    modular_kernel,
+    null_stream,
+)
 from traceforge.phiparse import format_phi, parse_phi
 from traceforge.relfinder import (
     leading_analysis,
@@ -226,6 +234,26 @@ def test_modular_zeta_match_the_frozen_digests(acache):
         )
         digest = hashlib.sha256(zeta_text(space).encode()).hexdigest()
         assert digest == ZETA_SHA256[lam], lam
+
+
+def test_each_weight_is_solved_at_one_prime(acache, monkeypatch):
+    # on a fresh cache, each of the seven weights echelons its values at the
+    # first prime only, and the zeta of that one prime are the frozen ones
+    calls = []
+
+    def counting(E, p):
+        calls.append(p)
+        return _rref_mod(E, p)
+
+    monkeypatch.setattr(relfinder, "_rref_mod", counting)
+    for lam in LAMBDA_ORDER:
+        calls.clear()
+        fresh = EvalCache(store=acache.store)
+        space = relation_space(Partition(*lam), cache=fresh, use_cache=False)
+        assert calls == [PRIMES[0]], lam
+        digest = hashlib.sha256(zeta_text(space).encode()).hexdigest()
+        assert digest == ZETA_SHA256[lam], lam
+
 
 def test_c7a_leading_monomials_degree12(acache):
     with criterion("criterion 7a (leading monomials, degree 12)"):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceforge import genmat, glcat
-from traceforge.cache import CacheStore, digest_text
+from traceforge.cache import CacheStore, digest_text, sha256
 from traceforge.glcat import Partition
 from traceforge.packedpoly import NVARS, NX, PackedPoly
 from traceforge.genmat import EvalCache
@@ -228,6 +228,23 @@ def test_one_file_per_entry(tmp_path):
 def test_digest_text_stable():
     assert digest_text("abc") == digest_text("abc")
     assert digest_text("abc") != digest_text("abd")
+
+
+@pytest.mark.parametrize("size", [0, 3, 64, (1 << 20) + 17])
+def test_the_store_hashes_as_hashlib_does(tmp_path, size):
+    # hashlib, imported by this test, is an oracle independent of the
+    # SHA-256 the store imports: the key digest of a str, the entry header
+    # of a bytes payload, and the check of a memoryview slice on a read
+    data = (bytes(range(251)) * (size // 251 + 1))[:size]
+    text = data.decode("latin-1")
+    assert digest_text(text) == hashlib.sha256(text.encode()).hexdigest()
+    assert sha256(memoryview(b"TFCE" + data)[4:]).digest() == hashlib.sha256(data).digest()
+    store = CacheStore(tmp_path / "s")
+    store._write("k", data)
+    header = store._path("k").read_bytes()[:40]
+    assert header == b"TFCE" + (1).to_bytes(4, "little") + hashlib.sha256(data).digest()
+    assert store._read("k", bytes) == data
+    assert store.stats.hits == 1 and store.stats.corrupt == 0
 
 
 def test_warm_store_is_not_certified_again_on_the_default_cache(session_cache):

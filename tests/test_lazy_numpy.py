@@ -2,12 +2,14 @@
 load it, and threads that race to the first use all get a complete numpy.
 Nor does the package load dataclasses or inspect: a dataclass compiles
 generated methods at every import, which costs every process start-up time.
+Nor, cold or warm, does it load _hashlib, which maps OpenSSL's libcrypto
+into the process only to hash: the store hashes with CPython's own SHA-256.
 
 Every check runs in a fresh interpreter, because this one has numpy loaded.
 numpy counts as loaded once any of its submodules is in sys.modules: a lazy
 handle may register the name "numpy" alone before anything is imported.
-dataclasses and inspect count only when the interpreter had not loaded
-them before the package, as a site hook may.
+dataclasses, inspect and _hashlib count only when the interpreter had not
+loaded them before the package, as a site hook may.
 """
 
 import json
@@ -28,11 +30,14 @@ V75 = str(Path(traceforge.__file__).resolve().parent / "data" / "v75.phi")
 # dataclasses and the inspect module it imports: neither the package import
 # nor a warm command loads them
 CODEGEN = ("dataclasses", "inspect")
+# OpenSSL's hashlib backend: no command loads it, cold or warm
+OPENSSL = ("_hashlib",)
+UNLOADED = CODEGEN + OPENSSL
 
 # runs `python3 -m traceforge.cli ARGS`, then reports on stderr its exit code,
 # the numpy submodules the process loaded, whether it loaded
 # concurrent.futures (the package starts no thread pool, so a warm command
-# must not) and which of CODEGEN it loaded
+# must not) and which of UNLOADED it loaded
 CLI_PROBE = f"""
 import json, runpy, sys
 before = set(sys.modules)
@@ -44,8 +49,8 @@ except SystemExit as exc:
     code = exc.code
 numpy = sorted(m for m in sys.modules if m.startswith("numpy."))
 futures = "concurrent.futures" in sys.modules
-codegen = [m for m in {CODEGEN!r} if m in sys.modules and m not in before]
-print(json.dumps({{"exit": code, "numpy": numpy, "futures": futures, "codegen": codegen}}),
+loaded = [m for m in {UNLOADED!r} if m in sys.modules and m not in before]
+print(json.dumps({{"exit": code, "numpy": numpy, "futures": futures, "loaded": loaded}}),
       file=sys.stderr)
 """
 
@@ -103,15 +108,17 @@ def python(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def cli(cache_dir: Path, *args: str) -> tuple[int, dict, list[str], bool]:
+def cli(
+    cache_dir: Path, *args: str, unloaded: tuple[str, ...] = UNLOADED
+) -> tuple[int, dict, list[str], bool]:
     """Exit code, JSON payload, loaded numpy submodules and whether
     concurrent.futures was loaded, of one CLI process, which must load
-    none of CODEGEN."""
+    none of unloaded."""
     proc = python(
         "-c", CLI_PROBE, "--cache-dir", str(cache_dir), "--format", "json", *args
     )
     probe = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert probe["codegen"] == [], args
+    assert [m for m in probe["loaded"] if m in unloaded] == [], args
     return probe["exit"], json.loads(proc.stdout), probe["numpy"], probe["futures"]
 
 
@@ -121,7 +128,7 @@ def test_import_loads_no_numpy():
         "import json, sys; before = set(sys.modules); "
         "import traceforge, traceforge.cli; "
         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('numpy.')), "
-        f"[m for m in {CODEGEN!r} if m in sys.modules and m not in before]]))",
+        f"[m for m in {UNLOADED!r} if m in sys.modules and m not in before]]))",
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], []]
@@ -131,7 +138,7 @@ def test_warm_commands_load_no_numpy(tmp_path):
     for args in WARM_COMMANDS:
         assert main(["--cache-dir", str(tmp_path), *args]) == 0
     for args in WARM_COMMANDS:
-        # cli also checks that the command loads no module of CODEGEN
+        # cli also checks that the command loads no module of UNLOADED
         code, doc, numpy, futures = cli(tmp_path, *args)
         assert code == 0, args
         assert numpy == [], args
@@ -141,6 +148,14 @@ def test_warm_commands_load_no_numpy(tmp_path):
             assert doc["from_cache"] is True
         if args[0] == "verify":
             assert doc["zero"] is True and doc["membership"] is True
+
+
+def test_a_cold_relation_space_loads_no_openssl(tmp_path):
+    # a cold command writes and reads entries, each checksummed, and loads
+    # numpy, which loads inspect, but no OpenSSL (cli checks)
+    code, doc, numpy, _ = cli(tmp_path, "relations", "--lambda", "7,5", unloaded=OPENSSL)
+    assert code == 0 and doc["from_cache"] is False and doc["r"] == 1
+    assert numpy != []
 
 
 def test_first_numpy_use_from_several_threads():
