@@ -35,7 +35,7 @@ from . import genmat
 from .cache import digest_text
 from ._lazy import np
 from .packedpoly import NVARS, PackedPoly, SumTable, content
-from .polyring import BiSeries, Rational
+from .polyring import Rational
 from .tracelang import (
     NcPoly,
     NotHomogeneous,
@@ -755,11 +755,12 @@ def predicted_dens(
 
 
 @functools.cache
-def hilbert_KG0(D: int = 14) -> BiSeries:
+def hilbert_KG0(D: int) -> tuple[tuple[int, ...], ...]:
     """Hilbert series of the polynomial algebra on the 30 generators,
-    bigraded by (x-degree, y-degree), truncated at total degree D."""
-    # h[p][q] is the coefficient of t^p u^q.  Dividing by 1 - t^a u^b in
-    # place, in increasing (p, q), multiplies by the geometric series.
+    bigraded by (x-degree, y-degree), truncated at total degree D: entry
+    [p][q], for p + q <= D, is the coefficient of t^p u^q."""
+    # Dividing by 1 - t^a u^b in place, in increasing (p, q), multiplies by
+    # the geometric series.
     h = [[0] * (D + 1 - p) for p in range(D + 1)]
     h[0][0] = 1
     for g in ABS_GENS:
@@ -768,15 +769,12 @@ def hilbert_KG0(D: int = 14) -> BiSeries:
             row, src = h[p], h[p - a]
             for q in range(b, D + 1 - p):
                 row[q] += src[q - b]
-    return BiSeries(D, {(p, q): c for p, row in enumerate(h) for q, c in enumerate(row)})
+    return tuple(map(tuple, h))
 
 
 def hilbert_coeff(lam: Partition) -> int:
     lam = Partition.of(*lam)
-    c = hilbert_KG0(max(14, lam.total)).coeff(lam.l1, lam.l2)
-    if c.denominator != 1:
-        raise AssertionError("non-integer Hilbert coefficient")
-    return int(c)
+    return hilbert_KG0(max(14, lam.total))[lam.l1][lam.l2]
 
 
 def multiplicity(lam: Partition) -> int:

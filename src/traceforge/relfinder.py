@@ -401,18 +401,17 @@ def relation_space(
     *,
     cache: genmat.EvalCache,
     threads: int = 1,
-    use_cache: bool = True,
 ) -> RelationSpace:
     """All relations of weight lam: zeta[i] combines the highest weight
     basis into the relation vector relvectors[i], and the zeta are the
     kernel of the evaluation map on the basis in free-column form, each
-    normalized so its first nonzero coordinate is 1.  With use_cache, the
-    space the cache already holds for lam is returned as it is, before the
-    store is read; else a space the store holds is read back with no basis
-    (see _load_space); one it lacks, or one that fails its checks there, is
+    normalized so its first nonzero coordinate is 1.  The space the cache
+    already holds for lam is returned as it is, before the store is read;
+    else a space the store holds is read back with no basis (see
+    _load_space); one it lacks, or one that fails its checks there, is
     solved and stored again.  Either way the cache then holds the space
-    (see verify_zero_abs).  use_cache=False always solves.  cache.stats
-    counts the spaces solved and the spaces read from the store.
+    (see verify_zero_abs).  cache.stats counts the spaces solved and the
+    spaces read from the store.
 
     The catalog is certified on the cache first (see glcat.catalog).  The
     kernel is found from the values of the basis at points mod p, and each
@@ -427,17 +426,16 @@ def relation_space(
     store = cache.store
     digest = catalog_digest()
     key = f"relspace:v{RELSPACE_SCHEMA}:{lam.l1},{lam.l2}:{digest}"
-    if use_cache:
-        held = cache._spaces.get(lam)
-        if held is not None:
-            return held
-        summary = store.get_json(key) if store is not None else None
-        if isinstance(summary, dict):
-            loaded = _load_space(lam, summary, digest)
-            if loaded is not None:
-                with cache._lock:
-                    cache.stats.spaces_loaded += 1
-                return _held(loaded, cache)
+    held = cache._spaces.get(lam)
+    if held is not None:
+        return held
+    summary = store.get_json(key) if store is not None else None
+    if isinstance(summary, dict):
+        loaded = _load_space(lam, summary, digest)
+        if loaded is not None:
+            with cache._lock:
+                cache.stats.spaces_loaded += 1
+            return _held(loaded, cache)
     zeta, relvectors = _modular_zeta(hwv_basis(lam, cache=cache), cache)
     space = RelationSpace(lam, tuple(zeta), relvectors, digest)
     with cache._lock:

@@ -10,7 +10,7 @@ silently replaced by zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Rational = Fraction
 Word = str
@@ -38,17 +38,6 @@ def cyclic_normalize(w: Word) -> Word:
 
 def _word_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
-
-
-def make_trace_monomial(words: Iterable[Word]) -> TraceMonomial:
-    canon = []
-    for w in words:
-        if len(w) < 2:
-            raise TracelessViolation(f"trace of word {w!r} is not representable")
-        if any(ch not in "xy" for ch in w):
-            raise ValueError(f"word {w!r} contains letters outside x, y")
-        canon.append(cyclic_normalize(w))
-    return tuple(sorted(canon, key=_word_key))
 
 
 # ---------------------------------------------------------------------------
@@ -283,28 +272,6 @@ def delta(e: TraceExpr) -> TraceExpr:
 def delta1(e: TraceExpr) -> TraceExpr:
     """The derivation sending x to y, acting by the Leibniz rule."""
     return _te_derivation(e, "x", "y")
-
-
-def _word_subst(w: Word, src: str, repl: NcPoly) -> NcPoly:
-    out = NcPoly({"": Fraction(1)})
-    for ch in w:
-        out = nc_mul(out, repl if ch == src else NcPoly({ch: Fraction(1)}))
-    return out
-
-
-def _te_subst(e: TraceExpr, src: str, repl: NcPoly) -> TraceExpr:
-    out = TraceExpr()
-    for mono, c in e.terms.items():
-        part = TraceExpr.constant(Fraction(1))
-        for w in mono:
-            part = part * trace_of(_word_subst(w, src, repl))
-        out = out + part.scale(c)
-    return out
-
-
-def subst_h(e: TraceExpr) -> TraceExpr:
-    """Substitution y -> x + y, with x fixed."""
-    return _te_subst(e, "y", NcPoly({"x": Fraction(1), "y": Fraction(1)}))
 
 
 def bidegree(e: TraceExpr) -> tuple[int, int]:

@@ -26,7 +26,7 @@ from traceforge.glcat import (
 )
 from traceforge.tracelang import NotHomogeneous, bidegree
 from traceforge.genmat import EvalCache, eval_trace_expr
-from traceforge.polyring import BiSeries, series_inv_geom, series_mul
+from series_oracle import BiSeries, series_inv_geom, series_mul
 
 EXPECTED_PARTS = [
     (2, 0),
@@ -90,8 +90,19 @@ def test_hilbert_series_matches_the_series_product(D):
     for g in ABS_GENS:
         want = series_mul(want, series_inv_geom(g.bidegree[0], g.bidegree[1], D))
     got = hilbert_KG0(D)
-    assert got == want
-    assert all(type(c) is Fraction for c in got.coeffs.values())
+    # every entry of the integer table, zeros included, is the oracle's
+    assert len(got) == D + 1
+    for p, row in enumerate(got):
+        assert len(row) == D + 1 - p
+        for q, c in enumerate(row):
+            assert type(c) is int
+            assert c == want.coeff(p, q), (p, q)
+    # hilbert_coeff reads the table at every two-row weight of degree <= D,
+    # the degree 15-16 weights included
+    for total in range(D + 1):
+        for l2 in range(total // 2 + 1):
+            lam = Partition(total - l2, l2)
+            assert hilbert_coeff(lam) == want.coeff(lam.l1, lam.l2), lam
 
 
 def test_abs_monomials_counts():

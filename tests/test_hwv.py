@@ -188,9 +188,7 @@ def test_a_held_space_answers_only_its_members(small_bases, session_store):
         assert np.array_equal(keys, keys2)
 
 
-def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
-    small_bases, session_store
-):
+def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(small_bases):
     # hwv_verify and relation_space for (7,5), then for (6,6), on one cache:
     # verification makes no product, the relation vectors are proven on the
     # slice y11 = 0, so every product is made there, no (7,5) leaf or leaf
@@ -202,13 +200,13 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(
     from traceforge.glcat import mono_bidegree
     from traceforge.relfinder import relation_space
 
-    cache = EvalCache(session_store)
+    cache = EvalCache()
     spaces = []
     for lam in ((7, 5), (6, 6)):
         made = cache.stats.gen_products
         assert hwv_verify(small_bases[lam], evaluate=True, cache=cache).ok
         assert cache.stats.gen_products == made
-        spaces.append(relation_space(Partition(*lam), cache=cache, use_cache=False))
+        spaces.append(relation_space(Partition(*lam), cache=cache))
     assert set(cache._spaces) == {(7, 5), (6, 6)}
     assert cache._abs_monos == {}
     memo = cache._y11_slice._abs_monos

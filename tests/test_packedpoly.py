@@ -34,12 +34,8 @@ from traceforge.packedpoly import (
     sum_scaled,
 )
 from traceforge.polyring import CommPoly
-from traceforge.tracelang import (
-    TraceExpr,
-    delta,
-    delta1,
-    make_trace_monomial,
-)
+from traceforge.tracelang import TraceExpr, delta, delta1
+from trace_oracle import make_trace_monomial
 
 LIMIT = 1 << 62
 

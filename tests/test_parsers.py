@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from traceforge.glcat import AbsPoly, gen_by_modj, phi
+from traceforge.glcat import AbsPoly, phi
 from traceforge.phiparse import PhiParseError, format_phi, parse_phi
 from traceforge.tracelang import TraceParseError, format_trace_expr, parse_trace
 

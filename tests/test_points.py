@@ -149,7 +149,7 @@ def _corrupting(monkeypatch, times):
 def test_a_corrupted_coordinate_is_caught_by_the_exact_proof(route, tmp_path, store, monkeypatch):
     lam = Partition(7, 5)
     # the answer of a solve that nothing corrupts, on a cache of its own
-    want = relation_space(lam, cache=EvalCache(store), use_cache=False)
+    want = relation_space(lam, cache=EvalCache())
     cache = EvalCache(CacheStore(tmp_path))
     offered = _corrupting(monkeypatch, times=1)
     space = relation_space(lam, cache=cache)

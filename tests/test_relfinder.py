@@ -237,7 +237,7 @@ def test_unknown_mode_rejected_before_any_work(cache, s75, monkeypatch):
     monkeypatch.setattr(relfinder, "_assemble_matrix", assemble)
     for mode in UNKNOWN_MODES:
         with pytest.raises(ValueError, match="unknown mode"):
-            relation_space(Partition(6, 6), mode=mode, cache=cache, use_cache=False)
+            relation_space(Partition(6, 6), mode=mode, cache=cache)
 
     # new_relations checks it before it asks for any relation space
     def space(*args, **kwargs):
@@ -503,8 +503,8 @@ def test_a_member_of_a_held_space_makes_no_product(cache, monkeypatch):
     # linearity: nothing is assembled, and the reports are a fresh cache's
     candidates = [_bundled("v66prime.phi"), _bundled("v66second.phi")]
     want = [verify_zero_abs(p, EvalCache(store=cache.store)) for p in candidates]
-    run = EvalCache(store=cache.store)
-    relation_space(Partition(6, 6), cache=run, use_cache=False)
+    run = EvalCache()
+    relation_space(Partition(6, 6), cache=run)
     before = run.stats.gen_products
     monkeypatch.setattr(relfinder, "leaf_groups", _no_assembly)
     assert [verify_zero_abs(p, run) for p in candidates] == want
@@ -719,7 +719,7 @@ def test_the_modular_mode_builds_and_checks_each_relation_vector_once(cache, mon
 
     monkeypatch.setattr(relfinder, "_relation_vector", recorded_combine)
     monkeypatch.setattr(relfinder, "_check_highest_weight", recorded_check)
-    space = relation_space(Partition(7, 5), cache=EvalCache(store=cache.store), use_cache=False)
+    space = relation_space(Partition(7, 5), cache=EvalCache())
     assert space.r > 0
     assert built == list(space.zeta)
     assert checked == [space.relvectors]
@@ -774,7 +774,7 @@ def test_relation_space_cache_round_trip(cache):
 
 def test_a_held_space_is_returned_before_the_store_is_read(cache, monkeypatch):
     # the second call in one process reads no relspace entry and returns
-    # the space the cache holds; use_cache=False still solves
+    # the space the cache holds
     run = EvalCache(cache.store)
     first = relation_space(Partition(7, 5), cache=run)
     assert run.stats.spaces_solved + run.stats.spaces_loaded == 1
@@ -784,9 +784,6 @@ def test_a_held_space_is_returned_before_the_store_is_read(cache, monkeypatch):
     assert relation_space(Partition(7, 5), cache=run) is first
     assert not any(key.startswith("relspace:") for key in read)
     assert run.stats.spaces_solved + run.stats.spaces_loaded == 1
-    solved = relation_space(Partition(7, 5), cache=run, use_cache=False)
-    assert solved is not first and not solved.from_cache
-    assert solved.zeta == first.zeta and run.stats.spaces_solved >= 1
 
 
 def test_relation_space_summary_is_versioned(cache, s66):
@@ -843,7 +840,11 @@ def test_a_stored_space_that_fails_its_checks_is_solved_again(fault, cache):
     lam = Partition(7, 5)
     digest = relfinder.catalog_digest()
     key = f"relspace:v{RELSPACE_SCHEMA}:7,5:{digest}"
-    fresh = relation_space(lam, cache=cache, use_cache=False)
+    # a cache that holds no space, over a store with no entry, solves and
+    # stores the good entry
+    cache.store._path(key).unlink(missing_ok=True)
+    fresh = relation_space(lam, cache=EvalCache(cache.store))
+    assert not fresh.from_cache
     good = cache.store.get_json(key)
     if fault is None:
         # only an entry of the previous schema is left, and it is never read

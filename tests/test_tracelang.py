@@ -19,12 +19,11 @@ from traceforge.tracelang import (
     delta,
     delta1,
     format_trace_expr,
-    make_trace_monomial,
     nc_pow,
     parse_trace,
-    subst_h,
     trace_of,
 )
+from trace_oracle import make_trace_monomial, subst_h
 
 words = st.text(alphabet="xy", min_size=2, max_size=8)
 
