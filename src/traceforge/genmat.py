@@ -48,7 +48,7 @@ from .packedpoly import (
     sort_and_sum,
     sum_scaled,
 )
-from .polyring import CommPoly, VarSet, poly_mul
+from .polyring import CommPoly, VarSet
 from .tracelang import TraceExpr, TraceMonomial, Word, cyclic_normalize
 
 VARSET18 = VarSet(
@@ -284,7 +284,7 @@ def _comm_matmul(a: GenericMatrix, b: GenericMatrix) -> GenericMatrix:
         for j in range(4):
             acc = CommPoly.zero(VARSET18)
             for k in range(4):
-                acc = acc + poly_mul(a[i][k], b[k][j])
+                acc = acc + a[i][k] * b[k][j]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -538,7 +538,7 @@ def _mono_fits_packed(mono: TraceMonomial) -> bool:
 def _trace_monomial_comm(mono: TraceMonomial, cache: EvalCache) -> CommPoly:
     acc = CommPoly.constant(VARSET18, Fraction(1))
     for w in mono:
-        acc = poly_mul(acc, eval_word_trace(w, cache))
+        acc = acc * eval_word_trace(w, cache)
     return acc
 
 

@@ -47,8 +47,6 @@ from .tracelang import (
     delta,
     delta1,
     format_trace_expr,
-    nc_mul,
-    nc_pow,
     trace_of,
 )
 
@@ -129,8 +127,8 @@ def _hwv_expr(part: Partition) -> TraceExpr:
             - NcPoly.word("yxxy")
             + NcPoly.word("yyxx")
         )
-        return trace_of(nc_mul(nc_pow(C, 3), tail))
-    return trace_of(nc_mul(nc_pow(C, b), nc_pow(X, a)))
+        return trace_of(C**3 * tail)
+    return trace_of(C**b * X**a)
 
 
 def _build_modules() -> tuple[GeneratorModule, ...]:

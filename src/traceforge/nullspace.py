@@ -30,8 +30,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 
-Rational = Fraction
-
 # Primes just below 2**25: products of residues summed over the columns of
 # the int64 echelon in _rref_mod stay far below 2**63.
 PRIMES: tuple[int, ...] = (
@@ -54,7 +52,7 @@ class NullBasis(NamedTuple):
     """A kernel basis of a matrix with ncols columns."""
 
     ncols: int
-    vectors: tuple[tuple[Rational, ...], ...]
+    vectors: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,9 @@ exact in all cases.  Each polynomial carries a single positive denominator.
 
 Field capacity limits exponents to 15 per x variable and 7 per y variable.
 Degrees are tracked per polynomial and operations that could overflow a field
-raise PackedCapacityError; callers fall back to generic CommPoly arithmetic.
+raise PackedCapacityError.  Only genmat.eval_word_trace and eval_trace_expr
+fall back to generic CommPoly arithmetic; relfinder._assemble_matrix and
+genmat.eval_trace_expr_packed raise it, and the CLI reports it in one line.
 
 Every result is normalized: keys sorted, duplicates summed, zeros dropped,
 and gcd(content, den) = 1.  The content gcd is seeded with the denominator,

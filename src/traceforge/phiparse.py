@@ -23,15 +23,12 @@ offending monomial, so partially specified generators cannot slip through.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .glcat import ABS_GENS, PARTS, AbsPoly, gen_by_modj
+from .polyring import LinComb, add_terms
 from .tracelang import _Scanner
 
 # A symbol is ("t", i), ("x", i), ("y", i) or ("z", i, p, q).
 _Sym = tuple
-# An expansion maps sorted tuples of (symbol, exponent) pairs to coefficients.
-_Expansion = dict
 
 
 class PhiParseError(ValueError):
@@ -40,39 +37,18 @@ class PhiParseError(ValueError):
         self.pos = pos
 
 
-def _emul(a: _Expansion, b: _Expansion) -> _Expansion:
-    out: _Expansion = {}
-    for ma, ca in a.items():
-        da = dict(ma)
-        for mb, cb in b.items():
-            d = dict(da)
-            for sym, e in mb:
-                d[sym] = d.get(sym, 0) + e
-            key = tuple(sorted(d.items()))
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+class _Expansion(LinComb):
+    """A Q-linear combination of symbol monomials: sorted tuples of
+    (symbol, exponent) pairs."""
 
+    __slots__ = ()
 
-def _eadd(a: _Expansion, b: _Expansion, sign: int = 1) -> _Expansion:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, Fraction(0)) + sign * c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _epow(a: _Expansion, n: int) -> _Expansion:
-    out: _Expansion = {(): Fraction(1)}
-    for _ in range(n):
-        out = _emul(out, a)
-    return out
+    @staticmethod
+    def mono_mul(a: tuple, b: tuple) -> tuple:
+        d = dict(a)
+        for sym, e in b:
+            d[sym] = d.get(sym, 0) + e
+        return tuple(sorted(d.items()))
 
 
 class _Parser(_Scanner):
@@ -83,45 +59,28 @@ class _Parser(_Scanner):
         return self.error("zero denominator")
 
     def parse(self) -> _Expansion:
-        out = self.parse_sum()
+        out = self.signed_sum(_Parser.parse_prod)
         self.skip_ws()
         if self.pos < len(self.text):
             raise self.error("trailing input")
         return out
 
-    def parse_sum(self) -> _Expansion:
-        sign = 1
-        if self.try_take("-"):
-            sign = -1
-        elif self.try_take("+"):
-            pass
-        out = self.parse_prod()
-        if sign < 0:
-            out = {m: -c for m, c in out.items()}
-        while True:
-            if self.try_take("+"):
-                out = _eadd(out, self.parse_prod(), 1)
-            elif self.try_take("-"):
-                out = _eadd(out, self.parse_prod(), -1)
-            else:
-                return out
-
     def parse_prod(self) -> _Expansion:
         out = self.parse_atom()
         while self.try_take("*"):
-            out = _emul(out, self.parse_atom())
+            out = out * self.parse_atom()
         return out
 
     def parse_atom(self) -> _Expansion:
         ch = self.peek()
         if ch.isdigit():
-            return {(): self.try_rational()}
+            return _Expansion({(): self.try_rational()})
         if ch == "(":
             self.take("(")
-            inner = self.parse_sum()
+            inner = self.signed_sum(_Parser.parse_prod)
             self.take(")")
             if self.try_take("^"):
-                return _epow(inner, self.take_int())
+                return inner ** self.take_int()
             return inner
         if ch in ("t", "x", "y", "z"):
             return self.parse_var(ch)
@@ -154,8 +113,8 @@ class _Parser(_Scanner):
             if exp < 0:
                 raise self.error("negative exponent")
         if exp == 0:
-            return {(): Fraction(1)}
-        return {((sym, exp),): Fraction(1)}
+            return _Expansion({(): 1})
+        return _Expansion({((sym, exp),): 1})
 
 
 def _monomial_to_abs(sym_mono: tuple, text_hint: str) -> tuple[int, ...]:
@@ -235,9 +194,7 @@ def _render_sym_mono(sym_mono: tuple) -> str:
             base = f"z{sym[1]}^({sym[2]},{sym[3]})"
         else:
             base = f"{sym[0]}{sym[1]}"
-        parts.append(base + (f"^{e}" if e > 1 and sym[0] != "z" else ""))
-        if sym[0] == "z" and e > 1:
-            parts[-1] = f"{base}^{e}"
+        parts.append(f"{base}^{e}" if e > 1 else base)
     return "*".join(parts)
 
 
@@ -245,11 +202,11 @@ def parse_phi(text: str) -> AbsPoly:
     """Parse a phi expression into an AbsPoly."""
     expansion = _Parser(text).parse()
     # several symbol monomials can name one generator monomial
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for sym_mono, c in expansion.items():
-        mono = _monomial_to_abs(sym_mono, _render_sym_mono(sym_mono))
-        coeffs[mono] = coeffs.get(mono, 0) + c
-    return AbsPoly(coeffs)
+    pairs = (
+        (_monomial_to_abs(sym_mono, _render_sym_mono(sym_mono)), c)
+        for sym_mono, c in expansion.terms.items()
+    )
+    return AbsPoly(add_terms({}, pairs))
 
 
 def format_phi(p: AbsPoly) -> str:

@@ -1,19 +1,125 @@
-"""Exact multivariate polynomial arithmetic.
+"""Exact sparse rational linear combinations, and the commutative
+polynomials built on them.
 
-Coefficients are arbitrary-precision rationals throughout.  Polynomials are
-kept as hash maps from exponent tuples to nonzero coefficients; a canonical
-graded-lex text form is defined for serialization and caching.
+LinComb is a finite Q-linear combination of monomials, kept as a dict from
+monomial to nonzero Rational coefficient; zero coefficients are never
+stored.  Its add, negate, scale, multiply and power are shared by every
+symbolic object: CommPoly here, NcPoly and TraceExpr in tracelang, and the
+phi parser's symbol expansion.  A subclass supplies only its monomial
+product, its unit monomial and its check on the monomials it accepts.
+
+CommPoly is a commutative polynomial over a fixed VarSet, with exponent
+tuples as monomials; a canonical graded-lex text form is defined for
+serialization and caching.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Hashable, Iterable, Mapping
 
 Rational = Fraction
 
 # Exponent vector over a fixed VarSet, one entry per variable.
 Monomial = tuple[int, ...]
+
+
+def add_terms(acc: dict, pairs: Iterable[tuple[Hashable, Rational]]) -> dict:
+    """Add each (monomial, coefficient) pair into acc and return acc.  A
+    monomial whose coefficients sum to zero is dropped; a monomial's first
+    coefficient is stored as it is.  Updated monomials keep their place."""
+    for m, c in pairs:
+        if m in acc:
+            c = acc[m] + c
+            if not c:
+                del acc[m]
+                continue
+        if c:
+            acc[m] = c
+    return acc
+
+
+class LinComb:
+    """A finite Q-linear combination of monomials.
+
+    terms maps monomials to nonzero Rational coefficients.  Objects are
+    mutable, so unhashable, and equal only to objects of the same class with
+    the same terms.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Hashable, Rational] | None = None):
+        self.terms: dict = {}
+        if terms:
+            for m, c in terms.items():
+                self._check_monomial(m)
+                if c:
+                    self.terms[m] = Fraction(c)
+
+    def _check_monomial(self, m: Hashable) -> None:
+        """Raise ValueError for a monomial this class does not accept."""
+
+    @staticmethod
+    def mono_mul(a: Hashable, b: Hashable) -> Hashable:
+        raise NotImplementedError
+
+    def _unit(self) -> Hashable:
+        """The monomial of the constant 1."""
+        return ()
+
+    def _like(self, terms: dict):
+        """An object of this class, and of self's VarSet, holding terms."""
+        out = object.__new__(self.__class__)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __add__(self, other):
+        return self._like(add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: Rational):
+        if not c:
+            return self._like({})
+        return self._like({m: v * c for m, v in self.terms.items()})
+
+    def __mul__(self, other):
+        mul = self.mono_mul
+        pairs = (
+            (mul(ma, mb), ca * cb)
+            for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items()
+        )
+        return self._like(add_terms({}, pairs))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self._like({self._unit(): Fraction(1)})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __repr__(self) -> str:
+        n = len(self.terms)
+        return f"{self.__class__.__name__}({n} term{'s' if n != 1 else ''})"
 
 
 class VarSet:
@@ -52,33 +158,42 @@ class VarSet:
         return self.names.index(name)
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(i + j for i, j in zip(a, b, strict=True))
-
-
 def _grlex_key(m: Monomial) -> tuple:
     return (sum(m), m)
 
 
-class CommPoly:
-    """A commutative polynomial over a fixed VarSet.
+class CommPoly(LinComb):
+    """A commutative polynomial over a fixed VarSet: terms maps exponent
+    tuples to coefficients.  Adding or multiplying polynomials over two
+    VarSets raises ValueError."""
 
-    terms maps exponent tuples to nonzero Rational coefficients.  Zero
-    coefficients are never stored.
-    """
-
-    __slots__ = ("varset", "terms")
+    __slots__ = ("varset",)
 
     def __init__(self, varset: VarSet, terms: Mapping[Monomial, Rational] | None = None):
         self.varset = varset
-        self.terms: dict[Monomial, Rational] = {}
-        if terms:
-            n = len(varset)
-            for m, c in terms.items():
-                if len(m) != n:
-                    raise ValueError(f"exponent tuple of length {len(m)}, expected {n}")
-                if c:
-                    self.terms[m] = Fraction(c)
+        super().__init__(terms)
+
+    def _check_monomial(self, m: Monomial) -> None:
+        if len(m) != len(self.varset):
+            raise ValueError(
+                f"exponent tuple of length {len(m)}, expected {len(self.varset)}"
+            )
+
+    @staticmethod
+    def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+        return tuple(i + j for i, j in zip(a, b, strict=True))
+
+    def _unit(self) -> Monomial:
+        return (0,) * len(self.varset)
+
+    def _like(self, terms: dict) -> "CommPoly":
+        out = super()._like(terms)
+        out.varset = self.varset
+        return out
+
+    def _same_varset(self, other: "CommPoly") -> None:
+        if self.varset != other.varset:
+            raise ValueError("VarSet mismatch")
 
     @classmethod
     def zero(cls, varset: VarSet) -> "CommPoly":
@@ -86,19 +201,13 @@ class CommPoly:
 
     @classmethod
     def constant(cls, varset: VarSet, c: Rational) -> "CommPoly":
-        p = cls(varset)
-        if c:
-            p.terms[(0,) * len(varset)] = Fraction(c)
-        return p
+        return cls(varset, {(0,) * len(varset): c})
 
     @classmethod
     def variable(cls, varset: VarSet, name: str) -> "CommPoly":
         i = varset.index(name)
         m = tuple(1 if j == i else 0 for j in range(len(varset)))
         return cls(varset, {m: Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -116,33 +225,17 @@ class CommPoly:
         return self.terms.get(m, Fraction(0))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CommPoly):
+        if other.__class__ is not CommPoly:
             return NotImplemented
         return self.varset == other.varset and self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("CommPoly is mutable, not hashable")
-
-    def __neg__(self) -> "CommPoly":
-        out = CommPoly(self.varset)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
     def __add__(self, other: "CommPoly") -> "CommPoly":
-        return poly_add(self, other)
-
-    def __sub__(self, other: "CommPoly") -> "CommPoly":
-        return poly_add(self, -other)
+        self._same_varset(other)
+        return super().__add__(other)
 
     def __mul__(self, other: "CommPoly") -> "CommPoly":
-        return poly_mul(self, other)
-
-    def scale(self, c: Rational) -> "CommPoly":
-        if not c:
-            return CommPoly(self.varset)
-        out = CommPoly(self.varset)
-        out.terms = {m: v * c for m, v in self.terms.items()}
-        return out
+        self._same_varset(other)
+        return super().__mul__(other)
 
     def sorted_terms(self) -> list[tuple[Monomial, Rational]]:
         """Terms in graded-lex descending order over the variable order."""
@@ -151,36 +244,6 @@ class CommPoly:
     def __repr__(self) -> str:
         n = len(self.terms)
         return f"CommPoly({n} term{'s' if n != 1 else ''}, {len(self.varset)} vars)"
-
-
-def poly_add(a: CommPoly, b: CommPoly) -> CommPoly:
-    if a.varset != b.varset:
-        raise ValueError("VarSet mismatch")
-    out = CommPoly(a.varset)
-    out.terms = dict(a.terms)
-    for m, c in b.terms.items():
-        s = out.terms.get(m, Fraction(0)) + c
-        if s:
-            out.terms[m] = s
-        else:
-            out.terms.pop(m, None)
-    return out
-
-
-def poly_mul(a: CommPoly, b: CommPoly) -> CommPoly:
-    if a.varset != b.varset:
-        raise ValueError("VarSet mismatch")
-    out = CommPoly(a.varset)
-    acc = out.terms
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            m = monomial_mul(ma, mb)
-            s = acc.get(m, Fraction(0)) + ca * cb
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-    return out
 
 
 def poly_to_text(p: CommPoly) -> str:

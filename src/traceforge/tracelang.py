@@ -10,9 +10,9 @@ silently replaced by zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
 
-Rational = Fraction
+from .polyring import LinComb, Rational, add_terms
+
 Word = str
 
 # A product of traces: cyclic-canonical words, each of length >= 2, sorted by
@@ -44,181 +44,59 @@ def _word_key(w: Word) -> tuple[int, Word]:
 # Noncommutative polynomials in x and y.
 
 
-class NcPoly:
-    """A finite Q-linear combination of words in x and y."""
+class NcPoly(LinComb):
+    """A finite Q-linear combination of words in x and y; the product
+    concatenates words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Word, Rational] | None = None):
-        self.terms: dict[Word, Rational] = {}
-        if terms:
-            for w, c in terms.items():
-                if any(ch not in "xy" for ch in w):
-                    raise ValueError(f"word {w!r} contains letters outside x, y")
-                if c:
-                    self.terms[w] = Fraction(c)
+    def _check_monomial(self, w: Word) -> None:
+        if any(ch not in "xy" for ch in w):
+            raise ValueError(f"word {w!r} contains letters outside x, y")
+
+    @staticmethod
+    def mono_mul(a: Word, b: Word) -> Word:
+        return a + b
+
+    def _unit(self) -> Word:
+        return ""
 
     @classmethod
     def word(cls, w: Word) -> "NcPoly":
         return cls({w: Fraction(1)})
-
-    @classmethod
-    def zero(cls) -> "NcPoly":
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self) -> "NcPoly":
-        out = NcPoly()
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        out = NcPoly()
-        out.terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.terms.get(w, Fraction(0)) + c
-            if s:
-                out.terms[w] = s
-            else:
-                out.terms.pop(w, None)
-        return out
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "NcPoly") -> "NcPoly":
-        return nc_mul(self, other)
-
-    def scale(self, c: Rational) -> "NcPoly":
-        if not c:
-            return NcPoly()
-        out = NcPoly()
-        out.terms = {w: v * c for w, v in self.terms.items()}
-        return out
-
-    def __repr__(self) -> str:
-        return f"NcPoly({len(self.terms)} terms)"
 
 
 X = NcPoly.word("x")
 Y = NcPoly.word("y")
 
 
-def nc_mul(a: NcPoly, b: NcPoly) -> NcPoly:
-    """Concatenation product, extended bilinearly."""
-    out = NcPoly()
-    acc = out.terms
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            w = wa + wb
-            s = acc.get(w, Fraction(0)) + ca * cb
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
-    return out
-
-
-def nc_pow(a: NcPoly, n: int) -> NcPoly:
-    if n < 0:
-        raise ValueError("negative power")
-    out = NcPoly({"": Fraction(1)})
-    for _ in range(n):
-        out = nc_mul(out, a)
-    return out
-
-
 def commutator(a: NcPoly, b: NcPoly) -> NcPoly:
-    return nc_mul(a, b) - nc_mul(b, a)
+    return a * b - b * a
 
 
 # ---------------------------------------------------------------------------
 # Trace expressions.
 
 
-class TraceExpr:
-    """A Q-linear combination of products of traces of words."""
+class TraceExpr(LinComb):
+    """A Q-linear combination of products of traces of words.  Equality is
+    syntactic, on normalized monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[TraceMonomial, Rational] | None = None):
-        self.terms: dict[TraceMonomial, Rational] = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = Fraction(c)
-
-    @classmethod
-    def zero(cls) -> "TraceExpr":
-        return cls()
+    @staticmethod
+    def mono_mul(a: TraceMonomial, b: TraceMonomial) -> TraceMonomial:
+        return tuple(sorted(a + b, key=_word_key))
 
     @classmethod
     def constant(cls, c: Rational) -> "TraceExpr":
-        return cls({(): Fraction(c)}) if c else cls()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        """Syntactic equality on normalized monomials only."""
-        if not isinstance(other, TraceExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self) -> "TraceExpr":
-        out = TraceExpr()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __add__(self, other: "TraceExpr") -> "TraceExpr":
-        out = TraceExpr()
-        out.terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.terms.get(m, Fraction(0)) + c
-            if s:
-                out.terms[m] = s
-            else:
-                out.terms.pop(m, None)
-        return out
-
-    def __sub__(self, other: "TraceExpr") -> "TraceExpr":
-        return self + (-other)
-
-    def __mul__(self, other: "TraceExpr") -> "TraceExpr":
-        out = TraceExpr()
-        acc = out.terms
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = tuple(sorted(ma + mb, key=_word_key))
-                s = acc.get(m, Fraction(0)) + ca * cb
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return out
-
-    def scale(self, c: Rational) -> "TraceExpr":
-        if not c:
-            return TraceExpr()
-        out = TraceExpr()
-        out.terms = {m: v * c for m, v in self.terms.items()}
-        return out
+        return cls({(): c})
 
     def sorted_terms(self) -> list[tuple[TraceMonomial, Rational]]:
         def key(m: TraceMonomial):
             return (sum(len(w) for w in m), len(m), m)
 
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def __repr__(self) -> str:
-        return f"TraceExpr({len(self.terms)} terms)"
 
 
 def trace_of(p: NcPoly) -> TraceExpr:
@@ -227,19 +105,17 @@ def trace_of(p: NcPoly) -> TraceExpr:
     Words must have length at least 2; a length-0 or length-1 word raises
     TracelessViolation.
     """
+
+    def pairs():
+        for w, c in p.terms.items():
+            if len(w) < 2:
+                raise TracelessViolation(
+                    f"trace of word {w!r} is not representable in the monomial alphabet"
+                )
+            yield (cyclic_normalize(w),), c
+
     out = TraceExpr()
-    acc = out.terms
-    for w, c in p.terms.items():
-        if len(w) < 2:
-            raise TracelessViolation(
-                f"trace of word {w!r} is not representable in the monomial alphabet"
-            )
-        m = (cyclic_normalize(w),)
-        s = acc.get(m, Fraction(0)) + c
-        if s:
-            acc[m] = s
-        else:
-            acc.pop(m, None)
+    add_terms(out.terms, pairs())
     return out
 
 
@@ -249,18 +125,15 @@ def _word_derivation(w: Word, src: str, dst: str) -> list[Word]:
 
 
 def _te_derivation(e: TraceExpr, src: str, dst: str) -> TraceExpr:
+    def pairs():
+        for mono, c in e.terms.items():
+            for i, w in enumerate(mono):
+                rest = mono[:i] + mono[i + 1 :]
+                for w2 in _word_derivation(w, src, dst):
+                    yield TraceExpr.mono_mul(rest, (cyclic_normalize(w2),)), c
+
     out = TraceExpr()
-    acc = out.terms
-    for mono, c in e.terms.items():
-        for i, w in enumerate(mono):
-            rest = mono[:i] + mono[i + 1 :]
-            for w2 in _word_derivation(w, src, dst):
-                m = tuple(sorted(rest + (cyclic_normalize(w2),), key=_word_key))
-                s = acc.get(m, Fraction(0)) + c
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+    add_terms(out.terms, pairs())
     return out
 
 
@@ -377,31 +250,31 @@ class _Scanner:
         # a trace expression reports the end of the numerator
         return self.error("zero denominator", numerator_end)
 
+    def signed_sum(self, parse_item):
+        """parse_item (('+' | '-') parse_item)*, after an optional sign."""
+        negate = self.try_take("-")
+        if not negate:
+            self.try_take("+")
+        out = parse_item(self)
+        if negate:
+            out = -out
+        while True:
+            if self.try_take("+"):
+                out = out + parse_item(self)
+            elif self.try_take("-"):
+                out = out - parse_item(self)
+            else:
+                return out
+
 
 def parse_trace(text: str) -> TraceExpr:
     """Parse the trace-expression grammar above into a TraceExpr."""
     sc = _Scanner(text)
-    expr = _parse_expr(sc)
+    expr = sc.signed_sum(_parse_term)
     sc.skip_ws()
     if not sc.at_end():
         raise TraceParseError("trailing input", sc.pos)
     return expr
-
-
-def _parse_expr(sc: _Scanner) -> TraceExpr:
-    sign = Fraction(1)
-    if sc.try_take("-"):
-        sign = Fraction(-1)
-    elif sc.try_take("+"):
-        pass
-    out = _parse_term(sc).scale(sign)
-    while True:
-        if sc.try_take("+"):
-            out = out + _parse_term(sc)
-        elif sc.try_take("-"):
-            out = out - _parse_term(sc)
-        else:
-            return out
 
 
 def _parse_term(sc: _Scanner) -> TraceExpr:
@@ -427,32 +300,12 @@ def _parse_factor(sc: _Scanner) -> TraceExpr:
         raise TraceParseError("expected 'tr'", sc.pos)
     sc.pos += 2
     sc.take("(")
-    body = _parse_ncsum(sc)
+    body = sc.signed_sum(_parse_ncword)
     sc.take(")")
     base = trace_of(body)
     if sc.try_take("^"):
-        n = sc.take_int()
-        out = TraceExpr.constant(Fraction(1))
-        for _ in range(n):
-            out = out * base
-        return out
+        return base ** sc.take_int()
     return base
-
-
-def _parse_ncsum(sc: _Scanner) -> NcPoly:
-    sign = Fraction(1)
-    if sc.try_take("-"):
-        sign = Fraction(-1)
-    elif sc.try_take("+"):
-        pass
-    out = _parse_ncword(sc).scale(sign)
-    while True:
-        if sc.try_take("+"):
-            out = out + _parse_ncword(sc)
-        elif sc.try_take("-"):
-            out = out - _parse_ncword(sc)
-        else:
-            return out
 
 
 def _parse_ncword(sc: _Scanner) -> NcPoly:
@@ -460,7 +313,7 @@ def _parse_ncword(sc: _Scanner) -> NcPoly:
     while True:
         ch = sc.peek()
         if ch in ("x", "y", "[", "("):
-            out = nc_mul(out, _parse_ncatom(sc))
+            out = out * _parse_ncatom(sc)
         else:
             return out
 
@@ -482,12 +335,12 @@ def _parse_ncatom(sc: _Scanner) -> NcPoly:
         atom = commutator(a, b)
     elif ch == "(":
         sc.take("(")
-        atom = _parse_ncsum(sc)
+        atom = sc.signed_sum(_parse_ncword)
         sc.take(")")
     else:
         raise TraceParseError("expected x, y, '[' or '('", sc.pos)
     while sc.try_take("^"):
-        atom = nc_pow(atom, sc.take_int())
+        atom = atom ** sc.take_int()
     return atom
 
 

@@ -28,6 +28,7 @@ from traceforge.glcat import (
     catalog,
     hilbert_coeff,
     multiplicity,
+    phi,
 )
 from traceforge.hwv import hwv_basis
 from traceforge.nullspace import (
@@ -105,6 +106,13 @@ ZETA_SHA256 = {
     (8, 6): "f00e2c4ccf7dca2631f58dbfa071b60dbf37f98b70f1f553e40841d649bd46f4",
     (7, 7): "13af30976baa7c5186a54ac0c78a8b05a3b44cc3414ffc9fc3cf24e31c7249ac",
 }
+
+# sha256 of the trace forms format_trace_expr(phi(v)) of the 16 relation
+# vectors, weights in LAMBDA_ORDER, joined by newlines.  An independent copy
+# of the answer, like ZETA_SHA256.
+RELATION_TRACE_FORMS_SHA256 = (
+    "03af5c6d68a2ba8721ab827b27e68aa9a1dc199f22e89e69774e7c43e0f6892b"
+)
 
 _SPACES = {}
 
@@ -220,6 +228,17 @@ def test_c6_degree13_14_relations(acache):
         for lam in ((8, 5), (7, 6), (9, 5), (8, 6), (7, 7)):
             space = get_space(lam, acache, fresh=True)
             assert space.r == R_TABLE[lam], f"r{lam} = {space.r}"
+
+
+def test_trace_forms_of_the_relations_match_the_frozen_digest(acache):
+    forms = [
+        format_trace_expr(phi(v))
+        for lam in LAMBDA_ORDER
+        for v in get_space(lam, acache).relvectors
+    ]
+    assert len(forms) == sum(R_TABLE.values()) == 16
+    digest = hashlib.sha256("\n".join(forms).encode()).hexdigest()
+    assert digest == RELATION_TRACE_FORMS_SHA256
 
 
 def zeta_text(space) -> str:

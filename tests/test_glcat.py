@@ -171,10 +171,10 @@ def test_degree_audit():
 
 
 def test_catalog_digest_stable():
-    d1 = catalog_digest()
-    d2 = catalog_digest()
-    assert d1 == d2
-    assert len(d1) == 64
+    # an independent copy of the digest of the catalog's definition
+    assert catalog_digest() == (
+        "9c62cfcaeef26ca11a78422c815e39d9ed8243e0167e081cf139de04e00159d5"
+    )
 
 
 def test_a_wrong_evaluated_raising_map_fails_certification(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceforge.polyring import CommPoly, VarSet, poly_from_text, poly_to_text
+from traceforge.tracelang import NcPoly, TraceExpr
 from series_oracle import BiSeries, series_inv_geom, series_mul
 
 VS = VarSet(("a", "b", "c"))
@@ -55,6 +56,33 @@ def test_text_rejects_malformed():
         poly_from_text(VS, "1/2 1 0 0\n1/3 1 0 0")  # duplicate monomial
     with pytest.raises(ValueError):
         poly_from_text(VS, "1/2 -1 0 0")  # negative exponent
+
+
+def test_mixing_two_varsets_raises():
+    p = mk(((1, 0, 0), 1))
+    q = CommPoly(VarSet(("a", "b", "d")), {(1, 0, 0): Fraction(1)})
+    with pytest.raises(ValueError):
+        p + q
+    with pytest.raises(ValueError):
+        p * q
+
+
+def test_monomial_of_the_wrong_length_raises():
+    with pytest.raises(ValueError):
+        CommPoly(VS, {(1, 0): Fraction(1)})
+
+
+def test_equal_terms_over_other_varsets_or_classes_are_not_equal():
+    q = CommPoly(VarSet(("a", "b", "d")), {(1, 0, 0): Fraction(1)})
+    assert mk(((1, 0, 0), 1)) != q
+    assert mk() != TraceExpr()
+    assert NcPoly() != TraceExpr()
+
+
+def test_polynomials_are_unhashable():
+    for p in (mk(), NcPoly(), TraceExpr()):
+        with pytest.raises(TypeError):
+            hash(p)
 
 
 coeffs = st.fractions(

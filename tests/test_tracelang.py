@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceforge.tracelang import (
+    NcPoly,
     X,
     Y,
     NotHomogeneous,
@@ -19,7 +20,6 @@ from traceforge.tracelang import (
     delta,
     delta1,
     format_trace_expr,
-    nc_pow,
     parse_trace,
     trace_of,
 )
@@ -54,9 +54,19 @@ def test_trace_of_length_one_raises():
 
 
 def test_trace_of_constant_term_raises():
-    one = nc_pow(X, 0)
+    one = X**0
     with pytest.raises(TracelessViolation):
         trace_of(one)
+
+
+def test_ncpoly_rejects_letters_other_than_x_and_y():
+    with pytest.raises(ValueError):
+        NcPoly({"xz": Fraction(1)})
+
+
+def test_negative_power_raises():
+    with pytest.raises(ValueError):
+        X**-1
 
 
 def test_commutator_expands():

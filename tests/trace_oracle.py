@@ -21,7 +21,6 @@ from traceforge.tracelang import (
     Word,
     _word_key,
     cyclic_normalize,
-    nc_mul,
     trace_of,
 )
 
@@ -40,7 +39,7 @@ def make_trace_monomial(words: Iterable[Word]) -> TraceMonomial:
 def _word_subst(w: Word, src: str, repl: NcPoly) -> NcPoly:
     out = NcPoly({"": Fraction(1)})
     for ch in w:
-        out = nc_mul(out, repl if ch == src else NcPoly({ch: Fraction(1)}))
+        out = out * (repl if ch == src else NcPoly({ch: Fraction(1)}))
     return out
 
 
