@@ -11,11 +11,11 @@
 # evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
 # trace-monomial products and 73 word evaluations.  It must also compute the
-# generator-monomial products that its memo policy needs: each prefix that
-# the memo keeps once, each leaf prefix (the product of all but the last
-# generator of a leaf) once per proof that needs it, and the leaves of a
-# proof that end in one generator combined per column where that needs
-# fewer products: the script fails unless it reports 800 of them.  It must
+# generator-monomial products that its proofs need, none of which outlives
+# the proof that made it: in each proof, each prefix of a leaf (the product
+# of all but the last generator of a leaf, and its shorter prefixes) once,
+# and the leaves that end in one generator combined per column where that
+# needs fewer products: the script fails unless it reports 932 of them.  It must
 # leave one file per cache write: the script fails unless the cache dir then
 # holds exactly as many files as the pass reports cache writes, none of them
 # a checksum sidecar or a leftover temporary, and those files must hold the
@@ -123,8 +123,8 @@ if ! grep -Eq "(^| )word_evals=73( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass did not evaluate each catalog word once (${stats:-no stats line})" >&2
     exit 1
 fi
-if ! grep -Eq "(^| )gen_products=800( |$)" <<<"$stats"; then
-    echo "FAIL: the cold pass did not make the 800 generator-monomial products (${stats:-no stats line})" >&2
+if ! grep -Eq "(^| )gen_products=932( |$)" <<<"$stats"; then
+    echo "FAIL: the cold pass did not make the 932 generator-monomial products (${stats:-no stats line})" >&2
     exit 1
 fi
 # one file per cache entry: no checksum sidecars, no leftover temporaries

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ._lazy import np
 from .cache import CacheStore
@@ -43,7 +43,6 @@ from .packedpoly import (
     PackedPoly,
     XCAP,
     YCAP,
-    at_zero,
     derivation,
     sort_and_sum,
     sum_scaled,
@@ -76,7 +75,8 @@ VARSET18 = VarSet(
 
 assert len(VARSET18) == NVARS
 
-# the variable that the slice of EvalCache.y11_slice sets to zero
+# the variable that relfinder._proven sets to zero: it assembles the
+# relation vectors on the slice y11 = 0
 Y11 = VARSET18.index("y11")
 
 GenericMatrix = tuple[tuple[CommPoly, ...], ...]
@@ -302,33 +302,25 @@ class EvalStats:
 
 
 class EvalCache:
-    """Per-word and per-generator-monomial evaluation cache.
+    """Per-word and per-generator evaluation cache.
 
     The only state that an evaluation reads or writes, the catalog
     certificate included (see glcat.catalog).  Thread-safe with
     last-writer-wins semantics; an optional CacheStore gives persistence
     for word evaluations and for the generator evaluations (one entry, see
-    glcat._gen_evals).  Besides the trace words it holds the
-    generator evaluations and the generator-monomial products that
-    glcat.eval_abs_monomials fills, and the generator values at the points
-    of each prime that glcat.gen_values fills, so every memo lives exactly
-    as long as the cache that was passed in.  Of the products it keeps for
-    good the prefixes that eval_abs_monomials and glcat.leaf_groups
-    memoize.  A leaf prefix, the product of all but the last generator of
-    a leaf that relfinder._assemble_matrix multiplies, is held by that
-    assembly alone (see glcat.LeafGroups).  The products of leaves, or of
-    combinations of their prefixes, are not kept either: each is added
-    into the columns that use it and dropped, and no assembled matrix is
-    kept.  The relation space of each
-    weight that relfinder.relation_space returns is kept: every member of
-    it is zero, so relfinder.verify_zero_abs answers a member without
-    evaluating it.  hwv.hwv_verify assembles nothing: the evaluated side of
-    its check rests on the catalog certificate.
-    Products of word traces are not kept either: eval_trace_expr shares
-    prefixes within one call only.  relfinder._proven assembles on the
-    slice y11 = 0 (see y11_slice): the cache then also holds the generator
-    evaluations with y11 set to zero and the sliced memo of the prefixes of
-    their products, which count in the same stats.gen_products.
+    glcat._gen_evals).  It holds the word traces, the evaluations of the
+    30 generators, their values at the points of each prime (see
+    glcat.gen_values), the highest weight bases and the relation spaces,
+    so every memo lives exactly as long as the cache that was passed in.
+    Nothing multiplied from the generator evaluations is kept: each
+    generator-monomial product lives inside the one
+    glcat.eval_abs_monomials or relfinder._assemble_matrix call that made
+    it, and counts in stats.gen_products.  Products of word traces are not
+    kept either: eval_trace_expr shares prefixes within one call only.  The
+    relation space of each weight that relfinder.relation_space returns is
+    kept: every member of it is zero, so relfinder.verify_zero_abs answers
+    a member without evaluating it.  hwv.hwv_verify assembles nothing: the
+    evaluated side of its check rests on the catalog certificate.
     """
 
     def __init__(self, store: CacheStore | None = None):
@@ -337,7 +329,6 @@ class EvalCache:
         self._words: dict[Word, PackedPoly] = {}
         self._words_comm: dict[Word, CommPoly] = {}
         self._gens: list[PackedPoly] | None = None
-        self._abs_monos: dict[tuple[int, ...], PackedPoly] = {}
         # generator values at the points of each prime, by prime, filled by
         # glcat.gen_values
         self._gen_values: dict[int, np.ndarray] = {}
@@ -349,32 +340,6 @@ class EvalCache:
         # or its store holds the verdict
         self._catalog_certified = False
         self._lock = threading.Lock()
-        # the sliced generators and memo, made by y11_slice
-        self._y11_slice: Y11Slice | None = None
-
-    def y11_slice(self, gens: Sequence[PackedPoly]) -> "Y11Slice":
-        """The slice y11 = 0 of this cache, made on the first call from
-        gens, the evaluations of the 30 generators."""
-        with self._lock:
-            if self._y11_slice is None:
-                self._y11_slice = Y11Slice(self, gens)
-            return self._y11_slice
-
-
-class Y11Slice:
-    """The generator evaluations of an EvalCache with y11 set to zero, and
-    the memo of the prefixes of their products: all that
-    glcat.eval_abs_monomials, glcat.leaf_groups and relfinder._assemble_matrix
-    read of a cache.  Setting y11 to zero is a ring homomorphism, so a
-    product of sliced factors is the sliced product.  Its products count in
-    the stats of its cache, under the cache's lock.  It evaluates no word
-    trace and has no store."""
-
-    def __init__(self, cache: EvalCache, gens: Sequence[PackedPoly]):
-        self.stats = cache.stats
-        self._lock = cache._lock
-        self._gens = [at_zero(g, Y11) for g in gens]
-        self._abs_monos: dict[tuple[int, ...], PackedPoly] = {}
 
 
 _DEFAULT_CACHE = EvalCache()

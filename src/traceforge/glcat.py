@@ -515,7 +515,7 @@ def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
     """Evaluations of the 30 generators, memoized on the cache: from the
     certificate (see catalog), else from the store's gens:v1:<digest>
     entry, with no word trace read; a missing or corrupt entry is composed
-    again (see _compose_gens) and rewritten.  A Y11Slice holds its own."""
+    again (see _compose_gens) and rewritten."""
     if cache._gens is None:
         mods = catalog(cache)
         if cache._gens is None:
@@ -554,38 +554,35 @@ def gen_values(p: int, n: int, cache: genmat.EvalCache) -> np.ndarray | None:
 
 
 def eval_abs_monomial(mono: AbsMonomial, cache: genmat.EvalCache) -> PackedPoly:
-    """Packed evaluation of one generator monomial (see eval_abs_monomials)."""
-    return eval_abs_monomials([mono], cache)[0]
+    """Packed evaluation of one generator monomial, from the generator
+    evaluations of the cache (see eval_abs_monomials)."""
+    return eval_abs_monomials([mono], _gen_evals(cache), cache)[0]
 
 
 def eval_abs_monomials(
-    monos: Iterable[AbsMonomial], cache: genmat.EvalCache
+    monos: Iterable[AbsMonomial], gens: list[PackedPoly], cache: genmat.EvalCache
 ) -> list[PackedPoly]:
-    """Packed evaluations of generator monomials, with prefix sharing.
+    """Packed evaluations of generator monomials from gens, the evaluations
+    of the 30 generators (in full, or on a slice such as y11 = 0), with
+    prefix sharing within this call.
 
     A monomial m of two or more generators is evaluated as
-    ev(m[:-1]) * ev(m[-1]), and every evaluation is memoized on the cache;
-    cache.stats.gen_products counts
-    the products computed.  The missing prefixes of the monomials are
-    computed one length (one level of their trie) at a time, the products
-    of a level through one SumTable per last generator (see ProductGroup)."""
+    ev(m[:-1]) * ev(m[-1]); the prefixes of the monomials are computed one
+    length (one level of their trie) at a time, each once, the products of
+    a level through one SumTable per last generator (see ProductGroup).
+    cache.stats.gen_products counts the products computed.  Nothing is
+    kept on the cache: the prefixes die with the call, and a second call
+    makes its products again."""
     monos = list(monos)
-    memo = cache._abs_monos
     levels: dict[int, dict[AbsMonomial, None]] = {}
     for mono in monos:
         for n in range(len(mono), 0, -1):
-            if mono[:n] in memo or mono[:n] in levels.get(n, ()):
+            if mono[:n] in levels.get(n, ()):
                 break
             levels.setdefault(n, {})[mono[:n]] = None
-    if levels:
-        gens = _gen_evals(cache)
-        with cache._lock:
-            for mono in levels.pop(1, ()):
-                memo[mono] = gens[mono[0]]
-        for n in sorted(levels):
-            for m, out in _products(levels[n], memo.__getitem__, gens, cache):
-                with cache._lock:
-                    memo[m] = out
+    memo = {mono: gens[mono[0]] for mono in levels.pop(1, ())}
+    for n in sorted(levels):
+        memo.update(_products(levels[n], memo.__getitem__, gens, cache))
     return [
         memo[m] if m else PackedPoly.from_terms([((0,) * NVARS, Fraction(1))])
         for m in monos
@@ -650,20 +647,21 @@ class LeafGroups:
     The prefixes m[:-1] of a group's leaves, the leaf prefixes, and its
     table are made when the group is reached and dropped when the next one
     is asked for.  Each leaf prefix is the product of a generator with a
-    shorter prefix, memoized on the cache for good (see leaf_groups), or
-    with a generator.  A leaf prefix that the memo lacks is made by the
-    first group that needs it and held, on this object and never in the
-    memo, until the last group that needs it is done: needs counts, for
-    each held or yet unmade leaf prefix, the groups still to come that
-    need it, so no product is made twice."""
+    shorter prefix, evaluated by leaf_groups, or with a generator.  A leaf
+    prefix that known lacks is made by the first group that needs it and
+    held, on this object, until the last group that needs it is done:
+    needs counts, for each held or yet unmade leaf prefix, the groups still
+    to come that need it, so no product is made twice."""
 
     def __init__(
         self,
         fresh: list[AbsMonomial],
         known: dict[AbsMonomial, PackedPoly],
+        gens: list[PackedPoly],
         cache: genmat.EvalCache,
     ):
         self.cache = cache
+        self.gens = gens
         self.known = known
         self.leaves = _by_last_generator(fresh)
         self.needs: dict[AbsMonomial, int] = {}
@@ -674,7 +672,7 @@ class LeafGroups:
         self.held: dict[AbsMonomial, PackedPoly] = {}
 
     def __iter__(self) -> Iterator[ProductGroup]:
-        gens = _gen_evals(self.cache)
+        gens = self.gens
 
         def prefix(p: AbsMonomial) -> PackedPoly:
             if len(p) == 1:
@@ -699,31 +697,26 @@ class LeafGroups:
 
 
 def leaf_groups(
-    monos: Iterable[AbsMonomial], cache: genmat.EvalCache
+    monos: Iterable[AbsMonomial], gens: list[PackedPoly], cache: genmat.EvalCache
 ) -> tuple[dict[AbsMonomial, PackedPoly], LeafGroups]:
-    """(evals, groups) for distinct monomials.  The fresh leaves are the
-    monomials of two or more generators that the memo lacks and that are
-    no proper prefix of another of the monomials; groups yields them one
-    ProductGroup at a time (see LeafGroups).  evals maps every other
-    monomial to its evaluation, memoized (see eval_abs_monomials).  The
+    """(evals, groups) for distinct monomials, evaluated from gens (see
+    eval_abs_monomials).  The fresh leaves are the monomials of two or more
+    generators that are no proper prefix of another of the monomials;
+    groups yields them one ProductGroup at a time (see LeafGroups).  evals
+    maps every other monomial to its evaluation.  Those monomials and the
     proper prefixes of the leaf prefixes, the lower levels of their trie,
-    are evaluated and memoized here, on the calling thread.  No fresh leaf
-    is evaluated here or memoized: the caller takes the group's products
-    (see ProductGroup.products), of the prefixes or of combinations of
-    them, and keeps what it needs."""
+    are evaluated here, in one eval_abs_monomials call on the calling
+    thread, and groups holds the ones it needs.  No fresh leaf is evaluated
+    here: the caller takes the group's products (see
+    ProductGroup.products), of the prefixes or of combinations of them,
+    and keeps what it needs.  Nothing is kept on the cache."""
     monos = list(monos)
-    memo = cache._abs_monos
-    candidates = [m for m in monos if len(m) > 1 and m not in memo]
-    inner = {m[:n] for m in candidates for n in range(2, len(m))}
-    fresh = [m for m in candidates if m not in inner]
-    done = [m for m in monos if len(m) <= 1 or m in memo or m in inner]
-    evals = dict(zip(done, eval_abs_monomials(done, cache)))
-    prefixes = {m[:-1] for m in fresh if len(m) > 2}
-    known = list(
-        {p[:n]: None for p in prefixes for n in range(2, len(p))}
-        | {p: None for p in prefixes if p in memo}
-    )
-    return evals, LeafGroups(fresh, dict(zip(known, eval_abs_monomials(known, cache))), cache)
+    inner = {m[:n] for m in monos for n in range(2, len(m))}
+    fresh = [m for m in monos if len(m) > 1 and m not in inner]
+    done = [m for m in monos if len(m) <= 1 or m in inner]
+    known = dict.fromkeys(done) | {m[:n]: None for m in fresh for n in range(2, len(m) - 1)}
+    known = dict(zip(known, eval_abs_monomials(known, gens, cache)))
+    return {m: known[m] for m in done}, LeafGroups(fresh, known, gens, cache)
 
 
 def predicted_dens(

@@ -235,19 +235,10 @@ def format_phi(p: AbsPoly) -> str:
                     e = counts[j]
                     z = f"z{i}^({a - j},{j})"
                     factors.append(f"({z})^{e}" if e > 1 else z)
-        body = "*".join(factors) if factors else "1"
         mag = abs(c)
-        if mag == 1 and factors:
-            coeff = ""
-        elif mag.denominator == 1:
-            coeff = f"{mag.numerator}*" if factors else f"{mag.numerator}"
-        else:
-            coeff = (
-                f"{mag.numerator}/{mag.denominator}*"
-                if factors
-                else f"{mag.numerator}/{mag.denominator}"
-            )
-        pieces.append(("-" if c < 0 else "+", coeff + body))
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        pieces.append(("-" if c < 0 else "+", "*".join(factors)))
     out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"

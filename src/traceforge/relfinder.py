@@ -60,6 +60,7 @@ from .packedpoly import (
     YCAP,
     PackedCapacityError,
     PackedPoly,
+    at_zero,
     distinct_keys,
     sum_scaled,
 )
@@ -245,11 +246,12 @@ class _Columns:
 
 
 def _assemble_matrix(
-    polys: Sequence[AbsPoly], cache: genmat.EvalCache | genmat.Y11Slice
+    polys: Sequence[AbsPoly], gens: list[PackedPoly], cache: genmat.EvalCache
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
     """The one evaluator of generator polynomials.  Its callers pass a few
-    polynomials: _proven the relation vectors of one weight, and
-    evaluate_abs one candidate.
+    polynomials and the evaluations gens of the 30 generators: _proven the
+    relation vectors of one weight and the generators on the slice
+    y11 = 0, and evaluate_abs one candidate and the generators in full.
 
     Returns (M, colscale, keys): M has one integer column per polynomial and
     one row per packed key of the 18-variable evaluation, ascending, at which
@@ -259,32 +261,28 @@ def _assemble_matrix(
     is predicted first, from the contents and denominators of the
     generators (see glcat.predicted_dens), so the column scales are known
     before any product is made, and each product is checked against its
-    prediction.  A monomial already evaluated is placed once, by a search
-    of its keys, and added, scaled, into every column that uses it (see
-    _Columns.place).  The fresh leaves are multiplied here, one
+    prediction.  A monomial that is a proper prefix of another, or has
+    fewer than two generators, is evaluated first (see glcat.leaf_groups),
+    placed once, by a search of its keys, and added, scaled, into every
+    column that uses it (see _Columns.place).  The fresh leaves are multiplied here, one
     glcat.ProductGroup (the leaves that end in one generator g) after
     another on the calling thread, in whichever association order needs
     fewer products (see _place_group).  A group's prefixes and table are
     made when it is reached and die with it (see glcat.LeafGroups), and
     the rows of M grow as each group's key sums arrive (see _Columns.rows):
     they are put in key order once, at the end.  A product dies as soon as
-    it is placed: no fresh leaf is memoized, and at most one product, and
-    one combination of prefixes, is alive beside M.  M has object dtype when
-    the bound of some column reaches 2^62, else int64.  The polys need not
-    be homogeneous.  A monomial whose bidegree exceeds the packed fields
-    raises PackedCapacityError before anything is evaluated.  Nothing of the
-    result is kept on the cache: M lives as long as its caller holds it.
-    The cache may be the slice y11 = 0 of a cache (see genmat.Y11Slice),
-    whose sliced generators and memo it then reads, so that M is the
-    matrix of the evaluations with y11 set to zero.
+    it is placed, and at most one product, and one combination of
+    prefixes, is alive beside M.  Each product is made once per call, from
+    gens, and none outlives the call: the cache only counts them in
+    stats.gen_products.  M has object dtype when the bound of some column
+    reaches 2^62, else int64.  The polys need not be homogeneous.  A
+    monomial whose bidegree exceeds the packed fields raises
+    PackedCapacityError before any product is made (see _check_packed).  M
+    lives as long as its caller holds it.
     """
+    _check_packed(polys)
     used = dict.fromkeys(m for v in polys for m in v.nums)
-    for p, q in set(map(mono_bidegree, used)):
-        if p > XCAP or q > YCAP:
-            raise PackedCapacityError(
-                f"monomial bidegree ({p},{q}) exceeds packed capacity ({XCAP},{YCAP})"
-            )
-    den = predicted_dens(used, _gen_evals(cache))
+    den = predicted_dens(used, gens)
     # uses[m]: (column, integer weight) of every column whose polynomial has
     # m; v = nums / v.den, so column i is v.den * D times ev(v)
     uses: dict[AbsMonomial, list[tuple[int, int]]] = {m: [] for m in used}
@@ -295,13 +293,23 @@ def _assemble_matrix(
             uses[m].append((i, c * (D // den[m])))
         colscale.append(v.den * D)
     cols = _Columns(len(polys), uses, den)
-    evals, groups = leaf_groups(used, cache)
+    evals, groups = leaf_groups(used, gens, cache)
     if evals:
         _place_evals(cols, evals)
     for grp in groups:
         _place_group(cols, grp, cache)
     M, keys = cols.matrix()
     return M, colscale, keys
+
+
+def _check_packed(polys: Iterable[AbsPoly]) -> None:
+    """PackedCapacityError if the bidegree of a monomial of the polys
+    exceeds the packed fields."""
+    for p, q in {mono_bidegree(m) for v in polys for m in v.nums}:
+        if p > XCAP or q > YCAP:
+            raise PackedCapacityError(
+                f"monomial bidegree ({p},{q}) exceeds packed capacity ({XCAP},{YCAP})"
+            )
 
 
 def _place_evals(cols: _Columns, evals: dict[AbsMonomial, PackedPoly]) -> None:
@@ -561,8 +569,9 @@ def _proven(
 ) -> tuple[AbsPoly, ...] | None:
     """The combinations sum_i z_i v_i of the basis vectors, one per zeta,
     when every f = ev(sum_i z_i v_i) is zero on the generic matrices, else
-    None.  The combinations are assembled on the slice y11 = 0 (see
-    genmat.EvalCache.y11_slice), and their matrix must have no nonzero row.
+    None.  The combinations are assembled on the slice y11 = 0, from the
+    generator evaluations with y11 set to zero, and their matrix must have
+    no nonzero row.
 
     The slice decides because abs_delta kills every combination, which is
     checked first (AssertionError otherwise, before any product).  The
@@ -576,7 +585,8 @@ def _proven(
     if not vectors:
         return vectors
     _check_highest_weight(basis.lam, vectors)
-    M, _, _ = _assemble_matrix(vectors, cache.y11_slice(_gen_evals(cache)))
+    sliced = [at_zero(g, genmat.Y11) for g in _gen_evals(cache)]
+    M, _, _ = _assemble_matrix(vectors, sliced, cache)
     return vectors if M.shape[0] == 0 else None
 
 
@@ -680,8 +690,11 @@ def verify_zero_abs(p: AbsPoly, cache: genmat.EvalCache) -> ZeroReport:
 
 def evaluate_abs(p: AbsPoly, cache: genmat.EvalCache) -> ZeroReport:
     """The report of p evaluated as the one column of the matrix
-    _assemble_matrix builds for it, whatever the cache holds."""
-    M, colscale, keys = _assemble_matrix([p], cache)
+    _assemble_matrix builds for it, whatever the cache holds.  A monomial
+    beyond the packed fields raises PackedCapacityError before a generator
+    is evaluated."""
+    _check_packed([p])
+    M, colscale, keys = _assemble_matrix([p], _gen_evals(cache), cache)
     ev = PackedPoly.from_column(keys, M[:, 0], colscale[0])
     return ZeroReport.of(ev.to_comm(genmat.VARSET18))
 

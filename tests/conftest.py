@@ -60,32 +60,27 @@ def one_matrix_kernel(lam: Partition) -> tuple[int, int, tuple[AbsPoly, ...]]:
     return nb.rank, len(q_mons), vectors
 
 
-def expected_products(calls, memoized=()) -> int:
+def expected_products(calls) -> int:
     """The generator-monomial products of assembling each list of polys in
-    calls in turn (see relfinder._assemble_matrix), on one cache that
-    evaluated the monomials memoized first and nothing else.  The memo
-    keeps every memoized monomial and its prefixes, and, of each call, the
-    monomials it does not multiply as fresh leaves, their prefixes and the
-    proper prefixes of the leaf prefixes (the m[:-1] of the fresh leaves m),
-    each made once.  A leaf prefix that the memo lacks is made once per
-    call and not kept.  For the fresh leaves of a call that end in one
-    generator, there is one product per leaf or one per column they feed,
-    whichever is fewer."""
-    memo = {m[:n] for m in memoized for n in range(2, len(m) + 1)}
-    made = len(memo)
+    calls in turn (see relfinder._assemble_matrix).  No product outlives
+    its call, so each call counts on its own: every prefix of the
+    monomials it does not multiply as fresh leaves (the monomials that are
+    a proper prefix of another), every proper prefix of its leaf prefixes
+    (the m[:-1] of the fresh leaves m) and every leaf prefix, each once.
+    For the fresh leaves that end in one generator, there is one product
+    per leaf or one per column they feed, whichever is fewer."""
+    made = 0
     for polys in calls:
         columns: dict = {}
         for i, v in enumerate(polys):
             for m in v.terms:
                 columns.setdefault(m, set()).add(i)
-        candidates = [m for m in columns if len(m) > 1 and m not in memo]
-        inner = {m[:n] for m in candidates for n in range(2, len(m))}
-        fresh = [m for m in candidates if m not in inner]
-        kept = {m[:n] for m in columns if m not in fresh for n in range(2, len(m) + 1)}
-        prefixes = {m[:-1] for m in fresh if len(m) > 2}
-        kept |= {p[:n] for p in prefixes for n in range(2, len(p))}
-        made += len(kept - memo) + len(prefixes - memo - kept)
-        memo |= kept
+        inner = {m[:n] for m in columns for n in range(2, len(m))}
+        fresh = [m for m in columns if len(m) > 1 and m not in inner]
+        made += len(
+            {m[:n] for m in columns if m not in fresh for n in range(2, len(m) + 1)}
+            | {m[:n] for m in fresh for n in range(2, len(m))}
+        )
         by_last: dict = {}
         for m in fresh:
             by_last.setdefault(m[-1], []).append(columns[m])

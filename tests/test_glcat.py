@@ -366,7 +366,8 @@ def test_phi_reads_the_catalog_verdict_of_its_cache(tmp_path):
 
 def test_callers_sharing_a_cache_lose_no_update(session_store, monkeypatch):
     # library callers may share one EvalCache across their own threads: the
-    # cache's lock keeps every memo entry and every count of a product
+    # cache's lock keeps every count of a product, and each caller's
+    # products, made in its own call, are the chain products
     import sys
     import threading
 
@@ -386,16 +387,15 @@ def test_callers_sharing_a_cache_lose_no_update(session_store, monkeypatch):
     monos = list(dict.fromkeys(
         m for v in hwv_basis(Partition(6, 6)).vectors for m in v.terms
     ))
-    prefixes = {m[:n] for m in monos for n in range(2, len(m) + 1)}
     cache = EvalCache(session_store)
-    glcat._gen_evals(cache)
+    gens = glcat._gen_evals(cache)
     # four callers, each sharing half of its monomials with every other
     half = len(monos) // 2
     parts = [monos[:half] + monos[half + k :: 4] for k in range(4)]
     got: dict[int, list[PackedPoly]] = {}
     workers = [
         threading.Thread(
-            target=lambda k=k: got.__setitem__(k, glcat.eval_abs_monomials(parts[k], cache))
+            target=lambda k=k: got.__setitem__(k, glcat.eval_abs_monomials(parts[k], gens, cache))
         )
         for k in range(4)
     ]
@@ -410,19 +410,13 @@ def test_callers_sharing_a_cache_lose_no_update(session_store, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert sorted(got) == list(range(4)) and len(set(calls)) > 1
-    # a lost update of the counter or the memo would show here; callers that
-    # race for one prefix may each make it, and each product counts
-    assert cache.stats.gen_products == len(calls) >= len(prefixes)
-    assert set(cache._abs_monos) == prefixes | {m[:1] for m in monos}
-    gens = glcat._gen_evals(cache)
-    for m in prefixes:
-        want = gens[m[0]]
-        for g in m[1:]:
-            want = PackedPoly.mul(want, gens[g])
-        assert cache._abs_monos[m].to_bytes() == want.to_bytes(), m
+    # a lost update of the counter would show here: each caller makes every
+    # prefix of its own monomials once, and each product counts
+    made = sum(len({m[:n] for m in part for n in range(2, len(m) + 1)}) for part in parts)
+    assert cache.stats.gen_products == len(calls) == made
     for k, part in enumerate(parts):
-        assert all(p.to_bytes() == cache._abs_monos[m].to_bytes() for m, p in zip(part, got[k]))
-    made = cache.stats.gen_products
-    again = glcat.eval_abs_monomials(monos, cache)
-    assert cache.stats.gen_products == made
-    assert all(a is cache._abs_monos[m] for m, a in zip(monos, again))
+        for m, p in zip(part, got[k]):
+            want = gens[m[0]]
+            for g in m[1:]:
+                want = PackedPoly.mul(want, gens[g])
+            assert p.to_bytes() == want.to_bytes(), m

