@@ -16,6 +16,10 @@
 # of all but the last generator of a leaf, and its shorter prefixes) once,
 # and the leaves that end in one generator combined per column where that
 # needs fewer products: the script fails unless it reports 932 of them.  It must
+# store answers only, and no word trace: the catalog verdict, the 30 generator
+# evaluations as one entry, the seven relation spaces, the certificates of
+# their 16 relation vectors and the verdicts of the three bundled files, so
+# the script fails unless it reports exactly 28 cache writes.  It must
 # leave one file per cache write: the script fails unless the cache dir then
 # holds exactly as many files as the pass reports cache writes, none of them
 # a checksum sidecar or a leftover temporary, and those files must hold the
@@ -73,7 +77,7 @@ export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
 traceforge() { python3 -m traceforge.cli "$@"; }
 
 # sha256 of the cold pass's store: of one "name sha256" line per file, by name
-COLD_MANIFEST=a605b1c2f3802d908a5499414df60711f349c10e905d5963e22d6ebbf857f788
+COLD_MANIFEST=8ab64f678ac8278f92970260245dc6cff0582185c7b3635e725f4d9c3a4c4720
 
 # run a command, then print its wall time and the peak RSS of its process
 timed() {
@@ -125,6 +129,11 @@ if ! grep -Eq "(^| )word_evals=73( |$)" <<<"$stats"; then
 fi
 if ! grep -Eq "(^| )gen_products=932( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass did not make the 932 generator-monomial products (${stats:-no stats line})" >&2
+    exit 1
+fi
+# answers only: a word trace written through to the store adds a write
+if ! grep -Eq "(^| )cache_writes=28( |$)" <<<"$stats"; then
+    echo "FAIL: the cold pass did not store exactly its 28 answers (${stats:-no stats line})" >&2
     exit 1
 fi
 # one file per cache entry: no checksum sidecars, no leftover temporaries

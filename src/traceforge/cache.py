@@ -4,19 +4,21 @@ Entries are keyed by a semantic key string; each entry is one file, named
 by the SHA-256 of the key with the extension .entry.  The file is a fixed
 40-byte header (the magic b"TFCE", the format version as a little-endian
 uint32, and the SHA-256 of the payload) followed by the payload:
-PackedPoly.to_bytes for a polynomial (the word traces), each to_bytes after
-its length as a little-endian uint64 for a list of polynomials (the 30
-generator evaluations), the JSON text for a structured result.  A read
-checks the header before it decodes.  Files of earlier layouts (an entry
-plus a .sha256 sidecar, under .poly, .ppoly or .json) sit at paths this
-store never opens, so they read as plain misses.  A missing entry is a
-miss; a bad header, a checksum mismatch or a payload that does not decode
-(for a polynomial, anything PackedPoly.from_bytes rejects: bad header,
-wrong length, unsorted keys, zero coefficients, den <= 0; for a list, also
-a length that overruns the payload or another count of polynomials) is a
-miss counted as corrupt.  Either way the
-caller recomputes.  Each write replaces its one file atomically via rename,
-so an entry and its checksum change together; concurrent writers follow
+PackedPoly.to_bytes for a polynomial, each to_bytes after its length as a
+little-endian uint64 for a list of polynomials (the 30 generator
+evaluations), the JSON text for a structured result (the catalog verdict,
+relation spaces, certificates and verify verdicts).  No word trace is
+stored: get_poly and put_poly have no caller in the package.  A read checks
+the header before it decodes.  Files of earlier layouts (an entry plus a
+.sha256 sidecar, under .poly, .ppoly or .json) and the wordtrace: entries
+of earlier versions sit at paths this store never opens.  A missing entry
+is a miss; a bad header, a checksum mismatch or a payload that does not
+decode (for a polynomial, anything PackedPoly.from_bytes rejects: bad
+header, wrong length, unsorted keys, zero coefficients, den <= 0; for a
+list, also a length that overruns the payload or another count of
+polynomials) is a miss counted as corrupt.  Either way the caller
+recomputes.  Each write replaces its one file atomically via rename, so an
+entry and its checksum change together; concurrent writers follow
 last-writer-wins.
 
 SHA-256 comes from CPython's own module (_sha2, or _sha256 before 3.12), so

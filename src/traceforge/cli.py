@@ -542,7 +542,6 @@ def cmd_reproduce(cfg: Config, args) -> Result:
         "bases_solved": cache.stats.bases_solved,
         "spaces_solved": cache.stats.spaces_solved,
         "spaces_loaded": cache.stats.spaces_loaded,
-        "disk_hits": cache.stats.disk_hits,
         "cache_hits": store.stats.hits,
         "cache_misses": store.stats.misses,
         "cache_corrupt": store.stats.corrupt,

@@ -15,9 +15,10 @@ word_traces_packed evaluates many words in sorted order, so that words
 sharing a prefix share its partial product.  Words beyond the capacity go
 through CommPoly matrix products.
 
-Evaluations are cached per cyclic-canonical word, optionally write-through to
-a disk store, and counted, so reruns can be checked to perform no fresh
-matrix work.
+Evaluations are cached in memory per cyclic-canonical word and counted, so
+reruns can be checked to perform no fresh matrix work.  No word trace is
+stored: a later process reads the 30 generator evaluations instead (see
+glcat._gen_evals).
 
 Trace expressions also have values at points mod a prime p: sample_points
 gives seeded residues for the 18 variables, word_values multiplies the
@@ -294,7 +295,8 @@ class EvalStats:
     """Fresh-work counters of one EvalCache: besides evaluations and
     products, the highest weight bases solved (hwv.hwv_basis) and the
     relation spaces solved and read from the store
-    (relfinder.relation_space)."""
+    (relfinder.relation_space).  disk_hits stays 0, since no word trace is
+    read from a store; bench/tracer.py reads it."""
 
     def __init__(self) -> None:
         self.word_evals = self.mono_products = self.gen_products = self.disk_hits = 0
@@ -307,8 +309,8 @@ class EvalCache:
     The only state that an evaluation reads or writes, the catalog
     certificate included (see glcat.catalog).  Thread-safe with
     last-writer-wins semantics; an optional CacheStore gives persistence
-    for word evaluations and for the generator evaluations (one entry, see
-    glcat._gen_evals).  It holds the word traces, the evaluations of the
+    for the generator evaluations (one entry, see glcat._gen_evals), never
+    for a word trace.  It holds the word traces, the evaluations of the
     30 generators, their values at the points of each prime (see
     glcat.gen_values), the highest weight bases and the relation spaces,
     so every memo lives exactly as long as the cache that was passed in.
@@ -407,7 +409,7 @@ def _compute_word_comm(w: Word) -> CommPoly:
 def word_trace_packed(w: Word, cache: EvalCache) -> PackedPoly:
     """Packed evaluation of tr(w), keyed on the cyclic-canonical rotation."""
     key = _word_key(w)
-    poly = _known_word(key, cache)
+    poly = cache._words.get(key)
     if poly is None:
         poly = _compute_word_packed(key)
         _remember_word(key, poly, cache)
@@ -415,12 +417,12 @@ def word_trace_packed(w: Word, cache: EvalCache) -> PackedPoly:
 
 
 def word_traces_packed(words: Iterable[Word], cache: EvalCache) -> None:
-    """word_trace_packed for every word, with the traces that neither the
-    cache nor its store holds computed in one pass over their sorted
-    cyclic-canonical forms, so that a prefix they share is multiplied out
-    once (see _compute_words_packed)."""
+    """word_trace_packed for every word, with the traces that the cache
+    lacks computed in one pass over their sorted cyclic-canonical forms, so
+    that a prefix they share is multiplied out once (see
+    _compute_words_packed)."""
     keys = sorted({_word_key(w) for w in words})
-    missing = [key for key in keys if _known_word(key, cache) is None]
+    missing = [key for key in keys if key not in cache._words]
     for key, poly in _compute_words_packed(missing):
         _remember_word(key, poly, cache)
 
@@ -433,26 +435,10 @@ def _word_key(w: Word) -> Word:
     return cyclic_normalize(w)
 
 
-def _known_word(key: Word, cache: EvalCache) -> PackedPoly | None:
-    """tr(key) from the cache, else from its store (a disk hit), else None."""
-    hit = cache._words.get(key)
-    if hit is not None:
-        return hit
-    poly = cache.store.get_poly(f"wordtrace:{key}") if cache.store is not None else None
-    if poly is not None:
-        with cache._lock:
-            cache.stats.disk_hits += 1
-            cache._words[key] = poly
-    return poly
-
-
 def _remember_word(key: Word, poly: PackedPoly, cache: EvalCache) -> None:
-    """Count a computed trace, write it through to the store and cache it."""
+    """Count a computed trace and cache it."""
     with cache._lock:
         cache.stats.word_evals += 1
-    if cache.store is not None:
-        cache.store.put_poly(f"wordtrace:{key}", poly)
-    with cache._lock:
         cache._words[key] = poly
 
 

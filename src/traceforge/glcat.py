@@ -153,7 +153,7 @@ def _catalog_digest(mods: tuple[GeneratorModule, ...]) -> str:
 
 def _compose_gens(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) -> list[PackedPoly]:
     """Evaluations of the 30 generators of mods, in ABS_GENS order, from the
-    word traces of the cache (the missing ones in one pass)."""
+    word traces of the cache, which computes the ones it lacks in one pass."""
     genmat.word_traces_packed(
         (w for mod in mods for e in mod.basis for mono in e.terms for w in mono), cache
     )
@@ -200,11 +200,11 @@ def _definition() -> tuple[tuple[GeneratorModule, ...], str]:
 
 
 def catalog(cache: genmat.EvalCache) -> tuple[GeneratorModule, ...]:
-    """The twelve generator modules, certified once on the cache: on its own
-    word traces (see _certify), unless its store holds the verdict.  The 30
-    generator evaluations of a certification become the cache's generators,
-    and a store gets them under gens:v1:<digest>, then the verdict; a
-    failed check writes neither."""
+    """The twelve generator modules, certified once on the cache: on the
+    word traces it computes (see _certify), unless its store holds the
+    verdict.  The 30 generator evaluations of a certification become the
+    cache's generators, and a store gets them under gens:v1:<digest>, then
+    the verdict; a failed check writes neither."""
     mods, digest = _definition()
     if not cache._catalog_certified:
         store = cache.store
@@ -514,8 +514,8 @@ def phi(p: AbsPoly) -> TraceExpr:
 def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
     """Evaluations of the 30 generators, memoized on the cache: from the
     certificate (see catalog), else from the store's gens:v1:<digest>
-    entry, with no word trace read; a missing or corrupt entry is composed
-    again (see _compose_gens) and rewritten."""
+    entry; a missing or corrupt entry is composed again from word traces
+    computed afresh (see _compose_gens) and rewritten."""
     if cache._gens is None:
         mods = catalog(cache)
         if cache._gens is None:

@@ -73,7 +73,8 @@ class _Parser(_Scanner):
 
     def parse_atom(self) -> _Expansion:
         ch = self.peek()
-        if ch.isdigit():
+        if ch.isdecimal():
+            # a digit that int() reads; "²" is isdigit() but not isdecimal()
             return _Expansion({(): self.try_rational()})
         if ch == "(":
             self.take("(")

@@ -9,6 +9,7 @@ silently replaced by zero.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .polyring import LinComb, Rational, add_terms
@@ -185,6 +186,12 @@ class TraceParseError(ValueError):
         self.pos = pos
 
 
+# whitespace, then the digits that int() reads: \d is str.isdecimal, while
+# str.isdigit also accepts digits such as "²" that int() rejects
+_SPACES = re.compile(r"\s*")
+_INT = re.compile(r"\s*(\d*)")
+
+
 class _Scanner:
     """Character scanner shared by the trace and phi grammars.  Errors are
     error_class(msg, pos), so each grammar raises its own class."""
@@ -199,12 +206,12 @@ class _Scanner:
         return self.error_class(msg, self.pos if pos is None else pos)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACES.match(self.text, self.pos).end()
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        if self.text[self.pos : self.pos + 1].isspace():
+            self.skip_ws()
+        return self.text[self.pos : self.pos + 1]
 
     def at_end(self) -> bool:
         return self.peek() == ""
@@ -221,23 +228,28 @@ class _Scanner:
         return False
 
     def take_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        num = self.try_int()
+        if num is None:
             raise self.error("expected integer")
-        return int(self.text[start : self.pos])
+        return num
+
+    def try_int(self) -> int | None:
+        """The integer after whitespace, None unless a digit comes next;
+        either way the whitespace is skipped."""
+        digits = _INT.match(self.text, self.pos)
+        self.pos = digits.start(1)
+        if not digits[1]:
+            return None
+        self.pos = digits.end()
+        return int(digits[1])
 
     def try_rational(self) -> Rational | None:
         """An integer or int/int literal, None unless a digit comes next."""
-        self.skip_ws()
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+        num = self.try_int()
+        if num is None:
             return None
-        num = self.take_int()
         save = self.pos
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
+        if self.peek() == "/":
             self.pos += 1
             den = self.take_int()
             if den == 0:

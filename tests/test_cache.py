@@ -1,6 +1,6 @@
 """Disk store: round trips, the self-checking entry header, packed
-polynomial entries, stat counters, one file per entry, and the catalog
-verdict on a warm store."""
+polynomial entries, stat counters, one file per entry, the catalog verdict
+on a warm store, and no stored word trace."""
 
 import hashlib
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceforge import genmat, glcat
-from traceforge.cache import CacheStore, digest_text, sha256
+from traceforge.cache import _LENGTH, CacheStore, digest_text, sha256
 from traceforge.glcat import Partition
 from traceforge.packedpoly import NVARS, NX, PackedPoly
 from traceforge.genmat import EvalCache
@@ -106,21 +106,27 @@ def _bad_entries(poly):
 @pytest.mark.parametrize(
     "damage", ["bad-magic", "truncated", "unsorted-keys", "int64-out-of-range"]
 )
-def test_damaged_word_trace_is_recomputed(tmp_path, damage):
+def test_a_damaged_generator_polynomial_is_recomputed(tmp_path, damage):
     store = CacheStore(tmp_path / "s")
-    good = genmat.word_trace_packed("xxyy", genmat.EvalCache(store))
-    # behind a valid header, so that the read reaches the decoder
-    store._write("wordtrace:xxyy", _bad_entries(good)[damage])
+    gens = glcat._gen_evals(EvalCache(store))
+    key = _gens_key(store)
+    good = store._path(key).read_bytes()
+    # one polynomial of the entry damaged, behind a valid header and valid
+    # lengths, so that the read reaches PackedPoly.from_bytes
+    parts = [p.to_bytes() for p in gens]
+    assert len(gens[3].keys) > 1 and gens[3].coeffs.dtype == np.int64
+    parts[3] = _bad_entries(gens[3])[damage]
+    store._write(key, b"".join(_LENGTH.pack(len(p)) + p for p in parts))
     store.stats.corrupt = 0
-    assert store.get_poly("wordtrace:xxyy") is None
+    assert store.get_polys(key, 30) is None
     assert store.stats.corrupt == 1
-    cache = genmat.EvalCache(store)
-    again = genmat.word_trace_packed("xxyy", cache)
-    assert cache.stats.word_evals == 1 and cache.stats.disk_hits == 0
-    assert store.stats.corrupt == 2
-    assert_same(again, good)
-    # the recomputed trace was written back over the damaged entry
-    assert_same(store.get_poly("wordtrace:xxyy"), good)
+    cache = EvalCache(store)
+    got = glcat._gen_evals(cache)
+    # composed again from word traces computed afresh
+    assert cache.stats.word_evals == 73 and store.stats.corrupt == 2
+    assert [p.to_bytes() for p in got] == [p.to_bytes() for p in gens]
+    # and written back over the damaged entry
+    assert store._path(key).read_bytes() == good
 
 
 def test_zero_coefficient_and_bad_den_are_rejected():
@@ -195,16 +201,17 @@ def _damaged_files(data):
 )
 def test_damaged_header_is_corrupt_and_rewritten(tmp_path, damage):
     store = CacheStore(tmp_path / "s")
-    good = genmat.word_trace_packed("xxyy", genmat.EvalCache(store))
-    path = store._path("wordtrace:xxyy")
-    path.write_bytes(_damaged_files(path.read_bytes())[damage])
-    cache = genmat.EvalCache(store)
-    again = genmat.word_trace_packed("xxyy", cache)
-    assert cache.stats.word_evals == 1 and cache.stats.disk_hits == 0
-    assert store.stats.corrupt == 1
-    assert_same(again, good)
-    assert_same(store.get_poly("wordtrace:xxyy"), good)
-    assert store.stats.corrupt == 1
+    gens = glcat._gen_evals(EvalCache(store))
+    key = _gens_key(store)
+    path = store._path(key)
+    good = path.read_bytes()
+    path.write_bytes(_damaged_files(good)[damage])
+    cache = EvalCache(store)
+    got = glcat._gen_evals(cache)
+    assert cache.stats.word_evals == 73 and store.stats.corrupt == 1
+    assert [p.to_bytes() for p in got] == [p.to_bytes() for p in gens]
+    assert path.read_bytes() == good
+    assert store.get_polys(key, 30) is not None and store.stats.corrupt == 1
 
 
 def test_unparseable_poly_counts_corrupt(tmp_path):
@@ -266,6 +273,18 @@ def _gens_key(store) -> str:
     return f"gens:v1:{glcat.catalog_digest()}"
 
 
+def test_the_catalog_stores_its_generators_and_verdict_and_no_word_trace(tmp_path):
+    # the 73 word traces of a certification stay on the cache
+    store = CacheStore(tmp_path / "s")
+    cache = EvalCache(store)
+    glcat.catalog(cache)
+    assert cache.stats.word_evals == 73 and len(cache._words) == 73
+    keys = (_gens_key(store), f"catalog-cert:{glcat.catalog_digest()}")
+    assert store.stats.writes == 2
+    assert sorted(store.root.iterdir()) == sorted(store._path(k) for k in keys)
+    assert not store._path("wordtrace:xx").exists()
+
+
 def test_the_generators_are_read_back_as_one_entry(tmp_path):
     # the first cache composes the 30 generators from word traces and writes
     # them as one entry; a fresh cache over the store reads that entry, and
@@ -309,13 +328,13 @@ def test_a_damaged_generator_entry_is_composed_again_and_rewritten(tmp_path, dam
     cache = EvalCache(store)
     got = glcat._gen_evals(cache)
     assert store.stats.corrupt == 1
-    # composed again from the stored word traces, and the entry rewritten
-    assert cache.stats.word_evals == 0 and cache.stats.disk_hits > 0
+    # composed again from word traces computed afresh, and the entry rewritten
+    assert cache.stats.word_evals == 73
     assert [p.to_bytes() for p in got] == [p.to_bytes() for p in gens]
     assert path.read_bytes() == data
     third = EvalCache(store)
     glcat._gen_evals(third)
-    assert third.stats.disk_hits == 0 and store.stats.corrupt == 1
+    assert third.stats.word_evals == 0 and store.stats.corrupt == 1
 
 
 def test_a_generator_entry_of_another_catalog_misses(tmp_path, monkeypatch):
@@ -329,6 +348,6 @@ def test_a_generator_entry_of_another_catalog_misses(tmp_path, monkeypatch):
     store._path(key).unlink()
     cache = EvalCache(store)
     got = glcat._gen_evals(cache)
-    assert cache.stats.disk_hits > 0
+    assert cache.stats.word_evals == 73
     assert [p.to_bytes() for p in got] == [p.to_bytes() for p in gens]
     assert store._path(key).exists() and store.stats.corrupt == 0

@@ -155,6 +155,9 @@ def grammar_flags(grammar: str) -> list[str]:
         ("--phi", "u13_0", "bad phi file"),
         ("--trace", "tr(xy", "bad trace file"),
         ("--trace", "tr(x) - tr(y)", "bad trace file"),
+        # "²" is a digit to str.isdigit(), but int() does not read it
+        ("--phi", "²*t4^2", "bad phi file"),
+        ("--trace", "²*tr(xx)", "bad trace file"),
     ],
 )
 def test_verify_malformed_file_is_a_one_line_error(tmp_path, grammar, text, message):

@@ -211,12 +211,12 @@ def test_scaled_word_traces_fail_certification():
         _certify(_build_modules(), cache)
 
 
-def test_a_store_is_certified_on_its_own_word_traces(tmp_path):
-    # a clean cache certifies first, in this process; then a store that
-    # holds every catalog word trace, tr(xx) times 3, and no verdict: the
-    # catalog is certified on that store's traces, fails, and writes nothing
+def test_word_traces_in_a_store_are_never_read(tmp_path):
+    # a store that holds every catalog word trace, tr(xx) times 3, under the
+    # keys that earlier versions wrote, and no verdict: the catalog is
+    # certified on traces the cache computes, passes, and stores the
+    # generators that a clean cache composes
     from traceforge.cache import CacheStore
-    from traceforge.glcat import CatalogCertificationError
 
     clean = EvalCache()
     catalog(clean)
@@ -224,13 +224,16 @@ def test_a_store_is_certified_on_its_own_word_traces(tmp_path):
     store = CacheStore(tmp_path / "s")
     for w, poly in clean._words.items():
         store.put_poly(f"wordtrace:{w}", poly.scale(3) if w == "xx" else poly)
-    writes = store.stats.writes
+    store.stats.misses = 0
     cache = EvalCache(store)
-    with pytest.raises(CatalogCertificationError):
-        catalog(cache)
-    assert cache.stats.word_evals == 0 and cache.stats.disk_hits == 73
-    assert store.stats.writes == writes
-    assert not store._path(f"catalog-cert:{catalog_digest()}").exists()
+    catalog(cache)
+    assert cache.stats.word_evals == 73 and cache.stats.disk_hits == 0
+    # the one read is the verdict, a miss
+    assert (store.stats.hits, store.stats.misses) == (0, 1)
+    want = [p.to_bytes() for p in clean._gens]
+    assert [p.to_bytes() for p in cache._gens] == want
+    assert [p.to_bytes() for p in store.get_polys(f"gens:v1:{catalog_digest()}", 30)] == want
+    assert store._path(f"catalog-cert:{catalog_digest()}").exists()
 
 
 def test_a_wrong_ladder_constant_fails_before_any_evaluation():

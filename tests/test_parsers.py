@@ -107,6 +107,13 @@ MALFORMED = [
     (parse_trace, TraceParseError, "2/ tr(xy)", "expected integer", 3),
     (parse_trace, TraceParseError, "tr(x^)", "expected integer", 5),
     (parse_trace, TraceParseError, "tr(xy))", "trailing input", 6),
+    # "²" is a digit to str.isdigit() that int() does not read
+    (parse_phi, PhiParseError, "²*u5_0", "expected a rational, a variable or '('", 0),
+    (parse_phi, PhiParseError, "3/²*u5_0", "expected integer", 2),
+    (parse_phi, PhiParseError, "t4^²", "expected integer", 3),
+    (parse_trace, TraceParseError, "²*tr(xx)", "expected a trace factor", 0),
+    (parse_trace, TraceParseError, "3/²*tr(xx)", "expected integer", 2),
+    (parse_trace, TraceParseError, "tr(xx)^²", "expected integer", 7),
 ]
 
 
