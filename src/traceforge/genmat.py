@@ -243,18 +243,21 @@ def trace_expr_values(
 ) -> np.ndarray | None:
     """The values mod p of trace expressions at the points: one row per
     expression, one column per point.  None when p divides the denominator
-    of a coefficient, where an expression has no value mod p."""
+    of an expression, the lcm of its coefficients' denominators, so exactly
+    when the prime p divides the denominator of a coefficient, where an
+    expression has no value mod p."""
     exprs = list(exprs)
     monos: dict[TraceMonomial, int] = {}
     for e in exprs:
-        for mono in e.terms:
+        for mono in e.nums:
             monos.setdefault(mono, len(monos))
     coeffs = np.zeros((len(exprs), len(monos)), dtype=np.int64)
     for i, e in enumerate(exprs):
-        for mono, c in e.terms.items():
-            if c.denominator % p == 0:
-                return None
-            coeffs[i, monos[mono]] = c.numerator * pow(c.denominator, -1, p) % p
+        if e.den % p == 0:
+            return None
+        inverse = pow(e.den, -1, p)
+        for mono, v in e.nums.items():
+            coeffs[i, monos[mono]] = v * inverse % p
     words = word_values((w for mono in monos for w in mono), points, p)
     values = np.ones((len(monos), len(points)), dtype=np.int64)
     for row, mono in zip(values, monos):

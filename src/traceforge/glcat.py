@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm
-from types import MappingProxyType
+from math import gcd
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import genmat
 from .cache import digest_text
 from ._lazy import np
 from .packedpoly import NVARS, PackedPoly, SumTable, content
-from .polyring import Rational
+from .polyring import LinComb, Rational, add_nums, combination
 from .tracelang import (
     NcPoly,
     NotHomogeneous,
@@ -155,7 +154,7 @@ def _compose_gens(mods: tuple[GeneratorModule, ...], cache: genmat.EvalCache) ->
     """Evaluations of the 30 generators of mods, in ABS_GENS order, from the
     word traces of the cache, which computes the ones it lacks in one pass."""
     genmat.word_traces_packed(
-        (w for mod in mods for e in mod.basis for mono in e.terms for w in mono), cache
+        (w for mod in mods for e in mod.basis for mono in e.nums for w in mono), cache
     )
     return [genmat.eval_trace_expr_packed(e, cache) for mod in mods for e in mod.basis]
 
@@ -289,18 +288,13 @@ def mono_name(mono: AbsMonomial) -> str:
     return "*".join(parts)
 
 
-class AbsPoly:
-    """A polynomial in the abstract generators u_{i,j}: nums[m] / den is the
-    coefficient of the monomial m.
-
-    Every coefficient is an integer numerator over one common denominator,
-    with the invariants PackedPoly keeps: no zero numerator, den > 0 and
-    gcd(content, den) = 1, so that equal polynomials have equal nums and
-    den.  Arithmetic runs on Python ints; terms is a read-only view of the
-    coefficients as Fractions.  The constructor, the path of outside input,
+class AbsPoly(LinComb):
+    """A polynomial in the abstract generators u_{i,j}: a LinComb whose
+    monomials are sorted tuples of generator ids, so that nums[m] / den is
+    the coefficient of m.  The constructor, the path of outside input,
     rejects a bad generator id or an unsorted monomial."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(
         self, terms: Mapping[AbsMonomial, Rational | int] | None = None, den: int = 1
@@ -308,29 +302,18 @@ class AbsPoly:
         """sum terms[m] / den * m over the monomials m of terms."""
         if den <= 0:
             raise ValueError(f"denominator {den} is not positive")
-        coeffs: dict[AbsMonomial, Rational | int] = {}
-        for m, c in (terms or {}).items():
-            if any(g < 0 or g >= NGENS for g in m):
-                raise ValueError(f"bad generator id in monomial {m}")
-            if tuple(sorted(m)) != tuple(m):
-                raise ValueError(f"monomial {m} is not sorted")
-            if c:
-                coeffs[m] = c if isinstance(c, (int, Fraction)) else Fraction(c)
-        common = lcm(1, *(c.denominator for c in coeffs.values()))
-        nums = {m: c.numerator * (common // c.denominator) for m, c in coeffs.items()}
-        self.nums, self.den = _reduced(nums, den * common)
+        self._fill(terms, den)
 
-    @classmethod
-    def _of(cls, nums: dict[AbsMonomial, int], den: int) -> "AbsPoly":
-        """nums / den, whose numerators are nonzero and whose monomials are
-        valid and sorted; it takes nums over and reduces it."""
-        out = object.__new__(cls)
-        out.nums, out.den = _reduced(nums, den)
-        return out
+    def _check_monomial(self, m: AbsMonomial) -> None:
+        if any(g < 0 or g >= NGENS for g in m):
+            raise ValueError(f"bad generator id in monomial {m}")
+        if tuple(sorted(m)) != tuple(m):
+            raise ValueError(f"monomial {m} is not sorted")
 
-    @classmethod
-    def zero(cls) -> "AbsPoly":
-        return cls()
+    @staticmethod
+    def mono_mul(a: AbsMonomial, b: AbsMonomial) -> AbsMonomial:
+        # sorting the concatenation of two sorted runs merges them
+        return tuple(sorted(a + b))
 
     @classmethod
     def gen(cls, module: int, j: int) -> "AbsPoly":
@@ -339,56 +322,6 @@ class AbsPoly:
     @classmethod
     def monomial(cls, mono: Iterable[int], c: Rational | int = 1) -> "AbsPoly":
         return cls({tuple(sorted(mono)): c})
-
-    @property
-    def terms(self) -> Mapping[AbsMonomial, Fraction]:
-        """The coefficients as Fractions, by monomial (a read-only copy)."""
-        return MappingProxyType({m: Fraction(v, self.den) for m, v in self.nums.items()})
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AbsPoly):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __neg__(self) -> "AbsPoly":
-        return AbsPoly._of({m: -v for m, v in self.nums.items()}, self.den)
-
-    def __add__(self, other: "AbsPoly") -> "AbsPoly":
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        acc = dict(self.nums) if fa == 1 else {m: v * fa for m, v in self.nums.items()}
-        for m, v in other.nums.items():
-            s = acc.get(m, 0) + v * fb
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
-        return AbsPoly._of(acc, den)
-
-    def __sub__(self, other: "AbsPoly") -> "AbsPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "AbsPoly") -> "AbsPoly":
-        acc: dict[AbsMonomial, int] = {}
-        for ma, ca in self.nums.items():
-            for mb, cb in other.nums.items():
-                m = tuple(sorted(ma + mb))
-                s = acc.get(m, 0) + ca * cb
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-        return AbsPoly._of(acc, self.den * other.den)
-
-    def scale(self, c: Rational | int) -> "AbsPoly":
-        """c times self, for an int or Fraction c."""
-        if not c:
-            return AbsPoly()
-        n = c.numerator
-        return AbsPoly._of({m: v * n for m, v in self.nums.items()}, self.den * c.denominator)
 
     def bidegree(self) -> tuple[int, int]:
         deg: tuple[int, int] | None = None
@@ -415,21 +348,6 @@ class AbsPoly:
             g = gcd(v, self.den)
             out.append((m, f"{v // g}/{self.den // g}"))
         return out
-
-    def __repr__(self) -> str:
-        return f"AbsPoly({len(self.nums)} terms)"
-
-
-def _reduced(nums: dict[AbsMonomial, int], den: int) -> tuple[dict[AbsMonomial, int], int]:
-    """nums and den divided by gcd(content, den); den 1 for zero."""
-    if not nums:
-        return nums, 1
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {m: v // g for m, v in nums.items()}
-            den //= g
-    return nums, den
 
 
 def _mono_exps(mono: AbsMonomial) -> tuple[int, ...]:
@@ -460,26 +378,23 @@ def _derivation(p: AbsPoly, factor: tuple[int, ...], step: int) -> AbsPoly:
     A monomial is sorted, so replacing the first of a run of g by g - 1, or
     the last by g + 1, keeps it sorted; each run counts once, times its
     length."""
-    acc: dict[AbsMonomial, int] = {}
-    for mono, c in p.nums.items():
-        n = len(mono)
-        start = 0
-        while start < n:
-            gid = mono[start]
-            end = start + 1
-            while end < n and mono[end] == gid:
-                end += 1
-            f = factor[gid]
-            if f:
-                at = start if step < 0 else end - 1
-                m2 = mono[:at] + (gid + step,) + mono[at + 1 :]
-                s = acc.get(m2, 0) + c * f * (end - start)
-                if s:
-                    acc[m2] = s
-                else:
-                    del acc[m2]
-            start = end
-    return AbsPoly._of(acc, p.den)
+
+    def pairs():
+        for mono, c in p.nums.items():
+            n = len(mono)
+            start = 0
+            while start < n:
+                gid = mono[start]
+                end = start + 1
+                while end < n and mono[end] == gid:
+                    end += 1
+                f = factor[gid]
+                if f:
+                    at = start if step < 0 else end - 1
+                    yield mono[:at] + (gid + step,) + mono[at + 1 :], c * f * (end - start)
+                start = end
+
+    return AbsPoly._of(add_nums({}, pairs()), p.den)
 
 
 def abs_delta(p: AbsPoly) -> AbsPoly:
@@ -495,7 +410,7 @@ def abs_delta1(p: AbsPoly) -> AbsPoly:
 def phi_monomial(mono: AbsMonomial) -> TraceExpr:
     """phi of one generator monomial."""
     mods = _definition()[0]
-    out = TraceExpr.constant(Fraction(1))
+    out = TraceExpr.constant(1)
     for gid in mono:
         g = ABS_GENS[gid]
         out = out * mods[g.module - 1].basis[g.j]
@@ -505,10 +420,8 @@ def phi_monomial(mono: AbsMonomial) -> TraceExpr:
 def phi(p: AbsPoly) -> TraceExpr:
     """The substitution u_{i,j} -> e_j of module i, extended multiplicatively.
     It rewrites trace expressions and evaluates nothing."""
-    out = TraceExpr.zero()
-    for mono, c in p.terms.items():
-        out = out + phi_monomial(mono).scale(c)
-    return out
+    nums, den = combination((v, phi_monomial(m)) for m, v in p.nums.items())
+    return TraceExpr._of(nums, den * p.den)
 
 
 def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:

@@ -24,7 +24,7 @@ offending monomial, so partially specified generators cannot slip through.
 from __future__ import annotations
 
 from .glcat import ABS_GENS, PARTS, AbsPoly, gen_by_modj
-from .polyring import LinComb, add_terms
+from .polyring import LinComb, add_nums
 from .tracelang import _Scanner
 
 # A symbol is ("t", i), ("x", i), ("y", i) or ("z", i, p, q).
@@ -204,10 +204,10 @@ def parse_phi(text: str) -> AbsPoly:
     expansion = _Parser(text).parse()
     # several symbol monomials can name one generator monomial
     pairs = (
-        (_monomial_to_abs(sym_mono, _render_sym_mono(sym_mono)), c)
-        for sym_mono, c in expansion.terms.items()
+        (_monomial_to_abs(sym_mono, _render_sym_mono(sym_mono)), v)
+        for sym_mono, v in expansion.nums.items()
     )
-    return AbsPoly(add_terms({}, pairs))
+    return AbsPoly._of(add_nums({}, pairs), expansion.den)
 
 
 def format_phi(p: AbsPoly) -> str:

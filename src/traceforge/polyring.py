@@ -1,12 +1,15 @@
 """Exact sparse rational linear combinations, and the commutative
 polynomials built on them.
 
-LinComb is a finite Q-linear combination of monomials, kept as a dict from
-monomial to nonzero Rational coefficient; zero coefficients are never
-stored.  Its add, negate, scale, multiply and power are shared by every
-symbolic object: CommPoly here, NcPoly and TraceExpr in tracelang, and the
-phi parser's symbol expansion.  A subclass supplies only its monomial
-product, its unit monomial and its check on the monomials it accepts.
+LinComb is a finite Q-linear combination of monomials: nums maps each
+monomial to a nonzero int numerator over one common denominator den, with
+den > 0 and gcd(content, den) = 1, so that equal combinations have equal
+nums and den.  Its arithmetic runs on Python ints, and terms is a read-only
+view of the coefficients as Fractions.  The add, negate, scale, multiply and
+power are shared by every symbolic object: CommPoly here, NcPoly and
+TraceExpr in tracelang, the phi parser's symbol expansion and
+glcat.AbsPoly.  A subclass supplies only its monomial product, its unit
+monomial and its check on the monomials it accepts.
 
 CommPoly is a commutative polynomial over a fixed VarSet, with exponent
 tuples as monomials; a canonical graded-lex text form is defined for
@@ -16,6 +19,8 @@ serialization and caching.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
 Rational = Fraction
@@ -24,38 +29,75 @@ Rational = Fraction
 Monomial = tuple[int, ...]
 
 
-def add_terms(acc: dict, pairs: Iterable[tuple[Hashable, Rational]]) -> dict:
-    """Add each (monomial, coefficient) pair into acc and return acc.  A
-    monomial whose coefficients sum to zero is dropped; a monomial's first
-    coefficient is stored as it is.  Updated monomials keep their place."""
-    for m, c in pairs:
-        if m in acc:
-            c = acc[m] + c
-            if not c:
-                del acc[m]
-                continue
-        if c:
-            acc[m] = c
+def _exact(c) -> int | Fraction:
+    """c as an int or a Fraction.  Anything else is converted by Fraction,
+    exactly: 0.1 becomes 3602879701896397/36028797018963968, and what is no
+    number raises TypeError or ValueError."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
+def add_nums(acc: dict, pairs: Iterable[tuple[Hashable, int]]) -> dict:
+    """Add each (monomial, nonzero int) pair into acc, whose ints are
+    numerators over one denominator, and return acc.  A monomial whose
+    numerators sum to zero is dropped."""
+    for m, v in pairs:
+        s = acc.get(m, 0) + v
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
     return acc
 
 
-class LinComb:
-    """A finite Q-linear combination of monomials.
+def combination(items: Iterable[tuple[int | Fraction, "LinComb"]]) -> tuple[dict, int]:
+    """(nums, den) of the sum of c * p over the (c, p) of items, each c an
+    int or a Fraction: den is the lcm of the denominators of the c * p, and
+    the result is not yet reduced (see LinComb._of)."""
+    items = [(c, p) for c, p in items if c and p.nums]
+    den = lcm(1, *(c.denominator * p.den for c, p in items))
+    acc: dict = {}
+    for c, p in items:
+        f = c.numerator * (den // (c.denominator * p.den))
+        add_nums(acc, ((m, v * f) for m, v in p.nums.items()))
+    return acc, den
 
-    terms maps monomials to nonzero Rational coefficients.  Objects are
-    mutable, so unhashable, and equal only to objects of the same class with
-    the same terms.
+
+class LinComb:
+    """A finite Q-linear combination of monomials: nums[m] / den is the
+    coefficient of the monomial m (see the module docstring for the
+    invariants).  Objects are mutable, so unhashable, and equal only to
+    objects of the same class with the same nums and den.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, terms: Mapping[Hashable, Rational] | None = None):
-        self.terms: dict = {}
-        if terms:
-            for m, c in terms.items():
-                self._check_monomial(m)
-                if c:
-                    self.terms[m] = Fraction(c)
+    def __init__(self, terms: Mapping[Hashable, Rational | int] | None = None):
+        """sum terms[m] * m over the monomials m of terms."""
+        self._fill(terms, 1)
+
+    def _fill(self, terms: Mapping[Hashable, Rational | int] | None, den: int) -> None:
+        """Make self sum terms[m] / den * m, checking each monomial and making
+        each coefficient exact as _exact() does."""
+        coeffs = {}
+        for m, c in (terms or {}).items():
+            self._check_monomial(m)
+            if c:
+                coeffs[m] = _exact(c)
+        common = lcm(1, *(c.denominator for c in coeffs.values()))
+        nums = {m: c.numerator * (common // c.denominator) for m, c in coeffs.items()}
+        self.nums, self.den = _reduced(nums, den * common)
+
+    @classmethod
+    def _of(cls, nums: dict, den: int):
+        """nums / den, whose numerators are nonzero ints and whose monomials
+        are valid; it takes nums over and reduces it."""
+        out = object.__new__(cls)
+        out.nums, out.den = _reduced(nums, den)
+        return out
+
+    def _like(self, nums: dict, den: int):
+        """_of for self's class; CommPoly also copies its VarSet here."""
+        return self._of(nums, den)
 
     def _check_monomial(self, m: Hashable) -> None:
         """Raise ValueError for a monomial this class does not accept."""
@@ -68,58 +110,70 @@ class LinComb:
         """The monomial of the constant 1."""
         return ()
 
-    def _like(self, terms: dict):
-        """An object of this class, and of self's VarSet, holding terms."""
-        out = object.__new__(self.__class__)
-        out.terms = terms
-        return out
-
     @classmethod
     def zero(cls):
         return cls()
 
+    @property
+    def terms(self) -> Mapping:
+        """The coefficients as Fractions, by monomial (a read-only copy)."""
+        den = self.den
+        return MappingProxyType({m: Fraction(v, den) for m, v in self.nums.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __neg__(self):
-        return self._like({m: -c for m, c in self.terms.items()})
+        return self._like(*combination(((-1, self),)))
 
     def __add__(self, other):
-        return self._like(add_terms(dict(self.terms), other.terms.items()))
+        return self._like(*combination(((1, self), (1, other))))
 
     def __sub__(self, other):
+        # through +, so that CommPoly's VarSet check applies
         return self + (-other)
 
-    def scale(self, c: Rational):
-        if not c:
-            return self._like({})
-        return self._like({m: v * c for m, v in self.terms.items()})
+    def scale(self, c: Rational | int):
+        """c times self; c is made exact as _exact() does."""
+        return self._like(*combination(((_exact(c), self),)))
 
     def __mul__(self, other):
         mul = self.mono_mul
         pairs = (
             (mul(ma, mb), ca * cb)
-            for ma, ca in self.terms.items()
-            for mb, cb in other.terms.items()
+            for ma, ca in self.nums.items()
+            for mb, cb in other.nums.items()
         )
-        return self._like(add_terms({}, pairs))
+        return self._like(add_nums({}, pairs), self.den * other.den)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = self._like({self._unit(): Fraction(1)})
+        out = self._like({self._unit(): 1}, 1)
         for _ in range(n):
             out = out * self
         return out
 
     def __repr__(self) -> str:
-        n = len(self.terms)
+        n = len(self.nums)
         return f"{self.__class__.__name__}({n} term{'s' if n != 1 else ''})"
+
+
+def _reduced(nums: dict, den: int) -> tuple[dict, int]:
+    """nums and den divided by gcd(content, den); den 1 for zero."""
+    if not nums:
+        return nums, 1
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: v // g for m, v in nums.items()}
+            den //= g
+    return nums, den
 
 
 class VarSet:
@@ -186,8 +240,8 @@ class CommPoly(LinComb):
     def _unit(self) -> Monomial:
         return (0,) * len(self.varset)
 
-    def _like(self, terms: dict) -> "CommPoly":
-        out = super()._like(terms)
+    def _like(self, nums: dict, den: int) -> "CommPoly":
+        out = super()._like(nums, den)
         out.varset = self.varset
         return out
 
@@ -207,27 +261,27 @@ class CommPoly(LinComb):
     def variable(cls, varset: VarSet, name: str) -> "CommPoly":
         i = varset.index(name)
         m = tuple(1 if j == i else 0 for j in range(len(varset)))
-        return cls(varset, {m: Fraction(1)})
+        return cls(varset, {m: 1})
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.nums)
 
     def coeff(self, m: Monomial) -> Rational:
-        return self.terms.get(m, Fraction(0))
+        return Fraction(self.nums.get(m, 0), self.den)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not CommPoly:
             return NotImplemented
-        return self.varset == other.varset and self.terms == other.terms
+        return self.varset == other.varset and super().__eq__(other)
 
     def __add__(self, other: "CommPoly") -> "CommPoly":
         self._same_varset(other)
@@ -242,7 +296,7 @@ class CommPoly(LinComb):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def __repr__(self) -> str:
-        n = len(self.terms)
+        n = len(self.nums)
         return f"CommPoly({n} term{'s' if n != 1 else ''}, {len(self.varset)} vars)"
 
 
@@ -269,6 +323,8 @@ def poly_from_text(varset: VarSet, text: str) -> CommPoly:
         num, _, den = parts[0].partition("/")
         if not den:
             raise ValueError(f"line {lineno}: coefficient must be num/den")
+        if int(den) == 0:
+            raise ValueError(f"line {lineno}: zero denominator")
         c = Fraction(int(num), int(den))
         m = tuple(int(e) for e in parts[1:])
         if any(e < 0 for e in m):

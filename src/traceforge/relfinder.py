@@ -64,7 +64,7 @@ from .packedpoly import (
     distinct_keys,
     sum_scaled,
 )
-from .polyring import CommPoly, poly_to_text
+from .polyring import CommPoly, combination, poly_to_text
 from .tracelang import NotHomogeneous, TraceExpr, format_trace_expr
 
 LAMBDAS_BY_DEGREE: dict[int, tuple[Partition, ...]] = {
@@ -355,18 +355,7 @@ def _place_group(cols: _Columns, grp: ProductGroup, cache: genmat.EvalCache) -> 
 def _relation_vector(zeta: Sequence[Fraction | int], vectors: Sequence[AbsPoly]) -> AbsPoly:
     """The combination sum_i zeta_i * vectors_i, summed over one common
     denominator."""
-    pairs = [(z, v) for z, v in zip(zeta, vectors) if z]
-    den = lcm(1, *(z.denominator * v.den for z, v in pairs))
-    acc: dict[AbsMonomial, int] = {}
-    for z, v in pairs:
-        f = z.numerator * (den // (z.denominator * v.den))
-        for m, c in v.nums.items():
-            s = acc.get(m, 0) + c * f
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
-    return AbsPoly._of(acc, den)
+    return AbsPoly._of(*combination(zip(zeta, vectors)))
 
 
 def _are_highest_weight_vectors(lam: Partition, vectors: Iterable[AbsPoly]) -> bool:
@@ -651,7 +640,7 @@ class ZeroReport(NamedTuple):
         )
         return cls(
             residual.is_zero(),
-            len(residual.terms),
+            len(residual.nums),
             sample,
             digest_text(poly_to_text(residual)),
         )

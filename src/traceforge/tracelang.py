@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polyring import LinComb, Rational, add_terms
+from .polyring import LinComb, Rational, add_nums
 
 Word = str
 
@@ -64,7 +64,7 @@ class NcPoly(LinComb):
 
     @classmethod
     def word(cls, w: Word) -> "NcPoly":
-        return cls({w: Fraction(1)})
+        return cls({w: 1})
 
 
 X = NcPoly.word("x")
@@ -108,16 +108,14 @@ def trace_of(p: NcPoly) -> TraceExpr:
     """
 
     def pairs():
-        for w, c in p.terms.items():
+        for w, v in p.nums.items():
             if len(w) < 2:
                 raise TracelessViolation(
                     f"trace of word {w!r} is not representable in the monomial alphabet"
                 )
-            yield (cyclic_normalize(w),), c
+            yield (cyclic_normalize(w),), v
 
-    out = TraceExpr()
-    add_terms(out.terms, pairs())
-    return out
+    return TraceExpr._of(add_nums({}, pairs()), p.den)
 
 
 def _word_derivation(w: Word, src: str, dst: str) -> list[Word]:
@@ -127,15 +125,13 @@ def _word_derivation(w: Word, src: str, dst: str) -> list[Word]:
 
 def _te_derivation(e: TraceExpr, src: str, dst: str) -> TraceExpr:
     def pairs():
-        for mono, c in e.terms.items():
+        for mono, v in e.nums.items():
             for i, w in enumerate(mono):
                 rest = mono[:i] + mono[i + 1 :]
                 for w2 in _word_derivation(w, src, dst):
-                    yield TraceExpr.mono_mul(rest, (cyclic_normalize(w2),)), c
+                    yield TraceExpr.mono_mul(rest, (cyclic_normalize(w2),)), v
 
-    out = TraceExpr()
-    add_terms(out.terms, pairs())
-    return out
+    return TraceExpr._of(add_nums({}, pairs()), e.den)
 
 
 def delta(e: TraceExpr) -> TraceExpr:
@@ -155,7 +151,7 @@ def bidegree(e: TraceExpr) -> tuple[int, int]:
     the constant expression have bidegree (0, 0).
     """
     deg: tuple[int, int] | None = None
-    for mono in e.terms:
+    for mono in e.nums:
         p = sum(w.count("x") for w in mono)
         q = sum(w.count("y") for w in mono)
         if deg is None:

@@ -2,8 +2,8 @@
 
 abs_oracle keeps the Fraction implementation that glcat.AbsPoly replaced;
 every operation must give the same coefficients, the same canonical text
-and the same equalities, and the generator algebra must construct no
-Fraction on its own.
+and the same equalities.  The generator algebra, and the trace
+expressions that phi maps it to, must construct no Fraction on their own.
 """
 
 from fractions import Fraction
@@ -22,8 +22,10 @@ from traceforge.glcat import (
     abs_delta,
     abs_delta1,
     abs_poly_text,
+    phi,
 )
 from traceforge.hwv import hwv_basis, hwv_verify, raising_kernel, span_rank
+from traceforge.tracelang import X, Y, commutator, delta, delta1, trace_of
 
 monomials = st.lists(st.integers(0, NGENS - 1), max_size=4).map(lambda m: tuple(sorted(m)))
 coefficients = st.one_of(
@@ -98,12 +100,13 @@ def test_a_stored_coefficient_must_read_n_over_d():
         relfinder._stored_poly([[[30], "1/1"]])
 
 
-def test_the_generator_algebra_constructs_no_fraction(monkeypatch):
+def test_the_generator_algebra_constructs_no_fraction(monkeypatch, session_cache):
     # abs_delta, abs_delta1, the arithmetic, the highest-weight checks, the
     # integer rows of span_rank and the kernel of the raising map run on
-    # Python ints
+    # Python ints; so do NcPoly products, trace_of, delta, delta1 and phi
     lam = Partition(7, 5)
     basis = hwv_basis(lam)
+    relvectors = relfinder.relation_space(lam, cache=session_cache).relvectors
     a, b = basis.vectors[:2]
     third = Fraction(1, 3)
     made = [0]
@@ -122,6 +125,11 @@ def test_the_generator_algebra_constructs_no_fraction(monkeypatch):
     assert span_rank(basis.vectors) == basis.s
     kernel = raising_kernel([AbsPoly.monomial(m) for m in basis.monomials])
     assert len(kernel) == basis.s
+    word = commutator(X, Y) ** 2 * X - (X * Y).scale(third)
+    e = trace_of(word**2)
+    (delta(e), delta1(e))
+    images = [phi(v) for v in relvectors]
     assert made[0] == 0
+    assert not any(image.is_zero() for image in images)
     dict(a.terms)
     assert made[0] == len(a.nums)  # the Fraction view does construct them

@@ -1,13 +1,16 @@
 """Exact polynomial arithmetic, and the truncated bivariate series oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lincomb_oracle as oracle
+from traceforge.glcat import AbsPoly
 from traceforge.polyring import CommPoly, VarSet, poly_from_text, poly_to_text
-from traceforge.tracelang import NcPoly, TraceExpr
+from traceforge.tracelang import NcPoly, TraceExpr, parse_trace
 from series_oracle import BiSeries, series_inv_geom, series_mul
 
 VS = VarSet(("a", "b", "c"))
@@ -56,6 +59,8 @@ def test_text_rejects_malformed():
         poly_from_text(VS, "1/2 1 0 0\n1/3 1 0 0")  # duplicate monomial
     with pytest.raises(ValueError):
         poly_from_text(VS, "1/2 -1 0 0")  # negative exponent
+    with pytest.raises(ValueError, match="line 2: zero denominator"):
+        poly_from_text(VS, "1/2 0 0 0\n1/0 1 0 0")
 
 
 def test_mixing_two_varsets_raises():
@@ -107,6 +112,61 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert (p * q) * r == p * (q * r)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [mk(((1, 0, 0), 3), ((0, 0, 0), Fraction(-1, 7))), parse_trace("tr(xy)"), AbsPoly({(0,): 1})],
+    ids=["CommPoly", "TraceExpr", "AbsPoly"],
+)
+def test_scale_converts_a_float_exactly_and_rejects_a_non_number(p):
+    for c in (0.5, 0.1, -3.0):
+        q = p.scale(c)
+        assert q == p.scale(Fraction(c))
+        assert dict(q.terms) == {m: v * Fraction(c) for m, v in p.terms.items()}
+        assert all(type(v) is Fraction for v in q.terms.values())
+    for bad in (None, object()):
+        with pytest.raises(TypeError):
+            p.scale(bad)
+
+
+term_maps = st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in range(3))),
+    st.one_of(
+        st.fractions(min_value=-40, max_value=40, max_denominator=12),
+        st.integers(-(1 << 70), 1 << 70),
+    ),
+    max_size=6,
+)
+factors = st.one_of(
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    st.integers(-(1 << 70), 1 << 70),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+def assert_same(p: CommPoly, q: oracle.Poly) -> None:
+    """p equals the oracle's q, and keeps the invariants of LinComb."""
+    assert dict(p.terms) == q
+    assert p.den > 0 and all(p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1 if p.nums else p.den == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps, term_maps, factors, st.integers(0, 3))
+def test_the_shared_arithmetic_agrees_with_the_fraction_oracle(ta, tb, c, n):
+    a, b = CommPoly(VS, ta), CommPoly(VS, tb)
+    fa, fb = oracle.poly(ta), oracle.poly(tb)
+    assert_same(a, fa)
+    assert_same(b, fb)
+    assert_same(a + b, oracle.add(fa, fb))
+    assert_same(a - b, oracle.sub(fa, fb))
+    assert_same(-a, oracle.neg(fa))
+    assert_same(a * b, oracle.mul(fa, fb))
+    assert_same(a.scale(c), oracle.scale(fa, c))
+    assert_same(a**n, oracle.power(fa, n, len(VS)))
+    assert (a == b) == (fa == fb)
+    assert a - a == mk() and (a + b) - b == a
 
 
 def test_series_inverse_of_geometric_factor():
