@@ -5,17 +5,14 @@
 # since pass 1 must start cold).
 # The first pass must multiply no word traces (each highest weight basis is
 # checked exactly by abs_delta, whose evaluated side the catalog certificate
-# proves; the relation space of the weight is found from values at points
-# mod p, and its relation vectors are proven zero by assembling their
-# matrix on the slice y11 = 0 from generator-monomial products) and must
-# evaluate each of
+# proves; the relation space of the weight is found from values at integer
+# points mod p, and proven by the count m - c0 from the characters of the
+# symmetric group and by the values of its relation vectors at the points)
+# and must evaluate each of
 # the 73 catalog words exactly once: the script fails unless it reports zero
-# trace-monomial products and 73 word evaluations.  It must also compute the
-# generator-monomial products that its proofs need, none of which outlives
-# the proof that made it: in each proof, each prefix of a leaf (the product
-# of all but the last generator of a leaf, and its shorter prefixes) once,
-# and the leaves that end in one generator combined per column where that
-# needs fewer products: the script fails unless it reports 932 of them.  It must
+# trace-monomial products and 73 word evaluations.  Its proofs make no
+# generator-monomial product, and the bundled files it checks are members of
+# the spaces it holds: the script fails unless it reports 0 of them.  It must
 # store answers only, and no word trace: the catalog verdict, the 30 generator
 # evaluations as one entry, the seven relation spaces, the certificates of
 # their 16 relation vectors and the verdicts of the three bundled files, so
@@ -56,9 +53,9 @@
 # one of them loads any of the three; what the interpreter's site hooks
 # import does not count.
 # Then a cold `relations --lambda 9,5` in a fresh cache dir, which proves
-# its relation vectors by assembling them in a process that has run nothing
-# else, must find r = 2 and the zeta that the first pass stored for (9,5):
-# the script fails otherwise.
+# its relation vectors by the count and the points in a process that has
+# run nothing else, must find r = 2 and the zeta that the first pass stored
+# for (9,5): the script fails otherwise.
 # Then a cold `relations --lambda 7,5` in another fresh cache dir, a second
 # weight solved and proven from nothing, must find r = 1 and the zeta that
 # the first pass stored for (7,5): the script fails otherwise.  The modular
@@ -127,8 +124,8 @@ if ! grep -Eq "(^| )word_evals=73( |$)" <<<"$stats"; then
     echo "FAIL: the cold pass did not evaluate each catalog word once (${stats:-no stats line})" >&2
     exit 1
 fi
-if ! grep -Eq "(^| )gen_products=932( |$)" <<<"$stats"; then
-    echo "FAIL: the cold pass did not make the 932 generator-monomial products (${stats:-no stats line})" >&2
+if ! grep -Eq "(^| )gen_products=0( |$)" <<<"$stats"; then
+    echo "FAIL: the cold pass made generator-monomial products (${stats:-no stats line})" >&2
     exit 1
 fi
 # answers only: a word trace written through to the store adds a write
@@ -259,7 +256,8 @@ numpy_free new --degree 12
 echo "warm mult, hwv, relations, verify, leading and new imported no numpy, dataclasses, inspect or _hashlib"
 
 # a cold relation space in a process of its own: the relation vectors are
-# proven by assembling them, and the answer is the one the first pass stored
+# proven by the count and the points, and the answer is the one the first
+# pass stored
 COLD="$TMP/cold"
 COLD75="$TMP/cold75"
 BIG="$TMP/big.phi"
@@ -276,7 +274,7 @@ sys.exit(not (stored["from_cache"] and not cold["from_cache"]
     echo "FAIL: a cold relations --lambda 9,5 did not find the zeta of the first pass" >&2
     exit 1
 fi
-echo "a cold relations --lambda 9,5 proved r=2 by assembly and found the zeta of the first pass"
+echo "a cold relations --lambda 9,5 proved r=2 by the count and the points and found the zeta of the first pass"
 
 # a second cold relation space, in a dir of its own, gives the answer the
 # first pass stored
@@ -293,7 +291,7 @@ sys.exit(not (stored["from_cache"] and not cold["from_cache"]
     echo "FAIL: a cold relations --lambda 7,5 did not find the zeta of the first pass" >&2
     exit 1
 fi
-echo "a cold relations --lambda 7,5 proved r=1 by assembly and found the zeta of the first pass"
+echo "a cold relations --lambda 7,5 proved r=1 by the count and the points and found the zeta of the first pass"
 
 # beyond the packed capacity, evaluation fails with a one-line error
 one_line_error() {

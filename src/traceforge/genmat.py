@@ -21,10 +21,11 @@ stored: a later process reads the 30 generator evaluations instead (see
 glcat._gen_evals).
 
 Trace expressions also have values at points mod a prime p: sample_points
-gives seeded residues for the 18 variables, word_values multiplies the
-numeric matrices x and y of every point, and trace_expr_values combines
-their traces.  None of this is counted as fresh work: it evaluates no
-polynomial.
+gives seeded small integers for the 18 variables, the same for every
+prime, word_values multiplies the numeric matrices x and y of every point
+mod p, and trace_expr_values combines their traces.  So the values mod p
+are the rational values at the integer points, reduced mod p.  None of
+this is counted as fresh work: it evaluates no polynomial.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ VARSET18 = VarSet(
 )
 
 assert len(VARSET18) == NVARS
-
-# the variable that relfinder._proven sets to zero: it assembles the
-# relation vectors on the slice y11 = 0
-Y11 = VARSET18.index("y11")
 
 GenericMatrix = tuple[tuple[CommPoly, ...], ...]
 
@@ -191,27 +188,33 @@ def _trace_times_letter(keys, coeffs, letter: str):
 
 # -- values at points mod p --------------------------------------------------
 #
-# A point gives each of the 18 variables a residue mod p, and so numeric
-# matrices x and y, built from _LETTER_ROWS like their generic forms.  The
-# residues stay below p < 2**25, so each entry of a product of two 4x4
-# matrices sums four products below 2**50 in int64.
+# A point gives each of the 18 variables an integer, and so numeric matrices
+# x and y, built from _LETTER_ROWS like their generic forms, whose entries
+# are reduced mod p.  The residues stay below p < 2**25, so each entry of a
+# product of two 4x4 matrices sums four products below 2**50 in int64.
+
+# the largest absolute value of a coordinate of sample_points
+POINT_BOUND = 3
 
 
-def sample_points(p: int, n: int) -> np.ndarray:
-    """The first n points of the prime p: an (n, 18) int64 array of
-    residues mod p, one column per variable of VARSET18.  Residue k is a
-    splitmix64-style hash of p * 2**32 + k, reduced mod p, so the first n
-    points are the same however many are drawn."""
-    z = np.arange(n * NVARS, dtype=np.uint64) + np.uint64(p << 32)
+def sample_points(n: int) -> np.ndarray:
+    """The first n points: an (n, 18) int64 array of integers in
+    [-POINT_BOUND, POINT_BOUND], one column per variable of VARSET18, the
+    same for every prime.  Coordinate k is a splitmix64-style hash of k,
+    reduced mod 2 POINT_BOUND + 1, so the first n points are the same
+    however many are drawn."""
+    z = np.arange(n * NVARS, dtype=np.uint64)
     z = z * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return (z % np.uint64(p)).astype(np.int64).reshape(n, NVARS)
+    z %= np.uint64(2 * POINT_BOUND + 1)
+    return (z.astype(np.int64) - POINT_BOUND).reshape(n, NVARS)
 
 
 def word_values(words: Iterable[Word], points: np.ndarray, p: int) -> dict[Word, np.ndarray]:
-    """tr(w) mod p at every point, one residue per point, for each word.
+    """tr(w) mod p at every point, one residue per point, for each word;
+    the coordinates of the points are integers, reduced mod p here.
     Sorted words that share a prefix share its matrix products, as in
     _compute_words_packed."""
     if p >= 1 << 25:
@@ -223,18 +226,40 @@ def word_values(words: Iterable[Word], points: np.ndarray, p: int) -> dict[Word,
             for j, var, sign in row:
                 mat[:, k, j] += sign * points[:, var]
         letters[letter] = mat % p
+    # the diagonal of a diagonal letter, whose product scales columns
+    diagonal = {
+        letter: np.einsum("nii->ni", letters[letter])[:, None, :]
+        for letter, rows in _LETTER_ROWS.items()
+        if all(j == k for k, row in enumerate(rows) for j, _, _ in row)
+    }
+
+    def times(mat: np.ndarray | None, ch: str) -> np.ndarray:
+        if mat is None:
+            return letters[ch]
+        if ch in diagonal:
+            return mat * diagonal[ch] % p
+        return (mat @ letters[ch]) % p
+
     out = {}
     # (prefix, its product at every point), each a prefix of the next
     path: list[tuple[str, np.ndarray | None]] = [("", None)]
-    for w in sorted(set(words)):
-        while not w.startswith(path[-1][0]):
+    words = sorted(set(words))
+    for w, later in zip(words, words[1:] + [""]):
+        # the product of all of w is made only where w is a prefix of a
+        # later word; else its trace comes from the product of w[:-1] and
+        # the last letter, a sum of 16 products below 2**50 each
+        stop = len(w) if len(w) == 1 or later.startswith(w) else len(w) - 1
+        while not w.startswith(path[-1][0]) or len(path[-1][0]) > stop:
             path.pop()
         prefix, mat = path[-1]
-        for ch in w[len(prefix) :]:
-            mat = letters[ch] if mat is None else (mat @ letters[ch]) % p
+        for ch in w[len(prefix) : stop]:
+            mat = times(mat, ch)
             prefix += ch
             path.append((prefix, mat))
-        out[w] = np.trace(mat, axis1=1, axis2=2) % p
+        if stop == len(w):
+            out[w] = np.trace(mat, axis1=1, axis2=2) % p
+        else:
+            out[w] = np.einsum("nij,nji->n", mat, letters[w[-1]]) % p
     return out
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import genmat
@@ -444,18 +444,25 @@ def _gen_evals(cache: genmat.EvalCache) -> list[PackedPoly]:
     return cache._gens
 
 
+# gen_values evaluates points in blocks of this many: the cost of a call is
+# mostly its numpy steps per word, whatever the number of points, and the
+# relation spaces of one run ask each prime for a few different counts
+_POINT_BLOCK = 64
+
+
 def gen_values(p: int, n: int, cache: genmat.EvalCache) -> np.ndarray | None:
-    """Values mod p of the 30 generators at the first n points of p (see
-    genmat.sample_points): an (30, n) int64 array, row gid for generator
-    gid, or None when p divides a denominator of a generator.  Memoized per
-    prime on the cache, which evaluates only the points it lacks."""
+    """Values mod p of the 30 generators at the first n integer points (see
+    genmat.sample_points), the same for every prime: an (30, n) int64
+    array, row gid for generator gid, or None when p divides a denominator
+    of a generator.  Memoized per prime on the cache, which evaluates the
+    points it lacks, up to the next multiple of _POINT_BLOCK."""
     have = cache._gen_values.get(p)
     if have is None or have.shape[1] < n:
         mods = catalog(cache)
         start = 0 if have is None else have.shape[1]
         new = genmat.trace_expr_values(
             (mods[g.module - 1].basis[g.j] for g in ABS_GENS),
-            genmat.sample_points(p, n)[start:],
+            genmat.sample_points(-(-n // _POINT_BLOCK) * _POINT_BLOCK)[start:],
             p,
         )
         if new is None:
@@ -476,8 +483,7 @@ def eval_abs_monomials(
     monos: Iterable[AbsMonomial], gens: list[PackedPoly], cache: genmat.EvalCache
 ) -> list[PackedPoly]:
     """Packed evaluations of generator monomials from gens, the evaluations
-    of the 30 generators (in full, or on a slice such as y11 = 0), with
-    prefix sharing within this call.
+    of the 30 generators, with prefix sharing within this call.
 
     A monomial m of two or more generators is evaluated as
     ev(m[:-1]) * ev(m[-1]); the prefixes of the monomials are computed one
@@ -688,6 +694,100 @@ def multiplicity(lam: Partition) -> int:
     P = hilbert_coeff(lam)
     Q = hilbert_coeff(Partition(lam.l1 + 1, lam.l2 - 1)) if lam.l2 > 0 else 0
     return P - Q
+
+
+# ---------------------------------------------------------------------------
+# The count of the trace algebra, from characters of the symmetric group.
+#
+# C_42, the algebra of the traces of two generic 4x4 matrices, has in degree
+# k the S_k-character Q(rho) = sum over mu |- k with at most 4 rows of
+# chi^mu(rho)^2 (Procesi, Formanek).  Its bigraded Hilbert series is then,
+# by Young's rule, h(a, b) = sum_{rho |- k} pi_a(rho) Q(rho) / z_rho, where
+# pi_a(rho) counts the subsets of the parts of rho that sum to a.  C_42 is
+# K[tr x, tr y] tensored with C^0, the algebra of the traces of the traceless
+# parts, which phi maps the generator algebra into; so C^0 has the series
+# h0 = h (1 - t)(1 - u).
+
+
+def _strip_moves(beta: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
+    """(beta', odd) for every border strip of length r added to the
+    partition of the descending beta set beta: a bead moves from b to the
+    free position b + r, and odd is the parity of the beads it passes."""
+    out = []
+    for i, b in enumerate(beta):
+        t = b + r
+        j = i
+        while j and beta[j - 1] < t:
+            j -= 1
+        if j and beta[j - 1] == t:
+            continue
+        out.append((beta[:j] + (t,) + beta[j:i] + beta[i + 1 :], (i - j) & 1))
+    return out
+
+
+@functools.cache
+def _trace_series(k: int) -> dict[int, tuple[int, ...]]:
+    """{d: (h(0, d), h(1, d - 1), ..., h(d, 0))} for the degrees d = k - 2,
+    k - 1 and k that c0 of a weight of degree k reads.
+
+    The characters come from forward Murnaghan-Nakayama on 4-bead beta
+    sets, so every mu has at most 4 rows: a depth-first walk over the
+    partitions rho of sizes up to k, parts in descending order, carries the
+    vector (chi^mu(prefix) for every mu), adding one border strip per part,
+    so partitions that share a prefix share its strips.  Each sum runs in
+    integers over d!, as sum pi_a(rho) Q(rho) d!/z_rho."""
+    wanted = {d: [0] * (d + 1) for d in range(max(k - 2, 0), k + 1)}
+    moves: dict[tuple[tuple[int, ...], int], list[tuple[tuple[int, ...], int]]] = {}
+
+    def visit(chars: dict, size: int, largest: int, subsets: list[int], runs: dict, z: int):
+        # subsets[a] = pi_a(rho), runs[p] the multiplicity of the part p
+        row = wanted.get(size)
+        if row is not None:
+            q = sum(c * c for c in chars.values())
+            cls = factorial(size) // z
+            for a, n in enumerate(subsets):
+                row[a] += n * q * cls
+        for p in range(min(largest, k - size), 0, -1):
+            step: dict[tuple[int, ...], int] = {}
+            for beta, c in chars.items():
+                key = (beta, p)
+                if key not in moves:
+                    moves[key] = _strip_moves(beta, p)
+                for new, odd in moves[key]:
+                    step[new] = step.get(new, 0) + (-c if odd else c)
+            more = subsets + [0] * p
+            for a, n in enumerate(subsets):
+                more[a + p] += n
+            mult = runs.get(p, 0) + 1
+            visit(step, size + p, p, more, {**runs, p: mult}, z * p * mult)
+
+    visit({(3, 2, 1, 0): 1}, 0, k, [1], {}, 1)
+    out = {}
+    for d, row in wanted.items():
+        f = factorial(d)
+        if any(v % f for v in row):
+            raise AssertionError(f"the degree-{d} character sums are not integers")
+        out[d] = tuple(v // f for v in row)
+    return out
+
+
+def c0(lam: Partition) -> int:
+    """Multiplicity of W(lam) in C^0, the traceless trace algebra that phi
+    maps the generator algebra into: h0(l1, l2) - h0(l1 + 1, l2 - 1), from
+    the characters of S_d for the three degrees d <= l1 + l2 that it needs
+    (see _trace_series), computed once per process.  phi maps the highest
+    weight vectors of weight lam into a space of dimension c0, so at least
+    multiplicity(lam) - c0(lam) of them are relations."""
+    lam = Partition.of(*lam)
+    series = _trace_series(lam.total)
+
+    def h(a: int, b: int) -> int:
+        return series[a + b][a] if a >= 0 and b >= 0 else 0
+
+    def h0(a: int, b: int) -> int:
+        return h(a, b) - h(a - 1, b) - h(a, b - 1) + h(a - 1, b - 1)
+
+    return h0(lam.l1, lam.l2) - (h0(lam.l1 + 1, lam.l2 - 1) if lam.l2 > 0 else 0)
 
 
 @functools.cache

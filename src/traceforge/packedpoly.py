@@ -25,8 +25,7 @@ concatenated sorted runs to one stable sort (timsort for int64), which
 merges them.  Linear combinations go through sum_scaled, which sorts the
 concatenated terms once per batch instead of once per term, and derivation
 applies a derivation sum x_i d/dy_j, which moves one degree from a y
-variable to an x variable, as a shift of the keys.  at_zero sets one
-variable to zero by dropping the terms it divides.
+variable to an x variable, as a shift of the keys.
 
 to_bytes and from_bytes give the binary form the disk cache stores: a fixed
 header, then the raw little-endian keys and coefficients.  from_bytes checks
@@ -569,15 +568,6 @@ def _sum_batch(terms: list[tuple[PackedPoly, Fraction]], acc: PackedPoly) -> Pac
     xdeg = max(p.xdeg for p, _ in terms)
     ydeg = max(p.ydeg for p, _ in terms)
     return _combine(keys, coeffs, den, xdeg, ydeg)
-
-
-def at_zero(p: PackedPoly, var: int) -> PackedPoly:
-    """p with the variable of index var set to zero: every term with a
-    nonzero exponent of var is dropped.  Setting a variable to zero is a
-    ring homomorphism, so at_zero(p * q) = at_zero(p) * at_zero(q).  The
-    degrees of p are kept as bounds."""
-    keep = ((p.keys >> SHIFTS[var]) & MASKS[var]) == 0
-    return _normalize(p.keys[keep], p.coeffs[keep], p.den, p.xdeg, p.ydeg)
 
 
 def derivation(p: PackedPoly, pairs: Sequence[tuple[int, int]]) -> PackedPoly:

@@ -311,8 +311,19 @@ def poly_to_text(p: CommPoly) -> str:
 
 
 def poly_from_text(varset: VarSet, text: str) -> CommPoly:
+    """The polynomial of the text poly_to_text writes.  Every error is a
+    ValueError that names its line: a field that int() cannot read, such
+    as "a/2", "x" or "²", a denominator that is not positive, a negative
+    exponent, a repeated monomial or a line of the wrong length."""
     n = len(varset)
     terms: dict[Monomial, Rational] = {}
+
+    def integer(field: str, what: str, lineno: int) -> int:
+        try:
+            return int(field)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {what} {field!r} is not an integer") from None
+
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -323,10 +334,13 @@ def poly_from_text(varset: VarSet, text: str) -> CommPoly:
         num, _, den = parts[0].partition("/")
         if not den:
             raise ValueError(f"line {lineno}: coefficient must be num/den")
-        if int(den) == 0:
+        num, den = integer(num, "numerator", lineno), integer(den, "denominator", lineno)
+        if den == 0:
             raise ValueError(f"line {lineno}: zero denominator")
-        c = Fraction(int(num), int(den))
-        m = tuple(int(e) for e in parts[1:])
+        if den < 0:
+            raise ValueError(f"line {lineno}: denominator of {parts[0]!r} is not positive")
+        c = Fraction(num, den)
+        m = tuple(integer(e, "exponent", lineno) for e in parts[1:])
         if any(e < 0 for e in m):
             raise ValueError(f"line {lineno}: negative exponent")
         if m in terms:

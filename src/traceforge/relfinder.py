@@ -5,13 +5,15 @@ whose image under the substitution into trace expressions evaluates to the
 zero polynomial on the generic matrix pair.  relation_space finds all of
 them for a given weight, as the kernel of the evaluation map on the highest
 weight basis.  The one prime loop, nullspace.modular_kernel, takes it from
-the values of the basis vectors at random points mod p, which bound the
-relation count r from above, and each of the r relation vectors is proven
-zero exactly, by assembling the matrix of the relation vectors alone on the
-slice y11 = 0 (see _proven), which bounds r from below, so the result is
-exact.  The basis is only the tool that finds the relations: a relation
-space is its relation vectors, and the store keeps them, so a stored space
-is read back without solving a basis.
+the values of the basis vectors at fixed integer points mod p, which bound
+the relation count r from above.  The characters of the symmetric group
+bound r from below by m - c0 (see glcat.c0), so where the two bounds meet
+the relations are exactly the kernel of the values at those points, and
+each relation vector is proven by its values at the points, mod enough
+primes to exceed a bound on them (see _proven_at_points).  No symbolic
+product is made.  The basis is only the tool that finds the relations: a
+relation space is its relation vectors, and the store keeps them, so a
+stored space is read back without solving a basis.
 
 The analysis layer mirrors the downstream structure results: orbits under
 the lowering derivation, reduction modulo the ideal generated by a fixed
@@ -23,7 +25,7 @@ degree relations and genuinely new ones.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from . import genmat
@@ -31,7 +33,6 @@ from ._lazy import np
 from .cache import digest_text
 from .glcat import (
     ABS_GENS,
-    NGENS,
     AbsGen,
     AbsMonomial,
     AbsPoly,
@@ -42,6 +43,7 @@ from .glcat import (
     abs_delta1,
     abs_poly_text,
     bidegree_monomials,
+    c0,
     catalog,
     catalog_digest,
     eval_abs_monomial,  # unused here; bench/tracer.py wraps relfinder.eval_abs_monomial
@@ -50,17 +52,17 @@ from .glcat import (
     leaf_groups,
     mono_bidegree,
     mono_name,
+    multiplicity,
     phi,
     predicted_dens,
 )
 from .hwv import HwvBasis, hwv_basis, raising_kernel, span_rank
-from .nullspace import NullStreamError, _rref_mod, modular_kernel
+from .nullspace import PRIMES, NullStreamError, _rref_mod, modular_kernel
 from .packedpoly import (
     XCAP,
     YCAP,
     PackedCapacityError,
     PackedPoly,
-    at_zero,
     distinct_keys,
     sum_scaled,
 )
@@ -248,10 +250,9 @@ class _Columns:
 def _assemble_matrix(
     polys: Sequence[AbsPoly], gens: list[PackedPoly], cache: genmat.EvalCache
 ) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The one evaluator of generator polynomials.  Its callers pass a few
-    polynomials and the evaluations gens of the 30 generators: _proven the
-    relation vectors of one weight and the generators on the slice
-    y11 = 0, and evaluate_abs one candidate and the generators in full.
+    """The one evaluator of generator polynomials.  Its caller,
+    evaluate_abs, passes one candidate and the evaluations gens of the 30
+    generators.
 
     Returns (M, colscale, keys): M has one integer column per polynomial and
     one row per packed key of the 18-variable evaluation, ascending, at which
@@ -306,10 +307,16 @@ def _check_packed(polys: Iterable[AbsPoly]) -> None:
     """PackedCapacityError if the bidegree of a monomial of the polys
     exceeds the packed fields."""
     for p, q in {mono_bidegree(m) for v in polys for m in v.nums}:
-        if p > XCAP or q > YCAP:
-            raise PackedCapacityError(
-                f"monomial bidegree ({p},{q}) exceeds packed capacity ({XCAP},{YCAP})"
-            )
+        _check_bidegree(p, q)
+
+
+def _check_bidegree(p: int, q: int) -> None:
+    """PackedCapacityError if a monomial of bidegree (p, q) exceeds the
+    packed fields."""
+    if p > XCAP or q > YCAP:
+        raise PackedCapacityError(
+            f"monomial bidegree ({p},{q}) exceeds packed capacity ({XCAP},{YCAP})"
+        )
 
 
 def _place_evals(cols: _Columns, evals: dict[AbsMonomial, PackedPoly]) -> None:
@@ -411,14 +418,19 @@ def relation_space(
     spaces read from the store.
 
     The catalog is certified on the cache first (see glcat.catalog).  The
-    kernel is found from the values of the basis at points mod p, and each
-    relation vector is proven zero exactly (see _modular_zeta); only
-    the monomials of the relation vectors are evaluated.  Where the prime
-    loop fails, NullStreamError names the weight.  mode must be "modular"
-    (ValueError otherwise, before any work), and threads is ignored: both
-    stay only because the benchmark in bench/ passes them."""
+    kernel is found from the values of the basis at integer points mod p,
+    and proven to be the whole relation space by the count m - c0 and by
+    the values of its relation vectors at the points (see _modular_zeta);
+    no polynomial is evaluated.  Where the prime loop fails,
+    NullStreamError names the weight.  A weight beyond the packed fields
+    raises PackedCapacityError before any work, since a candidate of that
+    bidegree could not be evaluated (see evaluate_abs).  mode must be
+    "modular" (ValueError otherwise, before any work), and threads is
+    ignored: both stay only because the benchmark in bench/ passes
+    them."""
     _check_mode(mode)
     lam = Partition.of(*lam)
+    _check_bidegree(lam.l1, lam.l2)
     catalog(cache)
     store = cache.store
     digest = catalog_digest()
@@ -456,7 +468,7 @@ def relation_space(
 
 def _held(space: RelationSpace, cache: genmat.EvalCache) -> RelationSpace:
     """The space, kept on the cache under its weight for verify_zero_abs.
-    Every relation vector was proven zero exactly before it was stored, and
+    Every relation vector was proven a relation before it was stored, and
     a stored one passes the checks of _load_space, so every member of the
     space is zero."""
     with cache._lock:
@@ -469,35 +481,36 @@ def _held(space: RelationSpace, cache: genmat.EvalCache) -> RelationSpace:
 _EXTRA_POINTS = 16
 
 
-class _BasisValues:
-    """The values mod p of the vectors of a basis at points: the values of
-    their monomials, products of generator values (see glcat.gen_values),
-    times their coefficients mod p."""
+class _PointValues:
+    """The values mod p of polynomials at points: the values of their
+    monomials, products of generator values (see glcat.gen_values), times
+    their coefficients mod p."""
 
-    def __init__(self, basis: HwvBasis):
-        self.s = basis.s
-        index: dict[AbsMonomial, int] = {}
-        for v in basis.vectors:
-            for m in v.nums:
-                index.setdefault(m, len(index))
-        # row k: the generators of monomial k, padded with NGENS, the index
-        # of an all-ones row
-        width = max((len(m) for m in index), default=0)
-        self.gids = np.full((len(index), width), NGENS, dtype=np.int64)
-        for k, m in enumerate(index):
+    def __init__(self, vectors: Sequence[AbsPoly]):
+        self.vectors = tuple(vectors)
+        # the monomials, longest first
+        monos = dict.fromkeys(m for v in self.vectors for m in v.nums)
+        monos = sorted(monos, key=len, reverse=True)
+        index = {m: k for k, m in enumerate(monos)}
+        # row k: the generators of monomial k, padded; counts[j]: the
+        # monomials of more than j generators, the first rows
+        width = len(monos[0]) if monos else 0
+        self.gids = np.zeros((len(monos), width), dtype=np.int64)
+        for k, m in enumerate(monos):
             self.gids[k, : len(m)] = m
+        self.counts = [sum(len(m) > j for m in monos) for j in range(width)]
         # the coefficient of monomial cols[t] in vector rows[t] is
         # nums[t] / dens[t]
-        at = [(i, index[m]) for i, v in enumerate(basis.vectors) for m in v.nums]
+        at = [(i, index[m]) for i, v in enumerate(self.vectors) for m in v.nums]
         self.rows = np.array([i for i, _ in at], dtype=np.int64)
         self.cols = np.array([k for _, k in at], dtype=np.int64)
-        self.nums = [c for v in basis.vectors for c in v.nums.values()]
-        self.dens = [v.den for v in basis.vectors for _ in v.nums]
+        self.nums = [c for v in self.vectors for c in v.nums.values()]
+        self.dens = [v.den for v in self.vectors for _ in v.nums]
 
     def __call__(self, p: int, n: int, cache: genmat.EvalCache) -> np.ndarray | None:
-        """E_p: the values at the first n points of p, an (n, s) int64
-        array, or None when p divides a denominator of the basis or of the
-        generators."""
+        """The values at the first n points mod p, an (n, len(vectors))
+        int64 array, or None when p divides a denominator of the vectors or
+        of the generators."""
         dens = set(self.dens)
         if any(d % p == 0 for d in dens):
             return None
@@ -505,14 +518,13 @@ class _BasisValues:
         if gens is None:
             return None
         inverse = {d: pow(d, -1, p) for d in dens}
-        coeffs = np.zeros((self.s, len(self.gids)), dtype=np.int64)
+        coeffs = np.zeros((len(self.vectors), len(self.gids)), dtype=np.int64)
         coeffs[self.rows, self.cols] = [
             a * inverse[d] % p for a, d in zip(self.nums, self.dens)
         ]
-        gens = np.concatenate([gens, np.ones((1, n), dtype=np.int64)])
         values = np.ones((len(self.gids), n), dtype=np.int64)
-        for col in self.gids.T:
-            values = values * gens[col] % p
+        for j, count in enumerate(self.counts):
+            values[:count] = values[:count] * gens[self.gids[:count, j]] % p
         return genmat.mod_matmul(values.T, coeffs.T, p)
 
 
@@ -520,63 +532,136 @@ def _modular_zeta(
     basis: HwvBasis, cache: genmat.EvalCache
 ) -> tuple[list[tuple[Fraction, ...]], tuple[AbsPoly, ...]]:
     """(zeta, relvectors): the kernel of the evaluation map on the basis,
-    from its values at points mod p, and the relation vectors that _proven
-    built and proved zero exactly from those zeta.
+    from its values at integer points mod p, and the relation vectors that
+    _proven_at_points built from those zeta and proved to be the whole
+    relation space.
 
     A relation vanishes at every point, so r <= s - rank_p(E_p) for every
-    prime p that divides no denominator; the vote of nullspace.modular_kernel
-    keeps the largest rank, and its candidate vectors, in free-column form,
-    are independent.  Once all of them are proven, k proven relations pin
-    k <= r <= s - rank_p = k.  The first prime alone is given s +
-    _EXTRA_POINTS points, and each further pair of primes _EXTRA_POINTS
-    more."""
-    values = _BasisValues(basis)
-    drawn = []
+    prime p that divides no denominator; the vote of
+    nullspace.modular_kernel keeps the largest rank, and its candidate
+    vectors, in free-column form, are independent.  The basis must have
+    multiplicity(lam) vectors (AssertionError otherwise, before any value
+    is computed), since the proof counts against it.  The first prime
+    alone is given s + _EXTRA_POINTS points, and each further pair of
+    primes _EXTRA_POINTS more; the proof checks the candidates at all the
+    points drawn so far."""
+    lam = basis.lam
+    if basis.s != multiplicity(lam):
+        raise AssertionError(
+            f"the basis of weight ({lam.l1},{lam.l2}) has {basis.s} vectors, "
+            f"not the multiplicity {multiplicity(lam)}"
+        )
+    values = _PointValues(basis.vectors)
+    # the points of each prime drawn, never fewer than the one before
+    drawn: list[int] = []
     proved: list[tuple[AbsPoly, ...] | None] = []
 
     def echelon(p: int):
-        n = basis.s + _EXTRA_POINTS * (1 + (len(drawn) + 1) // 2)
-        drawn.append(p)
-        E = values(p, n, cache)
+        drawn.append(basis.s + _EXTRA_POINTS * (1 + (len(drawn) + 1) // 2))
+        E = values(p, drawn[-1], cache)
         return None if E is None else _rref_mod(E, p)
 
     def prove(zeta: Sequence[Sequence[Fraction]]) -> bool:
-        proved.append(_proven(zeta, basis, cache))
+        proved.append(_proven_at_points(zeta, basis, drawn[-1], cache))
         return proved[-1] is not None
 
     try:
         kernel = modular_kernel(echelon, basis.s, prove)
     except NullStreamError as exc:
-        lam = basis.lam
         raise NullStreamError(f"relation space of weight ({lam.l1},{lam.l2}): {exc}") from exc
     # modular_kernel returns the zeta of the last proof, which held
     return list(kernel.vectors), proved[-1]
 
 
-def _proven(
-    zeta: Sequence[Sequence[Fraction]], basis: HwvBasis, cache: genmat.EvalCache
+def _proven_at_points(
+    zeta: Sequence[Sequence[Fraction]], basis: HwvBasis, n: int, cache: genmat.EvalCache
 ) -> tuple[AbsPoly, ...] | None:
     """The combinations sum_i z_i v_i of the basis vectors, one per zeta,
-    when every f = ev(sum_i z_i v_i) is zero on the generic matrices, else
-    None.  The combinations are assembled on the slice y11 = 0, from the
-    generator evaluations with y11 set to zero, and their matrix must have
-    no nonzero row.
+    when they are proven to span the relations of the weight, else None.
+    The count is checked first, then the combinations at the first n
+    points, with no symbolic product.
 
-    The slice decides because abs_delta kills every combination, which is
-    checked first (AssertionError otherwise, before any product).  The
-    catalog certificate proves D(ev(p)) = ev(abs_delta(p)) (see glcat), so
-    D f = 0, and f is fixed by y -> y + t x for every t.  With
-    t = -y11/x11 the new y has no y11 entry, so f(x, y) = f|_{y11=0}(x, y'),
-    where y' is y - (y11/x11) x without its y11 coordinate, and f = 0
-    exactly when f|_{y11=0} = 0.  Setting y11 to zero is a ring
-    homomorphism, so f|_{y11=0} is assembled from the sliced generators."""
+    The proof, for k = len(zeta) candidates, which the prime loop gives in
+    free-column form from a prime q with k = s - rank_q(E_q) at its first
+    n_q <= n points, and for a basis of s = multiplicity(lam) vectors (see
+    _modular_zeta):
+    1. r >= m - c0(lam): phi maps the highest weight vectors of weight lam
+       into those of C^0, a space of dimension c0 (see glcat.c0).
+    2. A relation vanishes at every point, so the relations lie in
+       ker E_Q, the kernel of the values at the n integer points, and
+       r <= s - rank(E_Q) <= s - rank_q(E_q) = k, E_q being the values at
+       the first n_q points, reduced mod q.
+    3. So k = m - c0 gives r = k = dim ker E_Q: the relations are
+       ker E_Q.  k < m - c0 contradicts 1 and 2 and raises
+       NullStreamError; k > m - c0 gives None, and more primes and points
+       are drawn.
+    4. The k combinations are relations exactly when they vanish at the n
+       points (see _zero_at_points).
+
+    Each combination must be a highest weight vector of weight lam, as
+    step 1 assumes (AssertionError otherwise, before any value)."""
     vectors = tuple(_relation_vector(z, basis.vectors) for z in zeta)
-    if not vectors:
-        return vectors
     _check_highest_weight(basis.lam, vectors)
-    sliced = [at_zero(g, genmat.Y11) for g in _gen_evals(cache)]
-    M, _, _ = _assemble_matrix(vectors, sliced, cache)
-    return vectors if M.shape[0] == 0 else None
+    lam = basis.lam
+    count = multiplicity(lam) - c0(lam)
+    if len(vectors) < count:
+        raise NullStreamError(
+            f"s - rank_p = {len(vectors)} is below the count m - c0 = {count}"
+        )
+    if len(vectors) > count or not _zero_at_points(vectors, n, cache):
+        return None
+    return vectors
+
+
+def _zero_at_points(vectors: Sequence[AbsPoly], n: int, cache: genmat.EvalCache) -> bool:
+    """Is every vector exactly zero at the first n points of
+    genmat.sample_points?  Their values are taken mod PRIMES in order,
+    skipping a prime that divides a denominator, until the product of the
+    primes exceeds twice the largest of _value_bounds: an integer of
+    absolute value at most B that vanishes mod primes whose product exceeds
+    2 B is zero."""
+    if not vectors:
+        return True
+    bound = 2 * max(_value_bounds(vectors, _gen_evals(cache)))
+    values = _PointValues(vectors)
+    modulus = 1
+    for q in PRIMES:
+        if modulus > bound:
+            return True
+        V = values(q, n, cache)
+        if V is None:
+            continue
+        if V.any():
+            return False
+        modulus *= q
+    return modulus > bound
+
+
+def _value_bounds(vectors: Sequence[AbsPoly], gens: list[PackedPoly]) -> list[int]:
+    """For each vector v, a B with |L v(x)| <= B at every integer point x
+    whose coordinates are at most genmat.POINT_BOUND in absolute value.
+    The generator evaluations gens are g = G_g / d_g, G_g an integer
+    polynomial, and L = v.den lcm_m (prod_{g in m} d_g) makes L v(x) an
+    integer for every integer x.  A term of G_g is at most ||G_g||_1
+    T^deg(g) at x, with ||G_g||_1 the sum of the absolute values of its
+    coefficients, so B = sum_m |v.nums[m]| (lcm / prod_{g in m} d_g)
+    prod_{g in m} ||G_g||_1 T^deg(m)."""
+    # ||G_g||_1 T^deg(g), and (prod d_g, prod ||G_g||_1 T^deg(g)) by monomial
+    weight = [
+        sum(map(abs, g.coeffs.tolist())) * genmat.POINT_BOUND ** sum(a.bidegree)
+        for g, a in zip(gens, ABS_GENS)
+    ]
+    factors = {
+        m: (prod(gens[g].den for g in m), prod(weight[g] for g in m))
+        for m in dict.fromkeys(m for v in vectors for m in v.nums)
+    }
+    bounds = []
+    for v in vectors:
+        common = lcm(1, *(factors[m][0] for m in v.nums))
+        bounds.append(
+            sum(abs(c) * (common // factors[m][0]) * factors[m][1] for m, c in v.nums.items())
+        )
+    return bounds
 
 
 def _load_space(lam: Partition, summary: dict, catalog: str) -> RelationSpace | None:

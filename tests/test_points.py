@@ -1,13 +1,16 @@
-"""Relation spaces from the values of a basis at points mod p.
+"""Relation spaces from the values of a basis at integer points mod p.
 
 The modular relation space bounds each relation count r from above by
-s - rank_p(E_p), where E_p holds the values of the s basis vectors at points
-mod p, and from below by the relation vectors it proves exactly.  These
-tests check the values against the packed evaluations, the bound against
-the frozen counts, and that a wrong candidate is never returned or stored.
+s - rank_p(E_p), where E_p holds the values of the s basis vectors at
+integer points mod p, and from below by the count m - c0; where they meet,
+each relation vector is proven by its values at the points, mod enough
+primes.  These tests check the values against the packed evaluations, the
+bound against the frozen counts, the proof's premise, count, bound and
+primes, and that a wrong candidate is never returned or stored.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -45,14 +48,15 @@ def _packed_value(poly, point, p):
     return total * pow(poly.den, -1, p) % p
 
 
-def test_sample_points_are_residues_and_extend_their_prefix():
-    p = PRIMES[0]
-    few, many = sample_points(p, 5), sample_points(p, 40)
+def test_sample_points_are_small_integers_and_extend_their_prefix():
+    # one sequence of points for every prime, so the values mod p are the
+    # rational values at the points reduced mod p
+    few, many = sample_points(5), sample_points(40)
     assert few.shape == (5, 18) and many.shape == (40, 18)
-    assert np.array_equal(few, many[:5])
-    assert many.min() >= 0 and many.max() < p
-    assert not np.array_equal(sample_points(PRIMES[1], 5), few)
-    assert sample_points(p, 0).shape == (0, 18)
+    assert few.dtype == np.int64 and np.array_equal(few, many[:5])
+    bound = genmat.POINT_BOUND
+    assert set(many.ravel().tolist()) == set(range(-bound, bound + 1))
+    assert sample_points(0).shape == (0, 18)
 
 
 def test_generator_values_are_the_packed_evaluations_at_the_points(store):
@@ -61,7 +65,7 @@ def test_generator_values_are_the_packed_evaluations_at_the_points(store):
     for p in PRIMES[:2]:
         values = gen_values(p, 3, cache)
         assert values.shape == (30, 3) and values.dtype == np.int64
-        for k, point in enumerate(sample_points(p, 3)):
+        for k, point in enumerate(sample_points(3) % p):
             want = [_packed_value(poly, point, p) for poly in packed]
             assert values[:, k].tolist() == want, (p, k)
 
@@ -83,7 +87,7 @@ def test_the_bound_at_points_is_the_relation_count_without_a_product(store, monk
     cache = EvalCache(store)
     for lam, r in R.items():
         basis = hwv_basis(Partition(*lam), cache=cache)
-        values = relfinder._BasisValues(basis)
+        values = relfinder._PointValues(basis.vectors)
         for p in PRIMES[:2]:
             E = values(p, basis.s + relfinder._EXTRA_POINTS, cache)
             pivots, _ = _rref_mod(E, p)
@@ -114,10 +118,10 @@ def test_a_basis_with_a_denominator_divisible_by_p_has_no_values(store):
     basis = hwv_basis(Partition(7, 5), cache=cache)
     first = basis.vectors[0].scale(Fraction(1, 5))
     scaled = basis._replace(vectors=(first,) + basis.vectors[1:])
-    values = relfinder._BasisValues(scaled)
+    values = relfinder._PointValues(scaled.vectors)
     assert values(5, 4, cache) is None
     assert values(7, 4, cache).shape == (4, basis.s)
-    assert relfinder._BasisValues(basis)(5, 4, cache) is not None
+    assert relfinder._PointValues(basis.vectors)(5, 4, cache) is not None
 
 
 def _space_key(cache, lam):
@@ -144,8 +148,9 @@ def _corrupting(monkeypatch, times):
     return offered
 
 
-# the exact proof assembles the relation vectors
-@pytest.mark.parametrize("route", ["assembled"])
+# the exact proof checks the relation vectors at the points: the corrupted
+# candidate passes the count, and its values are not zero
+@pytest.mark.parametrize("route", ["points"])
 def test_a_corrupted_coordinate_is_caught_by_the_exact_proof(route, tmp_path, store, monkeypatch):
     lam = Partition(7, 5)
     # the answer of a solve that nothing corrupts, on a cache of its own
@@ -159,7 +164,7 @@ def test_a_corrupted_coordinate_is_caught_by_the_exact_proof(route, tmp_path, st
     assert stored["zeta"] == [[f"{x.numerator}/{x.denominator}" for x in z] for z in want.zeta]
 
 
-@pytest.mark.parametrize("route", ["assembled"])
+@pytest.mark.parametrize("route", ["points"])
 def test_a_candidate_that_never_proves_is_never_stored(route, tmp_path, monkeypatch):
     lam = Partition(7, 5)
     cache = EvalCache(CacheStore(tmp_path))
@@ -180,9 +185,7 @@ def test_degenerate_points_overcount_and_fail_without_storing(tmp_path, monkeypa
     cache = EvalCache(CacheStore(tmp_path))
     basis = hwv_basis(lam, cache=cache)
     assert hwv_verify(basis, cache=cache).ok
-    monkeypatch.setattr(
-        genmat, "sample_points", lambda p, n: np.full((n, 18), 5, dtype=np.int64)
-    )
+    monkeypatch.setattr(genmat, "sample_points", lambda n: np.full((n, 18), 5, dtype=np.int64))
     ranks = []
 
     def recording(E, p):
@@ -196,3 +199,90 @@ def test_degenerate_points_overcount_and_fail_without_storing(tmp_path, monkeypa
     assert len(ranks) == nullspace.DEFAULT_PRIME_BUDGET
     assert all(basis.s - rank > R[(7, 5)] for rank in ranks)
     assert cache.store.get_json(_space_key(cache, lam)) is None
+
+
+def test_a_basis_of_other_than_m_vectors_is_refused_before_any_value(tmp_path, monkeypatch):
+    # the count m - c0 holds for a basis of m vectors: with multiplicity
+    # off by one the solve raises before a value is computed, and nothing
+    # is stored
+    lam = Partition(7, 5)
+    cache = EvalCache(CacheStore(tmp_path))
+    monkeypatch.setattr(relfinder, "multiplicity", lambda lam: glcat.multiplicity(lam) + 1)
+    monkeypatch.setattr(relfinder, "gen_values", _no_product)
+    with pytest.raises(AssertionError, match=r"\(7,5\) has 36 vectors, not the multiplicity 37"):
+        relation_space(lam, cache=cache)
+    assert cache.store.get_json(_space_key(cache, lam)) is None
+
+
+def test_a_count_off_by_one_fails_without_storing(tmp_path, monkeypatch):
+    # c0 one too large asks for fewer relations than every prime finds, so
+    # no candidate proves and the loop spends its budget; c0 one too small
+    # asks for more than s - rank_p, which no prime can give, and the solve
+    # fails at once; either way the weight is named and nothing is stored
+    lam = Partition(7, 5)
+    c0 = glcat.c0
+    for shift, match in (
+        (1, r"\(7,5\): modular kernel failed after 20 primes"),
+        (-1, r"\(7,5\): s - rank_p = 1 is below the count m - c0 = 2"),
+    ):
+        cache = EvalCache(CacheStore(tmp_path / str(shift)))
+        monkeypatch.setattr(relfinder, "c0", lambda lam, shift=shift: c0(lam) + shift)
+        with pytest.raises(NullStreamError, match=match):
+            relation_space(lam, cache=cache)
+        assert cache.store.get_json(_space_key(cache, lam)) is None
+
+
+def _exact_value(poly, point):
+    """A packed evaluation at one integer point, exactly."""
+    total = 0
+    for exps, c in zip(unpack_keys(poly.keys).tolist(), poly.coeffs.tolist()):
+        term = int(c)
+        for x, e in zip(point.tolist(), exps):
+            term *= x**e
+        total += term
+    return Fraction(total, poly.den)
+
+
+def test_the_value_bound_bounds_the_values_at_the_points(store):
+    # at a few points, L v(x) is an integer of absolute value at most B for
+    # basis vectors, which are no relations, and for a relation vector
+    cache = EvalCache(store)
+    gens = glcat._gen_evals(cache)
+    points = sample_points(6)
+    ev = [[_exact_value(g, x) for x in points] for g in gens]
+    space = relation_space(Partition(7, 5), cache=cache)
+    basis = hwv_basis(Partition(7, 5), cache=cache)
+    for v in (*basis.vectors[:3], space.relvectors[0]):
+        L = v.den * lcm(*(prod(gens[g].den for g in m) for m in v.nums))
+        [B] = relfinder._value_bounds([v], gens)
+        values = [
+            sum(Fraction(c, v.den) * prod(ev[g][k] for g in m) for m, c in v.nums.items())
+            for k in range(len(points))
+        ]
+        assert all((L * x).denominator == 1 and abs(L * x) <= B for x in values)
+        assert any(values) == (v is not space.relvectors[0])
+
+
+@pytest.mark.parametrize("lam", sorted(R), ids=lambda lam: f"{lam[0]},{lam[1]}")
+def test_the_proof_takes_the_fewest_primes_that_pass_twice_the_bound(lam, store, monkeypatch):
+    # the relation vectors are checked mod PRIMES in order, at every point
+    # the rank was taken at, until the product of the primes exceeds 2 B:
+    # one prime fewer would not
+    taken = []
+    call = relfinder._PointValues.__call__
+
+    def recorded(values, p, n, cache):
+        taken.append((values.vectors, p, n))
+        return call(values, p, n, cache)
+
+    monkeypatch.setattr(relfinder._PointValues, "__call__", recorded)
+    cache = EvalCache()
+    space = relation_space(Partition(*lam), cache=cache)
+    basis = hwv_basis(Partition(*lam), cache=cache)
+    n = basis.s + relfinder._EXTRA_POINTS
+    assert taken[0] == (basis.vectors, PRIMES[0], n)
+    checked = [p for vectors, p, points in taken[1:] if vectors == space.relvectors]
+    assert len(checked) == len(taken) - 1 and all(points == n for _, _, points in taken)
+    assert checked == list(PRIMES[: len(checked)])
+    bound = 2 * max(relfinder._value_bounds(space.relvectors, glcat._gen_evals(cache)))
+    assert prod(checked) > bound >= prod(checked[:-1])

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, and the truncated bivariate series oracle."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -61,6 +62,27 @@ def test_text_rejects_malformed():
         poly_from_text(VS, "1/2 -1 0 0")  # negative exponent
     with pytest.raises(ValueError, match="line 2: zero denominator"):
         poly_from_text(VS, "1/2 0 0 0\n1/0 1 0 0")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("a/2 1 0 0", "numerator 'a' is not an integer"),
+        ("1/x 1 0 0", "denominator 'x' is not an integer"),
+        ("1/2/3 1 0 0", "denominator '2/3' is not an integer"),
+        ("1/2 x 0 0", "exponent 'x' is not an integer"),
+        ("1/2 1 ² 0", "exponent '²' is not an integer"),
+        ("²/2 1 0 0", "numerator '²' is not an integer"),
+        ("1/-2 1 0 0", "denominator of '1/-2' is not positive"),
+        ("-1/-2 1 0 0", "denominator of '-1/-2' is not positive"),
+    ],
+)
+def test_text_names_the_line_of_a_field_it_cannot_read(line, message):
+    # the parser's own ValueError, on line 2, not int()'s; a negative
+    # denominator is rejected as relfinder._parse_ratio rejects it, since
+    # poly_to_text never writes one
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+        poly_from_text(VS, "1/2 0 0 0\n" + line)
 
 
 def test_mixing_two_varsets_raises():

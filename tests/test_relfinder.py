@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import expected_products
+from slice_oracle import Y11, _proven, at_zero
 from traceforge import glcat, relfinder
 from traceforge.cache import CacheStore
-from traceforge.genmat import Y11, EvalCache
+from traceforge.genmat import EvalCache
 from traceforge.glcat import AbsPoly, Partition, abs_delta, abs_monomials, phi
 from traceforge.hwv import hwv_basis
-from traceforge.packedpoly import PackedPoly, at_zero, sum_scaled
+from traceforge.packedpoly import PackedPoly, sum_scaled
 from traceforge.phiparse import parse_phi
 from traceforge.tracelang import parse_trace
 from traceforge.relfinder import (
@@ -431,10 +432,10 @@ def test_a_proof_makes_each_product_once_and_keeps_no_leaf_prefix(s66, cache):
     # every one of them again: no product outlives its proof
     run = EvalCache(store=cache.store)
     basis = hwv_basis(Partition(6, 6), cache=run)
-    assert relfinder._proven(s66.zeta, basis, run) == s66.relvectors
+    assert _proven(s66.zeta, basis, run) == s66.relvectors
     once = run.stats.gen_products
     assert once == expected_products([s66.relvectors])
-    assert relfinder._proven(s66.zeta, basis, run) == s66.relvectors
+    assert _proven(s66.zeta, basis, run) == s66.relvectors
     assert run.stats.gen_products == 2 * once == expected_products([s66.relvectors] * 2)
 
 
@@ -626,8 +627,8 @@ def test_the_slice_is_the_evaluation_at_y11_zero(s75, s66, cache):
     assert sum(g.nnz for g in sliced) < sum(f.nnz for f in full)
     # a basis vector outside the (7,5) space is no relation on the slice
     basis = hwv_basis(Partition(7, 5))
-    assert relfinder._proven(s75.zeta, basis, run) == s75.relvectors
-    assert relfinder._proven([_unit_vector_outside(s75, basis)], basis, run) is None
+    assert _proven(s75.zeta, basis, run) == s75.relvectors
+    assert _proven([_unit_vector_outside(s75, basis)], basis, run) is None
 
 
 def test_threads_proving_on_one_cache_count_every_product(s66, cache):
@@ -645,7 +646,7 @@ def test_threads_proving_on_one_cache_count_every_product(s66, cache):
     sys.setswitchinterval(1e-6)
     try:
         workers = [
-            threading.Thread(target=lambda: got.append(relfinder._proven(s66.zeta, basis, run)))
+            threading.Thread(target=lambda: got.append(_proven(s66.zeta, basis, run)))
             for _ in range(8)
         ]
         for w in workers:
@@ -660,8 +661,8 @@ def test_threads_proving_on_one_cache_count_every_product(s66, cache):
 
 
 def test_every_product_of_a_proof_runs_on_the_calling_thread(cache, monkeypatch):
-    # the (8,6) proof multiplies 8.08 M raw terms on the slice, the largest
-    # of the seven weights; on a machine of any core count each of its
+    # the slice proof of (8,6) multiplies 8.08 M raw terms, the largest of
+    # the seven weights; on a machine of any core count each of its
     # products runs on the thread that asked for the proof
     import os
     import threading
@@ -681,15 +682,15 @@ def test_every_product_of_a_proof_runs_on_the_calling_thread(cache, monkeypatch)
 
     monkeypatch.setattr(SumTable, "product", recorded_product)
     run = EvalCache(store=cache.store)
-    proved = relfinder._proven(space.zeta, basis, run)
+    proved = _proven(space.zeta, basis, run)
     assert threads and set(threads) == {threading.get_ident()}
     assert len(threads) == run.stats.gen_products
     assert proved == space.relvectors
 
 
 def test_the_modular_mode_builds_and_checks_each_relation_vector_once(cache, monkeypatch):
-    # _proven builds and checks the vectors it proves, and relation_space
-    # keeps them rather than building and checking them again
+    # _proven_at_points builds and checks the vectors it proves, and
+    # relation_space keeps them rather than building and checking them again
     built, checked = [], []
     combine, check = relfinder._relation_vector, relfinder._check_highest_weight
 
@@ -710,11 +711,12 @@ def test_the_modular_mode_builds_and_checks_each_relation_vector_once(cache, mon
 
 
 def test_a_combination_that_abs_delta_does_not_kill_is_refused(s75, cache, monkeypatch):
-    # the slice decides only where abs_delta kills the combination: a
-    # relation plus a monomial that abs_delta does not kill raises before
-    # _proven makes a product
+    # the count and the slice both decide only where abs_delta kills the
+    # combination: a relation plus a monomial that abs_delta does not kill
+    # raises before the count proof computes a value at a point, and before
+    # the slice proof makes a product
     def no_products(*args):
-        raise RuntimeError("_proven assembled a combination it must refuse")
+        raise RuntimeError("a proof evaluated a combination it must refuse")
 
     basis = hwv_basis(Partition(7, 5))
     m = next(m for m in basis.monomials if not abs_delta(AbsPoly.monomial(m)).is_zero())
@@ -723,9 +725,12 @@ def test_a_combination_that_abs_delta_does_not_kill_is_refused(s75, cache, monke
     run = EvalCache(store=cache.store)
     monkeypatch.setattr(glcat, "leaf_groups", no_products)
     monkeypatch.setattr(relfinder, "leaf_groups", no_products)
+    monkeypatch.setattr(relfinder, "gen_values", no_products)
     with pytest.raises(AssertionError, match=r"not a highest weight vector of bidegree \(7,5\)"):
-        relfinder._proven(zeta, bad, run)
-    assert run.stats.gen_products == 0
+        relfinder._proven_at_points(zeta, bad, bad.s + 16, run)
+    with pytest.raises(AssertionError, match=r"not a highest weight vector of bidegree \(7,5\)"):
+        _proven(zeta, bad, run)
+    assert run.stats.gen_products == 0 and not run._gen_values
 
 
 def test_the_slice_and_the_full_evaluation_agree_at_every_weight(cache):
@@ -738,8 +743,8 @@ def test_the_slice_and_the_full_evaluation_agree_at_every_weight(cache):
             space = relation_space(lam, cache=cache)
             basis = hwv_basis(lam, cache=cache)
             outside = _unit_vector_outside(space, basis)
-            assert relfinder._proven(space.zeta, basis, cache) == space.relvectors, lam
-            assert relfinder._proven([outside], basis, cache) is None, lam
+            assert _proven(space.zeta, basis, cache) == space.relvectors, lam
+            assert _proven([outside], basis, cache) is None, lam
             M, _, _ = relfinder._assemble_matrix(space.relvectors, gens, cache)
             assert M.shape[0] == 0, lam
             vector = relfinder._relation_vector(outside, basis.vectors)
